@@ -5,16 +5,12 @@ solution exactly once, and can be instrumented with a :class:`DelayMeter`
 that counts machine-independent primitive operations between emissions.
 """
 
-from .alpha import enumerate_alpha, find_alpha_orientation, same_alpha_cycle_decomposition
+from .alpha import enumerate_alpha, find_alpha_orientation
 from .connectivity import edge_connectivity, is_k_connected
-from .kconn import (
-    class_size_lower_bound_check,
-    enumerate_k_connected,
-    find_k_connected_orientation,
-)
+from .kconn import enumerate_k_connected, find_k_connected_orientation
 from .metering import DelayMeter, GapStats
 from .multigraph import GraphParseError, Multigraph, Orientation, graph_to_text, parse_graph
-from .paths import PathResult, find_directed_path, is_flippable_pair, lambda_at_least, reverse_path
+from .paths import PathResult, find_directed_path, is_flippable_pair, lambda_at_least
 from .sequences import enumerate_outdegree_sequences
 
 __all__ = [
@@ -24,7 +20,6 @@ __all__ = [
     "Multigraph",
     "Orientation",
     "PathResult",
-    "class_size_lower_bound_check",
     "edge_connectivity",
     "enumerate_alpha",
     "enumerate_k_connected",
@@ -37,8 +32,6 @@ __all__ = [
     "is_k_connected",
     "lambda_at_least",
     "parse_graph",
-    "reverse_path",
-    "same_alpha_cycle_decomposition",
 ]
 
 __version__ = "0.1.0"

@@ -8,18 +8,13 @@ lean on.
 """
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable, Sequence
 
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
-from .paths import find_directed_path
+from .paths import _shortest_path, find_directed_path
 
-__all__ = [
-    "find_alpha_orientation",
-    "enumerate_alpha",
-    "same_alpha_cycle_decomposition",
-]
+__all__ = ["find_alpha_orientation", "enumerate_alpha"]
 
 
 def find_alpha_orientation(
@@ -46,55 +41,15 @@ def find_alpha_orientation(
         surplus = [v for v in range(graph.n) if out[v] > target[v]]
         if not surplus:
             return d
-        path = _rebalancing_path(d, surplus, lambda w: out[w] < target[w], meter)
+        deficit = {v for v in range(graph.n) if out[v] < target[v]}
+        path = _shortest_path(d, surplus, deficit, (), meter)
         if path is None:
             return None
-        src, dst, edge_list = path
-        d._flip(edge_list)
+        out[d.tail(path[0])] -= 1
+        out[d.head(path[-1])] += 1
+        d._flip(path)
         if meter is not None:
-            meter.arcs(len(edge_list))
-        out[src] -= 1
-        out[dst] += 1
-
-
-def _rebalancing_path(
-    d: Orientation,
-    sources: list[int],
-    is_sink: Callable[[int], bool],
-    meter: DelayMeter | None,
-) -> tuple[int, int, list[int]] | None:
-    # Multi-source BFS along current arcs to the first vertex satisfying is_sink.
-    graph = d.graph
-    dirs = d._dirs
-    if meter is not None:
-        meter.bfs()
-    parent: dict[int, tuple[int, int]] = {s: (-1, -1) for s in sources}
-    queue = deque(sources)
-    touched = 0
-    found = None
-    while queue and found is None:
-        x = queue.popleft()
-        for e, w, x_is_first in graph.incidence[x]:
-            touched += 1
-            if (dirs[e] == 1) != x_is_first or w in parent:
-                continue
-            parent[w] = (x, e)
-            if is_sink(w):
-                found = w
-                break
-            queue.append(w)
-    if meter is not None:
-        meter.arcs(touched)
-    if found is None:
-        return None
-    edge_list: list[int] = []
-    w = found
-    while True:
-        x, e = parent[w]
-        if x < 0:
-            return (w, found, edge_list[::-1])
-        edge_list.append(e)
-        w = x
+            meter.arcs(len(path))
 
 
 def enumerate_alpha(
@@ -164,53 +119,3 @@ class AlphaBacktrack:
 
         if self.check and bytes(d._dirs[:fixed]) != prefix:
             raise AssertionError("fixed edge prefix changed within a branch")
-
-
-def same_alpha_cycle_decomposition(d1: Orientation, d2: Orientation) -> list[list[int]] | None:
-    """Arc-disjoint directed cycles of ``d1`` whose reversal yields ``d2``.
-
-    Returns None when the outdegree vectors differ; raises when the two
-    orientations belong to different multigraphs.  Cycles are vertex-simple
-    and given as edge-index lists in traversal order.
-    """
-    if d1.graph != d2.graph:
-        raise ValueError("orientations have different underlying graphs")
-    if d1.outdegrees() != d2.outdegrees():
-        return None
-    graph = d1.graph
-    differing = [e for e in range(graph.m) if d1.forward(e) != d2.forward(e)]
-    # The differing arcs form a balanced (Eulerian) subdigraph of d1.
-    out_arcs: dict[int, list[tuple[int, int]]] = {}
-    for e in differing:
-        out_arcs.setdefault(d1.tail(e), []).append((e, d1.head(e)))
-    for arcs in out_arcs.values():
-        arcs.reverse()  # pop() then takes the lowest edge index first
-
-    cycles: list[list[int]] = []
-    for e0 in differing:
-        origin = d1.tail(e0)
-        if not out_arcs.get(origin):
-            continue
-        vertex_stack = [origin]
-        edge_stack: list[int] = []
-        position = {origin: 0}
-        while True:
-            x = vertex_stack[-1]
-            arcs = out_arcs.get(x)
-            if not arcs:
-                if len(vertex_stack) != 1:
-                    raise AssertionError("differing arc set is not balanced")
-                break
-            e, w = arcs.pop()
-            if w in position:
-                j = position[w]
-                cycles.append(edge_stack[j:] + [e])
-                for gone in vertex_stack[j + 1 :]:
-                    del position[gone]
-                del vertex_stack[j + 1 :]
-                del edge_stack[j:]
-            else:
-                vertex_stack.append(w)
-                edge_stack.append(e)
-                position[w] = len(vertex_stack) - 1
-    return cycles

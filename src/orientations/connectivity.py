@@ -1,11 +1,14 @@
-"""k-arc-connectivity of orientations and edge connectivity of multigraphs."""
-from __future__ import annotations
+"""k-arc-connectivity of orientations and edge connectivity of multigraphs.
 
-from collections import deque
+Both count arc-disjoint paths with the reverse-and-repeat scheme of
+:mod:`orientations.paths`: the paths are flipped in place and restored, so
+an orientation passed in is unchanged on return.
+"""
+from __future__ import annotations
 
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
-from .paths import lambda_at_least
+from .paths import _count_paths, lambda_at_least
 
 __all__ = ["is_k_connected", "edge_connectivity"]
 
@@ -34,42 +37,18 @@ def is_k_connected(orientation: Orientation, k: int, meter: DelayMeter | None = 
 def edge_connectivity(graph: Multigraph) -> int:
     """Minimum number of edges crossing any cut of the multigraph.
 
-    Computed as the minimum over all vertices v of the max-flow value from a
-    fixed root to v where every edge carries one unit in each direction.
-    Returns 0 for disconnected graphs.  Requires at least two vertices.
+    Computed on the bidirected orientation, which lists every edge twice
+    with the copies pointing opposite ways, so edge-disjoint paths become
+    arc-disjoint paths: the minimum over all vertices v of the arc-disjoint
+    path count from a fixed root to v.  Returns 0 for disconnected graphs.
+    Requires at least two vertices.
     """
     if graph.n < 2:
         raise ValueError("edge connectivity needs at least two vertices")
-    return min(_local_edge_connectivity(graph, 0, v) for v in range(1, graph.n))
-
-
-def _local_edge_connectivity(graph: Multigraph, s: int, t: int) -> int:
-    # Unit capacity in each direction per edge; flow[e] is +1 first-to-second,
-    # -1 the reverse, 0 unused.  Augmenting along a shortest residual path.
-    flow = [0] * graph.m
-    value = 0
-    while True:
-        parent: dict[int, tuple[int, int, int]] = {s: (-1, -1, 0)}
-        queue = deque([s])
-        reached = False
-        while queue and not reached:
-            x = queue.popleft()
-            for e, w, x_is_first in graph.incidence[x]:
-                if w in parent:
-                    continue
-                delta = 1 if x_is_first else -1
-                if flow[e] * delta >= 1:
-                    continue
-                parent[w] = (x, e, delta)
-                if w == t:
-                    reached = True
-                    break
-                queue.append(w)
-        if not reached:
-            return value
-        w = t
-        while w != s:
-            x, e, delta = parent[w]
-            flow[e] += delta
-            w = x
-        value += 1
+    arcs = [a for u, v in graph.edges for a in ((u, v), (v, u))]
+    bidirected = Orientation(Multigraph(graph.n, arcs))
+    best = graph.m
+    for v in range(1, graph.n):
+        # Counting past the running minimum cannot lower it.
+        best = _count_paths(bidirected, 0, v, best)
+    return best

@@ -9,19 +9,15 @@ contiguous in the output stream.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
-from .alpha import AlphaBacktrack, enumerate_alpha, find_alpha_orientation
+from .alpha import AlphaBacktrack
 from .connectivity import edge_connectivity, is_k_connected
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
 from .sequences import OutdegreeSearch
 
-__all__ = [
-    "find_k_connected_orientation",
-    "enumerate_k_connected",
-    "class_size_lower_bound_check",
-]
+__all__ = ["find_k_connected_orientation", "enumerate_k_connected"]
 
 
 def find_k_connected_orientation(
@@ -128,18 +124,3 @@ def enumerate_k_connected(
     OutdegreeSearch(start, k, leaf, meter, check_invariants).run()
     meter.finished()
     return count
-
-
-def class_size_lower_bound_check(graph: Multigraph, alpha: Sequence[int], k: int) -> bool:
-    """True iff the number of orientations attaining ``alpha`` meets the
-    guaranteed floor of (k-1)*n + 2 for k-connected outdegree sequences.
-
-    Raises when ``alpha`` is not attained by any k-connected orientation.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    witness = find_alpha_orientation(graph, alpha)
-    if witness is None or not is_k_connected(witness, k):
-        raise ValueError("alpha is not a k-connected outdegree sequence of this graph")
-    size = enumerate_alpha(graph, alpha, lambda _d: None)
-    return size >= (k - 1) * graph.n + 2

@@ -113,13 +113,6 @@ class Orientation:
         u, v = self.graph.edges[e]
         return v if self._dirs[e] else u
 
-    def out_arcs(self, v: int):
-        """Yield ``(edge, head)`` for arcs leaving ``v``, in edge-index order."""
-        dirs = self._dirs
-        for e, w, v_is_first in self.graph.incidence[v]:
-            if (dirs[e] == 1) == v_is_first:
-                yield e, w
-
     def outdegree(self, v: int) -> int:
         dirs = self._dirs
         return sum(1 for e, _, v_is_first in self.graph.incidence[v] if (dirs[e] == 1) == v_is_first)
@@ -162,7 +155,7 @@ class Orientation:
         return dup
 
     def _flip(self, edge_indices: Iterable[int]) -> None:
-        # In-place; reserved for enumerators that own their scratch copy.
+        # In-place; callers either own the orientation or flip it back before returning.
         dirs = self._dirs
         for e in edge_indices:
             dirs[e] ^= 1

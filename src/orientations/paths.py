@@ -1,19 +1,20 @@
 """Directed path search and arc-disjoint path counting over orientations.
 
-This is the primitive layer under both enumerators.  The search is a plain
-BFS that explores out-arcs in edge-index order, so among shortest paths the
-one through the lowest-indexed arcs is found first and every caller inherits
-that determinism.
+This is the primitive layer under both enumerators and the only module that
+searches for paths.  The search is a plain BFS that explores out-arcs in
+edge-index order, so among shortest paths the one through the lowest-indexed
+arcs is found first and every caller inherits that determinism.
 
-The number of pairwise arc-disjoint directed u-to-v paths is tested against
-a threshold by the reverse-and-repeat scheme: find a path, reverse it, and
-iterate.  Each reversal lowers the u-to-v path count by exactly one, so the
-threshold holds iff every iteration finds a path.  All of it happens on a
-scratch copy; inputs are never mutated.
+The number of pairwise arc-disjoint directed u-to-v paths is counted by the
+reverse-and-repeat scheme: find a path, reverse it, and iterate.  Each
+reversal lowers the u-to-v path count by exactly one, so the count is the
+number of iterations that find a path.  The paths are flipped in place and
+restored before the count returns.
 """
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 from .metering import DelayMeter
@@ -22,7 +23,6 @@ from .multigraph import Orientation
 __all__ = [
     "PathResult",
     "find_directed_path",
-    "reverse_path",
     "lambda_at_least",
     "is_flippable_pair",
 ]
@@ -32,24 +32,93 @@ __all__ = [
 class PathResult:
     """Outcome of a directed path search.
 
-    ``arcs`` holds ``(edge, forward)`` pairs in traversal order, where
-    ``forward`` records whether the edge was traversed from its first listed
-    endpoint to its second.  Paths are arc-simple and consecutive arcs chain
-    head to tail.
+    ``edges`` holds the path's edge indices in traversal order.  Paths are
+    arc-simple and consecutive arcs chain head to tail.
     """
 
     found: bool
-    arcs: tuple[tuple[int, bool], ...] = ()
-
-    @property
-    def edges(self) -> tuple[int, ...]:
-        return tuple(e for e, _ in self.arcs)
-
-    def __len__(self) -> int:
-        return len(self.arcs)
+    edges: tuple[int, ...] = ()
 
 
 _NOT_FOUND = PathResult(False)
+
+
+def _shortest_path(
+    orientation: Orientation,
+    sources: Sequence[int],
+    targets: Collection[int],
+    forbidden: Collection[int],
+    meter: DelayMeter | None,
+) -> list[int] | None:
+    # Multi-source BFS along current arcs, skipping forbidden edges, to the
+    # first discovered target; a source is never reported as its own target.
+    graph = orientation.graph
+    n = graph.n
+    parent: dict[int, tuple[int, int] | None] = {}
+    for x in sources:
+        if not 0 <= x < n:
+            raise ValueError(f"vertex {x} out of range for {n} vertices")
+        parent[x] = None
+    for x in targets:
+        if not 0 <= x < n:
+            raise ValueError(f"vertex {x} out of range for {n} vertices")
+    dirs = orientation._dirs
+    if meter is not None:
+        meter.bfs()
+    touched = 0
+    queue = deque(sources)
+    hit = None
+    while queue and hit is None:
+        x = queue.popleft()
+        for e, w, x_is_first in graph.incidence[x]:
+            touched += 1
+            # dirs[e] (0 or 1) equals x_is_first exactly when the arc leaves x.
+            if e in forbidden or dirs[e] != x_is_first or w in parent:
+                continue
+            parent[w] = (x, e)
+            if w in targets:
+                hit = w
+                break
+            queue.append(w)
+    if meter is not None:
+        meter.arcs(touched)
+    if hit is None:
+        return None
+    edges: list[int] = []
+    step = parent[hit]
+    while step is not None:
+        x, e = step
+        edges.append(e)
+        step = parent[x]
+    edges.reverse()
+    return edges
+
+
+def _count_paths(
+    orientation: Orientation,
+    u: int,
+    v: int,
+    limit: int,
+    meter: DelayMeter | None = None,
+) -> int:
+    # Arc-disjoint u-to-v paths, counted up to ``limit`` by reversing one
+    # shortest path at a time.  Every flip, the undo flips included, is an
+    # arc touch; the orientation is restored even when the search raises.
+    flipped: list[int] = []
+    count = 0
+    try:
+        while count < limit:
+            path = _shortest_path(orientation, (u,), (v,), (), meter)
+            if path is None:
+                break
+            orientation._flip(path)
+            flipped.extend(path)
+            count += 1
+        return count
+    finally:
+        orientation._flip(flipped)
+        if meter is not None:
+            meter.arcs(2 * len(flipped))
 
 
 def find_directed_path(
@@ -63,67 +132,12 @@ def find_directed_path(
 
     ``forbidden`` is a container of edge indices excluded in both directions.
     Only the part of the digraph reachable from ``source`` is touched.
+    Raises ``ValueError`` when an endpoint is not a vertex or both are equal.
     """
     if source == target:
         raise ValueError("source and target must differ")
-    graph = orientation.graph
-    dirs = orientation._dirs
-    if meter is not None:
-        meter.bfs()
-    touched = 0
-    parent: dict[int, tuple[int, int]] = {source: (-1, -1)}
-    queue = deque([source])
-    hit = False
-    while queue and not hit:
-        x = queue.popleft()
-        for e, w, x_is_first in graph.incidence[x]:
-            touched += 1
-            if e in forbidden or (dirs[e] == 1) != x_is_first or w in parent:
-                continue
-            parent[w] = (x, e)
-            if w == target:
-                hit = True
-                break
-            queue.append(w)
-    if meter is not None:
-        meter.arcs(touched)
-    if not hit:
-        return _NOT_FOUND
-    arcs: list[tuple[int, bool]] = []
-    w = target
-    while w != source:
-        x, e = parent[w]
-        arcs.append((e, dirs[e] == 1))
-        w = x
-    arcs.reverse()
-    return PathResult(True, tuple(arcs))
-
-
-def reverse_path(orientation: Orientation, path: PathResult) -> Orientation:
-    """New orientation with exactly the path's edges flipped.
-
-    Reversing a directed path from ``u`` to ``v`` lowers the outdegree of
-    ``u`` by one, raises the outdegree of ``v`` by one, and leaves every
-    other vertex unchanged.  Raises if ``path`` is not a directed path in
-    the given orientation.
-    """
-    if not path.found or not path.arcs:
-        raise ValueError("path was not found or is empty")
-    graph = orientation.graph
-    seen: set[int] = set()
-    previous_head: int | None = None
-    for e, fwd in path.arcs:
-        if e in seen:
-            raise ValueError(f"edge {e} repeats; not an arc-simple path")
-        seen.add(e)
-        if orientation.forward(e) != fwd:
-            raise ValueError(f"edge {e} is not oriented along the path")
-        u, v = graph.edges[e]
-        tail, head = (u, v) if fwd else (v, u)
-        if previous_head is not None and tail != previous_head:
-            raise ValueError("arcs do not chain head to tail")
-        previous_head = head
-    return orientation.reverse_arcs(path.edges)
+    edges = _shortest_path(orientation, (source,), (target,), forbidden, meter)
+    return _NOT_FOUND if edges is None else PathResult(True, tuple(edges))
 
 
 def lambda_at_least(
@@ -133,22 +147,15 @@ def lambda_at_least(
     threshold: int,
     meter: DelayMeter | None = None,
 ) -> bool:
-    """True iff there are at least ``threshold`` pairwise arc-disjoint directed u-to-v paths."""
+    """True iff there are at least ``threshold`` pairwise arc-disjoint directed u-to-v paths.
+
+    Raises ``ValueError`` when ``u`` or ``v`` is not a vertex or both are equal.
+    """
     if u == v:
         raise ValueError("u and v must differ")
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
-    scratch = orientation.copy()
-    if meter is not None:
-        meter.arcs(orientation.graph.m)
-    for _ in range(threshold):
-        path = find_directed_path(scratch, u, v, (), meter)
-        if not path.found:
-            return False
-        scratch._flip(path.edges)
-        if meter is not None:
-            meter.arcs(len(path.arcs))
-    return True
+    return _count_paths(orientation, u, v, threshold, meter) == threshold
 
 
 def is_flippable_pair(

@@ -76,7 +76,7 @@ class OutdegreeSearch:
 
     def _flip(self, path, src: int, dst: int) -> None:
         self.d._flip(path.edges)
-        self.meter.arcs(len(path.arcs))
+        self.meter.arcs(len(path.edges))
         self.out[src] -= 1
         self.out[dst] += 1
         if self.check and not is_k_connected(self.d, self.k):

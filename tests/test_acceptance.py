@@ -13,7 +13,6 @@ import families
 from orientations import (
     DelayMeter,
     Orientation,
-    class_size_lower_bound_check,
     edge_connectivity,
     enumerate_alpha,
     enumerate_k_connected,
@@ -22,7 +21,6 @@ from orientations import (
     find_k_connected_orientation,
     graph_to_text,
     is_flippable_pair,
-    reverse_path,
 )
 from orientations.oracle import (
     brute_is_k_connected,
@@ -32,6 +30,7 @@ from orientations.oracle import (
     oracle_sequences,
     _full_scan,
 )
+from witnesses import class_size_lower_bound_check, reverse_path
 
 
 def report(num, text):
@@ -107,7 +106,7 @@ def test_criterion_3_menger_agreement(family):
             path = find_directed_path(current, u, v)
             if not path.found:
                 break
-            current = reverse_path(current, path)
+            current = reverse_path(current, path, u)
             lam += 1
         assert lam == oracle_lambda(d, u, v), (graph.edges, d.serialize(), u, v)
         triples += 1
@@ -134,7 +133,7 @@ def test_criterion_4_path_flipping_law(family):
             for b in range(graph.n)
             if a != b
         }
-        reversed_d = reverse_path(d, path)
+        reversed_d = reverse_path(d, path, u)
         for (a, b), old in before.items():
             new = oracle_lambda(reversed_d, a, b)
             if (a, b) == (u, v):

@@ -9,9 +9,9 @@ from orientations import (
     find_alpha_orientation,
     is_k_connected,
     parse_graph,
-    same_alpha_cycle_decomposition,
 )
 from orientations.oracle import all_orientations, oracle_alpha
+from witnesses import same_alpha_cycle_decomposition
 
 
 def collect(graph, alpha, **kwargs):

@@ -7,7 +7,10 @@ from orientations import (
     Multigraph,
     Orientation,
     edge_connectivity,
+    graph_to_text,
+    is_flippable_pair,
     is_k_connected,
+    lambda_at_least,
     parse_graph,
 )
 from orientations.oracle import brute_is_k_connected, oracle_k_connected
@@ -86,3 +89,20 @@ def test_orientability_iff_double_edge_connectivity():
         ec = edge_connectivity(g)
         for k in (1, 2):
             assert bool(oracle_k_connected(g, k)) == (ec >= 2 * k), (name, k)
+
+
+def test_path_counters_restore_their_input():
+    # These flip paths in place; every orientation must come back unchanged.
+    rng = random.Random(211)
+    for _, g in families.random_family(60, seed=43):
+        d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
+        before = (d.serialize(), d.outdegrees(), graph_to_text(g))
+        u, v = rng.sample(range(g.n), 2)
+        for call in (
+            lambda: lambda_at_least(d, u, v, rng.randint(1, 3)),
+            lambda: is_flippable_pair(d, u, v, rng.randint(1, 2)),
+            lambda: is_k_connected(d, rng.randint(1, 2)),
+            lambda: edge_connectivity(g),
+        ):
+            call()
+            assert (d.serialize(), d.outdegrees(), graph_to_text(g)) == before, g.edges

@@ -5,7 +5,6 @@ from orientations import (
     DelayMeter,
     Multigraph,
     Orientation,
-    class_size_lower_bound_check,
     enumerate_k_connected,
     enumerate_outdegree_sequences,
     find_k_connected_orientation,
@@ -13,6 +12,7 @@ from orientations import (
     parse_graph,
 )
 from orientations.oracle import brute_is_k_connected, oracle_k_connected, oracle_sequences
+from witnesses import class_size_lower_bound_check
 
 DOUBLED_TRIANGLE = "3 6\n0 1\n0 1\n1 2\n1 2\n2 0\n2 0"
 

@@ -4,15 +4,16 @@ import pytest
 
 import families
 from orientations import (
+    DelayMeter,
     Orientation,
     find_directed_path,
     is_flippable_pair,
     is_k_connected,
     lambda_at_least,
     parse_graph,
-    reverse_path,
 )
 from orientations.oracle import oracle_lambda
+from witnesses import reverse_path
 
 
 def directed_triangle():
@@ -36,7 +37,7 @@ def test_forbidden_edge_blocks_path():
     d = directed_triangle()
     p = find_directed_path(d, 1, 0, forbidden={1})
     assert not p.found
-    assert p.arcs == ()
+    assert p.edges == ()
 
 
 def test_antiparallel_pair_single_arc():
@@ -44,7 +45,8 @@ def test_antiparallel_pair_single_arc():
     d = Orientation(g, [1, 0])  # edge0: 0->1, edge1: 1->0
     p = find_directed_path(d, 0, 1)
     assert p.found
-    assert p.arcs == ((0, True),)
+    assert p.edges == (0,)
+    assert d.forward(0)
 
 
 def test_lowest_edge_index_wins_ties():
@@ -60,10 +62,19 @@ def test_source_equals_target_rejected():
         find_directed_path(d, 1, 1)
 
 
+@pytest.mark.parametrize("source, target", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+def test_out_of_range_vertex_rejected(source, target):
+    d = directed_triangle()
+    with pytest.raises(ValueError):
+        find_directed_path(d, source, target)
+    with pytest.raises(ValueError):
+        lambda_at_least(d, source, target, 1)
+
+
 def test_reverse_path_moves_one_unit_of_outdegree():
     d = directed_triangle()
     p = find_directed_path(d, 1, 0)
-    r = reverse_path(d, p)
+    r = reverse_path(d, p, 1)
     assert r.outdegrees() == (2, 0, 1)
     assert d.outdegrees() == (1, 1, 1)  # input untouched
 
@@ -72,7 +83,7 @@ def test_reverse_single_arc():
     g = parse_graph("2 1\n0 1")
     d = Orientation(g)
     p = find_directed_path(d, 0, 1)
-    assert reverse_path(d, p).serialize() == "-"
+    assert reverse_path(d, p, 0).serialize() == "-"
 
 
 def test_reverse_full_cycle_keeps_outdegrees():
@@ -85,7 +96,7 @@ def test_reverse_path_validates_direction():
     p = find_directed_path(d, 1, 0)
     flipped = d.reverse_arcs([1])
     with pytest.raises(ValueError):
-        reverse_path(flipped, p)
+        reverse_path(flipped, p, 1)
 
 
 def test_reverse_path_degree_law_on_cuts():
@@ -99,7 +110,7 @@ def test_reverse_path_degree_law_on_cuts():
         p = find_directed_path(d, u, v)
         if not p.found:
             continue
-        r = reverse_path(d, p)
+        r = reverse_path(d, p, u)
         for code in range(1, (1 << g.n) - 1):
             members = {w for w in range(g.n) if (code >> w) & 1}
             before = d.cut_outdegree(members)
@@ -139,6 +150,23 @@ def test_lambda_leaves_input_unchanged():
     assert d.serialize() == before
 
 
+class _FailingMeter(DelayMeter):
+    """Meter that raises on its second BFS, after one path is flipped."""
+
+    def bfs(self):
+        super().bfs()
+        if self.bfs_runs == 2:
+            raise RuntimeError("stop")
+
+
+def test_lambda_restores_input_when_interrupted():
+    d = opposite_double_triangle()
+    before = d.serialize()
+    with pytest.raises(RuntimeError):
+        lambda_at_least(d, 0, 1, 2, _FailingMeter())
+    assert d.serialize() == before
+
+
 def test_lambda_threshold_matches_oracle():
     rng = random.Random(2024)
     pool = [g for _, g in families.random_family(30, seed=23) if g.n >= 2]
@@ -169,7 +197,7 @@ def test_flippable_reversal_preserves_k_connectivity():
                 continue
             p = find_directed_path(d, u, v)
             assert p.found
-            assert is_k_connected(reverse_path(d, p), 1)
+            assert is_k_connected(reverse_path(d, p, u), 1)
     # same on a few random strong orientations
     pool = [g for _, g in families.random_family(60, seed=41)]
     checked = 0
@@ -184,6 +212,6 @@ def test_flippable_reversal_preserves_k_connectivity():
                 if u == v or not is_flippable_pair(d, u, v, 1):
                     continue
                 p = find_directed_path(d, u, v)
-                assert is_k_connected(reverse_path(d, p), 1)
+                assert is_k_connected(reverse_path(d, p, u), 1)
                 checked += 1
     assert checked > 10
