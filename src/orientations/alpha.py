@@ -1,14 +1,18 @@
 """Orientations with a prescribed outdegree vector: find one, list them all.
 
 Two orientations have the same outdegree vector exactly when one arises from
-the other by reversing arc-disjoint directed cycles, which is what both the
-initial search (path-reversal rebalancing driven to the target vector) and
-the enumeration (fix edges one by one, branching on a completing cycle)
-lean on.
+the other by reversing arc-disjoint directed cycles.  The initial search
+drives path reversals to the target vector; the enumeration fixes edges in
+index order, one level of ``walk`` per edge, whose choice generator keeps
+the edge and then flips it with a completing cycle.
+
+``walk`` is the one traversal scheme of the package: the outdegree-sequence
+search, the k-connected enumeration and the first-solution finder run on it
+too, each with its own per-level choice generator.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
@@ -62,60 +66,71 @@ def enumerate_alpha(
 ) -> int:
     """Stream every orientation with outdegree vector ``alpha`` exactly once.
 
-    Depth-first over edges in index order: at each level the current edge is
-    first kept as is, then, when a directed path from its head back to its
-    tail avoids all already-fixed edges, flipped together with that path
-    (a directed cycle, so the outdegree vector is preserved).  Emission
+    Walks the edges in index order (see ``walk``).  At each level the current
+    edge is first kept as is, then, when a directed path from its head back
+    to its tail avoids all already-fixed edges, flipped together with that
+    path (a directed cycle, so the outdegree vector is preserved).  Emission
     happens when every edge is fixed.  Returns the number of solutions.
     """
     meter = meter if meter is not None else DelayMeter()
-    start = find_alpha_orientation(graph, alpha, meter)
-    if start is None:
+    d = find_alpha_orientation(graph, alpha, meter)
+    if d is None:
         meter.finished()
         return 0
-    run = AlphaBacktrack(start, tuple(alpha), sink, meter, check_invariants)
-    run.recurse(0)
+    leaves = walk(graph.m, lambda e: _edge_choices(d, e, meter, check_invariants))
+    return _emit_leaves(d, leaves, alpha, sink, meter, check_invariants)
+
+
+def _emit_leaves(d: Orientation, leaves, target, sink, meter: DelayMeter, check: bool) -> int:
+    # Emits a copy of d at every leaf and returns their number; ``target`` is
+    # the outdegree vector every leaf must have.
+    count = 0
+    for _ in leaves:
+        if check and d.outdegrees() != tuple(target):
+            raise AssertionError("emitted orientation misses the target outdegrees")
+        meter.arcs(d.graph.m)
+        sink(d.copy())
+        meter.emitted()
+        count += 1
     meter.finished()
-    return run.count
+    return count
 
 
-class AlphaBacktrack:
-    __slots__ = ("d", "alpha", "sink", "meter", "check", "count")
+def walk(levels: int, choices: Callable[[int], Iterator[None]]) -> Iterator[None]:
+    """Yield once at each leaf of a backtracking tree with ``levels`` levels.
 
-    def __init__(self, d: Orientation, alpha, sink, meter, check):
-        self.d = d
-        self.alpha = alpha
-        self.sink = sink
-        self.meter = meter
-        self.check = check
-        self.count = 0
+    ``choices(i)`` returns a generator that sets up the shared search state
+    for each option at level ``i``, yields once per option, and restores the
+    state before it moves on and before it ends.  The open generators sit on
+    an explicit stack, so the depth is bounded by memory, not by the
+    recursion limit.  With zero levels the single empty assignment is a leaf.
+    """
+    stack = [iter((None,))]  # the root: one option, no state
+    while stack:
+        for _ in stack[-1]:
+            if len(stack) > levels:
+                yield
+            else:
+                stack.append(choices(len(stack) - 1))
+            break
+        else:
+            stack.pop()
 
-    def recurse(self, fixed: int) -> None:
-        d = self.d
-        graph = d.graph
-        if fixed == graph.m:
-            if self.check and d.outdegrees() != self.alpha:
-                raise AssertionError("emitted orientation misses the target outdegrees")
-            self.meter.arcs(graph.m)
-            self.sink(d.copy())
-            self.meter.emitted()
-            self.count += 1
-            return
-        prefix = bytes(d._dirs[:fixed]) if self.check else b""
 
-        self.recurse(fixed + 1)
-
-        e = fixed
-        u, v = graph.edges[e]
-        tail, head = (u, v) if d.forward(e) else (v, u)
-        path = find_directed_path(d, head, tail, range(fixed), self.meter)
-        if path.found:
-            flips = path.edges + (e,)
-            d._flip(flips)
-            self.meter.arcs(len(flips))
-            self.recurse(fixed + 1)
-            d._flip(flips)
-            self.meter.arcs(len(flips))
-
-        if self.check and bytes(d._dirs[:fixed]) != prefix:
-            raise AssertionError("fixed edge prefix changed within a branch")
+def _edge_choices(d: Orientation, e: int, meter: DelayMeter, check: bool) -> Iterator[None]:
+    # Keep edge e, then flip it with a completing cycle that avoids the
+    # fixed edges 0..e-1 when one exists.
+    prefix = bytes(d._dirs[:e]) if check else b""
+    yield
+    u, v = d.graph.edges[e]
+    tail, head = (u, v) if d.forward(e) else (v, u)
+    path = find_directed_path(d, head, tail, range(e), meter)
+    if path.found:
+        flips = path.edges + (e,)
+        d._flip(flips)
+        meter.arcs(len(flips))
+        yield
+        d._flip(flips)
+        meter.arcs(len(flips))
+    if check and bytes(d._dirs[:e]) != prefix:
+        raise AssertionError("fixed edge prefix changed within a branch")

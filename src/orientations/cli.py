@@ -87,11 +87,10 @@ def _emit(stream, line: str) -> None:
     stream.flush()
 
 
-def _run(args, out) -> int:
+def _run(args) -> int:
     graph = parse_graph_file(args.graph)
-    # Backtracking depth scales with the edge count.
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * graph.m + graph.n + 200))
     mode = args.mode
+    alpha = seed = None
 
     if mode == "alpha":
         if args.alpha is None:
@@ -102,12 +101,22 @@ def _run(args, out) -> int:
             raise ParameterError(f"{mode} mode requires --k")
         if args.k < 1:
             raise ParameterError("--k must be at least 1")
+        if not args.oracle:
+            seed = _load_seed(args.seed_orientation, graph, args.k)
 
-    emit_solutions = args.command == "enumerate"
-    bench = args.command == "bench"
-    if bench and args.oracle:
+    if args.command == "bench" and args.oracle:
         raise ParameterError("bench does not support --oracle")
 
+    # Opened only after every check, so a rejected run leaves the file intact.
+    if not args.output:
+        return _stream(args, graph, alpha, seed, sys.stdout)
+    with open(args.output, "w", encoding="utf-8") as out:
+        return _stream(args, graph, alpha, seed, out)
+
+
+def _stream(args, graph: Multigraph, alpha, seed: Orientation | None, out) -> int:
+    mode = args.mode
+    emit_solutions = args.command == "enumerate"
     meter = DelayMeter()
     count = 0
 
@@ -134,14 +143,12 @@ def _run(args, out) -> int:
         if args.oracle:
             oracle.enumerate_k_connected_backtrack(graph, args.k, orientation_sink)
         else:
-            seed = _load_seed(args.seed_orientation, graph, args.k)
             enumerate_k_connected(graph, args.k, orientation_sink, seed=seed, meter=meter)
     else:
         if args.oracle:
             for seq in sorted(oracle.oracle_sequences(graph, args.k)):
                 sequence_sink(seq)
         else:
-            seed = _load_seed(args.seed_orientation, graph, args.k)
             if seed is None:
                 seed = find_k_connected_orientation(graph, args.k, meter)
             if seed is not None:
@@ -149,7 +156,7 @@ def _run(args, out) -> int:
             else:
                 meter.finished()
 
-    if bench:
+    if args.command == "bench":
         for i, gap in enumerate(meter.gaps):
             record = {"record": "gap", "index": i, "bfs_runs": gap.bfs_runs, "arc_touches": gap.arc_touches, "ops": gap.ops}
             _emit(out, json.dumps(record))
@@ -169,12 +176,7 @@ def parse_graph_file(path: str) -> Multigraph:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-        try:
-            return _run(args, out)
-        finally:
-            if args.output:
-                out.close()
+        return _run(args)
     except (OSError, GraphParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -2,20 +2,21 @@
 
 A k-connected orientation exists iff the multigraph is 2k-edge-connected
 (Nash-Williams), which gives a sound fast reject; the witness itself comes
-from a pruned backtracking search over edge directions.  Enumeration then
-walks the outdegree-sequence search tree and expands each sequence into all
-orientations attaining it, which keeps solutions of equal outdegree vector
-contiguous in the output stream.
+from a pruned backtracking search over edge directions.  Enumeration is one
+``walk`` over a single orientation with ``n + m`` levels: the vertex levels
+of the outdegree-sequence search, then the edge levels of the alpha
+expansion of the sequence reached.  Solutions of equal outdegree vector are
+therefore contiguous in the output stream.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
-from .alpha import AlphaBacktrack
+from .alpha import _edge_choices, _emit_leaves, walk
 from .connectivity import edge_connectivity, is_k_connected
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
-from .sequences import OutdegreeSearch
+from .sequences import _vertex_choices
 
 __all__ = ["find_k_connected_orientation", "enumerate_k_connected"]
 
@@ -28,9 +29,10 @@ def find_k_connected_orientation(
     """Some k-connected orientation of ``graph``, or None when there is none.
 
     Rejects immediately when the edge connectivity is below 2k; otherwise a
-    witness is guaranteed to exist and backtracking over edges in index
-    order finds it, pruning partial assignments that already starve a
-    vertex of out- or in-capacity.
+    witness is guaranteed to exist and a ``walk`` over edge directions in
+    index order finds it, pruning partial assignments that already starve a
+    vertex of out- or in-capacity.  Returns at the first complete assignment
+    that is k-connected.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -47,14 +49,10 @@ def find_k_connected_orientation(
     def viable(w: int) -> bool:
         return out[w] + remaining[w] >= k and inn[w] + remaining[w] >= k
 
-    def assign(e: int) -> Orientation | None:
-        if e == graph.m:
-            d = Orientation(graph, dirs)
-            return d if is_k_connected(d, k, meter) else None
+    def directions(e: int) -> Iterator[None]:
         u, v = graph.edges[e]
         remaining[u] -= 1
         remaining[v] -= 1
-        result = None
         for fwd in (1, 0):
             tail, head = (u, v) if fwd else (v, u)
             out[tail] += 1
@@ -63,17 +61,17 @@ def find_k_connected_orientation(
             if meter is not None:
                 meter.arcs(1)
             if viable(u) and viable(v):
-                result = assign(e + 1)
+                yield
             out[tail] -= 1
             inn[head] -= 1
-            if result is not None:
-                dirs[e] = fwd
-                break
         remaining[u] += 1
         remaining[v] += 1
-        return result
 
-    return assign(0)
+    for _ in walk(graph.m, directions):
+        d = Orientation(graph, dirs)
+        if is_k_connected(d, k, meter):
+            return d
+    return None
 
 
 def enumerate_k_connected(
@@ -87,18 +85,18 @@ def enumerate_k_connected(
 ) -> int:
     """Stream every k-connected orientation of ``graph`` exactly once.
 
-    Runs the outdegree-sequence search and, at each of its leaves, expands
-    the full set of orientations sharing that sequence (all of which are
-    k-connected exactly when one is).  Orientations with equal outdegree
-    vectors are therefore contiguous in the stream.  Returns the count;
-    infeasible input yields an empty stream.
+    Below each leaf of the outdegree-sequence search, expands the full set
+    of orientations sharing that sequence (all of which are k-connected
+    exactly when one is).  Orientations with equal outdegree vectors are
+    therefore contiguous in the stream.  Returns the count; infeasible input
+    yields an empty stream.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     meter = meter if meter is not None else DelayMeter()
     if seed is None:
-        start = find_k_connected_orientation(graph, k, meter)
-        if start is None:
+        d = find_k_connected_orientation(graph, k, meter)
+        if d is None:
             meter.finished()
             return 0
     else:
@@ -106,21 +104,13 @@ def enumerate_k_connected(
             raise ValueError("seed orients a different graph")
         if not is_k_connected(seed, k):
             raise ValueError("seed orientation is not k-connected")
-        start = seed.copy()
-    count = 0
+        d = seed.copy()
+    n = graph.n
+    out = list(d.outdegrees())
 
-    def leaf(search: OutdegreeSearch) -> None:
-        nonlocal count
-        expand = AlphaBacktrack(
-            search.d.copy(),
-            tuple(search.out),
-            sink,
-            meter,
-            check_invariants,
-        )
-        expand.recurse(0)
-        count += expand.count
+    def choices(i: int) -> Iterator[None]:
+        if i < n:
+            return _vertex_choices(d, out, i, k, meter, check_invariants)
+        return _edge_choices(d, i - n, meter, check_invariants)
 
-    OutdegreeSearch(start, k, leaf, meter, check_invariants).run()
-    meter.finished()
-    return count
+    return _emit_leaves(d, walk(n + graph.m, choices), out, sink, meter, check_invariants)

@@ -1,19 +1,21 @@
 """Enumeration of the outdegree sequences attained by k-arc-connected orientations.
 
-The search fixes vertices in index order.  At the current vertex it branches
-three ways: lower its outdegree step by step (reversing a directed path
-leaving it whenever the path's endpoints admit more than k arc-disjoint
-paths, so connectivity survives), raise it symmetrically, and keep it.
-Every branch freezes the vertex and recurses; a leaf, where all vertices
-are frozen, emits one sequence.  Completeness rests on the witness fact
-that whenever two k-connected orientations disagree at a vertex, a
-connectivity-preserving path reversal moves one toward the other without
-touching frozen vertices.
+The search fixes vertices in index order, one ``walk`` level per vertex.  The
+choice generator of a vertex first lowers its outdegree as far as it will
+go, reversing a directed path leaving it whenever the path's endpoints admit
+more than k arc-disjoint paths, so connectivity survives; it then yields
+once per step on the way back, deepest first, undoing one reversal per
+yield.  It does the same for raising, and finally keeps the vertex as it
+is.  A leaf, where every vertex is fixed, emits one sequence.  Completeness
+rests on the witness fact that whenever two k-connected orientations
+disagree at a vertex, a connectivity-preserving path reversal moves one
+toward the other without touching fixed vertices.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
+from .alpha import walk
 from .connectivity import is_k_connected
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
@@ -22,65 +24,43 @@ from .paths import find_directed_path, is_flippable_pair
 __all__ = ["enumerate_outdegree_sequences"]
 
 
-class OutdegreeSearch:
-    """Depth-first search over outdegree sequences of k-connected orientations.
+def _vertex_choices(
+    d: Orientation, out: list[int], v: int, k: int, meter: DelayMeter, check: bool
+) -> Iterator[None]:
+    # ``out`` mirrors d's outdegrees and moves with every reversal.
+    for lowering in (True, False):
+        chain = []
+        while (pair := _flippable_pair(d, v, lowering, k, meter)) is not None:
+            src, dst = pair
+            path = find_directed_path(d, src, dst, (), meter)
+            if not path.found:
+                raise AssertionError("flippable pair without a directed path")
+            _reverse(d, out, path.edges, src, dst, k, meter, check)
+            chain.append((path.edges, src, dst))
+        while chain:
+            edges, src, dst = chain.pop()
+            yield
+            _reverse(d, out, edges, dst, src, k, meter, check)
+    yield
 
-    Owns a scratch orientation that is mutated with undo; ``leaf`` is called
-    with the search itself whenever all vertices are frozen.  Shared by the
-    sequence enumerator and the full orientation enumerator.
-    """
 
-    __slots__ = ("d", "out", "k", "leaf", "meter", "check")
+def _flippable_pair(d: Orientation, v: int, lowering: bool, k: int, meter: DelayMeter):
+    # The ordered pair of v with the smallest later (so not yet fixed) vertex
+    # that tolerates a reversal, or None.
+    for u in range(v + 1, d.graph.n):
+        pair = (v, u) if lowering else (u, v)
+        if is_flippable_pair(d, *pair, k, meter):
+            return pair
+    return None
 
-    def __init__(self, d: Orientation, k: int, leaf, meter: DelayMeter, check: bool):
-        self.d = d
-        self.out = list(d.outdegrees())
-        self.k = k
-        self.leaf = leaf
-        self.meter = meter
-        self.check = check
 
-    def run(self) -> None:
-        self._descend(0)
-
-    def _descend(self, frozen: int) -> None:
-        if frozen == self.d.graph.n:
-            self.leaf(self)
-            return
-        v = frozen
-        self._reverse_branch(v, frozen, lowering=True)
-        self._reverse_branch(v, frozen, lowering=False)
-        self._descend(frozen + 1)
-
-    def _reverse_branch(self, v: int, frozen: int, lowering: bool) -> None:
-        u = self._first_flippable(v, frozen, lowering)
-        if u is None:
-            return
-        src, dst = (v, u) if lowering else (u, v)
-        path = find_directed_path(self.d, src, dst, (), self.meter)
-        if not path.found:
-            raise AssertionError("flippable pair without a directed path")
-        self._flip(path, src, dst)
-        self._reverse_branch(v, frozen, lowering)
-        self._descend(frozen + 1)
-        self._flip(path, dst, src)
-
-    def _first_flippable(self, v: int, frozen: int, lowering: bool) -> int | None:
-        # Smallest unfrozen partner u (u > v since v is the smallest unfrozen
-        # vertex) such that the relevant ordered pair tolerates a reversal.
-        for u in range(frozen + 1, self.d.graph.n):
-            pair = (v, u) if lowering else (u, v)
-            if is_flippable_pair(self.d, *pair, self.k, self.meter):
-                return u
-        return None
-
-    def _flip(self, path, src: int, dst: int) -> None:
-        self.d._flip(path.edges)
-        self.meter.arcs(len(path.edges))
-        self.out[src] -= 1
-        self.out[dst] += 1
-        if self.check and not is_k_connected(self.d, self.k):
-            raise AssertionError("path reversal broke k-connectivity")
+def _reverse(d, out, edges, src, dst, k, meter, check) -> None:
+    d._flip(edges)
+    meter.arcs(len(edges))
+    out[src] -= 1
+    out[dst] += 1
+    if check and not is_k_connected(d, k):
+        raise AssertionError("path reversal broke k-connectivity")
 
 
 def enumerate_outdegree_sequences(
@@ -106,15 +86,13 @@ def enumerate_outdegree_sequences(
     if not is_k_connected(seed, k):
         raise ValueError("seed orientation is not k-connected")
     meter = meter if meter is not None else DelayMeter()
+    d = seed.copy()
+    out = list(d.outdegrees())
     count = 0
-
-    def leaf(search: OutdegreeSearch) -> None:
-        nonlocal count
+    for _ in walk(graph.n, lambda v: _vertex_choices(d, out, v, k, meter, check_invariants)):
         meter.arcs(graph.m)
-        sink(tuple(search.out), search.d.copy())
+        sink(tuple(out), d.copy())
         meter.emitted()
         count += 1
-
-    OutdegreeSearch(seed.copy(), k, leaf, meter, check_invariants).run()
     meter.finished()
     return count

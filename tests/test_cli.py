@@ -191,6 +191,25 @@ def test_output_file_option(tmp_path, c4_file):
     assert target.read_text().splitlines()[-1] == "# count=2"
 
 
+@pytest.mark.parametrize(
+    "graph_text, extra, want",
+    [
+        ("3 2\n0 1\n1 1\n", ("--k", "1"), 1),  # malformed graph
+        (C4, (), 2),  # missing --k
+    ],
+    ids=["malformed-graph", "missing-k"],
+)
+def test_output_file_survives_a_rejected_run(tmp_path, capsys, graph_text, extra, want):
+    graph = tmp_path / "graph.txt"
+    graph.write_text(graph_text)
+    target = tmp_path / "out.txt"
+    target.write_text("keep me\n")
+    code = main(["count", str(graph), "--mode", "korient", *extra, "-o", str(target)])
+    assert code == want
+    assert capsys.readouterr().err
+    assert target.read_text() == "keep me\n"
+
+
 def test_console_entry_point(c4_file):
     result = subprocess.run(
         [sys.executable, "-m", "orientations.cli", "count", c4_file, "--mode", "korient", "--k", "1"],

@@ -10,7 +10,8 @@ from orientations import (
     parse_graph,
 )
 from orientations.oracle import oracle_sequences
-from orientations.sequences import OutdegreeSearch
+from orientations.alpha import walk
+from orientations.sequences import _vertex_choices
 
 DOUBLED_TRIANGLE = "3 6\n0 1\n0 1\n1 2\n1 2\n2 0\n2 0"
 
@@ -101,32 +102,38 @@ def test_emission_order_is_deterministic():
     assert first == second
 
 
-class _DriftProbe(OutdegreeSearch):
-    """Tracks reversal nesting to pin down the monotone-drift depth bounds."""
+class _DriftProbe:
+    """Wraps the per-vertex choice generator to pin down the monotone drift.
 
-    __slots__ = ("stacks", "nesting", "max_nesting")
+    At vertex v with base outdegree b the outdegrees seen at the yields must
+    be exactly b-J, ..., b-1, b+J', ..., b+1, b with J, J' <= deg(v), and the
+    outdegrees and the orientation must be restored once the generator is
+    exhausted.  ``deepest[v]`` keeps the largest J or J' seen at v.
+    """
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.stacks = {}
-        self.nesting = 0
-        self.max_nesting = 0
+    def __init__(self, d, k):
+        self.d = d
+        self.out = list(d.outdegrees())
+        self.k = k
+        self.deepest = {}
 
-    def _reverse_branch(self, v, frozen, lowering):
-        key = (v, lowering)
-        stack = self.stacks.setdefault(key, [])
-        if stack:
-            step = -1 if lowering else 1
-            assert self.out[v] == stack[-1] + step  # exactly one unit per level
-        stack.append(self.out[v])
-        assert len(stack) <= self.d.graph.degree(v) + 1
-        self.nesting += 1
-        self.max_nesting = max(self.max_nesting, self.nesting)
-        before = self.out[v]
-        super()._reverse_branch(v, frozen, lowering)
-        assert self.out[v] == before  # restored on the way out
-        self.nesting -= 1
-        stack.pop()
+    def choices(self, v):
+        d, out = self.d, self.out
+        base, dirs, outs = out[v], bytes(d._dirs), list(out)
+        seen = []
+        for _ in _vertex_choices(d, out, v, self.k, DelayMeter(), False):
+            seen.append(out[v])
+            yield
+        assert out == outs and bytes(d._dirs) == dirs  # restored at the end
+        lowered = sum(1 for x in seen if x < base)
+        raised = sum(1 for x in seen if x > base)
+        assert seen == (
+            [base - j for j in range(lowered, 0, -1)]
+            + [base + j for j in range(raised, 0, -1)]
+            + [base]
+        )  # exactly one unit per step, deepest first, keep last
+        assert max(lowered, raised) <= d.graph.degree(v)
+        self.deepest[v] = max(self.deepest.get(v, 0), lowered, raised)
 
 
 def test_monotone_drift_bounds_recursion_depth():
@@ -136,9 +143,12 @@ def test_monotone_drift_bounds_recursion_depth():
             seed = find_k_connected_orientation(g, k)
             if seed is None:
                 continue
-            probe = _DriftProbe(seed, k, lambda search: None, DelayMeter(), False)
-            probe.run()
-            assert probe.max_nesting <= 2 * g.m
+            probe = _DriftProbe(seed, k)
+            leaves = sum(1 for _ in walk(g.n, probe.choices))
+            assert leaves == len(oracle_sequences(g, k))
+            assert set(probe.deepest) == set(range(g.n))
+            # Per-vertex chains of at most deg(v) reversals sum to at most 2m.
+            assert sum(probe.deepest.values()) <= 2 * g.m
 
 
 def test_gap_operations_stay_within_knm_squared():
