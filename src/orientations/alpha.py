@@ -62,7 +62,6 @@ def enumerate_alpha(
     sink: Callable[[Orientation], None],
     *,
     meter: DelayMeter | None = None,
-    check_invariants: bool = False,
 ) -> int:
     """Stream every orientation with outdegree vector ``alpha`` exactly once.
 
@@ -77,17 +76,13 @@ def enumerate_alpha(
     if d is None:
         meter.finished()
         return 0
-    leaves = walk(graph.m, lambda e: _edge_choices(d, e, meter, check_invariants))
-    return _emit_leaves(d, leaves, alpha, sink, meter, check_invariants)
+    return _emit_leaves(d, walk(graph.m, lambda e: _edge_choices(d, e, meter)), sink, meter)
 
 
-def _emit_leaves(d: Orientation, leaves, target, sink, meter: DelayMeter, check: bool) -> int:
-    # Emits a copy of d at every leaf and returns their number; ``target`` is
-    # the outdegree vector every leaf must have.
+def _emit_leaves(d: Orientation, leaves, sink, meter: DelayMeter) -> int:
+    # Emits a copy of d at every leaf and returns their number.
     count = 0
     for _ in leaves:
-        if check and d.outdegrees() != tuple(target):
-            raise AssertionError("emitted orientation misses the target outdegrees")
         meter.arcs(d.graph.m)
         sink(d.copy())
         meter.emitted()
@@ -117,10 +112,9 @@ def walk(levels: int, choices: Callable[[int], Iterator[None]]) -> Iterator[None
             stack.pop()
 
 
-def _edge_choices(d: Orientation, e: int, meter: DelayMeter, check: bool) -> Iterator[None]:
+def _edge_choices(d: Orientation, e: int, meter: DelayMeter) -> Iterator[None]:
     # Keep edge e, then flip it with a completing cycle that avoids the
     # fixed edges 0..e-1 when one exists.
-    prefix = bytes(d._dirs[:e]) if check else b""
     yield
     u, v = d.graph.edges[e]
     tail, head = (u, v) if d.forward(e) else (v, u)
@@ -132,5 +126,3 @@ def _edge_choices(d: Orientation, e: int, meter: DelayMeter, check: bool) -> Ite
         yield
         d._flip(flips)
         meter.arcs(len(flips))
-    if check and bytes(d._dirs[:e]) != prefix:
-        raise AssertionError("fixed edge prefix changed within a branch")

@@ -4,8 +4,9 @@ Subcommands ``enumerate``, ``count``, and ``bench`` share one option set:
 a graph file in the ``n m`` edge-list format, ``--mode alpha|odseq|korient``,
 and the mode's parameters.  Solutions stream line by line ('+'/'-' strings
 for orientations, space-separated integers for outdegree sequences) and the
-final line is ``# count=<N>``.  ``bench`` swaps the solution stream for one
-JSON record per inter-solution gap plus a summary record.
+final line is ``# count=<N>``.  ``bench`` swaps the solution stream for a
+single JSON summary record: the meter's totals, largest gap, amortized cost
+and log2 gap histogram (see :class:`~orientations.metering.DelayMeter`).
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("enumerate", "stream solutions line by line, then a count line"),
         ("count", "run the enumeration and print only the count line"),
-        ("bench", "run the enumeration and print delay statistics as JSON lines"),
+        ("bench", "run the enumeration and print its delay statistics as one JSON record"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("graph", help="graph file: first line 'n m', then m lines 'u v'")
@@ -157,9 +158,6 @@ def _stream(args, graph: Multigraph, alpha, seed: Orientation | None, out) -> in
                 meter.finished()
 
     if args.command == "bench":
-        for i, gap in enumerate(meter.gaps):
-            record = {"record": "gap", "index": i, "bfs_runs": gap.bfs_runs, "arc_touches": gap.arc_touches, "ops": gap.ops}
-            _emit(out, json.dumps(record))
         summary = {"record": "summary", "mode": mode}
         summary.update(meter.summary())
         _emit(out, json.dumps(summary))

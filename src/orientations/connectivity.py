@@ -45,9 +45,15 @@ def edge_connectivity(graph: Multigraph) -> int:
     """
     if graph.n < 2:
         raise ValueError("edge connectivity needs at least two vertices")
+    return _edge_connectivity(graph, graph.m)
+
+
+def _edge_connectivity(graph: Multigraph, limit: int) -> int:
+    # The edge connectivity capped at ``limit``: a caller that only asks
+    # whether it reaches ``limit`` stops counting paths there.
     arcs = [a for u, v in graph.edges for a in ((u, v), (v, u))]
     bidirected = Orientation(Multigraph(graph.n, arcs))
-    best = graph.m
+    best = limit
     for v in range(1, graph.n):
         # Counting past the running minimum cannot lower it.
         best = _count_paths(bidirected, 0, v, best)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 
 from .alpha import _edge_choices, _emit_leaves, walk
-from .connectivity import edge_connectivity, is_k_connected
+from .connectivity import _edge_connectivity, is_k_connected
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
 from .sequences import _vertex_choices
@@ -28,17 +28,17 @@ def find_k_connected_orientation(
 ) -> Orientation | None:
     """Some k-connected orientation of ``graph``, or None when there is none.
 
-    Rejects immediately when the edge connectivity is below 2k; otherwise a
-    witness is guaranteed to exist and a ``walk`` over edge directions in
-    index order finds it, pruning partial assignments that already starve a
-    vertex of out- or in-capacity.  Returns at the first complete assignment
-    that is k-connected.
+    Rejects immediately when the edge connectivity, counted only up to 2k,
+    is below 2k; otherwise a witness is guaranteed to exist and a ``walk``
+    over edge directions in index order finds it, pruning partial
+    assignments that already starve a vertex of out- or in-capacity.
+    Returns at the first complete assignment that is k-connected.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if graph.n <= 1:
         return Orientation(graph)
-    if edge_connectivity(graph) < 2 * k:
+    if _edge_connectivity(graph, 2 * k) < 2 * k:
         return None
 
     out = [0] * graph.n
@@ -81,7 +81,6 @@ def enumerate_k_connected(
     *,
     seed: Orientation | None = None,
     meter: DelayMeter | None = None,
-    check_invariants: bool = False,
 ) -> int:
     """Stream every k-connected orientation of ``graph`` exactly once.
 
@@ -110,7 +109,7 @@ def enumerate_k_connected(
 
     def choices(i: int) -> Iterator[None]:
         if i < n:
-            return _vertex_choices(d, out, i, k, meter, check_invariants)
-        return _edge_choices(d, i - n, meter, check_invariants)
+            return _vertex_choices(d, out, i, k, meter)
+        return _edge_choices(d, i - n, meter)
 
-    return _emit_leaves(d, walk(n + graph.m, choices), out, sink, meter, check_invariants)
+    return _emit_leaves(d, walk(n + graph.m, choices), sink, meter)

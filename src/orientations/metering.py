@@ -6,38 +6,35 @@ accounting, so delay and amortized-cost bounds can be asserted portably.
 
 A gap is the work between two consecutive emitted solutions, including the
 work before the first and after the last; a finished run over ``s``
-solutions therefore has ``s + 1`` gaps.
+solutions therefore has ``s + 1`` gaps.  The meter keeps only running
+values: the totals, the largest gap and a log2 histogram of the gaps, so its
+memory does not grow with the number of solutions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["DelayMeter", "GapStats"]
-
-
-@dataclass(frozen=True)
-class GapStats:
-    bfs_runs: int
-    arc_touches: int
-
-    @property
-    def ops(self) -> int:
-        return self.bfs_runs + self.arc_touches
+__all__ = ["DelayMeter"]
 
 
 class DelayMeter:
-    """Counts primitive operations and slices them into per-solution gaps.
+    """Counts primitive operations and folds them into per-gap maxima.
 
+    ``max_delay_ops`` and ``max_delay_bfs`` are the largest operation and
+    BFS counts of any closed gap; ``gap_histogram[i]`` counts the closed gaps
+    whose operation count has bit length ``i`` (so index 0 holds the empty
+    gaps and index ``i > 0`` the gaps of ``2**(i-1)`` to ``2**i - 1`` ops).
     One meter instruments one enumeration run; create a fresh meter per run.
     """
 
-    __slots__ = ("bfs_runs", "arc_touches", "emissions", "gaps", "_mark_bfs", "_mark_arcs", "_finished")
+    __slots__ = ("bfs_runs", "arc_touches", "emissions", "max_delay_ops", "max_delay_bfs",
+                 "gap_histogram", "_mark_bfs", "_mark_arcs", "_finished")
 
     def __init__(self):
         self.bfs_runs = 0
         self.arc_touches = 0
         self.emissions = 0
-        self.gaps: list[GapStats] = []
+        self.max_delay_ops = 0
+        self.max_delay_bfs = 0
+        self.gap_histogram: list[int] = []
         self._mark_bfs = 0
         self._mark_arcs = 0
         self._finished = False
@@ -49,7 +46,15 @@ class DelayMeter:
         self.arc_touches += count
 
     def _close_gap(self) -> None:
-        self.gaps.append(GapStats(self.bfs_runs - self._mark_bfs, self.arc_touches - self._mark_arcs))
+        bfs = self.bfs_runs - self._mark_bfs
+        ops = bfs + self.arc_touches - self._mark_arcs
+        self.max_delay_ops = max(self.max_delay_ops, ops)
+        self.max_delay_bfs = max(self.max_delay_bfs, bfs)
+        histogram = self.gap_histogram
+        bucket = ops.bit_length()
+        if bucket >= len(histogram):
+            histogram.extend([0] * (bucket + 1 - len(histogram)))
+        histogram[bucket] += 1
         self._mark_bfs = self.bfs_runs
         self._mark_arcs = self.arc_touches
 
@@ -70,14 +75,6 @@ class DelayMeter:
     def total_ops(self) -> int:
         return self.bfs_runs + self.arc_touches
 
-    @property
-    def max_delay_ops(self) -> int:
-        return max((g.ops for g in self.gaps), default=0)
-
-    @property
-    def max_delay_bfs(self) -> int:
-        return max((g.bfs_runs for g in self.gaps), default=0)
-
     def amortized_ops(self) -> float | None:
         """Total operations per emitted solution; None when nothing was emitted."""
         if self.emissions == 0:
@@ -93,4 +90,5 @@ class DelayMeter:
             "max_delay_ops": self.max_delay_ops,
             "max_delay_bfs": self.max_delay_bfs,
             "amortized_ops": self.amortized_ops(),
+            "gap_histogram": list(self.gap_histogram),
         }

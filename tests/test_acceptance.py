@@ -247,7 +247,7 @@ def test_criterion_8_delay_bounds(family):
         for alpha in achievable_alphas(graph):
             meter = DelayMeter()
             enumerate_alpha(graph, alpha, lambda d: None, meter=meter)
-            peak = max(gap.bfs_runs for gap in meter.gaps)
+            peak = meter.max_delay_bfs
             assert peak <= 2 * graph.m, (name, alpha, peak)
             worst_bfs_ratio = max(worst_bfs_ratio, peak / (2 * graph.m))
 

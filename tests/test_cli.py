@@ -117,22 +117,22 @@ def test_parameter_errors_exit_2(capsys, c4_file, argv):
 def test_bench_records(capsys, c4_file):
     code, out, _ = run_cli(capsys, "bench", c4_file, "--mode", "korient", "--k", "1")
     assert code == 0
-    records = [json.loads(line) for line in out.splitlines()]
-    gaps = [r for r in records if r["record"] == "gap"]
-    summary = records[-1]
+    [summary] = [json.loads(line) for line in out.splitlines()]
     assert summary["record"] == "summary"
+    assert summary["mode"] == "korient"
     assert summary["solutions"] == 2
-    assert len(gaps) == 3  # one per solution plus the trailing gap
-    assert summary["total_ops"] == sum(r["ops"] for r in gaps)
-    assert summary["max_delay_ops"] == max(r["ops"] for r in gaps)
+    assert sum(summary["gap_histogram"]) == 3  # one per solution plus the trailing gap
+    assert len(summary["gap_histogram"]) == summary["max_delay_ops"].bit_length() + 1
+    assert summary["total_ops"] == summary["total_bfs_runs"] + summary["total_arc_touches"]
 
 
 def test_bench_zero_solutions(capsys, triangle_file):
     code, out, _ = run_cli(capsys, "bench", triangle_file, "--mode", "korient", "--k", "2")
     assert code == 0
-    records = [json.loads(line) for line in out.splitlines()]
-    assert [r["record"] for r in records] == ["gap", "summary"]
-    assert records[-1]["solutions"] == 0
+    [summary] = [json.loads(line) for line in out.splitlines()]
+    assert summary["record"] == "summary"
+    assert summary["solutions"] == 0
+    assert sum(summary["gap_histogram"]) == 1
 
 
 def test_oracle_mode_agrees_with_algorithm(capsys, tmp_path):

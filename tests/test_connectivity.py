@@ -13,6 +13,7 @@ from orientations import (
     lambda_at_least,
     parse_graph,
 )
+from orientations.connectivity import _edge_connectivity
 from orientations.oracle import brute_is_k_connected, oracle_k_connected
 
 
@@ -75,6 +76,9 @@ def test_edge_connectivity_matches_brute_force_cut_minimum():
             crossing = sum(1 for u, v in g.edges if (u in members) != (v in members))
             best = min(best, crossing)
         assert edge_connectivity(g) == best, g.edges
+        # The capped count behind the finder's Nash-Williams reject.
+        for limit in range(1, 5):
+            assert _edge_connectivity(g, limit) == min(best, limit), (g.edges, limit)
 
 
 def test_orientability_iff_double_edge_connectivity():

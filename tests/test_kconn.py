@@ -12,7 +12,7 @@ from orientations import (
     parse_graph,
 )
 from orientations.oracle import brute_is_k_connected, oracle_k_connected, oracle_sequences
-from witnesses import class_size_lower_bound_check
+from witnesses import class_size_lower_bound_check, probed_k_connected
 
 DOUBLED_TRIANGLE = "3 6\n0 1\n0 1\n1 2\n1 2\n2 0\n2 0"
 
@@ -139,10 +139,23 @@ def test_meter_counts_one_gap_per_solution_plus_trailing():
     count = enumerate_k_connected(g, 2, lambda d: None, meter=meter)
     assert count == 10
     assert meter.emissions == 10
-    assert len(meter.gaps) == 11
-    assert meter.total_ops == sum(gap.ops for gap in meter.gaps)
+    histogram = meter.gap_histogram
+    assert sum(histogram) == 11
+    # Bucket i holds the gaps of 2**(i-1) to 2**i - 1 ops (bucket 0: empty gaps).
+    low = sum(c * (1 << i >> 1) for i, c in enumerate(histogram))
+    high = sum(c * ((1 << i) - 1) for i, c in enumerate(histogram))
+    assert low <= meter.total_ops <= high
+    assert len(histogram) == meter.max_delay_ops.bit_length() + 1 and histogram[-1] > 0
 
 
-def test_check_invariants_smoke():
-    g = parse_graph(DOUBLED_TRIANGLE)
-    assert len(collect(g, 2, check_invariants=True)) == 10
+def test_invariant_probes_hold():
+    # The replay asserts the fixed edge prefix, k-connectivity after every
+    # path reversal and the outdegrees at every leaf, and must emit the
+    # same stream as the enumerator.
+    graphs = [parse_graph(DOUBLED_TRIANGLE)] + [g for _, g in families.random_family(15, seed=73)]
+    for g in graphs:
+        for k in (1, 2):
+            seed = find_k_connected_orientation(g, k)
+            if seed is not None:
+                probed = [d.serialize() for d in probed_k_connected(g, k, seed)]
+                assert probed == collect(g, k, seed=seed)

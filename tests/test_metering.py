@@ -1,7 +1,8 @@
+import tracemalloc
+
 import pytest
 
 from orientations import DelayMeter
-from orientations.metering import GapStats
 
 
 def test_gap_slicing():
@@ -13,7 +14,8 @@ def test_gap_slicing():
     meter.emitted()
     meter.finished()
     assert meter.emissions == 2
-    assert meter.gaps == [GapStats(1, 5), GapStats(0, 2), GapStats(0, 0)]
+    # Gaps of 6, 2 and 0 ops have bit lengths 3, 2 and 0.
+    assert meter.gap_histogram == [1, 0, 1, 1]
     assert meter.total_ops == 8
     assert meter.max_delay_ops == 6
     assert meter.max_delay_bfs == 1
@@ -25,7 +27,8 @@ def test_zero_emission_run_has_single_gap():
     meter.bfs()
     meter.finished()
     assert meter.emissions == 0
-    assert len(meter.gaps) == 1
+    assert meter.gap_histogram == [0, 1]
+    assert meter.max_delay_bfs == 1
     assert meter.amortized_ops() is None
 
 
@@ -48,3 +51,24 @@ def test_summary_fields():
     assert summary["total_ops"] == 3
     assert summary["max_delay_ops"] == 3
     assert summary["amortized_ops"] == 3.0
+    assert summary["gap_histogram"] == [1, 0, 1]
+
+
+def test_memory_stays_bounded_over_many_gaps():
+    # The meter keeps running values only, so 10^5 gaps fit in a small
+    # fixed budget; one record per gap would take megabytes.
+    tracemalloc.start()
+    try:
+        meter = DelayMeter()
+        for i in range(100_000):
+            meter.bfs()
+            meter.arcs(i % 1_000)
+            meter.emitted()
+        meter.finished()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert meter.emissions == 100_000
+    assert sum(meter.gap_histogram) == 100_001
+    assert meter.max_delay_ops == 1_000

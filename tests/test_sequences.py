@@ -12,18 +12,18 @@ from orientations import (
 from orientations.oracle import oracle_sequences
 from orientations.alpha import walk
 from orientations.sequences import _vertex_choices
+from witnesses import probed_sequences
 
 DOUBLED_TRIANGLE = "3 6\n0 1\n0 1\n1 2\n1 2\n2 0\n2 0"
+DOUBLED_FOUR_CYCLE = "4 8\n0 1\n0 1\n1 2\n1 2\n2 3\n2 3\n3 0\n3 0"
 
 
-def collect(graph, k, seed=None, **kwargs):
+def collect(graph, k, seed=None):
     if seed is None:
         seed = find_k_connected_orientation(graph, k)
         assert seed is not None
     got = []
-    count = enumerate_outdegree_sequences(
-        graph, k, seed, lambda s, w: got.append((s, w)), **kwargs
-    )
+    count = enumerate_outdegree_sequences(graph, k, seed, lambda s, w: got.append((s, w)))
     assert count == len(got)
     return got
 
@@ -90,9 +90,14 @@ def test_matches_oracle_over_random_graphs():
 
 
 def test_internal_connectivity_assertions_hold():
-    g = parse_graph(DOUBLED_TRIANGLE)
-    collect(g, 1, check_invariants=True)
-    collect(g, 2, check_invariants=True)
+    # The replay asserts k-connectivity after every path reversal and the
+    # outdegree mirror at every leaf, and must emit the same stream.
+    graphs = [parse_graph(text) for text in (DOUBLED_TRIANGLE, DOUBLED_FOUR_CYCLE)]
+    for g in graphs + [g for _, g in families.random_family(15, seed=79)]:
+        for k in (1, 2):
+            seed = find_k_connected_orientation(g, k)
+            if seed is not None:
+                assert probed_sequences(g, k, seed) == [s for s, _ in collect(g, k, seed=seed)]
 
 
 def test_emission_order_is_deterministic():
@@ -121,7 +126,7 @@ class _DriftProbe:
         d, out = self.d, self.out
         base, dirs, outs = out[v], bytes(d._dirs), list(out)
         seen = []
-        for _ in _vertex_choices(d, out, v, self.k, DelayMeter(), False):
+        for _ in _vertex_choices(d, out, v, self.k, DelayMeter()):
             seen.append(out[v])
             yield
         assert out == outs and bytes(d._dirs) == dirs  # restored at the end
@@ -137,7 +142,7 @@ class _DriftProbe:
 
 
 def test_monotone_drift_bounds_recursion_depth():
-    for text in (DOUBLED_TRIANGLE, "4 8\n0 1\n0 1\n1 2\n1 2\n2 3\n2 3\n3 0\n3 0"):
+    for text in (DOUBLED_TRIANGLE, DOUBLED_FOUR_CYCLE):
         g = parse_graph(text)
         for k in (1, 2):
             seed = find_k_connected_orientation(g, k)
@@ -161,4 +166,4 @@ def test_gap_operations_stay_within_knm_squared():
             meter = DelayMeter()
             enumerate_outdegree_sequences(g, k, seed, lambda s, w: None, meter=meter)
             bound = 6 * k * g.n * g.m * g.m
-            assert max(gap.ops for gap in meter.gaps) <= bound, (g.edges, k)
+            assert meter.max_delay_ops <= bound, (g.edges, k)

@@ -2,14 +2,17 @@
 
 ``reverse_path`` checks that a path found by the search really is a directed
 path before flipping it, ``same_alpha_cycle_decomposition`` exhibits the
-cycle decomposition between two orientations with equal outdegrees, and
-``class_size_lower_bound_check`` tests the (k-1)n+2 class-size floor.
+cycle decomposition between two orientations with equal outdegrees,
+``class_size_lower_bound_check`` tests the (k-1)n+2 class-size floor, and
+``InvariantProbe`` replays the enumeration walks with their proof-step
+assertions (``probed_alpha``, ``probed_sequences``, ``probed_k_connected``).
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 
 from orientations import (
+    DelayMeter,
     Multigraph,
     Orientation,
     PathResult,
@@ -17,6 +20,8 @@ from orientations import (
     find_alpha_orientation,
     is_k_connected,
 )
+from orientations.alpha import _edge_choices, walk
+from orientations.sequences import _vertex_choices
 
 
 def reverse_path(orientation: Orientation, path: PathResult, source: int) -> Orientation:
@@ -104,3 +109,72 @@ def class_size_lower_bound_check(graph: Multigraph, alpha: Sequence[int], k: int
         raise ValueError("alpha is not a k-connected outdegree sequence of this graph")
     size = enumerate_alpha(graph, alpha, lambda _d: None)
     return size >= (k - 1) * graph.n + 2
+
+
+class InvariantProbe:
+    """Replays an enumeration walk and asserts its proof steps as it goes.
+
+    The choice generators of the package run on one orientation, wrapped the
+    way the enumerators drive them through ``walk``:
+
+    - ``edge_choices(e)`` asserts at every yield, and when the level ends,
+      that the fixed edges 0..e-1 are as they were when the level opened;
+    - ``vertex_choices(v)`` asserts at every yield that the orientation is
+      still k-connected.  Every state a path reversal reaches is yielded
+      once, so this checks that each reversal keeps k-connectivity;
+    - ``leaves(levels, choices)`` asserts at every leaf that the orientation
+      has the target outdegrees: ``target`` when given, else the outdegree
+      mirror ``out`` that the sequence search keeps.
+    """
+
+    def __init__(self, seed: Orientation, k: int = 0, target: Sequence[int] | None = None):
+        self.d = seed.copy()
+        self.out = list(self.d.outdegrees())
+        self.k = k
+        self.target = target
+        self.meter = DelayMeter()
+
+    def edge_choices(self, e: int):
+        d = self.d
+        prefix = bytes(d._dirs[:e])
+        for _ in _edge_choices(d, e, self.meter):
+            assert bytes(d._dirs[:e]) == prefix, f"fixed edges 0..{e - 1} changed within a branch"
+            yield
+        assert bytes(d._dirs[:e]) == prefix, f"fixed edges 0..{e - 1} not restored"
+
+    def vertex_choices(self, v: int):
+        for _ in _vertex_choices(self.d, self.out, v, self.k, self.meter):
+            assert is_k_connected(self.d, self.k), f"a path reversal at vertex {v} broke k-connectivity"
+            yield
+
+    def leaves(self, levels: int, choices):
+        for _ in walk(levels, choices):
+            target = self.out if self.target is None else self.target
+            assert self.d.outdegrees() == tuple(target), "emitted orientation misses the target outdegrees"
+            yield
+
+
+def probed_alpha(graph: Multigraph, alpha: Sequence[int]) -> list[Orientation]:
+    """The stream of ``enumerate_alpha``, replayed under an ``InvariantProbe``."""
+    d = find_alpha_orientation(graph, alpha)
+    if d is None:
+        return []
+    probe = InvariantProbe(d, target=alpha)
+    return [probe.d.copy() for _ in probe.leaves(graph.m, probe.edge_choices)]
+
+
+def probed_sequences(graph: Multigraph, k: int, seed: Orientation) -> list[tuple[int, ...]]:
+    """The stream of ``enumerate_outdegree_sequences``, replayed under an ``InvariantProbe``."""
+    probe = InvariantProbe(seed, k)
+    return [tuple(probe.out) for _ in probe.leaves(graph.n, probe.vertex_choices)]
+
+
+def probed_k_connected(graph: Multigraph, k: int, seed: Orientation) -> list[Orientation]:
+    """The stream of ``enumerate_k_connected`` from ``seed``, replayed under an ``InvariantProbe``."""
+    probe = InvariantProbe(seed, k)
+    n = graph.n
+
+    def choices(i: int):
+        return probe.vertex_choices(i) if i < n else probe.edge_choices(i - n)
+
+    return [probe.d.copy() for _ in probe.leaves(n + graph.m, choices)]
