@@ -7,11 +7,11 @@ that counts machine-independent primitive operations between emissions.
 
 from .alpha import enumerate_alpha, find_alpha_orientation
 from .connectivity import edge_connectivity, is_k_connected
-from .kconn import enumerate_k_connected, find_k_connected_orientation
+from .kconn import find_k_connected_orientation
 from .metering import DelayMeter
 from .multigraph import GraphParseError, Multigraph, Orientation, graph_to_text, parse_graph
 from .paths import PathResult, find_directed_path, is_flippable_pair, lambda_at_least
-from .sequences import enumerate_outdegree_sequences
+from .sequences import enumerate_k_connected, enumerate_outdegree_sequences
 
 __all__ = [
     "DelayMeter",

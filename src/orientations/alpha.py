@@ -6,9 +6,11 @@ drives path reversals to the target vector; the enumeration fixes edges in
 index order, one level of ``walk`` per edge, whose choice generator keeps
 the edge and then flips it with a completing cycle.
 
-``walk`` is the one traversal scheme of the package: the outdegree-sequence
-search, the k-connected enumeration and the first-solution finder run on it
-too, each with its own per-level choice generator.
+``walk`` is the one traversal scheme of the package: the k-connected
+search of :mod:`orientations.sequences` and the first-solution finder run on
+it too, each with its own per-level choice generator.  ``_emit_leaves`` is
+the one emission loop: every enumerator hands it the leaves of its walk and
+a callback that receives a copy of the orientation at each leaf.
 """
 from __future__ import annotations
 
@@ -79,12 +81,12 @@ def enumerate_alpha(
     return _emit_leaves(d, walk(graph.m, lambda e: _edge_choices(d, e, meter)), sink, meter)
 
 
-def _emit_leaves(d: Orientation, leaves, sink, meter: DelayMeter) -> int:
-    # Emits a copy of d at every leaf and returns their number.
+def _emit_leaves(d: Orientation, leaves, emit, meter: DelayMeter) -> int:
+    # Calls emit with a copy of d at every leaf and returns their number.
     count = 0
     for _ in leaves:
         meter.arcs(d.graph.m)
-        sink(d.copy())
+        emit(d.copy())
         meter.emitted()
         count += 1
     meter.finished()

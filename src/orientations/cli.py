@@ -15,11 +15,10 @@ import json
 import sys
 
 from .alpha import enumerate_alpha
-from .kconn import enumerate_k_connected, find_k_connected_orientation
 from .metering import DelayMeter
 from .multigraph import GraphParseError, Multigraph, Orientation, parse_graph
 from .connectivity import is_k_connected
-from .sequences import enumerate_outdegree_sequences
+from .sequences import enumerate_k_connected, enumerate_outdegree_sequences
 from . import oracle
 
 EXIT_OK = 0
@@ -65,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_alpha(text: str, n: int) -> tuple[int, ...]:
     try:
-        values = tuple(int(tok) for tok in text.split(","))
+        # The empty string is the empty vector, the only one a 0-vertex graph takes.
+        values = tuple(int(tok) for tok in text.split(",")) if text else ()
     except ValueError:
         raise ParameterError(f"--alpha must be comma-separated integers, got {text!r}") from None
     if len(values) != n:
@@ -150,12 +150,7 @@ def _stream(args, graph: Multigraph, alpha, seed: Orientation | None, out) -> in
             for seq in sorted(oracle.oracle_sequences(graph, args.k)):
                 sequence_sink(seq)
         else:
-            if seed is None:
-                seed = find_k_connected_orientation(graph, args.k, meter)
-            if seed is not None:
-                enumerate_outdegree_sequences(graph, args.k, seed, sequence_sink, meter=meter)
-            else:
-                meter.finished()
+            enumerate_outdegree_sequences(graph, args.k, seed, sequence_sink, meter=meter)
 
     if args.command == "bench":
         summary = {"record": "summary", "mode": mode}
@@ -175,7 +170,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (OSError, GraphParseError) as exc:
+    except (OSError, GraphParseError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ParameterError, ValueError) as exc:

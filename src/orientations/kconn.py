@@ -1,24 +1,21 @@
-"""Finding one k-arc-connected orientation and enumerating them all.
+"""Finding one k-arc-connected orientation.
 
 A k-connected orientation exists iff the multigraph is 2k-edge-connected
 (Nash-Williams), which gives a sound fast reject; the witness itself comes
-from a pruned backtracking search over edge directions.  Enumeration is one
-``walk`` over a single orientation with ``n + m`` levels: the vertex levels
-of the outdegree-sequence search, then the edge levels of the alpha
-expansion of the sequence reached.  Solutions of equal outdegree vector are
-therefore contiguous in the output stream.
+from a pruned backtracking search over edge directions.  The finder seeds
+the k-connected search of :mod:`orientations.sequences` when the caller
+gives no seed.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
-from .alpha import _edge_choices, _emit_leaves, walk
+from .alpha import walk
 from .connectivity import _edge_connectivity, is_k_connected
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
-from .sequences import _vertex_choices
 
-__all__ = ["find_k_connected_orientation", "enumerate_k_connected"]
+__all__ = ["find_k_connected_orientation"]
 
 
 def find_k_connected_orientation(
@@ -72,44 +69,3 @@ def find_k_connected_orientation(
         if is_k_connected(d, k, meter):
             return d
     return None
-
-
-def enumerate_k_connected(
-    graph: Multigraph,
-    k: int,
-    sink: Callable[[Orientation], None],
-    *,
-    seed: Orientation | None = None,
-    meter: DelayMeter | None = None,
-) -> int:
-    """Stream every k-connected orientation of ``graph`` exactly once.
-
-    Below each leaf of the outdegree-sequence search, expands the full set
-    of orientations sharing that sequence (all of which are k-connected
-    exactly when one is).  Orientations with equal outdegree vectors are
-    therefore contiguous in the stream.  Returns the count; infeasible input
-    yields an empty stream.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    meter = meter if meter is not None else DelayMeter()
-    if seed is None:
-        d = find_k_connected_orientation(graph, k, meter)
-        if d is None:
-            meter.finished()
-            return 0
-    else:
-        if seed.graph != graph:
-            raise ValueError("seed orients a different graph")
-        if not is_k_connected(seed, k):
-            raise ValueError("seed orientation is not k-connected")
-        d = seed.copy()
-    n = graph.n
-    out = list(d.outdegrees())
-
-    def choices(i: int) -> Iterator[None]:
-        if i < n:
-            return _vertex_choices(d, out, i, k, meter)
-        return _edge_choices(d, i - n, meter)
-
-    return _emit_leaves(d, walk(n + graph.m, choices), sink, meter)

@@ -9,7 +9,9 @@ The number of pairwise arc-disjoint directed u-to-v paths is counted by the
 reverse-and-repeat scheme: find a path, reverse it, and iterate.  Each
 reversal lowers the u-to-v path count by exactly one, so the count is the
 number of iterations that find a path.  The paths are flipped in place and
-restored before the count returns.
+restored before they are returned; the first of them is a shortest path of
+the orientation as given, so a caller that tests a pair and then reverses a
+path between it needs no second search.
 """
 from __future__ import annotations
 
@@ -100,25 +102,25 @@ def _count_paths(
     v: int,
     limit: int,
     meter: DelayMeter | None = None,
-) -> int:
-    # Arc-disjoint u-to-v paths, counted up to ``limit`` by reversing one
-    # shortest path at a time.  Every flip, the undo flips included, is an
-    # arc touch; the orientation is restored even when the search raises.
-    flipped: list[int] = []
-    count = 0
+) -> list[list[int]]:
+    # Arc-disjoint u-to-v paths, up to ``limit`` of them, found by reversing
+    # one shortest path at a time; the first is a path of the orientation as
+    # given.  Every flip, the undo flips included, is an arc touch; the
+    # orientation is restored even when the search raises.
+    paths: list[list[int]] = []
     try:
-        while count < limit:
+        while len(paths) < limit:
             path = _shortest_path(orientation, (u,), (v,), (), meter)
             if path is None:
                 break
             orientation._flip(path)
-            flipped.extend(path)
-            count += 1
-        return count
+            paths.append(path)
+        return paths
     finally:
-        orientation._flip(flipped)
+        for path in paths:
+            orientation._flip(path)
         if meter is not None:
-            meter.arcs(2 * len(flipped))
+            meter.arcs(2 * sum(map(len, paths)))
 
 
 def find_directed_path(
@@ -155,7 +157,7 @@ def lambda_at_least(
         raise ValueError("u and v must differ")
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
-    return _count_paths(orientation, u, v, threshold, meter) == threshold
+    return len(_count_paths(orientation, u, v, threshold, meter)) == threshold
 
 
 def is_flippable_pair(

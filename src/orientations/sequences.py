@@ -1,12 +1,18 @@
-"""Enumeration of the outdegree sequences attained by k-arc-connected orientations.
+"""Enumeration of k-arc-connected orientations and of their outdegree sequences.
 
-The search fixes vertices in index order, one ``walk`` level per vertex.  The
-choice generator of a vertex first lowers its outdegree as far as it will
-go, reversing a directed path leaving it whenever the path's endpoints admit
-more than k arc-disjoint paths, so connectivity survives; it then yields
-once per step on the way back, deepest first, undoing one reversal per
-yield.  It does the same for raising, and finally keeps the vertex as it
-is.  A leaf, where every vertex is fixed, emits one sequence.  Completeness
+Both enumerators run one search.  It resolves the seed (the finder of
+:mod:`orientations.kconn` when none is given), then walks one orientation
+through ``n`` vertex levels and, when listing orientations, ``m`` edge
+levels more: the alpha expansion of the sequence that the vertex levels
+reached.  Listing sequences is thus the first stage of listing
+orientations, and orientations of equal outdegree vector are contiguous.
+
+The choice generator of a vertex first lowers its outdegree as far as it
+will go, reversing a directed path leaving it whenever the path's endpoints
+admit more than k arc-disjoint paths, so connectivity survives; the path
+reversed is the first one that count found.  It then yields once per step
+on the way back, deepest first, undoing one reversal per yield.  It does
+the same for raising, and finally keeps the vertex as it is.  Completeness
 rests on the witness fact that whenever two k-connected orientations
 disagree at a vertex, a connectivity-preserving path reversal moves one
 toward the other without touching fixed vertices.
@@ -15,28 +21,26 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 
-from .alpha import walk
+from .alpha import _edge_choices, _emit_leaves, walk
 from .connectivity import is_k_connected
+from .kconn import find_k_connected_orientation
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
-from .paths import find_directed_path, is_flippable_pair
+from .paths import _count_paths
 
-__all__ = ["enumerate_outdegree_sequences"]
+__all__ = ["enumerate_outdegree_sequences", "enumerate_k_connected"]
 
 
 def _vertex_choices(d: Orientation, out: list[int], v: int, k: int, meter: DelayMeter) -> Iterator[None]:
     # ``out`` mirrors d's outdegrees and moves with every reversal.
     for lowering in (True, False):
         chain = []
-        while (pair := _flippable_pair(d, v, lowering, k, meter)) is not None:
-            src, dst = pair
-            path = find_directed_path(d, src, dst, (), meter)
-            if not path.found:
-                raise AssertionError("flippable pair without a directed path")
-            _reverse(d, out, path.edges, src, dst, meter)
-            chain.append((path.edges, src, dst))
+        while (found := _flippable_pair(d, v, lowering, k, meter)) is not None:
+            src, dst, edges = found
+            _reverse(d, out, edges, src, dst, meter)
+            chain.append(found)
         while chain:
-            edges, src, dst = chain.pop()
+            src, dst, edges = chain.pop()
             yield
             _reverse(d, out, edges, dst, src, meter)
     yield
@@ -44,11 +48,13 @@ def _vertex_choices(d: Orientation, out: list[int], v: int, k: int, meter: Delay
 
 def _flippable_pair(d: Orientation, v: int, lowering: bool, k: int, meter: DelayMeter):
     # The ordered pair of v with the smallest later (so not yet fixed) vertex
-    # that tolerates a reversal, or None.
+    # that has more than k arc-disjoint paths, and the first of those paths;
+    # or None.
     for u in range(v + 1, d.graph.n):
-        pair = (v, u) if lowering else (u, v)
-        if is_flippable_pair(d, *pair, k, meter):
-            return pair
+        src, dst = (v, u) if lowering else (u, v)
+        paths = _count_paths(d, src, dst, k + 1, meter)
+        if len(paths) > k:
+            return src, dst, paths[0]
     return None
 
 
@@ -59,35 +65,66 @@ def _reverse(d, out, edges, src, dst, meter) -> None:
     out[dst] += 1
 
 
+def _search(graph: Multigraph, k: int, seed: Orientation | None, edge_levels: int, emit, meter) -> int:
+    # Walks n vertex levels and ``edge_levels`` edge levels from the seed and
+    # calls emit(out, copy) at every leaf; returns the number of leaves.
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    meter = meter if meter is not None else DelayMeter()
+    if seed is None:
+        d = find_k_connected_orientation(graph, k, meter)
+        if d is None:
+            meter.finished()
+            return 0
+    else:
+        if seed.graph != graph:
+            raise ValueError("seed orients a different graph")
+        if not is_k_connected(seed, k):
+            raise ValueError("seed orientation is not k-connected")
+        d = seed.copy()
+    n = graph.n
+    out = list(d.outdegrees())
+
+    def choices(i: int) -> Iterator[None]:
+        if i < n:
+            return _vertex_choices(d, out, i, k, meter)
+        return _edge_choices(d, i - n, meter)
+
+    return _emit_leaves(d, walk(n + edge_levels, choices), lambda copy: emit(out, copy), meter)
+
+
 def enumerate_outdegree_sequences(
     graph: Multigraph,
     k: int,
-    seed: Orientation,
+    seed: Orientation | None,
     sink: Callable[[tuple[int, ...], Orientation], None],
     *,
     meter: DelayMeter | None = None,
 ) -> int:
     """Stream every k-connected outdegree sequence of ``graph`` exactly once.
 
-    ``seed`` must be a k-connected orientation of ``graph``; finding one is
-    the caller's job.  The sink receives each sequence together with a
-    witnessing orientation that attains it.  Returns the number of
-    sequences.
+    ``seed`` is a k-connected orientation of ``graph`` to start from, or
+    None to find one first (on the same meter).  The sink receives each
+    sequence together with a witnessing orientation that attains it.
+    Returns the number of sequences; infeasible input yields an empty stream.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if seed.graph != graph:
-        raise ValueError("seed orients a different graph")
-    if not is_k_connected(seed, k):
-        raise ValueError("seed orientation is not k-connected")
-    meter = meter if meter is not None else DelayMeter()
-    d = seed.copy()
-    out = list(d.outdegrees())
-    count = 0
-    for _ in walk(graph.n, lambda v: _vertex_choices(d, out, v, k, meter)):
-        meter.arcs(graph.m)
-        sink(tuple(out), d.copy())
-        meter.emitted()
-        count += 1
-    meter.finished()
-    return count
+    return _search(graph, k, seed, 0, lambda out, d: sink(tuple(out), d), meter)
+
+
+def enumerate_k_connected(
+    graph: Multigraph,
+    k: int,
+    sink: Callable[[Orientation], None],
+    *,
+    seed: Orientation | None = None,
+    meter: DelayMeter | None = None,
+) -> int:
+    """Stream every k-connected orientation of ``graph`` exactly once.
+
+    Below each leaf of the outdegree-sequence search, expands the full set
+    of orientations sharing that sequence (all of which are k-connected
+    exactly when one is).  Orientations with equal outdegree vectors are
+    therefore contiguous in the stream.  Returns the count; infeasible input
+    yields an empty stream.
+    """
+    return _search(graph, k, seed, graph.m, lambda out, d: sink(d), meter)

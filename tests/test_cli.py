@@ -37,7 +37,7 @@ def test_enumerate_korient_four_cycle(capsys, c4_file):
     assert out.splitlines() == ["++++", "----", "# count=2"]
 
 
-def test_enumerate_alpha_four_cycle(capsys, c4_file):
+def test_enumerate_alpha_four_cycle(capsys, c4_file, tmp_path):
     code, out, _ = run_cli(
         capsys, "enumerate", c4_file, "--mode", "alpha", "--alpha", "1,1,1,1"
     )
@@ -45,6 +45,13 @@ def test_enumerate_alpha_four_cycle(capsys, c4_file):
     lines = out.splitlines()
     assert lines[-1] == "# count=2"
     assert sorted(lines[:-1]) == ["++++", "----"]
+
+    # A 0-vertex graph takes the empty vector and has the empty orientation.
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 0\n")
+    code, out, _ = run_cli(capsys, "enumerate", str(empty), "--mode", "alpha", "--alpha", "")
+    assert code == 0
+    assert out.splitlines() == ["", "# count=1"]
 
 
 def test_enumerate_odseq(capsys, c4_file):
@@ -87,6 +94,12 @@ def test_parse_error_exits_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "enumerate", str(path), "--mode", "korient", "--k", "1")
     assert code == 1
     assert "line 3" in err
+
+    # Bytes that are not UTF-8 make the file malformed, not the parameters.
+    path.write_bytes(b"4 4\n0 1\n1 2\n2 3\n3 0 \xe9\n")
+    code, _, err = run_cli(capsys, "enumerate", str(path), "--mode", "korient", "--k", "1")
+    assert code == 1
+    assert "utf-8" in err
 
 
 def test_missing_file_exits_1(capsys):
@@ -175,13 +188,14 @@ def test_seed_orientation_flag(capsys, tmp_path):
     assert "not k-connected" in err
 
     malformed = tmp_path / "malformed.txt"
-    malformed.write_text("++\n")
-    code, _, _ = run_cli(
-        capsys,
-        "enumerate", str(graph_path), "--mode", "korient", "--k", "2",
-        "--seed-orientation", str(malformed),
-    )
-    assert code == 1
+    for content in (b"++\n", b"+-+-+\xe9\n"):  # too short; not UTF-8
+        malformed.write_bytes(content)
+        code, _, _ = run_cli(
+            capsys,
+            "enumerate", str(graph_path), "--mode", "korient", "--k", "2",
+            "--seed-orientation", str(malformed),
+        )
+        assert code == 1
 
 
 def test_output_file_option(tmp_path, c4_file):

@@ -7,6 +7,7 @@ from orientations import (
     Multigraph,
     Orientation,
     edge_connectivity,
+    find_directed_path,
     graph_to_text,
     is_flippable_pair,
     is_k_connected,
@@ -14,6 +15,7 @@ from orientations import (
     parse_graph,
 )
 from orientations.connectivity import _edge_connectivity
+from orientations.paths import _count_paths
 from orientations.oracle import brute_is_k_connected, oracle_k_connected
 
 
@@ -110,3 +112,8 @@ def test_path_counters_restore_their_input():
         ):
             call()
             assert (d.serialize(), d.outdegrees(), graph_to_text(g)) == before, g.edges
+        # The first path counted is the shortest path of d as given.
+        paths = _count_paths(d, u, v, 3)
+        assert (d.serialize(), d.outdegrees(), graph_to_text(g)) == before, g.edges
+        first = find_directed_path(d, u, v)
+        assert (tuple(paths[0]) if paths else None) == (first.edges if first.found else None)

@@ -18,12 +18,12 @@ DOUBLED_TRIANGLE = "3 6\n0 1\n0 1\n1 2\n1 2\n2 0\n2 0"
 DOUBLED_FOUR_CYCLE = "4 8\n0 1\n0 1\n1 2\n1 2\n2 3\n2 3\n3 0\n3 0"
 
 
-def collect(graph, k, seed=None):
+def collect(graph, k, seed=None, meter=None):
     if seed is None:
-        seed = find_k_connected_orientation(graph, k)
+        seed = find_k_connected_orientation(graph, k, meter)
         assert seed is not None
     got = []
-    count = enumerate_outdegree_sequences(graph, k, seed, lambda s, w: got.append((s, w)))
+    count = enumerate_outdegree_sequences(graph, k, seed, lambda s, w: got.append((s, w)), meter=meter)
     assert count == len(got)
     return got
 
@@ -79,12 +79,22 @@ def test_witness_attains_its_sequence_and_stays_connected():
 def test_matches_oracle_over_random_graphs():
     for _, g in families.random_family(40, seed=19):
         for k in (1, 2):
-            seed = find_k_connected_orientation(g, k)
             want = oracle_sequences(g, k)
+            # Without a seed the search first runs the finder on the meter it is given.
+            unseeded, meter = [], DelayMeter()
+            count = enumerate_outdegree_sequences(g, k, None, lambda s, w: unseeded.append((s, w)), meter=meter)
+            seed = find_k_connected_orientation(g, k)
             if seed is None:
                 assert not want
+                assert count == 0 and sum(meter.gap_histogram) == 1
+                with pytest.raises(RuntimeError):
+                    meter.finished()  # already finished
                 continue
-            got = [s for s, _ in collect(g, k, seed=seed)]
+            seeded_meter = DelayMeter()
+            seeded = collect(g, k, meter=seeded_meter)
+            assert [(s, w.serialize()) for s, w in unseeded] == [(s, w.serialize()) for s, w in seeded]
+            assert meter.summary() == seeded_meter.summary()
+            got = [s for s, _ in seeded]
             assert len(got) == len(set(got))
             assert set(got) == want
 
