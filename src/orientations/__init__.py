@@ -10,7 +10,7 @@ from .connectivity import edge_connectivity, is_k_connected
 from .kconn import find_k_connected_orientation
 from .metering import DelayMeter
 from .multigraph import GraphParseError, Multigraph, Orientation, graph_to_text, parse_graph
-from .paths import PathResult, find_directed_path, is_flippable_pair, lambda_at_least
+from .paths import lambda_at_least
 from .sequences import enumerate_k_connected, enumerate_outdegree_sequences
 
 __all__ = [
@@ -18,16 +18,13 @@ __all__ = [
     "GraphParseError",
     "Multigraph",
     "Orientation",
-    "PathResult",
     "edge_connectivity",
     "enumerate_alpha",
     "enumerate_k_connected",
     "enumerate_outdegree_sequences",
     "find_alpha_orientation",
-    "find_directed_path",
     "find_k_connected_orientation",
     "graph_to_text",
-    "is_flippable_pair",
     "is_k_connected",
     "lambda_at_least",
     "parse_graph",

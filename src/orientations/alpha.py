@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterator, Sequence
 
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
-from .paths import _shortest_path, find_directed_path
+from .paths import _shortest_path
 
 __all__ = ["find_alpha_orientation", "enumerate_alpha"]
 
@@ -120,11 +120,11 @@ def _edge_choices(d: Orientation, e: int, meter: DelayMeter) -> Iterator[None]:
     yield
     u, v = d.graph.edges[e]
     tail, head = (u, v) if d.forward(e) else (v, u)
-    path = find_directed_path(d, head, tail, range(e), meter)
-    if path.found:
-        flips = path.edges + (e,)
-        d._flip(flips)
-        meter.arcs(len(flips))
+    path = _shortest_path(d, (head,), (tail,), range(e), meter)
+    if path is not None:
+        path.append(e)
+        d._flip(path)
+        meter.arcs(len(path))
         yield
-        d._flip(flips)
-        meter.arcs(len(flips))
+        d._flip(path)
+        meter.arcs(len(path))

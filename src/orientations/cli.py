@@ -17,7 +17,6 @@ import sys
 from .alpha import enumerate_alpha
 from .metering import DelayMeter
 from .multigraph import GraphParseError, Multigraph, Orientation, parse_graph
-from .connectivity import is_k_connected
 from .sequences import enumerate_k_connected, enumerate_outdegree_sequences
 from . import oracle
 
@@ -73,19 +72,12 @@ def _parse_alpha(text: str, n: int) -> tuple[int, ...]:
     return values
 
 
-def _load_seed(path: str | None, graph: Multigraph, k: int) -> Orientation | None:
+def _load_seed(path: str | None, graph: Multigraph) -> Orientation | None:
+    # The search rejects a seed that is not k-connected, before any output.
     if path is None:
         return None
     with open(path, encoding="utf-8") as fh:
-        seed = Orientation.deserialize(graph, fh.read())
-    if not is_k_connected(seed, k):
-        raise ParameterError("seed orientation is not k-connected")
-    return seed
-
-
-def _emit(stream, line: str) -> None:
-    stream.write(line + "\n")
-    stream.flush()
+        return Orientation.deserialize(graph, fh.read())
 
 
 def _run(args) -> int:
@@ -103,19 +95,30 @@ def _run(args) -> int:
         if args.k < 1:
             raise ParameterError("--k must be at least 1")
         if not args.oracle:
-            seed = _load_seed(args.seed_orientation, graph, args.k)
+            seed = _load_seed(args.seed_orientation, graph)
 
     if args.command == "bench" and args.oracle:
         raise ParameterError("bench does not support --oracle")
 
-    # Opened only after every check, so a rejected run leaves the file intact.
-    if not args.output:
-        return _stream(args, graph, alpha, seed, sys.stdout)
-    with open(args.output, "w", encoding="utf-8") as out:
-        return _stream(args, graph, alpha, seed, out)
+    out = None
+
+    def emit(line: str) -> None:
+        # Opened at the first line written, so a run that fails before it
+        # leaves the file as it was.
+        nonlocal out
+        if out is None:
+            out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+        out.write(line + "\n")
+        out.flush()
+
+    try:
+        return _stream(args, graph, alpha, seed, emit)
+    finally:
+        if out is not None and out is not sys.stdout:
+            out.close()
 
 
-def _stream(args, graph: Multigraph, alpha, seed: Orientation | None, out) -> int:
+def _stream(args, graph: Multigraph, alpha, seed: Orientation | None, emit) -> int:
     mode = args.mode
     emit_solutions = args.command == "enumerate"
     meter = DelayMeter()
@@ -125,39 +128,39 @@ def _stream(args, graph: Multigraph, alpha, seed: Orientation | None, out) -> in
         nonlocal count
         count += 1
         if emit_solutions:
-            _emit(out, d.serialize())
+            emit(d.serialize())
 
     def sequence_sink(seq, _witness=None) -> None:
         nonlocal count
         count += 1
         if emit_solutions:
-            _emit(out, " ".join(str(x) for x in seq))
+            emit(" ".join(str(x) for x in seq))
 
-    if mode == "alpha":
-        if args.oracle:
-            for d in oracle.all_orientations(graph):
-                if d.outdegrees() == alpha:
-                    orientation_sink(d)
+    if args.oracle:
+        # One pass over all 2^m orientations, filtered by the mode.
+        if mode == "alpha":
+            kept = (d for d in oracle.all_orientations(graph) if d.outdegrees() == alpha)
         else:
-            enumerate_alpha(graph, alpha, orientation_sink, meter=meter)
-    elif mode == "korient":
-        if args.oracle:
-            oracle.enumerate_k_connected_backtrack(graph, args.k, orientation_sink)
-        else:
-            enumerate_k_connected(graph, args.k, orientation_sink, seed=seed, meter=meter)
-    else:
-        if args.oracle:
-            for seq in sorted(oracle.oracle_sequences(graph, args.k)):
+            kept = (d for d in oracle.all_orientations(graph) if oracle.brute_is_k_connected(d, args.k))
+        if mode == "odseq":
+            for seq in sorted({d.outdegrees() for d in kept}):
                 sequence_sink(seq)
         else:
-            enumerate_outdegree_sequences(graph, args.k, seed, sequence_sink, meter=meter)
+            for d in kept:
+                orientation_sink(d)
+    elif mode == "alpha":
+        enumerate_alpha(graph, alpha, orientation_sink, meter=meter)
+    elif mode == "korient":
+        enumerate_k_connected(graph, args.k, orientation_sink, seed=seed, meter=meter)
+    else:
+        enumerate_outdegree_sequences(graph, args.k, seed, sequence_sink, meter=meter)
 
     if args.command == "bench":
         summary = {"record": "summary", "mode": mode}
         summary.update(meter.summary())
-        _emit(out, json.dumps(summary))
+        emit(json.dumps(summary))
     else:
-        _emit(out, f"# count={count}")
+        emit(f"# count={count}")
     return EXIT_OK
 
 

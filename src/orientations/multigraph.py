@@ -113,46 +113,12 @@ class Orientation:
         u, v = self.graph.edges[e]
         return v if self._dirs[e] else u
 
-    def outdegree(self, v: int) -> int:
-        dirs = self._dirs
-        return sum(1 for e, _, v_is_first in self.graph.incidence[v] if (dirs[e] == 1) == v_is_first)
-
     def outdegrees(self) -> tuple[int, ...]:
         out = [0] * self.graph.n
         for e, d in enumerate(self._dirs):
             u, v = self.graph.edges[e]
             out[u if d else v] += 1
         return tuple(out)
-
-    def cut_outdegree(self, members: Iterable[int]) -> int:
-        """Number of arcs leaving the vertex set ``members``.
-
-        ``members`` must be a nonempty proper subset of the vertices.
-        """
-        inside = set(members)
-        if not inside or len(inside) >= self.graph.n:
-            raise ValueError("cut must be a nonempty proper subset of the vertices")
-        for v in inside:
-            if not (0 <= v < self.graph.n):
-                raise ValueError(f"cut member out of range: {v}")
-        count = 0
-        for e, d in enumerate(self._dirs):
-            u, v = self.graph.edges[e]
-            tail, head = (u, v) if d else (v, u)
-            if tail in inside and head not in inside:
-                count += 1
-        return count
-
-    def reverse_arcs(self, edge_indices: Iterable[int]) -> "Orientation":
-        """New orientation with exactly the given edges flipped."""
-        dup = self.copy()
-        dup._flip(edge_indices)
-        return dup
-
-    def reverse_all(self) -> "Orientation":
-        dup = self.copy()
-        dup._flip(range(self.graph.m))
-        return dup
 
     def _flip(self, edge_indices: Iterable[int]) -> None:
         # In-place; callers either own the orientation or flip it back before returning.

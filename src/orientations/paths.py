@@ -17,32 +17,11 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Collection, Sequence
-from dataclasses import dataclass
 
 from .metering import DelayMeter
 from .multigraph import Orientation
 
-__all__ = [
-    "PathResult",
-    "find_directed_path",
-    "lambda_at_least",
-    "is_flippable_pair",
-]
-
-
-@dataclass(frozen=True)
-class PathResult:
-    """Outcome of a directed path search.
-
-    ``edges`` holds the path's edge indices in traversal order.  Paths are
-    arc-simple and consecutive arcs chain head to tail.
-    """
-
-    found: bool
-    edges: tuple[int, ...] = ()
-
-
-_NOT_FOUND = PathResult(False)
+__all__ = ["lambda_at_least"]
 
 
 def _shortest_path(
@@ -123,25 +102,6 @@ def _count_paths(
             meter.arcs(2 * sum(map(len, paths)))
 
 
-def find_directed_path(
-    orientation: Orientation,
-    source: int,
-    target: int,
-    forbidden=(),
-    meter: DelayMeter | None = None,
-) -> PathResult:
-    """Shortest directed path from ``source`` to ``target`` avoiding ``forbidden`` edges.
-
-    ``forbidden`` is a container of edge indices excluded in both directions.
-    Only the part of the digraph reachable from ``source`` is touched.
-    Raises ``ValueError`` when an endpoint is not a vertex or both are equal.
-    """
-    if source == target:
-        raise ValueError("source and target must differ")
-    edges = _shortest_path(orientation, (source,), (target,), forbidden, meter)
-    return _NOT_FOUND if edges is None else PathResult(True, tuple(edges))
-
-
 def lambda_at_least(
     orientation: Orientation,
     u: int,
@@ -158,21 +118,3 @@ def lambda_at_least(
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
     return len(_count_paths(orientation, u, v, threshold, meter)) == threshold
-
-
-def is_flippable_pair(
-    orientation: Orientation,
-    u: int,
-    v: int,
-    k: int,
-    meter: DelayMeter | None = None,
-) -> bool:
-    """True iff reversing any directed u-to-v path keeps the orientation k-connected.
-
-    For a k-connected orientation this is equivalent to the u-to-v
-    arc-disjoint path count exceeding ``k``; the same test is applied
-    verbatim to any orientation.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return lambda_at_least(orientation, u, v, k + 1, meter)

@@ -17,10 +17,9 @@ from orientations import (
     enumerate_alpha,
     enumerate_k_connected,
     enumerate_outdegree_sequences,
-    find_directed_path,
     find_k_connected_orientation,
     graph_to_text,
-    is_flippable_pair,
+    lambda_at_least,
 )
 from orientations.oracle import (
     brute_is_k_connected,
@@ -30,6 +29,7 @@ from orientations.oracle import (
     oracle_sequences,
     _full_scan,
 )
+from orientations.paths import _shortest_path
 from witnesses import class_size_lower_bound_check, reverse_path
 
 
@@ -103,8 +103,8 @@ def test_criterion_3_menger_agreement(family):
         lam = 0
         current = d
         while True:
-            path = find_directed_path(current, u, v)
-            if not path.found:
+            path = _shortest_path(current, (u,), (v,), (), None)
+            if path is None:
                 break
             current = reverse_path(current, path, u)
             lam += 1
@@ -124,8 +124,8 @@ def test_criterion_4_path_flipping_law(family):
         v = rng.randrange(graph.n)
         if u == v:
             continue
-        path = find_directed_path(d, u, v)
-        if not path.found:
+        path = _shortest_path(d, (u,), (v,), (), None)
+        if path is None:
             continue
         before = {
             (a, b): oracle_lambda(d, a, b)
@@ -164,7 +164,7 @@ def test_criterion_5_degree_difference_witnesses(family):
             for out, text in reps.items():
                 d = Orientation.deserialize(graph, text)
                 flippable[out] = {
-                    (u, v): is_flippable_pair(d, u, v, k)
+                    (u, v): lambda_at_least(d, u, v, k + 1)
                     for u in range(graph.n)
                     for v in range(graph.n)
                     if u != v
@@ -204,7 +204,7 @@ def test_criterion_5_degree_difference_witnesses(family):
                         for v in range(graph.n):
                             if out_d[v] < out_d2[v]:
                                 assert any(
-                                    out_d[u] > out_d2[u] and is_flippable_pair(d, u, v, k)
+                                    out_d[u] > out_d2[u] and lambda_at_least(d, u, v, k + 1)
                                     for u in range(graph.n)
                                     if u != v
                                 ), (name, k, v)

@@ -1,9 +1,13 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import orientations
+from orientations import cli, is_k_connected, oracle, sequences
 from orientations.cli import main
 
 C4 = "4 4\n0 1\n1 2\n2 3\n3 0\n"
@@ -208,20 +212,60 @@ def test_output_file_option(tmp_path, c4_file):
 @pytest.mark.parametrize(
     "graph_text, extra, want",
     [
-        ("3 2\n0 1\n1 1\n", ("--k", "1"), 1),  # malformed graph
-        (C4, (), 2),  # missing --k
+        ("3 2\n0 1\n1 1\n", ("--mode", "korient", "--k", "1"), 1),  # malformed graph
+        (C4, ("--mode", "korient"), 2),  # missing --k
+        ("2 26\n" + "0 1\n" * 26, ("--mode", "alpha", "--alpha", "13,13", "--oracle"), 2),
+        (DOUBLED_TRIANGLE, ("--mode", "korient", "--k", "2", "--seed-orientation", "weak.txt"), 2),
     ],
-    ids=["malformed-graph", "missing-k"],
+    ids=["malformed-graph", "missing-k", "oracle-edge-limit", "weak-seed"],
 )
-def test_output_file_survives_a_rejected_run(tmp_path, capsys, graph_text, extra, want):
-    graph = tmp_path / "graph.txt"
-    graph.write_text(graph_text)
+def test_output_file_survives_a_rejected_run(tmp_path, capsys, monkeypatch, graph_text, extra, want):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.txt").write_text(graph_text)
+    (tmp_path / "weak.txt").write_text("+-++++\n")  # strongly but not 2-arc-connected
     target = tmp_path / "out.txt"
     target.write_text("keep me\n")
-    code = main(["count", str(graph), "--mode", "korient", *extra, "-o", str(target)])
+    code = main(["count", "graph.txt", *extra, "-o", str(target)])
     assert code == want
     assert capsys.readouterr().err
     assert target.read_text() == "keep me\n"
+
+
+def test_seed_is_checked_once(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(d, k):
+        calls.append(k)
+        return is_k_connected(d, k)
+
+    monkeypatch.setattr(cli, "is_k_connected", counting, raising=False)
+    monkeypatch.setattr(sequences, "is_k_connected", counting)
+    graph_path = tmp_path / "dt.txt"
+    graph_path.write_text(DOUBLED_TRIANGLE)
+    seed_path = tmp_path / "seed.txt"
+    seed_path.write_text("+-+-+-\n")
+    code, out, _ = run_cli(
+        capsys,
+        "count", str(graph_path), "--mode", "korient", "--k", "2",
+        "--seed-orientation", str(seed_path),
+    )
+    assert (code, out) == (0, "# count=10\n")
+    assert calls == [2]
+
+
+def test_oracle_odseq_keeps_no_row_per_orientation(capsys, tmp_path):
+    path = tmp_path / "dt.txt"
+    path.write_text(DOUBLED_TRIANGLE)
+    oracle._full_scan.cache_clear()
+    code, out, _ = run_cli(capsys, "count", str(path), "--mode", "odseq", "--k", "1", "--oracle")
+    assert (code, out) == (0, "# count=7\n")
+    assert oracle._full_scan.cache_info().currsize == 0
+
+
+def test_readme_lists_exactly_the_exports():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("The package exports exactly these names:")[1].split(".")[0]
+    assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(orientations.__all__)
 
 
 def test_console_entry_point(c4_file):

@@ -7,15 +7,13 @@ from orientations import (
     Multigraph,
     Orientation,
     edge_connectivity,
-    find_directed_path,
     graph_to_text,
-    is_flippable_pair,
     is_k_connected,
     lambda_at_least,
     parse_graph,
 )
 from orientations.connectivity import _edge_connectivity
-from orientations.paths import _count_paths
+from orientations.paths import _count_paths, _shortest_path
 from orientations.oracle import brute_is_k_connected, oracle_k_connected
 
 
@@ -106,7 +104,7 @@ def test_path_counters_restore_their_input():
         u, v = rng.sample(range(g.n), 2)
         for call in (
             lambda: lambda_at_least(d, u, v, rng.randint(1, 3)),
-            lambda: is_flippable_pair(d, u, v, rng.randint(1, 2)),
+            lambda: lambda_at_least(d, u, v, rng.randint(1, 2) + 1),
             lambda: is_k_connected(d, rng.randint(1, 2)),
             lambda: edge_connectivity(g),
         ):
@@ -115,5 +113,4 @@ def test_path_counters_restore_their_input():
         # The first path counted is the shortest path of d as given.
         paths = _count_paths(d, u, v, 3)
         assert (d.serialize(), d.outdegrees(), graph_to_text(g)) == before, g.edges
-        first = find_directed_path(d, u, v)
-        assert (tuple(paths[0]) if paths else None) == (first.edges if first.found else None)
+        assert (paths[0] if paths else None) == _shortest_path(d, (u,), (v,), (), None)

@@ -6,14 +6,13 @@ import families
 from orientations import (
     DelayMeter,
     Orientation,
-    find_directed_path,
-    is_flippable_pair,
     is_k_connected,
     lambda_at_least,
     parse_graph,
 )
 from orientations.oracle import oracle_lambda
-from witnesses import reverse_path
+from orientations.paths import _shortest_path
+from witnesses import cut_outdegree, reverse_path, reversed_copy
 
 
 def directed_triangle():
@@ -28,52 +27,45 @@ def opposite_double_triangle():
 
 def test_path_around_triangle():
     d = directed_triangle()
-    p = find_directed_path(d, 1, 0)
-    assert p.found
-    assert p.edges == (1, 2)  # 1->2 then 2->0
+    assert _shortest_path(d, (1,), (0,), (), None) == [1, 2]  # 1->2 then 2->0
 
 
 def test_forbidden_edge_blocks_path():
     d = directed_triangle()
-    p = find_directed_path(d, 1, 0, forbidden={1})
-    assert not p.found
-    assert p.edges == ()
+    assert _shortest_path(d, (1,), (0,), {1}, None) is None
 
 
 def test_antiparallel_pair_single_arc():
     g = parse_graph("2 2\n0 1\n0 1")
     d = Orientation(g, [1, 0])  # edge0: 0->1, edge1: 1->0
-    p = find_directed_path(d, 0, 1)
-    assert p.found
-    assert p.edges == (0,)
+    assert _shortest_path(d, (0,), (1,), (), None) == [0]
     assert d.forward(0)
 
 
 def test_lowest_edge_index_wins_ties():
     g = parse_graph("2 3\n0 1\n0 1\n0 1")
     d = Orientation(g)
-    assert find_directed_path(d, 0, 1).edges == (0,)
-    assert find_directed_path(d, 0, 1, forbidden={0}).edges == (1,)
+    assert _shortest_path(d, (0,), (1,), (), None) == [0]
+    assert _shortest_path(d, (0,), (1,), {0}, None) == [1]
 
 
-def test_source_equals_target_rejected():
+def test_source_is_never_its_own_target():
     d = directed_triangle()
-    with pytest.raises(ValueError):
-        find_directed_path(d, 1, 1)
+    assert _shortest_path(d, (1,), (1,), (), None) is None
 
 
 @pytest.mark.parametrize("source, target", [(-1, 0), (0, -1), (3, 0), (0, 3)])
 def test_out_of_range_vertex_rejected(source, target):
     d = directed_triangle()
     with pytest.raises(ValueError):
-        find_directed_path(d, source, target)
+        _shortest_path(d, (source,), (target,), (), None)
     with pytest.raises(ValueError):
         lambda_at_least(d, source, target, 1)
 
 
 def test_reverse_path_moves_one_unit_of_outdegree():
     d = directed_triangle()
-    p = find_directed_path(d, 1, 0)
+    p = _shortest_path(d, (1,), (0,), (), None)
     r = reverse_path(d, p, 1)
     assert r.outdegrees() == (2, 0, 1)
     assert d.outdegrees() == (1, 1, 1)  # input untouched
@@ -82,19 +74,19 @@ def test_reverse_path_moves_one_unit_of_outdegree():
 def test_reverse_single_arc():
     g = parse_graph("2 1\n0 1")
     d = Orientation(g)
-    p = find_directed_path(d, 0, 1)
+    p = _shortest_path(d, (0,), (1,), (), None)
     assert reverse_path(d, p, 0).serialize() == "-"
 
 
 def test_reverse_full_cycle_keeps_outdegrees():
     d = directed_triangle()
-    assert d.reverse_arcs(range(3)).outdegrees() == d.outdegrees()
+    assert reversed_copy(d, range(3)).outdegrees() == d.outdegrees()
 
 
 def test_reverse_path_validates_direction():
     d = directed_triangle()
-    p = find_directed_path(d, 1, 0)
-    flipped = d.reverse_arcs([1])
+    p = _shortest_path(d, (1,), (0,), (), None)
+    flipped = reversed_copy(d, [1])
     with pytest.raises(ValueError):
         reverse_path(flipped, p, 1)
 
@@ -107,14 +99,14 @@ def test_reverse_path_degree_law_on_cuts():
     for g in pool:
         d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
         u, v = rng.sample(range(g.n), 2)
-        p = find_directed_path(d, u, v)
-        if not p.found:
+        p = _shortest_path(d, (u,), (v,), (), None)
+        if p is None:
             continue
         r = reverse_path(d, p, u)
         for code in range(1, (1 << g.n) - 1):
             members = {w for w in range(g.n) if (code >> w) & 1}
-            before = d.cut_outdegree(members)
-            after = r.cut_outdegree(members)
+            before = cut_outdegree(d, members)
+            after = cut_outdegree(r, members)
             if u in members and v not in members:
                 assert after == before - 1
             elif v in members and u not in members:
@@ -179,11 +171,12 @@ def test_lambda_threshold_matches_oracle():
 
 
 def test_flippable_examples():
-    assert not is_flippable_pair(directed_triangle(), 0, 1, 1)
-    assert is_flippable_pair(opposite_double_triangle(), 0, 1, 1)
+    # A pair is flippable for k when it has more than k arc-disjoint paths.
+    assert not lambda_at_least(directed_triangle(), 0, 1, 2)
+    assert lambda_at_least(opposite_double_triangle(), 0, 1, 2)
     c4 = Orientation(parse_graph("4 4\n0 1\n1 2\n2 3\n3 0"))
     assert not any(
-        is_flippable_pair(c4, u, v, 1) for u in range(4) for v in range(4) if u != v
+        lambda_at_least(c4, u, v, 2) for u in range(4) for v in range(4) if u != v
     )
 
 
@@ -193,10 +186,10 @@ def test_flippable_reversal_preserves_k_connectivity():
     assert is_k_connected(d, 1)
     for u in range(3):
         for v in range(3):
-            if u == v or not is_flippable_pair(d, u, v, 1):
+            if u == v or not lambda_at_least(d, u, v, 2):
                 continue
-            p = find_directed_path(d, u, v)
-            assert p.found
+            p = _shortest_path(d, (u,), (v,), (), None)
+            assert p is not None
             assert is_k_connected(reverse_path(d, p, u), 1)
     # same on a few random strong orientations
     pool = [g for _, g in families.random_family(60, seed=41)]
@@ -209,9 +202,9 @@ def test_flippable_reversal_preserves_k_connectivity():
             continue
         for u in range(g.n):
             for v in range(g.n):
-                if u == v or not is_flippable_pair(d, u, v, 1):
+                if u == v or not lambda_at_least(d, u, v, 2):
                     continue
-                p = find_directed_path(d, u, v)
+                p = _shortest_path(d, (u,), (v,), (), None)
                 assert is_k_connected(reverse_path(d, p, u), 1)
                 checked += 1
     assert checked > 10

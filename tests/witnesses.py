@@ -1,7 +1,9 @@
 """Witnesses of proof steps, used by the tests only.
 
 ``reverse_path`` checks that a path found by the search really is a directed
-path before flipping it, ``same_alpha_cycle_decomposition`` exhibits the
+path before flipping it, ``reversed_copy`` flips any edge set of a copy,
+``cut_outdegree`` counts the arcs leaving a vertex set straight from the
+definition, ``same_alpha_cycle_decomposition`` exhibits the
 cycle decomposition between two orientations with equal outdegrees,
 ``class_size_lower_bound_check`` tests the (k-1)n+2 class-size floor, and
 ``InvariantProbe`` replays the enumeration walks with their proof-step
@@ -9,13 +11,12 @@ assertions (``probed_alpha``, ``probed_sequences``, ``probed_k_connected``).
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from orientations import (
     DelayMeter,
     Multigraph,
     Orientation,
-    PathResult,
     enumerate_alpha,
     find_alpha_orientation,
     is_k_connected,
@@ -24,26 +25,54 @@ from orientations.alpha import _edge_choices, walk
 from orientations.sequences import _vertex_choices
 
 
-def reverse_path(orientation: Orientation, path: PathResult, source: int) -> Orientation:
+def reverse_path(orientation: Orientation, path: Sequence[int], source: int) -> Orientation:
     """New orientation with exactly the path's edges flipped.
 
     Reversing a directed path from ``u`` to ``v`` lowers the outdegree of
     ``u`` by one, raises the outdegree of ``v`` by one, and leaves every
-    other vertex unchanged.  Raises if ``path`` is not an arc-simple
-    directed path leaving ``source`` in the given orientation.
+    other vertex unchanged.  Raises if ``path``, a list of edge indices, is
+    not a nonempty arc-simple directed path leaving ``source`` in the given
+    orientation.
     """
-    if not path.found or not path.edges:
-        raise ValueError("path was not found or is empty")
+    if not path:
+        raise ValueError("path is empty")
     seen: set[int] = set()
     previous_head = source
-    for e in path.edges:
+    for e in path:
         if e in seen:
             raise ValueError(f"edge {e} repeats; not an arc-simple path")
         seen.add(e)
         if orientation.tail(e) != previous_head:
             raise ValueError(f"edge {e} does not leave the head of the previous arc")
         previous_head = orientation.head(e)
-    return orientation.reverse_arcs(path.edges)
+    return reversed_copy(orientation, path)
+
+
+def reversed_copy(orientation: Orientation, edges: Iterable[int]) -> Orientation:
+    """New orientation with exactly ``edges`` flipped."""
+    dup = orientation.copy()
+    dup._flip(edges)
+    return dup
+
+
+def cut_outdegree(orientation: Orientation, members: Iterable[int]) -> int:
+    """Number of arcs leaving the vertex set ``members``.
+
+    ``members`` must be a nonempty proper subset of the vertices.
+    """
+    inside = set(members)
+    if not inside or len(inside) >= orientation.graph.n:
+        raise ValueError("cut must be a nonempty proper subset of the vertices")
+    for v in inside:
+        if not (0 <= v < orientation.graph.n):
+            raise ValueError(f"cut member out of range: {v}")
+    count = 0
+    for e, d in enumerate(orientation._dirs):
+        u, v = orientation.graph.edges[e]
+        tail, head = (u, v) if d else (v, u)
+        if tail in inside and head not in inside:
+            count += 1
+    return count
 
 
 def same_alpha_cycle_decomposition(d1: Orientation, d2: Orientation) -> list[list[int]] | None:
