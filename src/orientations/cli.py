@@ -11,7 +11,9 @@ and log2 gap histogram (see :class:`~orientations.metering.DelayMeter`).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .alpha import enumerate_alpha
@@ -80,6 +82,22 @@ def _load_seed(path: str | None, graph: Multigraph) -> Orientation | None:
         return Orientation.deserialize(graph, fh.read())
 
 
+def _check_output(path: str) -> None:
+    # Finds an unwritable -o path before the run's work, without creating or
+    # truncating the file; a new file needs a writable directory to go in.
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if os.path.exists(path):
+        writable = os.access(path, os.W_OK)
+    else:
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        writable = os.access(folder, os.W_OK | os.X_OK)
+    if not writable:
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def _run(args) -> int:
     graph = parse_graph_file(args.graph)
     mode = args.mode
@@ -99,6 +117,8 @@ def _run(args) -> int:
 
     if args.command == "bench" and args.oracle:
         raise ParameterError("bench does not support --oracle")
+    if args.output:
+        _check_output(args.output)
 
     out = None
 

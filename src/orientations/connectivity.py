@@ -56,5 +56,5 @@ def _edge_connectivity(graph: Multigraph, limit: int) -> int:
     best = limit
     for v in range(1, graph.n):
         # Counting past the running minimum cannot lower it.
-        best = len(_count_paths(bidirected, 0, v, best))
+        best = len(_count_paths(bidirected, 0, v, best)[0])
     return best

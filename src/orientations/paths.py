@@ -11,12 +11,14 @@ reversal lowers the u-to-v path count by exactly one, so the count is the
 number of iterations that find a path.  The paths are flipped in place and
 restored before they are returned; the first of them is a shortest path of
 the orientation as given, so a caller that tests a pair and then reverses a
-path between it needs no second search.
+path between it needs no second search.  A count that falls short also
+hands back the vertices its last search reached: a cut that certifies the
+shortfall for other pairs too.
 """
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Collection, Sequence
+from collections.abc import Collection, KeysView, Sequence
 
 from .metering import DelayMeter
 from .multigraph import Orientation
@@ -30,12 +32,15 @@ def _shortest_path(
     targets: Collection[int],
     forbidden: Collection[int],
     meter: DelayMeter | None,
+    reached: dict | None = None,
 ) -> list[int] | None:
     # Multi-source BFS along current arcs, skipping forbidden edges, to the
     # first discovered target; a source is never reported as its own target.
+    # ``reached``, when given, is an empty dict that receives the search
+    # tree, so its keys are the vertices the search reached.
     graph = orientation.graph
     n = graph.n
-    parent: dict[int, tuple[int, int] | None] = {}
+    parent: dict[int, tuple[int, int] | None] = {} if reached is None else reached
     for x in sources:
         if not 0 <= x < n:
             raise ValueError(f"vertex {x} out of range for {n} vertices")
@@ -81,20 +86,28 @@ def _count_paths(
     v: int,
     limit: int,
     meter: DelayMeter | None = None,
-) -> list[list[int]]:
+) -> tuple[list[list[int]], KeysView[int] | None]:
     # Arc-disjoint u-to-v paths, up to ``limit`` of them, found by reversing
     # one shortest path at a time; the first is a path of the orientation as
     # given.  Every flip, the undo flips included, is an arc touch; the
     # orientation is restored even when the search raises.
+    #
+    # Returned with the paths is a cut when fewer than ``limit`` exist, else
+    # None: the vertices the last, failing search reached.  That set R holds
+    # u but not v, and exactly len(paths) arcs leave it in the orientation as
+    # given: none leave it after the flips, and each flipped path, running
+    # out of R, had lowered that number by one.  Reversing a path whose ends
+    # lie on one side of R leaves the number unchanged.
     paths: list[list[int]] = []
     try:
         while len(paths) < limit:
-            path = _shortest_path(orientation, (u,), (v,), (), meter)
+            reached: dict = {}
+            path = _shortest_path(orientation, (u,), (v,), (), meter, reached)
             if path is None:
-                break
+                return paths, reached.keys()
             orientation._flip(path)
             paths.append(path)
-        return paths
+        return paths, None
     finally:
         for path in paths:
             orientation._flip(path)
@@ -117,4 +130,4 @@ def lambda_at_least(
         raise ValueError("u and v must differ")
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
-    return len(_count_paths(orientation, u, v, threshold, meter)) == threshold
+    return len(_count_paths(orientation, u, v, threshold, meter)[0]) == threshold

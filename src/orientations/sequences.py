@@ -16,6 +16,19 @@ the same for raising, and finally keeps the vertex as it is.  Completeness
 rests on the witness fact that whenever two k-connected orientations
 disagree at a vertex, a connectivity-preserving path reversal moves one
 toward the other without touching fixed vertices.
+
+Each step of a chain reverses a path to or from the smallest later vertex u
+whose λ test passes.  A failed test hands back a cut R that holds its
+source, not its target, and is left by at most k arcs.  So when lowering v
+(tests from v) no vertex outside R can pass, and when raising (tests into
+v) no vertex inside R can.  Each path a chain reverses joins v to a vertex
+that passed, so its ends lie on one side of every cut found so far and the
+number of arcs leaving the cut does not change: the cuts hold for the rest
+of the chain.  A chain therefore keeps the vertices no cut has ruled out
+and resumes at the vertex it last reversed to, instead of testing from v+1
+afresh after every reversal.  It finds the same vertices and paths as that
+fresh scan and skips only tests whose answer is already known.  Lowering
+and raising test pairs in opposite directions, so each starts afresh.
 """
 from __future__ import annotations
 
@@ -35,7 +48,7 @@ def _vertex_choices(d: Orientation, out: list[int], v: int, k: int, meter: Delay
     # ``out`` mirrors d's outdegrees and moves with every reversal.
     for lowering in (True, False):
         chain = []
-        while (found := _flippable_pair(d, v, lowering, k, meter)) is not None:
+        for found in _flippable_pairs(d, v, lowering, k, meter):
             src, dst, edges = found
             _reverse(d, out, edges, src, dst, meter)
             chain.append(found)
@@ -46,16 +59,23 @@ def _vertex_choices(d: Orientation, out: list[int], v: int, k: int, meter: Delay
     yield
 
 
-def _flippable_pair(d: Orientation, v: int, lowering: bool, k: int, meter: DelayMeter):
-    # The ordered pair of v with the smallest later (so not yet fixed) vertex
-    # that has more than k arc-disjoint paths, and the first of those paths;
-    # or None.
+def _flippable_pairs(d: Orientation, v: int, lowering: bool, k: int, meter: DelayMeter):
+    # One chain: yields the ordered pair of v with the smallest later (so not
+    # yet fixed) vertex that has more than k arc-disjoint paths, and the first
+    # of those paths, which the caller reverses before it asks for the next.
+    # A failed test drops every vertex its cut rules out (see the module
+    # docstring), and the scan resumes at the vertex last yielded.
+    candidates = set(range(v + 1, d.graph.n))
     for u in range(v + 1, d.graph.n):
-        src, dst = (v, u) if lowering else (u, v)
-        paths = _count_paths(d, src, dst, k + 1, meter)
-        if len(paths) > k:
-            return src, dst, paths[0]
-    return None
+        while u in candidates:
+            src, dst = (v, u) if lowering else (u, v)
+            paths, reached = _count_paths(d, src, dst, k + 1, meter)
+            if reached is None:
+                yield src, dst, paths[0]
+            elif lowering:
+                candidates.intersection_update(reached)
+            else:
+                candidates.difference_update(reached)
 
 
 def _reverse(d, out, edges, src, dst, meter) -> None:

@@ -95,6 +95,17 @@ def random_family(
     return out
 
 
+def torus(rows: int, cols: int) -> Multigraph:
+    """rows x cols grid with wrap-around (4-regular for rows, cols >= 3)."""
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            edges.append((v, i * cols + (j + 1) % cols))
+            edges.append((v, ((i + 1) % rows) * cols + j))
+    return Multigraph(rows * cols, edges)
+
+
 def acceptance_family() -> list[tuple[str, Multigraph]]:
     return exhaustive_small() + named_graphs() + random_family()
 

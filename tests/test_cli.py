@@ -231,6 +231,20 @@ def test_output_file_survives_a_rejected_run(tmp_path, capsys, monkeypatch, grap
     assert target.read_text() == "keep me\n"
 
 
+@pytest.mark.parametrize("output", ["missing-dir/out.txt", "."], ids=["missing-dir", "a-directory"])
+def test_unwritable_output_fails_before_the_run(tmp_path, capsys, monkeypatch, output):
+    def boom(*args, **kwargs):
+        raise AssertionError("the enumeration ran")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "enumerate_k_connected", boom)
+    (tmp_path / "graph.txt").write_text(DOUBLED_TRIANGLE)
+    code = main(["count", "graph.txt", "--mode", "korient", "--k", "1", "-o", output])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.txt"]
+
+
 def test_seed_is_checked_once(capsys, tmp_path, monkeypatch):
     calls = []
 

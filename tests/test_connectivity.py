@@ -15,6 +15,7 @@ from orientations import (
 from orientations.connectivity import _edge_connectivity
 from orientations.paths import _count_paths, _shortest_path
 from orientations.oracle import brute_is_k_connected, oracle_k_connected
+from witnesses import cut_outdegree
 
 
 def test_directed_triangle_is_strong_not_2_connected():
@@ -110,7 +111,10 @@ def test_path_counters_restore_their_input():
         ):
             call()
             assert (d.serialize(), d.outdegrees(), graph_to_text(g)) == before, g.edges
-        # The first path counted is the shortest path of d as given.
-        paths = _count_paths(d, u, v, 3)
+        # The first path counted is the shortest path of d as given, and a
+        # count that falls short hands back a cut of exactly that many arcs.
+        paths, cut = _count_paths(d, u, v, 3)
         assert (d.serialize(), d.outdegrees(), graph_to_text(g)) == before, g.edges
         assert (paths[0] if paths else None) == _shortest_path(d, (u,), (v,), (), None)
+        if cut is not None:
+            assert u in cut and v not in cut and cut_outdegree(d, cut) == len(paths) < 3

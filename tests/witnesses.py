@@ -5,9 +5,11 @@ path before flipping it, ``reversed_copy`` flips any edge set of a copy,
 ``cut_outdegree`` counts the arcs leaving a vertex set straight from the
 definition, ``same_alpha_cycle_decomposition`` exhibits the
 cycle decomposition between two orientations with equal outdegrees,
-``class_size_lower_bound_check`` tests the (k-1)n+2 class-size floor, and
+``class_size_lower_bound_check`` tests the (k-1)n+2 class-size floor,
 ``InvariantProbe`` replays the enumeration walks with their proof-step
-assertions (``probed_alpha``, ``probed_sequences``, ``probed_k_connected``).
+assertions (``probed_alpha``, ``probed_sequences``, ``probed_k_connected``),
+and ``scanned_sequences`` replays the outdegree-sequence search with the
+plain scan that restarts every λ test sweep at v+1.
 """
 from __future__ import annotations
 
@@ -19,10 +21,12 @@ from orientations import (
     Orientation,
     enumerate_alpha,
     find_alpha_orientation,
+    find_k_connected_orientation,
     is_k_connected,
 )
-from orientations.alpha import _edge_choices, walk
-from orientations.sequences import _vertex_choices
+from orientations.alpha import _edge_choices, _emit_leaves, walk
+from orientations.paths import _count_paths
+from orientations.sequences import _reverse, _vertex_choices
 
 
 def reverse_path(orientation: Orientation, path: Sequence[int], source: int) -> Orientation:
@@ -207,3 +211,44 @@ def probed_k_connected(graph: Multigraph, k: int, seed: Orientation) -> list[Ori
         return probe.vertex_choices(i) if i < n else probe.edge_choices(i - n)
 
     return [probe.d.copy() for _ in probe.leaves(n + graph.m, choices)]
+
+
+def plain_scan_choices(d: Orientation, out: list[int], v: int, k: int, meter: DelayMeter):
+    """The per-vertex choice generator with a plain scan, as a reference.
+
+    Same contract and yields as ``sequences._vertex_choices``, but every
+    step of a chain tests u = v+1, v+2, ... afresh and keeps nothing that a
+    failed λ test proved.
+    """
+    for lowering in (True, False):
+        chain = []
+        while True:
+            for u in range(v + 1, d.graph.n):
+                src, dst = (v, u) if lowering else (u, v)
+                paths, _ = _count_paths(d, src, dst, k + 1, meter)
+                if len(paths) > k:
+                    break
+            else:
+                break
+            _reverse(d, out, paths[0], src, dst, meter)
+            chain.append((src, dst, paths[0]))
+        while chain:
+            src, dst, edges = chain.pop()
+            yield
+            _reverse(d, out, edges, dst, src, meter)
+    yield
+
+
+def scanned_sequences(graph: Multigraph, k: int, meter: DelayMeter) -> list[tuple[tuple[int, ...], str]]:
+    """The stream of ``enumerate_outdegree_sequences(graph, k, None, ...)``,
+    each sequence with its serialized witness, found by ``plain_scan_choices``
+    on ``meter``."""
+    d = find_k_connected_orientation(graph, k, meter)
+    if d is None:
+        meter.finished()
+        return []
+    out = list(d.outdegrees())
+    got = []
+    leaves = walk(graph.n, lambda v: plain_scan_choices(d, out, v, k, meter))
+    _emit_leaves(d, leaves, lambda copy: got.append((tuple(out), copy.serialize())), meter)
+    return got
