@@ -4,9 +4,13 @@ Subcommands ``enumerate``, ``count``, and ``bench`` share one option set:
 a graph file in the ``n m`` edge-list format, ``--mode alpha|odseq|korient``,
 and the mode's parameters.  Solutions stream line by line ('+'/'-' strings
 for orientations, space-separated integers for outdegree sequences) and the
-final line is ``# count=<N>``.  ``bench`` swaps the solution stream for a
-single JSON summary record: the meter's totals, largest gap, amortized cost
-and log2 gap histogram (see :class:`~orientations.metering.DelayMeter`).
+final line is ``# count=<N>``.  The first line is flushed at once; the rest
+are flushed when the stream's buffer fills, when a line comes ``FLUSH_S``
+seconds or more after the last flush, and at exit.  A stream that does not
+buffer (standard output under ``PYTHONUNBUFFERED``) still writes each line
+as it comes.  ``bench`` swaps the solution stream for a single JSON summary
+record: the meter's totals, largest gap, amortized cost and log2 gap
+histogram (see :class:`~orientations.metering.DelayMeter`).
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ import errno
 import json
 import os
 import sys
+import time
 
 from .alpha import enumerate_alpha
 from .metering import DelayMeter
@@ -27,6 +32,7 @@ EXIT_PARSE = 1
 EXIT_PARAMS = 2
 
 MODES = ("alpha", "odseq", "korient")
+FLUSH_S = 0.05  # a line written this long after the last flush flushes the output
 
 
 class ParameterError(Exception):
@@ -121,20 +127,28 @@ def _run(args) -> int:
         _check_output(args.output)
 
     out = None
+    flushed_at = None
 
     def emit(line: str) -> None:
         # Opened at the first line written, so a run that fails before it
-        # leaves the file as it was.
-        nonlocal out
+        # leaves the file as it was.  The first line is flushed at once; after
+        # it the stream's own buffer flushes when full, and emit when FLUSH_S
+        # has passed since the last flush.
+        nonlocal out, flushed_at
         if out is None:
             out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
         out.write(line + "\n")
-        out.flush()
+        now = time.monotonic()
+        if flushed_at is None or now - flushed_at >= FLUSH_S:
+            out.flush()
+            flushed_at = now
 
     try:
         return _stream(args, graph, alpha, seed, emit)
     finally:
-        if out is not None and out is not sys.stdout:
+        if out is sys.stdout:
+            out.flush()
+        elif out is not None:
             out.close()
 
 

@@ -11,9 +11,10 @@ reversal lowers the u-to-v path count by exactly one, so the count is the
 number of iterations that find a path.  The paths are flipped in place and
 restored before they are returned; the first of them is a shortest path of
 the orientation as given, so a caller that tests a pair and then reverses a
-path between it needs no second search.  A count that falls short also
-hands back the vertices its last search reached: a cut that certifies the
-shortfall for other pairs too.
+path between it needs no second search.  Path i is the first path of a fresh
+count once paths 0..i-1 are reversed, so the paths are successive reversals.
+A count that falls short also hands back the vertices its last search
+reached: a cut that certifies the shortfall for other pairs too.
 """
 from __future__ import annotations
 

@@ -9,26 +9,39 @@ orientations, and orientations of equal outdegree vector are contiguous.
 
 The choice generator of a vertex first lowers its outdegree as far as it
 will go, reversing a directed path leaving it whenever the path's endpoints
-admit more than k arc-disjoint paths, so connectivity survives; the path
-reversed is the first one that count found.  It then yields once per step
-on the way back, deepest first, undoing one reversal per yield.  It does
+admit more than k arc-disjoint paths, so connectivity survives; the paths
+reversed are ones the count of those paths found.  It then yields once per
+step on the way back, deepest first, undoing one reversal per yield.  It does
 the same for raising, and finally keeps the vertex as it is.  Completeness
 rests on the witness fact that whenever two k-connected orientations
 disagree at a vertex, a connectivity-preserving path reversal moves one
 toward the other without touching fixed vertices.
 
-Each step of a chain reverses a path to or from the smallest later vertex u
-whose λ test passes.  A failed test hands back a cut R that holds its
-source, not its target, and is left by at most k arcs.  So when lowering v
-(tests from v) no vertex outside R can pass, and when raising (tests into
-v) no vertex inside R can.  Each path a chain reverses joins v to a vertex
-that passed, so its ends lie on one side of every cut found so far and the
-number of arcs leaving the cut does not change: the cuts hold for the rest
-of the chain.  A chain therefore keeps the vertices no cut has ruled out
-and resumes at the vertex it last reversed to, instead of testing from v+1
-afresh after every reversal.  It finds the same vertices and paths as that
-fresh scan and skips only tests whose answer is already known.  Lowering
-and raising test pairs in opposite directions, so each starts afresh.
+A chain takes the later vertices u in order and makes one count of the
+arc-disjoint paths between v and each u that no cut has ruled out: from v
+when lowering, into v when raising.  Its limit, the degree of v plus one,
+is more than any count can find, so every count ends in a failing search.
+The count's paths P_1, ..., P_λ are those of successive reversals: P_i is
+the first path found once P_1, ..., P_(i-1) are reversed, and each reversal
+lowers λ by exactly one, since it leaves every cut between the pair with
+one leaving arc fewer.  Testing the pair afresh after every reversal, and
+reversing the first path found while more than k exist, would therefore
+reverse P_1, ..., P_(λ-k); the chain yields just these, with no re-test.
+The count's final search runs on the orientation with all λ paths
+reversed, the one the last failing re-test would search, so it reaches the
+same set R.
+
+R holds the count's source, not its target, and once the chain has
+reversed its paths toward u it is left by at most k arcs.  So when lowering
+v no later vertex outside R can have more than k paths from v, and when
+raising no vertex inside R can have more than k paths into v.  Each path a
+chain reverses joins v to a vertex that no earlier cut ruled out, so its
+ends lie on one side of every such cut and the number of arcs leaving the
+cut does not change: the cuts hold for the rest of the chain, which counts
+only toward vertices no cut has ruled out.  It finds the same vertices and
+paths as a fresh scan from v+1 after every reversal, and skips only tests
+whose answer is already known.  Lowering and raising test pairs in opposite
+directions, so each starts afresh.
 """
 from __future__ import annotations
 
@@ -60,19 +73,21 @@ def _vertex_choices(d: Orientation, out: list[int], v: int, k: int, meter: Delay
 
 
 def _flippable_pairs(d: Orientation, v: int, lowering: bool, k: int, meter: DelayMeter):
-    # One chain: yields the ordered pair of v with the smallest later (so not
-    # yet fixed) vertex that has more than k arc-disjoint paths, and the first
-    # of those paths, which the caller reverses before it asks for the next.
-    # A failed test drops every vertex its cut rules out (see the module
-    # docstring), and the scan resumes at the vertex last yielded.
+    # One chain: counts the arc-disjoint paths between v and each later (so
+    # not yet fixed) vertex u that no cut has ruled out, once, and yields the
+    # first λ-k of them in order, each with its ordered pair; the caller
+    # reverses each before it asks for the next.  No count reaches the limit,
+    # so each hands back its cut, which drops every vertex it rules out (see
+    # the module docstring).
+    limit = d.graph.degree(v) + 1
     candidates = set(range(v + 1, d.graph.n))
     for u in range(v + 1, d.graph.n):
-        while u in candidates:
+        if u in candidates:
             src, dst = (v, u) if lowering else (u, v)
-            paths, reached = _count_paths(d, src, dst, k + 1, meter)
-            if reached is None:
-                yield src, dst, paths[0]
-            elif lowering:
+            paths, reached = _count_paths(d, src, dst, limit, meter)
+            for edges in paths[: len(paths) - k]:  # d stays k-connected: λ >= k
+                yield src, dst, edges
+            if lowering:
                 candidates.intersection_update(reached)
             else:
                 candidates.difference_update(reached)

@@ -1,3 +1,4 @@
+import io
 import json
 import re
 import subprocess
@@ -143,6 +144,14 @@ def test_bench_records(capsys, c4_file):
     assert summary["total_ops"] == summary["total_bfs_runs"] + summary["total_arc_touches"]
 
 
+def test_readme_bench_example_is_current(capsys, c4_file):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("For the 4-cycle\n(`--mode korient --k 1`):\n\n```json\n")[1].split("```")[0]
+    code, out, _ = run_cli(capsys, "bench", c4_file, "--mode", "korient", "--k", "1")
+    assert code == 0
+    assert json.loads(out) == json.loads(block)
+
+
 def test_bench_zero_solutions(capsys, triangle_file):
     code, out, _ = run_cli(capsys, "bench", triangle_file, "--mode", "korient", "--k", "2")
     assert code == 0
@@ -200,6 +209,27 @@ def test_seed_orientation_flag(capsys, tmp_path):
             "--seed-orientation", str(malformed),
         )
         assert code == 1
+
+
+class _FlushLog(io.StringIO):
+    # Records what had been written at each flush.
+    def __init__(self):
+        super().__init__()
+        self.flushed = []
+
+    def flush(self):
+        self.flushed.append(self.getvalue())
+
+
+def test_first_line_is_flushed_at_once_and_the_rest_in_batches(c4_file, monkeypatch):
+    stream = _FlushLog()
+    monkeypatch.setattr(sys, "stdout", stream)
+    clock = iter([10.0, 10.06, 10.07])
+    monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
+    assert main(["enumerate", c4_file, "--mode", "korient", "--k", "1"]) == 0
+    first, second, count = stream.getvalue().splitlines(keepends=True)
+    # The first line at once, the second once 50 ms have passed since, the count line at exit.
+    assert stream.flushed == [first, first + second, first + second + count]
 
 
 def test_output_file_option(tmp_path, c4_file):

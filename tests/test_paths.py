@@ -11,7 +11,7 @@ from orientations import (
     parse_graph,
 )
 from orientations.oracle import oracle_lambda
-from orientations.paths import _shortest_path
+from orientations.paths import _count_paths, _shortest_path
 from witnesses import cut_outdegree, reverse_path, reversed_copy
 
 
@@ -168,6 +168,33 @@ def test_lambda_threshold_matches_oracle():
         lam = oracle_lambda(d, u, v)
         for t in range(1, lam + 2):
             assert lambda_at_least(d, u, v, t) == (t <= lam)
+
+
+def test_one_count_finds_the_paths_of_successive_reversals():
+    # With a limit above λ, path i of one count is the first path of a fresh
+    # count on the orientation with paths 0..i-1 reversed, each reversal
+    # lowers λ by exactly one, and the count's cut is the one a fresh count
+    # finds once all its paths are reversed.  The sequence search reverses a
+    # count's paths in turn on this ground, instead of re-testing the pair.
+    rng = random.Random(808)
+    deepest = 0
+    for _, g in families.random_family(40, seed=29):
+        d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
+        for u in range(g.n):
+            for v in range(g.n):
+                if u == v:
+                    continue
+                limit = g.degree(u) + 1
+                paths, cut = _count_paths(d, u, v, limit)
+                assert len(paths) == oracle_lambda(d, u, v) and cut is not None
+                deepest = max(deepest, len(paths))
+                for i in range(len(paths) + 1):
+                    flipped = reversed_copy(d, [e for path in paths[:i] for e in path])
+                    assert oracle_lambda(flipped, u, v) == len(paths) - i
+                    fresh, fresh_cut = _count_paths(flipped, u, v, limit)
+                    assert fresh[:1] == paths[i : i + 1]
+                assert fresh == [] and set(fresh_cut) == set(cut)
+    assert deepest >= 3
 
 
 def test_flippable_examples():

@@ -14,7 +14,13 @@ from orientations import (
 from orientations.oracle import oracle_sequences
 from orientations.alpha import walk
 from orientations.sequences import _vertex_choices
-from witnesses import cut_outdegree, probed_sequences, scanned_sequences
+from witnesses import (
+    cut_outdegree,
+    plain_scan_choices,
+    probed_sequences,
+    retesting_choices,
+    scanned_sequences,
+)
 
 DOUBLED_TRIANGLE = "3 6\n0 1\n0 1\n1 2\n1 2\n2 0\n2 0"
 DOUBLED_FOUR_CYCLE = "4 8\n0 1\n0 1\n1 2\n1 2\n2 3\n2 3\n3 0\n3 0"
@@ -182,27 +188,28 @@ def test_gap_operations_stay_within_knm_squared():
 
 
 def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
-    # Every failed λ test of the search hands back a cut of exactly j <= k
-    # leaving arcs, and a chain never skips a flippable vertex: each pair it
-    # yields has the smallest flippable later vertex, an exhausted chain
-    # leaves none, and it runs at most one failed test per later vertex.
+    # Every count a chain makes ends short of its limit and hands back a cut
+    # left by exactly as many arcs as it found paths, and a chain never skips
+    # a flippable vertex: each pair it yields has the smallest flippable later
+    # vertex, an exhausted chain leaves none, and it makes at most one count
+    # per later vertex.
     real_count, real_pairs = sequences._count_paths, sequences._flippable_pairs
     chain = {}
 
     def checked_count(d, src, dst, limit, meter=None):
         paths, reached = real_count(d, src, dst, limit, meter)
-        if reached is not None:
-            assert src in reached and dst not in reached
-            assert cut_outdegree(d, reached) == len(paths) < limit
-            chain["failed"] += 1
-            assert chain["failed"] <= d.graph.n - chain["v"] - 1, "a later vertex was tested twice"
+        assert reached is not None, "a count reached its limit and handed back no cut"
+        assert src in reached and dst not in reached
+        assert cut_outdegree(d, reached) == len(paths) < limit
+        chain["counts"] += 1
+        assert chain["counts"] <= d.graph.n - chain["v"] - 1, "a later vertex was counted twice"
         return paths, reached
 
     def flippable(d, v, u, lowering, k):
         return lambda_at_least(d, *((v, u) if lowering else (u, v)), k + 1)
 
     def checked_pairs(d, v, lowering, k, meter):
-        chain.update(v=v, failed=0)
+        chain.update(v=v, counts=0)
         for src, dst, edges in real_pairs(d, v, lowering, k, meter):
             u = dst if lowering else src
             assert flippable(d, v, u, lowering, k)
@@ -220,22 +227,37 @@ def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
                 collect(g, k, seed=seed)
 
 
-def test_cut_reuse_never_costs_more_than_the_plain_scan():
-    # The search emits the plain scan's stream byte for byte, with no more
-    # operations in total or in any gap.  On the 3x3 torus (k=1) it needs
-    # strictly fewer; the plain scan's figures there are the ones the search
-    # had before failed λ tests kept their cuts.
+def _torus_figures_against(choices):
+    # Asserts that the search emits the stream of the reference chain
+    # ``choices`` byte for byte, with no more operations in total or in any
+    # gap, on the random family and the 3x3 torus for k = 1, 2.  Returns the
+    # (total_ops, max_delay_ops) of the reference and of the search on the
+    # torus for k=1.
     torus = families.torus(3, 3)
     figures = {}
     for g in [g for _, g in families.random_family(40, seed=19)] + [torus]:
         for k in (1, 2):
             reference, meter, got = DelayMeter(), DelayMeter(), []
-            want = scanned_sequences(g, k, reference)
+            want = scanned_sequences(g, k, reference, choices)
             enumerate_outdegree_sequences(g, k, None, lambda s, w: got.append((s, w.serialize())), meter=meter)
             assert got == want
             assert meter.total_ops <= reference.total_ops
             assert meter.max_delay_ops <= reference.max_delay_ops
             figures[g, k] = (reference.total_ops, reference.max_delay_ops), (meter.total_ops, meter.max_delay_ops)
-    plain, reused = figures[torus, 1]
+    return figures[torus, 1]
+
+
+def test_cut_reuse_never_costs_more_than_the_plain_scan():
+    # The plain scan's figures on the torus are the ones the search had
+    # before failed λ tests kept their cuts.
+    plain, reused = _torus_figures_against(plain_scan_choices)
     assert plain == (453_618, 2_617)
     assert reused[0] < plain[0] and reused[1] < plain[1]
+
+
+def test_one_count_per_candidate_never_costs_more_than_retesting():
+    # The re-testing chain's figures on the torus are the ones the search
+    # had before one count per candidate replaced the re-tests.
+    retested, counted = _torus_figures_against(retesting_choices)
+    assert retested == (374_025, 1_524)
+    assert counted[0] < retested[0] and counted[1] < retested[1]

@@ -8,8 +8,10 @@ cycle decomposition between two orientations with equal outdegrees,
 ``class_size_lower_bound_check`` tests the (k-1)n+2 class-size floor,
 ``InvariantProbe`` replays the enumeration walks with their proof-step
 assertions (``probed_alpha``, ``probed_sequences``, ``probed_k_connected``),
-and ``scanned_sequences`` replays the outdegree-sequence search with the
-plain scan that restarts every λ test sweep at v+1.
+and ``scanned_sequences`` replays the outdegree-sequence search with a
+reference chain: the plain scan that restarts every λ test sweep at v+1, or
+the chain that keeps the cuts of failed tests but re-tests a pair after
+every reversal it permits.
 """
 from __future__ import annotations
 
@@ -239,9 +241,49 @@ def plain_scan_choices(d: Orientation, out: list[int], v: int, k: int, meter: De
     yield
 
 
-def scanned_sequences(graph: Multigraph, k: int, meter: DelayMeter) -> list[tuple[tuple[int, ...], str]]:
+def retesting_choices(d: Orientation, out: list[int], v: int, k: int, meter: DelayMeter):
+    """The per-vertex choice generator that re-tests a pair after each reversal, as a reference.
+
+    Same contract and yields as ``sequences._vertex_choices``, and it keeps
+    the cuts of failed λ tests the same way, but ``retesting_pairs`` tests a
+    pair afresh, with a count capped at k+1, after every reversal it permits.
+    """
+    for lowering in (True, False):
+        chain = []
+        for found in retesting_pairs(d, v, lowering, k, meter):
+            src, dst, edges = found
+            _reverse(d, out, edges, src, dst, meter)
+            chain.append(found)
+        while chain:
+            src, dst, edges = chain.pop()
+            yield
+            _reverse(d, out, edges, dst, src, meter)
+    yield
+
+
+def retesting_pairs(d: Orientation, v: int, lowering: bool, k: int, meter: DelayMeter):
+    """One chain of ``retesting_choices``: yields the ordered pair of v with the
+    smallest later vertex that has more than k arc-disjoint paths, and the
+    first of those paths, which the caller reverses before it asks for the
+    next.  A failed test drops every vertex its cut rules out, and the scan
+    resumes at the vertex last yielded."""
+    candidates = set(range(v + 1, d.graph.n))
+    for u in range(v + 1, d.graph.n):
+        while u in candidates:
+            src, dst = (v, u) if lowering else (u, v)
+            paths, reached = _count_paths(d, src, dst, k + 1, meter)
+            if reached is None:
+                yield src, dst, paths[0]
+            elif lowering:
+                candidates.intersection_update(reached)
+            else:
+                candidates.difference_update(reached)
+
+
+def scanned_sequences(graph: Multigraph, k: int, meter: DelayMeter, choices) -> list[tuple[tuple[int, ...], str]]:
     """The stream of ``enumerate_outdegree_sequences(graph, k, None, ...)``,
-    each sequence with its serialized witness, found by ``plain_scan_choices``
+    each sequence with its serialized witness, found by the reference choice
+    generator ``choices`` (``plain_scan_choices`` or ``retesting_choices``)
     on ``meter``."""
     d = find_k_connected_orientation(graph, k, meter)
     if d is None:
@@ -249,6 +291,6 @@ def scanned_sequences(graph: Multigraph, k: int, meter: DelayMeter) -> list[tupl
         return []
     out = list(d.outdegrees())
     got = []
-    leaves = walk(graph.n, lambda v: plain_scan_choices(d, out, v, k, meter))
+    leaves = walk(graph.n, lambda v: choices(d, out, v, k, meter))
     _emit_leaves(d, leaves, lambda copy: got.append((tuple(out), copy.serialize())), meter)
     return got
