@@ -4,7 +4,10 @@ Two orientations have the same outdegree vector exactly when one arises from
 the other by reversing arc-disjoint directed cycles.  The initial search
 drives path reversals to the target vector; the enumeration fixes edges in
 index order, one level of ``walk`` per edge, whose choice generator keeps
-the edge and then flips it with a completing cycle.
+the edge and then flips it with a completing cycle.  Since every incidence
+row is in edge-index order, the edges fixed so far are a prefix of each
+row; the walk keeps the length of that prefix per vertex, and the search for
+a completing cycle scans only the rest of each row.
 
 ``walk`` is the one traversal scheme of the package: the k-connected
 search of :mod:`orientations.sequences` and the first-solution finder run on
@@ -48,7 +51,7 @@ def find_alpha_orientation(
         if not surplus:
             return d
         deficit = {v for v in range(graph.n) if out[v] < target[v]}
-        path = _shortest_path(d, surplus, deficit, (), meter)
+        path = _shortest_path(d, surplus, deficit, None, meter)
         if path is None:
             return None
         out[d.tail(path[0])] -= 1
@@ -78,7 +81,8 @@ def enumerate_alpha(
     if d is None:
         meter.finished()
         return 0
-    return _emit_leaves(d, walk(graph.m, lambda e: _edge_choices(d, e, meter)), sink, meter)
+    fixed = [0] * graph.n
+    return _emit_leaves(d, walk(graph.m, lambda e: _edge_choices(d, e, meter, fixed)), sink, meter)
 
 
 def _emit_leaves(d: Orientation, leaves, emit, meter: DelayMeter) -> int:
@@ -114,13 +118,21 @@ def walk(levels: int, choices: Callable[[int], Iterator[None]]) -> Iterator[None
             stack.pop()
 
 
-def _edge_choices(d: Orientation, e: int, meter: DelayMeter) -> Iterator[None]:
+def _edge_choices(d: Orientation, e: int, meter: DelayMeter, fixed: list[int]) -> Iterator[None]:
     # Keep edge e, then flip it with a completing cycle that avoids the
-    # fixed edges 0..e-1 when one exists.
-    yield
+    # fixed edges 0..e-1 when one exists.  Each level counts its edge in
+    # fixed at both ends while it is open, so when level e searches, fixed[x]
+    # counts the edges at x among 0..e, which lead x's incidence row, and
+    # the search skips them.  Skipping e itself changes no search: at the
+    # source, head, it is an in-arc, and the target, tail, is never scanned.
+    # The counts are walk bookkeeping, like the walk's stack, and are not
+    # charged.
     u, v = d.graph.edges[e]
+    fixed[u] += 1
+    fixed[v] += 1
+    yield
     tail, head = (u, v) if d.forward(e) else (v, u)
-    path = _shortest_path(d, (head,), (tail,), range(e), meter)
+    path = _shortest_path(d, (head,), (tail,), fixed, meter)
     if path is not None:
         path.append(e)
         d._flip(path)
@@ -128,3 +140,5 @@ def _edge_choices(d: Orientation, e: int, meter: DelayMeter) -> Iterator[None]:
         yield
         d._flip(path)
         meter.arcs(len(path))
+    fixed[u] -= 1
+    fixed[v] -= 1

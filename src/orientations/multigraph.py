@@ -17,6 +17,8 @@ __all__ = [
     "graph_to_text",
 ]
 
+_SIGNS = bytes.maketrans(b"\x00\x01", b"-+")  # stored direction -> text character
+
 
 class GraphParseError(ValueError):
     """Malformed graph or orientation text; carries the offending line number."""
@@ -127,7 +129,7 @@ class Orientation:
             dirs[e] ^= 1
 
     def serialize(self) -> str:
-        return "".join("+" if d else "-" for d in self._dirs)
+        return self._dirs.translate(_SIGNS).decode()
 
     @classmethod
     def deserialize(cls, graph: Multigraph, text: str) -> "Orientation":

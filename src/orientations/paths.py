@@ -5,6 +5,12 @@ searches for paths.  The search is a plain BFS that explores out-arcs in
 edge-index order, so among shortest paths the one through the lowest-indexed
 arcs is found first and every caller inherits that determinism.
 
+A search may be told that a prefix of each vertex's incidence row is fixed:
+``fixed[x]`` entries of ``incidence[x]``, which is in edge-index order.  It
+scans only the rest of each row and neither uses nor counts the fixed
+entries.  The alpha expansion fixes edges in index order, so below its edge
+level e the fixed edges 0..e are exactly such a prefix at every vertex.
+
 The number of pairwise arc-disjoint directed u-to-v paths is counted by the
 reverse-and-repeat scheme: find a path, reverse it, and iterate.  Each
 reversal lowers the u-to-v path count by exactly one, so the count is the
@@ -31,12 +37,13 @@ def _shortest_path(
     orientation: Orientation,
     sources: Sequence[int],
     targets: Collection[int],
-    forbidden: Collection[int],
+    fixed: Sequence[int] | None,
     meter: DelayMeter | None,
     reached: dict | None = None,
 ) -> list[int] | None:
-    # Multi-source BFS along current arcs, skipping forbidden edges, to the
-    # first discovered target; a source is never reported as its own target.
+    # Multi-source BFS along current arcs, skipping the first fixed[x]
+    # entries of each row (none when ``fixed`` is None), to the first
+    # discovered target; a source is never reported as its own target.
     # ``reached``, when given, is an empty dict that receives the search
     # tree, so its keys are the vertices the search reached.
     graph = orientation.graph
@@ -50,6 +57,7 @@ def _shortest_path(
         if not 0 <= x < n:
             raise ValueError(f"vertex {x} out of range for {n} vertices")
     dirs = orientation._dirs
+    rows = graph.incidence
     if meter is not None:
         meter.bfs()
     touched = 0
@@ -57,10 +65,10 @@ def _shortest_path(
     hit = None
     while queue and hit is None:
         x = queue.popleft()
-        for e, w, x_is_first in graph.incidence[x]:
+        for e, w, x_is_first in rows[x] if fixed is None else rows[x][fixed[x] :]:
             touched += 1
             # dirs[e] (0 or 1) equals x_is_first exactly when the arc leaves x.
-            if e in forbidden or dirs[e] != x_is_first or w in parent:
+            if dirs[e] != x_is_first or w in parent:
                 continue
             parent[w] = (x, e)
             if w in targets:
@@ -103,7 +111,7 @@ def _count_paths(
     try:
         while len(paths) < limit:
             reached: dict = {}
-            path = _shortest_path(orientation, (u,), (v,), (), meter, reached)
+            path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
             if path is None:
                 return paths, reached.keys()
             orientation._flip(path)

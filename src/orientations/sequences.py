@@ -119,11 +119,12 @@ def _search(graph: Multigraph, k: int, seed: Orientation | None, edge_levels: in
         d = seed.copy()
     n = graph.n
     out = list(d.outdegrees())
+    fixed = [0] * n
 
     def choices(i: int) -> Iterator[None]:
         if i < n:
             return _vertex_choices(d, out, i, k, meter)
-        return _edge_choices(d, i - n, meter)
+        return _edge_choices(d, i - n, meter, fixed)
 
     return _emit_leaves(d, walk(n + edge_levels, choices), lambda copy: emit(out, copy), meter)
 

@@ -4,14 +4,22 @@ import pytest
 
 import families
 from orientations import (
+    DelayMeter,
     Orientation,
     enumerate_alpha,
+    enumerate_k_connected,
     find_alpha_orientation,
     is_k_connected,
     parse_graph,
 )
+from orientations import alpha as alpha_module, sequences
 from orientations.oracle import all_orientations, oracle_alpha
-from witnesses import probed_alpha, reversed_copy, same_alpha_cycle_decomposition
+from witnesses import (
+    full_scan_choices,
+    probed_alpha,
+    reversed_copy,
+    same_alpha_cycle_decomposition,
+)
 
 
 def collect(graph, alpha):
@@ -98,11 +106,50 @@ def test_emission_order_is_deterministic():
     assert collect(g, (2, 2, 2)) == collect(g, (2, 2, 2))
 
 
+def _against_full_scan(monkeypatch, run):
+    # Asserts that ``run(sink, meter)`` emits the stream it emits when the
+    # alpha expansion scans whole rows, with no more operations in total or
+    # in any gap; returns both total_ops, the whole-row scan's first.
+    full, meter, want, got = DelayMeter(), DelayMeter(), [], []
+    with monkeypatch.context() as patched:
+        for module in (alpha_module, sequences):
+            patched.setattr(module, "_edge_choices", lambda d, e, m, fixed: full_scan_choices(d, e, m))
+        run(lambda d: want.append(d.serialize()), full)
+    run(lambda d: got.append(d.serialize()), meter)
+    assert got == want
+    assert meter.total_ops <= full.total_ops
+    assert meter.max_delay_ops <= full.max_delay_ops
+    return full.total_ops, meter.total_ops
+
+
+def test_fixed_prefix_never_costs_more_than_the_full_scan(monkeypatch):
+    def alpha_run(g, alpha):
+        return lambda sink, meter: enumerate_alpha(g, alpha, sink, meter=meter)
+
+    def korient_run(g, k):
+        return lambda sink, meter: enumerate_k_connected(g, k, sink, meter=meter)
+
+    for _, g in families.random_family(25, seed=37):
+        for alpha in {d.outdegrees() for d in all_orientations(g)}:
+            _against_full_scan(monkeypatch, alpha_run(g, alpha))
+        for k in (1, 2):
+            _against_full_scan(monkeypatch, korient_run(g, k))
+    # The whole-row scan's totals on the torus are the ones the expansion
+    # had before it skipped the fixed prefix of each row.
+    torus = families.torus(3, 3)
+    for run, parent in (
+        (alpha_run(torus, [2] * 9), 16_821),
+        (korient_run(torus, 1), 10_154_992),
+        (korient_run(torus, 2), 19_771),
+    ):
+        full, prefix = _against_full_scan(monkeypatch, run)
+        assert full == parent and prefix < full
+    _against_full_scan(monkeypatch, korient_run(families.doubled_wheel4(), 1))
+
+
 def test_gap_arc_touches_stay_within_m_squared():
     # Generous frozen constant; the point is the m^2 scaling of the delay.
     # A gap's operations include its arc touches, so bounding them is stronger.
-    from orientations import DelayMeter
-
     for _, g in families.random_family(30, seed=67):
         if g.m == 0:
             continue

@@ -27,45 +27,76 @@ def opposite_double_triangle():
 
 def test_path_around_triangle():
     d = directed_triangle()
-    assert _shortest_path(d, (1,), (0,), (), None) == [1, 2]  # 1->2 then 2->0
+    assert _shortest_path(d, (1,), (0,), None, None) == [1, 2]  # 1->2 then 2->0
 
 
-def test_forbidden_edge_blocks_path():
+def test_fixed_edge_blocks_path():
+    # Edges 0 and 1 fixed: each vertex's row starts with those of its edges.
     d = directed_triangle()
-    assert _shortest_path(d, (1,), (0,), {1}, None) is None
+    assert _shortest_path(d, (1,), (0,), [1, 2, 1], None) is None
 
 
 def test_antiparallel_pair_single_arc():
     g = parse_graph("2 2\n0 1\n0 1")
     d = Orientation(g, [1, 0])  # edge0: 0->1, edge1: 1->0
-    assert _shortest_path(d, (0,), (1,), (), None) == [0]
+    assert _shortest_path(d, (0,), (1,), None, None) == [0]
     assert d.forward(0)
 
 
 def test_lowest_edge_index_wins_ties():
     g = parse_graph("2 3\n0 1\n0 1\n0 1")
     d = Orientation(g)
-    assert _shortest_path(d, (0,), (1,), (), None) == [0]
-    assert _shortest_path(d, (0,), (1,), {0}, None) == [1]
+    assert _shortest_path(d, (0,), (1,), None, None) == [0]
+    assert _shortest_path(d, (0,), (1,), [1, 1], None) == [1]
+
+
+def test_fixed_prefix_over_parallel_edges():
+    # A prefix skips exactly its entries of the row: none of them is
+    # scanned or counted, and the lowest free index still wins.
+    g = parse_graph("2 4\n0 1\n0 1\n0 1\n0 1")
+    d = Orientation(g, [0, 1, 0, 1])  # edges 0, 2 point 1->0; edges 1, 3 point 0->1
+    meter = DelayMeter()
+    assert _shortest_path(d, (1,), (0,), [0, 0], meter) == [0]
+    assert meter.arc_touches == 1
+    assert _shortest_path(d, (1,), (0,), [0, 1], meter) == [2]
+    assert _shortest_path(d, (1,), (0,), [0, 3], meter) is None
+    assert meter.arc_touches == 1 + 2 + 1
+    assert _shortest_path(d, (0,), (1,), [0, 3], meter) == [1]  # the prefix is per vertex
+    assert _shortest_path(d, (0,), (1,), [2, 0], meter) == [3]
+    assert _shortest_path(d, (0,), (1,), [4, 0], meter) is None
+    assert (meter.bfs_runs, meter.arc_touches) == (6, 1 + 2 + 1 + 2 + 2 + 0)
+
+
+def test_zero_prefix_is_the_full_scan():
+    rng = random.Random(99)
+    for _, g in families.random_family(40, seed=13):
+        if g.n < 2:
+            continue
+        d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
+        u, v = rng.sample(range(g.n), 2)
+        full, zero = DelayMeter(), DelayMeter()
+        path = _shortest_path(d, (u,), (v,), None, full)
+        assert _shortest_path(d, (u,), (v,), [0] * g.n, zero) == path
+        assert (zero.bfs_runs, zero.arc_touches) == (full.bfs_runs, full.arc_touches)
 
 
 def test_source_is_never_its_own_target():
     d = directed_triangle()
-    assert _shortest_path(d, (1,), (1,), (), None) is None
+    assert _shortest_path(d, (1,), (1,), None, None) is None
 
 
 @pytest.mark.parametrize("source, target", [(-1, 0), (0, -1), (3, 0), (0, 3)])
 def test_out_of_range_vertex_rejected(source, target):
     d = directed_triangle()
     with pytest.raises(ValueError):
-        _shortest_path(d, (source,), (target,), (), None)
+        _shortest_path(d, (source,), (target,), None, None)
     with pytest.raises(ValueError):
         lambda_at_least(d, source, target, 1)
 
 
 def test_reverse_path_moves_one_unit_of_outdegree():
     d = directed_triangle()
-    p = _shortest_path(d, (1,), (0,), (), None)
+    p = _shortest_path(d, (1,), (0,), None, None)
     r = reverse_path(d, p, 1)
     assert r.outdegrees() == (2, 0, 1)
     assert d.outdegrees() == (1, 1, 1)  # input untouched
@@ -74,7 +105,7 @@ def test_reverse_path_moves_one_unit_of_outdegree():
 def test_reverse_single_arc():
     g = parse_graph("2 1\n0 1")
     d = Orientation(g)
-    p = _shortest_path(d, (0,), (1,), (), None)
+    p = _shortest_path(d, (0,), (1,), None, None)
     assert reverse_path(d, p, 0).serialize() == "-"
 
 
@@ -85,7 +116,7 @@ def test_reverse_full_cycle_keeps_outdegrees():
 
 def test_reverse_path_validates_direction():
     d = directed_triangle()
-    p = _shortest_path(d, (1,), (0,), (), None)
+    p = _shortest_path(d, (1,), (0,), None, None)
     flipped = reversed_copy(d, [1])
     with pytest.raises(ValueError):
         reverse_path(flipped, p, 1)
@@ -99,7 +130,7 @@ def test_reverse_path_degree_law_on_cuts():
     for g in pool:
         d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
         u, v = rng.sample(range(g.n), 2)
-        p = _shortest_path(d, (u,), (v,), (), None)
+        p = _shortest_path(d, (u,), (v,), None, None)
         if p is None:
             continue
         r = reverse_path(d, p, u)
@@ -215,7 +246,7 @@ def test_flippable_reversal_preserves_k_connectivity():
         for v in range(3):
             if u == v or not lambda_at_least(d, u, v, 2):
                 continue
-            p = _shortest_path(d, (u,), (v,), (), None)
+            p = _shortest_path(d, (u,), (v,), None, None)
             assert p is not None
             assert is_k_connected(reverse_path(d, p, u), 1)
     # same on a few random strong orientations
@@ -231,7 +262,7 @@ def test_flippable_reversal_preserves_k_connectivity():
             for v in range(g.n):
                 if u == v or not lambda_at_least(d, u, v, 2):
                     continue
-                p = _shortest_path(d, (u,), (v,), (), None)
+                p = _shortest_path(d, (u,), (v,), None, None)
                 assert is_k_connected(reverse_path(d, p, u), 1)
                 checked += 1
     assert checked > 10

@@ -8,13 +8,16 @@ cycle decomposition between two orientations with equal outdegrees,
 ``class_size_lower_bound_check`` tests the (k-1)n+2 class-size floor,
 ``InvariantProbe`` replays the enumeration walks with their proof-step
 assertions (``probed_alpha``, ``probed_sequences``, ``probed_k_connected``),
-and ``scanned_sequences`` replays the outdegree-sequence search with a
+``scanned_sequences`` replays the outdegree-sequence search with a
 reference chain: the plain scan that restarts every λ test sweep at v+1, or
 the chain that keeps the cuts of failed tests but re-tests a pair after
-every reversal it permits.
+every reversal it permits, and ``full_scan_choices`` is the alpha
+expansion's choice generator with a reference search that scans whole
+incidence rows.
 """
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable, Sequence
 
 from orientations import (
@@ -153,13 +156,17 @@ class InvariantProbe:
     way the enumerators drive them through ``walk``:
 
     - ``edge_choices(e)`` asserts at every yield, and when the level ends,
-      that the fixed edges 0..e-1 are as they were when the level opened;
+      that the fixed edges 0..e-1 are as they were when the level opened.
+      At every yield it also asserts that the walk's prefix count
+      ``fixed[x]`` is the number of edges at x with index at most e, the
+      length of the fixed prefix of x's incidence row;
     - ``vertex_choices(v)`` asserts at every yield that the orientation is
       still k-connected.  Every state a path reversal reaches is yielded
       once, so this checks that each reversal keeps k-connectivity;
     - ``leaves(levels, choices)`` asserts at every leaf that the orientation
       has the target outdegrees: ``target`` when given, else the outdegree
-      mirror ``out`` that the sequence search keeps.
+      mirror ``out`` that the sequence search keeps.  When the walk ends
+      it asserts that every prefix count is back at 0.
     """
 
     def __init__(self, seed: Orientation, k: int = 0, target: Sequence[int] | None = None):
@@ -168,12 +175,16 @@ class InvariantProbe:
         self.k = k
         self.target = target
         self.meter = DelayMeter()
+        self.fixed = [0] * seed.graph.n
 
     def edge_choices(self, e: int):
         d = self.d
         prefix = bytes(d._dirs[:e])
-        for _ in _edge_choices(d, e, self.meter):
+        rows = d.graph.incidence
+        counts = [sum(1 for f, _, _ in row if f <= e) for row in rows]
+        for _ in _edge_choices(d, e, self.meter, self.fixed):
             assert bytes(d._dirs[:e]) == prefix, f"fixed edges 0..{e - 1} changed within a branch"
+            assert self.fixed == counts, f"prefix counts at edge level {e} are not the fixed edges 0..{e}"
             yield
         assert bytes(d._dirs[:e]) == prefix, f"fixed edges 0..{e - 1} not restored"
 
@@ -187,6 +198,7 @@ class InvariantProbe:
             target = self.out if self.target is None else self.target
             assert self.d.outdegrees() == tuple(target), "emitted orientation misses the target outdegrees"
             yield
+        assert not any(self.fixed), "prefix counts not back at 0 when the walk ends"
 
 
 def probed_alpha(graph: Multigraph, alpha: Sequence[int]) -> list[Orientation]:
@@ -294,3 +306,55 @@ def scanned_sequences(graph: Multigraph, k: int, meter: DelayMeter, choices) -> 
     leaves = walk(graph.n, lambda v: choices(d, out, v, k, meter))
     _emit_leaves(d, leaves, lambda copy: got.append((tuple(out), copy.serialize())), meter)
     return got
+
+
+def full_scan_choices(d: Orientation, e: int, meter: DelayMeter):
+    """The per-edge choice generator with a whole-row scan, as a reference.
+
+    Same contract, yields and meter charges as ``alpha._edge_choices``, but
+    its search for a completing cycle, ``full_scan_path``, keeps no prefix
+    counts: it scans every entry of each row it reaches and skips the fixed
+    edges 0..e-1 one by one.
+    """
+    yield
+    u, v = d.graph.edges[e]
+    tail, head = (u, v) if d.forward(e) else (v, u)
+    path = full_scan_path(d, head, tail, e, meter)
+    if path is not None:
+        path.append(e)
+        d._flip(path)
+        meter.arcs(len(path))
+        yield
+        d._flip(path)
+        meter.arcs(len(path))
+
+
+def full_scan_path(d: Orientation, source: int, target: int, e: int, meter: DelayMeter) -> list[int] | None:
+    """The edges of the BFS path from ``source`` to ``target`` that uses no
+    edge below ``e``, or None.  One BFS run, and one arc touch per incidence
+    entry scanned, fixed or not."""
+    meter.bfs()
+    parent = {source: None}
+    queue = deque([source])
+    touched = 0
+    while queue and target not in parent:
+        x = queue.popleft()
+        for f, w, x_is_first in d.graph.incidence[x]:
+            touched += 1
+            if f < e or d._dirs[f] != x_is_first or w in parent:
+                continue
+            parent[w] = (x, f)
+            if w == target:
+                break
+            queue.append(w)
+    meter.arcs(touched)
+    if target not in parent:
+        return None
+    edges = []
+    step = parent[target]
+    while step is not None:
+        x, f = step
+        edges.append(f)
+        step = parent[x]
+    return edges[::-1]
+
