@@ -78,15 +78,14 @@ def enumerate_alpha(
     """
     meter = meter if meter is not None else DelayMeter()
     d = find_alpha_orientation(graph, alpha, meter)
-    if d is None:
-        meter.finished()
-        return 0
     fixed = [0] * graph.n
-    return _emit_leaves(d, walk(graph.m, lambda e: _edge_choices(d, e, meter, fixed)), sink, meter)
+    leaves = () if d is None else walk(graph.m, lambda e: _edge_choices(d, e, meter, fixed))
+    return _emit_leaves(d, leaves, sink, meter)
 
 
-def _emit_leaves(d: Orientation, leaves, emit, meter: DelayMeter) -> int:
-    # Calls emit with a copy of d at every leaf and returns their number.
+def _emit_leaves(d: Orientation | None, leaves, emit, meter: DelayMeter) -> int:
+    # Calls emit with a copy of d at every leaf, closes the run's last gap
+    # and returns the number of leaves; an infeasible run hands it none.
     count = 0
     for _ in leaves:
         meter.arcs(d.graph.m)

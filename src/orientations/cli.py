@@ -154,21 +154,18 @@ def _run(args) -> int:
 
 def _stream(args, graph: Multigraph, alpha, seed: Orientation | None, emit) -> int:
     mode = args.mode
-    emit_solutions = args.command == "enumerate"
     meter = DelayMeter()
-    count = 0
-
-    def orientation_sink(d: Orientation) -> None:
-        nonlocal count
-        count += 1
-        if emit_solutions:
+    if args.command == "enumerate":
+        def orientation_sink(d: Orientation) -> None:
             emit(d.serialize())
 
-    def sequence_sink(seq, _witness=None) -> None:
-        nonlocal count
-        count += 1
-        if emit_solutions:
+        def sequence_sink(seq, _witness=None) -> None:
             emit(" ".join(str(x) for x in seq))
+    else:  # count and bench never serialize a solution
+        def orientation_sink(*_) -> None:
+            pass
+
+        sequence_sink = orientation_sink
 
     if args.oracle:
         # One pass over all 2^m orientations, filtered by the mode.
@@ -177,17 +174,19 @@ def _stream(args, graph: Multigraph, alpha, seed: Orientation | None, emit) -> i
         else:
             kept = (d for d in oracle.all_orientations(graph) if oracle.brute_is_k_connected(d, args.k))
         if mode == "odseq":
-            for seq in sorted({d.outdegrees() for d in kept}):
-                sequence_sink(seq)
+            solutions, sink = sorted({d.outdegrees() for d in kept}), sequence_sink
         else:
-            for d in kept:
-                orientation_sink(d)
+            solutions, sink = kept, orientation_sink
+        count = 0
+        for solution in solutions:
+            sink(solution)
+            count += 1
     elif mode == "alpha":
-        enumerate_alpha(graph, alpha, orientation_sink, meter=meter)
+        count = enumerate_alpha(graph, alpha, orientation_sink, meter=meter)
     elif mode == "korient":
-        enumerate_k_connected(graph, args.k, orientation_sink, seed=seed, meter=meter)
+        count = enumerate_k_connected(graph, args.k, orientation_sink, seed=seed, meter=meter)
     else:
-        enumerate_outdegree_sequences(graph, args.k, seed, sequence_sink, meter=meter)
+        count = enumerate_outdegree_sequences(graph, args.k, seed, sequence_sink, meter=meter)
 
     if args.command == "bench":
         summary = {"record": "summary", "mode": mode}

@@ -38,34 +38,33 @@ def find_k_connected_orientation(
     if _edge_connectivity(graph, 2 * k) < 2 * k:
         return None
 
+    # The walk directs the edges of d, the orientation it returns.  With
+    # remaining[w] of its edges undirected, w ends with at most
+    # out[w] + remaining[w] out-arcs and degree(w) - out[w] in-arcs.
+    d = Orientation(graph)
     out = [0] * graph.n
-    inn = [0] * graph.n
     remaining = [graph.degree(v) for v in range(graph.n)]
-    dirs = bytearray(graph.m)
 
     def viable(w: int) -> bool:
-        return out[w] + remaining[w] >= k and inn[w] + remaining[w] >= k
+        return out[w] + remaining[w] >= k and graph.degree(w) - out[w] >= k
 
     def directions(e: int) -> Iterator[None]:
         u, v = graph.edges[e]
         remaining[u] -= 1
         remaining[v] -= 1
         for fwd in (1, 0):
-            tail, head = (u, v) if fwd else (v, u)
+            tail = u if fwd else v
             out[tail] += 1
-            inn[head] += 1
-            dirs[e] = fwd
+            d._dirs[e] = fwd
             if meter is not None:
                 meter.arcs(1)
             if viable(u) and viable(v):
                 yield
             out[tail] -= 1
-            inn[head] -= 1
         remaining[u] += 1
         remaining[v] += 1
 
     for _ in walk(graph.m, directions):
-        d = Orientation(graph, dirs)
         if is_k_connected(d, k, meter):
             return d
     return None

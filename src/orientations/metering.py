@@ -46,6 +46,8 @@ class DelayMeter:
         self.arc_touches += count
 
     def _close_gap(self) -> None:
+        if self._finished:
+            raise RuntimeError("meter already finished; use a fresh DelayMeter per run")
         bfs = self.bfs_runs - self._mark_bfs
         ops = bfs + self.arc_touches - self._mark_arcs
         self.max_delay_ops = max(self.max_delay_ops, ops)
@@ -59,15 +61,11 @@ class DelayMeter:
         self._mark_arcs = self.arc_touches
 
     def emitted(self) -> None:
-        if self._finished:
-            raise RuntimeError("meter already finished; use a fresh DelayMeter per run")
         self._close_gap()
         self.emissions += 1
 
     def finished(self) -> None:
         """Close the trailing gap.  Call exactly once, after the run ends."""
-        if self._finished:
-            raise RuntimeError("meter already finished; use a fresh DelayMeter per run")
         self._close_gap()
         self._finished = True
 

@@ -45,19 +45,13 @@ def _shortest_path(
     # entries of each row (none when ``fixed`` is None), to the first
     # discovered target; a source is never reported as its own target.
     # ``reached``, when given, is an empty dict that receives the search
-    # tree, so its keys are the vertices the search reached.
-    graph = orientation.graph
-    n = graph.n
+    # tree, so its keys are the vertices the search reached.  Vertex ids are
+    # not checked: callers take them from the graph or from lambda_at_least.
     parent: dict[int, tuple[int, int] | None] = {} if reached is None else reached
     for x in sources:
-        if not 0 <= x < n:
-            raise ValueError(f"vertex {x} out of range for {n} vertices")
         parent[x] = None
-    for x in targets:
-        if not 0 <= x < n:
-            raise ValueError(f"vertex {x} out of range for {n} vertices")
     dirs = orientation._dirs
-    rows = graph.incidence
+    rows = orientation.graph.incidence
     if meter is not None:
         meter.bfs()
     touched = 0
@@ -135,6 +129,10 @@ def lambda_at_least(
 
     Raises ``ValueError`` when ``u`` or ``v`` is not a vertex or both are equal.
     """
+    n = orientation.graph.n
+    for x in (u, v):
+        if not 0 <= x < n:
+            raise ValueError(f"vertex {x} out of range for {n} vertices")
     if u == v:
         raise ValueError("u and v must differ")
     if threshold < 1:

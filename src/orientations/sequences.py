@@ -26,7 +26,7 @@ the first path found once P_1, ..., P_(i-1) are reversed, and each reversal
 lowers λ by exactly one, since it leaves every cut between the pair with
 one leaving arc fewer.  Testing the pair afresh after every reversal, and
 reversing the first path found while more than k exist, would therefore
-reverse P_1, ..., P_(λ-k); the chain yields just these, with no re-test.
+reverse P_1, ..., P_(λ-k); the chain reverses just these, with no re-test.
 The count's final search runs on the orientation with all λ paths
 reversed, the one the last failing re-test would search, so it reaches the
 same set R.
@@ -58,39 +58,32 @@ __all__ = ["enumerate_outdegree_sequences", "enumerate_k_connected"]
 
 
 def _vertex_choices(d: Orientation, out: list[int], v: int, k: int, meter: DelayMeter) -> Iterator[None]:
+    # One chain per direction: a count for each later (so not yet fixed)
+    # vertex that no cut has ruled out and the reversal of the first λ-k of
+    # its paths, all before the chain's first yield (see the module
+    # docstring); then one yield per reversal, undoing them deepest first.
     # ``out`` mirrors d's outdegrees and moves with every reversal.
+    n = d.graph.n
+    limit = d.graph.degree(v) + 1
     for lowering in (True, False):
         chain = []
-        for found in _flippable_pairs(d, v, lowering, k, meter):
-            src, dst, edges = found
-            _reverse(d, out, edges, src, dst, meter)
-            chain.append(found)
+        candidates = set(range(v + 1, n))
+        for u in range(v + 1, n):
+            if u in candidates:
+                src, dst = (v, u) if lowering else (u, v)
+                paths, reached = _count_paths(d, src, dst, limit, meter)
+                for edges in paths[: len(paths) - k]:  # d stays k-connected: λ >= k
+                    _reverse(d, out, edges, src, dst, meter)
+                    chain.append((src, dst, edges))
+                if lowering:
+                    candidates.intersection_update(reached)
+                else:
+                    candidates.difference_update(reached)
         while chain:
             src, dst, edges = chain.pop()
             yield
             _reverse(d, out, edges, dst, src, meter)
     yield
-
-
-def _flippable_pairs(d: Orientation, v: int, lowering: bool, k: int, meter: DelayMeter):
-    # One chain: counts the arc-disjoint paths between v and each later (so
-    # not yet fixed) vertex u that no cut has ruled out, once, and yields the
-    # first λ-k of them in order, each with its ordered pair; the caller
-    # reverses each before it asks for the next.  No count reaches the limit,
-    # so each hands back its cut, which drops every vertex it rules out (see
-    # the module docstring).
-    limit = d.graph.degree(v) + 1
-    candidates = set(range(v + 1, d.graph.n))
-    for u in range(v + 1, d.graph.n):
-        if u in candidates:
-            src, dst = (v, u) if lowering else (u, v)
-            paths, reached = _count_paths(d, src, dst, limit, meter)
-            for edges in paths[: len(paths) - k]:  # d stays k-connected: λ >= k
-                yield src, dst, edges
-            if lowering:
-                candidates.intersection_update(reached)
-            else:
-                candidates.difference_update(reached)
 
 
 def _reverse(d, out, edges, src, dst, meter) -> None:
@@ -109,8 +102,7 @@ def _search(graph: Multigraph, k: int, seed: Orientation | None, edge_levels: in
     if seed is None:
         d = find_k_connected_orientation(graph, k, meter)
         if d is None:
-            meter.finished()
-            return 0
+            return _emit_leaves(d, (), emit, meter)
     else:
         if seed.graph != graph:
             raise ValueError("seed orients a different graph")

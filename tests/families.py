@@ -106,6 +106,19 @@ def torus(rows: int, cols: int) -> Multigraph:
     return Multigraph(rows * cols, edges)
 
 
+def ladder(rungs: int) -> Multigraph:
+    """The ladder L_rungs: rung i joins vertices 2i and 2i+1, and the rails
+    join consecutive rungs (2 * rungs vertices, 3 * rungs - 2 edges)."""
+    edges = [(2 * i, 2 * i + 1) for i in range(rungs)]
+    edges += [(2 * i + side, 2 * i + 2 + side) for i in range(rungs - 1) for side in (0, 1)]
+    return Multigraph(2 * rungs, edges)
+
+
+def doubled_cycle(n: int) -> Multigraph:
+    """The n-cycle with every edge doubled (n vertices, 2n edges)."""
+    return Multigraph(n, [(i, (i + 1) % n) for i in range(n) for _ in range(2)])
+
+
 def acceptance_family() -> list[tuple[str, Multigraph]]:
     return exhaustive_small() + named_graphs() + random_family()
 

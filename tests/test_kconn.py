@@ -114,6 +114,16 @@ def test_matches_oracle_over_random_graphs():
             )
 
 
+def test_finder_returns_the_first_k_connected_orientation_in_oracle_order():
+    # The finder directs edges in index order and tries '+' before '-', and
+    # '+' < '-', so its witness is the least k-connected serialization.
+    for _, g in families.random_family(80, seed=3):
+        for k in (1, 2, 3):
+            want = oracle_k_connected(g, k)
+            got = find_k_connected_orientation(g, k)
+            assert (got.serialize() if got else None) == (min(want) if want else None), (g.edges, k)
+
+
 def test_class_size_bound_examples():
     g = parse_graph(DOUBLED_TRIANGLE)
     assert class_size_lower_bound_check(g, (2, 2, 2), 2)  # 10 >= (2-1)*3+2

@@ -189,11 +189,14 @@ def test_gap_operations_stay_within_knm_squared():
 
 def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
     # Every count a chain makes ends short of its limit and hands back a cut
-    # left by exactly as many arcs as it found paths, and a chain never skips
-    # a flippable vertex: each pair it yields has the smallest flippable later
-    # vertex, an exhausted chain leaves none, and it makes at most one count
-    # per later vertex.
-    real_count, real_pairs = sequences._count_paths, sequences._flippable_pairs
+    # left by exactly as many arcs as it found paths, and a chain makes at
+    # most one count per later vertex.  It never skips a flippable vertex:
+    # each reversal goes toward the smallest flippable later vertex, and an
+    # exhausted chain leaves none.  The yields show the reversals: a chain
+    # yields its states deepest first, so each yield, and for a chain's first
+    # reversal the vertex's last yield, shows the state that the reversal
+    # seen at the chain's previous yield started from.
+    real_count, real_choices = sequences._count_paths, sequences._vertex_choices
     chain = {}
 
     def checked_count(d, src, dst, limit, meter=None):
@@ -201,24 +204,38 @@ def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
         assert reached is not None, "a count reached its limit and handed back no cut"
         assert src in reached and dst not in reached
         assert cut_outdegree(d, reached) == len(paths) < limit
-        chain["counts"] += 1
-        assert chain["counts"] <= d.graph.n - chain["v"] - 1, "a later vertex was counted twice"
+        v, counts = chain["v"], chain["counts"]
+        counts[src == v] += 1
+        assert counts[src == v] <= d.graph.n - v - 1, "a later vertex was counted twice"
         return paths, reached
 
     def flippable(d, v, u, lowering, k):
         return lambda_at_least(d, *((v, u) if lowering else (u, v)), k + 1)
 
-    def checked_pairs(d, v, lowering, k, meter):
-        chain.update(v=v, counts=0)
-        for src, dst, edges in real_pairs(d, v, lowering, k, meter):
-            u = dst if lowering else src
+    def checked_choices(d, out, v, k, meter):
+        n, base, counts = d.graph.n, out[v], [0, 0]
+        last = {}  # per direction, the outdegrees at the chain's latest yield
+
+        def check_chain(lowering):
+            if lowering not in last:  # d is where the chain ended
+                assert not any(flippable(d, v, w, lowering, k) for w in range(v + 1, n)), "chain ended early"
+                return
+            # d is where the reversal toward u, undone since, started.
+            u = next(w for w in range(v + 1, n) if last[lowering][w] != out[w])
             assert flippable(d, v, u, lowering, k)
             assert not any(flippable(d, v, w, lowering, k) for w in range(v + 1, u)), "skipped a flippable vertex"
-            yield src, dst, edges
-        assert not any(flippable(d, v, w, lowering, k) for w in range(v + 1, d.graph.n)), "chain ended early"
+
+        chain.update(v=v, counts=counts)
+        for _ in real_choices(d, out, v, k, meter):
+            for lowering in (True, False) if out[v] == base else (out[v] < base,):
+                check_chain(lowering)
+            if out[v] != base:
+                last[out[v] < base] = list(out)
+            yield
+            chain.update(v=v, counts=counts)
 
     monkeypatch.setattr(sequences, "_count_paths", checked_count)
-    monkeypatch.setattr(sequences, "_flippable_pairs", checked_pairs)
+    monkeypatch.setattr(sequences, "_vertex_choices", checked_choices)
     graphs = [g for _, g in families.random_family(40, seed=19)] + [families.torus(3, 3)]
     for g in graphs:
         for k in (1, 2):
