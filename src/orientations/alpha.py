@@ -21,7 +21,7 @@ from collections.abc import Callable, Iterator, Sequence
 
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
-from .paths import _shortest_path
+from .paths import _flip, _reverse, _shortest_path
 
 __all__ = ["find_alpha_orientation", "enumerate_alpha"]
 
@@ -54,11 +54,7 @@ def find_alpha_orientation(
         path = _shortest_path(d, surplus, deficit, None, meter)
         if path is None:
             return None
-        out[d.tail(path[0])] -= 1
-        out[d.head(path[-1])] += 1
-        d._flip(path)
-        if meter is not None:
-            meter.arcs(len(path))
+        _reverse(d, out, path, d.tail(path[0]), d.head(path[-1]), meter)
 
 
 def enumerate_alpha(
@@ -134,10 +130,8 @@ def _edge_choices(d: Orientation, e: int, meter: DelayMeter, fixed: list[int]) -
     path = _shortest_path(d, (head,), (tail,), fixed, meter)
     if path is not None:
         path.append(e)
-        d._flip(path)
-        meter.arcs(len(path))
+        _flip(d, path, meter)
         yield
-        d._flip(path)
-        meter.arcs(len(path))
+        _flip(d, path, meter)
     fixed[u] -= 1
     fixed[v] -= 1

@@ -80,12 +80,10 @@ def _parse_alpha(text: str, n: int) -> tuple[int, ...]:
     return values
 
 
-def _load_seed(path: str | None, graph: Multigraph) -> Orientation | None:
-    # The search rejects a seed that is not k-connected, before any output.
-    if path is None:
-        return None
+def _read(path: str) -> str:
+    # Every input file, the graph and the seed, is UTF-8 text read whole.
     with open(path, encoding="utf-8") as fh:
-        return Orientation.deserialize(graph, fh.read())
+        return fh.read()
 
 
 def _check_output(path: str) -> None:
@@ -105,7 +103,7 @@ def _check_output(path: str) -> None:
 
 
 def _run(args) -> int:
-    graph = parse_graph_file(args.graph)
+    graph = parse_graph(_read(args.graph))
     mode = args.mode
     alpha = seed = None
 
@@ -118,8 +116,9 @@ def _run(args) -> int:
             raise ParameterError(f"{mode} mode requires --k")
         if args.k < 1:
             raise ParameterError("--k must be at least 1")
-        if not args.oracle:
-            seed = _load_seed(args.seed_orientation, graph)
+        if args.seed_orientation is not None and not args.oracle:
+            # The search rejects a seed that is not k-connected, before any output.
+            seed = Orientation.deserialize(graph, _read(args.seed_orientation))
 
     if args.command == "bench" and args.oracle:
         raise ParameterError("bench does not support --oracle")
@@ -195,11 +194,6 @@ def _stream(args, graph: Multigraph, alpha, seed: Orientation | None, emit) -> i
     else:
         emit(f"# count={count}")
     return EXIT_OK
-
-
-def parse_graph_file(path: str) -> Multigraph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
 
 
 def main(argv=None) -> int:

@@ -23,10 +23,7 @@ def is_k_connected(orientation: Orientation, k: int, meter: DelayMeter | None = 
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    n = orientation.graph.n
-    if n <= 1:
-        return True
-    for v in range(1, n):
+    for v in range(1, orientation.graph.n):
         if not lambda_at_least(orientation, 0, v, k, meter):
             return False
         if not lambda_at_least(orientation, v, 0, k, meter):

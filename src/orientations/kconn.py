@@ -33,8 +33,6 @@ def find_k_connected_orientation(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if graph.n <= 1:
-        return Orientation(graph)
     if _edge_connectivity(graph, 2 * k) < 2 * k:
         return None
 

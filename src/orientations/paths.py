@@ -21,6 +21,10 @@ path between it needs no second search.  Path i is the first path of a fresh
 count once paths 0..i-1 are reversed, so the paths are successive reversals.
 A count that falls short also hands back the vertices its last search
 reached: a cut that certifies the shortfall for other pairs too.
+
+Every search moves by ``_flip``: reverse a path or cycle, or undo that, and
+pay one arc touch per edge.  ``_reverse`` adds the unit of outdegree that a
+path reversal moves.
 """
 from __future__ import annotations
 
@@ -83,6 +87,21 @@ def _shortest_path(
     return edges
 
 
+def _flip(d: Orientation, edges: list[int], meter: DelayMeter | None) -> None:
+    # Reverses the edges and charges one arc touch per edge (none without a meter).
+    d._flip(edges)
+    if meter is not None:
+        meter.arcs(len(edges))
+
+
+def _reverse(d: Orientation, out: list[int], edges: list[int], src: int, dst: int, meter) -> None:
+    # Reverses a directed src-to-dst path and moves one unit of outdegree
+    # from src to dst in ``out``, the caller's mirror of d's outdegrees.
+    _flip(d, edges, meter)
+    out[src] -= 1
+    out[dst] += 1
+
+
 def _count_paths(
     orientation: Orientation,
     u: int,
@@ -108,14 +127,12 @@ def _count_paths(
             path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
             if path is None:
                 return paths, reached.keys()
-            orientation._flip(path)
+            _flip(orientation, path, meter)
             paths.append(path)
         return paths, None
     finally:
         for path in paths:
-            orientation._flip(path)
-        if meter is not None:
-            meter.arcs(2 * sum(map(len, paths)))
+            _flip(orientation, path, meter)
 
 
 def lambda_at_least(

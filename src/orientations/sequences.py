@@ -6,16 +6,18 @@ through ``n`` vertex levels and, when listing orientations, ``m`` edge
 levels more: the alpha expansion of the sequence that the vertex levels
 reached.  Listing sequences is thus the first stage of listing
 orientations, and orientations of equal outdegree vector are contiguous.
+The finder, or ``is_k_connected`` on a given seed, rejects k < 1.
 
 The choice generator of a vertex first lowers its outdegree as far as it
 will go, reversing a directed path leaving it whenever the path's endpoints
 admit more than k arc-disjoint paths, so connectivity survives; the paths
 reversed are ones the count of those paths found.  It then yields once per
 step on the way back, deepest first, undoing one reversal per yield.  It does
-the same for raising, and finally keeps the vertex as it is.  Completeness
-rests on the witness fact that whenever two k-connected orientations
-disagree at a vertex, a connectivity-preserving path reversal moves one
-toward the other without touching fixed vertices.
+the same for raising, and finally keeps the vertex as it is; each reversal
+and undo is ``paths._reverse``.  Completeness rests on the witness fact that
+whenever two k-connected orientations disagree at a vertex, a
+connectivity-preserving path reversal moves one toward the other without
+touching fixed vertices.
 
 A chain takes the later vertices u in order and makes one count of the
 arc-disjoint paths between v and each u that no cut has ruled out: from v
@@ -52,7 +54,7 @@ from .connectivity import is_k_connected
 from .kconn import find_k_connected_orientation
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
-from .paths import _count_paths
+from .paths import _count_paths, _reverse
 
 __all__ = ["enumerate_outdegree_sequences", "enumerate_k_connected"]
 
@@ -86,18 +88,9 @@ def _vertex_choices(d: Orientation, out: list[int], v: int, k: int, meter: Delay
     yield
 
 
-def _reverse(d, out, edges, src, dst, meter) -> None:
-    d._flip(edges)
-    meter.arcs(len(edges))
-    out[src] -= 1
-    out[dst] += 1
-
-
 def _search(graph: Multigraph, k: int, seed: Orientation | None, edge_levels: int, emit, meter) -> int:
     # Walks n vertex levels and ``edge_levels`` edge levels from the seed and
     # calls emit(out, copy) at every leaf; returns the number of leaves.
-    if k < 1:
-        raise ValueError("k must be at least 1")
     meter = meter if meter is not None else DelayMeter()
     if seed is None:
         d = find_k_connected_orientation(graph, k, meter)

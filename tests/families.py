@@ -119,6 +119,21 @@ def doubled_cycle(n: int) -> Multigraph:
     return Multigraph(n, [(i, (i + 1) % n) for i in range(n) for _ in range(2)])
 
 
+def folded(graph: Multigraph, copies: int) -> Multigraph:
+    """``graph`` with every edge repeated ``copies`` times in a row."""
+    return Multigraph(graph.n, [e for e in graph.edges for _ in range(copies)])
+
+
+def cycle_with_chords(n: int, chords: int, seed: int) -> Multigraph:
+    """The n-cycle plus ``chords`` seeded random chords (n vertices, n + chords edges)."""
+    rng = random.Random(seed)
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    while len(edges) < n + chords:
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v))
+    return Multigraph(n, edges)
+
+
 def acceptance_family() -> list[tuple[str, Multigraph]]:
     return exhaustive_small() + named_graphs() + random_family()
 

@@ -38,9 +38,10 @@ def test_k_zero_rejected():
 
 
 def test_single_vertex_vacuously_connected():
-    d = Orientation(Multigraph(1, []))
-    for k in (1, 2, 5):
-        assert is_k_connected(d, k)
+    for n in (0, 1):
+        d = Orientation(Multigraph(n, []))
+        for k in (1, 2, 5):
+            assert is_k_connected(d, k)
 
 
 def test_is_k_connected_matches_cut_definition():

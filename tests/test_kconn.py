@@ -50,10 +50,12 @@ def test_find_k_zero_rejected():
 
 
 def test_single_vertex_has_one_empty_orientation():
-    g = Multigraph(1, [])
-    d = find_k_connected_orientation(g, 3)
-    assert d is not None and d.serialize() == ""
-    assert collect(g, 2) == [""]
+    for g in (Multigraph(1, []), Multigraph(0, [])):
+        meter = DelayMeter()
+        d = find_k_connected_orientation(g, 3, meter)
+        assert d is not None and d.serialize() == ""
+        assert meter.total_ops == 0
+        assert collect(g, 2) == [""]
 
 
 def test_bridge_has_no_strong_orientation():

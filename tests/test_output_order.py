@@ -70,11 +70,15 @@ class _CappedStdout(io.StringIO):
         self.lines = 0
 
     def write(self, text: str) -> int:
-        written = super().write(text)
-        self.lines += text.count("\n")
-        if self.lines == self.limit:
+        lines = text.count("\n")
+        if self.limit is not None and self.lines + lines >= self.limit:
+            # One write may carry several lines: keep those up to the limit.
+            keep = self.limit - self.lines
+            super().write("\n".join(text.split("\n")[:keep]) + "\n")
+            self.lines = self.limit
             raise _Enough
-        return written
+        self.lines += lines
+        return super().write(text)
 
 
 @pytest.mark.parametrize(
@@ -92,3 +96,11 @@ def test_enumerate_stream_digest(tmp_path, monkeypatch, name, mode, params, line
     else:
         assert lines is None
     assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == digest
+
+
+def test_capped_stdout_keeps_exactly_limit_lines():
+    stdout = _CappedStdout(3)
+    with pytest.raises(_Enough):
+        for i in range(0, 10, 2):
+            stdout.write(f"{i}\n{i + 1}\n")
+    assert (stdout.lines, stdout.getvalue()) == (3, "0\n1\n2\n")

@@ -4,17 +4,22 @@
 code with the enumerators.  On a connected graph T(0,2) counts the strongly
 connected orientations, T(0,1) their outdegree sequences, T(2,1) the
 outdegree sequences of all orientations and T(2,2) the orientations.  The
-first test checks the evaluation against the brute-force oracle.  The rest
-run on graphs of 26 to 37 edges, past the oracle's 25-edge limit: the
-ladders' k=1 counts are checked against T, and for k=2, where no Tutte
-identity applies, the two modes are checked against each other.  T(2,1) is
+first test checks the evaluation against the brute-force oracle.  Most of
+the rest run on graphs of 26 to 37 edges, past the oracle's 25-edge limit:
+the k=1 counts of ladders and of cycles with chords are checked against T,
+and for k=2, where no Tutte identity applies, the two modes are checked
+against each other (``test_frank`` counts k >= 2 independently).  T(2,1) is
 checked at oracle sizes only: on the ladder L10 it is 144,568,064, too many
-classes to enumerate.
+classes to enumerate.  T(2,2) = 2^m is also the sum of the alpha class
+sizes, checked where the oracle can list the classes.
 """
 from collections import Counter, defaultdict
 
+import pytest
+
 import families
 from orientations import (
+    enumerate_alpha,
     enumerate_k_connected,
     enumerate_outdegree_sequences,
     is_k_connected,
@@ -90,6 +95,31 @@ def test_ladder_l13_sequences_match_tutte():
     g = families.ladder(13)
     assert (g.n, g.m) == (26, 37)
     assert count_sequences(g, 1) == tutte(g.edges, 0, 1) == 2_048
+
+
+@pytest.mark.parametrize(
+    "n, chords, seed",
+    [(20, 7, 1), pytest.param(22, 8, 2, marks=pytest.mark.slow)],
+)
+def test_cycle_with_chords_counts_match_tutte(n, chords, seed):
+    # Sparse graphs past 25 edges.  Tori that size do not fit: the 3x5 torus
+    # (30 edges) has 1,046,581 k=1 sequences.
+    g = families.cycle_with_chords(n, chords, seed)
+    assert g.m == n + chords > 25
+    assert count_sequences(g, 1) == tutte(g.edges, 0, 1)
+    assert count_k_connected(g, 1) == tutte(g.edges, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [families.doubled_cycle(6), pytest.param(families.doubled_wheel4(), marks=pytest.mark.slow)],
+    ids=["doubled-cycle6", "doubled-wheel4"],
+)
+def test_alpha_class_sizes_sum_to_all_orientations(g):
+    # T(2,2) = 2^m: every orientation lies in the class of its outdegree
+    # vector, and the oracle lists the vectors.
+    vectors = {out for _, out, _ in _full_scan(g)}
+    assert sum(enumerate_alpha(g, x, lambda d: None) for x in vectors) == 2**g.m
 
 
 def test_doubled_cycle_k2_modes_agree():

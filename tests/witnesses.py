@@ -30,8 +30,8 @@ from orientations import (
     is_k_connected,
 )
 from orientations.alpha import _edge_choices, _emit_leaves, walk
-from orientations.paths import _count_paths
-from orientations.sequences import _reverse, _vertex_choices
+from orientations.paths import _count_paths, _reverse
+from orientations.sequences import _vertex_choices
 
 
 def reverse_path(orientation: Orientation, path: Sequence[int], source: int) -> Orientation:
