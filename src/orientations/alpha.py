@@ -21,7 +21,7 @@ from collections.abc import Callable, Iterator, Sequence
 
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
-from .paths import _flip, _reverse, _shortest_path
+from .paths import _flip, _shortest_path
 
 __all__ = ["find_alpha_orientation", "enumerate_alpha"]
 
@@ -54,7 +54,9 @@ def find_alpha_orientation(
         path = _shortest_path(d, surplus, deficit, None, meter)
         if path is None:
             return None
-        _reverse(d, out, path, d.tail(path[0]), d.head(path[-1]), meter)
+        out[d.tail(path[0])] -= 1
+        out[d.head(path[-1])] += 1
+        _flip(d, path, meter)
 
 
 def enumerate_alpha(

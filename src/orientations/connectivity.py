@@ -1,8 +1,8 @@
 """k-arc-connectivity of orientations and edge connectivity of multigraphs.
 
 Both count arc-disjoint paths with the reverse-and-repeat scheme of
-:mod:`orientations.paths`: the paths are flipped in place and restored, so
-an orientation passed in is unchanged on return.
+:mod:`orientations.paths`: the paths are flipped in place and every one of
+them is undone, so an orientation passed in is unchanged on return.
 """
 from __future__ import annotations
 

@@ -117,8 +117,7 @@ class Orientation:
 
     def outdegrees(self) -> tuple[int, ...]:
         out = [0] * self.graph.n
-        for e, d in enumerate(self._dirs):
-            u, v = self.graph.edges[e]
+        for (u, v), d in zip(self.graph.edges, self._dirs):
             out[u if d else v] += 1
         return tuple(out)
 

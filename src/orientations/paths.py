@@ -14,17 +14,16 @@ level e the fixed edges 0..e are exactly such a prefix at every vertex.
 The number of pairwise arc-disjoint directed u-to-v paths is counted by the
 reverse-and-repeat scheme: find a path, reverse it, and iterate.  Each
 reversal lowers the u-to-v path count by exactly one, so the count is the
-number of iterations that find a path.  The paths are flipped in place and
-restored before they are returned; the first of them is a shortest path of
-the orientation as given, so a caller that tests a pair and then reverses a
-path between it needs no second search.  Path i is the first path of a fresh
-count once paths 0..i-1 are reversed, so the paths are successive reversals.
-A count that falls short also hands back the vertices its last search
-reached: a cut that certifies the shortfall for other pairs too.
+number of iterations that find a path.  The paths are flipped in place; the
+first of them is a shortest path of the orientation as given.  Path i is the
+first path of a fresh count once paths 0..i-1 are reversed, so the paths are
+successive reversals.  A count that falls short also hands back the vertices
+its last search reached: a cut that certifies the shortfall for other pairs
+too.  A caller may have such a count leave its first paths reversed; every
+other count restores the orientation before it returns.
 
 Every search moves by ``_flip``: reverse a path or cycle, or undo that, and
-pay one arc touch per edge.  ``_reverse`` adds the unit of outdegree that a
-path reversal moves.
+pay one arc touch per edge.
 """
 from __future__ import annotations
 
@@ -94,44 +93,42 @@ def _flip(d: Orientation, edges: list[int], meter: DelayMeter | None) -> None:
         meter.arcs(len(edges))
 
 
-def _reverse(d: Orientation, out: list[int], edges: list[int], src: int, dst: int, meter) -> None:
-    # Reverses a directed src-to-dst path and moves one unit of outdegree
-    # from src to dst in ``out``, the caller's mirror of d's outdegrees.
-    _flip(d, edges, meter)
-    out[src] -= 1
-    out[dst] += 1
-
-
 def _count_paths(
     orientation: Orientation,
     u: int,
     v: int,
     limit: int,
     meter: DelayMeter | None = None,
+    spare: int | None = None,
 ) -> tuple[list[list[int]], KeysView[int] | None]:
     # Arc-disjoint u-to-v paths, up to ``limit`` of them, found by reversing
     # one shortest path at a time; the first is a path of the orientation as
-    # given.  Every flip, the undo flips included, is an arc touch; the
-    # orientation is restored even when the search raises.
+    # given.  Every flip, the undo flips included, is an arc touch.  A count
+    # that ends on a failing search undoes only its last ``spare`` paths
+    # (all of them when None) and leaves the others reversed; otherwise,
+    # and when the search raises, the orientation is restored.
     #
     # Returned with the paths is a cut when fewer than ``limit`` exist, else
     # None: the vertices the last, failing search reached.  That set R holds
     # u but not v, and exactly len(paths) arcs leave it in the orientation as
     # given: none leave it after the flips, and each flipped path, running
-    # out of R, had lowered that number by one.  Reversing a path whose ends
-    # lie on one side of R leaves the number unchanged.
+    # out of R, had lowered that number by one, so on return as many leave
+    # it as the count undid paths.  Reversing a path whose ends lie on one
+    # side of R leaves the number unchanged.
     paths: list[list[int]] = []
+    kept = 0
     try:
         while len(paths) < limit:
             reached: dict = {}
             path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
             if path is None:
+                kept = 0 if spare is None else max(len(paths) - spare, 0)
                 return paths, reached.keys()
             _flip(orientation, path, meter)
             paths.append(path)
         return paths, None
     finally:
-        for path in paths:
+        for path in paths[kept:]:
             _flip(orientation, path, meter)
 
 

@@ -11,13 +11,14 @@ The finder, or ``is_k_connected`` on a given seed, rejects k < 1.
 The choice generator of a vertex first lowers its outdegree as far as it
 will go, reversing a directed path leaving it whenever the path's endpoints
 admit more than k arc-disjoint paths, so connectivity survives; the paths
-reversed are ones the count of those paths found.  It then yields once per
-step on the way back, deepest first, undoing one reversal per yield.  It does
-the same for raising, and finally keeps the vertex as it is; each reversal
-and undo is ``paths._reverse``.  Completeness rests on the witness fact that
-whenever two k-connected orientations disagree at a vertex, a
-connectivity-preserving path reversal moves one toward the other without
-touching fixed vertices.
+reversed are ones the count of those paths found and left reversed.  It
+then yields once per step on the way back, deepest first, undoing one
+reversal per yield with ``paths._flip``.  It does the same for raising, and
+finally keeps the vertex as it is.  The orientation is the search's only
+state: a leaf's outdegree sequence is read from its copy.  Completeness
+rests on the witness fact that whenever two k-connected orientations
+disagree at a vertex, a connectivity-preserving path reversal moves one
+toward the other without touching fixed vertices.
 
 A chain takes the later vertices u in order and makes one count of the
 arc-disjoint paths between v and each u that no cut has ruled out: from v
@@ -28,22 +29,23 @@ the first path found once P_1, ..., P_(i-1) are reversed, and each reversal
 lowers λ by exactly one, since it leaves every cut between the pair with
 one leaving arc fewer.  Testing the pair afresh after every reversal, and
 reversing the first path found while more than k exist, would therefore
-reverse P_1, ..., P_(λ-k); the chain reverses just these, with no re-test.
+reverse P_1, ..., P_(λ-k).  The count leaves just these reversed, undoing
+only P_(λ-k+1), ..., P_λ, and the chain takes them over with no re-test.
 The count's final search runs on the orientation with all λ paths
 reversed, the one the last failing re-test would search, so it reaches the
 same set R.
 
-R holds the count's source, not its target, and once the chain has
-reversed its paths toward u it is left by at most k arcs.  So when lowering
-v no later vertex outside R can have more than k paths from v, and when
-raising no vertex inside R can have more than k paths into v.  Each path a
-chain reverses joins v to a vertex that no earlier cut ruled out, so its
-ends lie on one side of every such cut and the number of arcs leaving the
-cut does not change: the cuts hold for the rest of the chain, which counts
-only toward vertices no cut has ruled out.  It finds the same vertices and
-paths as a fresh scan from v+1 after every reversal, and skips only tests
-whose answer is already known.  Lowering and raising test pairs in opposite
-directions, so each starts afresh.
+R holds the count's source, not its target, and once the count toward u
+returns it is left by exactly k arcs.  So when lowering v no later vertex
+outside R can have more than k paths from v, and when raising no vertex
+inside R can have more than k paths into v.  Each path a chain reverses
+joins v to a vertex that no earlier cut ruled out, so its ends lie on one
+side of every such cut and the number of arcs leaving the cut does not
+change: the cuts hold for the rest of the chain, which counts only toward
+vertices no cut has ruled out.  It finds the same vertices and paths as a
+fresh scan from v+1 after every reversal, and skips only tests whose answer
+is already known.  Lowering and raising test pairs in opposite directions,
+so each starts afresh.
 """
 from __future__ import annotations
 
@@ -54,17 +56,16 @@ from .connectivity import is_k_connected
 from .kconn import find_k_connected_orientation
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
-from .paths import _count_paths, _reverse
+from .paths import _count_paths, _flip
 
 __all__ = ["enumerate_outdegree_sequences", "enumerate_k_connected"]
 
 
-def _vertex_choices(d: Orientation, out: list[int], v: int, k: int, meter: DelayMeter) -> Iterator[None]:
+def _vertex_choices(d: Orientation, v: int, k: int, meter: DelayMeter) -> Iterator[None]:
     # One chain per direction: a count for each later (so not yet fixed)
-    # vertex that no cut has ruled out and the reversal of the first λ-k of
-    # its paths, all before the chain's first yield (see the module
+    # vertex that no cut has ruled out, which leaves the first λ-k of its
+    # paths reversed, all before the chain's first yield (see the module
     # docstring); then one yield per reversal, undoing them deepest first.
-    # ``out`` mirrors d's outdegrees and moves with every reversal.
     n = d.graph.n
     limit = d.graph.degree(v) + 1
     for lowering in (True, False):
@@ -73,29 +74,27 @@ def _vertex_choices(d: Orientation, out: list[int], v: int, k: int, meter: Delay
         for u in range(v + 1, n):
             if u in candidates:
                 src, dst = (v, u) if lowering else (u, v)
-                paths, reached = _count_paths(d, src, dst, limit, meter)
-                for edges in paths[: len(paths) - k]:  # d stays k-connected: λ >= k
-                    _reverse(d, out, edges, src, dst, meter)
-                    chain.append((src, dst, edges))
+                paths, reached = _count_paths(d, src, dst, limit, meter, spare=k)
+                chain += paths[: len(paths) - k]  # d stays k-connected: λ >= k
                 if lowering:
                     candidates.intersection_update(reached)
                 else:
                     candidates.difference_update(reached)
         while chain:
-            src, dst, edges = chain.pop()
+            edges = chain.pop()
             yield
-            _reverse(d, out, edges, dst, src, meter)
+            _flip(d, edges, meter)
     yield
 
 
-def _search(graph: Multigraph, k: int, seed: Orientation | None, edge_levels: int, emit, meter) -> int:
+def _search(graph: Multigraph, k: int, seed: Orientation | None, edge_levels: int, sink, meter) -> int:
     # Walks n vertex levels and ``edge_levels`` edge levels from the seed and
-    # calls emit(out, copy) at every leaf; returns the number of leaves.
+    # calls sink(copy) at every leaf; returns the number of leaves.
     meter = meter if meter is not None else DelayMeter()
     if seed is None:
         d = find_k_connected_orientation(graph, k, meter)
         if d is None:
-            return _emit_leaves(d, (), emit, meter)
+            return _emit_leaves(d, (), sink, meter)
     else:
         if seed.graph != graph:
             raise ValueError("seed orients a different graph")
@@ -103,15 +102,14 @@ def _search(graph: Multigraph, k: int, seed: Orientation | None, edge_levels: in
             raise ValueError("seed orientation is not k-connected")
         d = seed.copy()
     n = graph.n
-    out = list(d.outdegrees())
     fixed = [0] * n
 
     def choices(i: int) -> Iterator[None]:
         if i < n:
-            return _vertex_choices(d, out, i, k, meter)
+            return _vertex_choices(d, i, k, meter)
         return _edge_choices(d, i - n, meter, fixed)
 
-    return _emit_leaves(d, walk(n + edge_levels, choices), lambda copy: emit(out, copy), meter)
+    return _emit_leaves(d, walk(n + edge_levels, choices), sink, meter)
 
 
 def enumerate_outdegree_sequences(
@@ -129,7 +127,7 @@ def enumerate_outdegree_sequences(
     sequence together with a witnessing orientation that attains it.
     Returns the number of sequences; infeasible input yields an empty stream.
     """
-    return _search(graph, k, seed, 0, lambda out, d: sink(tuple(out), d), meter)
+    return _search(graph, k, seed, 0, lambda d: sink(d.outdegrees(), d), meter)
 
 
 def enumerate_k_connected(
@@ -148,4 +146,4 @@ def enumerate_k_connected(
     therefore contiguous in the stream.  Returns the count; infeasible input
     yields an empty stream.
     """
-    return _search(graph, k, seed, graph.m, lambda out, d: sink(d), meter)
+    return _search(graph, k, seed, graph.m, sink, meter)

@@ -181,11 +181,19 @@ class _FailingMeter(DelayMeter):
 
 
 def test_lambda_restores_input_when_interrupted():
-    d = opposite_double_triangle()
-    before = d.serialize()
-    with pytest.raises(RuntimeError):
-        lambda_at_least(d, 0, 1, 2, _FailingMeter())
-    assert d.serialize() == before
+    # λ = 2, so a count that would leave one or both paths reversed has
+    # every one of them undone when its search raises, like lambda_at_least.
+    counts = [
+        lambda d, meter: lambda_at_least(d, 0, 1, 2, meter),
+        lambda d, meter: _count_paths(d, 0, 1, 3, meter, 0),
+        lambda d, meter: _count_paths(d, 0, 1, 3, meter, 1),
+    ]
+    for count in counts:
+        d = opposite_double_triangle()
+        before = d.serialize()
+        with pytest.raises(RuntimeError):
+            count(d, _FailingMeter())
+        assert d.serialize() == before
 
 
 def test_lambda_threshold_matches_oracle():
@@ -204,7 +212,9 @@ def test_one_count_finds_the_paths_of_successive_reversals():
     # count on the orientation with paths 0..i-1 reversed, each reversal
     # lowers λ by exactly one, and the count's cut is the one a fresh count
     # finds once all its paths are reversed.  The sequence search reverses a
-    # count's paths in turn on this ground, instead of re-testing the pair.
+    # count's paths in turn on this ground, instead of re-testing the pair:
+    # a count told to spare its last s paths returns with exactly its first
+    # λ-s paths reversed.
     rng = random.Random(808)
     deepest = 0
     for _, g in families.random_family(40, seed=29):
@@ -217,6 +227,11 @@ def test_one_count_finds_the_paths_of_successive_reversals():
                 paths, cut = _count_paths(d, u, v, limit)
                 assert len(paths) == oracle_lambda(d, u, v) and cut is not None
                 deepest = max(deepest, len(paths))
+                for spare in range(len(paths) + 2):
+                    left = d.copy()
+                    assert _count_paths(left, u, v, limit, None, spare) == (paths, cut)
+                    kept = paths[: max(len(paths) - spare, 0)]
+                    assert left == reversed_copy(d, [e for path in kept for e in path])
                 for i in range(len(paths) + 1):
                     flipped = reversed_copy(d, [e for path in paths[:i] for e in path])
                     assert oracle_lambda(flipped, u, v) == len(paths) - i

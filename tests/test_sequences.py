@@ -108,8 +108,8 @@ def test_matches_oracle_over_random_graphs():
 
 
 def test_internal_connectivity_assertions_hold():
-    # The replay asserts k-connectivity after every path reversal and the
-    # outdegree mirror at every leaf, and must emit the same stream.
+    # The replay asserts k-connectivity after every path reversal, and must
+    # emit the same stream.
     graphs = [parse_graph(text) for text in (DOUBLED_TRIANGLE, DOUBLED_FOUR_CYCLE)]
     for g in graphs + [g for _, g in families.random_family(15, seed=79)]:
         for k in (1, 2):
@@ -136,18 +136,17 @@ class _DriftProbe:
 
     def __init__(self, d, k):
         self.d = d
-        self.out = list(d.outdegrees())
         self.k = k
         self.deepest = {}
 
     def choices(self, v):
-        d, out = self.d, self.out
-        base, dirs, outs = out[v], bytes(d._dirs), list(out)
+        d = self.d
+        base, dirs = d.outdegrees()[v], bytes(d._dirs)
         seen = []
-        for _ in _vertex_choices(d, out, v, self.k, DelayMeter()):
-            seen.append(out[v])
+        for _ in _vertex_choices(d, v, self.k, DelayMeter()):
+            seen.append(d.outdegrees()[v])
             yield
-        assert out == outs and bytes(d._dirs) == dirs  # restored at the end
+        assert bytes(d._dirs) == dirs  # restored at the end
         lowered = sum(1 for x in seen if x < base)
         raised = sum(1 for x in seen if x > base)
         assert seen == (
@@ -189,21 +188,25 @@ def test_gap_operations_stay_within_knm_squared():
 
 def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
     # Every count a chain makes ends short of its limit and hands back a cut
-    # left by exactly as many arcs as it found paths, and a chain makes at
-    # most one count per later vertex.  It never skips a flippable vertex:
-    # each reversal goes toward the smallest flippable later vertex, and an
-    # exhausted chain leaves none.  The yields show the reversals: a chain
-    # yields its states deepest first, so each yield, and for a chain's first
-    # reversal the vertex's last yield, shows the state that the reversal
-    # seen at the chain's previous yield started from.
+    # left by exactly as many arcs as it found paths in the orientation as
+    # given, and by exactly k once the count returns with its first λ-k paths
+    # still reversed; a chain makes at most one count per later vertex.  It
+    # never skips a flippable vertex: each reversal goes toward the smallest
+    # flippable later vertex, and an exhausted chain leaves none.  The yields
+    # show the reversals: a chain yields its states deepest first, so each
+    # yield, and for a chain's first reversal the vertex's last yield, shows
+    # the state that the reversal seen at the chain's previous yield started
+    # from.
     real_count, real_choices = sequences._count_paths, sequences._vertex_choices
     chain = {}
 
-    def checked_count(d, src, dst, limit, meter=None):
-        paths, reached = real_count(d, src, dst, limit, meter)
+    def checked_count(d, src, dst, limit, meter=None, spare=None):
+        given = d.copy()
+        paths, reached = real_count(d, src, dst, limit, meter, spare)
         assert reached is not None, "a count reached its limit and handed back no cut"
         assert src in reached and dst not in reached
-        assert cut_outdegree(d, reached) == len(paths) < limit
+        assert cut_outdegree(given, reached) == len(paths) < limit
+        assert spare == chain["k"] and cut_outdegree(d, reached) == spare
         v, counts = chain["v"], chain["counts"]
         counts[src == v] += 1
         assert counts[src == v] <= d.graph.n - v - 1, "a later vertex was counted twice"
@@ -212,11 +215,11 @@ def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
     def flippable(d, v, u, lowering, k):
         return lambda_at_least(d, *((v, u) if lowering else (u, v)), k + 1)
 
-    def checked_choices(d, out, v, k, meter):
-        n, base, counts = d.graph.n, out[v], [0, 0]
+    def checked_choices(d, v, k, meter):
+        n, base, counts = d.graph.n, d.outdegrees()[v], [0, 0]
         last = {}  # per direction, the outdegrees at the chain's latest yield
 
-        def check_chain(lowering):
+        def check_chain(lowering, out):
             if lowering not in last:  # d is where the chain ended
                 assert not any(flippable(d, v, w, lowering, k) for w in range(v + 1, n)), "chain ended early"
                 return
@@ -225,14 +228,15 @@ def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
             assert flippable(d, v, u, lowering, k)
             assert not any(flippable(d, v, w, lowering, k) for w in range(v + 1, u)), "skipped a flippable vertex"
 
-        chain.update(v=v, counts=counts)
-        for _ in real_choices(d, out, v, k, meter):
+        chain.update(v=v, k=k, counts=counts)
+        for _ in real_choices(d, v, k, meter):
+            out = d.outdegrees()
             for lowering in (True, False) if out[v] == base else (out[v] < base,):
-                check_chain(lowering)
+                check_chain(lowering, out)
             if out[v] != base:
-                last[out[v] < base] = list(out)
+                last[out[v] < base] = out
             yield
-            chain.update(v=v, counts=counts)
+            chain.update(v=v, k=k, counts=counts)
 
     monkeypatch.setattr(sequences, "_count_paths", checked_count)
     monkeypatch.setattr(sequences, "_vertex_choices", checked_choices)

@@ -30,7 +30,7 @@ from orientations import (
     is_k_connected,
 )
 from orientations.alpha import _edge_choices, _emit_leaves, walk
-from orientations.paths import _count_paths, _reverse
+from orientations.paths import _count_paths, _flip
 from orientations.sequences import _vertex_choices
 
 
@@ -162,16 +162,18 @@ class InvariantProbe:
       length of the fixed prefix of x's incidence row;
     - ``vertex_choices(v)`` asserts at every yield that the orientation is
       still k-connected.  Every state a path reversal reaches is yielded
-      once, so this checks that each reversal keeps k-connectivity;
+      once, so this checks that each reversal keeps k-connectivity.  At the
+      last vertex it makes each yield's outdegrees, the sequence the vertex
+      levels reached, the target of the leaves below;
     - ``leaves(levels, choices)`` asserts at every leaf that the orientation
-      has the target outdegrees: ``target`` when given, else the outdegree
-      mirror ``out`` that the sequence search keeps.  When the walk ends
-      it asserts that every prefix count is back at 0.
+      has the target outdegrees: ``target`` when given, else the sequence
+      the vertex levels reached, read with ``d.outdegrees()`` like any leaf
+      of the sequence search.  When the walk ends it asserts that every
+      prefix count is back at 0.
     """
 
     def __init__(self, seed: Orientation, k: int = 0, target: Sequence[int] | None = None):
         self.d = seed.copy()
-        self.out = list(self.d.outdegrees())
         self.k = k
         self.target = target
         self.meter = DelayMeter()
@@ -189,14 +191,16 @@ class InvariantProbe:
         assert bytes(d._dirs[:e]) == prefix, f"fixed edges 0..{e - 1} not restored"
 
     def vertex_choices(self, v: int):
-        for _ in _vertex_choices(self.d, self.out, v, self.k, self.meter):
+        for _ in _vertex_choices(self.d, v, self.k, self.meter):
             assert is_k_connected(self.d, self.k), f"a path reversal at vertex {v} broke k-connectivity"
+            if v == self.d.graph.n - 1:
+                self.target = self.d.outdegrees()
             yield
 
     def leaves(self, levels: int, choices):
         for _ in walk(levels, choices):
-            target = self.out if self.target is None else self.target
-            assert self.d.outdegrees() == tuple(target), "emitted orientation misses the target outdegrees"
+            if self.target is not None:
+                assert self.d.outdegrees() == tuple(self.target), "emitted orientation misses the target outdegrees"
             yield
         assert not any(self.fixed), "prefix counts not back at 0 when the walk ends"
 
@@ -213,7 +217,7 @@ def probed_alpha(graph: Multigraph, alpha: Sequence[int]) -> list[Orientation]:
 def probed_sequences(graph: Multigraph, k: int, seed: Orientation) -> list[tuple[int, ...]]:
     """The stream of ``enumerate_outdegree_sequences``, replayed under an ``InvariantProbe``."""
     probe = InvariantProbe(seed, k)
-    return [tuple(probe.out) for _ in probe.leaves(graph.n, probe.vertex_choices)]
+    return [probe.d.outdegrees() for _ in probe.leaves(graph.n, probe.vertex_choices)]
 
 
 def probed_k_connected(graph: Multigraph, k: int, seed: Orientation) -> list[Orientation]:
@@ -227,7 +231,7 @@ def probed_k_connected(graph: Multigraph, k: int, seed: Orientation) -> list[Ori
     return [probe.d.copy() for _ in probe.leaves(n + graph.m, choices)]
 
 
-def plain_scan_choices(d: Orientation, out: list[int], v: int, k: int, meter: DelayMeter):
+def plain_scan_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
     """The per-vertex choice generator with a plain scan, as a reference.
 
     Same contract and yields as ``sequences._vertex_choices``, but every
@@ -244,16 +248,16 @@ def plain_scan_choices(d: Orientation, out: list[int], v: int, k: int, meter: De
                     break
             else:
                 break
-            _reverse(d, out, paths[0], src, dst, meter)
-            chain.append((src, dst, paths[0]))
+            _flip(d, paths[0], meter)
+            chain.append(paths[0])
         while chain:
-            src, dst, edges = chain.pop()
+            edges = chain.pop()
             yield
-            _reverse(d, out, edges, dst, src, meter)
+            _flip(d, edges, meter)
     yield
 
 
-def retesting_choices(d: Orientation, out: list[int], v: int, k: int, meter: DelayMeter):
+def retesting_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
     """The per-vertex choice generator that re-tests a pair after each reversal, as a reference.
 
     Same contract and yields as ``sequences._vertex_choices``, and it keeps
@@ -262,14 +266,13 @@ def retesting_choices(d: Orientation, out: list[int], v: int, k: int, meter: Del
     """
     for lowering in (True, False):
         chain = []
-        for found in retesting_pairs(d, v, lowering, k, meter):
-            src, dst, edges = found
-            _reverse(d, out, edges, src, dst, meter)
-            chain.append(found)
+        for _, _, edges in retesting_pairs(d, v, lowering, k, meter):
+            _flip(d, edges, meter)
+            chain.append(edges)
         while chain:
-            src, dst, edges = chain.pop()
+            edges = chain.pop()
             yield
-            _reverse(d, out, edges, dst, src, meter)
+            _flip(d, edges, meter)
     yield
 
 
@@ -301,10 +304,9 @@ def scanned_sequences(graph: Multigraph, k: int, meter: DelayMeter, choices) -> 
     if d is None:
         meter.finished()
         return []
-    out = list(d.outdegrees())
     got = []
-    leaves = walk(graph.n, lambda v: choices(d, out, v, k, meter))
-    _emit_leaves(d, leaves, lambda copy: got.append((tuple(out), copy.serialize())), meter)
+    leaves = walk(graph.n, lambda v: choices(d, v, k, meter))
+    _emit_leaves(d, leaves, lambda copy: got.append((copy.outdegrees(), copy.serialize())), meter)
     return got
 
 
