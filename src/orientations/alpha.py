@@ -9,6 +9,24 @@ row is in edge-index order, the edges fixed so far are a prefix of each
 row; the walk keeps the length of that prefix per vertex, and the search for
 a completing cycle scans only the rest of each row.
 
+Most of these searches fail, and a failed search leaves a cut for the
+search one level up.  Level e searches right after level e+1 closes, on the
+orientation that level e kept and level e+1 restored.  If level e+1's
+search from its head found no way back to its tail, the set R it reached
+holds that head and is left by no arc among edges e+2..m-1.  Edge e+1,
+which level e frees, runs into R, so no arc free at level e leaves R
+either, and no path into a vertex outside R starts inside it.  So level e
+skips its search when its head lies in R and its tail does not, and when
+neither end lies in R its search treats R as reached and never expands it.
+Outside R that search finds the same vertices, in the same order and with
+the same tree, as a fresh one, so every path and the whole stream are
+unchanged, and it scans only arcs that the fresh search would scan.  A
+failed search hands the next level up the set it reached, R included; a
+skipped one hands on R itself, which, holding its head and not its tail, is
+a cut for that level too.  A level clears the slot that carries the set
+when it opens and after it flips, so no search reads a set reached on
+another orientation.
+
 ``walk`` is the one traversal scheme of the package: the k-connected
 search of :mod:`orientations.sequences` and the first-solution finder run on
 it too, each with its own per-level choice generator.  ``_emit_leaves`` is
@@ -76,8 +94,8 @@ def enumerate_alpha(
     """
     meter = meter if meter is not None else DelayMeter()
     d = find_alpha_orientation(graph, alpha, meter)
-    fixed = [0] * graph.n
-    leaves = () if d is None else walk(graph.m, lambda e: _edge_choices(d, e, meter, fixed))
+    fixed, cut = [0] * graph.n, [None]
+    leaves = () if d is None else walk(graph.m, lambda e: _edge_choices(d, e, meter, fixed, cut))
     return _emit_leaves(d, leaves, sink, meter)
 
 
@@ -115,7 +133,9 @@ def walk(levels: int, choices: Callable[[int], Iterator[None]]) -> Iterator[None
             stack.pop()
 
 
-def _edge_choices(d: Orientation, e: int, meter: DelayMeter, fixed: list[int]) -> Iterator[None]:
+def _edge_choices(
+    d: Orientation, e: int, meter: DelayMeter, fixed: list[int], cut: list[dict | None]
+) -> Iterator[None]:
     # Keep edge e, then flip it with a completing cycle that avoids the
     # fixed edges 0..e-1 when one exists.  Each level counts its edge in
     # fixed at both ends while it is open, so when level e searches, fixed[x]
@@ -124,16 +144,31 @@ def _edge_choices(d: Orientation, e: int, meter: DelayMeter, fixed: list[int]) -
     # source, head, it is an in-arc, and the target, tail, is never scanned.
     # The counts are walk bookkeeping, like the walk's stack, and are not
     # charged.
+    #
+    # cut[0] holds the set R that level e+1's failed search reached, or
+    # None (see the module docstring).  No arc free at this level leaves R,
+    # so the search is skipped when head lies in R and tail does not, and
+    # never expands R when neither end does.  A level leaves the set its
+    # own failed search reached in the slot, and clears the slot when it
+    # flips.
     u, v = d.graph.edges[e]
     fixed[u] += 1
     fixed[v] += 1
+    cut[0] = None
     yield
     tail, head = (u, v) if d.forward(e) else (v, u)
-    path = _shortest_path(d, (head,), (tail,), fixed, meter)
-    if path is not None:
+    reached = cut[0]
+    if reached is None or tail in reached:
+        reached = {}
+    path = None if head in reached else _shortest_path(d, (head,), (tail,), fixed, meter, reached)
+    if path is None:
+        cut[0] = reached
+    else:
+        cut[0] = reached = None
         path.append(e)
         _flip(d, path, meter)
         yield
         _flip(d, path, meter)
+        cut[0] = None
     fixed[u] -= 1
     fixed[v] -= 1

@@ -47,9 +47,11 @@ def _shortest_path(
     # Multi-source BFS along current arcs, skipping the first fixed[x]
     # entries of each row (none when ``fixed`` is None), to the first
     # discovered target; a source is never reported as its own target.
-    # ``reached``, when given, is an empty dict that receives the search
-    # tree, so its keys are the vertices the search reached.  Vertex ids are
-    # not checked: callers take them from the graph or from lambda_at_least.
+    # ``reached``, when given, receives the search tree, so its keys are the
+    # vertices the search reached.  It may arrive holding vertices that the
+    # search then treats as reached and never expands: the caller knows
+    # that no path to a target runs through them.  Vertex ids are not
+    # checked: callers take them from the graph or from lambda_at_least.
     parent: dict[int, tuple[int, int] | None] = {} if reached is None else reached
     for x in sources:
         parent[x] = None

@@ -19,6 +19,7 @@ from witnesses import (
     probed_alpha,
     reversed_copy,
     same_alpha_cycle_decomposition,
+    uncut_choices,
 )
 
 
@@ -106,20 +107,31 @@ def test_emission_order_is_deterministic():
     assert collect(g, (2, 2, 2)) == collect(g, (2, 2, 2))
 
 
-def _against_full_scan(monkeypatch, run):
+def _against_reference(monkeypatch, run, choices):
     # Asserts that ``run(sink, meter)`` emits the stream it emits when the
-    # alpha expansion scans whole rows, with no more operations in total or
-    # in any gap; returns both total_ops, the whole-row scan's first.
-    full, meter, want, got = DelayMeter(), DelayMeter(), [], []
+    # alpha expansion's choice generator is replaced by ``choices``, with no
+    # more operations in total or in any gap; returns both total_ops, the
+    # reference's first.
+    reference, meter, want, got = DelayMeter(), DelayMeter(), [], []
     with monkeypatch.context() as patched:
         for module in (alpha_module, sequences):
-            patched.setattr(module, "_edge_choices", lambda d, e, m, fixed: full_scan_choices(d, e, m))
-        run(lambda d: want.append(d.serialize()), full)
+            patched.setattr(module, "_edge_choices", choices)
+        run(lambda d: want.append(d.serialize()), reference)
     run(lambda d: got.append(d.serialize()), meter)
     assert got == want
-    assert meter.total_ops <= full.total_ops
-    assert meter.max_delay_ops <= full.max_delay_ops
-    return full.total_ops, meter.total_ops
+    assert meter.total_ops <= reference.total_ops
+    assert meter.max_delay_ops <= reference.max_delay_ops
+    return reference.total_ops, meter.total_ops
+
+
+def _against_full_scan(monkeypatch, run):
+    # Against the search that scans whole rows.
+    return _against_reference(monkeypatch, run, lambda d, e, m, fixed, cut: full_scan_choices(d, e, m))
+
+
+def _against_uncut(monkeypatch, run):
+    # Against the search that starts afresh at every level.
+    return _against_reference(monkeypatch, run, lambda d, e, m, fixed, cut: uncut_choices(d, e, m, fixed))
 
 
 def _alpha_run(g, alpha):
@@ -142,6 +154,20 @@ def test_fixed_prefix_never_costs_more_than_the_full_scan(monkeypatch):
     for run, parent in ((_alpha_run(torus, [2] * 9), 16_821), (_korient_run(torus, 2), 19_771)):
         full, prefix = _against_full_scan(monkeypatch, run)
         assert full == parent and prefix < full
+
+
+def test_the_cut_never_costs_more_than_a_fresh_search(monkeypatch):
+    for _, g in families.random_family(25, seed=41):
+        for alpha in {d.outdegrees() for d in all_orientations(g)}:
+            _against_uncut(monkeypatch, _alpha_run(g, alpha))
+        for k in (1, 2):
+            _against_uncut(monkeypatch, _korient_run(g, k))
+    # The fresh searches' totals on the torus are the ones the expansion had
+    # before a level reused the cut of the level below.
+    torus = families.torus(3, 3)
+    for run, parent in ((_alpha_run(torus, [2] * 9), 9_871), (_korient_run(torus, 2), 12_821)):
+        fresh, reused = _against_uncut(monkeypatch, run)
+        assert fresh == parent and reused < fresh
 
 
 @pytest.mark.slow

@@ -27,10 +27,11 @@ from orientations import (
 from orientations.oracle import _full_scan, oracle_k_connected, oracle_sequences
 
 
-def tutte(edges, x: int, y: int) -> int:
-    """T(x, y) of the multigraph with these edges: a bridge contributes a
-    factor x and a loop a factor y."""
-    memo: dict[tuple, int] = {}
+def tutte(edges, *points: tuple[int, int]) -> tuple[int, ...]:
+    """T(x, y) of the multigraph with these edges at each point (x, y), in
+    one pass of deletion-contraction: a bridge contributes a factor x and a
+    loop a factor y."""
+    memo: dict[tuple, tuple[int, ...]] = {}
 
     def canon(es) -> tuple[int, tuple]:
         # The loops, which factor out, and the other edges in a fixed order.
@@ -50,18 +51,24 @@ def tutte(edges, x: int, y: int) -> int:
                     stack.append(w)
         return v in seen
 
-    def t(es) -> int:
+    def with_loops(loops: int, values) -> tuple[int, ...]:
+        return tuple(y**loops * value for (_, y), value in zip(points, values))
+
+    def t(es) -> tuple[int, ...]:
         if not es:
-            return 1
+            return (1,) * len(points)
         if es not in memo:
             (u, v), rest = es[0], es[1:]
             loops, merged = canon([(u if a == v else a, u if b == v else b) for a, b in rest])
-            contracted = y**loops * t(merged)
-            memo[es] = t(rest) + contracted if joined(rest, u, v) else x * contracted
+            contracted = with_loops(loops, t(merged))
+            if joined(rest, u, v):
+                memo[es] = tuple(map(sum, zip(t(rest), contracted)))
+            else:
+                memo[es] = tuple(x * value for (x, _), value in zip(points, contracted))
         return memo[es]
 
     loops, es = canon(edges)
-    return y**loops * t(es)
+    return with_loops(loops, t(es))
 
 
 def test_tutte_matches_the_oracle():
@@ -70,10 +77,11 @@ def test_tutte_matches_the_oracle():
     for g in graphs:
         assert g.m <= 12
         scan = _full_scan(g)
-        assert tutte(g.edges, 0, 2) == len(oracle_k_connected(g, 1)), g.edges
-        assert tutte(g.edges, 0, 1) == len(oracle_sequences(g, 1)), g.edges
-        assert tutte(g.edges, 2, 1) == len({out for _, out, _ in scan}), g.edges
-        assert tutte(g.edges, 2, 2) == len(scan) == 2**g.m, g.edges
+        t02, t01, t21, t22 = tutte(g.edges, (0, 2), (0, 1), (2, 1), (2, 2))
+        assert t02 == len(oracle_k_connected(g, 1)), g.edges
+        assert t01 == len(oracle_sequences(g, 1)), g.edges
+        assert t21 == len({out for _, out, _ in scan}), g.edges
+        assert t22 == len(scan) == 2**g.m, g.edges
 
 
 def count_k_connected(g, k):
@@ -87,14 +95,15 @@ def count_sequences(g, k):
 def test_ladder_l10_counts_match_tutte():
     g = families.ladder(10)
     assert (g.n, g.m) == (20, 28)
-    assert count_k_connected(g, 1) == tutte(g.edges, 0, 2) == 13_122
-    assert count_sequences(g, 1) == tutte(g.edges, 0, 1) == 256
+    t02, t01 = tutte(g.edges, (0, 2), (0, 1))
+    assert count_k_connected(g, 1) == t02 == 13_122
+    assert count_sequences(g, 1) == t01 == 256
 
 
 def test_ladder_l13_sequences_match_tutte():
     g = families.ladder(13)
     assert (g.n, g.m) == (26, 37)
-    assert count_sequences(g, 1) == tutte(g.edges, 0, 1) == 2_048
+    assert count_sequences(g, 1) == tutte(g.edges, (0, 1))[0] == 2_048
 
 
 @pytest.mark.parametrize(
@@ -106,8 +115,9 @@ def test_cycle_with_chords_counts_match_tutte(n, chords, seed):
     # (30 edges) has 1,046,581 k=1 sequences.
     g = families.cycle_with_chords(n, chords, seed)
     assert g.m == n + chords > 25
-    assert count_sequences(g, 1) == tutte(g.edges, 0, 1)
-    assert count_k_connected(g, 1) == tutte(g.edges, 0, 2)
+    t01, t02 = tutte(g.edges, (0, 1), (0, 2))
+    assert count_sequences(g, 1) == t01
+    assert count_k_connected(g, 1) == t02
 
 
 @pytest.mark.parametrize(

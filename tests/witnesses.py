@@ -11,9 +11,10 @@ assertions (``probed_alpha``, ``probed_sequences``, ``probed_k_connected``),
 ``scanned_sequences`` replays the outdegree-sequence search with a
 reference chain: the plain scan that restarts every λ test sweep at v+1, or
 the chain that keeps the cuts of failed tests but re-tests a pair after
-every reversal it permits, and ``full_scan_choices`` is the alpha
+every reversal it permits, ``full_scan_choices`` is the alpha
 expansion's choice generator with a reference search that scans whole
-incidence rows.
+incidence rows, and ``uncut_choices`` is the same generator with a slot of
+its own at every level, so that every search starts afresh.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from orientations import (
     is_k_connected,
 )
 from orientations.alpha import _edge_choices, _emit_leaves, walk
-from orientations.paths import _count_paths, _flip
+from orientations.paths import _count_paths, _flip, _shortest_path
 from orientations.sequences import _vertex_choices
 
 
@@ -159,7 +160,13 @@ class InvariantProbe:
       that the fixed edges 0..e-1 are as they were when the level opened.
       At every yield it also asserts that the walk's prefix count
       ``fixed[x]`` is the number of edges at x with index at most e, the
-      length of the fixed prefix of x's incidence row;
+      length of the fixed prefix of x's incidence row.  All levels share
+      one cut slot, as in the enumerators.  When a level searches, the
+      slot must hold what level e+1 left in it, or None at the last level.
+      When a level skips its search, an unmetered search on the live
+      orientation must find no path either; a cut the level leaves in the
+      slot must hold its head but not its tail, and no arc of the edges
+      e+1..m-1 may leave it;
     - ``vertex_choices(v)`` asserts at every yield that the orientation is
       still k-connected.  Every state a path reversal reaches is yielded
       once, so this checks that each reversal keeps k-connectivity.  At the
@@ -178,17 +185,34 @@ class InvariantProbe:
         self.target = target
         self.meter = DelayMeter()
         self.fixed = [0] * seed.graph.n
+        self.cut = [None]
+        self.left = None  # the slot as the last edge level to end left it
 
     def edge_choices(self, e: int):
         d = self.d
         prefix = bytes(d._dirs[:e])
         rows = d.graph.incidence
         counts = [sum(1 for f, _, _ in row if f <= e) for row in rows]
-        for _ in _edge_choices(d, e, self.meter, self.fixed):
+        options = 0
+        for _ in _edge_choices(d, e, self.meter, self.fixed, self.cut):
             assert bytes(d._dirs[:e]) == prefix, f"fixed edges 0..{e - 1} changed within a branch"
             assert self.fixed == counts, f"prefix counts at edge level {e} are not the fixed edges 0..{e}"
             yield
+            options += 1
+            if options == 1:
+                below = self.left if e + 1 < d.graph.m else None
+                assert self.cut[0] is below, f"edge level {e} reads a cut that level {e + 1} did not leave"
+                runs = self.meter.bfs_runs
         assert bytes(d._dirs[:e]) == prefix, f"fixed edges 0..{e - 1} not restored"
+        tail, head = d.tail(e), d.head(e)
+        if options == 1 and self.meter.bfs_runs == runs:
+            assert _shortest_path(d, (head,), (tail,), counts, None) is None, f"edge level {e} skipped a search that finds a path"
+        cut = self.cut[0]
+        if cut is not None:
+            assert head in cut and tail not in cut, f"the cut left by edge level {e} does not separate its head from its tail"
+            leaving = [f for f in range(e + 1, d.graph.m) if d.tail(f) in cut and d.head(f) not in cut]
+            assert not leaving, f"free arcs {leaving} leave the cut left by edge level {e}"
+        self.left = cut
 
     def vertex_choices(self, v: int):
         for _ in _vertex_choices(self.d, v, self.k, self.meter):
@@ -329,6 +353,16 @@ def full_scan_choices(d: Orientation, e: int, meter: DelayMeter):
         yield
         d._flip(path)
         meter.arcs(len(path))
+
+
+def uncut_choices(d: Orientation, e: int, meter: DelayMeter, fixed: list[int]):
+    """The per-edge choice generator without the cut, as a reference.
+
+    ``alpha._edge_choices`` with a fresh slot at every level: no level sees
+    the set that the failed search one level down reached, so every search
+    runs and starts from the head alone.
+    """
+    return _edge_choices(d, e, meter, fixed, [None])
 
 
 def full_scan_path(d: Orientation, source: int, target: int, e: int, meter: DelayMeter) -> list[int] | None:
