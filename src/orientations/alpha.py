@@ -27,6 +27,33 @@ a cut for that level too.  A level clears the slot that carries the set
 when it opens and after it flips, so no search reads a set reached on
 another orientation.
 
+Two per-vertex counts prove more searches dead before they start.  When
+level e searches, ``fo[x]`` and ``fi[x]`` are the numbers of out- and
+in-arcs at x among the free edges e+1..m-1.  A path from head to tail
+leaves head and enters tail by free arcs, so there is none when
+``fo[head]`` or ``fi[tail]`` is 0, and the level skips its search.  With
+``fo[head]`` at 0 the search would have reached R and head and nothing
+more, and the level hands up that set.  With ``fi[tail]`` at 0 the set the
+search would have reached is unknown, so the level hands up R when neither
+of its ends lies in R, and an empty set otherwise.  No free arc leaves R,
+and edge e, which the level above frees, runs from tail to head, so it
+leaves R only when R holds its tail and not its head: with neither end in
+R, R is a cut one level up as well.  At the last level every edge is fixed
+and every count is 0, so its search is always skipped.
+
+The counts stay exact without a scan.  A level adds its edge when it
+closes, and takes it out again when it opens if it was counted.  Flipping
+the completing cycle moves one unit at head and one at tail and none at the
+cycle's inner vertices, whose path arcs are all counted; the undo moves them
+back.  Edge level 0 zeroes the counts when it opens, so nothing is counted
+on the first descent of an expansion.  That is exact, because a level
+searches only after every deeper level has closed, and every level above
+it is open.  Every level first opens on that descent, so any later opening
+follows a close: then its edge is counted and ``fo`` at its tail is
+positive, while on the first descent every count is 0.  That count tells a
+level whether to take its edge out.  Like ``fixed``, the counts are walk
+bookkeeping: they touch no arc and are not charged.
+
 ``walk`` is the one traversal scheme of the package: the k-connected
 search of :mod:`orientations.sequences` and the first-solution finder run on
 it too, each with its own per-level choice generator.  ``_emit_leaves`` is
@@ -94,8 +121,9 @@ def enumerate_alpha(
     """
     meter = meter if meter is not None else DelayMeter()
     d = find_alpha_orientation(graph, alpha, meter)
-    fixed, cut = [0] * graph.n, [None]
-    leaves = () if d is None else walk(graph.m, lambda e: _edge_choices(d, e, meter, fixed, cut))
+    n = graph.n
+    fixed, cut, fo, fi = [0] * n, [None], [0] * n, [0] * n
+    leaves = () if d is None else walk(graph.m, lambda e: _edge_choices(d, e, meter, fixed, cut, fo, fi))
     return _emit_leaves(d, leaves, sink, meter)
 
 
@@ -134,7 +162,13 @@ def walk(levels: int, choices: Callable[[int], Iterator[None]]) -> Iterator[None
 
 
 def _edge_choices(
-    d: Orientation, e: int, meter: DelayMeter, fixed: list[int], cut: list[dict | None]
+    d: Orientation,
+    e: int,
+    meter: DelayMeter,
+    fixed: list[int],
+    cut: list[dict | None],
+    fo: list[int],
+    fi: list[int],
 ) -> Iterator[None]:
     # Keep edge e, then flip it with a completing cycle that avoids the
     # fixed edges 0..e-1 when one exists.  Each level counts its edge in
@@ -142,33 +176,52 @@ def _edge_choices(
     # counts the edges at x among 0..e, which lead x's incidence row, and
     # the search skips them.  Skipping e itself changes no search: at the
     # source, head, it is an in-arc, and the target, tail, is never scanned.
-    # The counts are walk bookkeeping, like the walk's stack, and are not
-    # charged.
     #
     # cut[0] holds the set R that level e+1's failed search reached, or
-    # None (see the module docstring).  No arc free at this level leaves R,
-    # so the search is skipped when head lies in R and tail does not, and
-    # never expands R when neither end does.  A level leaves the set its
-    # own failed search reached in the slot, and clears the slot when it
-    # flips.
+    # None, and fo/fi count the out- and in-arcs at each vertex among the
+    # free edges e+1..m-1 (see the module docstring).  The search is skipped
+    # when head lies in R and tail does not, or when head has no free
+    # out-arc or tail no free in-arc, and never expands R when neither end
+    # lies in R.  A level leaves the set its own failed or skipped search
+    # reached in the slot, and clears the slot when it flips.  Like fixed,
+    # the slot and the counts are walk bookkeeping and are not charged.
     u, v = d.graph.edges[e]
+    tail, head = (u, v) if d.forward(e) else (v, u)
     fixed[u] += 1
     fixed[v] += 1
     cut[0] = None
+    if e == 0:
+        fo[:] = fi[:] = [0] * len(fo)
+    elif fo[tail]:  # past the first descent, so edge e is counted
+        fo[tail] -= 1
+        fi[head] -= 1
     yield
-    tail, head = (u, v) if d.forward(e) else (v, u)
     reached = cut[0]
     if reached is None or tail in reached:
         reached = {}
-    path = None if head in reached else _shortest_path(d, (head,), (tail,), fixed, meter, reached)
+    path = None
+    if head in reached or not fo[head]:
+        reached[head] = None
+    elif fi[tail]:
+        path = _shortest_path(d, (head,), (tail,), fixed, meter, reached)
     if path is None:
         cut[0] = reached
     else:
-        cut[0] = reached = None
+        cut[0] = None
         path.append(e)
-        _flip(d, path, meter)
+        _flip(d, path, meter)  # at head an out-arc turns in, at tail an in-arc turns out
+        fo[head] -= 1
+        fi[head] += 1
+        fi[tail] -= 1
+        fo[tail] += 1
         yield
         _flip(d, path, meter)
+        fo[head] += 1
+        fi[head] -= 1
+        fi[tail] += 1
+        fo[tail] -= 1
         cut[0] = None
     fixed[u] -= 1
     fixed[v] -= 1
+    fo[tail] += 1
+    fi[head] += 1

@@ -102,12 +102,12 @@ def _search(graph: Multigraph, k: int, seed: Orientation | None, edge_levels: in
             raise ValueError("seed orientation is not k-connected")
         d = seed.copy()
     n = graph.n
-    fixed, cut = [0] * n, [None]
+    fixed, cut, fo, fi = [0] * n, [None], [0] * n, [0] * n
 
     def choices(i: int) -> Iterator[None]:
         if i < n:
             return _vertex_choices(d, i, k, meter)
-        return _edge_choices(d, i - n, meter, fixed, cut)
+        return _edge_choices(d, i - n, meter, fixed, cut, fo, fi)
 
     return _emit_leaves(d, walk(n + edge_levels, choices), sink, meter)
 

@@ -19,6 +19,7 @@ from witnesses import (
     probed_alpha,
     reversed_copy,
     same_alpha_cycle_decomposition,
+    uncounted_choices,
     uncut_choices,
 )
 
@@ -126,12 +127,17 @@ def _against_reference(monkeypatch, run, choices):
 
 def _against_full_scan(monkeypatch, run):
     # Against the search that scans whole rows.
-    return _against_reference(monkeypatch, run, lambda d, e, m, fixed, cut: full_scan_choices(d, e, m))
+    return _against_reference(monkeypatch, run, lambda d, e, m, fixed, cut, fo, fi: full_scan_choices(d, e, m))
 
 
 def _against_uncut(monkeypatch, run):
     # Against the search that starts afresh at every level.
-    return _against_reference(monkeypatch, run, lambda d, e, m, fixed, cut: uncut_choices(d, e, m, fixed))
+    return _against_reference(monkeypatch, run, lambda d, e, m, fixed, cut, fo, fi: uncut_choices(d, e, m, fixed, fo, fi))
+
+
+def _against_uncounted(monkeypatch, run):
+    # Against the expansion that keeps no free-arc counts.
+    return _against_reference(monkeypatch, run, lambda d, e, m, fixed, cut, fo, fi: uncounted_choices(d, e, m, fixed, cut))
 
 
 def _alpha_run(g, alpha):
@@ -162,12 +168,27 @@ def test_the_cut_never_costs_more_than_a_fresh_search(monkeypatch):
             _against_uncut(monkeypatch, _alpha_run(g, alpha))
         for k in (1, 2):
             _against_uncut(monkeypatch, _korient_run(g, k))
-    # The fresh searches' totals on the torus are the ones the expansion had
-    # before a level reused the cut of the level below.
+    # The fresh searches keep the free-arc counts, so their totals on the
+    # torus are the expansion's own without the cut.
     torus = families.torus(3, 3)
-    for run, parent in ((_alpha_run(torus, [2] * 9), 9_871), (_korient_run(torus, 2), 12_821)):
+    for run, uncut in ((_alpha_run(torus, [2] * 9), 5_979), (_korient_run(torus, 2), 8_929)):
         fresh, reused = _against_uncut(monkeypatch, run)
-        assert fresh == parent and reused < fresh
+        assert fresh == uncut and reused < fresh
+
+
+def test_the_counts_never_cost_more_than_the_cut_alone(monkeypatch):
+    for _, g in families.random_family(25, seed=41):
+        for alpha in {d.outdegrees() for d in all_orientations(g)}:
+            _against_uncounted(monkeypatch, _alpha_run(g, alpha))
+        for k in (1, 2):
+            _against_uncounted(monkeypatch, _korient_run(g, k))
+    # The uncounted totals on the torus are the ones the expansion had
+    # before the free-arc counts skipped searches; the counted ones may not
+    # rise above what the counts first brought them down to.
+    torus = families.torus(3, 3)
+    for run, parent, pinned in ((_alpha_run(torus, [2] * 9), 8_305, 5_784), (_korient_run(torus, 2), 11_255, 8_734)):
+        uncounted, counted = _against_uncounted(monkeypatch, run)
+        assert uncounted == parent and counted <= pinned
 
 
 @pytest.mark.slow
@@ -175,6 +196,18 @@ def test_fixed_prefix_never_costs_more_on_the_long_korient_streams(monkeypatch):
     full, prefix = _against_full_scan(monkeypatch, _korient_run(families.torus(3, 3), 1))
     assert full == 10_146_626 and prefix < full
     _against_full_scan(monkeypatch, _korient_run(families.doubled_wheel4(), 1))
+
+
+@pytest.mark.slow
+def test_the_counts_never_cost_more_on_the_4x5_torus(monkeypatch):
+    torus, solutions = families.torus(4, 5), []
+
+    def run(sink, meter):
+        solutions.append(enumerate_alpha(torus, [2] * 20, sink, meter=meter))
+
+    uncounted, counted = _against_uncounted(monkeypatch, run)
+    assert solutions == [16_892, 16_892]
+    assert uncounted == 2_096_255 and counted < uncounted
 
 
 def test_gap_arc_touches_stay_within_m_squared():

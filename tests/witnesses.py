@@ -13,8 +13,10 @@ reference chain: the plain scan that restarts every λ test sweep at v+1, or
 the chain that keeps the cuts of failed tests but re-tests a pair after
 every reversal it permits, ``full_scan_choices`` is the alpha
 expansion's choice generator with a reference search that scans whole
-incidence rows, and ``uncut_choices`` is the same generator with a slot of
-its own at every level, so that every search starts afresh.
+incidence rows, ``uncut_choices`` is the same generator with a slot of
+its own at every level, so that no search starts from a cut, and
+``uncounted_choices`` is the generator as it was before the free-arc
+counts, which runs every search that the cut does not skip.
 """
 from __future__ import annotations
 
@@ -161,12 +163,14 @@ class InvariantProbe:
       At every yield it also asserts that the walk's prefix count
       ``fixed[x]`` is the number of edges at x with index at most e, the
       length of the fixed prefix of x's incidence row.  All levels share
-      one cut slot, as in the enumerators.  When a level searches, the
-      slot must hold what level e+1 left in it, or None at the last level.
-      When a level skips its search, an unmetered search on the live
-      orientation must find no path either; a cut the level leaves in the
-      slot must hold its head but not its tail, and no arc of the edges
-      e+1..m-1 may leave it;
+      one cut slot and one pair of free-arc counts, as in the enumerators.
+      When a level searches, the slot must hold what level e+1 left in it,
+      or None at the last level, and ``fo[x]`` and ``fi[x]`` must be the
+      numbers of out- and in-arcs at x among the edges e+1..m-1.  When a
+      level skips its search, an unmetered search on the live orientation
+      must find no path either; a cut the level leaves in the slot must not
+      hold its tail, and no arc of the edges e+1..m-1 may leave it, so
+      edge e, which runs from the tail, leaves it neither;
     - ``vertex_choices(v)`` asserts at every yield that the orientation is
       still k-connected.  Every state a path reversal reaches is yielded
       once, so this checks that each reversal keeps k-connectivity.  At the
@@ -186,6 +190,7 @@ class InvariantProbe:
         self.meter = DelayMeter()
         self.fixed = [0] * seed.graph.n
         self.cut = [None]
+        self.fo, self.fi = [0] * seed.graph.n, [0] * seed.graph.n
         self.left = None  # the slot as the last edge level to end left it
 
     def edge_choices(self, e: int):
@@ -194,7 +199,7 @@ class InvariantProbe:
         rows = d.graph.incidence
         counts = [sum(1 for f, _, _ in row if f <= e) for row in rows]
         options = 0
-        for _ in _edge_choices(d, e, self.meter, self.fixed, self.cut):
+        for _ in _edge_choices(d, e, self.meter, self.fixed, self.cut, self.fo, self.fi):
             assert bytes(d._dirs[:e]) == prefix, f"fixed edges 0..{e - 1} changed within a branch"
             assert self.fixed == counts, f"prefix counts at edge level {e} are not the fixed edges 0..{e}"
             yield
@@ -202,6 +207,11 @@ class InvariantProbe:
             if options == 1:
                 below = self.left if e + 1 < d.graph.m else None
                 assert self.cut[0] is below, f"edge level {e} reads a cut that level {e + 1} did not leave"
+                fo, fi = [0] * d.graph.n, [0] * d.graph.n
+                for f in range(e + 1, d.graph.m):
+                    fo[d.tail(f)] += 1
+                    fi[d.head(f)] += 1
+                assert (self.fo, self.fi) == (fo, fi), f"free-arc counts at edge level {e} are not the edges {e + 1}.."
                 runs = self.meter.bfs_runs
         assert bytes(d._dirs[:e]) == prefix, f"fixed edges 0..{e - 1} not restored"
         tail, head = d.tail(e), d.head(e)
@@ -209,7 +219,7 @@ class InvariantProbe:
             assert _shortest_path(d, (head,), (tail,), counts, None) is None, f"edge level {e} skipped a search that finds a path"
         cut = self.cut[0]
         if cut is not None:
-            assert head in cut and tail not in cut, f"the cut left by edge level {e} does not separate its head from its tail"
+            assert tail not in cut, f"the cut left by edge level {e} holds its tail"
             leaving = [f for f in range(e + 1, d.graph.m) if d.tail(f) in cut and d.head(f) not in cut]
             assert not leaving, f"free arcs {leaving} leave the cut left by edge level {e}"
         self.left = cut
@@ -355,14 +365,45 @@ def full_scan_choices(d: Orientation, e: int, meter: DelayMeter):
         meter.arcs(len(path))
 
 
-def uncut_choices(d: Orientation, e: int, meter: DelayMeter, fixed: list[int]):
+def uncut_choices(d: Orientation, e: int, meter: DelayMeter, fixed: list[int], fo: list[int], fi: list[int]):
     """The per-edge choice generator without the cut, as a reference.
 
-    ``alpha._edge_choices`` with a fresh slot at every level: no level sees
-    the set that the failed search one level down reached, so every search
-    runs and starts from the head alone.
+    ``alpha._edge_choices`` with a fresh slot at every level, sharing the
+    free-arc counts: no level sees the set that the search one level down
+    reached, so every search that the counts do not skip runs and starts
+    from the head alone.
     """
-    return _edge_choices(d, e, meter, fixed, [None])
+    return _edge_choices(d, e, meter, fixed, [None], fo, fi)
+
+
+def uncounted_choices(d: Orientation, e: int, meter: DelayMeter, fixed: list[int], cut: list[dict | None]):
+    """The per-edge choice generator without the free-arc counts, as a reference.
+
+    Same contract, yields and meter charges as ``alpha._edge_choices``, and
+    it reuses the cut the same way, but it keeps no counts: every search
+    that the cut does not skip runs, the last edge level's included.
+    """
+    u, v = d.graph.edges[e]
+    fixed[u] += 1
+    fixed[v] += 1
+    cut[0] = None
+    yield
+    tail, head = (u, v) if d.forward(e) else (v, u)
+    reached = cut[0]
+    if reached is None or tail in reached:
+        reached = {}
+    path = None if head in reached else _shortest_path(d, (head,), (tail,), fixed, meter, reached)
+    if path is None:
+        cut[0] = reached
+    else:
+        cut[0] = None
+        path.append(e)
+        _flip(d, path, meter)
+        yield
+        _flip(d, path, meter)
+        cut[0] = None
+    fixed[u] -= 1
+    fixed[v] -= 1
 
 
 def full_scan_path(d: Orientation, source: int, target: int, e: int, meter: DelayMeter) -> list[int] | None:
