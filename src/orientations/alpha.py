@@ -23,35 +23,39 @@ the same tree, as a fresh one, so every path and the whole stream are
 unchanged, and it scans only arcs that the fresh search would scan.  A
 failed search hands the next level up the set it reached, R included; a
 skipped one hands on R itself, which, holding its head and not its tail, is
-a cut for that level too.  A level clears the slot that carries the set
-when it opens and after it flips, so no search reads a set reached on
-another orientation.
+a cut for that level too.  A level clears the cut when it opens and when it
+undoes its flip, so no search reads a set reached on another orientation:
+after a flip the walk either opens a deeper level or emits a leaf and
+undoes the flip.
 
-Two per-vertex counts prove more searches dead before they start.  When
-level e searches, ``fo[x]`` and ``fi[x]`` are the numbers of out- and
-in-arcs at x among the free edges e+1..m-1.  A path from head to tail
-leaves head and enters tail by free arcs, so there is none when
-``fo[head]`` or ``fi[tail]`` is 0, and the level skips its search.  With
-``fo[head]`` at 0 the search would have reached R and head and nothing
-more, and the level hands up that set.  With ``fi[tail]`` at 0 the set the
-search would have reached is unknown, so the level hands up R when neither
-of its ends lies in R, and an empty set otherwise.  No free arc leaves R,
-and edge e, which the level above frees, runs from tail to head, so it
-leaves R only when R holds its tail and not its head: with neither end in
-R, R is a cut one level up as well.  At the last level every edge is fixed
-and every count is 0, so its search is always skipped.
+A per-vertex count proves more searches dead before they start.  When
+level e searches, ``fo[x]`` is the number of out-arcs at x among the free
+edges e+1..m-1 and ``fixed[x]`` the number of x's edges among 0..e, so the
+in-arc count is derived from them: x has ``degree(x) - fixed[x] - fo[x]``
+free in-arcs.  A path from head to tail leaves head and enters tail by free
+arcs, so there is none when head has no free out-arc or tail no free
+in-arc, and the level skips its search.  With no free out-arc at head the
+search would have reached R and head and nothing more, and the level hands
+up that set.  With no free in-arc at tail the set the search would have
+reached is unknown, so the level hands up R when neither of its ends lies
+in R, and an empty set otherwise.  No free arc leaves R, and edge e, which
+the level above frees, runs from tail to head, so it leaves R only when R
+holds its tail and not its head: with neither end in R, R is a cut one
+level up as well.  At the last level every edge is fixed and ``fo`` is 0
+everywhere, so its search is always skipped.
 
-The counts stay exact without a scan.  A level adds its edge when it
-closes, and takes it out again when it opens if it was counted.  Flipping
-the completing cycle moves one unit at head and one at tail and none at the
-cycle's inner vertices, whose path arcs are all counted; the undo moves them
-back.  Edge level 0 zeroes the counts when it opens, so nothing is counted
+``fo`` stays exact without a scan.  A level adds its edge at its tail when
+it closes, and takes it out again when it opens if it was counted.
+Flipping the completing cycle turns an out-arc at head in and an in-arc at
+tail out, and changes none at the cycle's inner vertices; the undo turns
+them back.  Edge level 0 zeroes ``fo`` when it opens, so nothing is counted
 on the first descent of an expansion.  That is exact, because a level
 searches only after every deeper level has closed, and every level above
 it is open.  Every level first opens on that descent, so any later opening
 follows a close: then its edge is counted and ``fo`` at its tail is
-positive, while on the first descent every count is 0.  That count tells a
-level whether to take its edge out.  Like ``fixed``, the counts are walk
+positive, while on the first descent it is 0 everywhere.  That count tells
+a level whether to take its edge out.  ``_EdgeLevels`` owns ``fixed``,
+``fo`` and the cut; like ``fixed``, the cut and ``fo`` are walk
 bookkeeping: they touch no arc and are not charged.
 
 ``walk`` is the one traversal scheme of the package: the k-connected
@@ -86,6 +90,8 @@ def find_alpha_orientation(
     """
     if len(alpha) != graph.n:
         raise ValueError("alpha length must equal vertex count")
+    if any(int(a) != a for a in alpha):
+        raise ValueError("alpha entries must be integers")
     target = [int(a) for a in alpha]
     if any(a < 0 for a in target) or sum(target) != graph.m:
         return None
@@ -121,9 +127,7 @@ def enumerate_alpha(
     """
     meter = meter if meter is not None else DelayMeter()
     d = find_alpha_orientation(graph, alpha, meter)
-    n = graph.n
-    fixed, cut, fo, fi = [0] * n, [None], [0] * n, [0] * n
-    leaves = () if d is None else walk(graph.m, lambda e: _edge_choices(d, e, meter, fixed, cut, fo, fi))
+    leaves = () if d is None else walk(graph.m, _EdgeLevels(d, meter).choices)
     return _emit_leaves(d, leaves, sink, meter)
 
 
@@ -161,67 +165,61 @@ def walk(levels: int, choices: Callable[[int], Iterator[None]]) -> Iterator[None
             stack.pop()
 
 
-def _edge_choices(
-    d: Orientation,
-    e: int,
-    meter: DelayMeter,
-    fixed: list[int],
-    cut: list[dict | None],
-    fo: list[int],
-    fi: list[int],
-) -> Iterator[None]:
-    # Keep edge e, then flip it with a completing cycle that avoids the
-    # fixed edges 0..e-1 when one exists.  Each level counts its edge in
-    # fixed at both ends while it is open, so when level e searches, fixed[x]
-    # counts the edges at x among 0..e, which lead x's incidence row, and
-    # the search skips them.  Skipping e itself changes no search: at the
-    # source, head, it is an in-arc, and the target, tail, is never scanned.
+class _EdgeLevels:
+    # The alpha expansion's edge levels over d, and the walk state they
+    # share.  choices(e) keeps edge e, then flips it with a completing cycle
+    # that avoids the fixed edges 0..e-1 when one exists.  Each level counts
+    # its edge in fixed at both ends while it is open, so when level e
+    # searches, fixed[x] counts the edges at x among 0..e, which lead x's
+    # incidence row, and the search skips them.  Skipping e itself changes
+    # no search: at the source, head, it is an in-arc, and the target, tail,
+    # is never scanned.
     #
-    # cut[0] holds the set R that level e+1's failed search reached, or
-    # None, and fo/fi count the out- and in-arcs at each vertex among the
+    # When level e searches, cut holds the set R that level e+1's failed
+    # search reached, or None, and fo[x] counts the out-arcs at x among the
     # free edges e+1..m-1 (see the module docstring).  The search is skipped
     # when head lies in R and tail does not, or when head has no free
     # out-arc or tail no free in-arc, and never expands R when neither end
     # lies in R.  A level leaves the set its own failed or skipped search
-    # reached in the slot, and clears the slot when it flips.  Like fixed,
-    # the slot and the counts are walk bookkeeping and are not charged.
-    u, v = d.graph.edges[e]
-    tail, head = (u, v) if d.forward(e) else (v, u)
-    fixed[u] += 1
-    fixed[v] += 1
-    cut[0] = None
-    if e == 0:
-        fo[:] = fi[:] = [0] * len(fo)
-    elif fo[tail]:  # past the first descent, so edge e is counted
-        fo[tail] -= 1
-        fi[head] -= 1
-    yield
-    reached = cut[0]
-    if reached is None or tail in reached:
-        reached = {}
-    path = None
-    if head in reached or not fo[head]:
-        reached[head] = None
-    elif fi[tail]:
-        path = _shortest_path(d, (head,), (tail,), fixed, meter, reached)
-    if path is None:
-        cut[0] = reached
-    else:
-        cut[0] = None
-        path.append(e)
-        _flip(d, path, meter)  # at head an out-arc turns in, at tail an in-arc turns out
-        fo[head] -= 1
-        fi[head] += 1
-        fi[tail] -= 1
-        fo[tail] += 1
+    # reached in cut.
+    __slots__ = ("d", "meter", "fixed", "fo", "cut")
+
+    def __init__(self, d: Orientation, meter: DelayMeter):
+        self.d, self.meter = d, meter
+        self.fixed, self.fo, self.cut = [0] * d.graph.n, [0] * d.graph.n, None
+
+    def choices(self, e: int) -> Iterator[None]:
+        d, fixed, fo = self.d, self.fixed, self.fo
+        u, v = d.graph.edges[e]
+        tail, head = (u, v) if d.forward(e) else (v, u)
+        fixed[u] += 1
+        fixed[v] += 1
+        self.cut = None
+        if e == 0:
+            fo[:] = [0] * len(fo)
+        elif fo[tail]:  # past the first descent, so edge e is counted
+            fo[tail] -= 1
         yield
-        _flip(d, path, meter)
-        fo[head] += 1
-        fi[head] -= 1
-        fi[tail] += 1
-        fo[tail] -= 1
-        cut[0] = None
-    fixed[u] -= 1
-    fixed[v] -= 1
-    fo[tail] += 1
-    fi[head] += 1
+        reached = self.cut
+        if reached is None or tail in reached:
+            reached = {}
+        path = None
+        if head in reached or not fo[head]:
+            reached[head] = None
+        elif d.graph.degree(tail) > fixed[tail] + fo[tail]:
+            path = _shortest_path(d, (head,), (tail,), fixed, self.meter, reached)
+        if path is None:
+            self.cut = reached
+        else:
+            path.append(e)
+            _flip(d, path, self.meter)  # at head an out-arc turns in, at tail an in-arc turns out
+            fo[head] -= 1
+            fo[tail] += 1
+            yield
+            _flip(d, path, self.meter)
+            fo[head] += 1
+            fo[tail] -= 1
+            self.cut = None
+        fixed[u] -= 1
+        fixed[v] -= 1
+        fo[tail] += 1

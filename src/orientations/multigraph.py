@@ -44,6 +44,8 @@ class Multigraph:
             raise ValueError("vertex count must be non-negative")
         pairs = []
         for u, v in edges:
+            if int(u) != u or int(v) != v:
+                raise ValueError(f"edge endpoint not an integer: ({u}, {v})")
             u, v = int(u), int(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge endpoint out of range: ({u}, {v})")

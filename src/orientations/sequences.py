@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 
-from .alpha import _edge_choices, _emit_leaves, walk
+from .alpha import _EdgeLevels, _emit_leaves, walk
 from .connectivity import is_k_connected
 from .kconn import find_k_connected_orientation
 from .metering import DelayMeter
@@ -101,13 +101,12 @@ def _search(graph: Multigraph, k: int, seed: Orientation | None, edge_levels: in
         if not is_k_connected(seed, k):
             raise ValueError("seed orientation is not k-connected")
         d = seed.copy()
-    n = graph.n
-    fixed, cut, fo, fi = [0] * n, [None], [0] * n, [0] * n
+    n, edges = graph.n, _EdgeLevels(d, meter)
 
     def choices(i: int) -> Iterator[None]:
         if i < n:
             return _vertex_choices(d, i, k, meter)
-        return _edge_choices(d, i - n, meter, fixed, cut, fo, fi)
+        return edges.choices(i - n)
 
     return _emit_leaves(d, walk(n + edge_levels, choices), sink, meter)
 

@@ -15,12 +15,12 @@ from orientations import (
 from orientations import alpha as alpha_module, sequences
 from orientations.oracle import all_orientations, oracle_alpha
 from witnesses import (
-    full_scan_choices,
+    FullScanLevels,
+    UncountedLevels,
+    UncutLevels,
     probed_alpha,
     reversed_copy,
     same_alpha_cycle_decomposition,
-    uncounted_choices,
-    uncut_choices,
 )
 
 
@@ -55,6 +55,16 @@ def test_find_rejects_wrong_length():
     g = parse_graph("3 3\n0 1\n1 2\n2 0")
     with pytest.raises(ValueError):
         find_alpha_orientation(g, (1, 1, 1, 0))
+
+
+def test_find_rejects_non_integer_entries():
+    g = parse_graph("2 1\n0 1")
+    for alpha in ((1.5, 0.5), (0.5, 0.5)):
+        with pytest.raises(ValueError):
+            find_alpha_orientation(g, alpha)
+        with pytest.raises(ValueError):
+            enumerate_alpha(g, alpha, lambda d: None)
+    assert find_alpha_orientation(g, (1.0, 0)).serialize() == "+"
 
 
 def test_enumerate_four_cycle_two_directed_cycles():
@@ -108,15 +118,15 @@ def test_emission_order_is_deterministic():
     assert collect(g, (2, 2, 2)) == collect(g, (2, 2, 2))
 
 
-def _against_reference(monkeypatch, run, choices):
+def _against_reference(monkeypatch, run, levels):
     # Asserts that ``run(sink, meter)`` emits the stream it emits when the
-    # alpha expansion's choice generator is replaced by ``choices``, with no
+    # alpha expansion's edge levels are replaced by ``levels``, with no
     # more operations in total or in any gap; returns both total_ops, the
     # reference's first.
     reference, meter, want, got = DelayMeter(), DelayMeter(), [], []
     with monkeypatch.context() as patched:
         for module in (alpha_module, sequences):
-            patched.setattr(module, "_edge_choices", choices)
+            patched.setattr(module, "_EdgeLevels", levels)
         run(lambda d: want.append(d.serialize()), reference)
     run(lambda d: got.append(d.serialize()), meter)
     assert got == want
@@ -127,17 +137,17 @@ def _against_reference(monkeypatch, run, choices):
 
 def _against_full_scan(monkeypatch, run):
     # Against the search that scans whole rows.
-    return _against_reference(monkeypatch, run, lambda d, e, m, fixed, cut, fo, fi: full_scan_choices(d, e, m))
+    return _against_reference(monkeypatch, run, FullScanLevels)
 
 
 def _against_uncut(monkeypatch, run):
     # Against the search that starts afresh at every level.
-    return _against_reference(monkeypatch, run, lambda d, e, m, fixed, cut, fo, fi: uncut_choices(d, e, m, fixed, fo, fi))
+    return _against_reference(monkeypatch, run, UncutLevels)
 
 
 def _against_uncounted(monkeypatch, run):
     # Against the expansion that keeps no free-arc counts.
-    return _against_reference(monkeypatch, run, lambda d, e, m, fixed, cut, fo, fi: uncounted_choices(d, e, m, fixed, cut))
+    return _against_reference(monkeypatch, run, UncountedLevels)
 
 
 def _alpha_run(g, alpha):

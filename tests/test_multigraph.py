@@ -68,6 +68,13 @@ def test_loop_rejected_by_constructor():
         Multigraph(3, [(1, 1)])
 
 
+def test_non_integer_endpoint_rejected_by_constructor():
+    for edge in ((0, 1.7), (0.5, 1), ("0", 1)):
+        with pytest.raises(ValueError):
+            Multigraph(2, [edge])
+    assert Multigraph(2, [(0, 1.0)]).edges == ((0, 1),)
+
+
 def test_outdegree_directed_triangle():
     g = parse_graph("3 3\n0 1\n1 2\n2 0")
     d = Orientation(g)  # 0->1, 1->2, 2->0

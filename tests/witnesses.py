@@ -11,12 +11,12 @@ assertions (``probed_alpha``, ``probed_sequences``, ``probed_k_connected``),
 ``scanned_sequences`` replays the outdegree-sequence search with a
 reference chain: the plain scan that restarts every λ test sweep at v+1, or
 the chain that keeps the cuts of failed tests but re-tests a pair after
-every reversal it permits, ``full_scan_choices`` is the alpha
-expansion's choice generator with a reference search that scans whole
-incidence rows, ``uncut_choices`` is the same generator with a slot of
-its own at every level, so that no search starts from a cut, and
-``uncounted_choices`` is the generator as it was before the free-arc
-counts, which runs every search that the cut does not skip.
+every reversal it permits.  ``FullScanLevels``, ``UncutLevels`` and
+``UncountedLevels`` stand in for the alpha expansion's ``_EdgeLevels``:
+the first with a reference search that scans whole incidence rows, the
+second with no cut reaching any search, and the third as the expansion
+was before the free-arc counts, running every search that the cut does
+not skip.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from orientations import (
     find_k_connected_orientation,
     is_k_connected,
 )
-from orientations.alpha import _edge_choices, _emit_leaves, walk
+from orientations.alpha import _EdgeLevels, _emit_leaves, walk
 from orientations.paths import _count_paths, _flip, _shortest_path
 from orientations.sequences import _vertex_choices
 
@@ -162,15 +162,16 @@ class InvariantProbe:
       that the fixed edges 0..e-1 are as they were when the level opened.
       At every yield it also asserts that the walk's prefix count
       ``fixed[x]`` is the number of edges at x with index at most e, the
-      length of the fixed prefix of x's incidence row.  All levels share
-      one cut slot and one pair of free-arc counts, as in the enumerators.
-      When a level searches, the slot must hold what level e+1 left in it,
-      or None at the last level, and ``fo[x]`` and ``fi[x]`` must be the
-      numbers of out- and in-arcs at x among the edges e+1..m-1.  When a
-      level skips its search, an unmetered search on the live orientation
-      must find no path either; a cut the level leaves in the slot must not
-      hold its tail, and no arc of the edges e+1..m-1 may leave it, so
-      edge e, which runs from the tail, leaves it neither;
+      length of the fixed prefix of x's incidence row.  The levels are
+      those of one ``_EdgeLevels``, as in the enumerators, and the probe
+      reads its state.  When a level searches, the cut must be what level
+      e+1 left, or None at the last level, ``fo[x]`` must be the number of
+      out-arcs at x among the edges e+1..m-1, and the free in-arc count
+      derived from it, ``degree(x) - fixed[x] - fo[x]``, the number of
+      in-arcs.  When a level skips its search, an unmetered search on the
+      live orientation must find no path either; a cut the level leaves
+      must not hold its tail, and no arc of the edges e+1..m-1 may leave
+      it, so edge e, which runs from the tail, leaves it neither;
     - ``vertex_choices(v)`` asserts at every yield that the orientation is
       still k-connected.  Every state a path reversal reaches is yielded
       once, so this checks that each reversal keeps k-connectivity.  At the
@@ -188,36 +189,36 @@ class InvariantProbe:
         self.k = k
         self.target = target
         self.meter = DelayMeter()
-        self.fixed = [0] * seed.graph.n
-        self.cut = [None]
-        self.fo, self.fi = [0] * seed.graph.n, [0] * seed.graph.n
-        self.left = None  # the slot as the last edge level to end left it
+        self.levels = _EdgeLevels(self.d, self.meter)
+        self.left = None  # the cut as the last edge level to end left it
 
     def edge_choices(self, e: int):
-        d = self.d
+        d, levels = self.d, self.levels
         prefix = bytes(d._dirs[:e])
         rows = d.graph.incidence
         counts = [sum(1 for f, _, _ in row if f <= e) for row in rows]
         options = 0
-        for _ in _edge_choices(d, e, self.meter, self.fixed, self.cut, self.fo, self.fi):
+        for _ in levels.choices(e):
             assert bytes(d._dirs[:e]) == prefix, f"fixed edges 0..{e - 1} changed within a branch"
-            assert self.fixed == counts, f"prefix counts at edge level {e} are not the fixed edges 0..{e}"
+            assert levels.fixed == counts, f"prefix counts at edge level {e} are not the fixed edges 0..{e}"
             yield
             options += 1
             if options == 1:
                 below = self.left if e + 1 < d.graph.m else None
-                assert self.cut[0] is below, f"edge level {e} reads a cut that level {e + 1} did not leave"
+                assert levels.cut is below, f"edge level {e} reads a cut that level {e + 1} did not leave"
                 fo, fi = [0] * d.graph.n, [0] * d.graph.n
                 for f in range(e + 1, d.graph.m):
                     fo[d.tail(f)] += 1
                     fi[d.head(f)] += 1
-                assert (self.fo, self.fi) == (fo, fi), f"free-arc counts at edge level {e} are not the edges {e + 1}.."
+                assert levels.fo == fo, f"free out-arc counts at edge level {e} are not the edges {e + 1}.."
+                derived = [d.graph.degree(x) - levels.fixed[x] - levels.fo[x] for x in range(d.graph.n)]
+                assert derived == fi, f"derived free in-arc counts at edge level {e} are not the edges {e + 1}.."
                 runs = self.meter.bfs_runs
         assert bytes(d._dirs[:e]) == prefix, f"fixed edges 0..{e - 1} not restored"
         tail, head = d.tail(e), d.head(e)
         if options == 1 and self.meter.bfs_runs == runs:
             assert _shortest_path(d, (head,), (tail,), counts, None) is None, f"edge level {e} skipped a search that finds a path"
-        cut = self.cut[0]
+        cut = levels.cut
         if cut is not None:
             assert tail not in cut, f"the cut left by edge level {e} holds its tail"
             leaving = [f for f in range(e + 1, d.graph.m) if d.tail(f) in cut and d.head(f) not in cut]
@@ -236,7 +237,7 @@ class InvariantProbe:
             if self.target is not None:
                 assert self.d.outdegrees() == tuple(self.target), "emitted orientation misses the target outdegrees"
             yield
-        assert not any(self.fixed), "prefix counts not back at 0 when the walk ends"
+        assert not any(self.levels.fixed), "prefix counts not back at 0 when the walk ends"
 
 
 def probed_alpha(graph: Multigraph, alpha: Sequence[int]) -> list[Orientation]:
@@ -344,66 +345,83 @@ def scanned_sequences(graph: Multigraph, k: int, meter: DelayMeter, choices) -> 
     return got
 
 
-def full_scan_choices(d: Orientation, e: int, meter: DelayMeter):
-    """The per-edge choice generator with a whole-row scan, as a reference.
+class FullScanLevels:
+    """The alpha expansion's edge levels with a whole-row scan, as a reference.
 
-    Same contract, yields and meter charges as ``alpha._edge_choices``, but
+    Same contract, yields and meter charges as ``alpha._EdgeLevels``, but
     its search for a completing cycle, ``full_scan_path``, keeps no prefix
     counts: it scans every entry of each row it reaches and skips the fixed
     edges 0..e-1 one by one.
     """
-    yield
-    u, v = d.graph.edges[e]
-    tail, head = (u, v) if d.forward(e) else (v, u)
-    path = full_scan_path(d, head, tail, e, meter)
-    if path is not None:
-        path.append(e)
-        d._flip(path)
-        meter.arcs(len(path))
+
+    def __init__(self, d: Orientation, meter: DelayMeter):
+        self.d, self.meter = d, meter
+
+    def choices(self, e: int):
+        d, meter = self.d, self.meter
         yield
-        d._flip(path)
-        meter.arcs(len(path))
+        u, v = d.graph.edges[e]
+        tail, head = (u, v) if d.forward(e) else (v, u)
+        path = full_scan_path(d, head, tail, e, meter)
+        if path is not None:
+            path.append(e)
+            d._flip(path)
+            meter.arcs(len(path))
+            yield
+            d._flip(path)
+            meter.arcs(len(path))
 
 
-def uncut_choices(d: Orientation, e: int, meter: DelayMeter, fixed: list[int], fo: list[int], fi: list[int]):
-    """The per-edge choice generator without the cut, as a reference.
+class UncutLevels(_EdgeLevels):
+    """The alpha expansion's edge levels without the cut, as a reference.
 
-    ``alpha._edge_choices`` with a fresh slot at every level, sharing the
-    free-arc counts: no level sees the set that the search one level down
-    reached, so every search that the counts do not skip runs and starts
-    from the head alone.
+    ``alpha._EdgeLevels`` with the cut cleared whenever a level resumes,
+    keeping the free-arc counts: no level sees the set that the search one
+    level down reached, so every search that the counts do not skip runs
+    and starts from the head alone.
     """
-    return _edge_choices(d, e, meter, fixed, [None], fo, fi)
+
+    def choices(self, e: int):
+        for _ in super().choices(e):
+            yield
+            self.cut = None
 
 
-def uncounted_choices(d: Orientation, e: int, meter: DelayMeter, fixed: list[int], cut: list[dict | None]):
-    """The per-edge choice generator without the free-arc counts, as a reference.
+class UncountedLevels:
+    """The alpha expansion's edge levels without the free-arc counts, as a reference.
 
-    Same contract, yields and meter charges as ``alpha._edge_choices``, and
+    Same contract, yields and meter charges as ``alpha._EdgeLevels``, and
     it reuses the cut the same way, but it keeps no counts: every search
     that the cut does not skip runs, the last edge level's included.
     """
-    u, v = d.graph.edges[e]
-    fixed[u] += 1
-    fixed[v] += 1
-    cut[0] = None
-    yield
-    tail, head = (u, v) if d.forward(e) else (v, u)
-    reached = cut[0]
-    if reached is None or tail in reached:
-        reached = {}
-    path = None if head in reached else _shortest_path(d, (head,), (tail,), fixed, meter, reached)
-    if path is None:
-        cut[0] = reached
-    else:
-        cut[0] = None
-        path.append(e)
-        _flip(d, path, meter)
+
+    def __init__(self, d: Orientation, meter: DelayMeter):
+        self.d, self.meter = d, meter
+        self.fixed, self.cut = [0] * d.graph.n, None
+
+    def choices(self, e: int):
+        d, fixed = self.d, self.fixed
+        u, v = d.graph.edges[e]
+        fixed[u] += 1
+        fixed[v] += 1
+        self.cut = None
         yield
-        _flip(d, path, meter)
-        cut[0] = None
-    fixed[u] -= 1
-    fixed[v] -= 1
+        tail, head = (u, v) if d.forward(e) else (v, u)
+        reached = self.cut
+        if reached is None or tail in reached:
+            reached = {}
+        path = None if head in reached else _shortest_path(d, (head,), (tail,), fixed, self.meter, reached)
+        if path is None:
+            self.cut = reached
+        else:
+            self.cut = None
+            path.append(e)
+            _flip(d, path, self.meter)
+            yield
+            _flip(d, path, self.meter)
+            self.cut = None
+        fixed[u] -= 1
+        fixed[v] -= 1
 
 
 def full_scan_path(d: Orientation, source: int, target: int, e: int, meter: DelayMeter) -> list[int] | None:
