@@ -69,7 +69,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 
 from .metering import DelayMeter
-from .multigraph import Multigraph, Orientation
+from .multigraph import Multigraph, Orientation, _integers
 from .paths import _flip, _shortest_path
 
 __all__ = ["find_alpha_orientation", "enumerate_alpha"]
@@ -90,9 +90,9 @@ def find_alpha_orientation(
     """
     if len(alpha) != graph.n:
         raise ValueError("alpha length must equal vertex count")
-    if any(int(a) != a for a in alpha):
+    target = _integers(alpha)
+    if target is None:
         raise ValueError("alpha entries must be integers")
-    target = [int(a) for a in alpha]
     if any(a < 0 for a in target) or sum(target) != graph.m:
         return None
     d = Orientation(graph)

@@ -7,6 +7,7 @@ output order is reproducible byte for byte.
 """
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 
 __all__ = [
@@ -28,6 +29,15 @@ class GraphParseError(ValueError):
         self.line = line
 
 
+def _integers(values) -> list[int] | None:
+    # The values as ints, or None when one of them is not an integral number.
+    try:
+        ints = [int(x) for x in values]
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return ints if ints == list(values) else None
+
+
 class Multigraph:
     """Immutable loopless multigraph.
 
@@ -40,13 +50,18 @@ class Multigraph:
     __slots__ = ("n", "edges", "incidence")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"vertex count not an integer: {n!r}") from None
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         pairs = []
         for u, v in edges:
-            if int(u) != u or int(v) != v:
+            pair = _integers((u, v))
+            if pair is None:
                 raise ValueError(f"edge endpoint not an integer: ({u}, {v})")
-            u, v = int(u), int(v)
+            u, v = pair
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge endpoint out of range: ({u}, {v})")
             if u == v:

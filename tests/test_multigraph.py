@@ -69,10 +69,16 @@ def test_loop_rejected_by_constructor():
 
 
 def test_non_integer_endpoint_rejected_by_constructor():
-    for edge in ((0, 1.7), (0.5, 1), ("0", 1)):
+    for edge in ((0, 1.7), (0.5, 1), ("0", 1), (0, None), (None, 1), (0, float("nan")), (0, float("inf"))):
         with pytest.raises(ValueError):
             Multigraph(2, [edge])
     assert Multigraph(2, [(0, 1.0)]).edges == ((0, 1),)
+
+
+def test_non_integer_vertex_count_rejected_by_constructor():
+    for n in (2.0, 2.5, None, "2"):
+        with pytest.raises(ValueError):
+            Multigraph(n, [(0, 1)])
 
 
 def test_outdegree_directed_triangle():

@@ -13,9 +13,10 @@ from orientations import (
 )
 from orientations.oracle import oracle_sequences
 from orientations.alpha import walk
-from orientations.sequences import _vertex_choices
+from orientations.sequences import _TightSets, _vertex_choices
 from witnesses import (
     cut_outdegree,
+    fresh_count_choices,
     plain_scan_choices,
     probed_sequences,
     retesting_choices,
@@ -107,15 +108,19 @@ def test_matches_oracle_over_random_graphs():
             assert set(got) == want
 
 
-def test_internal_connectivity_assertions_hold():
-    # The replay asserts k-connectivity after every path reversal, and must
-    # emit the same stream.
+def test_internal_connectivity_assertions_hold(monkeypatch):
+    # The replay asserts k-connectivity after every path reversal, the
+    # slack of every kept tight set and the count of every pair they rule
+    # out, and must emit the same stream; with two slots, new cuts keep
+    # replacing kept ones.
     graphs = [parse_graph(text) for text in (DOUBLED_TRIANGLE, DOUBLED_FOUR_CYCLE)]
-    for g in graphs + [g for _, g in families.random_family(15, seed=79)]:
-        for k in (1, 2):
-            seed = find_k_connected_orientation(g, k)
-            if seed is not None:
-                assert probed_sequences(g, k, seed) == [s for s, _ in collect(g, k, seed=seed)]
+    for slots in (sequences._TIGHT_SETS, 2):
+        monkeypatch.setattr(sequences, "_TIGHT_SETS", slots)
+        for g in graphs + [g for _, g in families.random_family(15, seed=79)]:
+            for k in (1, 2):
+                seed = find_k_connected_orientation(g, k)
+                if seed is not None:
+                    assert probed_sequences(g, k, seed) == [s for s, _ in collect(g, k, seed=seed)]
 
 
 def test_emission_order_is_deterministic():
@@ -138,12 +143,13 @@ class _DriftProbe:
         self.d = d
         self.k = k
         self.deepest = {}
+        self.tight = _TightSets(d.graph.n, d.graph.m)
 
     def choices(self, v):
         d = self.d
         base, dirs = d.outdegrees()[v], bytes(d._dirs)
         seen = []
-        for _ in _vertex_choices(d, v, self.k, DelayMeter()):
+        for _ in _vertex_choices(d, v, self.k, DelayMeter(), self.tight):
             seen.append(d.outdegrees()[v])
             yield
         assert bytes(d._dirs) == dirs  # restored at the end
@@ -215,7 +221,7 @@ def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
     def flippable(d, v, u, lowering, k):
         return lambda_at_least(d, *((v, u) if lowering else (u, v)), k + 1)
 
-    def checked_choices(d, v, k, meter):
+    def checked_choices(d, v, k, meter, tight):
         n, base, counts = d.graph.n, d.outdegrees()[v], [0, 0]
         last = {}  # per direction, the outdegrees at the chain's latest yield
 
@@ -229,7 +235,7 @@ def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
             assert not any(flippable(d, v, w, lowering, k) for w in range(v + 1, u)), "skipped a flippable vertex"
 
         chain.update(v=v, k=k, counts=counts)
-        for _ in real_choices(d, v, k, meter):
+        for _ in real_choices(d, v, k, meter, tight):
             out = d.outdegrees()
             for lowering in (True, False) if out[v] == base else (out[v] < base,):
                 check_chain(lowering, out)
@@ -282,3 +288,11 @@ def test_one_count_per_candidate_never_costs_more_than_retesting():
     retested, counted = _torus_figures_against(retesting_choices)
     assert retested == (374_025, 1_524)
     assert counted[0] < retested[0] and counted[1] < retested[1]
+
+
+def test_tight_sets_never_cost_more_than_fresh_counts():
+    # The fresh-count chain's figures on the torus are the ones the search
+    # had before tight sets outlived their chain.
+    fresh, kept = _torus_figures_against(fresh_count_choices)
+    assert fresh == (289_630, 1_233)
+    assert kept[0] < fresh[0] and kept[1] < fresh[1]

@@ -9,14 +9,16 @@ cycle decomposition between two orientations with equal outdegrees,
 ``InvariantProbe`` replays the enumeration walks with their proof-step
 assertions (``probed_alpha``, ``probed_sequences``, ``probed_k_connected``),
 ``scanned_sequences`` replays the outdegree-sequence search with a
-reference chain: the plain scan that restarts every λ test sweep at v+1, or
+reference chain: the plain scan that restarts every λ test sweep at v+1,
 the chain that keeps the cuts of failed tests but re-tests a pair after
-every reversal it permits.  ``FullScanLevels``, ``UncutLevels`` and
-``UncountedLevels`` stand in for the alpha expansion's ``_EdgeLevels``:
-the first with a reference search that scans whole incidence rows, the
-second with no cut reaching any search, and the third as the expansion
-was before the free-arc counts, running every search that the cut does
-not skip.
+every reversal it permits, or the chain that makes one count per candidate
+but keeps no tight set past its own chain.  ``RecountedTightSets`` stands
+in for the search's ``_TightSets`` and checks them.  ``FullScanLevels``,
+``UncutLevels`` and ``UncountedLevels`` stand in for the alpha expansion's
+``_EdgeLevels``: the first with a reference search that scans whole
+incidence rows, the second with no cut reaching any search, and the third
+as the expansion was before the free-arc counts, running every search that
+the cut does not skip.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from orientations import (
 )
 from orientations.alpha import _EdgeLevels, _emit_leaves, walk
 from orientations.paths import _count_paths, _flip, _shortest_path
-from orientations.sequences import _vertex_choices
+from orientations.sequences import _TightSets, _vertex_choices
 
 
 def reverse_path(orientation: Orientation, path: Sequence[int], source: int) -> Orientation:
@@ -176,7 +178,11 @@ class InvariantProbe:
       still k-connected.  Every state a path reversal reaches is yielded
       once, so this checks that each reversal keeps k-connectivity.  At the
       last vertex it makes each yield's outdegrees, the sequence the vertex
-      levels reached, the target of the leaves below;
+      levels reached, the target of the leaves below.  Its levels share one
+      ``RecountedTightSets``, as the search's share one ``_TightSets``: at
+      every yield and every chain start each kept set's slack must be the
+      arcs leaving it less k, and every pair the kept sets rule out at a
+      chain start is counted afresh;
     - ``leaves(levels, choices)`` asserts at every leaf that the orientation
       has the target outdegrees: ``target`` when given, else the sequence
       the vertex levels reached, read with ``d.outdegrees()`` like any leaf
@@ -190,6 +196,7 @@ class InvariantProbe:
         self.target = target
         self.meter = DelayMeter()
         self.levels = _EdgeLevels(self.d, self.meter)
+        self.tight = RecountedTightSets(self.d, k)
         self.left = None  # the cut as the last edge level to end left it
 
     def edge_choices(self, e: int):
@@ -226,8 +233,9 @@ class InvariantProbe:
         self.left = cut
 
     def vertex_choices(self, v: int):
-        for _ in _vertex_choices(self.d, v, self.k, self.meter):
+        for _ in _vertex_choices(self.d, v, self.k, self.meter, self.tight):
             assert is_k_connected(self.d, self.k), f"a path reversal at vertex {v} broke k-connectivity"
+            self.tight.assert_exact()
             if v == self.d.graph.n - 1:
                 self.target = self.d.outdegrees()
             yield
@@ -264,6 +272,66 @@ def probed_k_connected(graph: Multigraph, k: int, seed: Orientation) -> list[Ori
         return probe.vertex_choices(i) if i < n else probe.edge_choices(i - n)
 
     return [probe.d.copy() for _ in probe.leaves(n + graph.m, choices)]
+
+
+class RecountedTightSets(_TightSets):
+    """The search's tight sets over ``d``, checked as a chain reads them.
+
+    Whenever a chain starts, every kept set's slack must be the number of
+    arcs leaving it less k, counted from the definition, and an unmetered
+    count must find at most k paths for every pair that the sets of slack 0
+    rule out.
+    """
+
+    def __init__(self, d: Orientation, k: int):
+        super().__init__(d.graph.n, d.graph.m)
+        self.d, self.k = d, k
+
+    def assert_exact(self) -> None:
+        field = (1 << self.width) - 1
+        for i, mask in enumerate(self.masks):
+            if mask:
+                members = [x for x in range(self.d.graph.n) if mask >> x & 1]
+                slack = self.slacks >> self.width * i & field
+                assert slack == cut_outdegree(self.d, members) - self.k, f"kept set {members} has slack {slack}"
+
+    def candidates(self, v: int, lowering: bool) -> int:
+        self.assert_exact()
+        candidates = super().candidates(v, lowering)
+        for u in range(v + 1, self.d.graph.n):
+            if not candidates >> u & 1:
+                src, dst = (v, u) if lowering else (u, v)
+                paths, _ = _count_paths(self.d, src, dst, self.k + 1)
+                assert len(paths) <= self.k, f"a kept set ruled out {src} to {dst}, which has {len(paths)} paths"
+        return candidates
+
+
+def fresh_count_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
+    """The per-vertex choice generator that keeps no tight set past its chain, as a reference.
+
+    Same contract and yields as ``sequences._vertex_choices``, and it makes
+    one count per candidate the same way, but each chain starts with every
+    later vertex a candidate.
+    """
+    n = d.graph.n
+    limit = d.graph.degree(v) + 1
+    for lowering in (True, False):
+        chain = []
+        candidates = set(range(v + 1, n))
+        for u in range(v + 1, n):
+            if u in candidates:
+                src, dst = (v, u) if lowering else (u, v)
+                paths, reached = _count_paths(d, src, dst, limit, meter, spare=k)
+                chain += paths[: len(paths) - k]
+                if lowering:
+                    candidates.intersection_update(reached)
+                else:
+                    candidates.difference_update(reached)
+        while chain:
+            edges = chain.pop()
+            yield
+            _flip(d, edges, meter)
+    yield
 
 
 def plain_scan_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
@@ -333,8 +401,8 @@ def retesting_pairs(d: Orientation, v: int, lowering: bool, k: int, meter: Delay
 def scanned_sequences(graph: Multigraph, k: int, meter: DelayMeter, choices) -> list[tuple[tuple[int, ...], str]]:
     """The stream of ``enumerate_outdegree_sequences(graph, k, None, ...)``,
     each sequence with its serialized witness, found by the reference choice
-    generator ``choices`` (``plain_scan_choices`` or ``retesting_choices``)
-    on ``meter``."""
+    generator ``choices`` (``plain_scan_choices``, ``retesting_choices`` or
+    ``fresh_count_choices``) on ``meter``."""
     d = find_k_connected_orientation(graph, k, meter)
     if d is None:
         meter.finished()
