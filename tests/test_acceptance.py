@@ -10,6 +10,13 @@ import random
 import time
 
 import families
+from oracles import (
+    enumerate_k_connected_backtrack,
+    oracle_k_connected,
+    oracle_lambda,
+    oracle_sequences,
+    _full_scan,
+)
 from orientations import (
     DelayMeter,
     Orientation,
@@ -21,14 +28,7 @@ from orientations import (
     graph_to_text,
     lambda_at_least,
 )
-from orientations.oracle import (
-    brute_is_k_connected,
-    enumerate_k_connected_backtrack,
-    oracle_k_connected,
-    oracle_lambda,
-    oracle_sequences,
-    _full_scan,
-)
+from orientations.oracle import brute_is_k_connected
 from orientations.paths import _shortest_path
 from witnesses import class_size_lower_bound_check, reverse_path
 

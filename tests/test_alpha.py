@@ -3,6 +3,7 @@ import random
 import pytest
 
 import families
+from oracles import oracle_alpha
 from orientations import (
     DelayMeter,
     Orientation,
@@ -13,7 +14,7 @@ from orientations import (
     parse_graph,
 )
 from orientations import alpha as alpha_module, sequences
-from orientations.oracle import all_orientations, oracle_alpha
+from orientations.oracle import all_orientations
 from witnesses import (
     FullScanLevels,
     UncountedLevels,

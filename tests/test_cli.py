@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import orientations
-from orientations import cli, is_k_connected, oracle, sequences
+from orientations import cli, is_k_connected, sequences
 from orientations.cli import main
 
 C4 = "4 4\n0 1\n1 2\n2 3\n3 0\n"
@@ -245,9 +246,14 @@ def test_output_file_option(tmp_path, c4_file):
         ("3 2\n0 1\n1 1\n", ("--mode", "korient", "--k", "1"), 1),  # malformed graph
         (C4, ("--mode", "korient"), 2),  # missing --k
         ("2 26\n" + "0 1\n" * 26, ("--mode", "alpha", "--alpha", "13,13", "--oracle"), 2),
+        (
+            "13 13\n" + "".join(f"{i} {(i + 1) % 13}\n" for i in range(13)),
+            ("--mode", "korient", "--k", "1", "--oracle"),
+            2,
+        ),
         (DOUBLED_TRIANGLE, ("--mode", "korient", "--k", "2", "--seed-orientation", "weak.txt"), 2),
     ],
-    ids=["malformed-graph", "missing-k", "oracle-edge-limit", "weak-seed"],
+    ids=["malformed-graph", "missing-k", "oracle-edge-limit", "oracle-vertex-limit", "weak-seed"],
 )
 def test_output_file_survives_a_rejected_run(tmp_path, capsys, monkeypatch, graph_text, extra, want):
     monkeypatch.chdir(tmp_path)
@@ -275,6 +281,28 @@ def test_unwritable_output_fails_before_the_run(tmp_path, capsys, monkeypatch, o
     assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.txt"]
 
 
+@pytest.mark.parametrize("existing", [True, False], ids=["read-only-file", "read-only-dir"])
+def test_read_only_output_fails_before_the_run(tmp_path, capsys, monkeypatch, existing):
+    def boom(*args, **kwargs):
+        raise AssertionError("the enumeration ran")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "enumerate_k_connected", boom)
+    (tmp_path / "graph.txt").write_text(DOUBLED_TRIANGLE)
+    target = tmp_path / "out.txt"
+    if existing:
+        target.write_text("keep me\n")
+    # The suite may run as root, who can write anywhere, so the check's answer is faked.
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    code = main(["count", "graph.txt", "--mode", "korient", "--k", "1", "-o", "out.txt"])
+    assert code == 1
+    assert "Permission denied" in capsys.readouterr().err
+    if existing:
+        assert target.read_text() == "keep me\n"
+    else:
+        assert not target.exists()
+
+
 def test_seed_is_checked_once(capsys, tmp_path, monkeypatch):
     calls = []
 
@@ -300,10 +328,10 @@ def test_seed_is_checked_once(capsys, tmp_path, monkeypatch):
 def test_oracle_odseq_keeps_no_row_per_orientation(capsys, tmp_path):
     path = tmp_path / "dt.txt"
     path.write_text(DOUBLED_TRIANGLE)
-    oracle._full_scan.cache_clear()
+    oracles._full_scan.cache_clear()
     code, out, _ = run_cli(capsys, "count", str(path), "--mode", "odseq", "--k", "1", "--oracle")
     assert (code, out) == (0, "# count=7\n")
-    assert oracle._full_scan.cache_info().currsize == 0
+    assert oracles._full_scan.cache_info().currsize == 0
 
 
 def test_readme_lists_exactly_the_exports():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import families
+from oracles import oracle_k_connected
 from orientations import (
     Multigraph,
     Orientation,
@@ -14,7 +15,7 @@ from orientations import (
 )
 from orientations.connectivity import _edge_connectivity
 from orientations.paths import _count_paths, _shortest_path
-from orientations.oracle import brute_is_k_connected, oracle_k_connected
+from orientations.oracle import brute_is_k_connected
 from witnesses import cut_outdegree
 
 

@@ -4,10 +4,13 @@ Every search keeps its levels on an explicit stack, so a search tree with
 thousands of levels runs under the default limit.  Each case stays around
 two seconds.
 """
+import ast
 import sys
+from pathlib import Path
 
 import pytest
 
+import orientations
 from orientations import (
     Multigraph,
     Orientation,
@@ -83,6 +86,25 @@ def test_k_connected_stopped_by_the_sink_leaves_the_seed_alone(bundle):
         enumerate_k_connected(graph, 1, sink, seed=seed)
     assert len(set(got)) == 50
     assert seed.serialize() == before
+
+
+def test_no_function_in_the_package_calls_itself():
+    calls = []
+    for path in sorted(Path(orientations.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                if isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name):
+                    name = callee.attr if callee.value.id in ("self", "cls") else None
+                else:
+                    name = getattr(callee, "id", None)
+                if name == func.name:
+                    calls.append(f"{path.name}:{node.lineno} {func.name}")
+    assert calls == []
 
 
 def test_cli_leaves_the_recursion_limit_alone(tmp_path, capsys):

@@ -15,8 +15,8 @@ from math import comb
 import pytest
 
 import families
+from oracles import _full_scan, oracle_sequences
 from orientations import Multigraph, enumerate_k_connected, enumerate_outdegree_sequences
-from orientations.oracle import _full_scan, oracle_sequences
 
 
 def inside_counts(graph) -> list[int]:

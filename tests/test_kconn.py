@@ -1,6 +1,7 @@
 import pytest
 
 import families
+from oracles import oracle_k_connected, oracle_sequences
 from orientations import (
     DelayMeter,
     Multigraph,
@@ -11,7 +12,7 @@ from orientations import (
     is_k_connected,
     parse_graph,
 )
-from orientations.oracle import brute_is_k_connected, oracle_k_connected, oracle_sequences
+from orientations.oracle import brute_is_k_connected
 from witnesses import class_size_lower_bound_check, probed_k_connected
 
 DOUBLED_TRIANGLE = "3 6\n0 1\n0 1\n1 2\n1 2\n2 0\n2 0"

@@ -49,6 +49,8 @@ def test_parse_trailing_blank_lines_ok():
         ("2 1\n0 2", 2),
         ("2 1\n1 1", 2),
         ("2 1\n0 1\n0 1", 3),
+        ("-1 0", 1),
+        ("2 -1", 1),
     ],
 )
 def test_parse_errors_name_the_line(text, line):
@@ -73,6 +75,21 @@ def test_non_integer_endpoint_rejected_by_constructor():
         with pytest.raises(ValueError):
             Multigraph(2, [edge])
     assert Multigraph(2, [(0, 1.0)]).edges == ((0, 1),)
+
+
+def test_out_of_range_counts_and_endpoints_rejected_by_constructor():
+    with pytest.raises(ValueError, match="non-negative"):
+        Multigraph(-1, [])
+    for edge in ((0, 2), (-1, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            Multigraph(2, [edge])
+
+
+def test_orientation_length_must_equal_edge_count():
+    g = parse_graph("2 2\n0 1\n0 1")
+    for dirs in ([1], [1, 0, 1]):
+        with pytest.raises(ValueError, match="length"):
+            Orientation(g, dirs)
 
 
 def test_non_integer_vertex_count_rejected_by_constructor():

@@ -1,11 +1,7 @@
 import pytest
 
-from orientations import Multigraph, Orientation, parse_graph
-from orientations.oracle import (
+from oracles import (
     MAX_FREE_EDGES,
-    MAX_ORACLE_EDGES,
-    all_orientations,
-    brute_is_k_connected,
     enumerate_k_connected_backtrack,
     oracle_alpha,
     oracle_k_connected,
@@ -13,6 +9,8 @@ from orientations.oracle import (
     oracle_mixed_extension,
     oracle_sequences,
 )
+from orientations import Multigraph, Orientation, parse_graph
+from orientations.oracle import MAX_ORACLE_EDGES, all_orientations, brute_is_k_connected
 
 TRIANGLE = "3 3\n0 1\n1 2\n2 0"
 DOUBLED_TRIANGLE = "3 6\n0 1\n0 1\n1 2\n1 2\n2 0\n2 0"
@@ -102,6 +100,33 @@ def test_mixed_extension_guard():
     g = Multigraph(2, [(0, 1)] * (MAX_FREE_EDGES + 1))
     with pytest.raises(ValueError):
         oracle_mixed_extension(g, {}, 1)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        Multigraph(7, [(i, (i + 1) % 7) for i in range(7) for _ in range(3)]),
+        Multigraph(2, [(0, 1)] * MAX_ORACLE_EDGES),
+    ],
+    ids=["tripled-7-cycle", "oracle-edge-limit"],
+)
+def test_backtrack_guard(graph):
+    got = []
+    with pytest.raises(ValueError, match=f"backtrack enumeration limited to 20 edges, got {graph.m}"):
+        enumerate_k_connected_backtrack(graph, 1, got.append)
+    assert got == []
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_graphs_without_a_cut_are_k_connected_for_every_k(n):
+    g = Multigraph(n, [])
+    for k in (1, 2, 3):
+        assert brute_is_k_connected(Orientation(g), k)
+        assert oracle_k_connected(g, k) == {""}
+        assert oracle_mixed_extension(g, {}, k)
+        got = []
+        assert enumerate_k_connected_backtrack(g, k, lambda d: got.append(d.serialize())) == 1
+        assert got == [""]
 
 
 def test_backtrack_enumeration_matches_filter():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import families
+from oracles import oracle_lambda
 from orientations import (
     DelayMeter,
     Orientation,
@@ -10,7 +11,6 @@ from orientations import (
     lambda_at_least,
     parse_graph,
 )
-from orientations.oracle import oracle_lambda
 from orientations.paths import _count_paths, _shortest_path
 from witnesses import cut_outdegree, reverse_path, reversed_copy
 

@@ -2,8 +2,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_k_connected
 from orientations import Multigraph, Orientation, enumerate_k_connected
-from orientations.oracle import brute_is_k_connected, oracle_k_connected
+from orientations.oracle import brute_is_k_connected
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import pytest
 
 import families
+from oracles import oracle_sequences
 from orientations import (
     DelayMeter,
     Orientation,
@@ -11,7 +12,6 @@ from orientations import (
     parse_graph,
     sequences,
 )
-from orientations.oracle import oracle_sequences
 from orientations.alpha import walk
 from orientations.sequences import _TightSets, _vertex_choices
 from witnesses import (

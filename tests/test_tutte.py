@@ -18,13 +18,13 @@ from collections import Counter, defaultdict
 import pytest
 
 import families
+from oracles import _full_scan, oracle_k_connected, oracle_sequences
 from orientations import (
     enumerate_alpha,
     enumerate_k_connected,
     enumerate_outdegree_sequences,
     is_k_connected,
 )
-from orientations.oracle import _full_scan, oracle_k_connected, oracle_sequences
 
 
 def tutte(edges, *points: tuple[int, int]) -> tuple[int, ...]:
