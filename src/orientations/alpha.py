@@ -28,10 +28,11 @@ undoes its flip, so no search reads a set reached on another orientation:
 after a flip the walk either opens a deeper level or emits a leaf and
 undoes the flip.
 
-A per-vertex count proves more searches dead before they start.  When
-level e searches, ``fo[x]`` is the number of out-arcs at x among the free
-edges e+1..m-1 and ``fixed[x]`` the number of x's edges among 0..e, so the
-in-arc count is derived from them: x has ``degree(x) - fixed[x] - fo[x]``
+Free-arc counts prove more searches dead before they start.  When level e
+searches, ``fixed[x]`` is the number of x's edges among 0..e, the fixed
+prefix of x's incidence row, so ``_out[x] >> fixed[x]`` (see
+:mod:`orientations.paths`) holds x's out-arcs among the free edges
+e+1..m-1, and x has ``degree(x) - fixed[x] - popcount(_out[x] >> fixed[x])``
 free in-arcs.  A path from head to tail leaves head and enters tail by free
 arcs, so there is none when head has no free out-arc or tail no free
 in-arc, and the level skips its search.  With no free out-arc at head the
@@ -41,22 +42,10 @@ reached is unknown, so the level hands up R when neither of its ends lies
 in R, and an empty set otherwise.  No free arc leaves R, and edge e, which
 the level above frees, runs from tail to head, so it leaves R only when R
 holds its tail and not its head: with neither end in R, R is a cut one
-level up as well.  At the last level every edge is fixed and ``fo`` is 0
-everywhere, so its search is always skipped.
-
-``fo`` stays exact without a scan.  A level adds its edge at its tail when
-it closes, and takes it out again when it opens if it was counted.
-Flipping the completing cycle turns an out-arc at head in and an in-arc at
-tail out, and changes none at the cycle's inner vertices; the undo turns
-them back.  Edge level 0 zeroes ``fo`` when it opens, so nothing is counted
-on the first descent of an expansion.  That is exact, because a level
-searches only after every deeper level has closed, and every level above
-it is open.  Every level first opens on that descent, so any later opening
-follows a close: then its edge is counted and ``fo`` at its tail is
-positive, while on the first descent it is 0 everywhere.  That count tells
-a level whether to take its edge out.  ``_EdgeLevels`` owns ``fixed``,
-``fo`` and the cut; like ``fixed``, the cut and ``fo`` are walk
-bookkeeping: they touch no arc and are not charged.
+level up as well.  At the last level every edge is fixed, so its search is
+always skipped.  ``_EdgeLevels`` owns ``fixed`` and the cut; like
+``fixed``, the cut is walk bookkeeping: it touches no arc and is not
+charged.
 
 ``walk`` is the one traversal scheme of the package: the k-connected
 search of :mod:`orientations.sequences` and the first-solution finder run on
@@ -176,50 +165,40 @@ class _EdgeLevels:
     # is never scanned.
     #
     # When level e searches, cut holds the set R that level e+1's failed
-    # search reached, or None, and fo[x] counts the out-arcs at x among the
-    # free edges e+1..m-1 (see the module docstring).  The search is skipped
-    # when head lies in R and tail does not, or when head has no free
-    # out-arc or tail no free in-arc, and never expands R when neither end
-    # lies in R.  A level leaves the set its own failed or skipped search
-    # reached in cut.
-    __slots__ = ("d", "meter", "fixed", "fo", "cut")
+    # search reached, or None.  The search is skipped when head lies in R
+    # and tail does not, or when head has no free out-arc or tail no free
+    # in-arc (see the module docstring), and never expands R when neither
+    # end lies in R.  A level leaves the set its own failed or skipped
+    # search reached in cut.
+    __slots__ = ("d", "meter", "fixed", "cut")
 
     def __init__(self, d: Orientation, meter: DelayMeter):
         self.d, self.meter = d, meter
-        self.fixed, self.fo, self.cut = [0] * d.graph.n, [0] * d.graph.n, None
+        self.fixed, self.cut = [0] * d.graph.n, None
 
     def choices(self, e: int) -> Iterator[None]:
-        d, fixed, fo = self.d, self.fixed, self.fo
+        d, fixed, out = self.d, self.fixed, self.d._out
         u, v = d.graph.edges[e]
         tail, head = (u, v) if d.forward(e) else (v, u)
         fixed[u] += 1
         fixed[v] += 1
         self.cut = None
-        if e == 0:
-            fo[:] = [0] * len(fo)
-        elif fo[tail]:  # past the first descent, so edge e is counted
-            fo[tail] -= 1
         yield
         reached = self.cut
         if reached is None or tail in reached:
             reached = {}
         path = None
-        if head in reached or not fo[head]:
+        if head in reached or not out[head] >> fixed[head]:
             reached[head] = None
-        elif d.graph.degree(tail) > fixed[tail] + fo[tail]:
+        elif d.graph.degree(tail) > fixed[tail] + (out[tail] >> fixed[tail]).bit_count():
             path = _shortest_path(d, (head,), (tail,), fixed, self.meter, reached)
         if path is None:
             self.cut = reached
         else:
             path.append(e)
-            _flip(d, path, self.meter)  # at head an out-arc turns in, at tail an in-arc turns out
-            fo[head] -= 1
-            fo[tail] += 1
+            _flip(d, path, self.meter)
             yield
             _flip(d, path, self.meter)
-            fo[head] += 1
-            fo[tail] -= 1
             self.cut = None
         fixed[u] -= 1
         fixed[v] -= 1
-        fo[tail] += 1

@@ -50,10 +50,11 @@ def find_k_connected_orientation(
         u, v = graph.edges[e]
         remaining[u] -= 1
         remaining[v] -= 1
-        for fwd in (1, 0):
+        for fwd in (True, False):
             tail = u if fwd else v
             out[tail] += 1
-            d._dirs[e] = fwd
+            if d.forward(e) != fwd:
+                d._flip((e,))
             if meter is not None:
                 meter.arcs(1)
             if viable(u) and viable(v):

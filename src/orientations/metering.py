@@ -1,8 +1,10 @@
 """Machine-independent operation counting for enumeration runs.
 
-Primitive operations are breadth-first searches and arc touches (incidence
-entries scanned, edges flipped or copied).  Wall time never enters the
-accounting, so delay and amortized-cost bounds can be asserted portably.
+Primitive operations are breadth-first searches and arc touches: an
+out-arc that a search scans, an edge flipped, or an edge copied.  A search
+scans only the arcs that leave the vertices it expands, never their
+in-arcs.  Wall time never enters the accounting, so delay and
+amortized-cost bounds can be asserted portably.
 
 A gap is the work between two consecutive emitted solutions, including the
 work before the first and after the last; a finished run over ``s``

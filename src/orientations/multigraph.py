@@ -44,10 +44,12 @@ class Multigraph:
     ``edges[i]`` is the pair of endpoints of edge ``i`` in the order they
     were listed; orientations refer to that order.  ``incidence[v]`` lists
     ``(edge, other_endpoint, v_is_first)`` for every edge at ``v``, in
-    edge-index order.
+    edge-index order.  ``_ends[i]`` is ``(u, 1 << pos_u, v, 1 << pos_v)``
+    for edge ``i`` with endpoints ``(u, v)``, where ``pos_x`` is the edge's
+    position in ``incidence[x]``.
     """
 
-    __slots__ = ("n", "edges", "incidence")
+    __slots__ = ("n", "edges", "incidence", "_ends")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         try:
@@ -70,10 +72,13 @@ class Multigraph:
         self.n = n
         self.edges = tuple(pairs)
         rows: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
+        ends = []
         for e, (u, v) in enumerate(self.edges):
+            ends.append((u, 1 << len(rows[u]), v, 1 << len(rows[v])))
             rows[u].append((e, v, True))
             rows[v].append((e, u, False))
         self.incidence = tuple(tuple(row) for row in rows)
+        self._ends = tuple(ends)
 
     @property
     def m(self) -> int:
@@ -101,9 +106,13 @@ class Orientation:
     listed endpoint to its second, 0 otherwise.  The text form is one
     character per edge in index order: ``'+'`` for first-to-second, ``'-'``
     for the reverse.
+
+    ``_out[x]`` is a bitmask over the positions of ``incidence[x]``: bit i
+    is set when entry i is an arc leaving x.  Only this class writes
+    ``_dirs``, and ``_flip`` keeps both in step.
     """
 
-    __slots__ = ("graph", "_dirs")
+    __slots__ = ("graph", "_dirs", "_out")
 
     def __init__(self, graph: Multigraph, dirs: Iterable[int] | None = None):
         self.graph = graph
@@ -113,11 +122,19 @@ class Orientation:
             self._dirs = bytearray(1 if d else 0 for d in dirs)
             if len(self._dirs) != graph.m:
                 raise ValueError("direction vector length must equal edge count")
+        out = [0] * graph.n
+        for (u, u_bit, v, v_bit), d in zip(graph._ends, self._dirs):
+            if d:
+                out[u] |= u_bit
+            else:
+                out[v] |= v_bit
+        self._out = out
 
     def copy(self) -> "Orientation":
         dup = Orientation.__new__(Orientation)
         dup.graph = self.graph
         dup._dirs = bytearray(self._dirs)
+        dup._out = self._out.copy()
         return dup
 
     def forward(self, e: int) -> bool:
@@ -133,16 +150,16 @@ class Orientation:
         return v if self._dirs[e] else u
 
     def outdegrees(self) -> tuple[int, ...]:
-        out = [0] * self.graph.n
-        for (u, v), d in zip(self.graph.edges, self._dirs):
-            out[u if d else v] += 1
-        return tuple(out)
+        return tuple(mask.bit_count() for mask in self._out)
 
     def _flip(self, edge_indices: Iterable[int]) -> None:
         # In-place; callers either own the orientation or flip it back before returning.
-        dirs = self._dirs
+        dirs, out, ends = self._dirs, self._out, self.graph._ends
         for e in edge_indices:
             dirs[e] ^= 1
+            u, u_bit, v, v_bit = ends[e]
+            out[u] ^= u_bit
+            out[v] ^= v_bit
 
     def serialize(self) -> str:
         return self._dirs.translate(_SIGNS).decode()

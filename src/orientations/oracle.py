@@ -41,10 +41,11 @@ def all_orientations(graph: Multigraph) -> Iterator[Orientation]:
         yield Orientation(graph, (0 if (code >> (m - 1 - j)) & 1 else 1 for j in range(m)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _cut_table(graph: Multigraph) -> tuple[tuple[int, int, int], ...]:
     # Per cut X (vertex bitmask): edge masks for crossing edges whose first
-    # endpoint is inside, and whose second endpoint is inside.
+    # endpoint is inside, and whose second endpoint is inside.  The cache
+    # keeps the tables of the last few graphs only, each up to 2^12 - 2 rows.
     _guard_vertices(graph)
     table = []
     for x in range(1, (1 << graph.n) - 1):

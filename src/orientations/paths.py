@@ -1,15 +1,21 @@
 """Directed path search and arc-disjoint path counting over orientations.
 
 This is the primitive layer under both enumerators and the only module that
-searches for paths.  The search is a plain BFS that explores out-arcs in
-edge-index order, so among shortest paths the one through the lowest-indexed
-arcs is found first and every caller inherits that determinism.
+searches for paths.  The search is a plain BFS that scans only out-arcs.
+Each orientation keeps, per vertex x, the bitmask ``_out[x]`` over the
+positions of ``incidence[x]`` whose entries leave x, and every flip keeps
+it exact.  The search walks the set bits from low to high, so it meets x's
+out-arcs in edge-index order: among shortest paths the one through the
+lowest-indexed arcs is found first, and every caller inherits that
+determinism.  It charges one arc touch per out-arc scanned and none per
+in-arc.
 
 A search may be told that a prefix of each vertex's incidence row is fixed:
-``fixed[x]`` entries of ``incidence[x]``, which is in edge-index order.  It
-scans only the rest of each row and neither uses nor counts the fixed
-entries.  The alpha expansion fixes edges in index order, so below its edge
-level e the fixed edges 0..e are exactly such a prefix at every vertex.
+``fixed[x]`` entries of ``incidence[x]``, which is in edge-index order.
+``_out[x] >> fixed[x] << fixed[x]`` clears the prefix's bits, so the search
+neither uses nor counts the fixed entries.  The alpha expansion fixes edges
+in index order, so below its edge level e the fixed edges 0..e are exactly
+such a prefix at every vertex.
 
 The number of pairwise arc-disjoint directed u-to-v paths is counted by the
 reverse-and-repeat scheme: find a path, reverse it, and iterate.  Each
@@ -44,7 +50,7 @@ def _shortest_path(
     meter: DelayMeter | None,
     reached: dict | None = None,
 ) -> list[int] | None:
-    # Multi-source BFS along current arcs, skipping the first fixed[x]
+    # Multi-source BFS along out-arcs, skipping the first fixed[x]
     # entries of each row (none when ``fixed`` is None), to the first
     # discovered target; a source is never reported as its own target.
     # ``reached``, when given, receives the search tree, so its keys are the
@@ -55,7 +61,7 @@ def _shortest_path(
     parent: dict[int, tuple[int, int] | None] = {} if reached is None else reached
     for x in sources:
         parent[x] = None
-    dirs = orientation._dirs
+    out = orientation._out
     rows = orientation.graph.incidence
     if meter is not None:
         meter.bfs()
@@ -64,10 +70,14 @@ def _shortest_path(
     hit = None
     while queue and hit is None:
         x = queue.popleft()
-        for e, w, x_is_first in rows[x] if fixed is None else rows[x][fixed[x] :]:
+        row = rows[x]
+        arcs = out[x] if fixed is None else out[x] >> fixed[x] << fixed[x]
+        while arcs:
+            low = arcs & -arcs
+            arcs ^= low
             touched += 1
-            # dirs[e] (0 or 1) equals x_is_first exactly when the arc leaves x.
-            if dirs[e] != x_is_first or w in parent:
+            e, w, _ = row[low.bit_length() - 1]
+            if w in parent:
                 continue
             parent[w] = (x, e)
             if w in targets:

@@ -69,8 +69,8 @@ remaining candidate, or neither, so the chain's own reversals keep its
 slack at 0 and it holds for the whole chain, like the chain's cuts.  A
 skipped count hands back no cut, so a later vertex that only its cut rules
 out is counted instead; that count too reverses nothing.  Like the alpha
-expansion's ``fo``, this is walk bookkeeping that touches no arc and is
-not charged: O(C) per reversal and per chain start for C =
+expansion's cut, this is walk bookkeeping that touches no arc and is not
+charged: O(C) per reversal and per chain start for C =
 ``_TIGHT_SETS``, and O(n) per count.  Its memory is C vertex masks and
 n + 1 ints of C small fields, however many solutions the run emits.
 """

@@ -3,13 +3,13 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-import oracles
 import orientations
-from orientations import cli, is_k_connected, sequences
+from orientations import Multigraph, cli, graph_to_text, is_k_connected, sequences
 from orientations.cli import main
 
 C4 = "4 4\n0 1\n1 2\n2 3\n3 0\n"
@@ -326,12 +326,24 @@ def test_seed_is_checked_once(capsys, tmp_path, monkeypatch):
 
 
 def test_oracle_odseq_keeps_no_row_per_orientation(capsys, tmp_path):
-    path = tmp_path / "dt.txt"
-    path.write_text(DOUBLED_TRIANGLE)
-    oracles._full_scan.cache_clear()
-    code, out, _ = run_cli(capsys, "count", str(path), "--mode", "odseq", "--k", "1", "--oracle")
+    # The run keeps only the set of outdegree vectors: 52 of them for the
+    # 14-edge triangle, whose 2^14 orientations hold about 10^4 strong ones.
+    # Its peak stays under 0.2 MB; one small tuple per strong orientation
+    # kept in a list peaks above 1.1 MB.
+    warm = tmp_path / "dt.txt"
+    warm.write_text(DOUBLED_TRIANGLE)
+    code, out, _ = run_cli(capsys, "count", str(warm), "--mode", "odseq", "--k", "1", "--oracle")
     assert (code, out) == (0, "# count=7\n")
-    assert oracles._full_scan.cache_info().currsize == 0
+    path = tmp_path / "triangle14.txt"
+    path.write_text(graph_to_text(Multigraph(3, [(0, 1)] * 5 + [(1, 2)] * 5 + [(2, 0)] * 4)))
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "count", str(path), "--mode", "odseq", "--k", "1", "--oracle")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "# count=52\n")
+    assert peak < 512 * 1024
 
 
 def test_readme_lists_exactly_the_exports():

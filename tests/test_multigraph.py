@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import orientations
 from orientations import (
     GraphParseError,
     Multigraph,
@@ -9,7 +12,7 @@ from orientations import (
     graph_to_text,
     parse_graph,
 )
-from witnesses import cut_outdegree, reversed_copy
+from witnesses import assert_masks_exact, cut_outdegree, reversed_copy
 
 
 def test_parse_single_edge():
@@ -183,3 +186,29 @@ def test_cut_plus_reversed_cut_counts_crossing_edges():
             continue
         crossing = sum(1 for u, v in g.edges if (u in members) != (v in members))
         assert cut_outdegree(d, members) + cut_outdegree(reversed_copy(d, range(g.m)), members) == crossing
+
+
+def test_masks_follow_construction_copy_and_flip():
+    # Row 0 holds edges 0, 1, 3, 4; row 1 edges 0, 1, 2, 4; row 2 edges 2, 3.
+    g = parse_graph("3 5\n0 1\n0 1\n1 2\n2 0\n1 0")
+    d = Orientation(g, [1, 0, 1, 0, 1])
+    assert d._out == [0b0101, 0b1110, 0b00]
+    dup = d.copy()
+    dup._flip([0, 3])
+    assert_masks_exact(d)
+    assert_masks_exact(dup)
+    assert dup._out == [0b0000, 0b1111, 0b10]
+
+
+def test_only_the_multigraph_module_reaches_directions():
+    # Every flip has to toggle the out-arc masks with the directions, so no
+    # other module may write _dirs.  Any reference counts, since a name
+    # bound to the bytearray could write it.
+    uses = []
+    for path in sorted(Path(orientations.__file__).parent.glob("*.py")):
+        if path.name == "multigraph.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "_dirs":
+                uses.append(f"{path.name}:{node.lineno}")
+    assert uses == []

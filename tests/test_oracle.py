@@ -10,7 +10,7 @@ from oracles import (
     oracle_sequences,
 )
 from orientations import Multigraph, Orientation, parse_graph
-from orientations.oracle import MAX_ORACLE_EDGES, all_orientations, brute_is_k_connected
+from orientations.oracle import MAX_ORACLE_EDGES, _cut_table, all_orientations, brute_is_k_connected
 
 TRIANGLE = "3 3\n0 1\n1 2\n2 0"
 DOUBLED_TRIANGLE = "3 6\n0 1\n0 1\n1 2\n1 2\n2 0\n2 0"
@@ -34,6 +34,14 @@ def test_edge_guard():
     g = Multigraph(2, [(0, 1)] * (MAX_ORACLE_EDGES + 1))
     with pytest.raises(ValueError):
         list(all_orientations(g))
+
+
+def test_cut_tables_stay_within_the_cache_bound():
+    bound = _cut_table.cache_parameters()["maxsize"]
+    assert bound is not None
+    for copies in range(1, 3 * bound):
+        brute_is_k_connected(Orientation(Multigraph(2, [(0, 1)] * copies)), 1)
+        assert _cut_table.cache_info().currsize <= bound
 
 
 def test_oracle_counts():

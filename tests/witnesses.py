@@ -2,8 +2,9 @@
 
 ``reverse_path`` checks that a path found by the search really is a directed
 path before flipping it, ``reversed_copy`` flips any edge set of a copy,
-``cut_outdegree`` counts the arcs leaving a vertex set straight from the
-definition, ``same_alpha_cycle_decomposition`` exhibits the
+``assert_masks_exact`` checks an orientation's out-arc masks against its
+directions, ``cut_outdegree`` counts the arcs leaving a vertex set straight
+from the definition, ``same_alpha_cycle_decomposition`` exhibits the
 cycle decomposition between two orientations with equal outdegrees,
 ``class_size_lower_bound_check`` tests the (k-1)n+2 class-size floor,
 ``InvariantProbe`` replays the enumeration walks with their proof-step
@@ -67,6 +68,22 @@ def reversed_copy(orientation: Orientation, edges: Iterable[int]) -> Orientation
     dup = orientation.copy()
     dup._flip(edges)
     return dup
+
+
+def assert_masks_exact(orientation: Orientation) -> None:
+    """Asserts that the out-arc masks are the ones ``_dirs`` gives, and that
+    ``outdegrees()`` counts the arcs leaving each vertex."""
+    graph, dirs = orientation.graph, orientation._dirs
+    masks = [0] * graph.n
+    counts = [0] * graph.n
+    for x, row in enumerate(graph.incidence):
+        for i, (e, _, x_is_first) in enumerate(row):
+            if dirs[e] == x_is_first:
+                masks[x] |= 1 << i
+    for (u, v), d in zip(graph.edges, dirs):
+        counts[u if d else v] += 1
+    assert orientation._out == masks, f"out-arc masks {orientation._out} are not {masks}"
+    assert orientation.outdegrees() == tuple(counts), "outdegrees are not the arcs leaving each vertex"
 
 
 def cut_outdegree(orientation: Orientation, members: Iterable[int]) -> int:
@@ -164,21 +181,24 @@ class InvariantProbe:
       that the fixed edges 0..e-1 are as they were when the level opened.
       At every yield it also asserts that the walk's prefix count
       ``fixed[x]`` is the number of edges at x with index at most e, the
-      length of the fixed prefix of x's incidence row.  The levels are
-      those of one ``_EdgeLevels``, as in the enumerators, and the probe
-      reads its state.  When a level searches, the cut must be what level
-      e+1 left, or None at the last level, ``fo[x]`` must be the number of
-      out-arcs at x among the edges e+1..m-1, and the free in-arc count
-      derived from it, ``degree(x) - fixed[x] - fo[x]``, the number of
-      in-arcs.  When a level skips its search, an unmetered search on the
-      live orientation must find no path either; a cut the level leaves
-      must not hold its tail, and no arc of the edges e+1..m-1 may leave
-      it, so edge e, which runs from the tail, leaves it neither;
+      length of the fixed prefix of x's incidence row, and that
+      ``assert_masks_exact`` holds.  The levels are those of one
+      ``_EdgeLevels``, as in the enumerators, and the probe reads its
+      state.  When a level searches, the cut must be what level e+1 left,
+      or None at the last level, the free out-arc count derived from the
+      masks, ``popcount(_out[x] >> fixed[x])``, must be the number of
+      out-arcs at x among the edges e+1..m-1, and the free in-arc count,
+      ``degree(x) - fixed[x]`` less that, the number of in-arcs.  When a
+      level skips its search, an unmetered search on the live orientation
+      must find no path either; a cut the level leaves must not hold its
+      tail, and no arc of the edges e+1..m-1 may leave it, so edge e, which
+      runs from the tail, leaves it neither;
     - ``vertex_choices(v)`` asserts at every yield that the orientation is
-      still k-connected.  Every state a path reversal reaches is yielded
-      once, so this checks that each reversal keeps k-connectivity.  At the
-      last vertex it makes each yield's outdegrees, the sequence the vertex
-      levels reached, the target of the leaves below.  Its levels share one
+      still k-connected and that ``assert_masks_exact`` holds.  Every state
+      a path reversal reaches is yielded once, so this checks that each
+      reversal keeps k-connectivity.  At the last vertex it makes each
+      yield's outdegrees, the sequence the vertex levels reached, the
+      target of the leaves below.  Its levels share one
       ``RecountedTightSets``, as the search's share one ``_TightSets``: at
       every yield and every chain start each kept set's slack must be the
       arcs leaving it less k, and every pair the kept sets rule out at a
@@ -208,6 +228,7 @@ class InvariantProbe:
         for _ in levels.choices(e):
             assert bytes(d._dirs[:e]) == prefix, f"fixed edges 0..{e - 1} changed within a branch"
             assert levels.fixed == counts, f"prefix counts at edge level {e} are not the fixed edges 0..{e}"
+            assert_masks_exact(d)
             yield
             options += 1
             if options == 1:
@@ -217,9 +238,10 @@ class InvariantProbe:
                 for f in range(e + 1, d.graph.m):
                     fo[d.tail(f)] += 1
                     fi[d.head(f)] += 1
-                assert levels.fo == fo, f"free out-arc counts at edge level {e} are not the edges {e + 1}.."
-                derived = [d.graph.degree(x) - levels.fixed[x] - levels.fo[x] for x in range(d.graph.n)]
-                assert derived == fi, f"derived free in-arc counts at edge level {e} are not the edges {e + 1}.."
+                free_out = [(d._out[x] >> levels.fixed[x]).bit_count() for x in range(d.graph.n)]
+                assert free_out == fo, f"derived free out-arc counts at edge level {e} are not the edges {e + 1}.."
+                free_in = [d.graph.degree(x) - levels.fixed[x] - free_out[x] for x in range(d.graph.n)]
+                assert free_in == fi, f"derived free in-arc counts at edge level {e} are not the edges {e + 1}.."
                 runs = self.meter.bfs_runs
         assert bytes(d._dirs[:e]) == prefix, f"fixed edges 0..{e - 1} not restored"
         tail, head = d.tail(e), d.head(e)
@@ -235,6 +257,7 @@ class InvariantProbe:
     def vertex_choices(self, v: int):
         for _ in _vertex_choices(self.d, v, self.k, self.meter, self.tight):
             assert is_k_connected(self.d, self.k), f"a path reversal at vertex {v} broke k-connectivity"
+            assert_masks_exact(self.d)
             self.tight.assert_exact()
             if v == self.d.graph.n - 1:
                 self.target = self.d.outdegrees()
