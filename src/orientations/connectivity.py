@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
-from .paths import _count_paths, lambda_at_least
+from .paths import _check_positive, _count_paths, lambda_at_least
 
 __all__ = ["is_k_connected", "edge_connectivity"]
 
@@ -19,10 +19,10 @@ def is_k_connected(orientation: Orientation, k: int, meter: DelayMeter | None = 
     Checked as: at least ``k`` arc-disjoint directed paths from a fixed root
     to every other vertex and back (every cut separates the root from some
     vertex in one of the two directions).  A single-vertex graph has no
-    valid cut and is k-connected for every k.  ``k = 0`` is rejected.
+    valid cut and is k-connected for every k.  A ``k`` that is not an
+    integer of at least 1 is rejected with ``ValueError``.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_positive(k, "k")
     for v in range(1, orientation.graph.n):
         if not lambda_at_least(orientation, 0, v, k, meter):
             return False

@@ -14,6 +14,7 @@ from .alpha import walk
 from .connectivity import _edge_connectivity, is_k_connected
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
+from .paths import _check_positive
 
 __all__ = ["find_k_connected_orientation"]
 
@@ -29,10 +30,10 @@ def find_k_connected_orientation(
     is below 2k; otherwise a witness is guaranteed to exist and a ``walk``
     over edge directions in index order finds it, pruning partial
     assignments that already starve a vertex of out- or in-capacity.
-    Returns at the first complete assignment that is k-connected.
+    Returns at the first complete assignment that is k-connected.  A ``k``
+    that is not an integer of at least 1 is rejected with ``ValueError``.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_positive(k, "k")
     if _edge_connectivity(graph, 2 * k) < 2 * k:
         return None
 

@@ -23,18 +23,21 @@ reversal lowers the u-to-v path count by exactly one, so the count is the
 number of iterations that find a path.  The paths are flipped in place; the
 first of them is a shortest path of the orientation as given.  Path i is the
 first path of a fresh count once paths 0..i-1 are reversed, so the paths are
-successive reversals.  A count that falls short also hands back the vertices
-its last search reached: a cut that certifies the shortfall for other pairs
-too.  A caller may have such a count leave its first paths reversed; every
-other count restores the orientation before it returns.
+successive reversals.  A count spends no search or flip on an outcome
+already decided: it does not flip the path that reaches its limit, and it
+runs no search once u has no out-arc or v no in-arc left.  A count that
+falls short also hands back a cut that certifies the shortfall for other
+pairs too.  A caller may have such a count leave its first paths reversed;
+every other count restores the orientation before it returns.
 
 Every search moves by ``_flip``: reverse a path or cycle, or undo that, and
 pay one arc touch per edge.
 """
 from __future__ import annotations
 
+import operator
 from collections import deque
-from collections.abc import Collection, KeysView, Sequence
+from collections.abc import Collection, Sequence
 
 from .metering import DelayMeter
 from .multigraph import Orientation
@@ -112,36 +115,60 @@ def _count_paths(
     limit: int,
     meter: DelayMeter | None = None,
     spare: int | None = None,
-) -> tuple[list[list[int]], KeysView[int] | None]:
+) -> tuple[list[list[int]], Collection[int] | None]:
     # Arc-disjoint u-to-v paths, up to ``limit`` of them, found by reversing
     # one shortest path at a time; the first is a path of the orientation as
-    # given.  Every flip, the undo flips included, is an arc touch.  A count
-    # that ends on a failing search undoes only its last ``spare`` paths
-    # (all of them when None) and leaves the others reversed; otherwise,
-    # and when the search raises, the orientation is restored.
+    # given.  Every flip, the undo flips included, is an arc touch.  The path
+    # that reaches the limit is neither flipped nor undone: no search
+    # follows it.  A count that falls short undoes only its last ``spare``
+    # paths (all of them when None) and leaves the others reversed;
+    # otherwise, and when a search raises, the orientation is restored.
     #
     # Returned with the paths is a cut when fewer than ``limit`` exist, else
-    # None: the vertices the last, failing search reached.  That set R holds
-    # u but not v, and exactly len(paths) arcs leave it in the orientation as
-    # given: none leave it after the flips, and each flipped path, running
-    # out of R, had lowered that number by one, so on return as many leave
-    # it as the count undid paths.  Reversing a path whose ends lie on one
-    # side of R leaves the number unchanged.
+    # None: a set R that holds u but not v and that no arc leaves once the
+    # count's paths are reversed.  Each flipped path, running out of R, had
+    # lowered the number of arcs leaving R by one, so exactly len(paths)
+    # leave it in the orientation as given, and on return as many as the
+    # count undid paths.  Reversing a path whose ends lie on one side of R
+    # leaves the number unchanged.  The out-arc masks, read at no charge,
+    # may decide a search before it runs: when u has no out-arc left, R is
+    # {u}, the set the search would reach; when v has no in-arc left, R is
+    # every vertex but v.  Otherwise R is the set the failing search reached.
     paths: list[list[int]] = []
     kept = 0
+    out, n = orientation._out, orientation.graph.n
+    all_in = (1 << orientation.graph.degree(v)) - 1  # _out[v] when v has no in-arc
     try:
         while len(paths) < limit:
-            reached: dict = {}
-            path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
-            if path is None:
+            if not out[u]:
+                cut: Collection[int] | None = {u}
+            elif out[v] == all_in:
+                cut = {*range(v), *range(v + 1, n)}
+            else:
+                reached: dict = {}
+                path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
+                cut = None if path is not None else reached.keys()
+            if cut is not None:
                 kept = 0 if spare is None else max(len(paths) - spare, 0)
-                return paths, reached.keys()
+                return paths, cut
+            if len(paths) + 1 == limit:
+                return paths + [path], None
             _flip(orientation, path, meter)
             paths.append(path)
         return paths, None
     finally:
         for path in paths[kept:]:
             _flip(orientation, path, meter)
+
+
+def _check_positive(value, name: str) -> None:
+    # Rejects a path count or connectivity that is not an integer of at least 1.
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 def lambda_at_least(
@@ -153,7 +180,8 @@ def lambda_at_least(
 ) -> bool:
     """True iff there are at least ``threshold`` pairwise arc-disjoint directed u-to-v paths.
 
-    Raises ``ValueError`` when ``u`` or ``v`` is not a vertex or both are equal.
+    Raises ``ValueError`` when ``u`` or ``v`` is not a vertex, both are
+    equal, or ``threshold`` is not an integer of at least 1.
     """
     n = orientation.graph.n
     for x in (u, v):
@@ -161,6 +189,5 @@ def lambda_at_least(
             raise ValueError(f"vertex {x} out of range for {n} vertices")
     if u == v:
         raise ValueError("u and v must differ")
-    if threshold < 1:
-        raise ValueError("threshold must be at least 1")
+    _check_positive(threshold, "threshold")
     return len(_count_paths(orientation, u, v, threshold, meter)[0]) == threshold

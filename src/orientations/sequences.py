@@ -6,7 +6,8 @@ through ``n`` vertex levels and, when listing orientations, ``m`` edge
 levels more: the alpha expansion of the sequence that the vertex levels
 reached.  Listing sequences is thus the first stage of listing
 orientations, and orientations of equal outdegree vector are contiguous.
-The finder, or ``is_k_connected`` on a given seed, rejects k < 1.
+The finder, or ``is_k_connected`` on a given seed, rejects a k that is
+not an integer of at least 1.
 
 The choice generator of a vertex first lowers its outdegree as far as it
 will go, reversing a directed path leaving it whenever the path's endpoints
@@ -23,17 +24,18 @@ toward the other without touching fixed vertices.
 A chain takes the later vertices u in order and makes one count of the
 arc-disjoint paths between v and each u that no cut has ruled out: from v
 when lowering, into v when raising.  Its limit, the degree of v plus one,
-is more than any count can find, so every count ends in a failing search.
-The count's paths P_1, ..., P_λ are those of successive reversals: P_i is
-the first path found once P_1, ..., P_(i-1) are reversed, and each reversal
-lowers λ by exactly one, since it leaves every cut between the pair with
-one leaving arc fewer.  Testing the pair afresh after every reversal, and
-reversing the first path found while more than k exist, would therefore
-reverse P_1, ..., P_(λ-k).  The count leaves just these reversed, undoing
-only P_(λ-k+1), ..., P_λ, and the chain takes them over with no re-test.
-The count's final search runs on the orientation with all λ paths
-reversed, the one the last failing re-test would search, so it reaches the
-same set R.
+is more than any count can find, so every count falls short and hands back
+a cut.  The count's paths P_1, ..., P_λ are those of successive reversals:
+P_i is the first path found once P_1, ..., P_(i-1) are reversed, and each
+reversal lowers λ by exactly one, since it leaves every cut between the
+pair with one leaving arc fewer.  Testing the pair afresh after every
+reversal, and reversing the first path found while more than k exist,
+would therefore reverse P_1, ..., P_(λ-k).  The count leaves just these
+reversed, undoing only P_(λ-k+1), ..., P_λ, and the chain takes them over
+with no re-test.  The count's cut R is taken on the orientation with all
+λ paths reversed, the one the last failing re-test would search: the set
+that search would reach, or, when the source has no out-arc or the target
+no in-arc left there, the source alone or every vertex but the target.
 
 R holds the count's source, not its target, and once the count toward u
 returns it is left by exactly k arcs.  So when lowering v no later vertex
@@ -46,6 +48,15 @@ vertices no cut has ruled out.  It finds the same vertices and paths as a
 fresh scan from v+1 after every reversal, and skips only tests whose answer
 is already known.  Lowering and raising test pairs in opposite directions,
 so neither keeps the other's cuts.
+
+The outdegree vector also decides pairs outright.  A pair has λ <= out(src)
+and λ <= in(dst), and λ >= k as the orientation is k-connected, so when
+min(out(src), in(dst)) <= k it has exactly k paths and its count would
+reverse nothing: the chain skips it, for two popcounts that, like the
+tight-set bookkeeping below, are not charged.  Like a pair a kept tight set
+rules out, a skipped pair hands back no cut, so a later vertex that only
+its cut would rule out is counted instead, and that count too reverses
+nothing.  The stream is unchanged.
 
 Cuts also outlive their chain, as tight sets: sets left by exactly k arcs.
 The arcs leaving a set X number the sum of out(x) over x in X less the
@@ -148,13 +159,19 @@ class _TightSets:
         return candidates
 
 
+def _degree_decides(d: Orientation, src: int, dst: int, k: int) -> bool:
+    # True when out(src) or in(dst) is at most k, so that λ(src, dst) = k.
+    out = d._out
+    return out[src].bit_count() <= k or d.graph.degree(dst) - out[dst].bit_count() <= k
+
+
 def _vertex_choices(d: Orientation, v: int, k: int, meter: DelayMeter, tight: _TightSets) -> Iterator[None]:
     # One chain per direction: a count for each later (so not yet fixed)
-    # vertex that neither a kept tight set nor a cut has ruled out, which
-    # leaves the first λ-k of its paths reversed, all before the chain's
-    # first yield (see the module docstring); then one yield per reversal,
-    # undoing them deepest first.  Every reversal and undo, and every cut,
-    # goes to ``tight``.
+    # vertex that neither a kept tight set, a cut nor the outdegrees have
+    # ruled out, which leaves the first λ-k of its paths reversed, all
+    # before the chain's first yield (see the module docstring); then one
+    # yield per reversal, undoing them deepest first.  Every reversal and
+    # undo, and every cut, goes to ``tight``.
     n = d.graph.n
     limit = d.graph.degree(v) + 1
     for lowering in (True, False):
@@ -163,6 +180,8 @@ def _vertex_choices(d: Orientation, v: int, k: int, meter: DelayMeter, tight: _T
         for u in range(v + 1, n):
             if candidates >> u & 1:
                 src, dst = (v, u) if lowering else (u, v)
+                if _degree_decides(d, src, dst, k):
+                    continue
                 paths, reached = _count_paths(d, src, dst, limit, meter, spare=k)
                 kept = len(paths) - k  # d stays k-connected: λ >= k
                 if kept:

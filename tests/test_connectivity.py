@@ -38,6 +38,14 @@ def test_k_zero_rejected():
         is_k_connected(d, 0)
 
 
+def test_non_integer_k_rejected():
+    # Also on a single vertex, where no count would run.
+    for d in (Orientation(parse_graph("3 3\n0 1\n1 2\n2 0")), Orientation(Multigraph(1, []))):
+        for k in (0.5, 1.5, 2.0, None, "1"):
+            with pytest.raises(ValueError, match="integer"):
+                is_k_connected(d, k)
+
+
 def test_single_vertex_vacuously_connected():
     for n in (0, 1):
         d = Orientation(Multigraph(n, []))

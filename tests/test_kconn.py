@@ -50,6 +50,21 @@ def test_find_k_zero_rejected():
         find_k_connected_orientation(g, 0)
 
 
+def test_non_integer_k_rejected():
+    # The finder and both enumerators, with or without a seed, reject a k
+    # that is not an integer, an integral float included, before any search.
+    g = parse_graph(DOUBLED_TRIANGLE)
+    seed = find_k_connected_orientation(g, 2)
+    for k in (1.5, 2.0, None, "2"):
+        with pytest.raises(ValueError, match="integer"):
+            find_k_connected_orientation(g, k)
+        for given in (None, seed):
+            with pytest.raises(ValueError, match="integer"):
+                enumerate_outdegree_sequences(g, k, given, lambda s, w: None)
+            with pytest.raises(ValueError, match="integer"):
+                enumerate_k_connected(g, k, lambda d: None, seed=given)
+
+
 def test_single_vertex_has_one_empty_orientation():
     for g in (Multigraph(1, []), Multigraph(0, [])):
         meter = DelayMeter()

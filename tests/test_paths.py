@@ -163,6 +163,9 @@ def test_lambda_validates_arguments():
         lambda_at_least(d, 0, 0, 1)
     with pytest.raises(ValueError):
         lambda_at_least(d, 0, 1, 0)
+    for threshold in (0.5, 1.5, 1.0, None, "1"):
+        with pytest.raises(ValueError, match="integer"):
+            lambda_at_least(d, 0, 1, threshold)
 
 
 def test_lambda_leaves_input_unchanged():
@@ -240,6 +243,60 @@ def test_one_count_finds_the_paths_of_successive_reversals():
                     assert fresh[:1] == paths[i : i + 1]
                 assert fresh == [] and set(fresh_cut) == set(cut)
     assert deepest >= 3
+
+
+def test_a_count_hands_back_the_cut_its_last_search_would_reach():
+    # Once a count's paths are reversed it stops: without a search when u
+    # has no out-arc left, on the set {u} the search would reach; without a
+    # search when v has no in-arc left, on every vertex but v, which holds
+    # the set the search would reach; else on that set, where the search
+    # fails.  Each cut is left by exactly len(paths) arcs as given.
+    rng = random.Random(515)
+    seen = {"source": 0, "target": 0, "search": 0}
+    for _, g in families.random_family(40, seed=31):
+        d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
+        for u in range(g.n):
+            for v in range(g.n):
+                if u == v:
+                    continue
+                paths, cut = _count_paths(d, u, v, g.degree(u) + 1)
+                flipped = reversed_copy(d, [e for path in paths for e in path])
+                reached: dict = {}
+                assert _shortest_path(flipped, (u,), (v,), None, None, reached) is None
+                if not flipped._out[u]:
+                    seen["source"] += 1
+                    assert set(cut) == set(reached) == {u}
+                elif flipped.outdegrees()[v] == g.degree(v):
+                    seen["target"] += 1
+                    assert set(reached) <= set(cut) == set(range(g.n)) - {v}
+                else:
+                    seen["search"] += 1
+                    assert set(cut) == set(reached)
+                assert cut_outdegree(d, cut) == len(paths)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_a_count_that_reaches_its_limit_never_flips_its_last_path():
+    # The count charges the searches of successive reversals and a flip and
+    # an undo of every path but the last: 2·|P_limit| touches fewer than
+    # flipping and undoing them all.  The orientation comes back unchanged.
+    rng = random.Random(616)
+    checked = 0
+    for _, g in families.random_family(30, seed=37):
+        d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
+        for u, v in [(u, v) for u in range(g.n) for v in range(g.n) if u != v]:
+            before = d.copy()
+            for limit in range(1, len(_count_paths(d, u, v, g.degree(u) + 1)[0]) + 1):
+                meter, searches = DelayMeter(), DelayMeter()
+                paths, cut = _count_paths(d, u, v, limit, meter)
+                assert cut is None and len(paths) == limit and d == before
+                for i in range(limit):
+                    flipped = reversed_copy(d, [e for path in paths[:i] for e in path])
+                    assert _shortest_path(flipped, (u,), (v,), None, searches) == paths[i]
+                assert meter.bfs_runs == searches.bfs_runs == limit
+                assert meter.arc_touches == searches.arc_touches + 2 * sum(len(p) for p in paths[:-1])
+                checked += 1
+    assert checked > 100
 
 
 def test_flippable_examples():

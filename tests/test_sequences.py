@@ -13,8 +13,10 @@ from orientations import (
     sequences,
 )
 from orientations.alpha import walk
+from orientations.paths import _count_paths
 from orientations.sequences import _TightSets, _vertex_choices
 from witnesses import (
+    TightSetChains,
     cut_outdegree,
     fresh_count_choices,
     plain_scan_choices,
@@ -259,9 +261,9 @@ def _torus_figures_against(choices):
     # ``choices`` byte for byte, with no more operations in total or in any
     # gap, on the random family and the 3x3 torus for k = 1, 2.  Returns the
     # (total_ops, max_delay_ops) of the reference and of the search on the
-    # torus for k=1.  The references count paths with the package's BFS, so
-    # their figures are those of the older searches with a BFS that scans
-    # only out-arcs.
+    # torus for k=1.  The references count paths with the package's λ count,
+    # so their figures are those of the older searches with a BFS that scans
+    # only out-arcs and counts that stop where the outdegrees decide them.
     torus = families.torus(3, 3)
     figures = {}
     for g in [g for _, g in families.random_family(40, seed=19)] + [torus]:
@@ -280,7 +282,7 @@ def test_cut_reuse_never_costs_more_than_the_plain_scan():
     # The plain scan's figures on the torus are the ones the search had
     # before failed λ tests kept their cuts.
     plain, reused = _torus_figures_against(plain_scan_choices)
-    assert plain == (275_337, 1_474)
+    assert plain == (218_090, 1_086)
     assert reused[0] < plain[0] and reused[1] < plain[1]
 
 
@@ -288,7 +290,7 @@ def test_one_count_per_candidate_never_costs_more_than_retesting():
     # The re-testing chain's figures on the torus are the ones the search
     # had before one count per candidate replaced the re-tests.
     retested, counted = _torus_figures_against(retesting_choices)
-    assert retested == (234_172, 902)
+    assert retested == (187_026, 660)
     assert counted[0] < retested[0] and counted[1] < retested[1]
 
 
@@ -296,5 +298,43 @@ def test_tight_sets_never_cost_more_than_fresh_counts():
     # The fresh-count chain's figures on the torus are the ones the search
     # had before tight sets outlived their chain.
     fresh, kept = _torus_figures_against(fresh_count_choices)
-    assert fresh == (179_670, 716)
+    assert fresh == (152_740, 544)
     assert kept[0] < fresh[0] and kept[1] < fresh[1]
+
+
+def test_degree_certificates_never_cost_more_than_counting():
+    # The counting chain's figures on the torus are the ones the search had
+    # before it skipped the pairs whose outdegrees decide them.
+    counted, skipped = _torus_figures_against(TightSetChains())
+    assert counted == (121_022, 435)
+    assert skipped[0] < counted[0] and skipped[1] < counted[1]
+
+
+def test_degree_certificates_skip_only_pairs_with_k_paths(monkeypatch):
+    # Every pair the chain skips because out(src) or in(dst) is at most k
+    # has exactly k arc-disjoint paths, by an unmetered count that leaves
+    # the orientation as it was; the stream is the search's own.
+    real_decides, skipped = sequences._degree_decides, []
+
+    def checked_decides(d, src, dst, k):
+        decided = real_decides(d, src, dst, k)
+        if decided:
+            before = d.copy()
+            paths, _ = _count_paths(d, src, dst, d.graph.degree(src) + 1)
+            assert len(paths) == k, f"skipped {src} to {dst}, which has {len(paths)} paths"
+            assert d == before
+            skipped.append((src, dst))
+        return decided
+
+    graphs = [g for _, g in families.random_family(40, seed=19)] + [families.torus(3, 3)]
+    for g in graphs:
+        for k in (1, 2):
+            seed = find_k_connected_orientation(g, k)
+            if seed is None:
+                continue
+            want = collect(g, k, seed=seed)
+            with monkeypatch.context() as patched:
+                patched.setattr(sequences, "_degree_decides", checked_decides)
+                got = collect(g, k, seed=seed)
+            assert [(s, w.serialize()) for s, w in got] == [(s, w.serialize()) for s, w in want]
+    assert len(skipped) > 100

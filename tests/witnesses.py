@@ -12,8 +12,10 @@ assertions (``probed_alpha``, ``probed_sequences``, ``probed_k_connected``),
 ``scanned_sequences`` replays the outdegree-sequence search with a
 reference chain: the plain scan that restarts every λ test sweep at v+1,
 the chain that keeps the cuts of failed tests but re-tests a pair after
-every reversal it permits, or the chain that makes one count per candidate
-but keeps no tight set past its own chain.  ``RecountedTightSets`` stands
+every reversal it permits, the chain that makes one count per candidate
+but keeps no tight set past its own chain, or ``TightSetChains``, which
+keeps them but also counts the pairs whose outdegrees already decide
+them.  ``RecountedTightSets`` stands
 in for the search's ``_TightSets`` and checks them.  ``FullScanLevels``,
 ``UncutLevels`` and ``UncountedLevels`` stand in for the alpha expansion's
 ``_EdgeLevels``: the first with a reference search that scans whole
@@ -329,6 +331,45 @@ class RecountedTightSets(_TightSets):
         return candidates
 
 
+class TightSetChains:
+    """The per-vertex choice generator without the degree skip, as a reference.
+
+    Same contract and yields as ``sequences._vertex_choices``, and it keeps
+    tight sets across chains the same way, but it counts every candidate
+    that the tight sets and cuts leave, also a pair whose outdegrees
+    already decide that it has exactly k paths.  Called as
+    ``choices(d, v, k, meter)``; one instance serves one search at a time,
+    and level 0 starts it with no set kept.
+    """
+
+    def __call__(self, d: Orientation, v: int, k: int, meter: DelayMeter):
+        if v == 0:
+            self.tight = _TightSets(d.graph.n, d.graph.m)
+        tight = self.tight
+        n = d.graph.n
+        limit = d.graph.degree(v) + 1
+        for lowering in (True, False):
+            chain = []
+            candidates = tight.candidates(v, lowering)
+            for u in range(v + 1, n):
+                if candidates >> u & 1:
+                    src, dst = (v, u) if lowering else (u, v)
+                    paths, reached = _count_paths(d, src, dst, limit, meter, spare=k)
+                    kept = len(paths) - k
+                    if kept:
+                        tight.flipped(src, dst, kept)
+                        chain += [(dst, src, edges) for edges in paths[:kept]]
+                    cut = sum(1 << x for x in reached)
+                    tight.add(cut)
+                    candidates &= cut if lowering else ~cut
+            while chain:
+                a, b, edges = chain.pop()
+                yield
+                _flip(d, edges, meter)
+                tight.flipped(a, b)
+        yield
+
+
 def fresh_count_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
     """The per-vertex choice generator that keeps no tight set past its chain, as a reference.
 
@@ -424,8 +465,8 @@ def retesting_pairs(d: Orientation, v: int, lowering: bool, k: int, meter: Delay
 def scanned_sequences(graph: Multigraph, k: int, meter: DelayMeter, choices) -> list[tuple[tuple[int, ...], str]]:
     """The stream of ``enumerate_outdegree_sequences(graph, k, None, ...)``,
     each sequence with its serialized witness, found by the reference choice
-    generator ``choices`` (``plain_scan_choices``, ``retesting_choices`` or
-    ``fresh_count_choices``) on ``meter``."""
+    generator ``choices`` (``plain_scan_choices``, ``retesting_choices``,
+    ``fresh_count_choices`` or a ``TightSetChains``) on ``meter``."""
     d = find_k_connected_orientation(graph, k, meter)
     if d is None:
         meter.finished()
