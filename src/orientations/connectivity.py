@@ -2,13 +2,16 @@
 
 Both count arc-disjoint paths with the reverse-and-repeat scheme of
 :mod:`orientations.paths`: the paths are flipped in place and every one of
-them is undone, so an orientation passed in is unchanged on return.
+them is undone, so an orientation passed in is unchanged on return.  Strong
+connectivity, k = 1, needs no count: two sweeps from one vertex, one along
+out-arcs and one backward along in-arcs, flip nothing and scan each arc at
+most once each way.
 """
 from __future__ import annotations
 
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
-from .paths import _check_positive, _count_paths, lambda_at_least
+from .paths import _check_positive, _count_paths, _shortest_path, lambda_at_least
 
 __all__ = ["is_k_connected", "edge_connectivity"]
 
@@ -18,17 +21,44 @@ def is_k_connected(orientation: Orientation, k: int, meter: DelayMeter | None = 
 
     Checked as: at least ``k`` arc-disjoint directed paths from a fixed root
     to every other vertex and back (every cut separates the root from some
-    vertex in one of the two directions).  A single-vertex graph has no
+    vertex in one of the two directions).  For k = 1 that is a sweep into
+    the root and, when every vertex reaches it, a sweep out of it, each one
+    BFS run and one arc touch per arc scanned.  A single-vertex graph has no
     valid cut and is k-connected for every k.  A ``k`` that is not an
     integer of at least 1 is rejected with ``ValueError``.
     """
     _check_positive(k, "k")
-    for v in range(1, orientation.graph.n):
+    n = orientation.graph.n
+    if k == 1:
+        # Inward first: the finder tries each edge forward first, and edges
+        # tend to be listed from their lower end, so most candidates it
+        # rejects have a vertex that cannot reach vertex 0, and the sweep
+        # into 0 finds that after few arcs.
+        return n < 2 or all(_reaches_all(orientation, inward, meter) for inward in (True, False))
+    for v in range(1, n):
         if not lambda_at_least(orientation, 0, v, k, meter):
             return False
         if not lambda_at_least(orientation, v, 0, k, meter):
             return False
     return True
+
+
+class _Last:
+    # The targets of a sweep: the vertex whose discovery leaves none unreached.
+    def __init__(self, reached: dict, n: int):
+        self.reached, self.n = reached, n
+
+    def __contains__(self, w: int) -> bool:
+        return len(self.reached) == self.n
+
+
+def _reaches_all(orientation: Orientation, inward: bool, meter: DelayMeter | None) -> bool:
+    # One search from vertex 0 along out-arcs, or backward along in-arcs,
+    # that stops once it has reached every vertex.
+    reached: dict = {}
+    n = orientation.graph.n
+    _shortest_path(orientation, (0,), _Last(reached, n), None, meter, reached, inward)
+    return len(reached) == n
 
 
 def edge_connectivity(graph: Multigraph) -> int:

@@ -1,10 +1,12 @@
 """Machine-independent operation counting for enumeration runs.
 
-Primitive operations are breadth-first searches and arc touches: an
-out-arc that a search scans, an edge flipped, or an edge copied.  A search
-scans only the arcs that leave the vertices it expands, never their
-in-arcs.  Wall time never enters the accounting, so delay and
-amortized-cost bounds can be asserted portably.
+Primitive operations are breadth-first searches and arc touches: an arc
+that a search scans, an edge flipped, or an edge copied.  A search scans
+only the arcs that leave the vertices it expands, never their in-arcs;
+the one exception, the inward sweep of the strong-connectivity check,
+scans only the arcs that enter them, never their out-arcs.  Wall time
+never enters the accounting, so delay and amortized-cost bounds can be
+asserted portably.
 
 A gap is the work between two consecutive emitted solutions, including the
 work before the first and after the last; a finished run over ``s``

@@ -11,6 +11,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 
 from .multigraph import Multigraph, Orientation
+from .paths import _check_positive
 
 __all__ = [
     "MAX_ORACLE_EDGES",
@@ -84,8 +85,11 @@ def _min_cut_outdegree(graph: Multigraph, forward_mask: int) -> int:
 
 
 def brute_is_k_connected(orientation: Orientation, k: int) -> bool:
-    """k-connectivity straight from the definition: every cut has >= k leaving arcs."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    """k-connectivity straight from the definition: every cut has >= k leaving arcs.
+
+    A ``k`` that is not an integer of at least 1 is rejected with
+    ``ValueError``, as by ``is_k_connected``.
+    """
+    _check_positive(k, "k")
     graph = orientation.graph
     return _min_cut_outdegree(graph, _forward_mask(orientation)) >= k

@@ -8,7 +8,9 @@ it exact.  The search walks the set bits from low to high, so it meets x's
 out-arcs in edge-index order: among shortest paths the one through the
 lowest-indexed arcs is found first, and every caller inherits that
 determinism.  It charges one arc touch per out-arc scanned and none per
-in-arc.
+in-arc.  Told to search inward, it walks in-arcs backward instead, x's
+in-arcs being the bits of its row mask that ``_out[x]`` leaves clear, and
+charges one touch per in-arc scanned and none per out-arc.
 
 A search may be told that a prefix of each vertex's incidence row is fixed:
 ``fixed[x]`` entries of ``incidence[x]``, which is in edge-index order.
@@ -23,12 +25,12 @@ reversal lowers the u-to-v path count by exactly one, so the count is the
 number of iterations that find a path.  The paths are flipped in place; the
 first of them is a shortest path of the orientation as given.  Path i is the
 first path of a fresh count once paths 0..i-1 are reversed, so the paths are
-successive reversals.  A count spends no search or flip on an outcome
-already decided: it does not flip the path that reaches its limit, and it
-runs no search once u has no out-arc or v no in-arc left.  A count that
-falls short also hands back a cut that certifies the shortfall for other
-pairs too.  A caller may have such a count leave its first paths reversed;
-every other count restores the orientation before it returns.
+successive reversals.  No more than min(out(u), in(v)) paths exist, so a
+count stops at that bound when it lies below its limit, and it neither
+flips nor undoes the path that reaches its stop: no search follows it.  A
+count that falls short also hands back a cut that certifies the shortfall
+for other pairs too.  A caller may have such a count leave its first paths
+reversed; every other count restores the orientation before it returns.
 
 Every search moves by ``_flip``: reverse a path or cycle, or undo that, and
 pay one arc touch per edge.
@@ -52,10 +54,14 @@ def _shortest_path(
     fixed: Sequence[int] | None,
     meter: DelayMeter | None,
     reached: dict | None = None,
+    inward: bool = False,
 ) -> list[int] | None:
     # Multi-source BFS along out-arcs, skipping the first fixed[x]
     # entries of each row (none when ``fixed`` is None), to the first
     # discovered target; a source is never reported as its own target.
+    # With ``inward`` it walks in-arcs backward instead, x's being the bits
+    # of its row mask that ``_out[x]`` leaves clear: a search of the
+    # reversed orientation.
     # ``reached``, when given, receives the search tree, so its keys are the
     # vertices the search reached.  It may arrive holding vertices that the
     # search then treats as reached and never expands: the caller knows
@@ -66,6 +72,8 @@ def _shortest_path(
         parent[x] = None
     out = orientation._out
     rows = orientation.graph.incidence
+    if inward:
+        out = [((1 << len(row)) - 1) ^ mask for row, mask in zip(rows, out)]
     if meter is not None:
         meter.bfs()
     touched = 0
@@ -108,6 +116,13 @@ def _flip(d: Orientation, edges: list[int], meter: DelayMeter | None) -> None:
         meter.arcs(len(edges))
 
 
+def _degree_bound(orientation: Orientation, u: int, v: int) -> int:
+    # min(out(u), in(v)), which no u-to-v path count can exceed: every path
+    # leaves u by an out-arc and enters v by an in-arc.  Two popcounts.
+    out = orientation._out
+    return min(out[u].bit_count(), orientation.graph.degree(v) - out[v].bit_count())
+
+
 def _count_paths(
     orientation: Orientation,
     u: int,
@@ -118,10 +133,12 @@ def _count_paths(
 ) -> tuple[list[list[int]], Collection[int] | None]:
     # Arc-disjoint u-to-v paths, up to ``limit`` of them, found by reversing
     # one shortest path at a time; the first is a path of the orientation as
-    # given.  Every flip, the undo flips included, is an arc touch.  The path
-    # that reaches the limit is neither flipped nor undone: no search
-    # follows it.  A count that falls short undoes only its last ``spare``
-    # paths (all of them when None) and leaves the others reversed;
+    # given.  Every flip, the undo flips included, is an arc touch.  The
+    # count stops at min(limit, out(u), in(v)), since no more paths exist,
+    # and the path that reaches that stop is neither flipped nor undone: no
+    # search follows it.  A count that falls short of ``limit`` undoes only
+    # its last ``spare`` paths (all of them when None) and leaves the others
+    # reversed, so with ``spare`` 0 it does flip the path at a degree stop;
     # otherwise, and when a search raises, the orientation is restored.
     #
     # Returned with the paths is a cut when fewer than ``limit`` exist, else
@@ -130,34 +147,37 @@ def _count_paths(
     # lowered the number of arcs leaving R by one, so exactly len(paths)
     # leave it in the orientation as given, and on return as many as the
     # count undid paths.  Reversing a path whose ends lie on one side of R
-    # leaves the number unchanged.  The out-arc masks, read at no charge,
-    # may decide a search before it runs: when u has no out-arc left, R is
-    # {u}, the set the search would reach; when v has no in-arc left, R is
-    # every vertex but v.  Otherwise R is the set the failing search reached.
+    # leaves the number unchanged.  When the count stops at out(u) below
+    # its limit, its paths once reversed leave u no out-arc, so R is {u},
+    # the set a next search would reach; else when it stops at in(v), they
+    # leave v no in-arc, so R is every vertex but v.  Otherwise R is the set
+    # the failing search reached.
+    bound = _degree_bound(orientation, u, v)
+    cut: Collection[int] | None = None
+    if bound < limit:
+        if orientation._out[u].bit_count() == bound:
+            cut = {u}
+        else:
+            cut = {*range(v), *range(v + 1, orientation.graph.n)}
+        limit = bound
     paths: list[list[int]] = []
-    kept = 0
-    out, n = orientation._out, orientation.graph.n
-    all_in = (1 << orientation.graph.degree(v)) - 1  # _out[v] when v has no in-arc
+    flipped = kept = 0
     try:
         while len(paths) < limit:
-            if not out[u]:
-                cut: Collection[int] | None = {u}
-            elif out[v] == all_in:
-                cut = {*range(v), *range(v + 1, n)}
-            else:
-                reached: dict = {}
-                path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
-                cut = None if path is not None else reached.keys()
-            if cut is not None:
-                kept = 0 if spare is None else max(len(paths) - spare, 0)
-                return paths, cut
-            if len(paths) + 1 == limit:
-                return paths + [path], None
-            _flip(orientation, path, meter)
+            reached: dict = {}
+            path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
+            if path is None:
+                cut = reached.keys()
+                break
             paths.append(path)
-        return paths, None
+            if len(paths) < limit or (spare == 0 and cut is not None):
+                _flip(orientation, path, meter)
+                flipped += 1
+        if cut is not None and spare is not None:
+            kept = max(len(paths) - spare, 0)
+        return paths, cut
     finally:
-        for path in paths[kept:]:
+        for path in paths[kept:flipped]:
             _flip(orientation, path, meter)
 
 
@@ -190,4 +210,6 @@ def lambda_at_least(
     if u == v:
         raise ValueError("u and v must differ")
     _check_positive(threshold, "threshold")
+    if threshold > _degree_bound(orientation, u, v):
+        return False
     return len(_count_paths(orientation, u, v, threshold, meter)[0]) == threshold

@@ -94,7 +94,7 @@ from .connectivity import is_k_connected
 from .kconn import find_k_connected_orientation
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
-from .paths import _count_paths, _flip
+from .paths import _count_paths, _degree_bound, _flip
 
 __all__ = ["enumerate_outdegree_sequences", "enumerate_k_connected"]
 
@@ -161,8 +161,7 @@ class _TightSets:
 
 def _degree_decides(d: Orientation, src: int, dst: int, k: int) -> bool:
     # True when out(src) or in(dst) is at most k, so that λ(src, dst) = k.
-    out = d._out
-    return out[src].bit_count() <= k or d.graph.degree(dst) - out[dst].bit_count() <= k
+    return _degree_bound(d, src, dst) <= k
 
 
 def _vertex_choices(d: Orientation, v: int, k: int, meter: DelayMeter, tight: _TightSets) -> Iterator[None]:

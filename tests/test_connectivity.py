@@ -5,18 +5,21 @@ import pytest
 import families
 from oracles import oracle_k_connected
 from orientations import (
+    DelayMeter,
     Multigraph,
     Orientation,
     edge_connectivity,
+    find_k_connected_orientation,
     graph_to_text,
     is_k_connected,
+    kconn,
     lambda_at_least,
     parse_graph,
 )
 from orientations.connectivity import _edge_connectivity
 from orientations.paths import _count_paths, _shortest_path
-from orientations.oracle import brute_is_k_connected
-from witnesses import cut_outdegree
+from orientations.oracle import all_orientations, brute_is_k_connected
+from witnesses import cut_outdegree, pairwise_is_k_connected
 
 
 def test_directed_triangle_is_strong_not_2_connected():
@@ -47,10 +50,67 @@ def test_non_integer_k_rejected():
 
 
 def test_single_vertex_vacuously_connected():
+    # No cut to check, so nothing is searched.
     for n in (0, 1):
         d = Orientation(Multigraph(n, []))
         for k in (1, 2, 5):
-            assert is_k_connected(d, k)
+            meter = DelayMeter()
+            assert is_k_connected(d, k, meter)
+            assert (meter.bfs_runs, meter.arc_touches) == (0, 0)
+
+
+def test_k1_sweeps_agree_with_the_cut_definition():
+    # For k = 1 the check is one sweep out of vertex 0 and, when that
+    # reaches every vertex, one sweep into it.  It must agree with the cut
+    # definition on every orientation of the small family and on random
+    # orientations of the random family, most of them not strongly
+    # connected; a strong one costs exactly 2 BFS runs, and no sweep scans
+    # an arc twice.
+    rng = random.Random(113)
+    pool = [(g, d) for _, g in families.exhaustive_small() for d in all_orientations(g)]
+    for _, g in families.random_family(200, seed=53):
+        pool += [(g, Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])) for _ in range(3)]
+    seen = {True: 0, False: 0}
+    for g, d in pool:
+        before, meter = d.copy(), DelayMeter()
+        strong = is_k_connected(d, 1, meter)
+        assert strong == brute_is_k_connected(d, 1), (g.edges, d)
+        assert meter.bfs_runs == 2 if strong else 1 <= meter.bfs_runs <= 2
+        assert meter.arc_touches <= 2 * g.m and d == before
+        seen[strong] += 1
+    assert min(seen.values()) > 200, seen
+
+
+def test_a_sweep_stops_once_it_has_reached_every_vertex():
+    # Three parallel arcs each way: each sweep reaches vertex 1 by its first
+    # arc and scans no other.
+    d = Orientation(parse_graph("2 6\n0 1\n0 1\n0 1\n0 1\n0 1\n0 1"), [1, 0, 1, 0, 1, 0])
+    meter = DelayMeter()
+    assert is_k_connected(d, 1, meter)
+    assert (meter.bfs_runs, meter.arc_touches) == (2, 2)
+
+
+def test_the_k1_finder_never_costs_more_than_with_pairwise_counts(monkeypatch):
+    # The doubled ladders' finder rejects hundreds of candidates, most of
+    # them with a vertex that cannot reach vertex 0; sweeping into vertex 0
+    # first finds that at least as cheaply as the pairwise counts did.
+    graphs = [families.folded(families.ladder(r), 2) for r in (3, 4)]
+    for g in graphs + [g for _, g in families.random_family(40, seed=19)]:
+        swept, counted = DelayMeter(), DelayMeter()
+        want = find_k_connected_orientation(g, 1, swept)
+        with monkeypatch.context() as patched:
+            patched.setattr(kconn, "is_k_connected", pairwise_is_k_connected)
+            assert find_k_connected_orientation(g, 1, counted) == want
+        assert swept.total_ops <= counted.total_ops, g.edges
+
+
+def test_the_k1_finder_charges_at_most_3m_plus_2_on_tori():
+    # The tori's all-forward start is strongly connected, so the finder sets
+    # each edge once, one touch each, and checks once: m + 2 + 2m at most.
+    for r in (4, 6, 8, 10):
+        g, meter = families.torus(r, r), DelayMeter()
+        assert find_k_connected_orientation(g, 1, meter) is not None
+        assert meter.total_ops <= 3 * g.m + 2, (r, meter.total_ops)
 
 
 def test_is_k_connected_matches_cut_definition():

@@ -9,7 +9,7 @@ from oracles import (
     oracle_mixed_extension,
     oracle_sequences,
 )
-from orientations import Multigraph, Orientation, parse_graph
+from orientations import Multigraph, Orientation, is_k_connected, parse_graph
 from orientations.oracle import MAX_ORACLE_EDGES, _cut_table, all_orientations, brute_is_k_connected
 
 TRIANGLE = "3 3\n0 1\n1 2\n2 0"
@@ -82,6 +82,19 @@ def test_brute_k_connected_examples():
     assert not brute_is_k_connected(tri, 2)
     with pytest.raises(ValueError):
         brute_is_k_connected(tri, 0)
+
+
+def test_brute_k_connected_rejects_what_is_k_connected_rejects():
+    # The same ValueError as is_k_connected, also on one vertex, where no
+    # cut is scanned; before, (d, 1.5) and (d, 2.0) returned True here.
+    doubled = Orientation(parse_graph(DOUBLED_TRIANGLE), [1, 0, 1, 0, 1, 0])
+    for d in (doubled, Orientation(Multigraph(1, []))):
+        for k in (0, -1, 0.5, 1.5, 2.0, None, "1"):
+            with pytest.raises(ValueError) as brute:
+                brute_is_k_connected(d, k)
+            with pytest.raises(ValueError) as fast:
+                is_k_connected(d, k)
+            assert str(brute.value) == str(fast.value)
 
 
 def test_mixed_extension_triangle_one_edge_fixed():

@@ -12,7 +12,7 @@ from orientations import (
     parse_graph,
 )
 from orientations.paths import _count_paths, _shortest_path
-from witnesses import cut_outdegree, reverse_path, reversed_copy
+from witnesses import cut_outdegree, reverse_path, reversed_copy, unbounded_count_paths
 
 
 def directed_triangle():
@@ -207,8 +207,12 @@ def test_lambda_threshold_matches_oracle():
         d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
         u, v = rng.sample(range(g.n), 2)
         lam = oracle_lambda(d, u, v)
-        for t in range(1, lam + 2):
-            assert lambda_at_least(d, u, v, t) == (t <= lam)
+        bound = min(d.outdegrees()[u], g.degree(v) - d.outdegrees()[v])
+        for t in range(1, lam + 3):
+            meter = DelayMeter()
+            assert lambda_at_least(d, u, v, t, meter) == (t <= lam)
+            if t > bound:  # decided by the degrees alone
+                assert meter.bfs_runs == 0
 
 
 def test_one_count_finds_the_paths_of_successive_reversals():
@@ -297,6 +301,36 @@ def test_a_count_that_reaches_its_limit_never_flips_its_last_path():
                 assert meter.arc_touches == searches.arc_touches + 2 * sum(len(p) for p in paths[:-1])
                 checked += 1
     assert checked > 100
+
+
+def test_a_count_stops_at_its_degree_bound():
+    # No more than min(out(u), in(v)) paths exist, so a count stops there
+    # with the paths, the cut and the orientation of the count that goes on
+    # to its limit; it only skips flipping and undoing the path that reaches
+    # the bound, 2·|last path| touches, and runs the same searches.
+    rng = random.Random(717)
+    stopped = 0
+    for _, g in families.random_family(40, seed=47):
+        d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
+        for u, v in [(u, v) for u in range(g.n) for v in range(g.n) if u != v]:
+            out = d.outdegrees()
+            bound = min(out[u], g.degree(v) - out[v])
+            for limit in range(1, g.degree(u) + 2):
+                for spare in (None, 1, 2):
+                    left, unbounded = d.copy(), d.copy()
+                    meter, reference = DelayMeter(), DelayMeter()
+                    paths, cut = _count_paths(left, u, v, limit, meter, spare)
+                    want, want_cut = unbounded_count_paths(unbounded, u, v, limit, reference, spare)
+                    assert paths == want and left == unbounded
+                    assert (cut is None) == (want_cut is None) and set(cut or ()) == set(want_cut or ())
+                    assert meter.bfs_runs == reference.bfs_runs
+                    saved = reference.arc_touches - meter.arc_touches
+                    if bound < limit and len(paths) == bound > 0:
+                        assert saved == 2 * len(paths[-1])
+                        stopped += 1
+                    else:
+                        assert saved == 0
+    assert stopped > 1000, stopped
 
 
 def test_flippable_examples():

@@ -8,6 +8,7 @@ from orientations import (
     enumerate_outdegree_sequences,
     find_k_connected_orientation,
     is_k_connected,
+    kconn,
     lambda_at_least,
     parse_graph,
     sequences,
@@ -19,10 +20,12 @@ from witnesses import (
     TightSetChains,
     cut_outdegree,
     fresh_count_choices,
+    pairwise_is_k_connected,
     plain_scan_choices,
     probed_sequences,
     retesting_choices,
     scanned_sequences,
+    unbounded_count_paths,
 )
 
 DOUBLED_TRIANGLE = "3 6\n0 1\n0 1\n1 2\n1 2\n2 0\n2 0"
@@ -256,32 +259,41 @@ def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
                 collect(g, k, seed=seed)
 
 
-def _torus_figures_against(choices):
-    # Asserts that the search emits the stream of the reference chain
-    # ``choices`` byte for byte, with no more operations in total or in any
-    # gap, on the random family and the 3x3 torus for k = 1, 2.  Returns the
+def _torus_figures_against(reference):
+    # Asserts that the search emits the stream of ``reference(g, k, meter)``
+    # byte for byte, with no more operations in total or in any gap, on the
+    # random family and the 3x3 torus for k = 1, 2.  Returns the
     # (total_ops, max_delay_ops) of the reference and of the search on the
-    # torus for k=1.  The references count paths with the package's λ count,
-    # so their figures are those of the older searches with a BFS that scans
-    # only out-arcs and counts that stop where the outdegrees decide them.
+    # torus for k=1.
     torus = families.torus(3, 3)
     figures = {}
     for g in [g for _, g in families.random_family(40, seed=19)] + [torus]:
         for k in (1, 2):
-            reference, meter, got = DelayMeter(), DelayMeter(), []
-            want = scanned_sequences(g, k, reference, choices)
+            reference_meter, meter, got = DelayMeter(), DelayMeter(), []
+            want = reference(g, k, reference_meter)
             enumerate_outdegree_sequences(g, k, None, lambda s, w: got.append((s, w.serialize())), meter=meter)
             assert got == want
-            assert meter.total_ops <= reference.total_ops
-            assert meter.max_delay_ops <= reference.max_delay_ops
-            figures[g, k] = (reference.total_ops, reference.max_delay_ops), (meter.total_ops, meter.max_delay_ops)
+            assert meter.total_ops <= reference_meter.total_ops
+            assert meter.max_delay_ops <= reference_meter.max_delay_ops
+            figures[g, k] = (
+                (reference_meter.total_ops, reference_meter.max_delay_ops),
+                (meter.total_ops, meter.max_delay_ops),
+            )
     return figures[torus, 1]
+
+
+def _chain(choices):
+    # A reference chain on ``scanned_sequences``: it counts paths with the
+    # unbounded count and its finder checks k = 1 by pairwise counts, so
+    # its figures are those of the older searches with a BFS that scans
+    # only out-arcs and counts that stop where the outdegrees decide them.
+    return lambda g, k, meter: scanned_sequences(g, k, meter, choices)
 
 
 def test_cut_reuse_never_costs_more_than_the_plain_scan():
     # The plain scan's figures on the torus are the ones the search had
     # before failed λ tests kept their cuts.
-    plain, reused = _torus_figures_against(plain_scan_choices)
+    plain, reused = _torus_figures_against(_chain(plain_scan_choices))
     assert plain == (218_090, 1_086)
     assert reused[0] < plain[0] and reused[1] < plain[1]
 
@@ -289,7 +301,7 @@ def test_cut_reuse_never_costs_more_than_the_plain_scan():
 def test_one_count_per_candidate_never_costs_more_than_retesting():
     # The re-testing chain's figures on the torus are the ones the search
     # had before one count per candidate replaced the re-tests.
-    retested, counted = _torus_figures_against(retesting_choices)
+    retested, counted = _torus_figures_against(_chain(retesting_choices))
     assert retested == (187_026, 660)
     assert counted[0] < retested[0] and counted[1] < retested[1]
 
@@ -297,7 +309,7 @@ def test_one_count_per_candidate_never_costs_more_than_retesting():
 def test_tight_sets_never_cost_more_than_fresh_counts():
     # The fresh-count chain's figures on the torus are the ones the search
     # had before tight sets outlived their chain.
-    fresh, kept = _torus_figures_against(fresh_count_choices)
+    fresh, kept = _torus_figures_against(_chain(fresh_count_choices))
     assert fresh == (152_740, 544)
     assert kept[0] < fresh[0] and kept[1] < fresh[1]
 
@@ -305,9 +317,26 @@ def test_tight_sets_never_cost_more_than_fresh_counts():
 def test_degree_certificates_never_cost_more_than_counting():
     # The counting chain's figures on the torus are the ones the search had
     # before it skipped the pairs whose outdegrees decide them.
-    counted, skipped = _torus_figures_against(TightSetChains())
+    counted, skipped = _torus_figures_against(_chain(TightSetChains()))
     assert counted == (121_022, 435)
     assert skipped[0] < counted[0] and skipped[1] < counted[1]
+
+
+def test_degree_stops_and_sweeps_never_cost_more_than_counting_to_the_limit(monkeypatch):
+    # The search itself with the unbounded count and the finder's pairwise
+    # k = 1 check has the torus figures the search had before its counts
+    # stopped at min(out(src), in(dst)) and the check swept once each way.
+    def unbounded(g, k, meter):
+        want = []
+        with monkeypatch.context() as patched:
+            patched.setattr(sequences, "_count_paths", unbounded_count_paths)
+            patched.setattr(kconn, "is_k_connected", pairwise_is_k_connected)
+            enumerate_outdegree_sequences(g, k, None, lambda s, w: want.append((s, w.serialize())), meter=meter)
+        return want
+
+    counted, stopped = _torus_figures_against(unbounded)
+    assert counted == (115_568, 406)
+    assert stopped[0] < counted[0] and stopped[1] < counted[1]
 
 
 def test_degree_certificates_skip_only_pairs_with_k_paths(monkeypatch):

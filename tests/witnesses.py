@@ -7,16 +7,19 @@ directions, ``cut_outdegree`` counts the arcs leaving a vertex set straight
 from the definition, ``same_alpha_cycle_decomposition`` exhibits the
 cycle decomposition between two orientations with equal outdegrees,
 ``class_size_lower_bound_check`` tests the (k-1)n+2 class-size floor,
-``InvariantProbe`` replays the enumeration walks with their proof-step
-assertions (``probed_alpha``, ``probed_sequences``, ``probed_k_connected``),
-``scanned_sequences`` replays the outdegree-sequence search with a
-reference chain: the plain scan that restarts every λ test sweep at v+1,
-the chain that keeps the cuts of failed tests but re-tests a pair after
-every reversal it permits, the chain that makes one count per candidate
-but keeps no tight set past its own chain, or ``TightSetChains``, which
-keeps them but also counts the pairs whose outdegrees already decide
-them.  ``RecountedTightSets`` stands
-in for the search's ``_TightSets`` and checks them.  ``FullScanLevels``,
+``unbounded_count_paths`` is the λ count that goes on past min(out(u),
+in(v)) to its limit, ``pairwise_is_k_connected`` the connectivity check
+that counts paths from vertex 0 to every other vertex and back also for
+k = 1, ``InvariantProbe`` replays the enumeration walks with their
+proof-step assertions (``probed_alpha``, ``probed_sequences``,
+``probed_k_connected``), ``scanned_sequences`` replays the
+outdegree-sequence search with a reference chain: the plain scan that
+restarts every λ test sweep at v+1, the chain that keeps the cuts of
+failed tests but re-tests a pair after every reversal it permits, the
+chain that makes one count per candidate but keeps no tight set past its
+own chain, or ``TightSetChains``, which keeps them but also counts the
+pairs whose outdegrees already decide them.  ``RecountedTightSets``
+stands in for the search's ``_TightSets`` and checks them.  ``FullScanLevels``,
 ``UncutLevels`` and ``UncountedLevels`` stand in for the alpha expansion's
 ``_EdgeLevels``: the first with a reference search that scans whole
 incidence rows, the second with no cut reaching any search, and the third
@@ -26,7 +29,8 @@ the cut does not skip.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
+from unittest import mock
 
 from orientations import (
     DelayMeter,
@@ -36,6 +40,7 @@ from orientations import (
     find_alpha_orientation,
     find_k_connected_orientation,
     is_k_connected,
+    kconn,
 )
 from orientations.alpha import _EdgeLevels, _emit_leaves, walk
 from orientations.paths import _count_paths, _flip, _shortest_path
@@ -106,6 +111,61 @@ def cut_outdegree(orientation: Orientation, members: Iterable[int]) -> int:
         if tail in inside and head not in inside:
             count += 1
     return count
+
+
+def unbounded_count_paths(
+    orientation: Orientation,
+    u: int,
+    v: int,
+    limit: int,
+    meter: DelayMeter | None = None,
+    spare: int | None = None,
+) -> tuple[list[list[int]], Collection[int] | None]:
+    """``paths._count_paths`` without its degree stop, as a reference.
+
+    Same contract, paths, cut and orientation left behind.  It counts up to
+    ``limit`` whatever out(u) and in(v) are: it flips the path that reaches
+    min(out(u), in(v)) below the limit and then stops before the next search,
+    on {u} when u has no out-arc left, else on every vertex but v when v has
+    no in-arc left, and undoes that path unless ``spare`` is 0.  Only the
+    path that reaches ``limit`` is neither flipped nor undone.
+    """
+    paths: list[list[int]] = []
+    kept = 0
+    out, n = orientation._out, orientation.graph.n
+    all_in = (1 << orientation.graph.degree(v)) - 1  # _out[v] when v has no in-arc
+    try:
+        while len(paths) < limit:
+            if not out[u]:
+                cut: Collection[int] | None = {u}
+            elif out[v] == all_in:
+                cut = {*range(v), *range(v + 1, n)}
+            else:
+                reached: dict = {}
+                path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
+                cut = None if path is not None else reached.keys()
+            if cut is not None:
+                kept = 0 if spare is None else max(len(paths) - spare, 0)
+                return paths, cut
+            if len(paths) + 1 == limit:
+                return paths + [path], None
+            _flip(orientation, path, meter)
+            paths.append(path)
+        return paths, None
+    finally:
+        for path in paths[kept:]:
+            _flip(orientation, path, meter)
+
+
+def pairwise_is_k_connected(orientation: Orientation, k: int, meter: DelayMeter | None = None) -> bool:
+    """``is_k_connected`` by unbounded counts from vertex 0 to every other
+    vertex and back, for every k, as a reference: for k = 1 that is up to
+    2(n-1) searches where ``is_k_connected`` sweeps once each way."""
+    for v in range(1, orientation.graph.n):
+        for src, dst in ((0, v), (v, 0)):
+            if len(unbounded_count_paths(orientation, src, dst, k, meter)[0]) < k:
+                return False
+    return True
 
 
 def same_alpha_cycle_decomposition(d1: Orientation, d2: Orientation) -> list[list[int]] | None:
@@ -354,7 +414,7 @@ class TightSetChains:
             for u in range(v + 1, n):
                 if candidates >> u & 1:
                     src, dst = (v, u) if lowering else (u, v)
-                    paths, reached = _count_paths(d, src, dst, limit, meter, spare=k)
+                    paths, reached = unbounded_count_paths(d, src, dst, limit, meter, spare=k)
                     kept = len(paths) - k
                     if kept:
                         tight.flipped(src, dst, kept)
@@ -385,7 +445,7 @@ def fresh_count_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
         for u in range(v + 1, n):
             if u in candidates:
                 src, dst = (v, u) if lowering else (u, v)
-                paths, reached = _count_paths(d, src, dst, limit, meter, spare=k)
+                paths, reached = unbounded_count_paths(d, src, dst, limit, meter, spare=k)
                 chain += paths[: len(paths) - k]
                 if lowering:
                     candidates.intersection_update(reached)
@@ -410,7 +470,7 @@ def plain_scan_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
         while True:
             for u in range(v + 1, d.graph.n):
                 src, dst = (v, u) if lowering else (u, v)
-                paths, _ = _count_paths(d, src, dst, k + 1, meter)
+                paths, _ = unbounded_count_paths(d, src, dst, k + 1, meter)
                 if len(paths) > k:
                     break
             else:
@@ -453,7 +513,7 @@ def retesting_pairs(d: Orientation, v: int, lowering: bool, k: int, meter: Delay
     for u in range(v + 1, d.graph.n):
         while u in candidates:
             src, dst = (v, u) if lowering else (u, v)
-            paths, reached = _count_paths(d, src, dst, k + 1, meter)
+            paths, reached = unbounded_count_paths(d, src, dst, k + 1, meter)
             if reached is None:
                 yield src, dst, paths[0]
             elif lowering:
@@ -466,8 +526,10 @@ def scanned_sequences(graph: Multigraph, k: int, meter: DelayMeter, choices) -> 
     """The stream of ``enumerate_outdegree_sequences(graph, k, None, ...)``,
     each sequence with its serialized witness, found by the reference choice
     generator ``choices`` (``plain_scan_choices``, ``retesting_choices``,
-    ``fresh_count_choices`` or a ``TightSetChains``) on ``meter``."""
-    d = find_k_connected_orientation(graph, k, meter)
+    ``fresh_count_choices`` or a ``TightSetChains``) on ``meter``, after the
+    finder with ``pairwise_is_k_connected`` as its check."""
+    with mock.patch.object(kconn, "is_k_connected", pairwise_is_k_connected):
+        d = find_k_connected_orientation(graph, k, meter)
     if d is None:
         meter.finished()
         return []
