@@ -51,10 +51,15 @@ charged.
 search of :mod:`orientations.sequences` and the first-solution finder run on
 it too, each with its own per-level choice generator.  ``_emit_leaves`` is
 the one emission loop: every enumerator hands it the leaves of its walk and
-a callback that receives a copy of the orientation at each leaf.
+a callback, called at each leaf with a view that shares the live
+orientation's buffers.  A view still held once the call returns or raises,
+by the callback or a traceback, gets its own copy, charged m arc touches in
+the leaf's gap; one that nobody holds costs nothing.  So an orientation a
+caller keeps never changes.
 """
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable, Iterator, Sequence
 
 from .metering import DelayMeter
@@ -121,12 +126,21 @@ def enumerate_alpha(
 
 
 def _emit_leaves(d: Orientation | None, leaves, emit, meter: DelayMeter) -> int:
-    # Calls emit with a copy of d at every leaf, closes the run's last gap
-    # and returns the number of leaves; an infeasible run hands it none.
+    # Calls emit with a view on d at every leaf, closes the run's last gap
+    # and returns the number of leaves; an infeasible run hands it none.  A
+    # view whose weak reference is still live after the call is held, so it
+    # gets its own buffers before the walk moves d on.
     count = 0
     for _ in leaves:
-        meter.arcs(d.graph.m)
-        emit(d.copy())
+        view = d._share()
+        held = weakref.ref(view)
+        try:
+            emit(view)
+        finally:
+            del view
+            if (kept := held()) is not None:
+                kept._own()
+                meter.arcs(d.graph.m)
         meter.emitted()
         count += 1
     meter.finished()

@@ -10,7 +10,11 @@ seconds or more after the last flush, and at exit.  A stream that does not
 buffer (standard output under ``PYTHONUNBUFFERED``) still writes each line
 as it comes.  ``bench`` swaps the solution stream for a single JSON summary
 record: the meter's totals, largest gap, amortized cost and log2 gap
-histogram (see :class:`~orientations.metering.DelayMeter`).
+histogram (see :class:`~orientations.metering.DelayMeter`).  ``enumerate``
+charges m arc touches for each orientation line it serializes; ``count``
+and ``bench`` keep nothing and charge nothing per solution.  When the
+reader closes the output before the run ends (``| head``), the run stops
+with exit code 3 and prints nothing more.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ from . import oracle
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_PARAMS = 2
+EXIT_CLOSED = 3
 
 MODES = ("alpha", "odseq", "korient")
 FLUSH_S = 0.05  # a line written this long after the last flush flushes the output
@@ -156,6 +161,7 @@ def _stream(args, graph: Multigraph, alpha, seed: Orientation | None, emit) -> i
     meter = DelayMeter()
     if args.command == "enumerate":
         def orientation_sink(d: Orientation) -> None:
+            meter.arcs(graph.m)
             emit(d.serialize())
 
         def sequence_sink(seq, _witness=None) -> None:
@@ -196,10 +202,26 @@ def _stream(args, graph: Multigraph, alpha, seed: Orientation | None, emit) -> i
     return EXIT_OK
 
 
+def _discard_stdout() -> None:
+    # Standard output is flushed again at exit; pointed at os.devnull, the
+    # lines still buffered for a closed pipe go nowhere instead of raising.
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # a stream with no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
+    except BrokenPipeError:
+        if not args.output:
+            _discard_stdout()
+        return EXIT_CLOSED
     except (OSError, GraphParseError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -109,10 +109,12 @@ class Orientation:
 
     ``_out[x]`` is a bitmask over the positions of ``incidence[x]``: bit i
     is set when entry i is an arc leaving x.  Only this class writes
-    ``_dirs``, and ``_flip`` keeps both in step.
+    ``_dirs``, and ``_flip`` keeps both in step.  ``_share`` makes a view
+    that holds the same two buffers, so it changes with the orientation
+    until ``_own`` gives it copies of its own.
     """
 
-    __slots__ = ("graph", "_dirs", "_out")
+    __slots__ = ("graph", "_dirs", "_out", "__weakref__")
 
     def __init__(self, graph: Multigraph, dirs: Iterable[int] | None = None):
         self.graph = graph
@@ -131,11 +133,18 @@ class Orientation:
         self._out = out
 
     def copy(self) -> "Orientation":
-        dup = Orientation.__new__(Orientation)
-        dup.graph = self.graph
-        dup._dirs = bytearray(self._dirs)
-        dup._out = self._out.copy()
+        dup = self._share()
+        dup._own()
         return dup
+
+    def _share(self) -> "Orientation":
+        view = Orientation.__new__(Orientation)
+        view.graph, view._dirs, view._out = self.graph, self._dirs, self._out
+        return view
+
+    def _own(self) -> None:
+        self._dirs = bytearray(self._dirs)
+        self._out = self._out.copy()
 
     def forward(self, e: int) -> bool:
         """True when edge ``e`` points from its first listed endpoint to its second."""

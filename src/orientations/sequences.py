@@ -16,7 +16,8 @@ reversed are ones the count of those paths found and left reversed.  It
 then yields once per step on the way back, deepest first, undoing one
 reversal per yield with ``paths._flip``.  It does the same for raising, and
 finally keeps the vertex as it is.  The orientation is the search's only
-state: a leaf's outdegree sequence is read from its copy.  Completeness
+state: a leaf's outdegree sequence is read from the view ``_emit_leaves``
+hands the sink, which is copied only if the sink keeps it.  Completeness
 rests on the witness fact that whenever two k-connected orientations
 disagree at a vertex, a connectivity-preserving path reversal moves one
 toward the other without touching fixed vertices.
@@ -199,7 +200,8 @@ def _vertex_choices(d: Orientation, v: int, k: int, meter: DelayMeter, tight: _T
 
 def _search(graph: Multigraph, k: int, seed: Orientation | None, edge_levels: int, sink, meter) -> int:
     # Walks n vertex levels and ``edge_levels`` edge levels from the seed and
-    # calls sink(copy) at every leaf; returns the number of leaves.
+    # calls sink with a view on the orientation at every leaf (see
+    # ``_emit_leaves``); returns the number of leaves.
     meter = meter if meter is not None else DelayMeter()
     if seed is None:
         d = find_k_connected_orientation(graph, k, meter)

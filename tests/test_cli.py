@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import families
 import orientations
 from orientations import Multigraph, cli, graph_to_text, is_k_connected, sequences
 from orientations.cli import main
@@ -350,6 +352,62 @@ def test_readme_lists_exactly_the_exports():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     sentence = readme.split("The package exports exactly these names:")[1].split(".")[0]
     assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(orientations.__all__)
+
+
+def test_enumerate_charges_m_per_orientation_line(capsys, monkeypatch, tmp_path):
+    # count and bench keep no solution and charge nothing per leaf;
+    # enumerate charges m for each orientation it serializes.
+    meters = []
+
+    class Recorded(orientations.DelayMeter):
+        def __init__(self):
+            super().__init__()
+            meters.append(self)
+
+    monkeypatch.setattr(cli, "DelayMeter", Recorded)
+    path = tmp_path / "dt.txt"
+    path.write_text(DOUBLED_TRIANGLE)
+    for mode, extra, per_line in (
+        ("korient", ["--k", "1"], 6),
+        ("alpha", ["--alpha", "2,2,2"], 6),
+        ("odseq", ["--k", "1"], 0),
+    ):
+        for command in ("enumerate", "count", "bench"):
+            assert run_cli(capsys, command, str(path), "--mode", mode, *extra)[0] == 0
+        enumerated, counted, benched = meters[-3:]
+        assert counted.summary() == benched.summary()
+        assert enumerated.bfs_runs == benched.bfs_runs
+        assert enumerated.emissions == benched.emissions > 0
+        assert enumerated.total_ops == benched.total_ops + per_line * benched.emissions
+
+
+def test_a_closed_output_pipe_exits_3_quietly(tmp_path):
+    # The doubled wheel's 56,686 lines overflow the pipe, so the run is
+    # still writing when the reader closes it after the first line.
+    path = tmp_path / "wheel.txt"
+    path.write_text(graph_to_text(families.doubled_wheel4()))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orientations.cli", "enumerate", str(path), "--mode", "korient", "--k", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_CLOSED == 3
+    assert (first, err) == (b"+--------+-+-+++\n", b"")
+
+
+def test_a_closed_output_pipe_points_stdout_at_devnull(monkeypatch, c4_file):
+    # What the stream still buffers then goes nowhere at the flush on exit.
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w", encoding="utf-8") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["enumerate", c4_file, "--mode", "korient", "--k", "1"]) == 3
+        assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+        stream.write("more\n")
 
 
 def test_console_entry_point(c4_file):

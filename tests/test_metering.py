@@ -54,6 +54,23 @@ def test_summary_fields():
     assert summary["gap_histogram"] == [1, 0, 1]
 
 
+def test_first_gap_is_split_from_the_later_ones():
+    meter = DelayMeter()
+    meter.arcs(4)
+    meter.emitted()
+    meter.bfs()
+    meter.arcs(8)
+    meter.emitted()
+    meter.arcs(2)
+    meter.finished()
+    summary = meter.summary()
+    assert (summary["first_gap_ops"], summary["max_later_delay_ops"], summary["max_delay_ops"]) == (4, 9, 9)
+    empty = DelayMeter()
+    empty.arcs(5)
+    empty.finished()
+    assert (empty.first_gap_ops, empty.max_later_delay_ops, empty.max_delay_ops) == (5, 0, 5)
+
+
 def test_memory_stays_bounded_over_many_gaps():
     # The meter keeps running values only, so 10^5 gaps fit in a small
     # fixed budget; one record per gap would take megabytes.
