@@ -15,9 +15,8 @@ from orientations import (
 )
 from orientations.alpha import walk
 from orientations.paths import _count_paths
-from orientations.sequences import _TightSets, _vertex_choices
+from orientations.sequences import _vertex_choices
 from witnesses import (
-    TightSetChains,
     cut_outdegree,
     fresh_count_choices,
     pairwise_is_k_connected,
@@ -113,19 +112,15 @@ def test_matches_oracle_over_random_graphs():
             assert set(got) == want
 
 
-def test_internal_connectivity_assertions_hold(monkeypatch):
-    # The replay asserts k-connectivity after every path reversal, the
-    # slack of every kept tight set and the count of every pair they rule
-    # out, and must emit the same stream; with two slots, new cuts keep
-    # replacing kept ones.
+def test_internal_connectivity_assertions_hold():
+    # The replay asserts k-connectivity after every path reversal and must
+    # emit the same stream.
     graphs = [parse_graph(text) for text in (DOUBLED_TRIANGLE, DOUBLED_FOUR_CYCLE)]
-    for slots in (sequences._TIGHT_SETS, 2):
-        monkeypatch.setattr(sequences, "_TIGHT_SETS", slots)
-        for g in graphs + [g for _, g in families.random_family(15, seed=79)]:
-            for k in (1, 2):
-                seed = find_k_connected_orientation(g, k)
-                if seed is not None:
-                    assert probed_sequences(g, k, seed) == [s for s, _ in collect(g, k, seed=seed)]
+    for g in graphs + [g for _, g in families.random_family(15, seed=79)]:
+        for k in (1, 2):
+            seed = find_k_connected_orientation(g, k)
+            if seed is not None:
+                assert probed_sequences(g, k, seed) == [s for s, _ in collect(g, k, seed=seed)]
 
 
 def test_emission_order_is_deterministic():
@@ -148,13 +143,12 @@ class _DriftProbe:
         self.d = d
         self.k = k
         self.deepest = {}
-        self.tight = _TightSets(d.graph.n, d.graph.m)
 
     def choices(self, v):
         d = self.d
         base, dirs = d.outdegrees()[v], bytes(d._dirs)
         seen = []
-        for _ in _vertex_choices(d, v, self.k, DelayMeter(), self.tight):
+        for _ in _vertex_choices(d, v, self.k, DelayMeter()):
             seen.append(d.outdegrees()[v])
             yield
         assert bytes(d._dirs) == dirs  # restored at the end
@@ -226,7 +220,7 @@ def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
     def flippable(d, v, u, lowering, k):
         return lambda_at_least(d, *((v, u) if lowering else (u, v)), k + 1)
 
-    def checked_choices(d, v, k, meter, tight):
+    def checked_choices(d, v, k, meter):
         n, base, counts = d.graph.n, d.outdegrees()[v], [0, 0]
         last = {}  # per direction, the outdegrees at the chain's latest yield
 
@@ -240,7 +234,7 @@ def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
             assert not any(flippable(d, v, w, lowering, k) for w in range(v + 1, u)), "skipped a flippable vertex"
 
         chain.update(v=v, k=k, counts=counts)
-        for _ in real_choices(d, v, k, meter, tight):
+        for _ in real_choices(d, v, k, meter):
             out = d.outdegrees()
             for lowering in (True, False) if out[v] == base else (out[v] < base,):
                 check_chain(lowering, out)
@@ -306,26 +300,19 @@ def test_one_count_per_candidate_never_costs_more_than_retesting():
     assert counted[0] < retested[0] and counted[1] < retested[1]
 
 
-def test_tight_sets_never_cost_more_than_fresh_counts():
-    # The fresh-count chain's figures on the torus are the ones the search
-    # had before tight sets outlived their chain.
-    fresh, kept = _torus_figures_against(_chain(fresh_count_choices))
-    assert fresh == (105_850, 526)
-    assert kept[0] < fresh[0] and kept[1] < fresh[1]
-
-
 def test_degree_certificates_never_cost_more_than_counting():
     # The counting chain's figures on the torus are the ones the search had
     # before it skipped the pairs whose outdegrees decide them.
-    counted, skipped = _torus_figures_against(_chain(TightSetChains()))
-    assert counted == (74_132, 417)
+    counted, skipped = _torus_figures_against(_chain(fresh_count_choices))
+    assert counted == (105_850, 526)
     assert skipped[0] < counted[0] and skipped[1] < counted[1]
 
 
 def test_degree_stops_and_sweeps_never_cost_more_than_counting_to_the_limit(monkeypatch):
     # The search itself with the unbounded count and the finder's pairwise
-    # k = 1 check has the torus figures the search had before its counts
-    # stopped at min(out(src), in(dst)) and the check swept once each way.
+    # k = 1 check has the torus figures the search would have if its counts
+    # did not stop at min(out(src), in(dst)) and the check did not sweep
+    # once each way.
     def unbounded(g, k, meter):
         want = []
         with monkeypatch.context() as patched:
@@ -335,7 +322,7 @@ def test_degree_stops_and_sweeps_never_cost_more_than_counting_to_the_limit(monk
         return want
 
     counted, stopped = _torus_figures_against(unbounded)
-    assert counted == (68_678, 388)
+    assert counted == (71_828, 388)
     assert stopped[0] < counted[0] and stopped[1] < counted[1]
 
 
@@ -343,17 +330,17 @@ def test_degree_certificates_skip_only_pairs_with_k_paths(monkeypatch):
     # Every pair the chain skips because out(src) or in(dst) is at most k
     # has exactly k arc-disjoint paths, by an unmetered count that leaves
     # the orientation as it was; the stream is the search's own.
-    real_decides, skipped = sequences._degree_decides, []
+    real_bound, skipped = sequences._degree_bound, []
 
-    def checked_decides(d, src, dst, k):
-        decided = real_decides(d, src, dst, k)
-        if decided:
+    def checked_bound(d, src, dst):
+        bound = real_bound(d, src, dst)
+        if bound <= k:
             before = d.copy()
             paths, _ = _count_paths(d, src, dst, d.graph.degree(src) + 1)
             assert len(paths) == k, f"skipped {src} to {dst}, which has {len(paths)} paths"
             assert d == before
             skipped.append((src, dst))
-        return decided
+        return bound
 
     graphs = [g for _, g in families.random_family(40, seed=19)] + [families.torus(3, 3)]
     for g in graphs:
@@ -363,7 +350,7 @@ def test_degree_certificates_skip_only_pairs_with_k_paths(monkeypatch):
                 continue
             want = collect(g, k, seed=seed)
             with monkeypatch.context() as patched:
-                patched.setattr(sequences, "_degree_decides", checked_decides)
+                patched.setattr(sequences, "_degree_bound", checked_bound)
                 got = collect(g, k, seed=seed)
             assert [(s, w.serialize()) for s, w in got] == [(s, w.serialize()) for s, w in want]
     assert len(skipped) > 100

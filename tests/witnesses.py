@@ -15,11 +15,9 @@ proof-step assertions (``probed_alpha``, ``probed_sequences``,
 ``probed_k_connected``), ``scanned_sequences`` replays the
 outdegree-sequence search with a reference chain: the plain scan that
 restarts every λ test sweep at v+1, the chain that keeps the cuts of
-failed tests but re-tests a pair after every reversal it permits, the
-chain that makes one count per candidate but keeps no tight set past its
-own chain, or ``TightSetChains``, which keeps them but also counts the
-pairs whose outdegrees already decide them.  ``RecountedTightSets``
-stands in for the search's ``_TightSets`` and checks them.  ``FullScanLevels``,
+failed tests but re-tests a pair after every reversal it permits, or the
+chain that makes one count per candidate but also counts the pairs whose
+outdegrees already decide them.  ``FullScanLevels``,
 ``UncutLevels`` and ``UncountedLevels`` stand in for the alpha expansion's
 ``_EdgeLevels``: the first with a reference search that scans whole
 incidence rows, the second with no cut reaching any search, and the third
@@ -43,8 +41,8 @@ from orientations import (
     kconn,
 )
 from orientations.alpha import _EdgeLevels, _emit_leaves, walk
-from orientations.paths import _count_paths, _flip, _shortest_path
-from orientations.sequences import _TightSets, _vertex_choices
+from orientations.paths import _flip, _shortest_path
+from orientations.sequences import _vertex_choices
 
 
 def reverse_path(orientation: Orientation, path: Sequence[int], source: int) -> Orientation:
@@ -260,11 +258,7 @@ class InvariantProbe:
       a path reversal reaches is yielded once, so this checks that each
       reversal keeps k-connectivity.  At the last vertex it makes each
       yield's outdegrees, the sequence the vertex levels reached, the
-      target of the leaves below.  Its levels share one
-      ``RecountedTightSets``, as the search's share one ``_TightSets``: at
-      every yield and every chain start each kept set's slack must be the
-      arcs leaving it less k, and every pair the kept sets rule out at a
-      chain start is counted afresh;
+      target of the leaves below;
     - ``leaves(levels, choices)`` asserts at every leaf that the orientation
       has the target outdegrees: ``target`` when given, else the sequence
       the vertex levels reached, read with ``d.outdegrees()`` like any leaf
@@ -278,7 +272,6 @@ class InvariantProbe:
         self.target = target
         self.meter = DelayMeter()
         self.levels = _EdgeLevels(self.d, self.meter)
-        self.tight = RecountedTightSets(self.d, k)
         self.left = None  # the cut as the last edge level to end left it
 
     def edge_choices(self, e: int):
@@ -317,10 +310,9 @@ class InvariantProbe:
         self.left = cut
 
     def vertex_choices(self, v: int):
-        for _ in _vertex_choices(self.d, v, self.k, self.meter, self.tight):
+        for _ in _vertex_choices(self.d, v, self.k, self.meter):
             assert is_k_connected(self.d, self.k), f"a path reversal at vertex {v} broke k-connectivity"
             assert_masks_exact(self.d)
-            self.tight.assert_exact()
             if v == self.d.graph.n - 1:
                 self.target = self.d.outdegrees()
             yield
@@ -359,83 +351,13 @@ def probed_k_connected(graph: Multigraph, k: int, seed: Orientation) -> list[Ori
     return [probe.d.copy() for _ in probe.leaves(n + graph.m, choices)]
 
 
-class RecountedTightSets(_TightSets):
-    """The search's tight sets over ``d``, checked as a chain reads them.
-
-    Whenever a chain starts, every kept set's slack must be the number of
-    arcs leaving it less k, counted from the definition, and an unmetered
-    count must find at most k paths for every pair that the sets of slack 0
-    rule out.
-    """
-
-    def __init__(self, d: Orientation, k: int):
-        super().__init__(d.graph.n, d.graph.m)
-        self.d, self.k = d, k
-
-    def assert_exact(self) -> None:
-        field = (1 << self.width) - 1
-        for i, mask in enumerate(self.masks):
-            if mask:
-                members = [x for x in range(self.d.graph.n) if mask >> x & 1]
-                slack = self.slacks >> self.width * i & field
-                assert slack == cut_outdegree(self.d, members) - self.k, f"kept set {members} has slack {slack}"
-
-    def candidates(self, v: int, lowering: bool) -> int:
-        self.assert_exact()
-        candidates = super().candidates(v, lowering)
-        for u in range(v + 1, self.d.graph.n):
-            if not candidates >> u & 1:
-                src, dst = (v, u) if lowering else (u, v)
-                paths, _ = _count_paths(self.d, src, dst, self.k + 1)
-                assert len(paths) <= self.k, f"a kept set ruled out {src} to {dst}, which has {len(paths)} paths"
-        return candidates
-
-
-class TightSetChains:
+def fresh_count_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
     """The per-vertex choice generator without the degree skip, as a reference.
 
-    Same contract and yields as ``sequences._vertex_choices``, and it keeps
-    tight sets across chains the same way, but it counts every candidate
-    that the tight sets and cuts leave, also a pair whose outdegrees
-    already decide that it has exactly k paths.  Called as
-    ``choices(d, v, k, meter)``; one instance serves one search at a time,
-    and level 0 starts it with no set kept.
-    """
-
-    def __call__(self, d: Orientation, v: int, k: int, meter: DelayMeter):
-        if v == 0:
-            self.tight = _TightSets(d.graph.n, d.graph.m)
-        tight = self.tight
-        n = d.graph.n
-        limit = d.graph.degree(v) + 1
-        for lowering in (True, False):
-            chain = []
-            candidates = tight.candidates(v, lowering)
-            for u in range(v + 1, n):
-                if candidates >> u & 1:
-                    src, dst = (v, u) if lowering else (u, v)
-                    paths, reached = unbounded_count_paths(d, src, dst, limit, meter, spare=k)
-                    kept = len(paths) - k
-                    if kept:
-                        tight.flipped(src, dst, kept)
-                        chain += [(dst, src, edges) for edges in paths[:kept]]
-                    cut = sum(1 << x for x in reached)
-                    tight.add(cut)
-                    candidates &= cut if lowering else ~cut
-            while chain:
-                a, b, edges = chain.pop()
-                yield
-                _flip(d, edges, meter)
-                tight.flipped(a, b)
-        yield
-
-
-def fresh_count_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
-    """The per-vertex choice generator that keeps no tight set past its chain, as a reference.
-
     Same contract and yields as ``sequences._vertex_choices``, and it makes
-    one count per candidate the same way, but each chain starts with every
-    later vertex a candidate.
+    one count per candidate the same way, but it counts every candidate
+    that the cuts leave, also a pair whose outdegrees already decide that
+    it has exactly k paths.
     """
     n = d.graph.n
     limit = d.graph.degree(v) + 1
@@ -525,9 +447,9 @@ def retesting_pairs(d: Orientation, v: int, lowering: bool, k: int, meter: Delay
 def scanned_sequences(graph: Multigraph, k: int, meter: DelayMeter, choices) -> list[tuple[tuple[int, ...], str]]:
     """The stream of ``enumerate_outdegree_sequences(graph, k, None, ...)``,
     each sequence with its serialized witness, found by the reference choice
-    generator ``choices`` (``plain_scan_choices``, ``retesting_choices``,
-    ``fresh_count_choices`` or a ``TightSetChains``) on ``meter``, after the
-    finder with ``pairwise_is_k_connected`` as its check."""
+    generator ``choices`` (``plain_scan_choices``, ``retesting_choices`` or
+    ``fresh_count_choices``) on ``meter``, after the finder with
+    ``pairwise_is_k_connected`` as its check."""
     with mock.patch.object(kconn, "is_k_connected", pairwise_is_k_connected):
         d = find_k_connected_orientation(graph, k, meter)
     if d is None:
