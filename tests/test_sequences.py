@@ -300,11 +300,27 @@ def test_one_count_per_candidate_never_costs_more_than_retesting():
     assert counted[0] < retested[0] and counted[1] < retested[1]
 
 
-def test_degree_certificates_never_cost_more_than_counting():
-    # The counting chain's figures on the torus are the ones the search had
-    # before it skipped the pairs whose outdegrees decide them.
-    counted, skipped = _torus_figures_against(_chain(fresh_count_choices))
-    assert counted == (105_850, 526)
+def test_tight_sets_never_cost_more_than_fresh_counts():
+    # The fresh-count chain's figures on the torus are the ones the search
+    # had before tight sets outlived their chain; the search without them
+    # must still cost less.
+    fresh, kept = _torus_figures_against(_chain(fresh_count_choices))
+    assert fresh == (105_850, 526)
+    assert kept[0] < fresh[0] and kept[1] < fresh[1]
+
+
+def test_degree_certificates_never_cost_more_than_counting(monkeypatch):
+    # The search itself, with no pair skipped for its outdegrees, counts
+    # every candidate its cuts leave; its torus figures are pinned.
+    def counting(g, k, meter):
+        want = []
+        with monkeypatch.context() as patched:
+            patched.setattr(sequences, "_degree_bound", lambda d, src, dst: k + 1)
+            enumerate_outdegree_sequences(g, k, None, lambda s, w: want.append((s, w.serialize())), meter=meter)
+        return want
+
+    counted, skipped = _torus_figures_against(counting)
+    assert counted == (71_689, 325)
     assert skipped[0] < counted[0] and skipped[1] < counted[1]
 
 
