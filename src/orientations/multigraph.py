@@ -46,10 +46,11 @@ class Multigraph:
     ``(edge, other_endpoint, v_is_first)`` for every edge at ``v``, in
     edge-index order.  ``_ends[i]`` is ``(u, 1 << pos_u, v, 1 << pos_v)``
     for edge ``i`` with endpoints ``(u, v)``, where ``pos_x`` is the edge's
-    position in ``incidence[x]``.
+    position in ``incidence[x]``, and ``_row_mask[x]`` is
+    ``(1 << degree(x)) - 1``, one bit per entry of ``incidence[x]``.
     """
 
-    __slots__ = ("n", "edges", "incidence", "_ends")
+    __slots__ = ("n", "edges", "incidence", "_ends", "_row_mask")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         try:
@@ -79,6 +80,7 @@ class Multigraph:
             rows[v].append((e, u, False))
         self.incidence = tuple(tuple(row) for row in rows)
         self._ends = tuple(ends)
+        self._row_mask = tuple((1 << len(row)) - 1 for row in rows)
 
     @property
     def m(self) -> int:

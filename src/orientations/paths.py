@@ -1,7 +1,7 @@
 """Directed path search and arc-disjoint path counting over orientations.
 
 This is the primitive layer under both enumerators and the only module that
-searches for paths.  The search is a plain BFS that scans only out-arcs.
+searches for paths.  Its search is a plain BFS that scans only out-arcs.
 Each orientation keeps, per vertex x, the bitmask ``_out[x]`` over the
 positions of ``incidence[x]`` whose entries leave x, and every flip keeps
 it exact.  The search walks the set bits from low to high, so it meets x's
@@ -10,7 +10,10 @@ lowest-indexed arcs is found first, and every caller inherits that
 determinism.  It charges one arc touch per out-arc scanned and none per
 in-arc.  Told to search inward, it walks in-arcs backward instead, x's
 in-arcs being the bits of its row mask that ``_out[x]`` leaves clear, and
-charges one touch per in-arc scanned and none per out-arc.
+charges one touch per in-arc scanned and none per out-arc.  A count's
+deciding searches (below) meet in the middle: they grow BFS layers from the
+source along out-arcs and from the target along in-arcs, and charge one
+touch per arc scanned either way.
 
 A search may be told that a prefix of each vertex's incidence row is fixed:
 ``fixed[x]`` entries of ``incidence[x]``, which is in edge-index order.
@@ -23,14 +26,27 @@ The number of pairwise arc-disjoint directed u-to-v paths is counted by the
 reverse-and-repeat scheme: find a path, reverse it, and iterate.  Each
 reversal lowers the u-to-v path count by exactly one, so the count is the
 number of iterations that find a path.  The paths are flipped in place; the
-first of them is a shortest path of the orientation as given.  Path i is the
-first path of a fresh count once paths 0..i-1 are reversed, so the paths are
-successive reversals.  No more than min(out(u), in(v)) paths exist, so a
-count stops at that bound when it lies below its limit, and it neither
-flips nor undoes the path that reaches its stop: no search follows it.  A
-count that falls short also hands back a cut that certifies the shortfall
-for other pairs too.  A caller may have such a count leave its first paths
-reversed; every other count restores the orientation before it returns.
+first of them is a shortest path of the orientation as given.  Path i, when
+a forward search finds it, is the first path of a fresh count once paths
+0..i-1 are reversed, so those paths are successive reversals.  No more than
+min(out(u), in(v)) paths exist, so a count stops at that bound when it lies
+below its limit, and it neither flips nor undoes the path that reaches its
+stop: no search follows it.  A count that falls short also hands back a cut
+that certifies the shortfall for other pairs too.  A caller may have such a
+count leave its first paths reversed, all but its last ``spare``; every
+other count restores the orientation before it returns.
+
+Such a count leaves at most ``limit - spare`` paths reversed, its limit
+being lowered to the degree bound first, so the searches after that many
+only decide: whether one more path exists and, when none does, the cut.
+Those searches meet in the middle, and the rest stay forward BFS searches.
+Reversing any u-to-v path lowers the count by one, so the deciding searches
+find a path exactly when forward ones would, and the kept paths and the
+stream built on them do not change.  Nor does the cut: once a largest set of
+paths is reversed, the vertices u reaches are the source side of the
+smallest minimum u-to-v cut, whichever paths those are, and the meeting
+search hands back just that set.  Each search is still one BFS run; only the
+arc touches fall.
 
 Every search moves by ``_flip``: reverse a path or cycle, or undo that, and
 pay one arc touch per edge.
@@ -62,18 +78,18 @@ def _shortest_path(
     # With ``inward`` it walks in-arcs backward instead, x's being the bits
     # of its row mask that ``_out[x]`` leaves clear: a search of the
     # reversed orientation.
-    # ``reached``, when given, receives the search tree, so its keys are the
+    # ``reached``, when given, receives the search tree, each vertex mapped
+    # to the edge it was reached by (a source to None), so its keys are the
     # vertices the search reached.  It may arrive holding vertices that the
     # search then treats as reached and never expands: the caller knows
     # that no path to a target runs through them.  Vertex ids are not
     # checked: callers take them from the graph or from lambda_at_least.
-    parent: dict[int, tuple[int, int] | None] = {} if reached is None else reached
+    parent: dict[int, int | None] = {} if reached is None else reached
     for x in sources:
         parent[x] = None
     out = orientation._out
-    rows = orientation.graph.incidence
-    if inward:
-        out = [((1 << len(row)) - 1) ^ mask for row, mask in zip(rows, out)]
+    graph = orientation.graph
+    rows, full = graph.incidence, graph._row_mask
     if meter is not None:
         meter.bfs()
     touched = 0
@@ -82,7 +98,11 @@ def _shortest_path(
     while queue and hit is None:
         x = queue.popleft()
         row = rows[x]
-        arcs = out[x] if fixed is None else out[x] >> fixed[x] << fixed[x]
+        arcs = out[x]
+        if inward:
+            arcs ^= full[x]
+        if fixed is not None:
+            arcs = arcs >> fixed[x] << fixed[x]
         while arcs:
             low = arcs & -arcs
             arcs ^= low
@@ -90,7 +110,7 @@ def _shortest_path(
             e, w, _ = row[low.bit_length() - 1]
             if w in parent:
                 continue
-            parent[w] = (x, e)
+            parent[w] = e
             if w in targets:
                 hit = w
                 break
@@ -100,12 +120,102 @@ def _shortest_path(
     if hit is None:
         return None
     edges: list[int] = []
-    step = parent[hit]
-    while step is not None:
-        x, e = step
+    ends, x = graph.edges, hit
+    e = parent[x]
+    while e is not None:
         edges.append(e)
-        step = parent[x]
+        a, b = ends[e]
+        x ^= a ^ b  # the vertex across e from x
+        e = parent[x]
     edges.reverse()
+    return edges
+
+
+def _meeting_path(
+    orientation: Orientation,
+    u: int,
+    v: int,
+    meter: DelayMeter | None,
+    reached: dict,
+) -> list[int] | None:
+    # A u-to-v path, or None, found by growing BFS layers from u along
+    # out-arcs and from v backward along in-arcs, the smaller layer first
+    # (u's on a tie), until an arc joins the two trees.  Charged as one BFS
+    # run and one arc touch per arc scanned in either direction.  ``reached``
+    # receives u's tree: once v's side runs out, u's goes on until it meets
+    # v's tree or runs out too, so on failure its keys are every vertex that
+    # u reaches, the set the forward search would reach.  The two sides are
+    # written out apart, as are the two tree walks of ``_joined``: on small
+    # graphs, swapping sides per layer or calling a helper per walk costs
+    # more time than the arcs the meeting saves.
+    out = orientation._out
+    graph = orientation.graph
+    rows, full, ends = graph.incidence, graph._row_mask, graph.edges
+    ahead, behind = reached, {v: None}
+    ahead[u] = None
+    front, back = [u], [v]
+    if meter is not None:
+        meter.bfs()
+    touched = 0
+    while front:
+        layer = []
+        if back and len(back) < len(front):
+            for x in back:
+                row = rows[x]
+                arcs = full[x] ^ out[x]
+                while arcs:
+                    low = arcs & -arcs
+                    arcs ^= low
+                    touched += 1
+                    e, w, _ = row[low.bit_length() - 1]
+                    if w not in behind:
+                        behind[w] = e
+                        if w in ahead:
+                            if meter is not None:
+                                meter.arcs(touched)
+                            return _joined(ends, ahead, behind, w)
+                        layer.append(w)
+            back = layer
+        else:
+            for x in front:
+                row = rows[x]
+                arcs = out[x]
+                while arcs:
+                    low = arcs & -arcs
+                    arcs ^= low
+                    touched += 1
+                    e, w, _ = row[low.bit_length() - 1]
+                    if w not in ahead:
+                        ahead[w] = e
+                        if w in behind:
+                            if meter is not None:
+                                meter.arcs(touched)
+                            return _joined(ends, ahead, behind, w)
+                        layer.append(w)
+            front = layer
+    if meter is not None:
+        meter.arcs(touched)
+    return None
+
+
+def _joined(ends, ahead: dict, behind: dict, x: int) -> list[int]:
+    # The edges from the root of ``ahead`` to x, then from x to the root of
+    # ``behind``.  Each tree maps a vertex to the edge it was reached by
+    # (None at the root), and ``ends[e]`` holds the endpoints of edge e.
+    edges: list[int] = []
+    y, e = x, ahead[x]
+    while e is not None:
+        edges.append(e)
+        a, b = ends[e]
+        y ^= a ^ b
+        e = ahead[y]
+    edges.reverse()
+    e = behind[x]
+    while e is not None:
+        edges.append(e)
+        a, b = ends[e]
+        x ^= a ^ b
+        e = behind[x]
     return edges
 
 
@@ -152,6 +262,12 @@ def _count_paths(
     # the set a next search would reach; else when it stops at in(v), they
     # leave v no in-arc, so R is every vertex but v.  Otherwise R is the set
     # the failing search reached.
+    #
+    # With a ``spare``, the searches past the first ``limit - spare``
+    # (``limit`` lowered to the degree bound) find paths that the count
+    # never keeps reversed, so they meet in the middle: they find a path
+    # exactly when a forward search would and, failing, hand back the set
+    # it would reach (see the module docstring).
     bound = _degree_bound(orientation, u, v)
     cut: Collection[int] | None = None
     if bound < limit:
@@ -162,10 +278,14 @@ def _count_paths(
         limit = bound
     paths: list[list[int]] = []
     flipped = kept = 0
+    forward = limit if spare is None else limit - spare
     try:
         while len(paths) < limit:
             reached: dict = {}
-            path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
+            if len(paths) < forward:
+                path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
+            else:
+                path = _meeting_path(orientation, u, v, meter, reached)
             if path is None:
                 cut = reached.keys()
                 break

@@ -32,11 +32,13 @@ reversal lowers λ by exactly one, since it leaves every cut between the
 pair with one leaving arc fewer.  Testing the pair afresh after every
 reversal, and reversing the first path found while more than k exist,
 would therefore reverse P_1, ..., P_(λ-k).  The count leaves just these
-reversed, undoing only P_(λ-k+1), ..., P_λ, and the chain takes them over
-with no re-test.  The count's cut R is taken on the orientation with all
-λ paths reversed, the one the last failing re-test would search: the set
-that search would reach, or, when the source has no out-arc or the target
-no in-arc left there, the source alone or every vertex but the target.
+reversed, undoing the paths after them, and the chain takes them over
+with no re-test.  (Those later paths are found by meeting searches, so
+they need not be P_(λ-k+1), ..., P_λ; see :mod:`orientations.paths`.)
+The count's cut R is taken on the orientation with all λ paths reversed,
+the one the last failing re-test would search: the set that search would
+reach, or, when the source has no out-arc or the target no in-arc left
+there, the source alone or every vertex but the target.
 
 R holds the count's source, not its target, and once the count toward u
 returns it is left by exactly k arcs.  So when lowering v no later vertex

@@ -221,7 +221,7 @@ def test_the_counts_never_cost_more_than_the_cut_alone(monkeypatch):
 @pytest.mark.slow
 def test_fixed_prefix_never_costs_more_on_the_long_korient_streams(monkeypatch):
     full, prefix = _against_full_scan(monkeypatch, _korient_run(families.torus(3, 3), 1))
-    assert full == 8_575_103 and prefix < full
+    assert full == 8_566_749 and prefix < full
     _against_full_scan(monkeypatch, _korient_run(families.doubled_wheel4(), 1))
 
 

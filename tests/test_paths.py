@@ -11,8 +11,8 @@ from orientations import (
     lambda_at_least,
     parse_graph,
 )
-from orientations.paths import _count_paths, _shortest_path
-from witnesses import cut_outdegree, reverse_path, reversed_copy, unbounded_count_paths
+from orientations.paths import _count_paths, _meeting_path, _shortest_path
+from witnesses import assert_path, cut_outdegree, reverse_path, reversed_copy, unbounded_count_paths
 
 
 def directed_triangle():
@@ -222,7 +222,10 @@ def test_one_count_finds_the_paths_of_successive_reversals():
     # finds once all its paths are reversed.  The sequence search reverses a
     # count's paths in turn on this ground, instead of re-testing the pair:
     # a count told to spare its last s paths returns with exactly its first
-    # λ-s paths reversed.
+    # λ-s paths reversed.  Those are the paths of successive reversals; the
+    # later ones, which its meeting searches find, are u-to-v paths once the
+    # earlier ones are reversed, and the count runs the same searches and
+    # hands back the same cut.
     rng = random.Random(808)
     deepest = 0
     for _, g in families.random_family(40, seed=29):
@@ -232,14 +235,19 @@ def test_one_count_finds_the_paths_of_successive_reversals():
                 if u == v:
                     continue
                 limit = g.degree(u) + 1
-                paths, cut = _count_paths(d, u, v, limit)
+                meter = DelayMeter()
+                paths, cut = _count_paths(d, u, v, limit, meter)
                 assert len(paths) == oracle_lambda(d, u, v) and cut is not None
                 deepest = max(deepest, len(paths))
                 for spare in range(len(paths) + 2):
-                    left = d.copy()
-                    assert _count_paths(left, u, v, limit, None, spare) == (paths, cut)
-                    kept = paths[: max(len(paths) - spare, 0)]
-                    assert left == reversed_copy(d, [e for path in kept for e in path])
+                    left, spared = d.copy(), DelayMeter()
+                    got, got_cut = _count_paths(left, u, v, limit, spared, spare)
+                    kept = max(len(paths) - spare, 0)
+                    assert got[:kept] == paths[:kept] and len(got) == len(paths)
+                    for i in range(kept, len(got)):
+                        assert_path(reversed_copy(d, [e for path in got[:i] for e in path]), got[i], u, v)
+                    assert set(got_cut) == set(cut) and spared.bfs_runs == meter.bfs_runs
+                    assert left == reversed_copy(d, [e for path in paths[:kept] for e in path])
                 for i in range(len(paths) + 1):
                     flipped = reversed_copy(d, [e for path in paths[:i] for e in path])
                     assert oracle_lambda(flipped, u, v) == len(paths) - i
@@ -247,6 +255,28 @@ def test_one_count_finds_the_paths_of_successive_reversals():
                     assert fresh[:1] == paths[i : i + 1]
                 assert fresh == [] and set(fresh_cut) == set(cut)
     assert deepest >= 3
+
+
+def test_a_meeting_search_answers_as_the_forward_search_does():
+    # One BFS run that finds a u-to-v path exactly when the forward search
+    # does, and that otherwise hands back the set the forward search
+    # reaches; it scans each arc at most once each way.
+    rng = random.Random(919)
+    met = failed = 0
+    for _, g in families.random_family(60, seed=53):
+        d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
+        for u, v in [(u, v) for u in range(g.n) for v in range(g.n) if u != v]:
+            meter, reached, forward = DelayMeter(), {}, {}
+            path = _meeting_path(d, u, v, meter, reached)
+            want = _shortest_path(d, (u,), (v,), None, None, forward)
+            assert meter.bfs_runs == 1 and meter.arc_touches <= 2 * g.m
+            if want is None:
+                assert path is None and set(reached) == set(forward)
+                failed += 1
+            else:
+                assert_path(d, path, u, v)
+                met += 1
+    assert min(met, failed) > 200, (met, failed)
 
 
 def test_a_count_hands_back_the_cut_its_last_search_would_reach():
@@ -305,9 +335,12 @@ def test_a_count_that_reaches_its_limit_never_flips_its_last_path():
 
 def test_a_count_stops_at_its_degree_bound():
     # No more than min(out(u), in(v)) paths exist, so a count stops there
-    # with the paths, the cut and the orientation of the count that goes on
-    # to its limit; it only skips flipping and undoing the path that reaches
-    # the bound, 2·|last path| touches, and runs the same searches.
+    # with the cut and the orientation of the count that goes on to its
+    # limit, and runs the same searches.  A count that undoes every path
+    # finds the same paths and only skips flipping and undoing the one that
+    # reaches the bound, 2·|last path| touches.  A count that spares paths
+    # finds the same ones it keeps, and the rest are u-to-v paths once the
+    # earlier ones are reversed.
     rng = random.Random(717)
     stopped = 0
     for _, g in families.random_family(40, seed=47):
@@ -321,16 +354,22 @@ def test_a_count_stops_at_its_degree_bound():
                     meter, reference = DelayMeter(), DelayMeter()
                     paths, cut = _count_paths(left, u, v, limit, meter, spare)
                     want, want_cut = unbounded_count_paths(unbounded, u, v, limit, reference, spare)
-                    assert paths == want and left == unbounded
+                    assert left == unbounded and len(paths) == len(want)
                     assert (cut is None) == (want_cut is None) and set(cut or ()) == set(want_cut or ())
                     assert meter.bfs_runs == reference.bfs_runs
+                    forward = len(paths) if spare is None else min(limit, bound) - spare
+                    assert paths[:forward] == want[:forward]
+                    for i in range(max(forward, 0), len(paths)):
+                        assert_path(reversed_copy(d, [e for path in paths[:i] for e in path]), paths[i], u, v)
+                    if spare is not None:
+                        continue
                     saved = reference.arc_touches - meter.arc_touches
                     if bound < limit and len(paths) == bound > 0:
                         assert saved == 2 * len(paths[-1])
                         stopped += 1
                     else:
                         assert saved == 0
-    assert stopped > 1000, stopped
+    assert stopped > 500, stopped
 
 
 def test_flippable_examples():

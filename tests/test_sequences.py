@@ -18,6 +18,7 @@ from orientations.paths import _count_paths
 from orientations.sequences import _vertex_choices
 from witnesses import (
     cut_outdegree,
+    forward_count_paths,
     fresh_count_choices,
     pairwise_is_k_connected,
     plain_scan_choices,
@@ -320,7 +321,7 @@ def test_degree_certificates_never_cost_more_than_counting(monkeypatch):
         return want
 
     counted, skipped = _torus_figures_against(counting)
-    assert counted == (71_689, 325)
+    assert counted == (57_091, 257)
     assert skipped[0] < counted[0] and skipped[1] < counted[1]
 
 
@@ -340,6 +341,41 @@ def test_degree_stops_and_sweeps_never_cost_more_than_counting_to_the_limit(monk
     counted, stopped = _torus_figures_against(unbounded)
     assert counted == (71_828, 388)
     assert stopped[0] < counted[0] and stopped[1] < counted[1]
+
+
+class _Enough(Exception):
+    pass
+
+
+def _first_sequences(graph, k, count, meter):
+    # The first ``count`` sequences of the unseeded search; the sink stops
+    # the run when the last of them arrives.
+    got = []
+
+    def sink(s, w):
+        got.append((s, w.serialize()))
+        if len(got) == count:
+            raise _Enough
+
+    with pytest.raises(_Enough):
+        enumerate_outdegree_sequences(graph, k, None, sink, meter=meter)
+    return got
+
+
+def test_meeting_searches_cost_less_than_forward_ones_at_scale(monkeypatch):
+    # On the 8x8 torus at k = 1, the counts' deciding searches meet in the
+    # middle.  With every search forward, the figures are those of the
+    # search before they did, and the stream and the BFS runs are the same.
+    torus = families.torus(8, 8)
+    meter, forward = DelayMeter(), DelayMeter()
+    got = _first_sequences(torus, 1, 1_500, meter)
+    with monkeypatch.context() as patched:
+        patched.setattr(sequences, "_count_paths", forward_count_paths)
+        want = _first_sequences(torus, 1, 1_500, forward)
+    assert got == want and meter.bfs_runs == forward.bfs_runs
+    assert (forward.total_ops, forward.max_delay_ops) == (356_739, 14_306)
+    assert (meter.total_ops, meter.max_delay_ops) == (261_154, 11_278)
+    assert meter.total_ops < forward.total_ops and meter.max_delay_ops < forward.max_delay_ops
 
 
 def test_degree_certificates_skip_only_pairs_with_k_paths(monkeypatch):

@@ -7,8 +7,10 @@ directions, ``cut_outdegree`` counts the arcs leaving a vertex set straight
 from the definition, ``same_alpha_cycle_decomposition`` exhibits the
 cycle decomposition between two orientations with equal outdegrees,
 ``class_size_lower_bound_check`` tests the (k-1)n+2 class-size floor,
+``assert_path`` checks a directed u-to-v path,
 ``unbounded_count_paths`` is the λ count that goes on past min(out(u),
-in(v)) to its limit, ``pairwise_is_k_connected`` the connectivity check
+in(v)) to its limit, ``forward_count_paths`` the λ count whose every search
+runs forward, ``pairwise_is_k_connected`` the connectivity check
 that counts paths from vertex 0 to every other vertex and back also for
 k = 1, ``InvariantProbe`` replays the enumeration walks with their
 proof-step assertions (``probed_alpha``, ``probed_sequences``,
@@ -41,7 +43,7 @@ from orientations import (
     kconn,
 )
 from orientations.alpha import _EdgeLevels, _emit_leaves, walk
-from orientations.paths import _flip, _shortest_path
+from orientations.paths import _degree_bound, _flip, _shortest_path
 from orientations.sequences import _vertex_choices
 
 
@@ -66,6 +68,12 @@ def reverse_path(orientation: Orientation, path: Sequence[int], source: int) -> 
             raise ValueError(f"edge {e} does not leave the head of the previous arc")
         previous_head = orientation.head(e)
     return reversed_copy(orientation, path)
+
+
+def assert_path(orientation: Orientation, path: Sequence[int], u: int, v: int) -> None:
+    """Asserts that ``path`` is a nonempty arc-simple directed u-to-v path."""
+    reverse_path(orientation, path, u)  # raises unless it is one leaving u
+    assert orientation.head(path[-1]) == v, f"path {path} does not end at {v}"
 
 
 def reversed_copy(orientation: Orientation, edges: Iterable[int]) -> Orientation:
@@ -131,7 +139,7 @@ def unbounded_count_paths(
     paths: list[list[int]] = []
     kept = 0
     out, n = orientation._out, orientation.graph.n
-    all_in = (1 << orientation.graph.degree(v)) - 1  # _out[v] when v has no in-arc
+    all_in = orientation.graph._row_mask[v]  # _out[v] when v has no in-arc
     try:
         while len(paths) < limit:
             if not out[u]:
@@ -152,6 +160,47 @@ def unbounded_count_paths(
         return paths, None
     finally:
         for path in paths[kept:]:
+            _flip(orientation, path, meter)
+
+
+def forward_count_paths(
+    orientation: Orientation,
+    u: int,
+    v: int,
+    limit: int,
+    meter: DelayMeter | None = None,
+    spare: int | None = None,
+) -> tuple[list[list[int]], Collection[int] | None]:
+    """``paths._count_paths`` with forward searches only, as a reference.
+
+    Same contract, searches, cut and orientation left behind, and it stops
+    at min(out(u), in(v)) the same way, but every search is the forward BFS,
+    also those whose paths the count never keeps reversed, so all its paths
+    are the paths of successive reversals.
+    """
+    bound = _degree_bound(orientation, u, v)
+    cut: Collection[int] | None = None
+    if bound < limit:
+        cut = {u} if orientation._out[u].bit_count() == bound else {*range(v), *range(v + 1, orientation.graph.n)}
+        limit = bound
+    paths: list[list[int]] = []
+    flipped = kept = 0
+    try:
+        while len(paths) < limit:
+            reached: dict = {}
+            path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
+            if path is None:
+                cut = reached.keys()
+                break
+            paths.append(path)
+            if len(paths) < limit or (spare == 0 and cut is not None):
+                _flip(orientation, path, meter)
+                flipped += 1
+        if cut is not None and spare is not None:
+            kept = max(len(paths) - spare, 0)
+        return paths, cut
+    finally:
+        for path in paths[kept:flipped]:
             _flip(orientation, path, meter)
 
 
