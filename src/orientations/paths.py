@@ -1,7 +1,9 @@
 """Directed path search and arc-disjoint path counting over orientations.
 
 This is the primitive layer under both enumerators and the only module that
-searches for paths.  Its search is a plain BFS that scans only out-arcs.
+searches for paths.  Every search scans arcs through ``_grow``, the
+package's one arc-scanning loop, and rebuilds its path through one tree
+walk, ``_walk``.  The search is a plain BFS that scans only out-arcs.
 Each orientation keeps, per vertex x, the bitmask ``_out[x]`` over the
 positions of ``incidence[x]`` whose entries leave x, and every flip keeps
 it exact.  The search walks the set bits from low to high, so it meets x's
@@ -54,13 +56,54 @@ pay one arc touch per edge.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from collections.abc import Collection, Sequence
 
 from .metering import DelayMeter
 from .multigraph import Orientation
 
 __all__ = ["lambda_at_least"]
+
+
+def _grow(rows, out, full, fixed, layer, following, tree, targets) -> tuple[int | None, int]:
+    # The package's one arc-scanning loop.  For each vertex x of ``layer``,
+    # scans x's out-arcs in row order, or its in-arcs backward when ``full``
+    # is the row masks (None otherwise), skipping the first fixed[x] entries
+    # when ``fixed`` is given.  Each vertex not yet in ``tree`` is mapped
+    # there to the edge it was reached by and appended to ``following``;
+    # the first such vertex in ``targets`` ends the scan.  Returns it, or
+    # None, and the number of arcs scanned.  Passed as both ``layer`` and
+    # ``following``, one list is a FIFO queue and the call a whole BFS.
+    touched = 0
+    for x in layer:
+        row = rows[x]
+        arcs = out[x] if full is None else out[x] ^ full[x]
+        if fixed is not None:
+            arcs = arcs >> fixed[x] << fixed[x]
+        while arcs:
+            low = arcs & -arcs
+            arcs ^= low
+            touched += 1
+            e, w, _ = row[low.bit_length() - 1]
+            if w not in tree:
+                tree[w] = e
+                if w in targets:
+                    return w, touched
+                following.append(w)
+    return None, touched
+
+
+def _walk(ends, tree: dict, x: int) -> list[int]:
+    # The edges from x back to the root of ``tree``, which maps a vertex to
+    # the edge it was reached by (None at the root); ``ends[e]`` holds the
+    # endpoints of edge e.
+    edges: list[int] = []
+    e = tree[x]
+    while e is not None:
+        edges.append(e)
+        a, b = ends[e]
+        x ^= a ^ b  # the vertex across e from x
+        e = tree[x]
+    return edges
 
 
 def _shortest_path(
@@ -77,56 +120,29 @@ def _shortest_path(
     # discovered target; a source is never reported as its own target.
     # With ``inward`` it walks in-arcs backward instead, x's being the bits
     # of its row mask that ``_out[x]`` leaves clear: a search of the
-    # reversed orientation.
+    # reversed orientation.  The whole search is one ``_grow`` over one
+    # queue.
     # ``reached``, when given, receives the search tree, each vertex mapped
     # to the edge it was reached by (a source to None), so its keys are the
     # vertices the search reached.  It may arrive holding vertices that the
     # search then treats as reached and never expands: the caller knows
     # that no path to a target runs through them.  Vertex ids are not
     # checked: callers take them from the graph or from lambda_at_least.
-    parent: dict[int, int | None] = {} if reached is None else reached
+    tree: dict[int, int | None] = {} if reached is None else reached
     for x in sources:
-        parent[x] = None
-    out = orientation._out
+        tree[x] = None
     graph = orientation.graph
-    rows, full = graph.incidence, graph._row_mask
+    queue = list(sources)
     if meter is not None:
         meter.bfs()
-    touched = 0
-    queue = deque(sources)
-    hit = None
-    while queue and hit is None:
-        x = queue.popleft()
-        row = rows[x]
-        arcs = out[x]
-        if inward:
-            arcs ^= full[x]
-        if fixed is not None:
-            arcs = arcs >> fixed[x] << fixed[x]
-        while arcs:
-            low = arcs & -arcs
-            arcs ^= low
-            touched += 1
-            e, w, _ = row[low.bit_length() - 1]
-            if w in parent:
-                continue
-            parent[w] = e
-            if w in targets:
-                hit = w
-                break
-            queue.append(w)
+    hit, touched = _grow(
+        graph.incidence, orientation._out, graph._row_mask if inward else None, fixed, queue, queue, tree, targets
+    )
     if meter is not None:
         meter.arcs(touched)
     if hit is None:
         return None
-    edges: list[int] = []
-    ends, x = graph.edges, hit
-    e = parent[x]
-    while e is not None:
-        edges.append(e)
-        a, b = ends[e]
-        x ^= a ^ b  # the vertex across e from x
-        e = parent[x]
+    edges = _walk(graph.edges, tree, hit)
     edges.reverse()
     return edges
 
@@ -140,83 +156,36 @@ def _meeting_path(
 ) -> list[int] | None:
     # A u-to-v path, or None, found by growing BFS layers from u along
     # out-arcs and from v backward along in-arcs, the smaller layer first
-    # (u's on a tie), until an arc joins the two trees.  Charged as one BFS
-    # run and one arc touch per arc scanned in either direction.  ``reached``
-    # receives u's tree: once v's side runs out, u's goes on until it meets
-    # v's tree or runs out too, so on failure its keys are every vertex that
-    # u reaches, the set the forward search would reach.  The two sides are
-    # written out apart, as are the two tree walks of ``_joined``: on small
-    # graphs, swapping sides per layer or calling a helper per walk costs
-    # more time than the arcs the meeting saves.
-    out = orientation._out
+    # (u's on a tie), one ``_grow`` per layer, until an arc joins the two
+    # trees.  Charged as one BFS run and one arc touch per arc scanned in
+    # either direction.  ``reached`` receives u's tree: once v's side runs
+    # out, u's goes on until it meets v's tree or runs out too, so on
+    # failure its keys are every vertex that u reaches, the set the forward
+    # search would reach.
     graph = orientation.graph
-    rows, full, ends = graph.incidence, graph._row_mask, graph.edges
+    rows, out, ends = graph.incidence, orientation._out, graph.edges
     ahead, behind = reached, {v: None}
     ahead[u] = None
     front, back = [u], [v]
     if meter is not None:
         meter.bfs()
-    touched = 0
-    while front:
-        layer = []
+    hit, touched = None, 0
+    while front and hit is None:
+        layer: list[int] = []
         if back and len(back) < len(front):
-            for x in back:
-                row = rows[x]
-                arcs = full[x] ^ out[x]
-                while arcs:
-                    low = arcs & -arcs
-                    arcs ^= low
-                    touched += 1
-                    e, w, _ = row[low.bit_length() - 1]
-                    if w not in behind:
-                        behind[w] = e
-                        if w in ahead:
-                            if meter is not None:
-                                meter.arcs(touched)
-                            return _joined(ends, ahead, behind, w)
-                        layer.append(w)
+            hit, scanned = _grow(rows, out, graph._row_mask, None, back, layer, behind, ahead)
             back = layer
         else:
-            for x in front:
-                row = rows[x]
-                arcs = out[x]
-                while arcs:
-                    low = arcs & -arcs
-                    arcs ^= low
-                    touched += 1
-                    e, w, _ = row[low.bit_length() - 1]
-                    if w not in ahead:
-                        ahead[w] = e
-                        if w in behind:
-                            if meter is not None:
-                                meter.arcs(touched)
-                            return _joined(ends, ahead, behind, w)
-                        layer.append(w)
+            hit, scanned = _grow(rows, out, None, None, front, layer, ahead, behind)
             front = layer
+        touched += scanned
     if meter is not None:
         meter.arcs(touched)
-    return None
-
-
-def _joined(ends, ahead: dict, behind: dict, x: int) -> list[int]:
-    # The edges from the root of ``ahead`` to x, then from x to the root of
-    # ``behind``.  Each tree maps a vertex to the edge it was reached by
-    # (None at the root), and ``ends[e]`` holds the endpoints of edge e.
-    edges: list[int] = []
-    y, e = x, ahead[x]
-    while e is not None:
-        edges.append(e)
-        a, b = ends[e]
-        y ^= a ^ b
-        e = ahead[y]
+    if hit is None:
+        return None
+    edges = _walk(ends, ahead, hit)
     edges.reverse()
-    e = behind[x]
-    while e is not None:
-        edges.append(e)
-        a, b = ends[e]
-        x ^= a ^ b
-        e = behind[x]
-    return edges
+    return edges + _walk(ends, behind, hit)
 
 
 def _flip(d: Orientation, edges: list[int], meter: DelayMeter | None) -> None:
@@ -246,10 +215,10 @@ def _count_paths(
     # given.  Every flip, the undo flips included, is an arc touch.  The
     # count stops at min(limit, out(u), in(v)), since no more paths exist,
     # and the path that reaches that stop is neither flipped nor undone: no
-    # search follows it.  A count that falls short of ``limit`` undoes only
-    # its last ``spare`` paths (all of them when None) and leaves the others
-    # reversed, so with ``spare`` 0 it does flip the path at a degree stop;
-    # otherwise, and when a search raises, the orientation is restored.
+    # search follows it.  ``spare`` is None or at least 1.  A count that
+    # falls short of ``limit`` undoes only its last ``spare`` paths (all of
+    # them when None) and leaves the others reversed; otherwise, and when a
+    # search raises, the orientation is restored.
     #
     # Returned with the paths is a cut when fewer than ``limit`` exist, else
     # None: a set R that holds u but not v and that no arc leaves once the
@@ -290,7 +259,7 @@ def _count_paths(
                 cut = reached.keys()
                 break
             paths.append(path)
-            if len(paths) < limit or (spare == 0 and cut is not None):
+            if len(paths) < limit:
                 _flip(orientation, path, meter)
                 flipped += 1
         if cut is not None and spare is not None:

@@ -1,8 +1,11 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 import families
+import orientations
 from oracles import oracle_lambda
 from orientations import (
     DelayMeter,
@@ -189,7 +192,6 @@ def test_lambda_restores_input_when_interrupted():
     # every one of them undone when its search raises, like lambda_at_least.
     counts = [
         lambda d, meter: lambda_at_least(d, 0, 1, 2, meter),
-        lambda d, meter: _count_paths(d, 0, 1, 3, meter, 0),
         lambda d, meter: _count_paths(d, 0, 1, 3, meter, 1),
     ]
     for count in counts:
@@ -239,7 +241,7 @@ def test_one_count_finds_the_paths_of_successive_reversals():
                 paths, cut = _count_paths(d, u, v, limit, meter)
                 assert len(paths) == oracle_lambda(d, u, v) and cut is not None
                 deepest = max(deepest, len(paths))
-                for spare in range(len(paths) + 2):
+                for spare in range(1, len(paths) + 2):
                     left, spared = d.copy(), DelayMeter()
                     got, got_cut = _count_paths(left, u, v, limit, spared, spare)
                     kept = max(len(paths) - spare, 0)
@@ -277,6 +279,59 @@ def test_a_meeting_search_answers_as_the_forward_search_does():
                 assert_path(d, path, u, v)
                 met += 1
     assert min(met, failed) > 200, (met, failed)
+
+
+def test_an_inward_search_is_the_forward_search_of_the_reversed_orientation():
+    # Walking in-arcs backward from s to t is searching the orientation with
+    # every edge reversed: the same path, the same search tree built in the
+    # same order, one BFS run and the same arc touches, with or without a
+    # fixed prefix.
+    rng = random.Random(1234)
+    pairs = found = 0
+    for _, g in families.random_family(60, seed=61):
+        d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
+        flipped = reversed_copy(d, range(g.m))
+        last = rng.randrange(g.m)  # edges 0..last fixed
+        prefix = [sum(e <= last for e, _, _ in row) for row in g.incidence]
+        for fixed in (None, prefix):
+            for s, t in [(s, t) for s in range(g.n) for t in range(g.n) if s != t]:
+                inward, forward = DelayMeter(), DelayMeter()
+                got, want = {}, {}
+                path = _shortest_path(d, (s,), (t,), fixed, inward, got, inward=True)
+                assert path == _shortest_path(flipped, (s,), (t,), fixed, forward, want)
+                assert list(got.items()) == list(want.items())
+                assert (inward.bfs_runs, inward.arc_touches) == (forward.bfs_runs, forward.arc_touches)
+                assert inward.bfs_runs == 1
+                pairs += 1
+                found += path is not None
+    assert pairs > 1000 and 200 < found < pairs - 200, (pairs, found)
+
+
+def test_one_loop_scans_arcs():
+    # Every search scans arcs through paths._grow, so the package holds
+    # exactly one lowest-set-bit expression ``x & -x``, and it is there.
+    def lowest_bit(node):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)):
+            return False
+        for x, y in ((node.left, node.right), (node.right, node.left)):
+            if isinstance(y, ast.UnaryOp) and isinstance(y.op, ast.USub) and ast.dump(y.operand) == ast.dump(x):
+                return True
+        return False
+
+    found = []
+    for path in sorted(Path(orientations.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                owner[child] = node
+        for node in ast.walk(tree):
+            if lowest_bit(node):
+                scope = node
+                while scope in owner and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    scope = owner[scope]
+                found.append(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+    assert found == ["paths._grow"]
 
 
 def test_a_count_hands_back_the_cut_its_last_search_would_reach():

@@ -133,8 +133,8 @@ def unbounded_count_paths(
     ``limit`` whatever out(u) and in(v) are: it flips the path that reaches
     min(out(u), in(v)) below the limit and then stops before the next search,
     on {u} when u has no out-arc left, else on every vertex but v when v has
-    no in-arc left, and undoes that path unless ``spare`` is 0.  Only the
-    path that reaches ``limit`` is neither flipped nor undone.
+    no in-arc left, and undoes that path.  Only the path that reaches
+    ``limit`` is neither flipped nor undone.
     """
     paths: list[list[int]] = []
     kept = 0
@@ -193,7 +193,7 @@ def forward_count_paths(
                 cut = reached.keys()
                 break
             paths.append(path)
-            if len(paths) < limit or (spare == 0 and cut is not None):
+            if len(paths) < limit:
                 _flip(orientation, path, meter)
                 flipped += 1
         if cut is not None and spare is not None:
