@@ -15,37 +15,32 @@ orientation that level e kept and level e+1 restored.  If level e+1's
 search from its head found no way back to its tail, the set R it reached
 holds that head and is left by no arc among edges e+2..m-1.  Edge e+1,
 which level e frees, runs into R, so no arc free at level e leaves R
-either, and no path into a vertex outside R starts inside it.  So level e
-skips its search when its head lies in R and its tail does not, and when
-neither end lies in R its search treats R as reached and never expands it.
-Outside R that search finds the same vertices, in the same order and with
-the same tree, as a fresh one, so every path and the whole stream are
-unchanged, and it scans only arcs that the fresh search would scan.  A
-failed search hands the next level up the set it reached, R included; a
-skipped one hands on R itself, which, holding its head and not its tail, is
-a cut for that level too.  A level clears the cut when it opens and when it
-undoes its flip, so no search reads a set reached on another orientation:
-after a flip the walk either opens a deeper level or emits a leaf and
-undoes the flip.
+either, and no path into a vertex outside R starts inside it.  A level
+whose tail lies in R drops R.  Otherwise its search treats R as reached and
+never expands it.  Outside R that search finds the same vertices, in the
+same order and with the same tree, as a fresh one, so every path and the
+whole stream are unchanged, and it scans only arcs that the fresh search
+would scan.  A failed search hands the next level up the set it reached, R
+included.  A level clears the cut when it opens and when it undoes its
+flip, so no search reads a set reached on another orientation: after a flip
+the walk either opens a deeper level or emits a leaf and undoes the flip.
 
-Free-arc counts prove more searches dead before they start.  When level e
-searches, ``fixed[x]`` is the number of x's edges among 0..e, the fixed
-prefix of x's incidence row, so ``_out[x] >> fixed[x]`` (see
-:mod:`orientations.paths`) holds x's out-arcs among the free edges
-e+1..m-1, and x has ``degree(x) - fixed[x] - popcount(_out[x] >> fixed[x])``
-free in-arcs.  A path from head to tail leaves head and enters tail by free
-arcs, so there is none when head has no free out-arc or tail no free
-in-arc, and the level skips its search.  With no free out-arc at head the
-search would have reached R and head and nothing more, and the level hands
-up that set.  With no free in-arc at tail the set the search would have
-reached is unknown, so the level hands up R when neither of its ends lies
-in R, and an empty set otherwise.  No free arc leaves R, and edge e, which
-the level above frees, runs from tail to head, so it leaves R only when R
-holds its tail and not its head: with neither end in R, R is a cut one
-level up as well.  At the last level every edge is fixed, so its search is
-always skipped.  ``_EdgeLevels`` owns ``fixed`` and the cut; like
-``fixed``, the cut is walk bookkeeping: it touches no arc and is not
-charged.
+A level searches only when its head lies outside R, has a free out-arc, and
+its tail has a free in-arc.  When level e searches, ``fixed[x]`` is the
+number of x's edges among 0..e, the fixed prefix of x's incidence row, so
+``_out[x] >> fixed[x]`` (see :mod:`orientations.paths`) holds x's out-arcs
+among the free edges e+1..m-1, and ``(_row_mask[x] ^ _out[x]) >> fixed[x]``
+its free in-arcs.  No path into the tail starts inside R, and a path from
+head to tail leaves head and enters tail by free arcs, so a level that does
+not search would find no path.  It hands up the set it received: R, or an
+empty set when it received none or dropped R.  That set is a cut one level
+up: no free arc leaves R, and edge e, which the level above frees, runs
+from tail to head, so it leaves R only when R holds its tail.  (When the
+head has no free out-arc, R with the head added is a cut too, but one level
+up the tail is often this head, and that level would drop the set.)  At the
+last level every edge is fixed, so its search is always skipped.
+``_EdgeLevels`` owns ``fixed`` and the cut; like ``fixed``, the cut is walk
+bookkeeping: it touches no arc and is not charged.
 
 ``walk`` is the one traversal scheme of the package: the k-connected
 search of :mod:`orientations.sequences` and the first-solution finder run on
@@ -178,12 +173,12 @@ class _EdgeLevels:
     # no search: at the source, head, it is an in-arc, and the target, tail,
     # is never scanned.
     #
-    # When level e searches, cut holds the set R that level e+1's failed
-    # search reached, or None.  The search is skipped when head lies in R
-    # and tail does not, or when head has no free out-arc or tail no free
-    # in-arc (see the module docstring), and never expands R when neither
-    # end lies in R.  A level leaves the set its own failed or skipped
-    # search reached in cut.
+    # When level e resumes, cut holds the set R that level e+1 handed up, or
+    # None.  The level drops R when it holds tail, and searches only when
+    # head lies outside R, has a free out-arc, and tail has a free in-arc
+    # (see the module docstring); the search never expands R.  A failed
+    # search leaves the set it reached in cut, and a level that does not
+    # search leaves R, or an empty set when it received none or dropped R.
     __slots__ = ("d", "meter", "fixed", "cut")
 
     def __init__(self, d: Orientation, meter: DelayMeter):
@@ -191,7 +186,7 @@ class _EdgeLevels:
         self.fixed, self.cut = [0] * d.graph.n, None
 
     def choices(self, e: int) -> Iterator[None]:
-        d, fixed, out = self.d, self.fixed, self.d._out
+        d, fixed, out, rows = self.d, self.fixed, self.d._out, self.d.graph._row_mask
         u, v = d.graph.edges[e]
         tail, head = (u, v) if d.forward(e) else (v, u)
         fixed[u] += 1
@@ -202,9 +197,7 @@ class _EdgeLevels:
         if reached is None or tail in reached:
             reached = {}
         path = None
-        if head in reached or not out[head] >> fixed[head]:
-            reached[head] = None
-        elif d.graph.degree(tail) > fixed[tail] + (out[tail] >> fixed[tail]).bit_count():
+        if head not in reached and out[head] >> fixed[head] and (rows[tail] ^ out[tail]) >> fixed[tail]:
             path = _shortest_path(d, (head,), (tail,), fixed, self.meter, reached)
         if path is None:
             self.cut = reached

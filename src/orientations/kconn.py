@@ -5,6 +5,13 @@ A k-connected orientation exists iff the multigraph is 2k-edge-connected
 from a pruned backtracking search over edge directions.  The finder seeds
 the k-connected search of :mod:`orientations.sequences` when the caller
 gives no seed.
+
+The search directs the edges in index order, so, as in the alpha
+expansion, the edges it has directed at a vertex w are a fixed prefix of
+w's incidence row, the first ``fixed[w]``, and w's decided out-arcs are the
+bits of ``_out[w]`` in that prefix.  It keeps no other count.  Trying a
+direction costs an arc touch only when it flips the edge, through
+``paths._flip``.
 """
 from __future__ import annotations
 
@@ -14,7 +21,7 @@ from .alpha import walk
 from .connectivity import _edge_connectivity, is_k_connected
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
-from .paths import _check_positive
+from .paths import _check_positive, _flip
 
 __all__ = ["find_k_connected_orientation"]
 
@@ -37,32 +44,27 @@ def find_k_connected_orientation(
     if _edge_connectivity(graph, 2 * k) < 2 * k:
         return None
 
-    # The walk directs the edges of d, the orientation it returns.  With
-    # remaining[w] of its edges undirected, w ends with at most
-    # out[w] + remaining[w] out-arcs and degree(w) - out[w] in-arcs.
+    # The walk directs the edges of d; the first fixed[w] edges of w's row
+    # are directed.  When ``out`` of them leave w, w ends with at most
+    # out + degree(w) - fixed[w] out-arcs and degree(w) - out in-arcs.
     d = Orientation(graph)
-    out = [0] * graph.n
-    remaining = [graph.degree(v) for v in range(graph.n)]
+    fixed = [0] * graph.n
 
     def viable(w: int) -> bool:
-        return out[w] + remaining[w] >= k and graph.degree(w) - out[w] >= k
+        out = (d._out[w] & (1 << fixed[w]) - 1).bit_count()
+        return out + graph.degree(w) - fixed[w] >= k and graph.degree(w) - out >= k
 
     def directions(e: int) -> Iterator[None]:
         u, v = graph.edges[e]
-        remaining[u] -= 1
-        remaining[v] -= 1
+        fixed[u] += 1
+        fixed[v] += 1
         for fwd in (True, False):
-            tail = u if fwd else v
-            out[tail] += 1
             if d.forward(e) != fwd:
-                d._flip((e,))
-            if meter is not None:
-                meter.arcs(1)
+                _flip(d, (e,), meter)
             if viable(u) and viable(v):
                 yield
-            out[tail] -= 1
-        remaining[u] += 1
-        remaining[v] += 1
+        fixed[u] -= 1
+        fixed[v] -= 1
 
     for _ in walk(graph.m, directions):
         if is_k_connected(d, k, meter):

@@ -30,28 +30,37 @@ reversal lowers the u-to-v path count by exactly one, so the count is the
 number of iterations that find a path.  The paths are flipped in place; the
 first of them is a shortest path of the orientation as given.  Path i, when
 a forward search finds it, is the first path of a fresh count once paths
-0..i-1 are reversed, so those paths are successive reversals.  No more than
-min(out(u), in(v)) paths exist, so a count stops at that bound when it lies
-below its limit, and it neither flips nor undoes the path that reaches its
-stop: no search follows it.  A count that falls short also hands back a cut
-that certifies the shortfall for other pairs too.  A caller may have such a
-count leave its first paths reversed, all but its last ``spare``; every
-other count restores the orientation before it returns.
+0..i-1 are reversed, so those paths are successive reversals.  A count that
+falls short also hands back a cut, as a vertex bitmask, that certifies the
+shortfall for other pairs too.  A caller may have such a count leave its
+first paths reversed, all but its last ``spare``; every other count
+restores the orientation before it returns.
 
-Such a count leaves at most ``limit - spare`` paths reversed, its limit
-being lowered to the degree bound first, so the searches after that many
-only decide: whether one more path exists and, when none does, the cut.
-Those searches meet in the middle, and the rest stay forward BFS searches.
-Reversing any u-to-v path lowers the count by one, so the deciding searches
-find a path exactly when forward ones would, and the kept paths and the
-stream built on them do not change.  Nor does the cut: once a largest set of
-paths is reversed, the vertices u reaches are the source side of the
-smallest minimum u-to-v cut, whichever paths those are, and the meeting
-search hands back just that set.  Each search is still one BFS run; only the
-arc touches fall.
+The count owns the degree certificate: no more than min(out(u), in(v))
+paths exist, a bound read with two popcounts that are not charged.  When
+that bound lies below its limit, the count stops there, and it neither
+flips nor undoes the path that reaches its stop: no search follows it.  Its
+cut is then {u} when out(u) is the bound and every vertex but v otherwise,
+unless a search fails first.  When the bound is also at most ``spare``, the
+count could leave no path reversed, so it returns at once with no path, no
+search and that cut.
+
+A count with a ``spare`` leaves at most ``limit - spare`` paths reversed,
+its limit being lowered to the degree bound first, so the searches after
+that many only decide: whether one more path exists and, when none does,
+the cut.  Those searches meet in the middle, and the rest stay forward BFS
+searches.  Reversing any u-to-v path lowers the count by one, so the
+deciding searches find a path exactly when forward ones would, and the kept
+paths and the stream built on them do not change.  Nor does the cut: once a
+largest set of paths is reversed, the vertices u reaches are the source
+side of the smallest minimum u-to-v cut, whichever paths those are, and the
+meeting search hands back just that set.  Each search is still one BFS run;
+only the arc touches fall.
 
 Every search moves by ``_flip``: reverse a path or cycle, or undo that, and
-pay one arc touch per edge.
+pay one arc touch per edge.  The finder of :mod:`orientations.kconn` flips
+its edges through it too, so outside :mod:`orientations.multigraph` no
+edge changes direction uncharged.
 """
 from __future__ import annotations
 
@@ -188,7 +197,7 @@ def _meeting_path(
     return edges + _walk(ends, behind, hit)
 
 
-def _flip(d: Orientation, edges: list[int], meter: DelayMeter | None) -> None:
+def _flip(d: Orientation, edges: Sequence[int], meter: DelayMeter | None) -> None:
     # Reverses the edges and charges one arc touch per edge (none without a meter).
     d._flip(edges)
     if meter is not None:
@@ -209,7 +218,7 @@ def _count_paths(
     limit: int,
     meter: DelayMeter | None = None,
     spare: int | None = None,
-) -> tuple[list[list[int]], Collection[int] | None]:
+) -> tuple[list[list[int]], int | None]:
     # Arc-disjoint u-to-v paths, up to ``limit`` of them, found by reversing
     # one shortest path at a time; the first is a path of the orientation as
     # given.  Every flip, the undo flips included, is an arc touch.  The
@@ -221,16 +230,19 @@ def _count_paths(
     # search raises, the orientation is restored.
     #
     # Returned with the paths is a cut when fewer than ``limit`` exist, else
-    # None: a set R that holds u but not v and that no arc leaves once the
-    # count's paths are reversed.  Each flipped path, running out of R, had
-    # lowered the number of arcs leaving R by one, so exactly len(paths)
-    # leave it in the orientation as given, and on return as many as the
-    # count undid paths.  Reversing a path whose ends lie on one side of R
-    # leaves the number unchanged.  When the count stops at out(u) below
-    # its limit, its paths once reversed leave u no out-arc, so R is {u},
-    # the set a next search would reach; else when it stops at in(v), they
-    # leave v no in-arc, so R is every vertex but v.  Otherwise R is the set
-    # the failing search reached.
+    # None: the vertex bitmask of a set R that holds u but not v and that no
+    # arc leaves once the count's paths are reversed.  Each flipped path,
+    # running out of R, had lowered the number of arcs leaving R by one, so
+    # exactly as many arcs as there are paths leave it in the orientation as
+    # given, and on return as many as the count undid paths.  Reversing a
+    # path whose ends lie on one side of R leaves the number unchanged.
+    # When the count stops at out(u) below its limit, its paths once
+    # reversed leave u no out-arc, so R is {u}, the set a next search would
+    # reach; else when it stops at in(v), they leave v no in-arc, so R is
+    # every vertex but v.  Otherwise R is the set the failing search reached.
+    # A count whose degree bound lies below ``limit`` and at most at
+    # ``spare`` could leave no path reversed, so it returns at once with no
+    # path and that degree cut, which the bound's arcs leave.
     #
     # With a ``spare``, the searches past the first ``limit - spare``
     # (``limit`` lowered to the degree bound) find paths that the count
@@ -238,12 +250,11 @@ def _count_paths(
     # exactly when a forward search would and, failing, hand back the set
     # it would reach (see the module docstring).
     bound = _degree_bound(orientation, u, v)
-    cut: Collection[int] | None = None
+    cut = None
     if bound < limit:
-        if orientation._out[u].bit_count() == bound:
-            cut = {u}
-        else:
-            cut = {*range(v), *range(v + 1, orientation.graph.n)}
+        cut = 1 << u if orientation._out[u].bit_count() == bound else (1 << orientation.graph.n) - 1 ^ 1 << v
+        if spare is not None and bound <= spare:
+            return [], cut
         limit = bound
     paths: list[list[int]] = []
     flipped = kept = 0
@@ -256,7 +267,7 @@ def _count_paths(
             else:
                 path = _meeting_path(orientation, u, v, meter, reached)
             if path is None:
-                cut = reached.keys()
+                cut = sum(1 << x for x in reached)
                 break
             paths.append(path)
             if len(paths) < limit:

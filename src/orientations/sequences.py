@@ -52,13 +52,9 @@ fresh scan from v+1 after every reversal, and skips only tests whose answer
 is already known.  Lowering and raising test pairs in opposite directions,
 so neither keeps the other's cuts.
 
-The outdegree vector also decides pairs outright.  A pair has λ <= out(src)
-and λ <= in(dst), and λ >= k as the orientation is k-connected, so when
-min(out(src), in(dst)) <= k it has exactly k paths and its count would
-reverse nothing: the chain skips it, for two popcounts that are not
-charged.  A skipped pair hands back no cut, so a later vertex that only its
-cut would rule out is counted instead, and that count too reverses nothing.
-The stream is unchanged.
+A pair with min(out(src), in(dst)) <= k has exactly k paths, as the
+orientation is k-connected, and its count returns at once with no path, no
+search and its degree cut (see :mod:`orientations.paths`).
 """
 from __future__ import annotations
 
@@ -69,17 +65,16 @@ from .connectivity import is_k_connected
 from .kconn import find_k_connected_orientation
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
-from .paths import _count_paths, _degree_bound, _flip
+from .paths import _count_paths, _flip
 
 __all__ = ["enumerate_outdegree_sequences", "enumerate_k_connected"]
 
 
 def _vertex_choices(d: Orientation, v: int, k: int, meter: DelayMeter) -> Iterator[None]:
     # One chain per direction: a count for each later (so not yet fixed)
-    # vertex that neither a cut nor the outdegrees have ruled out, which
-    # leaves the first λ-k of its paths reversed, all before the chain's
-    # first yield (see the module docstring); then one yield per reversal,
-    # undoing them deepest first.
+    # vertex that no cut has ruled out, which leaves the first λ-k of its
+    # paths reversed, all before the chain's first yield (see the module
+    # docstring); then one yield per reversal, undoing them deepest first.
     n = d.graph.n
     limit = d.graph.degree(v) + 1
     for lowering in (True, False):
@@ -88,11 +83,8 @@ def _vertex_choices(d: Orientation, v: int, k: int, meter: DelayMeter) -> Iterat
         for u in range(v + 1, n):
             if candidates >> u & 1:
                 src, dst = (v, u) if lowering else (u, v)
-                if _degree_bound(d, src, dst) <= k:
-                    continue
-                paths, reached = _count_paths(d, src, dst, limit, meter, spare=k)
+                paths, cut = _count_paths(d, src, dst, limit, meter, spare=k)
                 chain += paths[: len(paths) - k]  # d stays k-connected: λ >= k
-                cut = sum(1 << x for x in reached)
                 candidates &= cut if lowering else ~cut
         while chain:
             edges = chain.pop()

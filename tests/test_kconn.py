@@ -142,6 +142,17 @@ def test_finder_returns_the_first_k_connected_orientation_in_oracle_order():
             assert (got.serialize() if got else None) == (min(want) if want else None), (g.edges, k)
 
 
+def test_the_finder_charges_only_the_edges_it_flips():
+    # The 4-cycle's first assignment, every edge '+', is strongly connected,
+    # so the finder flips no edge, and its work is the k = 1 check of its
+    # witness: two sweeps of one BFS run each.
+    g = parse_graph("4 4\n0 1\n1 2\n2 3\n3 0")
+    meter, check = DelayMeter(), DelayMeter()
+    d = find_k_connected_orientation(g, 1, meter)
+    assert d.serialize() == "++++" and is_k_connected(d, 1, check)
+    assert (meter.bfs_runs, meter.arc_touches) == (check.bfs_runs, check.arc_touches) == (2, 6)
+
+
 def test_class_size_bound_examples():
     g = parse_graph(DOUBLED_TRIANGLE)
     assert class_size_lower_bound_check(g, (2, 2, 2), 2)  # 10 >= (2-1)*3+2

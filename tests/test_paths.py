@@ -15,7 +15,7 @@ from orientations import (
     parse_graph,
 )
 from orientations.paths import _count_paths, _meeting_path, _shortest_path
-from witnesses import assert_path, cut_outdegree, reverse_path, reversed_copy, unbounded_count_paths
+from witnesses import assert_path, cut_outdegree, reverse_path, reversed_copy, unbounded_count_paths, vertices
 
 
 def directed_triangle():
@@ -227,9 +227,11 @@ def test_one_count_finds_the_paths_of_successive_reversals():
     # λ-s paths reversed.  Those are the paths of successive reversals; the
     # later ones, which its meeting searches find, are u-to-v paths once the
     # earlier ones are reversed, and the count runs the same searches and
-    # hands back the same cut.
+    # hands back the same cut.  One that would spare at least its degree
+    # bound min(out(u), in(v)) returns at once: no path, no search, the
+    # orientation as given and its degree cut.
     rng = random.Random(808)
-    deepest = 0
+    deepest = decided = 0
     for _, g in families.random_family(40, seed=29):
         d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
         for u in range(g.n):
@@ -241,22 +243,30 @@ def test_one_count_finds_the_paths_of_successive_reversals():
                 paths, cut = _count_paths(d, u, v, limit, meter)
                 assert len(paths) == oracle_lambda(d, u, v) and cut is not None
                 deepest = max(deepest, len(paths))
+                out = d.outdegrees()
+                bound = min(out[u], g.degree(v) - out[v])
                 for spare in range(1, len(paths) + 2):
                     left, spared = d.copy(), DelayMeter()
                     got, got_cut = _count_paths(left, u, v, limit, spared, spare)
+                    if spare >= bound:
+                        degree_cut = {u} if out[u] == bound else set(range(g.n)) - {v}
+                        assert got == [] and vertices(got_cut) == degree_cut and left == d
+                        assert (spared.bfs_runs, spared.arc_touches) == (0, 0)
+                        decided += 1
+                        continue
                     kept = max(len(paths) - spare, 0)
                     assert got[:kept] == paths[:kept] and len(got) == len(paths)
                     for i in range(kept, len(got)):
                         assert_path(reversed_copy(d, [e for path in got[:i] for e in path]), got[i], u, v)
-                    assert set(got_cut) == set(cut) and spared.bfs_runs == meter.bfs_runs
+                    assert got_cut == cut and spared.bfs_runs == meter.bfs_runs
                     assert left == reversed_copy(d, [e for path in paths[:kept] for e in path])
                 for i in range(len(paths) + 1):
                     flipped = reversed_copy(d, [e for path in paths[:i] for e in path])
                     assert oracle_lambda(flipped, u, v) == len(paths) - i
                     fresh, fresh_cut = _count_paths(flipped, u, v, limit)
                     assert fresh[:1] == paths[i : i + 1]
-                assert fresh == [] and set(fresh_cut) == set(cut)
-    assert deepest >= 3
+                assert fresh == [] and fresh_cut == cut
+    assert deepest >= 3 and decided > 100, (deepest, decided)
 
 
 def test_a_meeting_search_answers_as_the_forward_search_does():
@@ -307,6 +317,25 @@ def test_an_inward_search_is_the_forward_search_of_the_reversed_orientation():
     assert pairs > 1000 and 200 < found < pairs - 200, (pairs, found)
 
 
+def _package_scopes(matches) -> list[str]:
+    # "module.function" (or "module.<module>") for every AST node of
+    # src/orientations/ that ``matches``, in file and walk order.
+    found = []
+    for path in sorted(Path(orientations.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                owner[child] = node
+        for node in ast.walk(tree):
+            if matches(node):
+                scope = node
+                while scope in owner and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    scope = owner[scope]
+                found.append(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+    return found
+
+
 def test_one_loop_scans_arcs():
     # Every search scans arcs through paths._grow, so the package holds
     # exactly one lowest-set-bit expression ``x & -x``, and it is there.
@@ -318,20 +347,23 @@ def test_one_loop_scans_arcs():
                 return True
         return False
 
-    found = []
-    for path in sorted(Path(orientations.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        owner = {}
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                owner[child] = node
-        for node in ast.walk(tree):
-            if lowest_bit(node):
-                scope = node
-                while scope in owner and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    scope = owner[scope]
-                found.append(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
-    assert found == ["paths._grow"]
+    assert _package_scopes(lowest_bit) == ["paths._grow"]
+
+
+def test_each_certificate_has_one_owner():
+    # The degree bound min(out(u), in(v)) is read only in paths.py, where
+    # the λ count and lambda_at_least decide pairs by it, and outside
+    # multigraph.py an orientation's edges are flipped only through
+    # paths._flip, which charges every flip.
+    def names(node, name):
+        return (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name)
+
+    bound = _package_scopes(lambda node: names(node, "_degree_bound"))
+    assert bound and {scope.split(".")[0] for scope in bound} == {"paths"}, bound
+    flips = _package_scopes(
+        lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "_flip"
+    )
+    assert [scope for scope in flips if not scope.startswith("multigraph.")] == ["paths._flip"], flips
 
 
 def test_a_count_hands_back_the_cut_its_last_search_would_reach():
@@ -339,7 +371,8 @@ def test_a_count_hands_back_the_cut_its_last_search_would_reach():
     # has no out-arc left, on the set {u} the search would reach; without a
     # search when v has no in-arc left, on every vertex but v, which holds
     # the set the search would reach; else on that set, where the search
-    # fails.  Each cut is left by exactly len(paths) arcs as given.
+    # fails.  Each cut, a vertex bitmask, is left by exactly len(paths)
+    # arcs as given.
     rng = random.Random(515)
     seen = {"source": 0, "target": 0, "search": 0}
     for _, g in families.random_family(40, seed=31):
@@ -348,19 +381,20 @@ def test_a_count_hands_back_the_cut_its_last_search_would_reach():
             for v in range(g.n):
                 if u == v:
                     continue
-                paths, cut = _count_paths(d, u, v, g.degree(u) + 1)
+                paths, mask = _count_paths(d, u, v, g.degree(u) + 1)
+                cut = vertices(mask)
                 flipped = reversed_copy(d, [e for path in paths for e in path])
                 reached: dict = {}
                 assert _shortest_path(flipped, (u,), (v,), None, None, reached) is None
                 if not flipped._out[u]:
                     seen["source"] += 1
-                    assert set(cut) == set(reached) == {u}
+                    assert cut == set(reached) == {u}
                 elif flipped.outdegrees()[v] == g.degree(v):
                     seen["target"] += 1
-                    assert set(reached) <= set(cut) == set(range(g.n)) - {v}
+                    assert set(reached) <= cut == set(range(g.n)) - {v}
                 else:
                     seen["search"] += 1
-                    assert set(cut) == set(reached)
+                    assert cut == set(reached)
                 assert cut_outdegree(d, cut) == len(paths)
     assert min(seen.values()) >= 20, seen
 
@@ -395,9 +429,10 @@ def test_a_count_stops_at_its_degree_bound():
     # finds the same paths and only skips flipping and undoing the one that
     # reaches the bound, 2·|last path| touches.  A count that spares paths
     # finds the same ones it keeps, and the rest are u-to-v paths once the
-    # earlier ones are reversed.
+    # earlier ones are reversed; one that would spare at least the bound
+    # returns at once with no path, no search and its degree cut.
     rng = random.Random(717)
-    stopped = 0
+    stopped = decided = 0
     for _, g in families.random_family(40, seed=47):
         d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
         for u, v in [(u, v) for u in range(g.n) for v in range(g.n) if u != v]:
@@ -408,9 +443,14 @@ def test_a_count_stops_at_its_degree_bound():
                     left, unbounded = d.copy(), d.copy()
                     meter, reference = DelayMeter(), DelayMeter()
                     paths, cut = _count_paths(left, u, v, limit, meter, spare)
+                    if spare is not None and bound < limit and bound <= spare:
+                        degree_cut = {u} if out[u] == bound else set(range(g.n)) - {v}
+                        assert paths == [] and vertices(cut) == degree_cut and left == d
+                        assert (meter.bfs_runs, meter.arc_touches) == (0, 0)
+                        decided += 1
+                        continue
                     want, want_cut = unbounded_count_paths(unbounded, u, v, limit, reference, spare)
-                    assert left == unbounded and len(paths) == len(want)
-                    assert (cut is None) == (want_cut is None) and set(cut or ()) == set(want_cut or ())
+                    assert left == unbounded and len(paths) == len(want) and cut == want_cut
                     assert meter.bfs_runs == reference.bfs_runs
                     forward = len(paths) if spare is None else min(limit, bound) - spare
                     assert paths[:forward] == want[:forward]
@@ -424,7 +464,7 @@ def test_a_count_stops_at_its_degree_bound():
                         stopped += 1
                     else:
                         assert saved == 0
-    assert stopped > 500, stopped
+    assert stopped > 500 and decided > 500, (stopped, decided)
 
 
 def test_flippable_examples():

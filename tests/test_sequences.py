@@ -11,6 +11,7 @@ from orientations import (
     kconn,
     lambda_at_least,
     parse_graph,
+    paths,
     sequences,
 )
 from orientations.alpha import walk
@@ -26,6 +27,7 @@ from witnesses import (
     retesting_choices,
     scanned_sequences,
     unbounded_count_paths,
+    vertices,
 )
 
 DOUBLED_TRIANGLE = "3 6\n0 1\n0 1\n1 2\n1 2\n2 0\n2 0"
@@ -196,7 +198,8 @@ def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
     # Every count a chain makes ends short of its limit and hands back a cut
     # left by exactly as many arcs as it found paths in the orientation as
     # given, and by exactly k once the count returns with its first λ-k paths
-    # still reversed; a chain makes at most one count per later vertex.  It
+    # still reversed; a count that its outdegrees decide finds no path and
+    # reverses nothing.  A chain makes at most one count per later vertex.  It
     # never skips a flippable vertex: each reversal goes toward the smallest
     # flippable later vertex, and an exhausted chain leaves none.  The yields
     # show the reversals: a chain yields its states deepest first, so each
@@ -208,15 +211,19 @@ def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
 
     def checked_count(d, src, dst, limit, meter=None, spare=None):
         given = d.copy()
-        paths, reached = real_count(d, src, dst, limit, meter, spare)
-        assert reached is not None, "a count reached its limit and handed back no cut"
-        assert src in reached and dst not in reached
-        assert cut_outdegree(given, reached) == len(paths) < limit
-        assert spare == chain["k"] and cut_outdegree(d, reached) == spare
+        found, mask = real_count(d, src, dst, limit, meter, spare)
+        assert mask is not None, "a count reached its limit and handed back no cut"
+        cut = vertices(mask)
+        assert src in cut and dst not in cut
+        assert spare == chain["k"] and cut_outdegree(d, cut) == spare
+        if found:
+            assert cut_outdegree(given, cut) == len(found) < limit
+        else:  # decided by the outdegrees: nothing searched or reversed
+            assert d == given
         v, counts = chain["v"], chain["counts"]
         counts[src == v] += 1
         assert counts[src == v] <= d.graph.n - v - 1, "a later vertex was counted twice"
-        return paths, reached
+        return found, mask
 
     def flippable(d, v, u, lowering, k):
         return lambda_at_least(d, *((v, u) if lowering else (u, v)), k + 1)
@@ -281,7 +288,8 @@ def _chain(choices):
     # A reference chain on ``scanned_sequences``: it counts paths with the
     # unbounded count and its finder checks k = 1 by pairwise counts, so
     # its figures are those of the older searches with a BFS that scans
-    # only out-arcs and counts that stop where the outdegrees decide them.
+    # only out-arcs, counts that stop where the outdegrees decide them, and
+    # a finder that charges only the edges it flips.
     return lambda g, k, meter: scanned_sequences(g, k, meter, choices)
 
 
@@ -289,7 +297,7 @@ def test_cut_reuse_never_costs_more_than_the_plain_scan():
     # The plain scan's figures on the torus are the ones the search had
     # before failed λ tests kept their cuts.
     plain, reused = _torus_figures_against(_chain(plain_scan_choices))
-    assert plain == (171_200, 1_068)
+    assert plain == (171_182, 1_068)
     assert reused[0] < plain[0] and reused[1] < plain[1]
 
 
@@ -297,7 +305,7 @@ def test_one_count_per_candidate_never_costs_more_than_retesting():
     # The re-testing chain's figures on the torus are the ones the search
     # had before one count per candidate replaced the re-tests.
     retested, counted = _torus_figures_against(_chain(retesting_choices))
-    assert retested == (140_136, 642)
+    assert retested == (140_118, 624)
     assert counted[0] < retested[0] and counted[1] < retested[1]
 
 
@@ -306,22 +314,26 @@ def test_tight_sets_never_cost_more_than_fresh_counts():
     # had before tight sets outlived their chain; the search without them
     # must still cost less.
     fresh, kept = _torus_figures_against(_chain(fresh_count_choices))
-    assert fresh == (105_850, 526)
+    assert fresh == (105_832, 508)
     assert kept[0] < fresh[0] and kept[1] < fresh[1]
 
 
 def test_degree_certificates_never_cost_more_than_counting(monkeypatch):
-    # The search itself, with no pair skipped for its outdegrees, counts
-    # every candidate its cuts leave; its torus figures are pinned.
+    # The search itself, with every degree bound of k or less read as k+1,
+    # decides no pair by its outdegrees: each count such a pair gets runs
+    # its searches, finds its k paths and fails once more.  Its torus
+    # figures are pinned.
+    real_bound = paths._degree_bound
+
     def counting(g, k, meter):
         want = []
         with monkeypatch.context() as patched:
-            patched.setattr(sequences, "_degree_bound", lambda d, src, dst: k + 1)
+            patched.setattr(paths, "_degree_bound", lambda d, src, dst: max(real_bound(d, src, dst), k + 1))
             enumerate_outdegree_sequences(g, k, None, lambda s, w: want.append((s, w.serialize())), meter=meter)
         return want
 
     counted, skipped = _torus_figures_against(counting)
-    assert counted == (57_091, 257)
+    assert counted == (96_452, 413)
     assert skipped[0] < counted[0] and skipped[1] < counted[1]
 
 
@@ -329,17 +341,21 @@ def test_degree_stops_and_sweeps_never_cost_more_than_counting_to_the_limit(monk
     # The search itself with the unbounded count and the finder's pairwise
     # k = 1 check has the torus figures the search would have if its counts
     # did not stop at min(out(src), in(dst)) and the check did not sweep
-    # once each way.
+    # once each way.  A pair that its outdegrees decide is still decided.
+    def stopless(d, src, dst, limit, meter=None, spare=None):
+        count = _count_paths if paths._degree_bound(d, src, dst) <= spare else unbounded_count_paths
+        return count(d, src, dst, limit, meter, spare)
+
     def unbounded(g, k, meter):
         want = []
         with monkeypatch.context() as patched:
-            patched.setattr(sequences, "_count_paths", unbounded_count_paths)
+            patched.setattr(sequences, "_count_paths", stopless)
             patched.setattr(kconn, "is_k_connected", pairwise_is_k_connected)
             enumerate_outdegree_sequences(g, k, None, lambda s, w: want.append((s, w.serialize())), meter=meter)
         return want
 
     counted, stopped = _torus_figures_against(unbounded)
-    assert counted == (71_828, 388)
+    assert counted == (71_810, 370)
     assert stopped[0] < counted[0] and stopped[1] < counted[1]
 
 
@@ -373,25 +389,26 @@ def test_meeting_searches_cost_less_than_forward_ones_at_scale(monkeypatch):
         patched.setattr(sequences, "_count_paths", forward_count_paths)
         want = _first_sequences(torus, 1, 1_500, forward)
     assert got == want and meter.bfs_runs == forward.bfs_runs
-    assert (forward.total_ops, forward.max_delay_ops) == (356_739, 14_306)
-    assert (meter.total_ops, meter.max_delay_ops) == (261_154, 11_278)
+    assert (forward.total_ops, forward.max_delay_ops) == (356_611, 14_178)
+    assert (meter.total_ops, meter.max_delay_ops) == (261_026, 11_150)
     assert meter.total_ops < forward.total_ops and meter.max_delay_ops < forward.max_delay_ops
 
 
 def test_degree_certificates_skip_only_pairs_with_k_paths(monkeypatch):
-    # Every pair the chain skips because out(src) or in(dst) is at most k
-    # has exactly k arc-disjoint paths, by an unmetered count that leaves
-    # the orientation as it was; the stream is the search's own.
-    real_bound, skipped = sequences._degree_bound, []
+    # Every pair whose outdegrees bound its count by k or less has exactly k
+    # arc-disjoint paths, by an unbounded, unmetered count that leaves the
+    # orientation as it was, so the count it decides reverses nothing; the
+    # stream is the search's own.
+    real_bound, decided = paths._degree_bound, []
 
     def checked_bound(d, src, dst):
         bound = real_bound(d, src, dst)
         if bound <= k:
             before = d.copy()
-            paths, _ = _count_paths(d, src, dst, d.graph.degree(src) + 1)
-            assert len(paths) == k, f"skipped {src} to {dst}, which has {len(paths)} paths"
+            found, _ = unbounded_count_paths(d, src, dst, d.graph.degree(src) + 1)
+            assert len(found) == k, f"decided {src} to {dst}, which has {len(found)} paths"
             assert d == before
-            skipped.append((src, dst))
+            decided.append((src, dst))
         return bound
 
     graphs = [g for _, g in families.random_family(40, seed=19)] + [families.torus(3, 3)]
@@ -402,7 +419,7 @@ def test_degree_certificates_skip_only_pairs_with_k_paths(monkeypatch):
                 continue
             want = collect(g, k, seed=seed)
             with monkeypatch.context() as patched:
-                patched.setattr(sequences, "_degree_bound", checked_bound)
+                patched.setattr(paths, "_degree_bound", checked_bound)
                 got = collect(g, k, seed=seed)
             assert [(s, w.serialize()) for s, w in got] == [(s, w.serialize()) for s, w in want]
-    assert len(skipped) > 100
+    assert len(decided) > 100

@@ -4,7 +4,8 @@
 path before flipping it, ``reversed_copy`` flips any edge set of a copy,
 ``assert_masks_exact`` checks an orientation's out-arc masks against its
 directions, ``cut_outdegree`` counts the arcs leaving a vertex set straight
-from the definition, ``same_alpha_cycle_decomposition`` exhibits the
+from the definition, ``vertices`` unpacks the vertex bitmask of a λ
+count's cut, ``same_alpha_cycle_decomposition`` exhibits the
 cycle decomposition between two orientations with equal outdegrees,
 ``class_size_lower_bound_check`` tests the (k-1)n+2 class-size floor,
 ``assert_path`` checks a directed u-to-v path,
@@ -19,17 +20,18 @@ outdegree-sequence search with a reference chain: the plain scan that
 restarts every λ test sweep at v+1, the chain that keeps the cuts of
 failed tests but re-tests a pair after every reversal it permits, or the
 chain that makes one count per candidate but also counts the pairs whose
-outdegrees already decide them.  ``FullScanLevels``,
-``UncutLevels`` and ``UncountedLevels`` stand in for the alpha expansion's
-``_EdgeLevels``: the first with a reference search that scans whole
-incidence rows, the second with no cut reaching any search, and the third
+outdegrees already decide them.  ``FullScanLevels``, ``UncutLevels``,
+``UncountedLevels`` and ``HeadCutLevels`` stand in for the alpha
+expansion's ``_EdgeLevels``: the first with a reference search that scans
+whole incidence rows, the second with no cut reaching any search, the third
 as the expansion was before the free-arc counts, running every search that
-the cut does not skip.
+the cut does not skip, and the fourth with the older rule that adds a head
+with no free out-arc to the cut it hands up.
 """
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from unittest import mock
 
 from orientations import (
@@ -119,6 +121,11 @@ def cut_outdegree(orientation: Orientation, members: Iterable[int]) -> int:
     return count
 
 
+def vertices(mask: int) -> set[int]:
+    """The vertices of a vertex bitmask, the form of a λ count's cut."""
+    return {x for x in range(mask.bit_length()) if mask >> x & 1}
+
+
 def unbounded_count_paths(
     orientation: Orientation,
     u: int,
@@ -126,15 +133,16 @@ def unbounded_count_paths(
     limit: int,
     meter: DelayMeter | None = None,
     spare: int | None = None,
-) -> tuple[list[list[int]], Collection[int] | None]:
+) -> tuple[list[list[int]], int | None]:
     """``paths._count_paths`` without its degree stop, as a reference.
 
-    Same contract, paths, cut and orientation left behind.  It counts up to
+    Same contract, and the same cut as a vertex bitmask, but it counts up to
     ``limit`` whatever out(u) and in(v) are: it flips the path that reaches
     min(out(u), in(v)) below the limit and then stops before the next search,
     on {u} when u has no out-arc left, else on every vertex but v when v has
     no in-arc left, and undoes that path.  Only the path that reaches
-    ``limit`` is neither flipped nor undone.
+    ``limit`` is neither flipped nor undone.  So a pair whose outdegrees
+    decide it is counted too, and its paths are returned.
     """
     paths: list[list[int]] = []
     kept = 0
@@ -143,13 +151,13 @@ def unbounded_count_paths(
     try:
         while len(paths) < limit:
             if not out[u]:
-                cut: Collection[int] | None = {u}
+                cut: int | None = 1 << u
             elif out[v] == all_in:
-                cut = {*range(v), *range(v + 1, n)}
+                cut = (1 << n) - 1 ^ 1 << v
             else:
                 reached: dict = {}
                 path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
-                cut = None if path is not None else reached.keys()
+                cut = None if path is not None else sum(1 << x for x in reached)
             if cut is not None:
                 kept = 0 if spare is None else max(len(paths) - spare, 0)
                 return paths, cut
@@ -170,18 +178,20 @@ def forward_count_paths(
     limit: int,
     meter: DelayMeter | None = None,
     spare: int | None = None,
-) -> tuple[list[list[int]], Collection[int] | None]:
+) -> tuple[list[list[int]], int | None]:
     """``paths._count_paths`` with forward searches only, as a reference.
 
     Same contract, searches, cut and orientation left behind, and it stops
-    at min(out(u), in(v)) the same way, but every search is the forward BFS,
-    also those whose paths the count never keeps reversed, so all its paths
-    are the paths of successive reversals.
+    or returns at once where the outdegrees decide it the same way, but
+    every search is the forward BFS, also those whose paths the count never
+    keeps reversed, so all its paths are the paths of successive reversals.
     """
     bound = _degree_bound(orientation, u, v)
-    cut: Collection[int] | None = None
+    cut: int | None = None
     if bound < limit:
-        cut = {u} if orientation._out[u].bit_count() == bound else {*range(v), *range(v + 1, orientation.graph.n)}
+        cut = 1 << u if orientation._out[u].bit_count() == bound else (1 << orientation.graph.n) - 1 ^ 1 << v
+        if spare is not None and bound <= spare:
+            return [], cut
         limit = bound
     paths: list[list[int]] = []
     flipped = kept = 0
@@ -190,7 +200,7 @@ def forward_count_paths(
             reached: dict = {}
             path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
             if path is None:
-                cut = reached.keys()
+                cut = sum(1 << x for x in reached)
                 break
             paths.append(path)
             if len(paths) < limit:
@@ -297,7 +307,8 @@ class InvariantProbe:
       or None at the last level, the free out-arc count derived from the
       masks, ``popcount(_out[x] >> fixed[x])``, must be the number of
       out-arcs at x among the edges e+1..m-1, and the free in-arc count,
-      ``degree(x) - fixed[x]`` less that, the number of in-arcs.  When a
+      ``popcount((_row_mask[x] ^ _out[x]) >> fixed[x])``, the number of
+      in-arcs.  When a
       level skips its search, an unmetered search on the live orientation
       must find no path either; a cut the level leaves must not hold its
       tail, and no arc of the edges e+1..m-1 may leave it, so edge e, which
@@ -344,7 +355,8 @@ class InvariantProbe:
                     fi[d.head(f)] += 1
                 free_out = [(d._out[x] >> levels.fixed[x]).bit_count() for x in range(d.graph.n)]
                 assert free_out == fo, f"derived free out-arc counts at edge level {e} are not the edges {e + 1}.."
-                free_in = [d.graph.degree(x) - levels.fixed[x] - free_out[x] for x in range(d.graph.n)]
+                rows = d.graph._row_mask
+                free_in = [((rows[x] ^ d._out[x]) >> levels.fixed[x]).bit_count() for x in range(d.graph.n)]
                 assert free_in == fi, f"derived free in-arc counts at edge level {e} are not the edges {e + 1}.."
                 runs = self.meter.bfs_runs
         assert bytes(d._dirs[:e]) == prefix, f"fixed edges 0..{e - 1} not restored"
@@ -401,27 +413,24 @@ def probed_k_connected(graph: Multigraph, k: int, seed: Orientation) -> list[Ori
 
 
 def fresh_count_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
-    """The per-vertex choice generator without the degree skip, as a reference.
+    """The per-vertex choice generator without degree certificates, as a reference.
 
     Same contract and yields as ``sequences._vertex_choices``, and it makes
-    one count per candidate the same way, but it counts every candidate
-    that the cuts leave, also a pair whose outdegrees already decide that
+    one count per candidate the same way, but its counts are unbounded: it
+    searches for every path of a pair whose outdegrees already decide that
     it has exactly k paths.
     """
     n = d.graph.n
     limit = d.graph.degree(v) + 1
     for lowering in (True, False):
         chain = []
-        candidates = set(range(v + 1, n))
+        candidates = (1 << n) - (1 << v + 1)
         for u in range(v + 1, n):
-            if u in candidates:
+            if candidates >> u & 1:
                 src, dst = (v, u) if lowering else (u, v)
-                paths, reached = unbounded_count_paths(d, src, dst, limit, meter, spare=k)
+                paths, cut = unbounded_count_paths(d, src, dst, limit, meter, spare=k)
                 chain += paths[: len(paths) - k]
-                if lowering:
-                    candidates.intersection_update(reached)
-                else:
-                    candidates.difference_update(reached)
+                candidates &= cut if lowering else ~cut
         while chain:
             edges = chain.pop()
             yield
@@ -480,17 +489,15 @@ def retesting_pairs(d: Orientation, v: int, lowering: bool, k: int, meter: Delay
     first of those paths, which the caller reverses before it asks for the
     next.  A failed test drops every vertex its cut rules out, and the scan
     resumes at the vertex last yielded."""
-    candidates = set(range(v + 1, d.graph.n))
+    candidates = (1 << d.graph.n) - (1 << v + 1)
     for u in range(v + 1, d.graph.n):
-        while u in candidates:
+        while candidates >> u & 1:
             src, dst = (v, u) if lowering else (u, v)
-            paths, reached = unbounded_count_paths(d, src, dst, k + 1, meter)
-            if reached is None:
+            paths, cut = unbounded_count_paths(d, src, dst, k + 1, meter)
+            if cut is None:
                 yield src, dst, paths[0]
-            elif lowering:
-                candidates.intersection_update(reached)
             else:
-                candidates.difference_update(reached)
+                candidates &= cut if lowering else ~cut
 
 
 def scanned_sequences(graph: Multigraph, k: int, meter: DelayMeter, choices) -> list[tuple[tuple[int, ...], str]]:
@@ -580,6 +587,43 @@ class UncountedLevels:
             self.cut = reached
         else:
             self.cut = None
+            path.append(e)
+            _flip(d, path, self.meter)
+            yield
+            _flip(d, path, self.meter)
+            self.cut = None
+        fixed[u] -= 1
+        fixed[v] -= 1
+
+
+class HeadCutLevels(_EdgeLevels):
+    """The alpha expansion's edge levels with the older hand-up rule, as a reference.
+
+    Same contract, yields, searches and skips as ``alpha._EdgeLevels``, but
+    a level whose head lies in the set it received, or has no free out-arc,
+    hands up that set with its head added, the set its search would reach
+    from the head, where ``_EdgeLevels`` hands up the set as received.
+    """
+
+    def choices(self, e: int):
+        d, fixed, out = self.d, self.fixed, self.d._out
+        u, v = d.graph.edges[e]
+        tail, head = (u, v) if d.forward(e) else (v, u)
+        fixed[u] += 1
+        fixed[v] += 1
+        self.cut = None
+        yield
+        reached = self.cut
+        if reached is None or tail in reached:
+            reached = {}
+        path = None
+        if head in reached or not out[head] >> fixed[head]:
+            reached[head] = None
+        elif d.graph.degree(tail) > fixed[tail] + (out[tail] >> fixed[tail]).bit_count():
+            path = _shortest_path(d, (head,), (tail,), fixed, self.meter, reached)
+        if path is None:
+            self.cut = reached
+        else:
             path.append(e)
             _flip(d, path, self.meter)
             yield
