@@ -14,7 +14,9 @@ histogram (see :class:`~orientations.metering.DelayMeter`).  ``enumerate``
 charges m arc touches for each orientation line it serializes; ``count``
 and ``bench`` keep nothing and charge nothing per solution.  When the
 reader closes the output before the run ends (``| head``), the run stops
-with exit code 3 and prints nothing more.
+with exit code 3 and prints nothing more.  An interrupted run (Ctrl-C,
+``SIGINT``) flushes the lines it has written, prints one line to standard
+error and exits with code 130.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_PARAMS = 2
 EXIT_CLOSED = 3
+EXIT_INTERRUPTED = 130
 
 MODES = ("alpha", "odseq", "korient")
 FLUSH_S = 0.05  # a line written this long after the last flush flushes the output
@@ -222,6 +225,9 @@ def main(argv=None) -> int:
         if not args.output:
             _discard_stdout()
         return EXIT_CLOSED
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except (OSError, GraphParseError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

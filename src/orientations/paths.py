@@ -49,13 +49,23 @@ A count with a ``spare`` leaves at most ``limit - spare`` paths reversed,
 its limit being lowered to the degree bound first, so the searches after
 that many only decide: whether one more path exists and, when none does,
 the cut.  Those searches meet in the middle, and the rest stay forward BFS
-searches.  Reversing any u-to-v path lowers the count by one, so the
-deciding searches find a path exactly when forward ones would, and the kept
-paths and the stream built on them do not change.  Nor does the cut: once a
-largest set of paths is reversed, the vertices u reaches are the source
-side of the smallest minimum u-to-v cut, whichever paths those are, and the
-meeting search hands back just that set.  Each search is still one BFS run;
-only the arc touches fall.
+searches.  A meeting search grows the smaller of its two layers first;
+when each holds one vertex it grows the one with fewer arcs to scan, the
+source's on a tie, a choice read with two popcounts that are not charged.
+Reversing any u-to-v path lowers the count by one, so the deciding
+searches find a path exactly when forward ones would, and the kept paths
+and the stream built on them do not change.  Once a largest set of paths
+is reversed, the vertices u reaches form the set A, the source side of the
+smallest minimum u-to-v cut, and the vertices that reach v form the set B,
+whose complement V∖B is the source side of the largest one, whichever
+paths those are.  A failing meeting search hands back A, found when u's
+side runs out.  A count asked for the largest cut (``largest``) stops a
+failing search as soon as v's side runs out instead, B being complete
+then, and hands back V∖B; it hands back A only when u's side runs out
+first.  Either set holds u, not v, and no arc leaves it, so either is a
+cut of the count.  Each search is still one BFS run; only the arc touches
+fall, and a count whose cut is V∖B touches no more arcs than one that goes
+on to A.
 
 Every search moves by ``_flip``: reverse a path or cycle, or undo that, and
 pay one arc touch per edge.  The finder of :mod:`orientations.kconn` flips
@@ -161,40 +171,53 @@ def _meeting_path(
     u: int,
     v: int,
     meter: DelayMeter | None,
-    reached: dict,
-) -> list[int] | None:
-    # A u-to-v path, or None, found by growing BFS layers from u along
-    # out-arcs and from v backward along in-arcs, the smaller layer first
-    # (u's on a tie), one ``_grow`` per layer, until an arc joins the two
-    # trees.  Charged as one BFS run and one arc touch per arc scanned in
-    # either direction.  ``reached`` receives u's tree: once v's side runs
-    # out, u's goes on until it meets v's tree or runs out too, so on
-    # failure its keys are every vertex that u reaches, the set the forward
-    # search would reach.
+    largest: bool,
+) -> tuple[list[int] | None, int | None]:
+    # A u-to-v path and None, or None and a cut, found by growing BFS
+    # layers from u along out-arcs and from v backward along in-arcs, one
+    # ``_grow`` per layer, until an arc joins the two trees.  The smaller
+    # layer grows first; when both hold one vertex, the one with fewer arcs
+    # to scan (out-arcs at u's, in-arcs at v's), u's on a tie.  Charged as
+    # one BFS run and one arc touch per arc scanned in either direction.
+    # Once v's side runs out, its tree holds the set B of vertices that
+    # reach v: with ``largest`` the search stops there and hands back the
+    # mask of V∖B, else u's side goes on until it runs out too.  When u's
+    # side runs out first, the cut is the set A that u reaches, the set the
+    # forward search would reach.
     graph = orientation.graph
-    rows, out, ends = graph.incidence, orientation._out, graph.edges
-    ahead, behind = reached, {v: None}
-    ahead[u] = None
+    rows, out, full, ends = graph.incidence, orientation._out, graph._row_mask, graph.edges
+    ahead, behind = {u: None}, {v: None}
     front, back = [u], [v]
     if meter is not None:
         meter.bfs()
     hit, touched = None, 0
-    while front and hit is None:
+    inward = (out[v] ^ full[v]).bit_count() < out[u].bit_count()
+    while True:
         layer: list[int] = []
-        if back and len(back) < len(front):
-            hit, scanned = _grow(rows, out, graph._row_mask, None, back, layer, behind, ahead)
+        if inward:
+            hit, scanned = _grow(rows, out, full, None, back, layer, behind, ahead)
             back = layer
         else:
             hit, scanned = _grow(rows, out, None, None, front, layer, ahead, behind)
             front = layer
         touched += scanned
+        if hit is not None or not front or largest and not back:
+            break
+        behind_size = len(back)
+        if behind_size == 1 == len(front):
+            y = back[0]
+            inward = (out[y] ^ full[y]).bit_count() < out[front[0]].bit_count()
+        else:
+            inward = 0 < behind_size < len(front)
     if meter is not None:
         meter.arcs(touched)
     if hit is None:
-        return None
+        if front:
+            return None, (1 << graph.n) - 1 ^ sum(1 << x for x in behind)
+        return None, sum(1 << x for x in ahead)
     edges = _walk(ends, ahead, hit)
     edges.reverse()
-    return edges + _walk(ends, behind, hit)
+    return edges + _walk(ends, behind, hit), None
 
 
 def _flip(d: Orientation, edges: Sequence[int], meter: DelayMeter | None) -> None:
@@ -208,7 +231,7 @@ def _degree_bound(orientation: Orientation, u: int, v: int) -> int:
     # min(out(u), in(v)), which no u-to-v path count can exceed: every path
     # leaves u by an out-arc and enters v by an in-arc.  Two popcounts.
     out = orientation._out
-    return min(out[u].bit_count(), orientation.graph.degree(v) - out[v].bit_count())
+    return min(out[u].bit_count(), (orientation.graph._row_mask[v] ^ out[v]).bit_count())
 
 
 def _count_paths(
@@ -218,6 +241,7 @@ def _count_paths(
     limit: int,
     meter: DelayMeter | None = None,
     spare: int | None = None,
+    largest: bool = False,
 ) -> tuple[list[list[int]], int | None]:
     # Arc-disjoint u-to-v paths, up to ``limit`` of them, found by reversing
     # one shortest path at a time; the first is a path of the orientation as
@@ -239,7 +263,7 @@ def _count_paths(
     # When the count stops at out(u) below its limit, its paths once
     # reversed leave u no out-arc, so R is {u}, the set a next search would
     # reach; else when it stops at in(v), they leave v no in-arc, so R is
-    # every vertex but v.  Otherwise R is the set the failing search reached.
+    # every vertex but v.  Otherwise R is the cut of the failing search.
     # A count whose degree bound lies below ``limit`` and at most at
     # ``spare`` could leave no path reversed, so it returns at once with no
     # path and that degree cut, which the bound's arcs leave.
@@ -247,27 +271,46 @@ def _count_paths(
     # With a ``spare``, the searches past the first ``limit - spare``
     # (``limit`` lowered to the degree bound) find paths that the count
     # never keeps reversed, so they meet in the middle: they find a path
-    # exactly when a forward search would and, failing, hand back the set
-    # it would reach (see the module docstring).
+    # exactly when a forward search would.  Failing, one hands back the set
+    # the forward search would reach, or, with ``largest``, every vertex
+    # that does not reach v when v's side runs out first (see the module
+    # docstring).
     bound = _degree_bound(orientation, u, v)
-    cut = None
-    if bound < limit:
-        cut = 1 << u if orientation._out[u].bit_count() == bound else (1 << orientation.graph.n) - 1 ^ 1 << v
-        if spare is not None and bound <= spare:
-            return [], cut
-        limit = bound
+    if bound >= limit:
+        return _reverse_paths(orientation, u, v, limit, meter, spare, largest, None)
+    cut = 1 << u if orientation._out[u].bit_count() == bound else (1 << orientation.graph.n) - 1 ^ 1 << v
+    if spare is not None and bound <= spare:
+        return [], cut
+    return _reverse_paths(orientation, u, v, bound, meter, spare, largest, cut)
+
+
+def _reverse_paths(
+    orientation: Orientation,
+    u: int,
+    v: int,
+    limit: int,
+    meter: DelayMeter | None,
+    spare: int | None,
+    largest: bool,
+    cut: int | None,
+) -> tuple[list[list[int]], int | None]:
+    # The searches and flips of a count whose degree bound is at least
+    # ``limit`` (see ``_count_paths``).  ``cut`` is None, or the degree cut
+    # when ``limit`` is a bound below the count's own limit, so the count
+    # falls short even when it reaches ``limit``.
     paths: list[list[int]] = []
     flipped = kept = 0
     forward = limit if spare is None else limit - spare
     try:
         while len(paths) < limit:
-            reached: dict = {}
             if len(paths) < forward:
+                reached: dict = {}
                 path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
+                failed = None if path else sum(1 << x for x in reached)
             else:
-                path = _meeting_path(orientation, u, v, meter, reached)
+                path, failed = _meeting_path(orientation, u, v, meter, largest)
             if path is None:
-                cut = sum(1 << x for x in reached)
+                cut = failed
                 break
             paths.append(path)
             if len(paths) < limit:
@@ -312,4 +355,4 @@ def lambda_at_least(
     _check_positive(threshold, "threshold")
     if threshold > _degree_bound(orientation, u, v):
         return False
-    return len(_count_paths(orientation, u, v, threshold, meter)[0]) == threshold
+    return len(_reverse_paths(orientation, u, v, threshold, meter, None, False, None)[0]) == threshold

@@ -410,6 +410,26 @@ def test_a_closed_output_pipe_points_stdout_at_devnull(monkeypatch, c4_file):
         stream.write("more\n")
 
 
+def test_an_interrupted_run_exits_130_with_its_lines_flushed(monkeypatch, capsys, tmp_path):
+    # The enumerator emits one line and is interrupted; the line stays
+    # written, on standard output and in an -o file, and standard error gets
+    # one line and no traceback.
+    def interrupted(graph, k, seed, sink, *, meter=None):
+        sink((2, 2), None)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "enumerate_outdegree_sequences", interrupted)
+    graph = tmp_path / "doubled.txt"
+    graph.write_text(DOUBLED_TRIANGLE)
+    argv = ["enumerate", str(graph), "--mode", "odseq", "--k", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (cli.EXIT_INTERRUPTED, "2 2\n", "interrupted\n") and code == 130
+    written = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "-o", str(written))
+    assert (code, out, err) == (130, "", "interrupted\n")
+    assert written.read_text() == "2 2\n"
+
+
 def test_console_entry_point(c4_file):
     result = subprocess.run(
         [sys.executable, "-m", "orientations.cli", "count", c4_file, "--mode", "korient", "--k", "1"],

@@ -6,11 +6,13 @@ from orientations import (
     DelayMeter,
     Multigraph,
     Orientation,
+    connectivity,
     enumerate_k_connected,
     enumerate_outdegree_sequences,
     find_k_connected_orientation,
     is_k_connected,
     parse_graph,
+    paths,
 )
 from orientations.oracle import brute_is_k_connected
 from witnesses import class_size_lower_bound_check, probed_k_connected
@@ -151,6 +153,33 @@ def test_the_finder_charges_only_the_edges_it_flips():
     d = find_k_connected_orientation(g, 1, meter)
     assert d.serialize() == "++++" and is_k_connected(d, 1, check)
     assert (meter.bfs_runs, meter.arc_touches) == (check.bfs_runs, check.arc_touches) == (2, 6)
+
+
+def test_a_k2_connectivity_test_reads_each_degree_bound_once(monkeypatch):
+    # The k = 2 finder on the 4x4 torus makes 30 λ tests, each of which
+    # reads min(out(u), in(v)) once, and the Nash-Williams check's 15
+    # counts read it once each: 45 readings, and the finder's charges.
+    readings = []
+    real_bound = paths._degree_bound
+
+    def counted_bound(d, u, v):
+        readings.append((u, v))
+        return real_bound(d, u, v)
+
+    tests = []
+    real_lambda = connectivity.lambda_at_least
+
+    def counted_lambda(d, u, v, threshold, meter=None):
+        tests.append((u, v))
+        return real_lambda(d, u, v, threshold, meter)
+
+    monkeypatch.setattr(paths, "_degree_bound", counted_bound)
+    monkeypatch.setattr(connectivity, "lambda_at_least", counted_lambda)
+    meter = DelayMeter()
+    d = find_k_connected_orientation(families.torus(4, 4), 2, meter)
+    assert d.serialize() == "+" * 32
+    assert (len(tests), len(readings)) == (30, 45)
+    assert (meter.bfs_runs, meter.arc_touches) == (60, 1016)
 
 
 def test_class_size_bound_examples():

@@ -271,24 +271,67 @@ def test_one_count_finds_the_paths_of_successive_reversals():
 
 def test_a_meeting_search_answers_as_the_forward_search_does():
     # One BFS run that finds a u-to-v path exactly when the forward search
-    # does, and that otherwise hands back the set the forward search
-    # reaches; it scans each arc at most once each way.
+    # does; it scans each arc at most once each way.  Failing, it hands back
+    # the set A that the forward search reaches.  Asked for the largest cut,
+    # it hands back A when u's side runs out first, and otherwise stops when
+    # v's side runs out, on every vertex outside the set B that reaches v:
+    # the same steps up to there, so never more touches.
     rng = random.Random(919)
-    met = failed = 0
+    met = failed = early = 0
     for _, g in families.random_family(60, seed=53):
         d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
         for u, v in [(u, v) for u in range(g.n) for v in range(g.n) if u != v]:
-            meter, reached, forward = DelayMeter(), {}, {}
-            path = _meeting_path(d, u, v, meter, reached)
+            meter, wide, forward = DelayMeter(), DelayMeter(), {}
+            path, cut = _meeting_path(d, u, v, meter, False)
+            wide_path, wide_cut = _meeting_path(d, u, v, wide, True)
             want = _shortest_path(d, (u,), (v,), None, None, forward)
-            assert meter.bfs_runs == 1 and meter.arc_touches <= 2 * g.m
+            assert meter.bfs_runs == wide.bfs_runs == 1 and wide.arc_touches <= meter.arc_touches <= 2 * g.m
             if want is None:
-                assert path is None and set(reached) == set(forward)
+                behind: dict = {}
+                _shortest_path(d, (v,), (u,), None, None, behind, inward=True)
+                outside = set(range(g.n)) - set(behind)
+                assert path is None is wide_path and vertices(cut) == set(forward)
+                assert vertices(wide_cut) in (set(forward), outside)
                 failed += 1
+                early += vertices(wide_cut) != set(forward)
             else:
+                assert cut is None is wide_cut and path == wide_path
                 assert_path(d, path, u, v)
                 met += 1
-    assert min(met, failed) > 200, (met, failed)
+    assert min(met, failed) > 200 and 20 < early < failed - 20, (met, failed, early)
+
+
+def test_a_count_asked_for_the_largest_cut_hands_back_a_cut_as_large_or_larger():
+    # With ``largest``, a count's cut holds u and not v, is left by exactly
+    # len(paths) arcs as given, and holds the set A that the forward search
+    # reaches once a largest set of paths is reversed; it is A or, when v's
+    # side runs out first, every vertex outside the set B that reaches v
+    # there.  The count keeps the same paths as without ``largest``.  (A
+    # count decided at once hands back its degree cut either way.)
+    rng = random.Random(929)
+    seen = {"closure": 0, "outside": 0}
+    for _, g in families.random_family(150, seed=59):
+        d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
+        for u, v in [(u, v) for u in range(g.n) for v in range(g.n) if u != v]:
+            limit = g.degree(u) + 1
+            flipped = reversed_copy(d, [e for path in _count_paths(d, u, v, limit)[0] for e in path])
+            ahead: dict = {}
+            behind: dict = {}
+            _shortest_path(flipped, (u,), (v,), None, None, ahead)
+            _shortest_path(flipped, (v,), (u,), None, None, behind, inward=True)
+            outside = set(range(g.n)) - set(behind)
+            out = d.outdegrees()
+            for spare in range(1, min(out[u], g.degree(v) - out[v])):  # no count decided at once
+                narrow, wide = d.copy(), d.copy()
+                want, _ = _count_paths(narrow, u, v, limit, None, spare)
+                paths, mask = _count_paths(wide, u, v, limit, None, spare, True)
+                cut = vertices(mask)
+                assert paths[: len(paths) - spare] == want[: len(want) - spare] and wide == narrow
+                assert u in cut and v not in cut and cut_outdegree(d, cut) == len(paths)
+                assert set(ahead) <= cut and cut in (set(ahead), outside)
+                if set(ahead) != outside:
+                    seen["closure" if cut == set(ahead) else "outside"] += 1
+    assert min(seen.values()) > 40, seen
 
 
 def test_an_inward_search_is_the_forward_search_of_the_reversed_orientation():

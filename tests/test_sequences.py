@@ -5,6 +5,7 @@ from oracles import oracle_sequences
 from orientations import (
     DelayMeter,
     Orientation,
+    enumerate_k_connected,
     enumerate_outdegree_sequences,
     find_k_connected_orientation,
     is_k_connected,
@@ -18,6 +19,7 @@ from orientations.alpha import walk
 from orientations.paths import _count_paths
 from orientations.sequences import _vertex_choices
 from witnesses import (
+    closure_count_paths,
     cut_outdegree,
     forward_count_paths,
     fresh_count_choices,
@@ -209,13 +211,14 @@ def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
     real_count, real_choices = sequences._count_paths, sequences._vertex_choices
     chain = {}
 
-    def checked_count(d, src, dst, limit, meter=None, spare=None):
+    def checked_count(d, src, dst, limit, meter=None, spare=None, largest=False):
         given = d.copy()
-        found, mask = real_count(d, src, dst, limit, meter, spare)
+        found, mask = real_count(d, src, dst, limit, meter, spare, largest)
         assert mask is not None, "a count reached its limit and handed back no cut"
         cut = vertices(mask)
         assert src in cut and dst not in cut
         assert spare == chain["k"] and cut_outdegree(d, cut) == spare
+        assert largest == (dst == chain["v"]), "only a raising chain asks for the largest cut"
         if found:
             assert cut_outdegree(given, cut) == len(found) < limit
         else:  # decided by the outdegrees: nothing searched or reversed
@@ -333,7 +336,7 @@ def test_degree_certificates_never_cost_more_than_counting(monkeypatch):
         return want
 
     counted, skipped = _torus_figures_against(counting)
-    assert counted == (96_452, 413)
+    assert counted == (81_754, 380)
     assert skipped[0] < counted[0] and skipped[1] < counted[1]
 
 
@@ -342,7 +345,7 @@ def test_degree_stops_and_sweeps_never_cost_more_than_counting_to_the_limit(monk
     # k = 1 check has the torus figures the search would have if its counts
     # did not stop at min(out(src), in(dst)) and the check did not sweep
     # once each way.  A pair that its outdegrees decide is still decided.
-    def stopless(d, src, dst, limit, meter=None, spare=None):
+    def stopless(d, src, dst, limit, meter=None, spare=None, largest=False):
         count = _count_paths if paths._degree_bound(d, src, dst) <= spare else unbounded_count_paths
         return count(d, src, dst, limit, meter, spare)
 
@@ -381,17 +384,43 @@ def _first_sequences(graph, k, count, meter):
 def test_meeting_searches_cost_less_than_forward_ones_at_scale(monkeypatch):
     # On the 8x8 torus at k = 1, the counts' deciding searches meet in the
     # middle.  With every search forward, the figures are those of the
-    # search before they did, and the stream and the BFS runs are the same.
+    # search before they did; the stream is the same, and the BFS runs are
+    # no more, since a raising chain's wider cuts can only spare counts.
     torus = families.torus(8, 8)
     meter, forward = DelayMeter(), DelayMeter()
     got = _first_sequences(torus, 1, 1_500, meter)
     with monkeypatch.context() as patched:
         patched.setattr(sequences, "_count_paths", forward_count_paths)
         want = _first_sequences(torus, 1, 1_500, forward)
-    assert got == want and meter.bfs_runs == forward.bfs_runs
+    assert got == want and meter.bfs_runs <= forward.bfs_runs
     assert (forward.total_ops, forward.max_delay_ops) == (356_611, 14_178)
-    assert (meter.total_ops, meter.max_delay_ops) == (261_026, 11_150)
+    assert (meter.total_ops, meter.max_delay_ops) == (237_485, 11_173)
     assert meter.total_ops < forward.total_ops and meter.max_delay_ops < forward.max_delay_ops
+
+
+def test_target_side_cuts_and_narrower_ends_never_cost_more(monkeypatch):
+    # With the older meeting search, which grows the smaller layer first
+    # and always hands back the forward closure, the search emits the same
+    # stream of sequences and of orientations, and never costs more in
+    # total: raising chains rule out at least as much with the target
+    # side's cut and run the same counts or fewer.
+    listings = [
+        lambda g, k, sink, meter: enumerate_outdegree_sequences(g, k, None, lambda s, w: sink(w), meter=meter),
+        lambda g, k, sink, meter: enumerate_k_connected(g, k, sink, meter=meter),
+    ]
+    runs = cheaper = 0
+    for _, g in families.random_family(60, seed=19):
+        for k in (1, 2):
+            for listing in listings:
+                meter, reference, got, want = DelayMeter(), DelayMeter(), [], []
+                listing(g, k, lambda w: got.append(w.serialize()), meter)
+                with monkeypatch.context() as patched:
+                    patched.setattr(sequences, "_count_paths", closure_count_paths)
+                    listing(g, k, lambda w: want.append(w.serialize()), reference)
+                assert got == want and meter.total_ops <= reference.total_ops
+                runs += bool(got)
+                cheaper += meter.total_ops < reference.total_ops
+    assert runs > 100 and cheaper > 20, (runs, cheaper)
 
 
 def test_degree_certificates_skip_only_pairs_with_k_paths(monkeypatch):

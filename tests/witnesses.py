@@ -11,7 +11,9 @@ cycle decomposition between two orientations with equal outdegrees,
 ``assert_path`` checks a directed u-to-v path,
 ``unbounded_count_paths`` is the λ count that goes on past min(out(u),
 in(v)) to its limit, ``forward_count_paths`` the λ count whose every search
-runs forward, ``pairwise_is_k_connected`` the connectivity check
+runs forward, ``closure_count_paths`` the λ count with the older meeting
+search, which grows the smaller layer first and always hands back the
+forward closure, ``pairwise_is_k_connected`` the connectivity check
 that counts paths from vertex 0 to every other vertex and back also for
 k = 1, ``InvariantProbe`` replays the enumeration walks with their
 proof-step assertions (``probed_alpha``, ``probed_sequences``,
@@ -45,7 +47,7 @@ from orientations import (
     kconn,
 )
 from orientations.alpha import _EdgeLevels, _emit_leaves, walk
-from orientations.paths import _degree_bound, _flip, _shortest_path
+from orientations.paths import _degree_bound, _flip, _grow, _shortest_path, _walk
 from orientations.sequences import _vertex_choices
 
 
@@ -178,14 +180,70 @@ def forward_count_paths(
     limit: int,
     meter: DelayMeter | None = None,
     spare: int | None = None,
+    largest: bool = False,
 ) -> tuple[list[list[int]], int | None]:
     """``paths._count_paths`` with forward searches only, as a reference.
 
     Same contract, searches, cut and orientation left behind, and it stops
     or returns at once where the outdegrees decide it the same way, but
     every search is the forward BFS, also those whose paths the count never
-    keeps reversed, so all its paths are the paths of successive reversals.
+    keeps reversed, so all its paths are the paths of successive reversals
+    and every cut is the forward closure, whatever ``largest`` asks.
     """
+    return _reference_count(orientation, u, v, limit, meter, spare, None)
+
+
+def closure_count_paths(
+    orientation: Orientation,
+    u: int,
+    v: int,
+    limit: int,
+    meter: DelayMeter | None = None,
+    spare: int | None = None,
+    largest: bool = False,
+) -> tuple[list[list[int]], int | None]:
+    """``paths._count_paths`` with the older meeting search, as a reference.
+
+    Its deciding searches grow the smaller layer first, u's on a tie, and a
+    failing one always goes on until u's side runs out and hands back the
+    forward closure, whatever ``largest`` asks.  They find a path exactly
+    when ``paths._meeting_path`` does, so the count keeps the same paths
+    reversed.
+    """
+    return _reference_count(orientation, u, v, limit, meter, spare, _closure_meeting_path)
+
+
+def _closure_meeting_path(orientation: Orientation, u: int, v: int, meter, reached: dict) -> list[int] | None:
+    # The meeting search before the narrower end grew first: the smaller
+    # layer grows first, u's on a tie, and ``reached`` receives u's tree,
+    # every vertex u reaches when no path exists.
+    graph = orientation.graph
+    rows, out, ends = graph.incidence, orientation._out, graph.edges
+    ahead, behind = reached, {v: None}
+    ahead[u] = None
+    front, back = [u], [v]
+    if meter is not None:
+        meter.bfs()
+    hit, touched = None, 0
+    while front and hit is None:
+        layer: list[int] = []
+        if back and len(back) < len(front):
+            hit, scanned = _grow(rows, out, graph._row_mask, None, back, layer, behind, ahead)
+            back = layer
+        else:
+            hit, scanned = _grow(rows, out, None, None, front, layer, ahead, behind)
+            front = layer
+        touched += scanned
+    if meter is not None:
+        meter.arcs(touched)
+    if hit is None:
+        return None
+    return _walk(ends, ahead, hit)[::-1] + _walk(ends, behind, hit)
+
+
+def _reference_count(orientation, u, v, limit, meter, spare, meeting) -> tuple[list[list[int]], int | None]:
+    # The λ count of ``paths._count_paths`` with ``meeting`` as its
+    # deciding search (forward BFS searches only when None).
     bound = _degree_bound(orientation, u, v)
     cut: int | None = None
     if bound < limit:
@@ -195,10 +253,14 @@ def forward_count_paths(
         limit = bound
     paths: list[list[int]] = []
     flipped = kept = 0
+    forward = limit if spare is None or meeting is None else limit - spare
     try:
         while len(paths) < limit:
             reached: dict = {}
-            path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
+            if len(paths) < forward:
+                path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
+            else:
+                path = meeting(orientation, u, v, meter, reached)
             if path is None:
                 cut = sum(1 << x for x in reached)
                 break
