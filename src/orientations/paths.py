@@ -191,8 +191,13 @@ def _meeting_path(
     if meter is not None:
         meter.bfs()
     hit, touched = None, 0
-    inward = (out[v] ^ full[v]).bit_count() < out[u].bit_count()
     while True:
+        behind_size = len(back)
+        if behind_size == 1 == len(front):
+            y = back[0]
+            inward = (out[y] ^ full[y]).bit_count() < out[front[0]].bit_count()
+        else:
+            inward = 0 < behind_size < len(front)
         layer: list[int] = []
         if inward:
             hit, scanned = _grow(rows, out, full, None, back, layer, behind, ahead)
@@ -203,12 +208,6 @@ def _meeting_path(
         touched += scanned
         if hit is not None or not front or largest and not back:
             break
-        behind_size = len(back)
-        if behind_size == 1 == len(front):
-            y = back[0]
-            inward = (out[y] ^ full[y]).bit_count() < out[front[0]].bit_count()
-        else:
-            inward = 0 < behind_size < len(front)
     if meter is not None:
         meter.arcs(touched)
     if hit is None:
