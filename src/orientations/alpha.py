@@ -21,26 +21,60 @@ never expands it.  Outside R that search finds the same vertices, in the
 same order and with the same tree, as a fresh one, so every path and the
 whole stream are unchanged, and it scans only arcs that the fresh search
 would scan.  A failed search hands the next level up the set it reached, R
-included.  A level clears the cut when it opens and when it undoes its
-flip, so no search reads a set reached on another orientation: after a flip
-the walk either opens a deeper level or emits a leaf and undoes the flip.
+included.
 
-A level searches only when its head lies outside R, has a free out-arc, and
-its tail has a free in-arc.  When level e searches, ``fixed[x]`` is the
-number of x's edges among 0..e, the fixed prefix of x's incidence row, so
-``_out[x] >> fixed[x]`` (see :mod:`orientations.paths`) holds x's out-arcs
-among the free edges e+1..m-1, and ``(_row_mask[x] ^ _out[x]) >> fixed[x]``
-its free in-arcs.  No path into the tail starts inside R, and a path from
-head to tail leaves head and enters tail by free arcs, so a level that does
-not search would find no path.  It hands up the set it received: R, or an
-empty set when it received none or dropped R.  That set is a cut one level
-up: no free arc leaves R, and edge e, which the level above frees, runs
-from tail to head, so it leaves R only when R holds its tail.  (When the
-head has no free out-arc, R with the head added is a cut too, but one level
-up the tail is often this head, and that level would drop the set.)  At the
-last level every edge is fixed, so its search is always skipped.
-``_EdgeLevels`` owns ``fixed`` and the cut; like ``fixed``, the cut is walk
-bookkeeping: it touches no arc and is not charged.
+Such a closed set also survives cycle reversals.  Let F be a set of edges
+and out_F(X) the number of F-arcs that leave a vertex set X.  Then out_F(X)
+is the sum of out_F(x) over the vertices x of X, less the number of
+F-edges inside X.  Reversing a directed cycle inside F keeps every
+vertex's outdegree in F, so it keeps out_F(X).  Reversing a path inside F
+from a to b changes out_F(X) by [b in X] - [a in X].  Level e flips edge e
+together with a path from head to tail inside its free edges e+1..m-1, and
+every flip below it is a directed cycle inside those edges.  So a set that
+no free arc leaves at level e stays so through every flip below, and
+through level e's own flip unless it holds the tail and not the head.
+Hence two more rules:
+
+- A level that flips passes down the set its search treated as reached,
+  which holds neither head nor tail, to every level of its flip subtree in
+  place of the set it inherited.  A level that inherits a set missing its
+  tail treats it as it treats R: its search never expands it, and it skips
+  the search when the set holds its head.  An inherited set is closed over
+  all the edges below the level that passed it down, edge e among them, so
+  one that holds the tail holds the head too; the search cannot use it,
+  and it is not passed on.
+- After its flip subtree the level undoes its flip, which reverses a path
+  from tail to head inside its free edges.  So the set S that level e+1
+  handed up on the flipped orientation is closed again when it holds
+  neither head nor tail.  Edge e runs from the tail, so it leaves neither
+  S nor the set the level passed down.  The level hands up the set it
+  passed down, with S added when S misses both head and tail.
+
+Every set a search skips thus holds no vertex with a path to its target, so
+the paths and the stream stay as a fresh search would make them.  A level
+clears the cut when it opens, so it reads only a set that level e+1 handed
+up on the orientation the level now holds.
+
+A level searches only when its head lies outside R and outside the set it
+inherited, has a free out-arc, and its tail has a free in-arc.  When level
+e searches, ``fixed[x]`` is the number of x's edges among 0..e, the fixed
+prefix of x's incidence row, so ``_out[x] >> fixed[x]`` (see
+:mod:`orientations.paths`) holds x's out-arcs among the free edges
+e+1..m-1, and ``(_row_mask[x] ^ _out[x]) >> fixed[x]`` its free in-arcs.
+No path into the tail starts inside R, and a path from head to tail leaves
+head and enters tail by free arcs, so a level that does not search would
+find no path.  It hands up the set it received: R, or an empty set when it
+received none or dropped R.  That set is a cut one level up: no free arc
+leaves R, and edge e, which the level above frees, runs from tail to head,
+so it leaves R only when R holds its tail.  (When the head has no free
+out-arc, R with the head added is a cut too, but one level up the tail is
+often this head, and that level would drop the set.)  At the last level
+every edge is fixed, so its search is always skipped.
+``_EdgeLevels`` owns ``fixed``, the cut and the set passed down.  A search
+adds the vertices it reaches after those it treats as reached, so a level
+that flips takes the set it passes down as the head of its search tree, a
+slice of a dict in insertion order.  Like ``fixed``, the sets are walk
+bookkeeping: they touch no arc and are not charged.
 
 ``walk`` is the one traversal scheme of the package: the k-connected
 search of :mod:`orientations.sequences` and the first-solution finder run on
@@ -56,6 +90,7 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Callable, Iterator, Sequence
+from itertools import islice
 
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation, _integers
@@ -174,16 +209,21 @@ class _EdgeLevels:
     # is never scanned.
     #
     # When level e resumes, cut holds the set R that level e+1 handed up, or
-    # None.  The level drops R when it holds tail, and searches only when
-    # head lies outside R, has a free out-arc, and tail has a free in-arc
-    # (see the module docstring); the search never expands R.  A failed
-    # search leaves the set it reached in cut, and a level that does not
-    # search leaves R, or an empty set when it received none or dropped R.
-    __slots__ = ("d", "meter", "fixed", "cut")
+    # None, and down the set that the nearest flipping level above passed
+    # down ({} below none).  The level drops either set when it holds tail,
+    # and searches only when head lies outside both, has a free out-arc, and
+    # tail has a free in-arc (see the module docstring); the search never
+    # expands them.  A failed search leaves the set it reached in cut, and a
+    # level that does not search leaves R, or an empty set when it received
+    # none or dropped R.  A level that flips passes down the union its search
+    # skipped, restores down after its flip subtree, and leaves that union in
+    # cut, with the set the subtree handed up added when that set holds
+    # neither head nor tail.
+    __slots__ = ("d", "meter", "fixed", "cut", "down")
 
     def __init__(self, d: Orientation, meter: DelayMeter):
         self.d, self.meter = d, meter
-        self.fixed, self.cut = [0] * d.graph.n, None
+        self.fixed, self.cut, self.down = [0] * d.graph.n, None, {}
 
     def choices(self, e: int) -> Iterator[None]:
         d, fixed, out, rows = self.d, self.fixed, self.d._out, self.d.graph._row_mask
@@ -198,14 +238,27 @@ class _EdgeLevels:
             reached = {}
         path = None
         if head not in reached and out[head] >> fixed[head] and (rows[tail] ^ out[tail]) >> fixed[tail]:
-            path = _shortest_path(d, (head,), (tail,), fixed, self.meter, reached)
+            down = self.down
+            usable = down and tail not in down
+            if not (usable and head in down):
+                if usable:
+                    reached.update(down)
+                searched = len(reached)
+                path = _shortest_path(d, (head,), (tail,), fixed, self.meter, reached)
         if path is None:
             self.cut = reached
         else:
+            reached = dict(islice(reached.items(), searched)) if searched else {}
             path.append(e)
             _flip(d, path, self.meter)
+            self.down = reached
             yield
+            self.down = down
             _flip(d, path, self.meter)
-            self.cut = None
+            below = self.cut
+            if below is not None and head not in below and tail not in below:
+                below.update(reached)
+                reached = below
+            self.cut = reached
         fixed[u] -= 1
         fixed[v] -= 1

@@ -15,11 +15,13 @@ from orientations import (
 )
 from orientations import alpha as alpha_module, sequences
 from orientations.oracle import all_orientations
+from orientations.paths import _shortest_path
 from witnesses import (
     FullScanLevels,
     HeadCutLevels,
     UncountedLevels,
     UncutLevels,
+    UnpassedLevels,
     probed_alpha,
     reversed_copy,
     same_alpha_cycle_decomposition,
@@ -167,6 +169,11 @@ def _against_head_cut(monkeypatch, run):
     return _against_reference(monkeypatch, run, HeadCutLevels)
 
 
+def _against_unpassed(monkeypatch, run):
+    # Against the expansion that passes no set across a flip.
+    return _against_reference(monkeypatch, run, UnpassedLevels)
+
+
 def _alpha_run(g, alpha):
     return lambda sink, meter: enumerate_alpha(g, alpha, sink, meter=meter)
 
@@ -220,7 +227,7 @@ def test_the_counts_never_cost_more_than_the_cut_alone(monkeypatch):
     # counted ones may not rise above what the counts and the one skip test
     # brought them down to.
     torus = families.torus(3, 3)
-    for run, parent, pinned in ((_alpha_run(torus, [2] * 9), 4_048, 2_304), (_korient_run(torus, 2), 4_384, 2_640)):
+    for run, parent, pinned in ((_alpha_run(torus, [2] * 9), 4_048, 2_284), (_korient_run(torus, 2), 4_384, 2_620)):
         uncounted, counted = _against_uncounted(monkeypatch, run)
         assert uncounted == parent and counted <= pinned
 
@@ -229,9 +236,10 @@ def test_handing_up_the_received_cut_costs_no_more_than_adding_the_head(monkeypa
     # A level that does not search hands up the set it received.  Adding
     # its head, as the expansion once did, makes the set dropped whenever
     # the next level's tail is that head.  Neither rule is cheaper on every
-    # input: a set that holds the head can spare a search further up.  On
-    # these runs the set as received never costs more, and on the torus it
-    # costs less.
+    # input: a set that holds the head can spare a search further up.  The
+    # reference also keeps no set across a flip, as ``UnpassedLevels``.  On
+    # these runs the expansion never costs more, and on the torus it costs
+    # less.
     for _, g in families.random_family(25, seed=41):
         for alpha in {d.outdegrees() for d in all_orientations(g)}:
             _against_head_cut(monkeypatch, _alpha_run(g, alpha))
@@ -239,6 +247,65 @@ def test_handing_up_the_received_cut_costs_no_more_than_adding_the_head(monkeypa
             _against_head_cut(monkeypatch, _korient_run(g, k))
     head_cut, received = _against_head_cut(monkeypatch, _alpha_run(families.torus(3, 3), [2] * 9))
     assert head_cut == 2_327 and received < head_cut
+
+
+def test_closed_sets_across_flips_never_cost_more_than_dropping_them(monkeypatch):
+    # A level that flips passes the set its search skipped down to its flip
+    # subtree and hands it up again afterwards, where the expansion once
+    # dropped it.  The searches skip only vertices with no path to their
+    # targets, so the streams stay the same and only searches and arc
+    # touches fall.  The reference's total on the torus is the expansion's
+    # own before the change.
+    for _, g in families.random_family(25, seed=41):
+        for alpha in {d.outdegrees() for d in all_orientations(g)}:
+            _against_unpassed(monkeypatch, _alpha_run(g, alpha))
+        for k in (1, 2):
+            _against_unpassed(monkeypatch, _korient_run(g, k))
+    unpassed, passed = _against_unpassed(monkeypatch, _alpha_run(families.torus(3, 3), [2] * 9))
+    assert unpassed == 2_304 and passed < unpassed
+
+
+def _out_free(d, free, members) -> int:
+    # The number of arcs among the edges ``free`` that leave ``members``.
+    return sum(1 for f in free if d.tail(f) in members and d.head(f) not in members)
+
+
+def test_cycle_reversals_inside_the_free_edges_keep_closed_sets_closed():
+    # The lemma behind passing closed sets across flips, with F a random
+    # suffix of the edges of a random orientation: reversing a directed
+    # cycle inside F keeps out_F(X) for every vertex set X, so every closed
+    # set stays closed, and reversing a directed path inside F from a to b
+    # changes it by [b in X] - [a in X].
+    rng, cycles, paths = random.Random(43), 0, 0
+    for _, g in families.random_family(25, seed=43):
+        sets = [{x for x in range(g.n) if mask >> x & 1} for mask in range(1 << g.n)]
+        for _ in range(4 * g.m):
+            d = Orientation(g, [rng.random() < 0.5 for _ in range(g.m)])
+            start = rng.randrange(g.m)
+            free = range(start, g.m)
+            fixed = [sum(1 for f, _, _ in row if f < start) for row in g.incidence]
+            before = [_out_free(d, free, X) for X in sets]
+            arc = rng.choice(free)
+            cycle = _shortest_path(d, (d.head(arc),), (d.tail(arc),), fixed, None)
+            if cycle is not None:
+                d._flip(cycle + [arc])
+                assert [_out_free(d, free, X) for X in sets] == before, (g.edges, start, cycle, arc)
+                d._flip(cycle + [arc])
+                cycles += 1
+            a, b = rng.sample(range(g.n), 2)
+            path = _shortest_path(d, (a,), (b,), fixed, None)
+            if path is not None:
+                d._flip(path)
+                for X, was in zip(sets, before):
+                    assert _out_free(d, free, X) == was + (b in X) - (a in X), (g.edges, start, path, X)
+                paths += 1
+    assert cycles >= 100 and paths >= 200
+
+
+@pytest.mark.slow
+def test_closed_sets_across_flips_cost_less_on_the_4x5_torus(monkeypatch):
+    unpassed, passed = _against_unpassed(monkeypatch, _alpha_run(families.torus(4, 5), [2] * 20))
+    assert unpassed == 449_754 and passed < unpassed
 
 
 @pytest.mark.slow

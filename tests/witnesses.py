@@ -23,12 +23,14 @@ restarts every λ test sweep at v+1, the chain that keeps the cuts of
 failed tests but re-tests a pair after every reversal it permits, or the
 chain that makes one count per candidate but also counts the pairs whose
 outdegrees already decide them.  ``FullScanLevels``, ``UncutLevels``,
-``UncountedLevels`` and ``HeadCutLevels`` stand in for the alpha
-expansion's ``_EdgeLevels``: the first with a reference search that scans
-whole incidence rows, the second with no cut reaching any search, the third
-as the expansion was before the free-arc counts, running every search that
-the cut does not skip, and the fourth with the older rule that adds a head
-with no free out-arc to the cut it hands up.
+``UncountedLevels``, ``HeadCutLevels`` and ``UnpassedLevels`` stand in for
+the alpha expansion's ``_EdgeLevels``: the first with a reference search
+that scans whole incidence rows, the second with no cut reaching any
+search, the third as the expansion was before the free-arc counts, running
+every search that the cut does not skip, the fourth with the older rule
+that adds a head with no free out-arc to the cut it hands up, and the fifth
+as the expansion was before closed sets crossed flips: no level passes a
+set down, and a level that flips hands up no cut.
 """
 from __future__ import annotations
 
@@ -46,6 +48,7 @@ from orientations import (
     is_k_connected,
     kconn,
 )
+from orientations import alpha as alpha_module
 from orientations.alpha import _EdgeLevels, _emit_leaves, walk
 from orientations.paths import _degree_bound, _flip, _grow, _shortest_path, _walk
 from orientations.sequences import _vertex_choices
@@ -374,7 +377,11 @@ class InvariantProbe:
       level skips its search, an unmetered search on the live orientation
       must find no path either; a cut the level leaves must not hold its
       tail, and no arc of the edges e+1..m-1 may leave it, so edge e, which
-      runs from the tail, leaves it neither;
+      runs from the tail, leaves it neither.  When a level searches, no arc
+      of the edges e+1..m-1 may leave the set it inherited from the flipping
+      level above, and the set its search treats as reached must miss the
+      tail and be left by no such arc either: the probe runs the walk with
+      ``alpha._shortest_path`` replaced by its checked ``search``;
     - ``vertex_choices(v)`` asserts at every yield that the orientation is
       still k-connected and that ``assert_masks_exact`` holds.  Every state
       a path reversal reaches is yielded once, so this checks that each
@@ -395,6 +402,7 @@ class InvariantProbe:
         self.meter = DelayMeter()
         self.levels = _EdgeLevels(self.d, self.meter)
         self.left = None  # the cut as the last edge level to end left it
+        self.level = None  # the edge level that resumed last, the one that searches
 
     def edge_choices(self, e: int):
         d, levels = self.d, self.levels
@@ -421,6 +429,7 @@ class InvariantProbe:
                 free_in = [((rows[x] ^ d._out[x]) >> levels.fixed[x]).bit_count() for x in range(d.graph.n)]
                 assert free_in == fi, f"derived free in-arc counts at edge level {e} are not the edges {e + 1}.."
                 runs = self.meter.bfs_runs
+                self.level = e
         assert bytes(d._dirs[:e]) == prefix, f"fixed edges 0..{e - 1} not restored"
         tail, head = d.tail(e), d.head(e)
         if options == 1 and self.meter.bfs_runs == runs:
@@ -432,6 +441,17 @@ class InvariantProbe:
             assert not leaving, f"free arcs {leaving} leave the cut left by edge level {e}"
         self.left = cut
 
+    def search(self, d, sources, targets, fixed, meter, reached):
+        # The search of the edge level that resumed last, after checking the
+        # sets it skips: the inherited one and the one it is told to treat
+        # as reached.
+        e = self.level
+        for name, members in (("inherited", self.levels.down), ("skipped", reached)):
+            leaving = [f for f in range(e + 1, d.graph.m) if d.tail(f) in members and d.head(f) not in members]
+            assert not leaving, f"free arcs {leaving} leave the {name} set of edge level {e}"
+        assert not any(t in reached for t in targets), f"edge level {e} skips a set that holds its tail"
+        return _shortest_path(d, sources, targets, fixed, meter, reached)
+
     def vertex_choices(self, v: int):
         for _ in _vertex_choices(self.d, v, self.k, self.meter):
             assert is_k_connected(self.d, self.k), f"a path reversal at vertex {v} broke k-connectivity"
@@ -441,10 +461,11 @@ class InvariantProbe:
             yield
 
     def leaves(self, levels: int, choices):
-        for _ in walk(levels, choices):
-            if self.target is not None:
-                assert self.d.outdegrees() == tuple(self.target), "emitted orientation misses the target outdegrees"
-            yield
+        with mock.patch.object(alpha_module, "_shortest_path", self.search):
+            for _ in walk(levels, choices):
+                if self.target is not None:
+                    assert self.d.outdegrees() == tuple(self.target), "emitted orientation misses the target outdegrees"
+                yield
         assert not any(self.levels.fixed), "prefix counts not back at 0 when the walk ends"
 
 
@@ -625,8 +646,9 @@ class UncountedLevels:
     """The alpha expansion's edge levels without the free-arc counts, as a reference.
 
     Same contract, yields and meter charges as ``alpha._EdgeLevels``, and
-    it reuses the cut the same way, but it keeps no counts: every search
-    that the cut does not skip runs, the last edge level's included.
+    it reuses the cut as ``UnpassedLevels`` does, but it keeps no counts:
+    every search that the cut does not skip runs, the last edge level's
+    included.
     """
 
     def __init__(self, d: Orientation, meter: DelayMeter):
@@ -661,10 +683,10 @@ class UncountedLevels:
 class HeadCutLevels(_EdgeLevels):
     """The alpha expansion's edge levels with the older hand-up rule, as a reference.
 
-    Same contract, yields, searches and skips as ``alpha._EdgeLevels``, but
-    a level whose head lies in the set it received, or has no free out-arc,
+    Same contract, yields, searches and skips as ``UnpassedLevels``, but a
+    level whose head lies in the set it received, or has no free out-arc,
     hands up that set with its head added, the set its search would reach
-    from the head, where ``_EdgeLevels`` hands up the set as received.
+    from the head, where ``UnpassedLevels`` hands up the set as received.
     """
 
     def choices(self, e: int):
@@ -682,6 +704,41 @@ class HeadCutLevels(_EdgeLevels):
         if head in reached or not out[head] >> fixed[head]:
             reached[head] = None
         elif d.graph.degree(tail) > fixed[tail] + (out[tail] >> fixed[tail]).bit_count():
+            path = _shortest_path(d, (head,), (tail,), fixed, self.meter, reached)
+        if path is None:
+            self.cut = reached
+        else:
+            path.append(e)
+            _flip(d, path, self.meter)
+            yield
+            _flip(d, path, self.meter)
+            self.cut = None
+        fixed[u] -= 1
+        fixed[v] -= 1
+
+
+class UnpassedLevels(_EdgeLevels):
+    """The alpha expansion's edge levels before closed sets crossed flips, as a reference.
+
+    Same contract, yields and meter charges as ``alpha._EdgeLevels``, but
+    no level passes a set down to its flip subtree, so a search skips only
+    the cut that the level below handed up, and a level that flips clears
+    the cut once it undoes its flip, so the level above reads none.
+    """
+
+    def choices(self, e: int):
+        d, fixed, out, rows = self.d, self.fixed, self.d._out, self.d.graph._row_mask
+        u, v = d.graph.edges[e]
+        tail, head = (u, v) if d.forward(e) else (v, u)
+        fixed[u] += 1
+        fixed[v] += 1
+        self.cut = None
+        yield
+        reached = self.cut
+        if reached is None or tail in reached:
+            reached = {}
+        path = None
+        if head not in reached and out[head] >> fixed[head] and (rows[tail] ^ out[tail]) >> fixed[tail]:
             path = _shortest_path(d, (head,), (tail,), fixed, self.meter, reached)
         if path is None:
             self.cut = reached
