@@ -15,9 +15,9 @@ orientation that level e kept and level e+1 restored.  If level e+1's
 search from its head found no way back to its tail, the set R it reached
 holds that head and is left by no arc among edges e+2..m-1.  Edge e+1,
 which level e frees, runs into R, so no arc free at level e leaves R
-either, and no path into a vertex outside R starts inside it.  A level
-whose tail lies in R drops R.  Otherwise its search treats R as reached and
-never expands it.  Outside R that search finds the same vertices, in the
+either, and no path into a vertex outside R starts inside it.  When R
+misses the level's tail, the level's search treats R as reached and never
+expands it.  Outside R that search finds the same vertices, in the
 same order and with the same tree, as a fresh one, so every path and the
 whole stream are unchanged, and it scans only arcs that the fresh search
 would scan.  A failed search hands the next level up the set it reached, R
@@ -41,14 +41,27 @@ Hence two more rules:
   tail treats it as it treats R: its search never expands it, and it skips
   the search when the set holds its head.  An inherited set is closed over
   all the edges below the level that passed it down, edge e among them, so
-  one that holds the tail holds the head too; the search cannot use it,
-  and it is not passed on.
+  one that holds the tail holds the head too.
 - After its flip subtree the level undoes its flip, which reverses a path
   from tail to head inside its free edges.  So the set S that level e+1
   handed up on the flipped orientation is closed again when it holds
   neither head nor tail.  Edge e runs from the tail, so it leaves neither
-  S nor the set the level passed down.  The level hands up the set it
-  passed down, with S added when S misses both head and tail.
+  S nor the set the level passed down.  The level hands up S, when S
+  misses both head and tail, with the set it passed down added.
+
+A set that holds a vertex it must miss is not dropped whole.  Every set the
+levels carry is a chain of closed sets in insertion order: a search adds
+the set it treats as reached, then its root, the head, mapped to None, then
+the vertices it reaches.  So each prefix that ends just before a root is a
+set that a search treated as reached, closed when that search ran.  The
+rules above keep a set closed only when it misses given vertices, so they
+keep each such prefix closed too, and the union of two closed sets is
+closed.  So where R or the inherited set holds the tail, or S the head or
+the tail, the level keeps the longest prefix that ends before a root and
+misses them, and uses it as it would the whole set.  A merge adds only the
+vertices its first set lacks, after that set's own, so no root moves and
+none is made: a vertex overwritten with None would end a prefix that no
+search treated as reached.
 
 Every set a search skips thus holds no vertex with a path to its target, so
 the paths and the stream stay as a fresh search would make them.  A level
@@ -63,18 +76,20 @@ prefix of x's incidence row, so ``_out[x] >> fixed[x]`` (see
 e+1..m-1, and ``(_row_mask[x] ^ _out[x]) >> fixed[x]`` its free in-arcs.
 No path into the tail starts inside R, and a path from head to tail leaves
 head and enters tail by free arcs, so a level that does not search would
-find no path.  It hands up the set it received: R, or an empty set when it
-received none or dropped R.  That set is a cut one level up: no free arc
-leaves R, and edge e, which the level above frees, runs from tail to head,
-so it leaves R only when R holds its tail.  (When the head has no free
-out-arc, R with the head added is a cut too, but one level up the tail is
-often this head, and that level would drop the set.)  At the last level
-every edge is fixed, so its search is always skipped.
+find no path.  It hands up the set it received: R, the prefix it kept, or
+an empty set when it received none.  That set is a cut one level up: no
+free arc leaves it, and edge e, which the level above frees, runs from tail
+to head, so it leaves the set only when the set holds its tail.  (When the
+head has no free out-arc, the set with the head added is a cut too, but one
+level up the tail is often this head, and that level would keep only a
+prefix without it.)  At the last level every edge is fixed, so its search
+is always skipped.
 ``_EdgeLevels`` owns ``fixed``, the cut and the set passed down.  A search
 adds the vertices it reaches after those it treats as reached, so a level
 that flips takes the set it passes down as the head of its search tree, a
-slice of a dict in insertion order.  Like ``fixed``, the sets are walk
-bookkeeping: they touch no arc and are not charged.
+slice of a dict in insertion order.  Like ``fixed``, the sets, their kept
+prefixes and their merges are walk bookkeeping: they touch no arc and are
+not charged.
 
 ``walk`` is the one traversal scheme of the package: the k-connected
 search of :mod:`orientations.sequences` and the first-solution finder run on
@@ -89,7 +104,7 @@ caller keeps never changes.
 from __future__ import annotations
 
 import weakref
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterator, Sequence
 from itertools import islice
 
 from .metering import DelayMeter
@@ -210,15 +225,16 @@ class _EdgeLevels:
     #
     # When level e resumes, cut holds the set R that level e+1 handed up, or
     # None, and down the set that the nearest flipping level above passed
-    # down ({} below none).  The level drops either set when it holds tail,
-    # and searches only when head lies outside both, has a free out-arc, and
+    # down ({} below none).  Of either set that holds tail the level keeps
+    # only the longest prefix that ends before a root and misses tail, and
+    # it searches only when head lies outside both, has a free out-arc, and
     # tail has a free in-arc (see the module docstring); the search never
     # expands them.  A failed search leaves the set it reached in cut, and a
-    # level that does not search leaves R, or an empty set when it received
-    # none or dropped R.  A level that flips passes down the union its search
-    # skipped, restores down after its flip subtree, and leaves that union in
-    # cut, with the set the subtree handed up added when that set holds
-    # neither head nor tail.
+    # level that does not search leaves R or its kept prefix, or an empty
+    # set when it received none.  A level that flips passes down the union
+    # its search skipped, restores down after its flip subtree, and leaves
+    # in cut the set the subtree handed up, or its longest such prefix that
+    # misses head and tail, with that union added.
     __slots__ = ("d", "meter", "fixed", "cut", "down")
 
     def __init__(self, d: Orientation, meter: DelayMeter):
@@ -234,15 +250,18 @@ class _EdgeLevels:
         self.cut = None
         yield
         reached = self.cut
-        if reached is None or tail in reached:
+        if reached is None:
             reached = {}
+        elif tail in reached:
+            reached = _closed_prefix(reached, (tail,))
         path = None
         if head not in reached and out[head] >> fixed[head] and (rows[tail] ^ out[tail]) >> fixed[tail]:
-            down = self.down
-            usable = down and tail not in down
-            if not (usable and head in down):
-                if usable:
-                    reached.update(down)
+            down = inherited = self.down
+            if tail in down:
+                inherited = _closed_prefix(down, (tail,))
+            if head not in inherited:
+                if inherited:
+                    _merge(reached, inherited)
                 searched = len(reached)
                 path = _shortest_path(d, (head,), (tail,), fixed, self.meter, reached)
         if path is None:
@@ -256,9 +275,35 @@ class _EdgeLevels:
             self.down = down
             _flip(d, path, self.meter)
             below = self.cut
-            if below is not None and head not in below and tail not in below:
-                below.update(reached)
+            if below and (head in below or tail in below):
+                below = _closed_prefix(below, (head, tail))
+            if below:
+                if reached:
+                    _merge(below, reached)
                 reached = below
             self.cut = reached
         fixed[u] -= 1
         fixed[v] -= 1
+
+
+def _closed_prefix(members: dict, avoid: Collection[int]) -> dict:
+    # The longest prefix of members that ends before a root, a vertex
+    # mapped to None, and holds no vertex of avoid.
+    end = i = 0
+    for x, via in members.items():
+        if via is None:
+            end = i
+        if x in avoid:
+            break
+        i += 1
+    return dict(islice(members.items(), end)) if end else {}
+
+
+def _merge(into: dict, more: dict) -> None:
+    # Adds the vertices of more that into lacks, after its own, so that no
+    # root moves and none is made.
+    if into.keys().isdisjoint(more):
+        into.update(more)
+    else:
+        for x, via in more.items():
+            into.setdefault(x, via)

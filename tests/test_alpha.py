@@ -6,6 +6,7 @@ import families
 from oracles import oracle_alpha
 from orientations import (
     DelayMeter,
+    Multigraph,
     Orientation,
     enumerate_alpha,
     enumerate_k_connected,
@@ -22,6 +23,7 @@ from witnesses import (
     UncountedLevels,
     UncutLevels,
     UnpassedLevels,
+    WholeDropLevels,
     probed_alpha,
     reversed_copy,
     same_alpha_cycle_decomposition,
@@ -174,6 +176,11 @@ def _against_unpassed(monkeypatch, run):
     return _against_reference(monkeypatch, run, UnpassedLevels)
 
 
+def _against_whole_drop(monkeypatch, run):
+    # Against the expansion that drops a set whole where it now keeps a prefix.
+    return _against_reference(monkeypatch, run, WholeDropLevels)
+
+
 def _alpha_run(g, alpha):
     return lambda sink, meter: enumerate_alpha(g, alpha, sink, meter=meter)
 
@@ -265,6 +272,77 @@ def test_closed_sets_across_flips_never_cost_more_than_dropping_them(monkeypatch
     assert unpassed == 2_304 and passed < unpassed
 
 
+def test_closed_prefixes_never_cost_more_than_dropping_sets_whole(monkeypatch):
+    # A level keeps the longest closed prefix of a set that holds its tail,
+    # or after its flip subtree its head or tail, where the expansion once
+    # dropped the whole set.  The searches skip only vertices with no path
+    # to their targets, so the streams stay the same and only searches and
+    # arc touches fall.  The small graphs here never drop a set that a
+    # prefix would have spared a search with; the 3x4 torus does.  The
+    # reference's total there is the expansion's own before the change.
+    for _, g in families.random_family(25, seed=41):
+        for alpha in {d.outdegrees() for d in all_orientations(g)}:
+            _against_whole_drop(monkeypatch, _alpha_run(g, alpha))
+        for k in (1, 2):
+            _against_whole_drop(monkeypatch, _korient_run(g, k))
+    whole, kept = _against_whole_drop(monkeypatch, _alpha_run(families.torus(3, 4), [2] * 12))
+    assert whole == 11_531 and kept < whole
+
+
+def _relabelled_torus(rows, cols, seed):
+    # The rows x cols torus with its vertices relabelled and its edge list
+    # shuffled, as the benchmark relabels its inputs.
+    base, rng = families.torus(rows, cols), random.Random(seed)
+    perm = list(range(base.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in base.edges]
+    rng.shuffle(edges)
+    return Multigraph(base.n, edges)
+
+
+def _assert_the_probe_holds(rows, cols, seeds):
+    # A merge that overwrote a vertex with None would make a false root, a
+    # prefix that a free arc leaves.  On the labellings the callers pick,
+    # such a merge hands a search a set with one, and the probe says so.
+    for seed in seeds:
+        g = _relabelled_torus(rows, cols, seed)
+        alpha = [2] * g.n
+        assert [d.serialize() for d in probed_alpha(g, alpha)] == collect(g, alpha)
+
+
+def test_the_probe_holds_on_relabelled_3x4_tori():
+    _assert_the_probe_holds(3, 4, (9, 40))
+
+
+def _random_chain(rng):
+    # A set as the edge levels carry it: vertices in insertion order, each
+    # mapped to the edge it was reached by, edge 0 included, or to None at
+    # a root; the first vertex is a root.
+    members = {}
+    for x in rng.sample(range(12), rng.randint(0, 12)):
+        members[x] = None if not members or rng.random() < 0.3 else rng.randrange(20)
+    return members
+
+
+def test_closed_prefixes_end_before_a_root_and_merges_keep_the_roots():
+    rng = random.Random(47)
+    for _ in range(2_000):
+        members, more = _random_chain(rng), _random_chain(rng)
+        items, before = list(members.items()), set(members)
+        roots = [i for i, (_, via) in enumerate(items) if via is None]
+        avoid = set(rng.sample(range(12), rng.randint(1, 3)))
+        if avoid & members.keys():
+            # The longest prefix that ends before a root and misses avoid.
+            kept = alpha_module._closed_prefix(members, avoid)
+            end = len(kept)
+            assert list(kept.items()) == items[:end] and not avoid & kept.keys()
+            assert end == 0 or end in roots
+            assert all(avoid & dict(items[:r]).keys() for r in roots if r > end)
+        # A merge appends the vertices members lacks and changes no entry.
+        alpha_module._merge(members, more)
+        assert list(members.items()) == items + [(x, via) for x, via in more.items() if x not in before]
+
+
 def _out_free(d, free, members) -> int:
     # The number of arcs among the edges ``free`` that leave ``members``.
     return sum(1 for f in free if d.tail(f) in members and d.head(f) not in members)
@@ -306,6 +384,17 @@ def test_cycle_reversals_inside_the_free_edges_keep_closed_sets_closed():
 def test_closed_sets_across_flips_cost_less_on_the_4x5_torus(monkeypatch):
     unpassed, passed = _against_unpassed(monkeypatch, _alpha_run(families.torus(4, 5), [2] * 20))
     assert unpassed == 449_754 and passed < unpassed
+
+
+@pytest.mark.slow
+def test_closed_prefixes_cost_less_on_the_4x5_torus(monkeypatch):
+    whole, kept = _against_whole_drop(monkeypatch, _alpha_run(families.torus(4, 5), [2] * 20))
+    assert whole == 440_613 and kept < whole
+
+
+@pytest.mark.slow
+def test_the_probe_holds_on_relabelled_3x5_tori():
+    _assert_the_probe_holds(3, 5, (2, 4))
 
 
 @pytest.mark.slow

@@ -23,19 +23,22 @@ restarts every λ test sweep at v+1, the chain that keeps the cuts of
 failed tests but re-tests a pair after every reversal it permits, or the
 chain that makes one count per candidate but also counts the pairs whose
 outdegrees already decide them.  ``FullScanLevels``, ``UncutLevels``,
-``UncountedLevels``, ``HeadCutLevels`` and ``UnpassedLevels`` stand in for
-the alpha expansion's ``_EdgeLevels``: the first with a reference search
-that scans whole incidence rows, the second with no cut reaching any
-search, the third as the expansion was before the free-arc counts, running
-every search that the cut does not skip, the fourth with the older rule
-that adds a head with no free out-arc to the cut it hands up, and the fifth
-as the expansion was before closed sets crossed flips: no level passes a
-set down, and a level that flips hands up no cut.
+``UncountedLevels``, ``HeadCutLevels``, ``UnpassedLevels`` and
+``WholeDropLevels`` stand in for the alpha expansion's ``_EdgeLevels``:
+the first with a reference search that scans whole incidence rows, the
+second with no cut reaching any search, the third as the expansion was
+before the free-arc counts, running every search that the cut does not
+skip, the fourth with the older rule that adds a head with no free out-arc
+to the cut it hands up, the fifth as the expansion was before closed sets
+crossed flips: no level passes a set down, and a level that flips hands up
+no cut, and the sixth as it was before it kept closed prefixes: a set that
+holds a vertex it must miss is dropped whole.
 """
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Sequence
+from itertools import islice
 from unittest import mock
 
 from orientations import (
@@ -381,7 +384,9 @@ class InvariantProbe:
       of the edges e+1..m-1 may leave the set it inherited from the flipping
       level above, and the set its search treats as reached must miss the
       tail and be left by no such arc either: the probe runs the walk with
-      ``alpha._shortest_path`` replaced by its checked ``search``;
+      ``alpha._shortest_path`` replaced by its checked ``search``.  No such
+      arc may leave a prefix of any of these sets that ends before a root,
+      a vertex mapped to None, either;
     - ``vertex_choices(v)`` asserts at every yield that the orientation is
       still k-connected and that ``assert_masks_exact`` holds.  Every state
       a path reversal reaches is yielded once, so this checks that each
@@ -439,6 +444,7 @@ class InvariantProbe:
             assert tail not in cut, f"the cut left by edge level {e} holds its tail"
             leaving = [f for f in range(e + 1, d.graph.m) if d.tail(f) in cut and d.head(f) not in cut]
             assert not leaving, f"free arcs {leaving} leave the cut left by edge level {e}"
+            _assert_closed_prefixes(d, e, cut, "cut left by")
         self.left = cut
 
     def search(self, d, sources, targets, fixed, meter, reached):
@@ -449,6 +455,7 @@ class InvariantProbe:
         for name, members in (("inherited", self.levels.down), ("skipped", reached)):
             leaving = [f for f in range(e + 1, d.graph.m) if d.tail(f) in members and d.head(f) not in members]
             assert not leaving, f"free arcs {leaving} leave the {name} set of edge level {e}"
+            _assert_closed_prefixes(d, e, members, f"{name} set of")
         assert not any(t in reached for t in targets), f"edge level {e} skips a set that holds its tail"
         return _shortest_path(d, sources, targets, fixed, meter, reached)
 
@@ -467,6 +474,19 @@ class InvariantProbe:
                     assert self.d.outdegrees() == tuple(self.target), "emitted orientation misses the target outdegrees"
                 yield
         assert not any(self.levels.fixed), "prefix counts not back at 0 when the walk ends"
+
+
+def _assert_closed_prefixes(d: Orientation, e: int, members: dict, name: str) -> None:
+    # No arc among the edges e+1..m-1 leaves a prefix of members that ends
+    # before a root, a vertex mapped to None: each such prefix was closed
+    # when the search that added the root ran, and stays closed wherever
+    # the whole set is.
+    prefix = set()
+    for x, via in members.items():
+        if via is None:
+            leaving = [f for f in range(e + 1, d.graph.m) if d.tail(f) in prefix and d.head(f) not in prefix]
+            assert not leaving, f"free arcs {leaving} leave the prefix before root {x} of the {name} edge level {e}"
+        prefix.add(x)
 
 
 def probed_alpha(graph: Multigraph, alpha: Sequence[int]) -> list[Orientation]:
@@ -748,6 +768,56 @@ class UnpassedLevels(_EdgeLevels):
             yield
             _flip(d, path, self.meter)
             self.cut = None
+        fixed[u] -= 1
+        fixed[v] -= 1
+
+
+class WholeDropLevels(_EdgeLevels):
+    """The alpha expansion's edge levels that drop a set whole, as a reference.
+
+    Same contract, yields and meter charges as ``alpha._EdgeLevels``, and it
+    passes closed sets across flips the same way, but it keeps no prefix of
+    a set: a level drops the whole cut it received, or the whole set it
+    inherited, when that holds its tail, and after its flip subtree it
+    drops the whole set handed up when that holds its head or its tail.
+    Its merges may overwrite a vertex's entry, as it reads no root.
+    """
+
+    def choices(self, e: int):
+        d, fixed, out, rows = self.d, self.fixed, self.d._out, self.d.graph._row_mask
+        u, v = d.graph.edges[e]
+        tail, head = (u, v) if d.forward(e) else (v, u)
+        fixed[u] += 1
+        fixed[v] += 1
+        self.cut = None
+        yield
+        reached = self.cut
+        if reached is None or tail in reached:
+            reached = {}
+        path = None
+        if head not in reached and out[head] >> fixed[head] and (rows[tail] ^ out[tail]) >> fixed[tail]:
+            down = self.down
+            usable = down and tail not in down
+            if not (usable and head in down):
+                if usable:
+                    reached.update(down)
+                searched = len(reached)
+                path = _shortest_path(d, (head,), (tail,), fixed, self.meter, reached)
+        if path is None:
+            self.cut = reached
+        else:
+            reached = dict(islice(reached.items(), searched)) if searched else {}
+            path.append(e)
+            _flip(d, path, self.meter)
+            self.down = reached
+            yield
+            self.down = down
+            _flip(d, path, self.meter)
+            below = self.cut
+            if below is not None and head not in below and tail not in below:
+                below.update(reached)
+                reached = below
+            self.cut = reached
         fixed[u] -= 1
         fixed[v] -= 1
 
