@@ -41,27 +41,31 @@ Hence two more rules:
   tail treats it as it treats R: its search never expands it, and it skips
   the search when the set holds its head.  An inherited set is closed over
   all the edges below the level that passed it down, edge e among them, so
-  one that holds the tail holds the head too.
+  one that holds the tail holds the head too, and the level does not use
+  it.
 - After its flip subtree the level undoes its flip, which reverses a path
   from tail to head inside its free edges.  So the set S that level e+1
   handed up on the flipped orientation is closed again when it holds
   neither head nor tail.  Edge e runs from the tail, so it leaves neither
-  S nor the set the level passed down.  The level hands up S, when S
-  misses both head and tail, with the set it passed down added.
+  S nor the set the level passed down.  The level hands up S when S is
+  not empty and misses both head and tail, and otherwise the set it
+  passed down.
 
-A set that holds a vertex it must miss is not dropped whole.  Every set the
-levels carry is a chain of closed sets in insertion order: a search adds
-the set it treats as reached, then its root, the head, mapped to None, then
-the vertices it reaches.  So each prefix that ends just before a root is a
-set that a search treated as reached, closed when that search ran.  The
-rules above keep a set closed only when it misses given vertices, so they
-keep each such prefix closed too, and the union of two closed sets is
-closed.  So where R or the inherited set holds the tail, or S the head or
-the tail, the level keeps the longest prefix that ends before a root and
-misses them, and uses it as it would the whole set.  A merge adds only the
-vertices its first set lacks, after that set's own, so no root moves and
-none is made: a vertex overwritten with None would end a prefix that no
-search treated as reached.
+An R that holds the tail is not dropped whole.  Every set the levels carry
+is a chain of closed sets in insertion order: a search adds the set it
+treats as reached, then its root, the head, mapped to None, then the
+vertices it reaches.  So each prefix that ends just before a root is a set
+that a search treated as reached, closed when that search ran.  The rules
+above keep a set closed only when it misses given vertices, so they keep
+each such prefix closed too.  Where R holds the tail, the level keeps the
+longest prefix that ends before a root and misses the tail, and uses it as
+it would R.  A level that searches adds the set it inherited to R, or to
+that prefix, and the union of two closed sets is closed.  That merge adds
+only the vertices R lacks, after R's own, so no root moves and none is
+made: a vertex overwritten with None would end a prefix that no search
+treated as reached.  The inherited set and S are used whole or not at all:
+keeping their prefixes too, or adding the set passed down to S, spares
+few searches for the scans and merges it costs.
 
 Every set a search skips thus holds no vertex with a path to its target, so
 the paths and the stream stay as a fresh search would make them.  A level
@@ -76,20 +80,20 @@ prefix of x's incidence row, so ``_out[x] >> fixed[x]`` (see
 e+1..m-1, and ``(_row_mask[x] ^ _out[x]) >> fixed[x]`` its free in-arcs.
 No path into the tail starts inside R, and a path from head to tail leaves
 head and enters tail by free arcs, so a level that does not search would
-find no path.  It hands up the set it received: R, the prefix it kept, or
-an empty set when it received none.  That set is a cut one level up: no
-free arc leaves it, and edge e, which the level above frees, runs from tail
-to head, so it leaves the set only when the set holds its tail.  (When the
-head has no free out-arc, the set with the head added is a cut too, but one
-level up the tail is often this head, and that level would keep only a
-prefix without it.)  At the last level every edge is fixed, so its search
-is always skipped.
+find no path.  It hands up the set it received, R or the prefix it kept,
+which is empty when level e+1 handed up none.  That set is a cut one level
+up: no free arc leaves it, and edge e, which the level above frees, runs
+from tail to head, so it leaves the set only when the set holds its tail.
+(When the head has no free out-arc, the set with the head added is a cut
+too, but one level up the tail is often this head, and that level would
+keep only a prefix without it.)  At the last level every edge is fixed, so
+its search is always skipped.
 ``_EdgeLevels`` owns ``fixed``, the cut and the set passed down.  A search
 adds the vertices it reaches after those it treats as reached, so a level
 that flips takes the set it passes down as the head of its search tree, a
-slice of a dict in insertion order.  Like ``fixed``, the sets, their kept
-prefixes and their merges are walk bookkeeping: they touch no arc and are
-not charged.
+slice of a dict in insertion order.  Like ``fixed``, the sets, the kept
+prefix and the merge are walk bookkeeping: they touch no arc and are not
+charged.
 
 ``walk`` is the one traversal scheme of the package: the k-connected
 search of :mod:`orientations.sequences` and the first-solution finder run on
@@ -104,7 +108,7 @@ caller keeps never changes.
 from __future__ import annotations
 
 import weakref
-from collections.abc import Callable, Collection, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from itertools import islice
 
 from .metering import DelayMeter
@@ -223,23 +227,23 @@ class _EdgeLevels:
     # no search: at the source, head, it is an in-arc, and the target, tail,
     # is never scanned.
     #
-    # When level e resumes, cut holds the set R that level e+1 handed up, or
-    # None, and down the set that the nearest flipping level above passed
-    # down ({} below none).  Of either set that holds tail the level keeps
-    # only the longest prefix that ends before a root and misses tail, and
-    # it searches only when head lies outside both, has a free out-arc, and
-    # tail has a free in-arc (see the module docstring); the search never
-    # expands them.  A failed search leaves the set it reached in cut, and a
-    # level that does not search leaves R or its kept prefix, or an empty
-    # set when it received none.  A level that flips passes down the union
-    # its search skipped, restores down after its flip subtree, and leaves
-    # in cut the set the subtree handed up, or its longest such prefix that
-    # misses head and tail, with that union added.
+    # When level e resumes, cut holds the set R that level e+1 handed up ({}
+    # at the last level), and down the set that the nearest flipping level
+    # above passed down ({} below none).  Of an R that holds tail the level
+    # keeps only the longest prefix that ends before a root and misses tail,
+    # and a down that holds tail it does not use.  It searches only when
+    # head lies outside both, has a free out-arc, and tail has a free in-arc
+    # (see the module docstring); the search never expands them.  A failed
+    # search leaves the set it reached in cut, and a level that does not
+    # search leaves R or its kept prefix.  A level that flips passes down
+    # the union its search skipped, restores down after its flip subtree,
+    # and leaves in cut the set the subtree handed up when that is not
+    # empty and misses head and tail, and otherwise that union.
     __slots__ = ("d", "meter", "fixed", "cut", "down")
 
     def __init__(self, d: Orientation, meter: DelayMeter):
         self.d, self.meter = d, meter
-        self.fixed, self.cut, self.down = [0] * d.graph.n, None, {}
+        self.fixed, self.cut, self.down = [0] * d.graph.n, {}, {}
 
     def choices(self, e: int) -> Iterator[None]:
         d, fixed, out, rows = self.d, self.fixed, self.d._out, self.d.graph._row_mask
@@ -247,18 +251,15 @@ class _EdgeLevels:
         tail, head = (u, v) if d.forward(e) else (v, u)
         fixed[u] += 1
         fixed[v] += 1
-        self.cut = None
+        self.cut = {}
         yield
         reached = self.cut
-        if reached is None:
-            reached = {}
-        elif tail in reached:
-            reached = _closed_prefix(reached, (tail,))
+        if tail in reached:
+            reached = _closed_prefix(reached, tail)
         path = None
         if head not in reached and out[head] >> fixed[head] and (rows[tail] ^ out[tail]) >> fixed[tail]:
-            down = inherited = self.down
-            if tail in down:
-                inherited = _closed_prefix(down, (tail,))
+            down = self.down
+            inherited = {} if tail in down else down
             if head not in inherited:
                 if inherited:
                     _merge(reached, inherited)
@@ -275,25 +276,19 @@ class _EdgeLevels:
             self.down = down
             _flip(d, path, self.meter)
             below = self.cut
-            if below and (head in below or tail in below):
-                below = _closed_prefix(below, (head, tail))
-            if below:
-                if reached:
-                    _merge(below, reached)
-                reached = below
-            self.cut = reached
+            self.cut = below if below and head not in below and tail not in below else reached
         fixed[u] -= 1
         fixed[v] -= 1
 
 
-def _closed_prefix(members: dict, avoid: Collection[int]) -> dict:
+def _closed_prefix(members: dict, x: int) -> dict:
     # The longest prefix of members that ends before a root, a vertex
-    # mapped to None, and holds no vertex of avoid.
+    # mapped to None, and misses x.
     end = i = 0
-    for x, via in members.items():
+    for y, via in members.items():
         if via is None:
             end = i
-        if x in avoid:
+        if y == x:
             break
         i += 1
     return dict(islice(members.items(), end)) if end else {}

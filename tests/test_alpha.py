@@ -273,11 +273,10 @@ def test_closed_sets_across_flips_never_cost_more_than_dropping_them(monkeypatch
 
 
 def test_closed_prefixes_never_cost_more_than_dropping_sets_whole(monkeypatch):
-    # A level keeps the longest closed prefix of a set that holds its tail,
-    # or after its flip subtree its head or tail, where the expansion once
-    # dropped the whole set.  The searches skip only vertices with no path
-    # to their targets, so the streams stay the same and only searches and
-    # arc touches fall.  The small graphs here never drop a set that a
+    # A level keeps the longest closed prefix of a cut that holds its tail,
+    # where the expansion once dropped the whole set.  The searches skip
+    # only vertices with no path to their targets, so the streams stay the
+    # same and only searches and arc touches fall.  The small graphs here never drop a set that a
     # prefix would have spared a search with; the 3x4 torus does.  The
     # reference's total there is the expansion's own before the change.
     for _, g in families.random_family(25, seed=41):
@@ -330,14 +329,14 @@ def test_closed_prefixes_end_before_a_root_and_merges_keep_the_roots():
         members, more = _random_chain(rng), _random_chain(rng)
         items, before = list(members.items()), set(members)
         roots = [i for i, (_, via) in enumerate(items) if via is None]
-        avoid = set(rng.sample(range(12), rng.randint(1, 3)))
-        if avoid & members.keys():
-            # The longest prefix that ends before a root and misses avoid.
-            kept = alpha_module._closed_prefix(members, avoid)
+        x = rng.randrange(12)
+        if x in members:
+            # The longest prefix that ends before a root and misses x.
+            kept = alpha_module._closed_prefix(members, x)
             end = len(kept)
-            assert list(kept.items()) == items[:end] and not avoid & kept.keys()
+            assert list(kept.items()) == items[:end] and x not in kept
             assert end == 0 or end in roots
-            assert all(avoid & dict(items[:r]).keys() for r in roots if r > end)
+            assert all(x in dict(items[:r]) for r in roots if r > end)
         # A merge appends the vertices members lacks and changes no entry.
         alpha_module._merge(members, more)
         assert list(members.items()) == items + [(x, via) for x, via in more.items() if x not in before]

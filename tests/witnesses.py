@@ -372,7 +372,7 @@ class InvariantProbe:
       ``assert_masks_exact`` holds.  The levels are those of one
       ``_EdgeLevels``, as in the enumerators, and the probe reads its
       state.  When a level searches, the cut must be what level e+1 left,
-      or None at the last level, the free out-arc count derived from the
+      or empty at the last level, the free out-arc count derived from the
       masks, ``popcount(_out[x] >> fixed[x])``, must be the number of
       out-arcs at x among the edges e+1..m-1, and the free in-arc count,
       ``popcount((_row_mask[x] ^ _out[x]) >> fixed[x])``, the number of
@@ -422,8 +422,10 @@ class InvariantProbe:
             yield
             options += 1
             if options == 1:
-                below = self.left if e + 1 < d.graph.m else None
-                assert levels.cut is below, f"edge level {e} reads a cut that level {e + 1} did not leave"
+                if e + 1 < d.graph.m:
+                    assert levels.cut is self.left, f"edge level {e} reads a cut that level {e + 1} did not leave"
+                else:
+                    assert levels.cut == {}, f"the last edge level, {e}, reads a cut"
                 fo, fi = [0] * d.graph.n, [0] * d.graph.n
                 for f in range(e + 1, d.graph.m):
                     fo[d.tail(f)] += 1
@@ -440,11 +442,10 @@ class InvariantProbe:
         if options == 1 and self.meter.bfs_runs == runs:
             assert _shortest_path(d, (head,), (tail,), counts, None) is None, f"edge level {e} skipped a search that finds a path"
         cut = levels.cut
-        if cut is not None:
-            assert tail not in cut, f"the cut left by edge level {e} holds its tail"
-            leaving = [f for f in range(e + 1, d.graph.m) if d.tail(f) in cut and d.head(f) not in cut]
-            assert not leaving, f"free arcs {leaving} leave the cut left by edge level {e}"
-            _assert_closed_prefixes(d, e, cut, "cut left by")
+        assert tail not in cut, f"the cut left by edge level {e} holds its tail"
+        leaving = [f for f in range(e + 1, d.graph.m) if d.tail(f) in cut and d.head(f) not in cut]
+        assert not leaving, f"free arcs {leaving} leave the cut left by edge level {e}"
+        _assert_closed_prefixes(d, e, cut, "cut left by")
         self.left = cut
 
     def search(self, d, sources, targets, fixed, meter, reached):
@@ -659,7 +660,7 @@ class UncutLevels(_EdgeLevels):
     def choices(self, e: int):
         for _ in super().choices(e):
             yield
-            self.cut = None
+            self.cut = {}
 
 
 class UncountedLevels:
@@ -673,29 +674,28 @@ class UncountedLevels:
 
     def __init__(self, d: Orientation, meter: DelayMeter):
         self.d, self.meter = d, meter
-        self.fixed, self.cut = [0] * d.graph.n, None
+        self.fixed, self.cut = [0] * d.graph.n, {}
 
     def choices(self, e: int):
         d, fixed = self.d, self.fixed
         u, v = d.graph.edges[e]
         fixed[u] += 1
         fixed[v] += 1
-        self.cut = None
+        self.cut = {}
         yield
         tail, head = (u, v) if d.forward(e) else (v, u)
         reached = self.cut
-        if reached is None or tail in reached:
+        if tail in reached:
             reached = {}
         path = None if head in reached else _shortest_path(d, (head,), (tail,), fixed, self.meter, reached)
         if path is None:
             self.cut = reached
         else:
-            self.cut = None
             path.append(e)
             _flip(d, path, self.meter)
             yield
             _flip(d, path, self.meter)
-            self.cut = None
+            self.cut = {}
         fixed[u] -= 1
         fixed[v] -= 1
 
@@ -715,10 +715,10 @@ class HeadCutLevels(_EdgeLevels):
         tail, head = (u, v) if d.forward(e) else (v, u)
         fixed[u] += 1
         fixed[v] += 1
-        self.cut = None
+        self.cut = {}
         yield
         reached = self.cut
-        if reached is None or tail in reached:
+        if tail in reached:
             reached = {}
         path = None
         if head in reached or not out[head] >> fixed[head]:
@@ -732,7 +732,7 @@ class HeadCutLevels(_EdgeLevels):
             _flip(d, path, self.meter)
             yield
             _flip(d, path, self.meter)
-            self.cut = None
+            self.cut = {}
         fixed[u] -= 1
         fixed[v] -= 1
 
@@ -752,10 +752,10 @@ class UnpassedLevels(_EdgeLevels):
         tail, head = (u, v) if d.forward(e) else (v, u)
         fixed[u] += 1
         fixed[v] += 1
-        self.cut = None
+        self.cut = {}
         yield
         reached = self.cut
-        if reached is None or tail in reached:
+        if tail in reached:
             reached = {}
         path = None
         if head not in reached and out[head] >> fixed[head] and (rows[tail] ^ out[tail]) >> fixed[tail]:
@@ -767,7 +767,7 @@ class UnpassedLevels(_EdgeLevels):
             _flip(d, path, self.meter)
             yield
             _flip(d, path, self.meter)
-            self.cut = None
+            self.cut = {}
         fixed[u] -= 1
         fixed[v] -= 1
 
@@ -789,10 +789,10 @@ class WholeDropLevels(_EdgeLevels):
         tail, head = (u, v) if d.forward(e) else (v, u)
         fixed[u] += 1
         fixed[v] += 1
-        self.cut = None
+        self.cut = {}
         yield
         reached = self.cut
-        if reached is None or tail in reached:
+        if tail in reached:
             reached = {}
         path = None
         if head not in reached and out[head] >> fixed[head] and (rows[tail] ^ out[tail]) >> fixed[tail]:
@@ -814,7 +814,7 @@ class WholeDropLevels(_EdgeLevels):
             self.down = down
             _flip(d, path, self.meter)
             below = self.cut
-            if below is not None and head not in below and tail not in below:
+            if head not in below and tail not in below:
                 below.update(reached)
                 reached = below
             self.cut = reached
