@@ -128,6 +128,8 @@ def _run(args) -> int:
             # The search rejects a seed that is not k-connected, before any output.
             seed = Orientation.deserialize(graph, _read(args.seed_orientation))
 
+    if args.seed_orientation is not None and seed is None:
+        raise ParameterError("--seed-orientation is read only by odseq and korient without --oracle")
     if args.command == "bench" and args.oracle:
         raise ParameterError("bench does not support --oracle")
     if args.output:

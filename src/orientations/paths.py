@@ -67,6 +67,15 @@ cut of the count.  Each search is still one BFS run; only the arc touches
 fall, and a count whose cut is V∖B touches no more arcs than one that goes
 on to A.
 
+A λ test, ``lambda_at_least``, is the count whose ``spare`` is its limit:
+it keeps no path reversed.  When its degree bound lies below the threshold
+it returns at once; otherwise every search it makes decides by meeting in
+the middle, and a failing one stops as soon as either side runs out, since
+the test never reads the cut.  The k >= 2 connectivity check is made of λ
+tests, so it decides every search this way too.  Only the edge connectivity
+count, which has no ``spare`` because it needs exact counts below its cap,
+searches forward throughout.
+
 Every search moves by ``_flip``: reverse a path or cycle, or undo that, and
 pay one arc touch per edge.  The finder of :mod:`orientations.kconn` flips
 its edges through it too, so outside :mod:`orientations.multigraph` no
@@ -250,7 +259,8 @@ def _count_paths(
     # search follows it.  ``spare`` is None or at least 1.  A count that
     # falls short of ``limit`` undoes only its last ``spare`` paths (all of
     # them when None) and leaves the others reversed; otherwise, and when a
-    # search raises, the orientation is restored.
+    # search raises, the orientation is restored.  A λ test is the count
+    # whose ``spare`` is its ``limit``: it keeps no path reversed.
     #
     # Returned with the paths is a cut when fewer than ``limit`` exist, else
     # None: the vertex bitmask of a set R that holds u but not v and that no
@@ -275,28 +285,12 @@ def _count_paths(
     # that does not reach v when v's side runs out first (see the module
     # docstring).
     bound = _degree_bound(orientation, u, v)
-    if bound >= limit:
-        return _reverse_paths(orientation, u, v, limit, meter, spare, largest, None)
-    cut = 1 << u if orientation._out[u].bit_count() == bound else (1 << orientation.graph.n) - 1 ^ 1 << v
-    if spare is not None and bound <= spare:
-        return [], cut
-    return _reverse_paths(orientation, u, v, bound, meter, spare, largest, cut)
-
-
-def _reverse_paths(
-    orientation: Orientation,
-    u: int,
-    v: int,
-    limit: int,
-    meter: DelayMeter | None,
-    spare: int | None,
-    largest: bool,
-    cut: int | None,
-) -> tuple[list[list[int]], int | None]:
-    # The searches and flips of a count whose degree bound is at least
-    # ``limit`` (see ``_count_paths``).  ``cut`` is None, or the degree cut
-    # when ``limit`` is a bound below the count's own limit, so the count
-    # falls short even when it reaches ``limit``.
+    cut = None
+    if bound < limit:
+        cut = 1 << u if orientation._out[u].bit_count() == bound else (1 << orientation.graph.n) - 1 ^ 1 << v
+        if spare is not None and bound <= spare:
+            return [], cut
+        limit = bound
     paths: list[list[int]] = []
     flipped = kept = 0
     forward = limit if spare is None else limit - spare
@@ -352,6 +346,4 @@ def lambda_at_least(
     if u == v:
         raise ValueError("u and v must differ")
     _check_positive(threshold, "threshold")
-    if threshold > _degree_bound(orientation, u, v):
-        return False
-    return len(_reverse_paths(orientation, u, v, threshold, meter, None, False, None)[0]) == threshold
+    return len(_count_paths(orientation, u, v, threshold, meter, threshold, True)[0]) == threshold

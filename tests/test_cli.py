@@ -254,8 +254,19 @@ def test_output_file_option(tmp_path, c4_file):
             2,
         ),
         (DOUBLED_TRIANGLE, ("--mode", "korient", "--k", "2", "--seed-orientation", "weak.txt"), 2),
+        # Only the k-connected search reads a seed; a seed it would not read is rejected.
+        (DOUBLED_TRIANGLE, ("--mode", "korient", "--k", "1", "--oracle", "--seed-orientation", "weak.txt"), 2),
+        (DOUBLED_TRIANGLE, ("--mode", "alpha", "--alpha", "2,2,2", "--seed-orientation", "weak.txt"), 2),
     ],
-    ids=["malformed-graph", "missing-k", "oracle-edge-limit", "oracle-vertex-limit", "weak-seed"],
+    ids=[
+        "malformed-graph",
+        "missing-k",
+        "oracle-edge-limit",
+        "oracle-vertex-limit",
+        "weak-seed",
+        "seed-with-oracle",
+        "seed-in-alpha-mode",
+    ],
 )
 def test_output_file_survives_a_rejected_run(tmp_path, capsys, monkeypatch, graph_text, extra, want):
     monkeypatch.chdir(tmp_path)

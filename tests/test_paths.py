@@ -15,7 +15,15 @@ from orientations import (
     parse_graph,
 )
 from orientations.paths import _count_paths, _meeting_path, _shortest_path
-from witnesses import assert_path, cut_outdegree, reverse_path, reversed_copy, unbounded_count_paths, vertices
+from witnesses import (
+    assert_path,
+    cut_outdegree,
+    forward_count_paths,
+    reverse_path,
+    reversed_copy,
+    unbounded_count_paths,
+    vertices,
+)
 
 
 def directed_triangle():
@@ -203,18 +211,32 @@ def test_lambda_restores_input_when_interrupted():
 
 
 def test_lambda_threshold_matches_oracle():
+    # A λ test is a count that keeps no path, so every search it makes
+    # decides by meeting in the middle: as many BFS runs as the forward
+    # count to the same threshold, and in total no more arc touches, though
+    # a single test may touch a few more.
     rng = random.Random(2024)
     pool = [g for _, g in families.random_family(30, seed=23) if g.n >= 2]
+    touches = forward_touches = 0
     for g in pool:
         d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
+        before = d.serialize()
         u, v = rng.sample(range(g.n), 2)
         lam = oracle_lambda(d, u, v)
         bound = min(d.outdegrees()[u], g.degree(v) - d.outdegrees()[v])
         for t in range(1, lam + 3):
             meter = DelayMeter()
             assert lambda_at_least(d, u, v, t, meter) == (t <= lam)
+            assert d.serialize() == before
             if t > bound:  # decided by the degrees alone
                 assert meter.bfs_runs == 0
+            else:
+                reference = DelayMeter()
+                forward_count_paths(d.copy(), u, v, t, reference)
+                assert meter.bfs_runs == reference.bfs_runs
+                touches += meter.arc_touches
+                forward_touches += reference.arc_touches
+    assert touches <= forward_touches
 
 
 def test_one_count_finds_the_paths_of_successive_reversals():
@@ -394,15 +416,15 @@ def test_one_loop_scans_arcs():
 
 
 def test_each_certificate_has_one_owner():
-    # The degree bound min(out(u), in(v)) is read only in paths.py, where
-    # the λ count and lambda_at_least decide pairs by it, and outside
+    # The degree bound min(out(u), in(v)) is read only by the λ count, the
+    # one loop that counts paths (a λ test is such a count), and outside
     # multigraph.py an orientation's edges are flipped only through
     # paths._flip, which charges every flip.
     def names(node, name):
         return (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name)
 
     bound = _package_scopes(lambda node: names(node, "_degree_bound"))
-    assert bound and {scope.split(".")[0] for scope in bound} == {"paths"}, bound
+    assert bound == ["paths._count_paths"], bound
     flips = _package_scopes(
         lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "_flip"
     )
