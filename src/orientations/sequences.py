@@ -9,13 +9,17 @@ orientations, and orientations of equal outdegree vector are contiguous.
 The finder, or ``is_k_connected`` on a given seed, rejects a k that is
 not an integer of at least 1.
 
-The choice generator of a vertex first lowers its outdegree as far as it
-will go, reversing a directed path leaving it whenever the path's endpoints
-admit more than k arc-disjoint paths, so connectivity survives; the paths
-reversed are ones the count of those paths found and left reversed.  It
-then yields once per step on the way back, deepest first, undoing one
-reversal per yield with ``paths._flip``.  It does the same for raising, and
-finally keeps the vertex as it is.  The orientation is the search's only
+The choice generator of a vertex first keeps the vertex as it is.  Every
+node of the walk thus equals its leftmost leaf, which the walk emits on
+entry: a seeded run emits the seed first, and no gap waits for the chains
+of the levels below a node.  The subtree under that option restores the
+orientation, so the generator then lowers the outdegree from where it
+entered, as far as it will go, reversing a directed path leaving the
+vertex whenever the path's endpoints admit more than k arc-disjoint paths,
+so connectivity survives; the paths reversed are ones the count of those
+paths found and left reversed.  It then yields once per step on the way
+back, deepest first, undoing one reversal per yield with ``paths._flip``,
+and does the same for raising.  The orientation is the search's only
 state: a leaf's outdegree sequence is read from the view ``_emit_leaves``
 hands the sink, which is copied only if the sink keeps it.  Completeness
 rests on the witness fact that whenever two k-connected orientations
@@ -76,11 +80,14 @@ __all__ = ["enumerate_outdegree_sequences", "enumerate_k_connected"]
 
 
 def _vertex_choices(d: Orientation, v: int, k: int, meter: DelayMeter) -> Iterator[None]:
-    # One chain per direction: a count for each later (so not yet fixed)
-    # vertex that no cut has ruled out, which leaves the first λ-k of its
-    # paths reversed, all before the chain's first yield, and which a
-    # raising chain asks for the largest cut (see the module docstring);
-    # then one yield per reversal, undoing them deepest first.
+    # Keeps the vertex first, so a level emits on entry the leaf it would
+    # reach anyway, and the subtree below restores d.  Then one chain per
+    # direction: a count for each later (so not yet fixed) vertex that no
+    # cut has ruled out, which leaves the first λ-k of its paths reversed,
+    # all before the chain's first yield, and which a raising chain asks
+    # for the largest cut (see the module docstring); then one yield per
+    # reversal, undoing them deepest first.
+    yield
     n = d.graph.n
     limit = d.graph.degree(v) + 1
     for lowering in (True, False):
@@ -96,7 +103,6 @@ def _vertex_choices(d: Orientation, v: int, k: int, meter: DelayMeter) -> Iterat
             edges = chain.pop()
             yield
             _flip(d, edges, meter)
-    yield
 
 
 def _search(graph: Multigraph, k: int, seed: Orientation | None, edge_levels: int, sink, meter) -> int:

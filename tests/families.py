@@ -106,6 +106,17 @@ def torus(rows: int, cols: int) -> Multigraph:
     return Multigraph(rows * cols, edges)
 
 
+def relabelled_torus(rows: int, cols: int, seed: int) -> Multigraph:
+    """The rows x cols torus with its vertices relabelled and its edge list
+    shuffled, as the benchmark relabels its inputs."""
+    base, rng = torus(rows, cols), random.Random(seed)
+    perm = list(range(base.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in base.edges]
+    rng.shuffle(edges)
+    return Multigraph(base.n, edges)
+
+
 def ladder(rungs: int) -> Multigraph:
     """The ladder L_rungs: rung i joins vertices 2i and 2i+1, and the rails
     join consecutive rungs (2 * rungs vertices, 3 * rungs - 2 edges)."""

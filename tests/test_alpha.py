@@ -6,7 +6,6 @@ import families
 from oracles import oracle_alpha
 from orientations import (
     DelayMeter,
-    Multigraph,
     Orientation,
     enumerate_alpha,
     enumerate_k_connected,
@@ -288,23 +287,12 @@ def test_closed_prefixes_never_cost_more_than_dropping_sets_whole(monkeypatch):
     assert whole == 11_531 and kept < whole
 
 
-def _relabelled_torus(rows, cols, seed):
-    # The rows x cols torus with its vertices relabelled and its edge list
-    # shuffled, as the benchmark relabels its inputs.
-    base, rng = families.torus(rows, cols), random.Random(seed)
-    perm = list(range(base.n))
-    rng.shuffle(perm)
-    edges = [(perm[u], perm[v]) for u, v in base.edges]
-    rng.shuffle(edges)
-    return Multigraph(base.n, edges)
-
-
 def _assert_the_probe_holds(rows, cols, seeds):
     # A merge that overwrote a vertex with None would make a false root, a
     # prefix that a free arc leaves.  On the labellings the callers pick,
     # such a merge hands a search a set with one, and the probe says so.
     for seed in seeds:
-        g = _relabelled_torus(rows, cols, seed)
+        g = families.relabelled_torus(rows, cols, seed)
         alpha = [2] * g.n
         assert [d.serialize() for d in probed_alpha(g, alpha)] == collect(g, alpha)
 

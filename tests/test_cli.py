@@ -394,7 +394,8 @@ def test_enumerate_charges_m_per_orientation_line(capsys, monkeypatch, tmp_path)
 
 def test_a_closed_output_pipe_exits_3_quietly(tmp_path):
     # The doubled wheel's 56,686 lines overflow the pipe, so the run is
-    # still writing when the reader closes it after the first line.
+    # still writing when the reader closes it after the first line, which
+    # is the finder's witness: the search keeps every vertex first.
     path = tmp_path / "wheel.txt"
     path.write_text(graph_to_text(families.doubled_wheel4()))
     proc = subprocess.Popen(
@@ -407,7 +408,7 @@ def test_a_closed_output_pipe_exits_3_quietly(tmp_path):
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == cli.EXIT_CLOSED == 3
-    assert (first, err) == (b"+--------+-+-+++\n", b"")
+    assert (first, err) == (b"+++++++-++++++++\n", b"")
 
 
 def test_a_closed_output_pipe_points_stdout_at_devnull(monkeypatch, c4_file):

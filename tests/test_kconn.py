@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import families
@@ -11,9 +13,11 @@ from orientations import (
     enumerate_outdegree_sequences,
     find_k_connected_orientation,
     is_k_connected,
+    kconn,
     parse_graph,
     paths,
 )
+from orientations.connectivity import _edge_connectivity
 from orientations.oracle import brute_is_k_connected
 from witnesses import class_size_lower_bound_check, probed_k_connected
 
@@ -78,6 +82,53 @@ def test_single_vertex_has_one_empty_orientation():
 
 def test_bridge_has_no_strong_orientation():
     assert collect(parse_graph("2 1\n0 1"), 1) == []
+
+
+def _bridged(graph, rng):
+    # The graph with a pendant vertex, two copies of it joined by one edge,
+    # and the two copies side by side: none is 2-edge-connected.
+    n, edges = graph.n, list(graph.edges)
+    copies = edges + [(u + n, v + n) for u, v in edges]
+    return [
+        Multigraph(n + 1, edges + [(rng.randrange(n), n)]),
+        Multigraph(2 * n, copies + [(rng.randrange(n), n + rng.randrange(n))]),
+        Multigraph(2 * n, copies),
+    ]
+
+
+def test_the_k1_reject_agrees_with_counting_edge_connectivity():
+    # Robbins' theorem: the depth-first orientation is strongly connected
+    # exactly when two edge-disjoint paths join every pair of vertices, the
+    # count the finder makes for k >= 2.  The finder rejects exactly the
+    # graphs it rules out, and no orientation of a bridged graph is strong.
+    rng = random.Random(61)
+    graphs = [g for _, g in families.random_family(150, seed=61) + families.named_graphs()]
+    strong = [is_k_connected(kconn._robbins_orientation(g), 1) for g in graphs]
+    assert strong == [_edge_connectivity(g, 2) >= 2 for g in graphs]
+    assert [find_k_connected_orientation(g, 1) is not None for g in graphs] == strong
+    assert 50 < strong.count(True) < len(graphs) - 50
+    for g in graphs[:40]:
+        pendant, joined, apart = _bridged(g, rng)
+        for h in (pendant, joined, apart):
+            assert not is_k_connected(kconn._robbins_orientation(h), 1)
+            assert _edge_connectivity(h, 2) < 2 and find_k_connected_orientation(h, 1) is None
+        assert collect(pendant, 1) == [] and not oracle_k_connected(pendant, 1)
+
+
+def test_the_k1_reject_accepts_one_vertex_and_rejects_a_disconnected_graph():
+    for g in (Multigraph(1, []), Multigraph(0, [])):
+        assert find_k_connected_orientation(g, 1).serialize() == ""
+    doubled_pair = [(0, 1), (0, 1)]
+    for g in (Multigraph(4, doubled_pair + [(2, 3), (2, 3)]), Multigraph(3, doubled_pair)):
+        assert find_k_connected_orientation(g, 1) is None and not oracle_k_connected(g, 1)
+
+
+def test_the_k1_finder_needs_no_path_count_on_a_large_torus(monkeypatch):
+    # 12,800 edges: the k = 1 reject makes one search and two sweeps, where
+    # counting edge connectivity would make 6,399 path counts.
+    monkeypatch.setattr(kconn, "_edge_connectivity", None)
+    d = find_k_connected_orientation(families.relabelled_torus(80, 80, 1), 1)
+    assert d is not None and is_k_connected(d, 1)
 
 
 def test_four_cycle_two_strong_orientations():

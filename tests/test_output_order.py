@@ -37,21 +37,21 @@ CASES = [
     ("doubled-triangle", "alpha", ("--alpha", "2,2,2"), None,
      "61d5b7392283e1a4673786186b82eae4dee925a5ef48057f8530260c382540fc"),
     ("doubled-triangle", "odseq", ("--k", "1"), None,
-     "7971c14624a69e8ea8d547cfca4bb9086f59de5311d6c387336517bd66458309"),
+     "b1504199a69abef5a296ad101d7eda8edd42b8227eacec198d66f5cc39561435"),
     ("doubled-triangle", "odseq", ("--k", "2"), None,
      "e5d51600d3737113d0ea5c14ab3fc6e899942fd9641e7ab0f07fbdebf58c567e"),
     ("doubled-triangle", "korient", ("--k", "1"), None,
-     "22e0e7900b9d182920ed076528f65ff38a8700392c8f891f8a260d2edff36072"),
+     "33592ef9bcc15cc86ba3dd0ff422cab2fcd4e15006cd1c155d8155a0450ce13a"),
     ("doubled-triangle", "korient", ("--k", "2"), None,
      "61d5b7392283e1a4673786186b82eae4dee925a5ef48057f8530260c382540fc"),
     ("torus3x3", "alpha", ("--alpha", "2,2,2,2,2,2,2,2,2"), None,
      "530cd1ff228c7499afc811434e503fc283a2d3bf80134a7753612be916ed28d2"),
     ("torus3x3", "odseq", ("--k", "1"), None,
-     "6b6125282e0d93594732b910eb55d636d776724006c606c1551c28845d95b1c7"),
+     "0dbbfa19743546bc27d054ec90163cae9f0b02ed8791239e54cb2c255d8d046a"),
     ("torus3x3", "odseq", ("--k", "2"), None,
      "5d2f75241fe5f26be4a78edd6a44cda3b1dce36a83fe817a52f1dab1be20284f"),
     ("torus3x3", "korient", ("--k", "1"), PREFIX_LINES,
-     "c62747ac082cf123520600480834ca5a048daa136cd8c80fba5a906c3b0b43e7"),
+     "9e3f73e39fe7e10be35126517ee08b283711a47ae099fbd5bb4952c7d89c04bc"),
     ("torus3x3", "korient", ("--k", "2"), None,
      "530cd1ff228c7499afc811434e503fc283a2d3bf80134a7753612be916ed28d2"),
 ]

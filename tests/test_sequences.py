@@ -23,6 +23,7 @@ from witnesses import (
     cut_outdegree,
     forward_count_paths,
     fresh_count_choices,
+    keep_last_choices,
     pairwise_is_k_connected,
     plain_scan_choices,
     probed_sequences,
@@ -139,9 +140,10 @@ class _DriftProbe:
     """Wraps the per-vertex choice generator to pin down the monotone drift.
 
     At vertex v with base outdegree b the outdegrees seen at the yields must
-    be exactly b-J, ..., b-1, b+J', ..., b+1, b with J, J' <= deg(v), and the
-    outdegrees and the orientation must be restored once the generator is
-    exhausted.  ``deepest[v]`` keeps the largest J or J' seen at v.
+    be exactly b, b-J, ..., b-1, b+J', ..., b+1 with J, J' <= deg(v), no
+    operation may be charged before the first yield, and the outdegrees and
+    the orientation must be restored once the generator is exhausted.
+    ``deepest[v]`` keeps the largest J or J' seen at v.
     """
 
     def __init__(self, d, k):
@@ -152,18 +154,20 @@ class _DriftProbe:
     def choices(self, v):
         d = self.d
         base, dirs = d.outdegrees()[v], bytes(d._dirs)
-        seen = []
-        for _ in _vertex_choices(d, v, self.k, DelayMeter()):
+        seen, meter = [], DelayMeter()
+        for _ in _vertex_choices(d, v, self.k, meter):
+            if not seen:
+                assert bytes(d._dirs) == dirs and meter.total_ops == 0  # kept before any chain runs
             seen.append(d.outdegrees()[v])
             yield
         assert bytes(d._dirs) == dirs  # restored at the end
         lowered = sum(1 for x in seen if x < base)
         raised = sum(1 for x in seen if x > base)
         assert seen == (
-            [base - j for j in range(lowered, 0, -1)]
+            [base]
+            + [base - j for j in range(lowered, 0, -1)]
             + [base + j for j in range(raised, 0, -1)]
-            + [base]
-        )  # exactly one unit per step, deepest first, keep last
+        )  # keep first, then exactly one unit per step, deepest first
         assert max(lowered, raised) <= d.graph.degree(v)
         self.deepest[v] = max(self.deepest.get(v, 0), lowered, raised)
 
@@ -181,6 +185,79 @@ def test_monotone_drift_bounds_recursion_depth():
             assert set(probe.deepest) == set(range(g.n))
             # Per-vertex chains of at most deg(v) reversals sum to at most 2m.
             assert sum(probe.deepest.values()) <= 2 * g.m
+
+
+def _listings():
+    # Both enumerators as (graph, k, seed, sink, meter) -> count, each with a
+    # sink that takes the solution, a sequence or a serialized orientation,
+    # and with the solution an orientation stands for.
+    return [
+        (
+            lambda g, k, seed, sink, meter: enumerate_outdegree_sequences(g, k, seed, lambda s, w: sink(s), meter=meter),
+            Orientation.outdegrees,
+        ),
+        (
+            lambda g, k, seed, sink, meter: enumerate_k_connected(
+                g, k, lambda d: sink(d.serialize()), seed=seed, meter=meter
+            ),
+            Orientation.serialize,
+        ),
+    ]
+
+
+def test_a_search_emits_its_seed_first():
+    # Every vertex level keeps its vertex first, so the first leaf is the
+    # seed itself: a seeded run emits it before any charge, and an unseeded
+    # run's first gap is exactly the finder's work.
+    for _, g in families.random_family(40, seed=19) + families.named_graphs():
+        for k in (1, 2, 3):
+            finder = DelayMeter()
+            seed = find_k_connected_orientation(g, k, finder)
+            if seed is None:
+                continue
+            for listing, solution in _listings():
+                seeded, unseeded, got = DelayMeter(), DelayMeter(), []
+                listing(g, k, seed, got.append, seeded)
+                assert got[0] == solution(seed) and seeded.first_gap_ops == 0
+                listing(g, k, None, lambda w: None, unseeded)
+                assert unseeded.first_gap_ops == finder.total_ops
+                assert unseeded.total_ops == seeded.total_ops + finder.total_ops
+
+
+def test_keeping_first_moves_no_work_against_keeping_last(monkeypatch):
+    # The search with the generator that keeps each vertex last emits the
+    # same solutions in another order, with the same BFS runs and arc
+    # touches; keeping first only spreads that work between the leaves, so
+    # the largest gaps fall overall.
+    first_sum = last_sum = runs = 0
+    for _, g in families.random_family(40, seed=19) + families.named_graphs():
+        for k in (1, 2, 3):
+            for listing, _ in _listings():
+                meter, reference, got, want = DelayMeter(), DelayMeter(), [], []
+                listing(g, k, None, got.append, meter)
+                with monkeypatch.context() as patched:
+                    patched.setattr(sequences, "_vertex_choices", keep_last_choices)
+                    listing(g, k, None, want.append, reference)
+                assert sorted(got) == sorted(want) and len(got) == len(set(got))
+                assert (meter.emissions, meter.bfs_runs, meter.arc_touches) == (
+                    reference.emissions, reference.bfs_runs, reference.arc_touches
+                )
+                first_sum += meter.max_delay_ops
+                last_sum += reference.max_delay_ops
+                runs += len(got) > 1
+    assert runs > 50 and first_sum < last_sum, (runs, first_sum, last_sum)
+
+
+def test_the_first_gap_on_a_large_torus_is_the_finders():
+    # On a relabelled 40x40 torus at k = 1 the first sequence is the
+    # finder's witness, so no gap waits for the chains of 1,600 levels; the
+    # first 100 sequences stay far inside the k*n*m^2 bound.
+    g, k = families.relabelled_torus(40, 40, 1), 1
+    finder, meter = DelayMeter(), DelayMeter()
+    find_k_connected_orientation(g, k, finder)
+    _first_sequences(g, k, 101, meter)  # stops as the 101st arrives: 100 gaps closed
+    assert meter.emissions == 100 and meter.first_gap_ops == finder.total_ops
+    assert meter.max_delay_ops <= 6 * k * g.n * g.m * g.m
 
 
 def test_gap_operations_stay_within_knm_squared():
@@ -203,11 +280,12 @@ def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
     # still reversed; a count that its outdegrees decide finds no path and
     # reverses nothing.  A chain makes at most one count per later vertex.  It
     # never skips a flippable vertex: each reversal goes toward the smallest
-    # flippable later vertex, and an exhausted chain leaves none.  The yields
-    # show the reversals: a chain yields its states deepest first, so each
-    # yield, and for a chain's first reversal the vertex's last yield, shows
-    # the state that the reversal seen at the chain's previous yield started
-    # from.
+    # flippable later vertex, and an exhausted chain leaves none.  The
+    # generator keeps the vertex first, before any count.  The yields show
+    # the reversals: a chain yields its states deepest first, so each yield,
+    # and for a chain's first reversal the orientation the generator kept
+    # and restores when it ends, shows the state that the reversal seen at
+    # the chain's previous yield started from.
     real_count, real_choices = sequences._count_paths, sequences._vertex_choices
     chain = {}
 
@@ -245,14 +323,20 @@ def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
             assert not any(flippable(d, v, w, lowering, k) for w in range(v + 1, u)), "skipped a flippable vertex"
 
         chain.update(v=v, k=k, counts=counts)
+        kept = False
         for _ in real_choices(d, v, k, meter):
             out = d.outdegrees()
-            for lowering in (True, False) if out[v] == base else (out[v] < base,):
-                check_chain(lowering, out)
-            if out[v] != base:
+            if not kept:
+                assert out[v] == base and counts == [0, 0], "a chain ran before the vertex was kept"
+                kept = True
+            else:
+                assert out[v] != base, "the vertex was kept twice"
+                check_chain(out[v] < base, out)
                 last[out[v] < base] = out
             yield
             chain.update(v=v, k=k, counts=counts)
+        for lowering in (True, False):  # d is back where both chains started
+            check_chain(lowering, d.outdegrees())
 
     monkeypatch.setattr(sequences, "_count_paths", checked_count)
     monkeypatch.setattr(sequences, "_vertex_choices", checked_choices)
@@ -300,7 +384,7 @@ def test_cut_reuse_never_costs_more_than_the_plain_scan():
     # The plain scan's figures on the torus are the ones the search had
     # before failed λ tests kept their cuts.
     plain, reused = _torus_figures_against(_chain(plain_scan_choices))
-    assert plain == (171_182, 1_068)
+    assert plain == (171_182, 572)
     assert reused[0] < plain[0] and reused[1] < plain[1]
 
 
@@ -308,7 +392,7 @@ def test_one_count_per_candidate_never_costs_more_than_retesting():
     # The re-testing chain's figures on the torus are the ones the search
     # had before one count per candidate replaced the re-tests.
     retested, counted = _torus_figures_against(_chain(retesting_choices))
-    assert retested == (140_118, 624)
+    assert retested == (140_118, 212)
     assert counted[0] < retested[0] and counted[1] < retested[1]
 
 
@@ -317,7 +401,7 @@ def test_tight_sets_never_cost_more_than_fresh_counts():
     # had before tight sets outlived their chain; the search without them
     # must still cost less.
     fresh, kept = _torus_figures_against(_chain(fresh_count_choices))
-    assert fresh == (105_832, 508)
+    assert fresh == (105_832, 194)
     assert kept[0] < fresh[0] and kept[1] < fresh[1]
 
 
@@ -336,7 +420,7 @@ def test_degree_certificates_never_cost_more_than_counting(monkeypatch):
         return want
 
     counted, skipped = _torus_figures_against(counting)
-    assert counted == (81_754, 380)
+    assert counted == (81_754, 186)
     assert skipped[0] < counted[0] and skipped[1] < counted[1]
 
 
@@ -358,7 +442,7 @@ def test_degree_stops_and_sweeps_never_cost_more_than_counting_to_the_limit(monk
         return want
 
     counted, stopped = _torus_figures_against(unbounded)
-    assert counted == (71_810, 370)
+    assert counted == (71_810, 117)
     assert stopped[0] < counted[0] and stopped[1] < counted[1]
 
 
@@ -393,8 +477,8 @@ def test_meeting_searches_cost_less_than_forward_ones_at_scale(monkeypatch):
         patched.setattr(sequences, "_count_paths", forward_count_paths)
         want = _first_sequences(torus, 1, 1_500, forward)
     assert got == want and meter.bfs_runs <= forward.bfs_runs
-    assert (forward.total_ops, forward.max_delay_ops) == (356_611, 14_178)
-    assert (meter.total_ops, meter.max_delay_ops) == (237_485, 11_173)
+    assert (forward.total_ops, forward.max_delay_ops) == (219_141, 431)
+    assert (meter.total_ops, meter.max_delay_ops) == (152_190, 319)
     assert meter.total_ops < forward.total_ops and meter.max_delay_ops < forward.max_delay_ops
 
 

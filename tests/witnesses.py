@@ -22,7 +22,9 @@ outdegree-sequence search with a reference chain: the plain scan that
 restarts every λ test sweep at v+1, the chain that keeps the cuts of
 failed tests but re-tests a pair after every reversal it permits, or the
 chain that makes one count per candidate but also counts the pairs whose
-outdegrees already decide them.  ``FullScanLevels``, ``UncutLevels``,
+outdegrees already decide them; these keep each vertex first, as the
+search does, and ``keep_last_choices`` is the search's own generator with
+the older order that keeps each vertex last.  ``FullScanLevels``, ``UncutLevels``,
 ``UncountedLevels``, ``HeadCutLevels``, ``UnpassedLevels`` and
 ``WholeDropLevels`` stand in for the alpha expansion's ``_EdgeLevels``:
 the first with a reference search that scans whole incidence rows, the
@@ -53,7 +55,7 @@ from orientations import (
 )
 from orientations import alpha as alpha_module
 from orientations.alpha import _EdgeLevels, _emit_leaves, walk
-from orientations.paths import _degree_bound, _flip, _grow, _shortest_path, _walk
+from orientations.paths import _count_paths, _degree_bound, _flip, _grow, _shortest_path, _walk
 from orientations.sequences import _vertex_choices
 
 
@@ -516,6 +518,33 @@ def probed_k_connected(graph: Multigraph, k: int, seed: Orientation) -> list[Ori
     return [probe.d.copy() for _ in probe.leaves(n + graph.m, choices)]
 
 
+def keep_last_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
+    """The per-vertex choice generator that keeps the vertex last, as a reference.
+
+    Same options, counts, reversals and meter charges as
+    ``sequences._vertex_choices``, in the order the search had before it
+    kept each vertex first: the lowering chain's counts run before the first
+    yield, so a node of the walk emits its leftmost leaf only after the
+    chains of every level below it.
+    """
+    n = d.graph.n
+    limit = d.graph.degree(v) + 1
+    for lowering in (True, False):
+        chain = []
+        candidates = (1 << n) - (1 << v + 1)
+        for u in range(v + 1, n):
+            if candidates >> u & 1:
+                src, dst = (v, u) if lowering else (u, v)
+                paths, cut = _count_paths(d, src, dst, limit, meter, k, not lowering)
+                chain += paths[: len(paths) - k]
+                candidates &= cut if lowering else ~cut
+        while chain:
+            edges = chain.pop()
+            yield
+            _flip(d, edges, meter)
+    yield
+
+
 def fresh_count_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
     """The per-vertex choice generator without degree certificates, as a reference.
 
@@ -524,6 +553,7 @@ def fresh_count_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
     searches for every path of a pair whose outdegrees already decide that
     it has exactly k paths.
     """
+    yield
     n = d.graph.n
     limit = d.graph.degree(v) + 1
     for lowering in (True, False):
@@ -539,7 +569,6 @@ def fresh_count_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
             edges = chain.pop()
             yield
             _flip(d, edges, meter)
-    yield
 
 
 def plain_scan_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
@@ -549,6 +578,7 @@ def plain_scan_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
     step of a chain tests u = v+1, v+2, ... afresh and keeps nothing that a
     failed λ test proved.
     """
+    yield
     for lowering in (True, False):
         chain = []
         while True:
@@ -565,7 +595,6 @@ def plain_scan_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
             edges = chain.pop()
             yield
             _flip(d, edges, meter)
-    yield
 
 
 def retesting_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
@@ -575,6 +604,7 @@ def retesting_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
     the cuts of failed λ tests the same way, but ``retesting_pairs`` tests a
     pair afresh, with a count capped at k+1, after every reversal it permits.
     """
+    yield
     for lowering in (True, False):
         chain = []
         for _, _, edges in retesting_pairs(d, v, lowering, k, meter):
@@ -584,7 +614,6 @@ def retesting_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
             edges = chain.pop()
             yield
             _flip(d, edges, meter)
-    yield
 
 
 def retesting_pairs(d: Orientation, v: int, lowering: bool, k: int, meter: DelayMeter):
