@@ -116,10 +116,14 @@ def _run(args) -> int:
     alpha = seed = None
 
     if mode == "alpha":
+        if args.k is not None:
+            raise ParameterError("--k is read only by odseq and korient")
         if args.alpha is None:
             raise ParameterError("alpha mode requires --alpha")
         alpha = _parse_alpha(args.alpha, graph.n)
     else:
+        if args.alpha is not None:
+            raise ParameterError("--alpha is read only by alpha mode")
         if args.k is None:
             raise ParameterError(f"{mode} mode requires --k")
         if args.k < 1:

@@ -58,22 +58,17 @@ and the stream built on them do not change.  Once a largest set of paths
 is reversed, the vertices u reaches form the set A, the source side of the
 smallest minimum u-to-v cut, and the vertices that reach v form the set B,
 whose complement V∖B is the source side of the largest one, whichever
-paths those are.  A failing meeting search hands back A, found when u's
-side runs out.  A count asked for the largest cut (``largest``) stops a
-failing search as soon as v's side runs out instead, B being complete
-then, and hands back V∖B; it hands back A only when u's side runs out
-first.  Either set holds u, not v, and no arc leaves it, so either is a
-cut of the count.  Each search is still one BFS run; only the arc touches
-fall, and a count whose cut is V∖B touches no more arcs than one that goes
-on to A.
+paths those are.  A failing meeting search stops as soon as either side
+runs out.  It hands back A when u's side runs out first, and otherwise
+V∖B, B being complete then.  Either set holds u, not v, and no arc leaves
+it, so either is a cut of the count, whichever caller reads it.
 
 A λ test, ``lambda_at_least``, is the count whose ``spare`` is its limit:
 it keeps no path reversed.  When its degree bound lies below the threshold
 it returns at once; otherwise every search it makes decides by meeting in
-the middle, and a failing one stops as soon as either side runs out, since
-the test never reads the cut.  The k >= 2 connectivity check is made of λ
-tests, so it decides every search this way too.  Only the edge connectivity
-count, which has no ``spare`` because it needs exact counts below its cap,
+the middle.  The k >= 2 connectivity check is made of λ tests, so it
+decides every search this way too.  Only the edge connectivity count,
+which has no ``spare`` because it needs exact counts below its cap,
 searches forward throughout.
 
 Every search moves by ``_flip``: reverse a path or cycle, or undo that, and
@@ -180,7 +175,6 @@ def _meeting_path(
     u: int,
     v: int,
     meter: DelayMeter | None,
-    largest: bool,
 ) -> tuple[list[int] | None, int | None]:
     # A u-to-v path and None, or None and a cut, found by growing BFS
     # layers from u along out-arcs and from v backward along in-arcs, one
@@ -188,11 +182,10 @@ def _meeting_path(
     # layer grows first; when both hold one vertex, the one with fewer arcs
     # to scan (out-arcs at u's, in-arcs at v's), u's on a tie.  Charged as
     # one BFS run and one arc touch per arc scanned in either direction.
-    # Once v's side runs out, its tree holds the set B of vertices that
-    # reach v: with ``largest`` the search stops there and hands back the
-    # mask of V∖B, else u's side goes on until it runs out too.  When u's
+    # A failing search stops as soon as either side runs out.  When u's
     # side runs out first, the cut is the set A that u reaches, the set the
-    # forward search would reach.
+    # forward search would reach; otherwise v's tree holds the set B of
+    # vertices that reach v, and the cut is the mask of V∖B.
     graph = orientation.graph
     rows, out, full, ends = graph.incidence, orientation._out, graph._row_mask, graph.edges
     ahead, behind = {u: None}, {v: None}
@@ -200,13 +193,12 @@ def _meeting_path(
     if meter is not None:
         meter.bfs()
     hit, touched = None, 0
-    while True:
-        behind_size = len(back)
-        if behind_size == 1 == len(front):
+    while hit is None and front and back:
+        if len(back) == 1 == len(front):
             y = back[0]
             inward = (out[y] ^ full[y]).bit_count() < out[front[0]].bit_count()
         else:
-            inward = 0 < behind_size < len(front)
+            inward = len(back) < len(front)
         layer: list[int] = []
         if inward:
             hit, scanned = _grow(rows, out, full, None, back, layer, behind, ahead)
@@ -215,8 +207,6 @@ def _meeting_path(
             hit, scanned = _grow(rows, out, None, None, front, layer, ahead, behind)
             front = layer
         touched += scanned
-        if hit is not None or not front or largest and not back:
-            break
     if meter is not None:
         meter.arcs(touched)
     if hit is None:
@@ -249,7 +239,6 @@ def _count_paths(
     limit: int,
     meter: DelayMeter | None = None,
     spare: int | None = None,
-    largest: bool = False,
 ) -> tuple[list[list[int]], int | None]:
     # Arc-disjoint u-to-v paths, up to ``limit`` of them, found by reversing
     # one shortest path at a time; the first is a path of the orientation as
@@ -281,8 +270,8 @@ def _count_paths(
     # (``limit`` lowered to the degree bound) find paths that the count
     # never keeps reversed, so they meet in the middle: they find a path
     # exactly when a forward search would.  Failing, one hands back the set
-    # the forward search would reach, or, with ``largest``, every vertex
-    # that does not reach v when v's side runs out first (see the module
+    # the forward search would reach when u's side runs out first, and
+    # otherwise every vertex that does not reach v (see the module
     # docstring).
     bound = _degree_bound(orientation, u, v)
     cut = None
@@ -301,7 +290,7 @@ def _count_paths(
                 path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
                 failed = None if path else sum(1 << x for x in reached)
             else:
-                path, failed = _meeting_path(orientation, u, v, meter, largest)
+                path, failed = _meeting_path(orientation, u, v, meter)
             if path is None:
                 cut = failed
                 break
@@ -317,13 +306,17 @@ def _count_paths(
             _flip(orientation, path, meter)
 
 
-def _check_positive(value, name: str) -> None:
-    # Rejects a path count or connectivity that is not an integer of at least 1.
+def _check_integer(value, name: str) -> int:
+    # The value as an int; rejects one that is not an integer.
     try:
-        operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
+
+
+def _check_positive(value, name: str) -> None:
+    # Rejects a path count or connectivity that is not an integer of at least 1.
+    if _check_integer(value, name) < 1:
         raise ValueError(f"{name} must be at least 1")
 
 
@@ -340,10 +333,11 @@ def lambda_at_least(
     equal, or ``threshold`` is not an integer of at least 1.
     """
     n = orientation.graph.n
+    u, v = _check_integer(u, "u"), _check_integer(v, "v")
     for x in (u, v):
         if not 0 <= x < n:
             raise ValueError(f"vertex {x} out of range for {n} vertices")
     if u == v:
         raise ValueError("u and v must differ")
     _check_positive(threshold, "threshold")
-    return len(_count_paths(orientation, u, v, threshold, meter, threshold, True)[0]) == threshold
+    return len(_count_paths(orientation, u, v, threshold, meter, threshold)[0]) == threshold

@@ -40,19 +40,17 @@ reversed, undoing the paths after them, and the chain takes them over
 with no re-test.  (Those later paths are found by meeting searches, so
 they need not be P_(λ-k+1), ..., P_λ; see :mod:`orientations.paths`.)
 The count's cut R is taken on the orientation with all λ paths reversed,
-the one the last failing re-test would search: the set that search would
-reach, or, when the source has no out-arc or the target no in-arc left
-there, the source alone or every vertex but the target.  A raising chain
-asks its counts for the largest cut, so a failing meeting search there
-may stop once it has every vertex that reaches v, and R is then every
-vertex that does not (see :mod:`orientations.paths`).  A lowering chain
-keeps the smaller set that the search reaches.
+the one the last failing re-test would search.  When the source has no
+out-arc or the target no in-arc left there, R is the source alone or
+every vertex but the target.  Otherwise R is the cut of the failing
+meeting search, which stops as soon as either side runs out: the set the
+source reaches, or every vertex that does not reach the target (see
+:mod:`orientations.paths`).  Both chains take whichever it hands back.
 
 R holds the count's source, not its target, and once the count toward u
 returns it is left by exactly k arcs.  So when lowering v no later vertex
 outside R can have more than k paths from v, and when raising no vertex
-inside R can have more than k paths into v: the smaller R is the stronger
-cut when lowering, and the larger when raising.  Each path a chain reverses
+inside R can have more than k paths into v.  Each path a chain reverses
 joins v to a vertex that no earlier cut ruled out, so its ends lie on one
 side of every such cut and the number of arcs leaving the cut does not
 change: the cuts hold for the rest of the chain, which counts only toward
@@ -84,9 +82,8 @@ def _vertex_choices(d: Orientation, v: int, k: int, meter: DelayMeter) -> Iterat
     # reach anyway, and the subtree below restores d.  Then one chain per
     # direction: a count for each later (so not yet fixed) vertex that no
     # cut has ruled out, which leaves the first λ-k of its paths reversed,
-    # all before the chain's first yield, and which a raising chain asks
-    # for the largest cut (see the module docstring); then one yield per
-    # reversal, undoing them deepest first.
+    # all before the chain's first yield; then one yield per reversal,
+    # undoing them deepest first.
     yield
     n = d.graph.n
     limit = d.graph.degree(v) + 1
@@ -96,7 +93,7 @@ def _vertex_choices(d: Orientation, v: int, k: int, meter: DelayMeter) -> Iterat
         for u in range(v + 1, n):
             if candidates >> u & 1:
                 src, dst = (v, u) if lowering else (u, v)
-                paths, cut = _count_paths(d, src, dst, limit, meter, k, not lowering)
+                paths, cut = _count_paths(d, src, dst, limit, meter, k)
                 chain += paths[: len(paths) - k]  # d stays k-connected: λ >= k
                 candidates &= cut if lowering else ~cut
         while chain:

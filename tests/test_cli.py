@@ -257,6 +257,10 @@ def test_output_file_option(tmp_path, c4_file):
         # Only the k-connected search reads a seed; a seed it would not read is rejected.
         (DOUBLED_TRIANGLE, ("--mode", "korient", "--k", "1", "--oracle", "--seed-orientation", "weak.txt"), 2),
         (DOUBLED_TRIANGLE, ("--mode", "alpha", "--alpha", "2,2,2", "--seed-orientation", "weak.txt"), 2),
+        # Every mode rejects a parameter it would not read.
+        (DOUBLED_TRIANGLE, ("--mode", "alpha", "--alpha", "2,2,2", "--k", "5"), 2),
+        (DOUBLED_TRIANGLE, ("--mode", "odseq", "--k", "1", "--alpha", "9"), 2),
+        (DOUBLED_TRIANGLE, ("--mode", "korient", "--k", "1", "--alpha", "2,2,2"), 2),
     ],
     ids=[
         "malformed-graph",
@@ -266,6 +270,9 @@ def test_output_file_option(tmp_path, c4_file):
         "weak-seed",
         "seed-with-oracle",
         "seed-in-alpha-mode",
+        "k-in-alpha-mode",
+        "alpha-in-odseq-mode",
+        "alpha-in-korient-mode",
     ],
 )
 def test_output_file_survives_a_rejected_run(tmp_path, capsys, monkeypatch, graph_text, extra, want):

@@ -188,7 +188,6 @@ def forward_count_paths(
     limit: int,
     meter: DelayMeter | None = None,
     spare: int | None = None,
-    largest: bool = False,
 ) -> tuple[list[list[int]], int | None]:
     """``paths._count_paths`` with forward searches only, as a reference.
 
@@ -196,7 +195,7 @@ def forward_count_paths(
     or returns at once where the outdegrees decide it the same way, but
     every search is the forward BFS, also those whose paths the count never
     keeps reversed, so all its paths are the paths of successive reversals
-    and every cut is the forward closure, whatever ``largest`` asks.
+    and every cut is the forward closure.
     """
     return _reference_count(orientation, u, v, limit, meter, spare, None)
 
@@ -208,13 +207,12 @@ def closure_count_paths(
     limit: int,
     meter: DelayMeter | None = None,
     spare: int | None = None,
-    largest: bool = False,
 ) -> tuple[list[list[int]], int | None]:
     """``paths._count_paths`` with the older meeting search, as a reference.
 
     Its deciding searches grow the smaller layer first, u's on a tie, and a
     failing one always goes on until u's side runs out and hands back the
-    forward closure, whatever ``largest`` asks.  They find a path exactly
+    forward closure.  They find a path exactly
     when ``paths._meeting_path`` does, so the count keeps the same paths
     reversed.
     """
@@ -535,7 +533,7 @@ def keep_last_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
         for u in range(v + 1, n):
             if candidates >> u & 1:
                 src, dst = (v, u) if lowering else (u, v)
-                paths, cut = _count_paths(d, src, dst, limit, meter, k, not lowering)
+                paths, cut = _count_paths(d, src, dst, limit, meter, k)
                 chain += paths[: len(paths) - k]
                 candidates &= cut if lowering else ~cut
         while chain:
