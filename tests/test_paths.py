@@ -18,6 +18,7 @@ from orientations import (
 from orientations.paths import _count_paths, _meeting_path, _shortest_path
 from witnesses import (
     assert_path,
+    closure_count_paths,
     cut_outdegree,
     forward_count_paths,
     reverse_path,
@@ -300,7 +301,7 @@ def test_one_count_finds_the_paths_of_successive_reversals():
     assert deepest >= 3 and decided > 100, (deepest, decided)
 
 
-def test_a_failing_meeting_search_stops_when_either_side_runs_out(monkeypatch):
+def test_a_meeting_search_answers_as_the_forward_search_does(monkeypatch):
     # One BFS run that finds a u-to-v path exactly when the forward search
     # does; it scans each arc at most once each way.  Failing, it stops as
     # soon as either side runs out, and no earlier layer comes out empty.
@@ -339,6 +340,40 @@ def test_a_failing_meeting_search_stops_when_either_side_runs_out(monkeypatch):
                 assert_path(d, path, u, v)
                 met += 1
     assert met > 200 and min(seen.values()) > 20, (met, seen)
+
+
+def test_a_count_asked_for_the_largest_cut_hands_back_a_cut_as_large_or_larger():
+    # A count's cut holds u and not v, is left by exactly len(paths) arcs
+    # as given, and holds the set A that the forward search reaches once a
+    # largest set of paths is reversed; it is A or, when v's side runs out
+    # first, every vertex outside the set B that reaches v there.  So it
+    # holds the cut of the count with the older meeting search, which goes
+    # on until u's side runs out, and both keep the same paths.  (A count
+    # that reaches its degree bound hands back its degree cut either way.)
+    rng = random.Random(929)
+    seen = {"closure": 0, "outside": 0}
+    for _, g in families.random_family(150, seed=59):
+        d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
+        for u, v in [(u, v) for u in range(g.n) for v in range(g.n) if u != v]:
+            limit = g.degree(u) + 1
+            flipped = reversed_copy(d, [e for path in _count_paths(d, u, v, limit)[0] for e in path])
+            ahead: dict = {}
+            behind: dict = {}
+            _shortest_path(flipped, (u,), (v,), None, None, ahead)
+            _shortest_path(flipped, (v,), (u,), None, None, behind, inward=True)
+            outside = set(range(g.n)) - set(behind)
+            out = d.outdegrees()
+            for spare in range(1, min(out[u], g.degree(v) - out[v])):  # no count decided at once
+                narrow, wide = d.copy(), d.copy()
+                want, narrow_mask = closure_count_paths(narrow, u, v, limit, None, spare)
+                paths, mask = _count_paths(wide, u, v, limit, None, spare)
+                cut = vertices(mask)
+                assert paths[: len(paths) - spare] == want[: len(want) - spare] and wide == narrow
+                assert u in cut and v not in cut and cut_outdegree(d, cut) == len(paths)
+                assert vertices(narrow_mask) <= cut and set(ahead) <= cut and cut in (set(ahead), outside)
+                if set(ahead) != outside:
+                    seen["closure" if cut == set(ahead) else "outside"] += 1
+    assert min(seen.values()) > 40, seen
 
 
 def test_an_inward_search_is_the_forward_search_of_the_reversed_orientation():
