@@ -4,96 +4,67 @@ Two orientations have the same outdegree vector exactly when one arises from
 the other by reversing arc-disjoint directed cycles.  The initial search
 drives path reversals to the target vector; the enumeration fixes edges in
 index order, one level of ``walk`` per edge, whose choice generator keeps
-the edge and then flips it with a completing cycle.  Since every incidence
-row is in edge-index order, the edges fixed so far are a prefix of each
-row; the walk keeps the length of that prefix per vertex, and the search for
-a completing cycle scans only the rest of each row.
+the edge and then flips it with a completing cycle.  A level never undoes
+its flip: after its subtree it hands the orientation up as it is, and the
+level above searches on that.  Two orientations of the class that agree on
+the fixed edges differ by directed cycles among the free ones, so whether
+a level can flip, and which leaves lie below it, do not depend on which of
+them it holds.  Consecutive leaves thus differ by one cycle reversal.
+Since every incidence row is in edge-index order, the edges fixed so far
+are a prefix of each row; the walk keeps the length of that prefix per
+vertex, and the search for a completing cycle scans only the rest of each
+row.
 
-Most of these searches fail, and a failed search leaves a cut for the
-search one level up.  Level e searches right after level e+1 closes, on the
-orientation that level e kept and level e+1 restored.  If level e+1's
-search from its head found no way back to its tail, the set R it reached
-holds that head and is left by no arc among edges e+2..m-1.  Edge e+1,
-which level e frees, runs into R, so no arc free at level e leaves R
-either, and no path into a vertex outside R starts inside it.  When R
-misses the level's tail, the level's search treats R as reached and never
-expands it.  Outside R that search finds the same vertices, in the
-same order and with the same tree, as a fresh one, so every path and the
-whole stream are unchanged, and it scans only arcs that the fresh search
-would scan.  A failed search hands the next level up the set it reached, R
-included.
+Most of these searches fail, and a failed search leaves a closed set for
+the levels above.  At level e the free edges are F = e+1..m-1, and a
+vertex set is closed when no arc of F leaves it.  No path inside F leaves
+a closed set, so a search from the head treats a closed set that misses
+the tail as reached and never expands it.  Outside the set it finds the
+same vertices, in the same order and with the same tree, as a fresh
+search, so the paths and the stream are unchanged, and it scans only arcs
+that the fresh search would scan.  When such a set holds the head, no path
+exists and the level does not search.
 
-Such a closed set also survives cycle reversals.  Let F be a set of edges
-and out_F(X) the number of F-arcs that leave a vertex set X.  Then out_F(X)
-is the sum of out_F(x) over the vertices x of X, less the number of
+The sets survive the flips by one lemma.  Let out_F(X) be the number of
+F-arcs that leave X: the sum of out_F(x) over x in X, less the number of
 F-edges inside X.  Reversing a directed cycle inside F keeps every
-vertex's outdegree in F, so it keeps out_F(X).  Reversing a path inside F
-from a to b changes out_F(X) by [b in X] - [a in X].  Level e flips edge e
-together with a path from head to tail inside its free edges e+1..m-1, and
-every flip below it is a directed cycle inside those edges.  So a set that
-no free arc leaves at level e stays so through every flip below, and
-through level e's own flip unless it holds the tail and not the head.
-Hence two more rules:
+out_F(x), so it keeps out_F(X); reversing a path inside F from a to b
+changes out_F(X) by [b in X] - [a in X].  Every flip below level e is a
+directed cycle inside F.  Four rules follow:
 
-- A level that flips passes down the set its search treated as reached,
-  which holds neither head nor tail, to every level of its flip subtree in
-  place of the set it inherited.  A level that inherits a set missing its
-  tail treats it as it treats R: its search never expands it, and it skips
-  the search when the set holds its head.  An inherited set is closed over
-  all the edges below the level that passed it down, edge e among them, so
-  one that holds the tail holds the head too, and the level does not use
-  it.
-- After its flip subtree the level undoes its flip, which reverses a path
-  from tail to head inside its free edges.  So the set S that level e+1
-  handed up on the flipped orientation is closed again when it holds
-  neither head nor tail.  Edge e runs from the tail, so it leaves neither
-  S nor the set the level passed down.  The level hands up S when S is
-  not empty and misses both head and tail, and otherwise the set it
-  passed down.
+- Received cut R.  The set that level e+1 hands up is closed at level e.
+  The level uses it whole when it misses the tail, and drops it otherwise.
+- Inherited set D.  A level that flips passes down P, the union of the sets
+  its search skipped.  P misses head and tail, so the path its flip
+  reverses inside F, from head to tail, keeps P closed, and so does every
+  flip below.  The set D passed down by the nearest flipping level above is
+  thus closed at every level below it, and a level uses D when it misses
+  the tail.  A level skips its search when the head lies in R or in D.
+- Search outcome.  A failed search hands up the set it reached, R and D
+  included; a skipped search hands up R (none when it was dropped).  Either
+  misses the tail, and edge e runs from the tail, so no arc free at level
+  e-1 leaves it.
+- Flipping level.  After its subtree it hands up the set S that level e+1
+  left, closed among the edges e+1..m-1.  Edge e now runs from head to
+  tail, so it leaves S just when S holds the head but not the tail; then,
+  and when S is empty, the level hands up P, which misses both.
 
-An R that holds the tail is not dropped whole.  Every set the levels carry
-is a chain of closed sets in insertion order: a search adds the set it
-treats as reached, then its root, the head, mapped to None, then the
-vertices it reaches.  So each prefix that ends just before a root is a set
-that a search treated as reached, closed when that search ran.  The rules
-above keep a set closed only when it misses given vertices, so they keep
-each such prefix closed too.  Where R holds the tail, the level keeps the
-longest prefix that ends before a root and misses the tail, and uses it as
-it would R.  A level that searches adds the set it inherited to R, or to
-that prefix, and the union of two closed sets is closed.  That merge adds
-only the vertices R lacks, after R's own, so no root moves and none is
-made: a vertex overwritten with None would end a prefix that no search
-treated as reached.  The inherited set and S are used whole or not at all:
-keeping their prefixes too, or adding the set passed down to S, spares
-few searches for the scans and merges it costs.
-
-Every set a search skips thus holds no vertex with a path to its target, so
-the paths and the stream stay as a fresh search would make them.  A level
-clears the cut when it opens, so it reads only a set that level e+1 handed
-up on the orientation the level now holds.
-
-A level searches only when its head lies outside R and outside the set it
-inherited, has a free out-arc, and its tail has a free in-arc.  When level
-e searches, ``fixed[x]`` is the number of x's edges among 0..e, the fixed
-prefix of x's incidence row, so ``_out[x] >> fixed[x]`` (see
+A level searches only when its head lies outside R and D, has a free
+out-arc, and its tail has a free in-arc.  When level e searches,
+``fixed[x]`` is the number of x's edges among 0..e, the fixed prefix of
+x's incidence row, so ``_out[x] >> fixed[x]`` (see
 :mod:`orientations.paths`) holds x's out-arcs among the free edges
 e+1..m-1, and ``(_row_mask[x] ^ _out[x]) >> fixed[x]`` its free in-arcs.
-No path into the tail starts inside R, and a path from head to tail leaves
-head and enters tail by free arcs, so a level that does not search would
-find no path.  It hands up the set it received, R or the prefix it kept,
-which is empty when level e+1 handed up none.  That set is a cut one level
-up: no free arc leaves it, and edge e, which the level above frees, runs
-from tail to head, so it leaves the set only when the set holds its tail.
-(When the head has no free out-arc, the set with the head added is a cut
-too, but one level up the tail is often this head, and that level would
-keep only a prefix without it.)  At the last level every edge is fixed, so
-its search is always skipped.
-``_EdgeLevels`` owns ``fixed``, the cut and the set passed down.  A search
-adds the vertices it reaches after those it treats as reached, so a level
-that flips takes the set it passes down as the head of its search tree, a
-slice of a dict in insertion order.  Like ``fixed``, the sets, the kept
-prefix and the merge are walk bookkeeping: they touch no arc and are not
-charged.
+A path from head to tail leaves the head and enters the tail by free arcs,
+so a level that fails these tests would find none.  At the last level
+every edge is fixed, so its search is always skipped.  ``_EdgeLevels``
+owns ``fixed``, the cut, the set passed down and the mask of the edges its
+flips left reversed, from which the k-connected search of
+:mod:`orientations.sequences` restores the orientation once per expansion.
+A search adds the vertices it reaches after those it treats as reached, so
+a level that flips takes P as the head of its search tree, a slice of a
+dict in insertion order.  Like ``fixed``, the sets and the mask are walk
+bookkeeping: they touch no arc and are not charged.
 
 ``walk`` is the one traversal scheme of the package: the k-connected
 search of :mod:`orientations.sequences` and the first-solution finder run on
@@ -166,7 +137,9 @@ def enumerate_alpha(
     edge is first kept as is, then, when a directed path from its head back
     to its tail avoids all already-fixed edges, flipped together with that
     path (a directed cycle, so the outdegree vector is preserved).  Emission
-    happens when every edge is fixed.  Returns the number of solutions.
+    happens when every edge is fixed.  No flip is undone, so consecutive
+    orientations differ by one cycle reversal.  Returns the number of
+    solutions.
     """
     meter = meter if meter is not None else DelayMeter()
     d = find_alpha_orientation(graph, alpha, meter)
@@ -200,8 +173,10 @@ def walk(levels: int, choices: Callable[[int], Iterator[None]]) -> Iterator[None
     """Yield once at each leaf of a backtracking tree with ``levels`` levels.
 
     ``choices(i)`` returns a generator that sets up the shared search state
-    for each option at level ``i``, yields once per option, and restores the
-    state before it moves on and before it ends.  The open generators sit on
+    for each option at level ``i`` and yields once per option.  A level
+    need not restore the state: the alpha expansion's edge levels leave
+    their flips, and the level above works on the orientation it is handed
+    (see the module docstring).  The open generators sit on
     an explicit stack, so the depth is bounded by memory, not by the
     recursion limit.  With zero levels the single empty assignment is a leaf.
     """
@@ -220,30 +195,31 @@ def walk(levels: int, choices: Callable[[int], Iterator[None]]) -> Iterator[None
 class _EdgeLevels:
     # The alpha expansion's edge levels over d, and the walk state they
     # share.  choices(e) keeps edge e, then flips it with a completing cycle
-    # that avoids the fixed edges 0..e-1 when one exists.  Each level counts
-    # its edge in fixed at both ends while it is open, so when level e
-    # searches, fixed[x] counts the edges at x among 0..e, which lead x's
-    # incidence row, and the search skips them.  Skipping e itself changes
-    # no search: at the source, head, it is an in-arc, and the target, tail,
-    # is never scanned.
+    # that avoids the fixed edges 0..e-1 when one exists, and leaves it
+    # flipped: the level above searches on the orientation the level hands
+    # up.  Each level counts its edge in fixed at both ends while it is
+    # open, so when level e searches, fixed[x] counts the edges at x among
+    # 0..e, which lead x's incidence row, and the search skips them.
+    # Skipping e itself changes no search: at the source, head, it is an
+    # in-arc, and the target, tail, is never scanned.  flipped is the
+    # bitmask of the edges that the levels' flips left reversed.
     #
     # When level e resumes, cut holds the set R that level e+1 handed up ({}
-    # at the last level), and down the set that the nearest flipping level
-    # above passed down ({} below none).  Of an R that holds tail the level
-    # keeps only the longest prefix that ends before a root and misses tail,
-    # and a down that holds tail it does not use.  It searches only when
-    # head lies outside both, has a free out-arc, and tail has a free in-arc
-    # (see the module docstring); the search never expands them.  A failed
-    # search leaves the set it reached in cut, and a level that does not
-    # search leaves R or its kept prefix.  A level that flips passes down
-    # the union its search skipped, restores down after its flip subtree,
-    # and leaves in cut the set the subtree handed up when that is not
-    # empty and misses head and tail, and otherwise that union.
-    __slots__ = ("d", "meter", "fixed", "cut", "down")
+    # at the last level), and down the set D that the nearest flipping level
+    # above passed down ({} below none).  The level uses each of them only
+    # when it misses tail.  It searches only when head lies outside both,
+    # has a free out-arc, and tail has a free in-arc (see the module
+    # docstring); the search never expands them.  A failed search leaves the
+    # set it reached in cut, and a level that does not search leaves R.  A
+    # level that flips passes down P, the union its search skipped, sets
+    # down back to D after its flip subtree, and leaves in cut the set S
+    # that the subtree handed up, or P when S is empty or holds head but
+    # not tail.
+    __slots__ = ("d", "meter", "fixed", "cut", "down", "flipped")
 
     def __init__(self, d: Orientation, meter: DelayMeter):
         self.d, self.meter = d, meter
-        self.fixed, self.cut, self.down = [0] * d.graph.n, {}, {}
+        self.fixed, self.cut, self.down, self.flipped = [0] * d.graph.n, {}, {}, 0
 
     def choices(self, e: int) -> Iterator[None]:
         d, fixed, out, rows = self.d, self.fixed, self.d._out, self.d.graph._row_mask
@@ -255,50 +231,37 @@ class _EdgeLevels:
         yield
         reached = self.cut
         if tail in reached:
-            reached = _closed_prefix(reached, tail)
+            reached = {}
         path = None
         if head not in reached and out[head] >> fixed[head] and (rows[tail] ^ out[tail]) >> fixed[tail]:
             down = self.down
             inherited = {} if tail in down else down
             if head not in inherited:
-                if inherited:
-                    _merge(reached, inherited)
+                reached.update(inherited)
                 searched = len(reached)
                 path = _shortest_path(d, (head,), (tail,), fixed, self.meter, reached)
         if path is None:
             self.cut = reached
         else:
-            reached = dict(islice(reached.items(), searched)) if searched else {}
+            passed = dict(islice(reached.items(), searched)) if searched else {}
             path.append(e)
             _flip(d, path, self.meter)
-            self.down = reached
+            for f in path:
+                self.flipped ^= 1 << f
+            self.down = passed
             yield
             self.down = down
-            _flip(d, path, self.meter)
             below = self.cut
-            self.cut = below if below and head not in below and tail not in below else reached
+            self.cut = below if below and (tail in below or head not in below) else passed
         fixed[u] -= 1
         fixed[v] -= 1
 
-
-def _closed_prefix(members: dict, x: int) -> dict:
-    # The longest prefix of members that ends before a root, a vertex
-    # mapped to None, and misses x.
-    end = i = 0
-    for y, via in members.items():
-        if via is None:
-            end = i
-        if y == x:
-            break
-        i += 1
-    return dict(islice(members.items(), end)) if end else {}
-
-
-def _merge(into: dict, more: dict) -> None:
-    # Adds the vertices of more that into lacks, after its own, so that no
-    # root moves and none is made.
-    if into.keys().isdisjoint(more):
-        into.update(more)
-    else:
-        for x, via in more.items():
-            into.setdefault(x, via)
+    def restore(self) -> None:
+        # Flips back, one arc touch each, the edges that the levels left
+        # reversed, so d is again the orientation the first level was given.
+        edges, mask = [], self.flipped
+        while mask:
+            edges.append(mask.bit_length() - 1)
+            mask ^= 1 << edges[-1]
+        self.flipped = 0
+        _flip(self.d, edges, self.meter)

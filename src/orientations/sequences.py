@@ -6,6 +6,10 @@ through ``n`` vertex levels and, when listing orientations, ``m`` edge
 levels more: the alpha expansion of the sequence that the vertex levels
 reached.  Listing sequences is thus the first stage of listing
 orientations, and orientations of equal outdegree vector are contiguous.
+The edge levels leave their flips, so once an expansion ends it flips
+back, one arc touch each, the edges its levels left reversed, and the
+vertex levels get back the orientation they handed it: one restore per
+sequence.
 The finder, or ``is_k_connected`` on a given seed, rejects a k that is
 not an integer of at least 1.
 
@@ -102,6 +106,13 @@ def _vertex_choices(d: Orientation, v: int, k: int, meter: DelayMeter) -> Iterat
             _flip(d, edges, meter)
 
 
+def _expansion(edges: _EdgeLevels) -> Iterator[None]:
+    # The first edge level, which then gives back the orientation the
+    # vertex levels handed the expansion: the edge levels leave their flips.
+    yield from edges.choices(0)
+    edges.restore()
+
+
 def _search(graph: Multigraph, k: int, seed: Orientation | None, edge_levels: int, sink, meter) -> int:
     # Walks n vertex levels and ``edge_levels`` edge levels from the seed and
     # calls sink with a view on the orientation at every leaf (see
@@ -122,7 +133,7 @@ def _search(graph: Multigraph, k: int, seed: Orientation | None, edge_levels: in
     def choices(i: int) -> Iterator[None]:
         if i < n:
             return _vertex_choices(d, i, k, meter)
-        return edges.choices(i - n)
+        return edges.choices(i - n) if i > n else _expansion(edges)
 
     return _emit_leaves(d, walk(n + edge_levels, choices), sink, meter)
 

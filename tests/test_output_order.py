@@ -35,25 +35,25 @@ GRAPHS = {
 # (graph, mode, parameters, lines hashed (None: all), sha256 of those bytes)
 CASES = [
     ("doubled-triangle", "alpha", ("--alpha", "2,2,2"), None,
-     "61d5b7392283e1a4673786186b82eae4dee925a5ef48057f8530260c382540fc"),
+     "2b11e28ec6c5a3071375b83ac9117e25f2c2c273bd63d82c6c2aa2b777228c3e"),
     ("doubled-triangle", "odseq", ("--k", "1"), None,
      "b1504199a69abef5a296ad101d7eda8edd42b8227eacec198d66f5cc39561435"),
     ("doubled-triangle", "odseq", ("--k", "2"), None,
      "e5d51600d3737113d0ea5c14ab3fc6e899942fd9641e7ab0f07fbdebf58c567e"),
     ("doubled-triangle", "korient", ("--k", "1"), None,
-     "33592ef9bcc15cc86ba3dd0ff422cab2fcd4e15006cd1c155d8155a0450ce13a"),
+     "816267a3cc71a0516ffb55029d38b6b45ca98ff1316f4f56cba2bc33fc325196"),
     ("doubled-triangle", "korient", ("--k", "2"), None,
-     "61d5b7392283e1a4673786186b82eae4dee925a5ef48057f8530260c382540fc"),
+     "2b11e28ec6c5a3071375b83ac9117e25f2c2c273bd63d82c6c2aa2b777228c3e"),
     ("torus3x3", "alpha", ("--alpha", "2,2,2,2,2,2,2,2,2"), None,
-     "530cd1ff228c7499afc811434e503fc283a2d3bf80134a7753612be916ed28d2"),
+     "6f9b367c33fdad4b7dc50da286ecf12e1ed09bb5f81b972cf60123516d364ea3"),
     ("torus3x3", "odseq", ("--k", "1"), None,
      "0dbbfa19743546bc27d054ec90163cae9f0b02ed8791239e54cb2c255d8d046a"),
     ("torus3x3", "odseq", ("--k", "2"), None,
      "5d2f75241fe5f26be4a78edd6a44cda3b1dce36a83fe817a52f1dab1be20284f"),
     ("torus3x3", "korient", ("--k", "1"), PREFIX_LINES,
-     "9e3f73e39fe7e10be35126517ee08b283711a47ae099fbd5bb4952c7d89c04bc"),
+     "93d1293ca0bede6d7e16cee3055153f90eac9bf9d8bfa0b142ccf63e87ae88f9"),
     ("torus3x3", "korient", ("--k", "2"), None,
-     "530cd1ff228c7499afc811434e503fc283a2d3bf80134a7753612be916ed28d2"),
+     "6f9b367c33fdad4b7dc50da286ecf12e1ed09bb5f81b972cf60123516d364ea3"),
 ]
 
 

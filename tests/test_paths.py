@@ -249,6 +249,47 @@ def test_lambda_threshold_matches_oracle():
     assert touches <= forward_touches
 
 
+def _check_spared_counts(d, u, v, limit, paths, meter, seen) -> int:
+    # Runs the count of u-to-v paths with every spare from 1 to one past
+    # its λ against the unspared count's ``paths`` and ``meter``; returns
+    # how many of them the degree bound decided at once.  A spared count
+    # keeps the unspared count's first paths reversed and runs as many
+    # searches.  Its meeting searches hand back A or V∖B of the orientation
+    # with every path reversed (see ``paths._meeting_path``): the cut holds
+    # u, misses v and no arc leaves it there.  ``seen`` counts the two
+    # kinds where a failing search gave the cut and A ≠ V∖B.
+    g, n = d.graph, d.graph.n
+    out = d.outdegrees()
+    bound = min(out[u], g.degree(v) - out[v])
+    full = reversed_copy(d, [e for path in paths for e in path])
+    ahead: dict = {}
+    behind: dict = {}
+    _shortest_path(full, (u,), (v,), None, None, ahead)
+    _shortest_path(full, (v,), (u,), None, None, behind, inward=True)
+    outside = set(range(n)) - set(behind)
+    decided = 0
+    for spare in range(1, len(paths) + 2):
+        left, spared = d.copy(), DelayMeter()
+        got, got_cut = _count_paths(left, u, v, limit, spared, spare)
+        if spare >= bound:
+            degree_cut = {u} if out[u] == bound else set(range(n)) - {v}
+            assert got == [] and vertices(got_cut) == degree_cut and left == d
+            assert (spared.bfs_runs, spared.arc_touches) == (0, 0)
+            decided += 1
+            continue
+        kept = max(len(paths) - spare, 0)
+        assert got[:kept] == paths[:kept] and len(got) == len(paths)
+        for i in range(kept, len(got)):
+            assert_path(reversed_copy(d, [e for path in got[:i] for e in path]), got[i], u, v)
+        cut = vertices(got_cut)
+        assert cut in (set(ahead), outside) and u in cut and v not in cut and cut_outdegree(full, cut) == 0
+        assert spared.bfs_runs == meter.bfs_runs
+        assert left == reversed_copy(d, [e for path in paths[:kept] for e in path])
+        if len(paths) < bound and set(ahead) != outside:
+            seen["closure" if cut == set(ahead) else "outside"] += 1
+    return decided
+
+
 def test_one_count_finds_the_paths_of_successive_reversals():
     # With a limit above λ, path i of one count is the first path of a fresh
     # count on the orientation with paths 0..i-1 reversed, each reversal
@@ -258,12 +299,15 @@ def test_one_count_finds_the_paths_of_successive_reversals():
     # a count told to spare its last s paths returns with exactly its first
     # λ-s paths reversed.  Those are the paths of successive reversals; the
     # later ones, which its meeting searches find, are u-to-v paths once the
-    # earlier ones are reversed, and the count runs the same searches and
-    # hands back the same cut.  One that would spare at least its degree
+    # earlier ones are reversed, and the count runs the same searches.  Its
+    # cut follows the one cut rule, so it is the unspared count's only when
+    # u's side runs out first; relabelled 3x4 tori, past the oracle's reach,
+    # give both kinds of cut.  One that would spare at least its degree
     # bound min(out(u), in(v)) returns at once: no path, no search, the
     # orientation as given and its degree cut.
     rng = random.Random(808)
     deepest = decided = 0
+    seen = {"closure": 0, "outside": 0}
     for _, g in families.random_family(40, seed=29):
         d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
         for u in range(g.n):
@@ -275,30 +319,21 @@ def test_one_count_finds_the_paths_of_successive_reversals():
                 paths, cut = _count_paths(d, u, v, limit, meter)
                 assert len(paths) == oracle_lambda(d, u, v) and cut is not None
                 deepest = max(deepest, len(paths))
-                out = d.outdegrees()
-                bound = min(out[u], g.degree(v) - out[v])
-                for spare in range(1, len(paths) + 2):
-                    left, spared = d.copy(), DelayMeter()
-                    got, got_cut = _count_paths(left, u, v, limit, spared, spare)
-                    if spare >= bound:
-                        degree_cut = {u} if out[u] == bound else set(range(g.n)) - {v}
-                        assert got == [] and vertices(got_cut) == degree_cut and left == d
-                        assert (spared.bfs_runs, spared.arc_touches) == (0, 0)
-                        decided += 1
-                        continue
-                    kept = max(len(paths) - spare, 0)
-                    assert got[:kept] == paths[:kept] and len(got) == len(paths)
-                    for i in range(kept, len(got)):
-                        assert_path(reversed_copy(d, [e for path in got[:i] for e in path]), got[i], u, v)
-                    assert got_cut == cut and spared.bfs_runs == meter.bfs_runs
-                    assert left == reversed_copy(d, [e for path in paths[:kept] for e in path])
+                decided += _check_spared_counts(d, u, v, limit, paths, meter, seen)
                 for i in range(len(paths) + 1):
                     flipped = reversed_copy(d, [e for path in paths[:i] for e in path])
                     assert oracle_lambda(flipped, u, v) == len(paths) - i
                     fresh, fresh_cut = _count_paths(flipped, u, v, limit)
                     assert fresh[:1] == paths[i : i + 1]
                 assert fresh == [] and fresh_cut == cut
-    assert deepest >= 3 and decided > 100, (deepest, decided)
+    for seed in range(6):
+        g = families.relabelled_torus(3, 4, seed)
+        d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
+        for u, v in [(u, v) for u in range(g.n) for v in range(g.n) if u != v]:
+            meter = DelayMeter()
+            paths, _ = _count_paths(d, u, v, g.degree(u) + 1, meter)
+            decided += _check_spared_counts(d, u, v, g.degree(u) + 1, paths, meter, seen)
+    assert deepest >= 3 and decided > 100 and min(seen.values()) > 20, (deepest, decided, seen)
 
 
 def test_a_meeting_search_answers_as_the_forward_search_does(monkeypatch):

@@ -24,17 +24,15 @@ failed tests but re-tests a pair after every reversal it permits, or the
 chain that makes one count per candidate but also counts the pairs whose
 outdegrees already decide them; these keep each vertex first, as the
 search does, and ``keep_last_choices`` is the search's own generator with
-the older order that keeps each vertex last.  ``FullScanLevels``, ``UncutLevels``,
-``UncountedLevels``, ``HeadCutLevels``, ``UnpassedLevels`` and
-``WholeDropLevels`` stand in for the alpha expansion's ``_EdgeLevels``:
-the first with a reference search that scans whole incidence rows, the
-second with no cut reaching any search, the third as the expansion was
-before the free-arc counts, running every search that the cut does not
-skip, the fourth with the older rule that adds a head with no free out-arc
-to the cut it hands up, the fifth as the expansion was before closed sets
-crossed flips: no level passes a set down, and a level that flips hands up
-no cut, and the sixth as it was before it kept closed prefixes: a set that
-holds a vertex it must miss is dropped whole.
+the older order that keeps each vertex last.  ``FullScanLevels``,
+``UncutLevels``, ``UncountedLevels`` and ``FlipBackLevels`` stand in for
+the alpha expansion's ``_EdgeLevels``: the first with a reference search
+that scans whole incidence rows, the second with no cut reaching any
+search, the third as the expansion is without the free-arc counts and the
+sets passed down, running every search that the cut does not skip, and
+the fourth as the expansion was before its levels left their flips: each
+level undoes its flip, and keeps a closed prefix of a cut that holds its
+tail.
 """
 from __future__ import annotations
 
@@ -56,7 +54,7 @@ from orientations import (
 from orientations import alpha as alpha_module
 from orientations.alpha import _EdgeLevels, _emit_leaves, walk
 from orientations.paths import _count_paths, _degree_bound, _flip, _grow, _shortest_path, _walk
-from orientations.sequences import _vertex_choices
+from orientations.sequences import _expansion, _vertex_choices
 
 
 def reverse_path(orientation: Orientation, path: Sequence[int], source: int) -> Orientation:
@@ -376,17 +374,21 @@ class InvariantProbe:
       masks, ``popcount(_out[x] >> fixed[x])``, must be the number of
       out-arcs at x among the edges e+1..m-1, and the free in-arc count,
       ``popcount((_row_mask[x] ^ _out[x]) >> fixed[x])``, the number of
-      in-arcs.  When a
-      level skips its search, an unmetered search on the live orientation
-      must find no path either; a cut the level leaves must not hold its
-      tail, and no arc of the edges e+1..m-1 may leave it, so edge e, which
-      runs from the tail, leaves it neither.  When a level searches, no arc
-      of the edges e+1..m-1 may leave the set it inherited from the flipping
-      level above, and the set its search treats as reached must miss the
-      tail and be left by no such arc either: the probe runs the walk with
-      ``alpha._shortest_path`` replaced by its checked ``search``.  No such
-      arc may leave a prefix of any of these sets that ends before a root,
-      a vertex mapped to None, either;
+      in-arcs, and no arc of the edges e+1..m-1 may leave the set it
+      inherited from the flipping level above, used or not.  When a level
+      skips its search, an unmetered search on the live orientation must
+      find no path either.  No arc of the edges e..m-1 may leave the cut a
+      level hands up, so no arc free at the level above leaves it.  When a
+      level searches, the set its search treats as reached must miss the
+      tail and be left by no arc of the edges e+1..m-1 either: the probe
+      runs the walk with ``alpha._shortest_path`` replaced by its checked
+      ``search``;
+    - ``expansion()`` drives ``sequences._expansion`` over the probe's edge
+      levels, as the k-connected search does below its last vertex level.
+      Its ``restore`` asserts that the levels' ``flipped`` mask names
+      exactly the edges that differ from the orientation the expansion was
+      given, that the restore gives that orientation back, and that it is
+      charged one arc touch per edge it flips;
     - ``vertex_choices(v)`` asserts at every yield that the orientation is
       still k-connected and that ``assert_masks_exact`` holds.  Every state
       a path reversal reaches is yielded once, so this checks that each
@@ -408,6 +410,7 @@ class InvariantProbe:
         self.levels = _EdgeLevels(self.d, self.meter)
         self.left = None  # the cut as the last edge level to end left it
         self.level = None  # the edge level that resumed last, the one that searches
+        self.given = None  # the orientation the running expansion was given
 
     def edge_choices(self, e: int):
         d, levels = self.d, self.levels
@@ -435,30 +438,43 @@ class InvariantProbe:
                 rows = d.graph._row_mask
                 free_in = [((rows[x] ^ d._out[x]) >> levels.fixed[x]).bit_count() for x in range(d.graph.n)]
                 assert free_in == fi, f"derived free in-arc counts at edge level {e} are not the edges {e + 1}.."
+                down = levels.down
+                leaving = [f for f in range(e + 1, d.graph.m) if d.tail(f) in down and d.head(f) not in down]
+                assert not leaving, f"free arcs {leaving} leave the set edge level {e} inherited"
                 runs = self.meter.bfs_runs
                 self.level = e
-        assert bytes(d._dirs[:e]) == prefix, f"fixed edges 0..{e - 1} not restored"
+        assert bytes(d._dirs[:e]) == prefix, f"fixed edges 0..{e - 1} changed"
         tail, head = d.tail(e), d.head(e)
         if options == 1 and self.meter.bfs_runs == runs:
             assert _shortest_path(d, (head,), (tail,), counts, None) is None, f"edge level {e} skipped a search that finds a path"
         cut = levels.cut
-        assert tail not in cut, f"the cut left by edge level {e} holds its tail"
-        leaving = [f for f in range(e + 1, d.graph.m) if d.tail(f) in cut and d.head(f) not in cut]
-        assert not leaving, f"free arcs {leaving} leave the cut left by edge level {e}"
-        _assert_closed_prefixes(d, e, cut, "cut left by")
+        leaving = [f for f in range(e, d.graph.m) if d.tail(f) in cut and d.head(f) not in cut]
+        assert not leaving, f"arcs {leaving} leave the cut left by edge level {e}"
         self.left = cut
 
     def search(self, d, sources, targets, fixed, meter, reached):
         # The search of the edge level that resumed last, after checking the
-        # sets it skips: the inherited one and the one it is told to treat
-        # as reached.
+        # set it is told to treat as reached.
         e = self.level
-        for name, members in (("inherited", self.levels.down), ("skipped", reached)):
-            leaving = [f for f in range(e + 1, d.graph.m) if d.tail(f) in members and d.head(f) not in members]
-            assert not leaving, f"free arcs {leaving} leave the {name} set of edge level {e}"
-            _assert_closed_prefixes(d, e, members, f"{name} set of")
+        leaving = [f for f in range(e + 1, d.graph.m) if d.tail(f) in reached and d.head(f) not in reached]
+        assert not leaving, f"free arcs {leaving} leave the skipped set of edge level {e}"
         assert not any(t in reached for t in targets), f"edge level {e} skips a set that holds its tail"
         return _shortest_path(d, sources, targets, fixed, meter, reached)
+
+    def expansion(self):
+        self.given = bytes(self.d._dirs)
+        return _expansion(self)
+
+    choices = edge_choices  # the edge levels as ``sequences._expansion`` calls them
+
+    def restore(self):
+        d, given = self.d, self.given
+        differ = [f for f in range(d.graph.m) if d._dirs[f] != given[f]]
+        assert self.levels.flipped == sum(1 << f for f in differ), "the flipped mask is not the edges that differ"
+        touches = self.meter.arc_touches
+        self.levels.restore()
+        assert bytes(d._dirs) == given, "the expansion did not give back the orientation it was given"
+        assert self.meter.arc_touches - touches == len(differ), "the restore is not charged one touch per edge it flips"
 
     def vertex_choices(self, v: int):
         for _ in _vertex_choices(self.d, v, self.k, self.meter):
@@ -475,19 +491,6 @@ class InvariantProbe:
                     assert self.d.outdegrees() == tuple(self.target), "emitted orientation misses the target outdegrees"
                 yield
         assert not any(self.levels.fixed), "prefix counts not back at 0 when the walk ends"
-
-
-def _assert_closed_prefixes(d: Orientation, e: int, members: dict, name: str) -> None:
-    # No arc among the edges e+1..m-1 leaves a prefix of members that ends
-    # before a root, a vertex mapped to None: each such prefix was closed
-    # when the search that added the root ran, and stays closed wherever
-    # the whole set is.
-    prefix = set()
-    for x, via in members.items():
-        if via is None:
-            leaving = [f for f in range(e + 1, d.graph.m) if d.tail(f) in prefix and d.head(f) not in prefix]
-            assert not leaving, f"free arcs {leaving} leave the prefix before root {x} of the {name} edge level {e}"
-        prefix.add(x)
 
 
 def probed_alpha(graph: Multigraph, alpha: Sequence[int]) -> list[Orientation]:
@@ -511,7 +514,9 @@ def probed_k_connected(graph: Multigraph, k: int, seed: Orientation) -> list[Ori
     n = graph.n
 
     def choices(i: int):
-        return probe.vertex_choices(i) if i < n else probe.edge_choices(i - n)
+        if i < n:
+            return probe.vertex_choices(i)
+        return probe.edge_choices(i - n) if i > n else probe.expansion()
 
     return [probe.d.copy() for _ in probe.leaves(n + graph.m, choices)]
 
@@ -648,17 +653,14 @@ def scanned_sequences(graph: Multigraph, k: int, meter: DelayMeter, choices) -> 
     return got
 
 
-class FullScanLevels:
+class FullScanLevels(_EdgeLevels):
     """The alpha expansion's edge levels with a whole-row scan, as a reference.
 
     Same contract, yields and meter charges as ``alpha._EdgeLevels``, but
     its search for a completing cycle, ``full_scan_path``, keeps no prefix
-    counts: it scans every entry of each row it reaches and skips the fixed
-    edges 0..e-1 one by one.
+    counts and no cut: it scans every entry of each row it reaches and
+    skips the fixed edges 0..e-1 one by one.
     """
-
-    def __init__(self, d: Orientation, meter: DelayMeter):
-        self.d, self.meter = d, meter
 
     def choices(self, e: int):
         d, meter = self.d, self.meter
@@ -668,11 +670,9 @@ class FullScanLevels:
         path = full_scan_path(d, head, tail, e, meter)
         if path is not None:
             path.append(e)
-            d._flip(path)
-            meter.arcs(len(path))
+            _flip(d, path, meter)
+            self.flipped ^= sum(1 << f for f in path)
             yield
-            d._flip(path)
-            meter.arcs(len(path))
 
 
 class UncutLevels(_EdgeLevels):
@@ -680,8 +680,8 @@ class UncutLevels(_EdgeLevels):
 
     ``alpha._EdgeLevels`` with the cut cleared whenever a level resumes,
     keeping the free-arc counts: no level sees the set that the search one
-    level down reached, so every search that the counts do not skip runs
-    and starts from the head alone.
+    level down reached, no level passes a set down, so every search that
+    the counts do not skip runs and starts from the head alone.
     """
 
     def choices(self, e: int):
@@ -690,18 +690,15 @@ class UncutLevels(_EdgeLevels):
             self.cut = {}
 
 
-class UncountedLevels:
+class UncountedLevels(_EdgeLevels):
     """The alpha expansion's edge levels without the free-arc counts, as a reference.
 
     Same contract, yields and meter charges as ``alpha._EdgeLevels``, and
-    it reuses the cut as ``UnpassedLevels`` does, but it keeps no counts:
-    every search that the cut does not skip runs, the last edge level's
-    included.
+    it reuses the cut that the level below handed up, but it keeps no
+    counts and passes no set down: every search that the cut does not skip
+    runs, the last edge level's included, and a level that flips hands up
+    no cut.
     """
-
-    def __init__(self, d: Orientation, meter: DelayMeter):
-        self.d, self.meter = d, meter
-        self.fixed, self.cut = [0] * d.graph.n, {}
 
     def choices(self, e: int):
         d, fixed = self.d, self.fixed
@@ -720,57 +717,26 @@ class UncountedLevels:
         else:
             path.append(e)
             _flip(d, path, self.meter)
+            self.flipped ^= sum(1 << f for f in path)
             yield
-            _flip(d, path, self.meter)
             self.cut = {}
         fixed[u] -= 1
         fixed[v] -= 1
 
 
-class HeadCutLevels(_EdgeLevels):
-    """The alpha expansion's edge levels with the older hand-up rule, as a reference.
+class FlipBackLevels(_EdgeLevels):
+    """The alpha expansion's edge levels that flip back, as a reference.
 
-    Same contract, yields, searches and skips as ``UnpassedLevels``, but a
-    level whose head lies in the set it received, or has no free out-arc,
-    hands up that set with its head added, the set its search would reach
-    from the head, where ``UnpassedLevels`` hands up the set as received.
-    """
-
-    def choices(self, e: int):
-        d, fixed, out = self.d, self.fixed, self.d._out
-        u, v = d.graph.edges[e]
-        tail, head = (u, v) if d.forward(e) else (v, u)
-        fixed[u] += 1
-        fixed[v] += 1
-        self.cut = {}
-        yield
-        reached = self.cut
-        if tail in reached:
-            reached = {}
-        path = None
-        if head in reached or not out[head] >> fixed[head]:
-            reached[head] = None
-        elif d.graph.degree(tail) > fixed[tail] + (out[tail] >> fixed[tail]).bit_count():
-            path = _shortest_path(d, (head,), (tail,), fixed, self.meter, reached)
-        if path is None:
-            self.cut = reached
-        else:
-            path.append(e)
-            _flip(d, path, self.meter)
-            yield
-            _flip(d, path, self.meter)
-            self.cut = {}
-        fixed[u] -= 1
-        fixed[v] -= 1
-
-
-class UnpassedLevels(_EdgeLevels):
-    """The alpha expansion's edge levels before closed sets crossed flips, as a reference.
-
-    Same contract, yields and meter charges as ``alpha._EdgeLevels``, but
-    no level passes a set down to its flip subtree, so a search skips only
-    the cut that the level below handed up, and a level that flips clears
-    the cut once it undoes its flip, so the level above reads none.
+    The expansion as it was before its levels left their flips: a level
+    that flips undoes its flip after its flip subtree, so every level
+    searches on the orientation that the level above kept, and its
+    ``flipped`` mask stays empty.  Its closed sets are those that rest on
+    the flip-back: a set passed down to the flip subtree is the set the
+    search skipped, a level hands up the set the subtree handed up when
+    that misses head and tail once the flip is undone, and of a received
+    set that holds the tail the level keeps the longest prefix that ends
+    before a search's root, a vertex mapped to None, and misses the tail.
+    The stream holds the same orientations in another order.
     """
 
     def choices(self, e: int):
@@ -783,51 +749,15 @@ class UnpassedLevels(_EdgeLevels):
         yield
         reached = self.cut
         if tail in reached:
-            reached = {}
-        path = None
-        if head not in reached and out[head] >> fixed[head] and (rows[tail] ^ out[tail]) >> fixed[tail]:
-            path = _shortest_path(d, (head,), (tail,), fixed, self.meter, reached)
-        if path is None:
-            self.cut = reached
-        else:
-            path.append(e)
-            _flip(d, path, self.meter)
-            yield
-            _flip(d, path, self.meter)
-            self.cut = {}
-        fixed[u] -= 1
-        fixed[v] -= 1
-
-
-class WholeDropLevels(_EdgeLevels):
-    """The alpha expansion's edge levels that drop a set whole, as a reference.
-
-    Same contract, yields and meter charges as ``alpha._EdgeLevels``, and it
-    passes closed sets across flips the same way, but it keeps no prefix of
-    a set: a level drops the whole cut it received, or the whole set it
-    inherited, when that holds its tail, and after its flip subtree it
-    drops the whole set handed up when that holds its head or its tail.
-    Its merges may overwrite a vertex's entry, as it reads no root.
-    """
-
-    def choices(self, e: int):
-        d, fixed, out, rows = self.d, self.fixed, self.d._out, self.d.graph._row_mask
-        u, v = d.graph.edges[e]
-        tail, head = (u, v) if d.forward(e) else (v, u)
-        fixed[u] += 1
-        fixed[v] += 1
-        self.cut = {}
-        yield
-        reached = self.cut
-        if tail in reached:
-            reached = {}
+            reached = _closed_prefix(reached, tail)
         path = None
         if head not in reached and out[head] >> fixed[head] and (rows[tail] ^ out[tail]) >> fixed[tail]:
             down = self.down
-            usable = down and tail not in down
-            if not (usable and head in down):
-                if usable:
-                    reached.update(down)
+            inherited = {} if tail in down else down
+            if head not in inherited:
+                if inherited:
+                    for x, via in inherited.items():
+                        reached.setdefault(x, via)  # no root moves and none is made
                 searched = len(reached)
                 path = _shortest_path(d, (head,), (tail,), fixed, self.meter, reached)
         if path is None:
@@ -841,12 +771,22 @@ class WholeDropLevels(_EdgeLevels):
             self.down = down
             _flip(d, path, self.meter)
             below = self.cut
-            if head not in below and tail not in below:
-                below.update(reached)
-                reached = below
-            self.cut = reached
+            self.cut = below if below and head not in below and tail not in below else reached
         fixed[u] -= 1
         fixed[v] -= 1
+
+
+def _closed_prefix(members: dict, x: int) -> dict:
+    # The longest prefix of members that ends before a root, a vertex
+    # mapped to None, and misses x.
+    end = i = 0
+    for y, via in members.items():
+        if via is None:
+            end = i
+        if y == x:
+            break
+        i += 1
+    return dict(islice(members.items(), end)) if end else {}
 
 
 def full_scan_path(d: Orientation, source: int, target: int, e: int, meter: DelayMeter) -> list[int] | None:
