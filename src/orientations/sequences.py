@@ -31,8 +31,8 @@ disagree at a vertex, a connectivity-preserving path reversal moves one
 toward the other without touching fixed vertices.
 
 A chain takes the later vertices u in order and makes one count of the
-arc-disjoint paths between v and each u that no cut has ruled out: from v
-when lowering, into v when raising.  Its limit, the degree of v plus one,
+arc-disjoint paths between v and each u that no tight set (below) rules
+out: from v when lowering, into v when raising.  Its limit, the degree of v plus one,
 is more than any count can find, so every count falls short and hands back
 a cut.  The count's paths P_1, ..., P_λ are those of successive reversals:
 P_i is the first path found once P_1, ..., P_(i-1) are reversed, and each
@@ -51,17 +51,43 @@ meeting search, which stops as soon as either side runs out: the set the
 source reaches, or every vertex that does not reach the target (see
 :mod:`orientations.paths`).  Both chains take whichever it hands back.
 
-R holds the count's source, not its target, and once the count toward u
-returns it is left by exactly k arcs.  So when lowering v no later vertex
-outside R can have more than k paths from v, and when raising no vertex
-inside R can have more than k paths into v.  Each path a chain reverses
-joins v to a vertex that no earlier cut ruled out, so its ends lie on one
-side of every such cut and the number of arcs leaving the cut does not
-change: the cuts hold for the rest of the chain, which counts only toward
-vertices no cut has ruled out.  It finds the same vertices and paths as a
-fresh scan from v+1 after every reversal, and skips only tests whose answer
-is already known.  Lowering and raising test pairs in opposite directions,
-so neither keeps the other's cuts.
+A tight set is a vertex set X that exactly k arcs leave.  When X holds a
+but not b, no more than k arc-disjoint paths run from a to b, so, d being
+k-connected, exactly k do; a count's cut R, which holds its source but not
+its target, is tight once the count returns.  The search keeps one family
+of tight sets for the orientation each level works on, under three rules.
+
+- Skip.  A chain counts toward a later vertex u only when no member of the
+  family it starts from, and no cut of its own counts, separates the pair:
+  lowering v keeps only the u inside every member that holds v, raising
+  drops every u inside a member that misses v.  A skipped pair has exactly
+  k paths, so its count would keep none: the stream is that of a chain
+  that counts every pair, and the chain finds the same vertices and paths
+  as a fresh scan from v+1 after every reversal.
+- Survive.  Reversing a path from a to b changes the number of arcs leaving
+  X by [b in X] - [a in X].  A path a count keeps joins a pair with more
+  than k paths, so no tight set holds a but not b: the sets that hold b but
+  not a stop being tight, and all others stay tight.  So once a count keeps
+  paths, the family is the previous one less those sets, plus the count's
+  cut.  The sets a chain itself relies on survive: when lowering they hold
+  v and, as u was not ruled out, u; when raising they miss v and u.
+- Scope.  A count that keeps no path adds its cut to the family of the
+  orientation it ran on, and each yield of a chain hands its subtree the
+  family of the state it yields; whatever the subtree adds is cut back when
+  it returns.  The subtree of the keep option runs on the level's own
+  orientation, so the cuts of every level below that shares it rule out
+  pairs for the level's chains, and the level's cuts serve the levels above
+  that share it in turn.  The lowering chain's cuts all hold v, so they
+  rule out nothing for the raising chain.
+
+The families of the orientations on the walk's path are regions of one
+list of vertex bitmasks, ``_TightSets``.  A count that keeps paths copies
+the sets that survive into a new region at the end, leaving out those that
+split no two later vertices, which no level below can use; a chain's yield
+names the region its subtree starts from and, once the subtree returns,
+deletes all that lies past the end of that state's family.  The list thus
+holds one region per count that kept paths in the chains still open, so it
+grows with the graph, not with the number of leaves.
 
 A pair with min(out(src), in(dst)) <= k has exactly k paths, as the
 orientation is k-connected, and its count returns at once with no path, no
@@ -70,6 +96,7 @@ search and its degree cut (see :mod:`orientations.paths`).
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from itertools import islice
 
 from .alpha import _EdgeLevels, _emit_leaves, walk
 from .connectivity import is_k_connected
@@ -81,28 +108,52 @@ from .paths import _count_paths, _flip
 __all__ = ["enumerate_outdegree_sequences", "enumerate_k_connected"]
 
 
-def _vertex_choices(d: Orientation, v: int, k: int, meter: DelayMeter) -> Iterator[None]:
+class _TightSets(list):
+    # The tight-set families of the orientations on the walk's path, one
+    # region each (see the module docstring); the family of the orientation
+    # that the next level enters on runs from ``start`` to the end.
+    start = 0
+
+
+def _vertex_choices(d: Orientation, v: int, k: int, meter: DelayMeter, tight: _TightSets) -> Iterator[None]:
     # Keeps the vertex first, so a level emits on entry the leaf it would
-    # reach anyway, and the subtree below restores d.  Then one chain per
-    # direction: a count for each later (so not yet fixed) vertex that no
-    # cut has ruled out, which leaves the first λ-k of its paths reversed,
-    # all before the chain's first yield; then one yield per reversal,
-    # undoing them deepest first.
+    # reach anyway, and the subtree below restores d and adds to the family
+    # only cuts of d.  Then one chain per direction: a count for each later
+    # (so not yet fixed) vertex that no tight set rules out, which leaves
+    # the first λ-k of its paths reversed, all before the chain's first
+    # yield; then one yield per reversal, undoing them deepest first.  A
+    # yield's entry holds the reversed path, the start of the state's family
+    # and, for the state before it, where that family ends.
+    start = tight.start
     yield
-    n = d.graph.n
-    limit = d.graph.degree(v) + 1
-    for lowering in (True, False):
-        chain = []
-        candidates = (1 << n) - (1 << v + 1)
-        for u in range(v + 1, n):
+    later = (1 << d.graph.n) - (1 << v + 1)
+    if not later:
+        return
+    limit, inside, outside = d.graph.degree(v) + 1, later, later
+    for x in islice(tight, start, None):
+        inside, outside = (inside & x, outside) if x >> v & 1 else (inside, outside & ~x)
+    for lowering, candidates in ((True, inside), (False, outside)):
+        chain, base = [], start
+        for u in range(v + 1, d.graph.n):
             if candidates >> u & 1:
                 src, dst = (v, u) if lowering else (u, v)
                 paths, cut = _count_paths(d, src, dst, limit, meter, k)
-                chain += paths[: len(paths) - k]  # d stays k-connected: λ >= k
+                if len(paths) > k:  # d stays k-connected: λ >= k
+                    # A new region: the sets that stay tight, less those that
+                    # split no two later vertices.
+                    size, ends, head = len(tight), 1 << src | 1 << dst, 1 << dst
+                    for x in islice(tight, base, size):
+                        if x & ends != head and 0 < x & later < later:
+                            tight.append(x)
+                    for i, edges in enumerate(paths[: len(paths) - k]):
+                        chain.append((edges, size, len(tight) if i else size))
+                    base = size
+                tight.append(cut)
                 candidates &= cut if lowering else ~cut
         while chain:
-            edges = chain.pop()
+            edges, tight.start, size = chain.pop()
             yield
+            del tight[size:]
             _flip(d, edges, meter)
 
 
@@ -128,11 +179,11 @@ def _search(graph: Multigraph, k: int, seed: Orientation | None, edge_levels: in
         if not is_k_connected(seed, k):
             raise ValueError("seed orientation is not k-connected")
         d = seed.copy()
-    n, edges = graph.n, _EdgeLevels(d, meter)
+    n, edges, tight = graph.n, _EdgeLevels(d, meter), _TightSets()
 
     def choices(i: int) -> Iterator[None]:
         if i < n:
-            return _vertex_choices(d, i, k, meter)
+            return _vertex_choices(d, i, k, meter, tight)
         return edges.choices(i - n) if i > n else _expansion(edges)
 
     return _emit_leaves(d, walk(n + edge_levels, choices), sink, meter)

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import pytest
 
 import families
@@ -19,10 +22,13 @@ from orientations.alpha import walk
 from orientations.paths import _count_paths
 from orientations.sequences import _vertex_choices
 from witnesses import (
+    TightSetProbe,
+    chain_cut_choices,
     closure_count_paths,
     cut_outdegree,
     forward_count_paths,
     fresh_count_choices,
+    ignoring_family,
     keep_last_choices,
     pairwise_is_k_connected,
     plain_scan_choices,
@@ -150,12 +156,13 @@ class _DriftProbe:
         self.d = d
         self.k = k
         self.deepest = {}
+        self.tight = sequences._TightSets()  # shared by every level, as in the search
 
     def choices(self, v):
         d = self.d
         base, dirs = d.outdegrees()[v], bytes(d._dirs)
         seen, meter = [], DelayMeter()
-        for _ in _vertex_choices(d, v, self.k, meter):
+        for _ in _vertex_choices(d, v, self.k, meter, self.tight):
             if not seen:
                 assert bytes(d._dirs) == dirs and meter.total_ops == 0  # kept before any chain runs
             seen.append(d.outdegrees()[v])
@@ -225,25 +232,30 @@ def test_a_search_emits_its_seed_first():
 
 
 def test_keeping_first_moves_no_work_against_keeping_last(monkeypatch):
-    # The search with the generator that keeps each vertex last emits the
-    # same solutions in another order, with the same BFS runs and arc
-    # touches; keeping first only spreads that work between the leaves, so
-    # the largest gaps fall overall.
+    # The chain-cut reference that keeps each vertex last emits the same
+    # solutions as the one that keeps it first, in another order, with the
+    # same BFS runs and arc touches; keeping first only spreads that work
+    # between the leaves, so the largest gaps fall overall.  The search,
+    # which also keeps each vertex first, emits the first one's stream with
+    # no more BFS runs and operations: its tight sets only spare counts.
     first_sum = last_sum = runs = 0
     for _, g in families.random_family(40, seed=19) + families.named_graphs():
         for k in (1, 2, 3):
             for listing, _ in _listings():
-                meter, reference, got, want = DelayMeter(), DelayMeter(), [], []
+                meter, first, last, got, want, late = DelayMeter(), DelayMeter(), DelayMeter(), [], [], []
                 listing(g, k, None, got.append, meter)
                 with monkeypatch.context() as patched:
-                    patched.setattr(sequences, "_vertex_choices", keep_last_choices)
-                    listing(g, k, None, want.append, reference)
-                assert sorted(got) == sorted(want) and len(got) == len(set(got))
-                assert (meter.emissions, meter.bfs_runs, meter.arc_touches) == (
-                    reference.emissions, reference.bfs_runs, reference.arc_touches
+                    patched.setattr(sequences, "_vertex_choices", ignoring_family(chain_cut_choices))
+                    listing(g, k, None, want.append, first)
+                    patched.setattr(sequences, "_vertex_choices", ignoring_family(keep_last_choices))
+                    listing(g, k, None, late.append, last)
+                assert got == want and sorted(want) == sorted(late) and len(got) == len(set(got))
+                assert (first.emissions, first.bfs_runs, first.arc_touches) == (
+                    last.emissions, last.bfs_runs, last.arc_touches
                 )
-                first_sum += meter.max_delay_ops
-                last_sum += reference.max_delay_ops
+                assert meter.bfs_runs <= first.bfs_runs and meter.total_ops <= first.total_ops
+                first_sum += first.max_delay_ops
+                last_sum += last.max_delay_ops
                 runs += len(got) > 1
     assert runs > 50 and first_sum < last_sum, (runs, first_sum, last_sum)
 
@@ -279,7 +291,8 @@ def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
     # given, and by exactly k once the count returns with its first λ-k paths
     # still reversed; a count that its outdegrees decide finds no path and
     # reverses nothing.  A chain makes at most one count per later vertex.  It
-    # never skips a flippable vertex: each reversal goes toward the smallest
+    # never skips a flippable vertex, whether a cut of its own or a tight set
+    # handed down rules the vertex out: each reversal goes toward the smallest
     # flippable later vertex, and an exhausted chain leaves none.  The
     # generator keeps the vertex first, before any count.  The yields show
     # the reversals: a chain yields its states deepest first, so each yield,
@@ -308,7 +321,7 @@ def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
     def flippable(d, v, u, lowering, k):
         return lambda_at_least(d, *((v, u) if lowering else (u, v)), k + 1)
 
-    def checked_choices(d, v, k, meter):
+    def checked_choices(d, v, k, meter, tight):
         n, base, counts = d.graph.n, d.outdegrees()[v], [0, 0]
         last = {}  # per direction, the outdegrees at the chain's latest yield
 
@@ -323,7 +336,7 @@ def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
 
         chain.update(v=v, k=k, counts=counts)
         kept = False
-        for _ in real_choices(d, v, k, meter):
+        for _ in real_choices(d, v, k, meter, tight):
             out = d.outdegrees()
             if not kept:
                 assert out[v] == base and counts == [0, 0], "a chain ran before the vertex was kept"
@@ -345,6 +358,119 @@ def test_failed_lambda_tests_rule_out_only_unflippable_vertices(monkeypatch):
             seed = find_k_connected_orientation(g, k)
             if seed is not None:
                 collect(g, k, seed=seed)
+
+
+def test_tight_sets_never_cost_more_than_chain_cuts(monkeypatch):
+    # With one tight-set family for the whole search, a cut rules out pairs
+    # at every level that shares its orientation, not only in its chain.
+    # Against the chain-cut reference the streams are the same, witnesses
+    # included, byte for byte, and no run costs more in total or in any
+    # gap.  On the tori korient runs stop at 1,000 orientations and odseq
+    # runs at 5,000 sequences; the 3x4 torus odseq k=1 figures (reference,
+    # search) for those are pinned, both lower.
+    graphs = families.random_family(40, seed=19) + families.named_graphs()
+    graphs += [("torus3x3", families.torus(3, 3)), ("torus3x4", families.torus(3, 4))]
+    figures = {}
+    for name, g in graphs:
+        for k in (1, 2, 3):
+            for korient in (False, True):
+                cap = (1_000 if korient else 5_000) if name.startswith("torus") else None
+                figures[name, korient, k] = _against_chain_cuts(monkeypatch, g, k, korient, cap)
+    assert figures["torus3x4", False, 1] == ((109_337, 132), (100_302, 111))
+
+
+@pytest.mark.slow
+def test_tight_sets_cost_less_on_the_whole_3x4_torus(monkeypatch):
+    # The benchmark's odseq graph, all 54,481 sequences: (reference, search).
+    figures = _against_chain_cuts(monkeypatch, families.torus(3, 4), 1, False)
+    assert figures == ((1_254_143, 152), (1_102_446, 116))
+
+
+def _against_chain_cuts(monkeypatch, g, k, korient, cap=None):
+    # Asserts that the search emits the stream of the chain-cut reference
+    # with no more operations in total or in any gap, and returns the
+    # (total_ops, max_delay_ops) of the reference and of the search.
+    meter, reference = DelayMeter(), DelayMeter()
+    got = _stream(g, k, korient, meter, cap)
+    with monkeypatch.context() as patched:
+        patched.setattr(sequences, "_vertex_choices", ignoring_family(chain_cut_choices))
+        want = _stream(g, k, korient, reference, cap)
+    assert got == want, (g.edges, k, korient)
+    assert meter.total_ops <= reference.total_ops, (g.edges, k, korient)
+    assert meter.max_delay_ops <= reference.max_delay_ops, (g.edges, k, korient)
+    return (reference.total_ops, reference.max_delay_ops), (meter.total_ops, meter.max_delay_ops)
+
+
+def test_tight_sets_rule_out_only_pairs_with_k_paths(monkeypatch):
+    # Every pair a chain passes without a count is separated by a member of
+    # the family it started from or by a cut of its own, every such member
+    # is left by exactly k arcs where the chain passes the pair, and on
+    # graphs within the oracle's limit the pair has exactly k paths.  The
+    # stream is the search's own.  On the 3x4 torus, the first 1,000
+    # sequences, without the oracle.
+    runs = [(g, k, True, None) for _, g in families.random_family(40, seed=19) for k in (1, 2)]
+    runs += [(families.torus(3, 3), k, True, None) for k in (1, 2)] + [(families.torus(3, 4), 1, False, 1_000)]
+    probe = TightSetProbe()
+    for g, k, oracle, cap in runs:
+        want = _stream(g, k, False, DelayMeter(), cap)
+        probe.oracle = oracle
+        with monkeypatch.context() as patched:
+            patched.setattr(sequences, "_vertex_choices", probe.choices)
+            patched.setattr(sequences, "_count_paths", probe.count)
+            assert _stream(g, k, False, DelayMeter(), cap) == want
+    assert probe.ruled_out > 3_000, probe.ruled_out
+
+
+def test_tight_sets_grow_with_the_graph_not_the_solutions():
+    # On the 3x4 torus at k = 1, the peak of traced memory while the second
+    # 1,000 sequences arrive exceeds the peak while the first 1,000 do by
+    # less than n * n more sets would take: whatever a subtree adds to the
+    # family is cut back when it returns.  The peak still moves a little
+    # with the states a window visits, as the chain-cut search's does.  A
+    # first untraced run fills the interpreter's free list of 12-tuples,
+    # whose memory tracemalloc counts as held: the outdegree tuples of
+    # 2,000 leaves would otherwise read as growth.
+    g, peaks = families.torus(3, 4), []
+    _stream(g, 1, False, DelayMeter(), 2_500)
+
+    def sink(s, w):
+        sink.count += 1
+        if sink.count % 1_000 == 0:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            if len(peaks) == 2:
+                raise _Enough
+
+    sink.count = 0
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Enough):
+            enumerate_outdegree_sequences(g, 1, None, sink)
+    finally:
+        tracemalloc.stop()
+    room = g.n * g.n * sys.getsizeof(1 << g.n)
+    assert peaks[1] <= peaks[0] + room, peaks
+
+
+def _stream(g, k, korient, meter, cap=None):
+    # The stream of either enumerator from no seed, each orientation or each
+    # sequence with its witness serialized, stopped once ``cap`` solutions
+    # have arrived (never when cap is None).
+    got = []
+
+    def add(solution):
+        got.append(solution)
+        if len(got) == cap:
+            raise _Enough
+
+    try:
+        if korient:
+            enumerate_k_connected(g, k, lambda d: add(d.serialize()), meter=meter)
+        else:
+            enumerate_outdegree_sequences(g, k, None, lambda s, w: add((s, w.serialize())), meter=meter)
+    except _Enough:
+        pass
+    return got
 
 
 def _torus_figures_against(reference):
@@ -419,7 +545,7 @@ def test_degree_certificates_never_cost_more_than_counting(monkeypatch):
         return want
 
     counted, skipped = _torus_figures_against(counting)
-    assert counted == (77_592, 186)
+    assert counted == (50_677, 107)
     assert skipped[0] < counted[0] and skipped[1] < counted[1]
 
 
@@ -441,7 +567,7 @@ def test_degree_stops_and_sweeps_never_cost_more_than_counting_to_the_limit(monk
         return want
 
     counted, stopped = _torus_figures_against(unbounded)
-    assert counted == (71_810, 117)
+    assert counted == (70_339, 112)
     assert stopped[0] < counted[0] and stopped[1] < counted[1]
 
 

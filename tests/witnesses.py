@@ -23,8 +23,11 @@ restarts every λ test sweep at v+1, the chain that keeps the cuts of
 failed tests but re-tests a pair after every reversal it permits, or the
 chain that makes one count per candidate but also counts the pairs whose
 outdegrees already decide them; these keep each vertex first, as the
-search does, and ``keep_last_choices`` is the search's own generator with
-the older order that keeps each vertex last.  ``FullScanLevels``,
+search does.  ``chain_cut_choices`` is the search's generator as it was
+before its tight sets outlived their chain, ``keep_last_choices`` the same
+with the older order that keeps each vertex last, and ``ignoring_family``
+puts either in the search's place.  ``TightSetProbe`` runs the search and
+checks every pair that its tight sets rule out.  ``FullScanLevels``,
 ``UncutLevels``, ``UncountedLevels`` and ``FlipBackLevels`` stand in for
 the alpha expansion's ``_EdgeLevels``: the first with a reference search
 that scans whole incidence rows, the second with no cut reaching any
@@ -39,6 +42,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Sequence
 from itertools import islice
+from types import SimpleNamespace
 from unittest import mock
 
 from orientations import (
@@ -51,10 +55,11 @@ from orientations import (
     is_k_connected,
     kconn,
 )
+from oracles import oracle_lambda
 from orientations import alpha as alpha_module
 from orientations.alpha import _EdgeLevels, _emit_leaves, walk
 from orientations.paths import _count_paths, _degree_bound, _flip, _grow, _shortest_path, _walk
-from orientations.sequences import _expansion, _vertex_choices
+from orientations.sequences import _expansion, _TightSets, _vertex_choices
 
 
 def reverse_path(orientation: Orientation, path: Sequence[int], source: int) -> Orientation:
@@ -389,8 +394,10 @@ class InvariantProbe:
       exactly the edges that differ from the orientation the expansion was
       given, that the restore gives that orientation back, and that it is
       charged one arc touch per edge it flips;
-    - ``vertex_choices(v)`` asserts at every yield that the orientation is
-      still k-connected and that ``assert_masks_exact`` holds.  Every state
+    - ``vertex_choices(v)`` drives the search's own levels, which share one
+      tight-set family as in the search, and asserts at every yield that
+      the orientation is still k-connected and that
+      ``assert_masks_exact`` holds.  Every state
       a path reversal reaches is yielded once, so this checks that each
       reversal keeps k-connectivity.  At the last vertex it makes each
       yield's outdegrees, the sequence the vertex levels reached, the
@@ -411,6 +418,7 @@ class InvariantProbe:
         self.left = None  # the cut as the last edge level to end left it
         self.level = None  # the edge level that resumed last, the one that searches
         self.given = None  # the orientation the running expansion was given
+        self.tight = _TightSets()  # the tight-set families the vertex levels share, as in the search
 
     def edge_choices(self, e: int):
         d, levels = self.d, self.levels
@@ -477,7 +485,7 @@ class InvariantProbe:
         assert self.meter.arc_touches - touches == len(differ), "the restore is not charged one touch per edge it flips"
 
     def vertex_choices(self, v: int):
-        for _ in _vertex_choices(self.d, v, self.k, self.meter):
+        for _ in _vertex_choices(self.d, v, self.k, self.meter, self.tight):
             assert is_k_connected(self.d, self.k), f"a path reversal at vertex {v} broke k-connectivity"
             assert_masks_exact(self.d)
             if v == self.d.graph.n - 1:
@@ -521,14 +529,47 @@ def probed_k_connected(graph: Multigraph, k: int, seed: Orientation) -> list[Ori
     return [probe.d.copy() for _ in probe.leaves(n + graph.m, choices)]
 
 
+def chain_cut_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
+    """The per-vertex choice generator whose cuts serve only their chain, as a reference.
+
+    Same options, order, streams and contract as
+    ``sequences._vertex_choices``, as the search was before its tight sets
+    outlived their chain: each chain starts from every later vertex and
+    rules out only what the cuts of its own counts rule out, and no level
+    sees another's cuts.  Drive it with ``ignoring_family``.
+    """
+    # Keeps the vertex first, so a level emits on entry the leaf it would
+    # reach anyway, and the subtree below restores d.  Then one chain per
+    # direction: a count for each later (so not yet fixed) vertex that no
+    # cut has ruled out, which leaves the first λ-k of its paths reversed,
+    # all before the chain's first yield; then one yield per reversal,
+    # undoing them deepest first.
+    yield
+    n = d.graph.n
+    limit = d.graph.degree(v) + 1
+    for lowering in (True, False):
+        chain = []
+        candidates = (1 << n) - (1 << v + 1)
+        for u in range(v + 1, n):
+            if candidates >> u & 1:
+                src, dst = (v, u) if lowering else (u, v)
+                paths, cut = _count_paths(d, src, dst, limit, meter, k)
+                chain += paths[: len(paths) - k]  # d stays k-connected: λ >= k
+                candidates &= cut if lowering else ~cut
+        while chain:
+            edges = chain.pop()
+            yield
+            _flip(d, edges, meter)
+
+
 def keep_last_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
     """The per-vertex choice generator that keeps the vertex last, as a reference.
 
     Same options, counts, reversals and meter charges as
-    ``sequences._vertex_choices``, in the order the search had before it
-    kept each vertex first: the lowering chain's counts run before the first
-    yield, so a node of the walk emits its leftmost leaf only after the
-    chains of every level below it.
+    ``chain_cut_choices``, in the order the search had before it kept each
+    vertex first: the lowering chain's counts run before the first yield,
+    so a node of the walk emits its leftmost leaf only after the chains of
+    every level below it.  Drive it with ``ignoring_family``.
     """
     n = d.graph.n
     limit = d.graph.degree(v) + 1
@@ -548,10 +589,92 @@ def keep_last_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
     yield
 
 
+def ignoring_family(choices):
+    """A reference generator ``choices(d, v, k, meter)`` in the place of
+    ``sequences._vertex_choices``: it ignores the tight-set family that the
+    search hands every level."""
+    return lambda d, v, k, meter, tight: choices(d, v, k, meter)
+
+
+class TightSetProbe:
+    """Runs the outdegree-sequence search and checks every pair its tight sets rule out.
+
+    ``choices`` stands in for ``sequences._vertex_choices`` and ``count``
+    for ``sequences._count_paths``; each drives the package's own.  A chain
+    counts toward every later vertex that neither the family it reads when
+    it starts nor the cuts of its own counts rule out, so each later vertex
+    it does not count was ruled out.  At each such pair, on the orientation
+    the chain had reached when it passed the pair, the probe asserts that
+    some member of that family or of those cuts holds the pair's source but
+    not its target, and that every such member is left by exactly k arcs
+    (``cut_outdegree``).  With ``oracle`` set, it also asserts that the
+    pair has exactly k arc-disjoint paths (``oracles.oracle_lambda``).
+    ``ruled_out`` counts the pairs checked.
+    """
+
+    def __init__(self, oracle: bool = False):
+        self.oracle = oracle
+        self.ruled_out = 0
+        self.chains = None  # the state of the level whose generator runs
+
+    def count(self, d, src, dst, limit, meter=None, spare=None):
+        chains = self.chains
+        lowering = src == chains.v
+        if not lowering:
+            self._passed(d, True, d.graph.n)  # the lowering chain ended on d
+        u = dst if lowering else src
+        self._passed(d, lowering, u)
+        found, cut = _count_paths(d, src, dst, limit, meter, spare)
+        chains.cuts.append(cut)
+        chains.next[lowering] = u + 1
+        return found, cut
+
+    def _passed(self, d, lowering: bool, end: int) -> None:
+        # Checks the pairs that the running chain in this direction passed
+        # without a count, from where it last counted up to ``end``.
+        chains = self.chains
+        v, k = chains.v, chains.k
+        for u in range(chains.next[lowering], end):
+            src, dst = (v, u) if lowering else (u, v)
+            members = [x for x in chains.family + chains.cuts if x >> src & 1 and not x >> dst & 1]
+            assert members, f"no tight set rules out {src} to {dst}, which the chain at {v} passed"
+            for x in members:
+                assert cut_outdegree(d, vertices(x)) == k, f"{sorted(vertices(x))} rules out {src} to {dst} but is not tight"
+            if self.oracle:
+                assert oracle_lambda(d, src, dst) == k, f"{src} to {dst} was ruled out with more than k paths"
+            self.ruled_out += 1
+        chains.next[lowering] = max(chains.next[lowering], end)
+
+    def choices(self, d: Orientation, v: int, k: int, meter: DelayMeter, tight: _TightSets):
+        n, start = d.graph.n, tight.start
+        chains = SimpleNamespace(v=v, k=k, family=None, cuts=[], next=[v + 1, v + 1])
+        base = d._out[v].bit_count()
+        real = _vertex_choices(d, v, k, meter, tight)
+        kept = False
+        while True:
+            if kept and chains.family is None:
+                chains.family = tight[start:]  # the family the chains start from
+            self.chains = chains
+            try:
+                next(real)
+            except StopIteration:
+                break
+            if kept:  # a chain's yield: its first shows where its counts ended
+                lowering = d._out[v].bit_count() < base
+                self._passed(d, True, n)
+                if not lowering:
+                    self._passed(d, False, n)
+            kept = True
+            yield
+        self.chains = chains
+        self._passed(d, True, n)
+        self._passed(d, False, n)
+
+
 def fresh_count_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
     """The per-vertex choice generator without degree certificates, as a reference.
 
-    Same contract and yields as ``sequences._vertex_choices``, and it makes
+    Same contract and yields as ``chain_cut_choices``, and it makes
     one count per candidate the same way, but its counts are unbounded: it
     searches for every path of a pair whose outdegrees already decide that
     it has exactly k paths.
@@ -577,7 +700,7 @@ def fresh_count_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
 def plain_scan_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
     """The per-vertex choice generator with a plain scan, as a reference.
 
-    Same contract and yields as ``sequences._vertex_choices``, but every
+    Same contract and yields as ``chain_cut_choices``, but every
     step of a chain tests u = v+1, v+2, ... afresh and keeps nothing that a
     failed λ test proved.
     """
@@ -603,7 +726,7 @@ def plain_scan_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
 def retesting_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
     """The per-vertex choice generator that re-tests a pair after each reversal, as a reference.
 
-    Same contract and yields as ``sequences._vertex_choices``, and it keeps
+    Same contract and yields as ``chain_cut_choices``, and it keeps
     the cuts of failed λ tests the same way, but ``retesting_pairs`` tests a
     pair afresh, with a count capped at k+1, after every reversal it permits.
     """
