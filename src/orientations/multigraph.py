@@ -161,7 +161,7 @@ class Orientation:
         return v if self._dirs[e] else u
 
     def outdegrees(self) -> tuple[int, ...]:
-        return tuple(mask.bit_count() for mask in self._out)
+        return tuple([mask.bit_count() for mask in self._out])  # a list: tuple() sizes it once
 
     def _flip(self, edge_indices: Iterable[int]) -> None:
         # In-place; callers either own the orientation or flip it back before returning.

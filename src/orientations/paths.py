@@ -3,19 +3,19 @@
 This is the primitive layer under both enumerators and the only module that
 searches for paths.  Every search scans arcs through ``_grow``, the
 package's one arc-scanning loop, and rebuilds its path through one tree
-walk, ``_walk``.  The search is a plain BFS that scans only out-arcs.
-Each orientation keeps, per vertex x, the bitmask ``_out[x]`` over the
-positions of ``incidence[x]`` whose entries leave x, and every flip keeps
-it exact.  The search walks the set bits from low to high, so it meets x's
-out-arcs in edge-index order: among shortest paths the one through the
-lowest-indexed arcs is found first, and every caller inherits that
-determinism.  It charges one arc touch per out-arc scanned and none per
-in-arc.  Told to search inward, it walks in-arcs backward instead, x's
-in-arcs being the bits of its row mask that ``_out[x]`` leaves clear, and
-charges one touch per in-arc scanned and none per out-arc.  A count's
-deciding searches (below) meet in the middle: they grow BFS layers from the
-source along out-arcs and from the target along in-arcs, and charge one
-touch per arc scanned either way.
+walk, ``_walk``.  The search of the alpha expansion, of the alpha finder
+and of the k = 1 sweeps is a plain BFS that scans only out-arcs.  Each
+orientation keeps, per vertex x, the bitmask ``_out[x]`` over the positions
+of ``incidence[x]`` whose entries leave x, and every flip keeps it exact.
+The search walks the set bits from low to high, so it meets x's out-arcs in
+edge-index order: among shortest paths the one through the lowest-indexed
+arcs is found first, and every caller inherits that determinism.  It
+charges one arc touch per out-arc scanned and none per in-arc.  Told to
+search inward, it walks in-arcs backward instead, x's in-arcs being the
+bits of its row mask that ``_out[x]`` leaves clear, and charges one touch
+per in-arc scanned and none per out-arc.  A count's searches (below) meet
+in the middle: they grow BFS layers from the source along out-arcs and from
+the target along in-arcs, and charge one touch per arc scanned either way.
 
 A search may be told that a prefix of each vertex's incidence row is fixed:
 ``fixed[x]`` entries of ``incidence[x]``, which is in edge-index order.
@@ -27,14 +27,13 @@ such a prefix at every vertex.
 The number of pairwise arc-disjoint directed u-to-v paths is counted by the
 reverse-and-repeat scheme: find a path, reverse it, and iterate.  Each
 reversal lowers the u-to-v path count by exactly one, so the count is the
-number of iterations that find a path.  The paths are flipped in place; the
-first of them is a shortest path of the orientation as given.  Path i, when
-a forward search finds it, is the first path of a fresh count once paths
-0..i-1 are reversed, so those paths are successive reversals.  A count that
-falls short also hands back a cut, as a vertex bitmask, that certifies the
-shortfall for other pairs too.  A caller may have such a count leave its
-first paths reversed, all but its last ``spare``; every other count
-restores the orientation before it returns.
+number of iterations that find a path.  The paths are flipped in place,
+and path i is a u-to-v path of the orientation with paths 0..i-1 reversed,
+so the paths are successive reversals.  A count that falls short also
+hands back a cut, as a vertex bitmask, that certifies the shortfall for
+other pairs too.  A caller may have such a count leave its first paths
+reversed, all but its last ``spare``; every other count restores the
+orientation before it returns.
 
 The count owns the degree certificate: no more than min(out(u), in(v))
 paths exist, a bound read with two popcounts that are not charged.  When
@@ -45,31 +44,30 @@ unless a search fails first.  When the bound is also at most ``spare``, the
 count could leave no path reversed, so it returns at once with no path, no
 search and that cut.
 
-A count with a ``spare`` leaves at most ``limit - spare`` paths reversed,
-its limit being lowered to the degree bound first, so the searches after
-that many only decide: whether one more path exists and, when none does,
-the cut.  Those searches meet in the middle, and the rest stay forward BFS
-searches.  A meeting search grows the smaller of its two layers first;
-when each holds one vertex it grows the one with fewer arcs to scan, the
-source's on a tie, a choice read with two popcounts that are not charged.
-Reversing any u-to-v path lowers the count by one, so the deciding
-searches find a path exactly when forward ones would, and the kept paths
-and the stream built on them do not change.  Once a largest set of paths
-is reversed, the vertices u reaches form the set A, the source side of the
-smallest minimum u-to-v cut, and the vertices that reach v form the set B,
-whose complement V∖B is the source side of the largest one, whichever
-paths those are.  A failing meeting search stops as soon as either side
-runs out.  It hands back A when u's side runs out first, and otherwise
-V∖B, B being complete then.  Either set holds u, not v, and no arc leaves
-it, so either is a cut of the count, whichever caller reads it.
+Every search of a count meets in the middle, the paths it keeps and the
+ones that only decide whether one more path exists alike.  A meeting search
+grows the smaller of its two layers first; when each holds one vertex it
+grows the one with fewer arcs to scan, the source's on a tie, a choice read
+with two popcounts that are not charged.  Its path need not be a shortest
+one, but reversing any u-to-v path lowers the count by exactly one.  The
+arcs leaving a vertex set number the sum of its outdegrees less the edges
+inside it, so every path count, and with it the stream of outdegree
+sequences, depends on the outdegrees alone; only the order of the
+orientations listed within one outdegree class depends on which paths were
+kept.  Once a largest set of paths is reversed, the vertices u reaches form
+the set A, the source side of the smallest minimum u-to-v cut, and the
+vertices that reach v form the set B, whose complement V∖B is the source
+side of the largest one, whichever paths those are.  A failing meeting
+search stops as soon as either side runs out.  It hands back A when u's
+side runs out first, and otherwise V∖B, B being complete then.  Either set
+holds u, not v, and no arc leaves it, so either is a cut of the count,
+whichever caller reads it.
 
 A λ test, ``lambda_at_least``, is the count whose ``spare`` is its limit:
-it keeps no path reversed.  When its degree bound lies below the threshold
-it returns at once; otherwise every search it makes decides by meeting in
-the middle.  The k >= 2 connectivity check is made of λ tests, so it
-decides every search this way too.  Only the edge connectivity count,
-which has no ``spare`` because it needs exact counts below its cap,
-searches forward throughout.
+it keeps no path reversed, and when its degree bound lies below the
+threshold it returns at once.  The k >= 2 connectivity check is made of λ
+tests.  The edge connectivity count has no ``spare``, since it needs exact
+counts below its cap.
 
 Every search moves by ``_flip``: reverse a path or cycle, or undo that, and
 pay one arc touch per edge.  The finder of :mod:`orientations.kconn` flips
@@ -150,7 +148,7 @@ def _shortest_path(
     # vertices the search reached.  It may arrive holding vertices that the
     # search then treats as reached and never expands: the caller knows
     # that no path to a target runs through them.  Vertex ids are not
-    # checked: callers take them from the graph or from lambda_at_least.
+    # checked: callers take them from the graph.
     tree: dict[int, int | None] = {} if reached is None else reached
     for x in sources:
         tree[x] = None
@@ -183,9 +181,9 @@ def _meeting_path(
     # to scan (out-arcs at u's, in-arcs at v's), u's on a tie.  Charged as
     # one BFS run and one arc touch per arc scanned in either direction.
     # A failing search stops as soon as either side runs out.  When u's
-    # side runs out first, the cut is the set A that u reaches, the set the
-    # forward search would reach; otherwise v's tree holds the set B of
-    # vertices that reach v, and the cut is the mask of V∖B.
+    # side runs out first, the cut is the set A that u reaches; otherwise
+    # v's tree holds the set B of vertices that reach v, and the cut is the
+    # mask of V∖B.
     graph = orientation.graph
     rows, out, full, ends = graph.incidence, orientation._out, graph._row_mask, graph.edges
     ahead, behind = {u: None}, {v: None}
@@ -241,15 +239,15 @@ def _count_paths(
     spare: int | None = None,
 ) -> tuple[list[list[int]], int | None]:
     # Arc-disjoint u-to-v paths, up to ``limit`` of them, found by reversing
-    # one shortest path at a time; the first is a path of the orientation as
-    # given.  Every flip, the undo flips included, is an arc touch.  The
-    # count stops at min(limit, out(u), in(v)), since no more paths exist,
-    # and the path that reaches that stop is neither flipped nor undone: no
-    # search follows it.  ``spare`` is None or at least 1.  A count that
-    # falls short of ``limit`` undoes only its last ``spare`` paths (all of
-    # them when None) and leaves the others reversed; otherwise, and when a
-    # search raises, the orientation is restored.  A λ test is the count
-    # whose ``spare`` is its ``limit``: it keeps no path reversed.
+    # one meeting path at a time; each is a path of the orientation with the
+    # earlier ones reversed.  Every flip, the undo flips included, is an arc
+    # touch.  The count stops at min(limit, out(u), in(v)), since no more
+    # paths exist, and the path that reaches that stop is neither flipped nor
+    # undone: no search follows it.  ``spare`` is None or at least 1.  A count
+    # that falls short of ``limit`` undoes only its last ``spare`` paths (all
+    # of them when None) and leaves the others reversed; otherwise, and when a
+    # search raises, the orientation is restored.  A λ test is the count whose
+    # ``spare`` is its ``limit``: it keeps no path reversed.
     #
     # Returned with the paths is a cut when fewer than ``limit`` exist, else
     # None: the vertex bitmask of a set R that holds u but not v and that no
@@ -264,13 +262,8 @@ def _count_paths(
     # every vertex but v.  Otherwise R is the cut of the failing search.
     # A count whose degree bound lies below ``limit`` and at most at
     # ``spare`` could leave no path reversed, so it returns at once with no
-    # path and that degree cut, which the bound's arcs leave.
-    #
-    # With a ``spare``, the searches past the first ``limit - spare``
-    # (``limit`` lowered to the degree bound) find paths that the count
-    # never keeps reversed, so they meet in the middle: they find a path
-    # exactly when a forward search would.  Failing, one hands back the set
-    # the forward search would reach when u's side runs out first, and
+    # path and that degree cut, which the bound's arcs leave.  A failing
+    # search hands back the set u reaches when u's side runs out first, and
     # otherwise every vertex that does not reach v (see the module
     # docstring).
     bound = _degree_bound(orientation, u, v)
@@ -282,15 +275,9 @@ def _count_paths(
         limit = bound
     paths: list[list[int]] = []
     flipped = kept = 0
-    forward = limit if spare is None else limit - spare
     try:
         while len(paths) < limit:
-            if len(paths) < forward:
-                reached: dict = {}
-                path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
-                failed = None if path else sum(1 << x for x in reached)
-            else:
-                path, failed = _meeting_path(orientation, u, v, meter)
+            path, failed = _meeting_path(orientation, u, v, meter)
             if path is None:
                 cut = failed
                 break

@@ -32,17 +32,18 @@ toward the other without touching fixed vertices.
 
 A chain takes the later vertices u in order and makes one count of the
 arc-disjoint paths between v and each u that no tight set (below) rules
-out: from v when lowering, into v when raising.  Its limit, the degree of v plus one,
-is more than any count can find, so every count falls short and hands back
-a cut.  The count's paths P_1, ..., P_λ are those of successive reversals:
-P_i is the first path found once P_1, ..., P_(i-1) are reversed, and each
+out: from v when lowering, into v when raising.  Its limit, the degree of
+v plus one, is more than any count can find, so every count falls short
+and hands back a cut.  The count's paths P_1, ..., P_λ are those of
+successive reversals: P_i is the path a meeting search finds once
+P_1, ..., P_(i-1) are reversed (see :mod:`orientations.paths`), and each
 reversal lowers λ by exactly one, since it leaves every cut between the
-pair with one leaving arc fewer.  Testing the pair afresh after every
-reversal, and reversing the first path found while more than k exist,
-would therefore reverse P_1, ..., P_(λ-k).  The count leaves just these
-reversed, undoing the paths after them, and the chain takes them over
-with no re-test.  (Those later paths are found by meeting searches, so
-they need not be P_(λ-k+1), ..., P_λ; see :mod:`orientations.paths`.)
+pair with one leaving arc fewer.  Reversing a path while more than k exist
+leaves every set at least k leaving arcs, so the count leaves
+P_1, ..., P_(λ-k) reversed, undoing the paths after them, and the chain
+takes them over with no re-test.  Which paths those are changes the
+orientations a chain yields but not their outdegrees, so only the order of
+orientations within one outdegree class depends on it.
 The count's cut R is taken on the orientation with all λ paths reversed,
 the one the last failing re-test would search.  When the source has no
 out-arc or the target no in-arc left there, R is the source alone or

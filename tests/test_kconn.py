@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from orientations import (
     Multigraph,
     Orientation,
     connectivity,
+    enumerate_alpha,
     enumerate_k_connected,
     enumerate_outdegree_sequences,
     find_k_connected_orientation,
@@ -150,19 +152,40 @@ def test_doubled_triangle_k2_matches_oracle():
     assert set(got) == oracle_k_connected(g, 2)
 
 
+class _Enough(Exception):
+    pass
+
+
 def test_classes_are_contiguous_and_match_sequence_stream():
-    g = parse_graph(DOUBLED_TRIANGLE)
-    emitted = []
-    enumerate_k_connected(g, 1, lambda d: emitted.append(d.outdegrees()))
-    blocks = [emitted[0]]
-    for prev, cur in zip(emitted, emitted[1:]):
-        if cur != prev:
-            blocks.append(cur)
-    assert len(blocks) == len(set(blocks))  # one contiguous block per class
-    seed = find_k_connected_orientation(g, 1)
-    seqs = []
-    enumerate_outdegree_sequences(g, 1, seed, lambda s, w: seqs.append(s))
-    assert blocks == seqs
+    # The orientations of one outdegree class arrive as one block, the
+    # blocks in the order of the sequence stream, and each complete block
+    # holds the whole class: as many orientations as the alpha expansion
+    # lists for that outdegree vector.  Which paths the vertex levels keep
+    # reversed may reorder a block but changes none of this.  The 3x3 torus
+    # stops after its first 5,000 orientations, so its last block may be
+    # cut short.
+    for g, cap in ((parse_graph(DOUBLED_TRIANGLE), None), (families.torus(3, 3), 5_000)):
+        emitted = []
+
+        def sink(d):
+            emitted.append(d.outdegrees())
+            if len(emitted) == cap:
+                raise _Enough
+
+        try:
+            enumerate_k_connected(g, 1, sink)
+        except _Enough:
+            pass
+        blocks = [out for i, out in enumerate(emitted) if i == 0 or out != emitted[i - 1]]
+        sizes = Counter(emitted)
+        assert len(blocks) == len(set(blocks))  # one contiguous block per class
+        seqs = []
+        enumerate_outdegree_sequences(g, 1, None, lambda s, w: seqs.append(s))
+        assert blocks == seqs[: len(blocks)]
+        complete = blocks if cap is None else blocks[:-1]
+        assert len(complete) > (5 if cap is None else 50)
+        for out in complete:
+            assert sizes[out] == enumerate_alpha(g, out, lambda d: None)
 
 
 def test_explicit_seed_gives_same_solution_set():

@@ -51,7 +51,7 @@ CASES = [
     ("torus3x3", "odseq", ("--k", "2"), None,
      "5d2f75241fe5f26be4a78edd6a44cda3b1dce36a83fe817a52f1dab1be20284f"),
     ("torus3x3", "korient", ("--k", "1"), PREFIX_LINES,
-     "93d1293ca0bede6d7e16cee3055153f90eac9bf9d8bfa0b142ccf63e87ae88f9"),
+     "d7e53f813165b8c46096727a7598726af104fbfd3305730d266114d0a543139d"),
     ("torus3x3", "korient", ("--k", "2"), None,
      "6f9b367c33fdad4b7dc50da286ecf12e1ed09bb5f81b972cf60123516d364ea3"),
 ]

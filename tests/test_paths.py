@@ -285,23 +285,25 @@ def _check_spared_counts(d, u, v, limit, paths, meter, seen) -> int:
         assert cut in (set(ahead), outside) and u in cut and v not in cut and cut_outdegree(full, cut) == 0
         assert spared.bfs_runs == meter.bfs_runs
         assert left == reversed_copy(d, [e for path in paths[:kept] for e in path])
+        assert len(unbounded_count_paths(left, u, v, limit)[0]) == len(paths) - kept
         if len(paths) < bound and set(ahead) != outside:
             seen["closure" if cut == set(ahead) else "outside"] += 1
     return decided
 
 
 def test_one_count_finds_the_paths_of_successive_reversals():
-    # With a limit above λ, path i of one count is the first path of a fresh
-    # count on the orientation with paths 0..i-1 reversed, each reversal
-    # lowers λ by exactly one, and the count's cut is the one a fresh count
-    # finds once all its paths are reversed.  The sequence search reverses a
-    # count's paths in turn on this ground, instead of re-testing the pair:
-    # a count told to spare its last s paths returns with exactly its first
-    # λ-s paths reversed.  Those are the paths of successive reversals; the
-    # later ones, which its meeting searches find, are u-to-v paths once the
-    # earlier ones are reversed, and the count runs the same searches.  Its
-    # cut follows the one cut rule, so it is the unspared count's only when
-    # u's side runs out first; relabelled 3x4 tori, past the oracle's reach,
+    # With a limit above λ, one count finds the oracle's λ paths.  Path i is
+    # a u-to-v path of the orientation with paths 0..i-1 reversed, found by
+    # a meeting search there, so it is the first path of a fresh count
+    # there; each reversal lowers λ by exactly one, by the unbounded count,
+    # and the count's cut is the one a fresh count finds once all its paths
+    # are reversed.  The sequence search reverses a count's paths in turn on
+    # this ground, instead of re-testing the pair: a count told to spare its
+    # last s paths returns with exactly its first λ-s paths reversed and λ
+    # down by that many.  Its later paths are u-to-v paths once the earlier
+    # ones are reversed, and the count runs the same searches.  Its cut
+    # follows the one cut rule, so it is the unspared count's only when u's
+    # side runs out first; relabelled 3x4 tori, past the oracle's reach,
     # give both kinds of cut.  One that would spare at least its degree
     # bound min(out(u), in(v)) returns at once: no path, no search, the
     # orientation as given and its degree cut.
@@ -322,7 +324,9 @@ def test_one_count_finds_the_paths_of_successive_reversals():
                 decided += _check_spared_counts(d, u, v, limit, paths, meter, seen)
                 for i in range(len(paths) + 1):
                     flipped = reversed_copy(d, [e for path in paths[:i] for e in path])
-                    assert oracle_lambda(flipped, u, v) == len(paths) - i
+                    assert len(unbounded_count_paths(flipped, u, v, limit)[0]) == len(paths) - i
+                    if i < len(paths):
+                        assert_path(flipped, paths[i], u, v)
                     fresh, fresh_cut = _count_paths(flipped, u, v, limit)
                     assert fresh[:1] == paths[i : i + 1]
                 assert fresh == [] and fresh_cut == cut
@@ -520,9 +524,10 @@ def test_a_count_hands_back_the_cut_its_last_search_would_reach():
 
 
 def test_a_count_that_reaches_its_limit_never_flips_its_last_path():
-    # The count charges the searches of successive reversals and a flip and
-    # an undo of every path but the last: 2·|P_limit| touches fewer than
-    # flipping and undoing them all.  The orientation comes back unchanged.
+    # The count charges the meeting searches of successive reversals and a
+    # flip and an undo of every path but the last: 2·|P_limit| touches fewer
+    # than flipping and undoing them all.  The orientation comes back
+    # unchanged.
     rng = random.Random(616)
     checked = 0
     for _, g in families.random_family(30, seed=37):
@@ -535,7 +540,7 @@ def test_a_count_that_reaches_its_limit_never_flips_its_last_path():
                 assert cut is None and len(paths) == limit and d == before
                 for i in range(limit):
                     flipped = reversed_copy(d, [e for path in paths[:i] for e in path])
-                    assert _shortest_path(flipped, (u,), (v,), None, searches) == paths[i]
+                    assert _meeting_path(flipped, u, v, searches) == (paths[i], None)
                 assert meter.bfs_runs == searches.bfs_runs == limit
                 assert meter.arc_touches == searches.arc_touches + 2 * sum(len(p) for p in paths[:-1])
                 checked += 1
@@ -544,12 +549,10 @@ def test_a_count_that_reaches_its_limit_never_flips_its_last_path():
 
 def test_a_count_stops_at_its_degree_bound():
     # No more than min(out(u), in(v)) paths exist, so a count stops there
-    # with the cut and the orientation of the count that goes on to its
-    # limit, and runs the same searches.  A count that undoes every path
-    # finds the same paths and only skips flipping and undoing the one that
-    # reaches the bound, 2·|last path| touches.  A count that spares paths
-    # finds the same ones it keeps, and the rest are u-to-v paths once the
-    # earlier ones are reversed; one that would spare at least the bound
+    # with the paths, the cut and the orientation of the count that goes on
+    # to its limit, and runs the same searches.  A count that undoes every
+    # path only skips flipping and undoing the one that reaches the bound,
+    # 2·|last path| touches.  One that would spare at least the bound
     # returns at once with no path, no search and its degree cut.
     rng = random.Random(717)
     stopped = decided = 0
@@ -570,20 +573,8 @@ def test_a_count_stops_at_its_degree_bound():
                         decided += 1
                         continue
                     want, want_cut = unbounded_count_paths(unbounded, u, v, limit, reference, spare)
-                    assert left == unbounded and len(paths) == len(want)
-                    if spare is None or want_cut is None:
-                        assert cut == want_cut
-                    else:  # A or V∖B once every path is reversed
-                        flipped = reversed_copy(d, [e for path in paths for e in path])
-                        ahead, behind = {}, {}
-                        _shortest_path(flipped, (u,), (v,), None, None, ahead)
-                        _shortest_path(flipped, (v,), (u,), None, None, behind, inward=True)
-                        assert vertices(cut) in (set(ahead), set(range(g.n)) - set(behind))
+                    assert left == unbounded and paths == want and cut == want_cut
                     assert meter.bfs_runs == reference.bfs_runs
-                    forward = len(paths) if spare is None else min(limit, bound) - spare
-                    assert paths[:forward] == want[:forward]
-                    for i in range(max(forward, 0), len(paths)):
-                        assert_path(reversed_copy(d, [e for path in paths[:i] for e in path]), paths[i], u, v)
                     if spare is not None:
                         continue
                     saved = reference.arc_touches - meter.arc_touches

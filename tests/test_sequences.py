@@ -376,14 +376,14 @@ def test_tight_sets_never_cost_more_than_chain_cuts(monkeypatch):
             for korient in (False, True):
                 cap = (1_000 if korient else 5_000) if name.startswith("torus") else None
                 figures[name, korient, k] = _against_chain_cuts(monkeypatch, g, k, korient, cap)
-    assert figures["torus3x4", False, 1] == ((109_337, 132), (100_302, 111))
+    assert figures["torus3x4", False, 1] == ((99_700, 112), (91_544, 101))
 
 
 @pytest.mark.slow
 def test_tight_sets_cost_less_on_the_whole_3x4_torus(monkeypatch):
     # The benchmark's odseq graph, all 54,481 sequences: (reference, search).
     figures = _against_chain_cuts(monkeypatch, families.torus(3, 4), 1, False)
-    assert figures == ((1_254_143, 152), (1_102_446, 116))
+    assert figures == ((1_154_078, 140), (1_015_075, 107))
 
 
 def _against_chain_cuts(monkeypatch, g, k, korient, cap=None):
@@ -426,12 +426,11 @@ def test_tight_sets_grow_with_the_graph_not_the_solutions():
     # 1,000 sequences arrive exceeds the peak while the first 1,000 do by
     # less than n * n more sets would take: whatever a subtree adds to the
     # family is cut back when it returns.  The peak still moves a little
-    # with the states a window visits, as the chain-cut search's does.  A
-    # first untraced run fills the interpreter's free list of 12-tuples,
-    # whose memory tracemalloc counts as held: the outdegree tuples of
-    # 2,000 leaves would otherwise read as growth.
+    # with the states a window visits, as the chain-cut search's does.  No
+    # warm-up run comes first: a leaf's outdegree tuple is allocated at its
+    # size, so no resized tuple piles up in the interpreter's free lists,
+    # whose memory tracemalloc would count as held.
     g, peaks = families.torus(3, 4), []
-    _stream(g, 1, False, DelayMeter(), 2_500)
 
     def sink(s, w):
         sink.count += 1
@@ -499,34 +498,37 @@ def _torus_figures_against(reference):
 def _chain(choices):
     # A reference chain on ``scanned_sequences``: it counts paths with the
     # unbounded count and its finder checks k = 1 by pairwise counts, so
-    # its figures are those of the older searches with a BFS that scans
-    # only out-arcs, counts that stop where the outdegrees decide them, and
+    # its figures are those of the older chain with the meeting searches of
+    # today's counts, counts that stop where the outdegrees decide them, and
     # a finder that charges only the edges it flips.
     return lambda g, k, meter: scanned_sequences(g, k, meter, choices)
 
 
 def test_cut_reuse_never_costs_more_than_the_plain_scan():
     # The plain scan's figures on the torus are the ones the search had
-    # before failed λ tests kept their cuts.
+    # before failed λ tests kept their cuts, with every search of a count
+    # meeting in the middle as it does now.
     plain, reused = _torus_figures_against(_chain(plain_scan_choices))
-    assert plain == (171_182, 572)
+    assert plain == (136_733, 416)
     assert reused[0] < plain[0] and reused[1] < plain[1]
 
 
 def test_one_count_per_candidate_never_costs_more_than_retesting():
     # The re-testing chain's figures on the torus are the ones the search
-    # had before one count per candidate replaced the re-tests.
+    # had before one count per candidate replaced the re-tests, with every
+    # search of a count meeting in the middle as it does now.
     retested, counted = _torus_figures_against(_chain(retesting_choices))
-    assert retested == (140_118, 212)
+    assert retested == (111_331, 159)
     assert counted[0] < retested[0] and counted[1] < retested[1]
 
 
 def test_tight_sets_never_cost_more_than_fresh_counts():
     # The fresh-count chain's figures on the torus are the ones the search
-    # had before tight sets outlived their chain; the search without them
+    # had before tight sets outlived their chain, with every search of a
+    # count meeting in the middle as it does now; the search without them
     # must still cost less.
     fresh, kept = _torus_figures_against(_chain(fresh_count_choices))
-    assert fresh == (105_832, 194)
+    assert fresh == (86_920, 145)
     assert kept[0] < fresh[0] and kept[1] < fresh[1]
 
 
@@ -545,7 +547,7 @@ def test_degree_certificates_never_cost_more_than_counting(monkeypatch):
         return want
 
     counted, skipped = _torus_figures_against(counting)
-    assert counted == (50_677, 107)
+    assert counted == (46_539, 95)
     assert skipped[0] < counted[0] and skipped[1] < counted[1]
 
 
@@ -567,7 +569,7 @@ def test_degree_stops_and_sweeps_never_cost_more_than_counting_to_the_limit(monk
         return want
 
     counted, stopped = _torus_figures_against(unbounded)
-    assert counted == (70_339, 112)
+    assert counted == (58_619, 81)
     assert stopped[0] < counted[0] and stopped[1] < counted[1]
 
 
@@ -591,19 +593,20 @@ def _first_sequences(graph, k, count, meter):
 
 
 def test_meeting_searches_cost_less_than_forward_ones_at_scale(monkeypatch):
-    # On the 8x8 torus at k = 1, the counts' deciding searches meet in the
+    # On the 8x8 torus at k = 1, every search of a count meets in the
     # middle.  With every search forward, the figures are those of the
-    # search before they did; the stream is the same, and here the BFS runs
-    # are no more.
+    # search before any did.  The paths kept reversed differ, so the
+    # witnesses may too, but the sequences are the same, and here the BFS
+    # runs are no more.
     torus = families.torus(8, 8)
     meter, forward = DelayMeter(), DelayMeter()
     got = _first_sequences(torus, 1, 1_500, meter)
     with monkeypatch.context() as patched:
         patched.setattr(sequences, "_count_paths", forward_count_paths)
         want = _first_sequences(torus, 1, 1_500, forward)
-    assert got == want and meter.bfs_runs <= forward.bfs_runs
+    assert [s for s, _ in got] == [s for s, _ in want] and meter.bfs_runs <= forward.bfs_runs
     assert (forward.total_ops, forward.max_delay_ops) == (219_141, 431)
-    assert (meter.total_ops, meter.max_delay_ops) == (152_190, 319)
+    assert (meter.total_ops, meter.max_delay_ops) == (132_370, 292)
     assert meter.total_ops < forward.total_ops and meter.max_delay_ops < forward.max_delay_ops
 
 

@@ -11,11 +11,11 @@ cycle decomposition between two orientations with equal outdegrees,
 ``assert_path`` checks a directed u-to-v path,
 ``unbounded_count_paths`` is the λ count that goes on past min(out(u),
 in(v)) to its limit, ``forward_count_paths`` the λ count whose every search
-runs forward, ``closure_count_paths`` the λ count with the older meeting
-search, which grows the smaller layer first and always hands back the
-forward closure, ``pairwise_is_k_connected`` the connectivity check
-that counts paths from vertex 0 to every other vertex and back also for
-k = 1, ``InvariantProbe`` replays the enumeration walks with their
+runs forward, ``closure_count_paths`` the λ count whose deciding searches
+are the older meeting search, which grows the smaller layer first and
+always hands back the forward closure, ``pairwise_is_k_connected`` the
+connectivity check that counts paths from vertex 0 to every other vertex
+and back also for k = 1, ``InvariantProbe`` replays the enumeration walks with their
 proof-step assertions (``probed_alpha``, ``probed_sequences``,
 ``probed_k_connected``), ``scanned_sequences`` replays the
 outdegree-sequence search with a reference chain: the plain scan that
@@ -58,7 +58,7 @@ from orientations import (
 from oracles import oracle_lambda
 from orientations import alpha as alpha_module
 from orientations.alpha import _EdgeLevels, _emit_leaves, walk
-from orientations.paths import _count_paths, _degree_bound, _flip, _grow, _shortest_path, _walk
+from orientations.paths import _count_paths, _degree_bound, _flip, _grow, _meeting_path, _shortest_path, _walk
 from orientations.sequences import _expansion, _TightSets, _vertex_choices
 
 
@@ -149,11 +149,11 @@ def unbounded_count_paths(
 ) -> tuple[list[list[int]], int | None]:
     """``paths._count_paths`` without its degree stop, as a reference.
 
-    Same contract, and the same cut as a vertex bitmask, but it counts up to
-    ``limit`` whatever out(u) and in(v) are: it flips the path that reaches
-    min(out(u), in(v)) below the limit and then stops before the next search,
-    on {u} when u has no out-arc left, else on every vertex but v when v has
-    no in-arc left, and undoes that path.  Only the path that reaches
+    Same contract, searches and cut, but it counts up to ``limit`` whatever
+    out(u) and in(v) are: it flips the path that reaches min(out(u), in(v))
+    below the limit and then stops before the next search, on {u} when u
+    has no out-arc left, else on every vertex but v when v has no in-arc
+    left, and undoes that path.  Only the path that reaches
     ``limit`` is neither flipped nor undone.  So a pair whose outdegrees
     decide it is counted too, and its paths are returned.
     """
@@ -168,9 +168,7 @@ def unbounded_count_paths(
             elif out[v] == all_in:
                 cut = (1 << n) - 1 ^ 1 << v
             else:
-                reached: dict = {}
-                path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
-                cut = None if path is not None else sum(1 << x for x in reached)
+                path, cut = _meeting_path(orientation, u, v, meter)
             if cut is not None:
                 kept = 0 if spare is None else max(len(paths) - spare, 0)
                 return paths, cut
@@ -194,13 +192,13 @@ def forward_count_paths(
 ) -> tuple[list[list[int]], int | None]:
     """``paths._count_paths`` with forward searches only, as a reference.
 
-    Same contract, searches, cut and orientation left behind, and it stops
-    or returns at once where the outdegrees decide it the same way, but
-    every search is the forward BFS, also those whose paths the count never
-    keeps reversed, so all its paths are the paths of successive reversals
-    and every cut is the forward closure.
+    Same contract, and it stops or returns at once where the outdegrees
+    decide it the same way, but every search is the forward BFS, so its
+    paths are shortest ones and every cut is the forward closure.  It finds
+    as many paths, but not the same ones, so it leaves a different
+    orientation with the same outdegrees.
     """
-    return _reference_count(orientation, u, v, limit, meter, spare, None)
+    return _reference_count(orientation, u, v, limit, meter, spare, _forward_path, _forward_path)
 
 
 def closure_count_paths(
@@ -213,23 +211,30 @@ def closure_count_paths(
 ) -> tuple[list[list[int]], int | None]:
     """``paths._count_paths`` with the older meeting search, as a reference.
 
-    Its deciding searches grow the smaller layer first, u's on a tie, and a
-    failing one always goes on until u's side runs out and hands back the
-    forward closure.  They find a path exactly
-    when ``paths._meeting_path`` does, so the count keeps the same paths
-    reversed.
+    The searches whose paths it keeps reversed are ``paths._meeting_path``,
+    so it keeps the package's paths.  Its deciding searches grow the smaller
+    layer first, u's on a tie, and a failing one always goes on until u's
+    side runs out and hands back the forward closure.  They find a path
+    exactly when ``paths._meeting_path`` does.
     """
-    return _reference_count(orientation, u, v, limit, meter, spare, _closure_meeting_path)
+    return _reference_count(orientation, u, v, limit, meter, spare, _meeting_path, _closure_meeting_path)
 
 
-def _closure_meeting_path(orientation: Orientation, u: int, v: int, meter, reached: dict) -> list[int] | None:
+def _forward_path(orientation: Orientation, u: int, v: int, meter) -> tuple[list[int] | None, int | None]:
+    # The forward BFS as ``paths._meeting_path`` answers: a path and None,
+    # or None and the set it reached.
+    reached: dict = {}
+    path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
+    return path, None if path else sum(1 << x for x in reached)
+
+
+def _closure_meeting_path(orientation: Orientation, u: int, v: int, meter) -> tuple[list[int] | None, int | None]:
     # The meeting search before the narrower end grew first: the smaller
-    # layer grows first, u's on a tie, and ``reached`` receives u's tree,
-    # every vertex u reaches when no path exists.
+    # layer grows first, u's on a tie, and a failing one hands back every
+    # vertex u reaches.
     graph = orientation.graph
     rows, out, ends = graph.incidence, orientation._out, graph.edges
-    ahead, behind = reached, {v: None}
-    ahead[u] = None
+    ahead, behind = {u: None}, {v: None}
     front, back = [u], [v]
     if meter is not None:
         meter.bfs()
@@ -246,13 +251,14 @@ def _closure_meeting_path(orientation: Orientation, u: int, v: int, meter, reach
     if meter is not None:
         meter.arcs(touched)
     if hit is None:
-        return None
-    return _walk(ends, ahead, hit)[::-1] + _walk(ends, behind, hit)
+        return None, sum(1 << x for x in ahead)
+    return _walk(ends, ahead, hit)[::-1] + _walk(ends, behind, hit), None
 
 
-def _reference_count(orientation, u, v, limit, meter, spare, meeting) -> tuple[list[list[int]], int | None]:
-    # The λ count of ``paths._count_paths`` with ``meeting`` as its
-    # deciding search (forward BFS searches only when None).
+def _reference_count(orientation, u, v, limit, meter, spare, keeping, deciding) -> tuple[list[list[int]], int | None]:
+    # The λ count of ``paths._count_paths`` with ``keeping`` as the search
+    # for the paths it may keep reversed and ``deciding`` as the rest, each
+    # answering as ``paths._meeting_path`` does.
     bound = _degree_bound(orientation, u, v)
     cut: int | None = None
     if bound < limit:
@@ -262,16 +268,13 @@ def _reference_count(orientation, u, v, limit, meter, spare, meeting) -> tuple[l
         limit = bound
     paths: list[list[int]] = []
     flipped = kept = 0
-    forward = limit if spare is None or meeting is None else limit - spare
+    kept_searches = limit if spare is None else limit - spare
     try:
         while len(paths) < limit:
-            reached: dict = {}
-            if len(paths) < forward:
-                path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
-            else:
-                path = meeting(orientation, u, v, meter, reached)
+            search = keeping if len(paths) < kept_searches else deciding
+            path, failed = search(orientation, u, v, meter)
             if path is None:
-                cut = sum(1 << x for x in reached)
+                cut = failed
                 break
             paths.append(path)
             if len(paths) < limit:
