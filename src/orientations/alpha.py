@@ -15,15 +15,24 @@ are a prefix of each row; the walk keeps the length of that prefix per
 vertex, and the search for a completing cycle scans only the rest of each
 row.
 
+The search meets in the middle (see :mod:`orientations.paths`): it grows
+BFS layers from the head along free out-arcs and from the tail backward
+along free in-arcs.  Whether a level can flip depends only on the
+outdegrees and the fixed edges, so any path from head to tail serves;
+which one it finds changes only the order of the leaves.
+
 Most of these searches fail, and a failed search leaves a closed set for
 the levels above.  At level e the free edges are F = e+1..m-1, and a
 vertex set is closed when no arc of F leaves it.  No path inside F leaves
-a closed set, so a search from the head treats a closed set that misses
-the tail as reached and never expands it.  Outside the set it finds the
-same vertices, in the same order and with the same tree, as a fresh
-search, so the paths and the stream are unchanged, and it scans only arcs
-that the fresh search would scan.  When such a set holds the head, no path
-exists and the level does not search.
+a closed set, so no vertex of a closed set that misses the tail reaches
+the tail.  The head's side treats such a set as reached and never expands
+it, and the tail's side, which grows only through vertices that reach the
+tail, never meets one; the search still finds a path exactly when one
+exists.  When such a set holds the head, no path exists and the level does
+not search.  A failed search hands back A, the set the head's side
+reached, the closed set included, when that side runs out first, and
+otherwise V∖B, B being the set of vertices that reach the tail.  Each holds
+the head and the closed set, misses the tail, and no arc of F leaves it.
 
 The sets survive the flips by one lemma.  Let out_F(X) be the number of
 F-arcs that leave X: the sum of out_F(x) over x in X, less the number of
@@ -33,21 +42,24 @@ changes out_F(X) by [b in X] - [a in X].  Every flip below level e is a
 directed cycle inside F.  Four rules follow:
 
 - Received cut R.  The set that level e+1 hands up is closed at level e.
-  The level uses it whole when it misses the tail, and drops it otherwise.
+  The level uses it whole when it misses the tail.  Otherwise it uses the
+  spare that level e+1 handed up with it, when that misses the tail, and
+  nothing when neither does.
 - Inherited set D.  A level that flips passes down P, the union of the sets
   its search skipped.  P misses head and tail, so the path its flip
   reverses inside F, from head to tail, keeps P closed, and so does every
   flip below.  The set D passed down by the nearest flipping level above is
   thus closed at every level below it, and a level uses D when it misses
   the tail.  A level skips its search when the head lies in R or in D.
-- Search outcome.  A failed search hands up the set it reached, R and D
-  included; a skipped search hands up R (none when it was dropped).  Either
-  misses the tail, and edge e runs from the tail, so no arc free at level
-  e-1 leaves it.
+- Search outcome.  A failed search hands up A or V∖B, R and D included,
+  with the union of R and D as its spare; a skipped search hands up the R
+  it used (none when it used none) as both.  Each misses the tail, and
+  edge e runs from the tail, so no arc free at level e-1 leaves it.
 - Flipping level.  After its subtree it hands up the set S that level e+1
   left, closed among the edges e+1..m-1.  Edge e now runs from head to
   tail, so it leaves S just when S holds the head but not the tail; then,
-  and when S is empty, the level hands up P, which misses both.
+  and when S is empty, the level hands up P, which misses both.  Its spare
+  is P.
 
 A level searches only when its head lies outside R and D, has a free
 out-arc, and its tail has a free in-arc.  When level e searches,
@@ -58,13 +70,13 @@ e+1..m-1, and ``(_row_mask[x] ^ _out[x]) >> fixed[x]`` its free in-arcs.
 A path from head to tail leaves the head and enters the tail by free arcs,
 so a level that fails these tests would find none.  At the last level
 every edge is fixed, so its search is always skipped.  ``_EdgeLevels``
-owns ``fixed``, the cut, the set passed down and the mask of the edges its
-flips left reversed, from which the k-connected search of
+owns ``fixed``, the cut and its spare, the set passed down and the mask of
+the edges its flips left reversed, from which the k-connected search of
 :mod:`orientations.sequences` restores the orientation once per expansion.
-A search adds the vertices it reaches after those it treats as reached, so
-a level that flips takes P as the head of its search tree, a slice of a
-dict in insertion order.  Like ``fixed``, the sets and the mask are walk
-bookkeeping: they touch no arc and are not charged.
+The sets are vertex bitmasks, as the sequence search holds its cuts: a
+union is one OR, V∖B one XOR, and a test whether a set holds a vertex one
+bit test.  Like ``fixed``, the sets and the mask are walk bookkeeping:
+they touch no arc and are not charged.
 
 ``walk`` is the one traversal scheme of the package: the k-connected
 search of :mod:`orientations.sequences` and the first-solution finder run on
@@ -80,11 +92,10 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Callable, Iterator, Sequence
-from itertools import islice
 
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation, _integers
-from .paths import _flip, _shortest_path
+from .paths import _flip, _meeting_path, _shortest_path
 
 __all__ = ["find_alpha_orientation", "enumerate_alpha"]
 
@@ -200,26 +211,28 @@ class _EdgeLevels:
     # up.  Each level counts its edge in fixed at both ends while it is
     # open, so when level e searches, fixed[x] counts the edges at x among
     # 0..e, which lead x's incidence row, and the search skips them.
-    # Skipping e itself changes no search: at the source, head, it is an
-    # in-arc, and the target, tail, is never scanned.  flipped is the
-    # bitmask of the edges that the levels' flips left reversed.
+    # Skipping e itself changes no search: it is an in-arc at head, whose
+    # side scans out-arcs, and an out-arc at tail, whose side scans in-arcs.
+    # flipped is the bitmask of the edges that the levels' flips left
+    # reversed.
     #
-    # When level e resumes, cut holds the set R that level e+1 handed up ({}
-    # at the last level), and down the set D that the nearest flipping level
-    # above passed down ({} below none).  The level uses each of them only
-    # when it misses tail.  It searches only when head lies outside both,
-    # has a free out-arc, and tail has a free in-arc (see the module
-    # docstring); the search never expands them.  A failed search leaves the
-    # set it reached in cut, and a level that does not search leaves R.  A
-    # level that flips passes down P, the union its search skipped, sets
-    # down back to D after its flip subtree, and leaves in cut the set S
-    # that the subtree handed up, or P when S is empty or holds head but
-    # not tail.
-    __slots__ = ("d", "meter", "fixed", "cut", "down", "flipped")
+    # The sets are vertex bitmasks.  When level e resumes, cut holds the set
+    # R that level e+1 handed up (0 at the last level), spare the set that
+    # level handed up with it, which stands in for R when R holds tail, and
+    # down the set D that the nearest flipping level above passed down (0
+    # below none).  The level uses each of them only when it misses tail.
+    # It searches only when head lies outside both, has a free out-arc, and
+    # tail has a free in-arc (see the module docstring); the search never
+    # expands them.  A failed search leaves its cut, A or V∖B, in cut and P,
+    # the union it skipped, in spare; a level that does not search leaves R
+    # in both.  A level that flips passes down P, sets down back to D after
+    # its flip subtree, and leaves in cut the set S that the subtree handed
+    # up, or P when S is empty or holds head but not tail, and P in spare.
+    __slots__ = ("d", "meter", "fixed", "cut", "spare", "down", "flipped")
 
     def __init__(self, d: Orientation, meter: DelayMeter):
         self.d, self.meter = d, meter
-        self.fixed, self.cut, self.down, self.flipped = [0] * d.graph.n, {}, {}, 0
+        self.fixed, self.cut, self.spare, self.down, self.flipped = [0] * d.graph.n, 0, 0, 0, 0
 
     def choices(self, e: int) -> Iterator[None]:
         d, fixed, out, rows = self.d, self.fixed, self.d._out, self.d.graph._row_mask
@@ -227,23 +240,23 @@ class _EdgeLevels:
         tail, head = (u, v) if d.forward(e) else (v, u)
         fixed[u] += 1
         fixed[v] += 1
-        self.cut = {}
+        self.cut = 0
         yield
-        reached = self.cut
-        if tail in reached:
-            reached = {}
-        path = None
-        if head not in reached and out[head] >> fixed[head] and (rows[tail] ^ out[tail]) >> fixed[tail]:
+        closed = self.cut
+        if closed >> tail & 1:
+            closed = self.spare
+            if closed >> tail & 1:
+                closed = 0
+        path, passed = None, closed
+        if not closed >> head & 1 and out[head] >> fixed[head] and (rows[tail] ^ out[tail]) >> fixed[tail]:
             down = self.down
-            inherited = {} if tail in down else down
-            if head not in inherited:
-                reached.update(inherited)
-                searched = len(reached)
-                path = _shortest_path(d, (head,), (tail,), fixed, self.meter, reached)
+            inherited = 0 if down >> tail & 1 else down
+            if not inherited >> head & 1:
+                passed |= inherited
+                path, closed = _meeting_path(d, head, tail, fixed, passed, self.meter)
         if path is None:
-            self.cut = reached
+            self.cut, self.spare = closed, passed
         else:
-            passed = dict(islice(reached.items(), searched)) if searched else {}
             path.append(e)
             _flip(d, path, self.meter)
             for f in path:
@@ -252,7 +265,8 @@ class _EdgeLevels:
             yield
             self.down = down
             below = self.cut
-            self.cut = below if below and (tail in below or head not in below) else passed
+            self.cut = below if below and (below >> tail & 1 or not below >> head & 1) else passed
+            self.spare = passed
         fixed[u] -= 1
         fixed[v] -= 1
 

@@ -44,21 +44,22 @@ def is_k_connected(orientation: Orientation, k: int, meter: DelayMeter | None = 
 
 
 class _Last:
-    # The targets of a sweep: the vertex whose discovery leaves none unreached.
-    def __init__(self, reached: dict, n: int):
-        self.reached, self.n = reached, n
+    # The targets of a sweep: the vertex whose discovery leaves none
+    # unreached.  A search asks once about each vertex it discovers.
+    def __init__(self, n: int):
+        self.unreached = n - 1  # every vertex but the root
 
     def __contains__(self, w: int) -> bool:
-        return len(self.reached) == self.n
+        self.unreached -= 1
+        return not self.unreached
 
 
 def _reaches_all(orientation: Orientation, inward: bool, meter: DelayMeter | None) -> bool:
     # One search from vertex 0 along out-arcs, or backward along in-arcs,
-    # that stops once it has reached every vertex.
-    reached: dict = {}
+    # that stops once it has reached every vertex: it finds a path to the
+    # last vertex it discovers exactly when that is every vertex.
     n = orientation.graph.n
-    _shortest_path(orientation, (0,), _Last(reached, n), None, meter, reached, inward)
-    return len(reached) == n
+    return _shortest_path(orientation, (0,), _Last(n), None, meter, inward) is not None
 
 
 def edge_connectivity(graph: Multigraph) -> int:

@@ -5,9 +5,9 @@ that a search scans, an edge flipped, or an edge copied for a sink that
 keeps the orientation, or serialized by the CLI.  A search scans
 only the arcs that leave the vertices it expands, never their in-arcs,
 with two exceptions: the inward sweep of the strong-connectivity check
-scans only the arcs that enter them, and a path count's meeting search
-scans the out-arcs of the vertices it grows from the source and the
-in-arcs of those it grows from the target.  Wall time
+scans only the arcs that enter them, and a meeting search, a path
+count's or the alpha expansion's, scans the out-arcs of the vertices it
+grows from the source and the in-arcs of those it grows from the target.  Wall time
 never enters the accounting, so delay and amortized-cost bounds can be
 asserted portably.
 

@@ -3,8 +3,8 @@
 This is the primitive layer under both enumerators and the only module that
 searches for paths.  Every search scans arcs through ``_grow``, the
 package's one arc-scanning loop, and rebuilds its path through one tree
-walk, ``_walk``.  The search of the alpha expansion, of the alpha finder
-and of the k = 1 sweeps is a plain BFS that scans only out-arcs.  Each
+walk, ``_walk``.  The search of the alpha finder and of the k = 1 sweeps
+is a plain BFS, ``_shortest_path``, that scans only out-arcs.  Each
 orientation keeps, per vertex x, the bitmask ``_out[x]`` over the positions
 of ``incidence[x]`` whose entries leave x, and every flip keeps it exact.
 The search walks the set bits from low to high, so it meets x's out-arcs in
@@ -13,16 +13,20 @@ arcs is found first, and every caller inherits that determinism.  It
 charges one arc touch per out-arc scanned and none per in-arc.  Told to
 search inward, it walks in-arcs backward instead, x's in-arcs being the
 bits of its row mask that ``_out[x]`` leaves clear, and charges one touch
-per in-arc scanned and none per out-arc.  A count's searches (below) meet
-in the middle: they grow BFS layers from the source along out-arcs and from
-the target along in-arcs, and charge one touch per arc scanned either way.
+per in-arc scanned and none per out-arc.  The searches of a count (below)
+and of the alpha expansion meet in the middle, ``_meeting_path``: they grow
+BFS layers from the source along out-arcs and from the target along
+in-arcs, and charge one touch per arc scanned either way.
 
 A search may be told that a prefix of each vertex's incidence row is fixed:
 ``fixed[x]`` entries of ``incidence[x]``, which is in edge-index order.
 ``_out[x] >> fixed[x] << fixed[x]`` clears the prefix's bits, so the search
 neither uses nor counts the fixed entries.  The alpha expansion fixes edges
 in index order, so below its edge level e the fixed edges 0..e are exactly
-such a prefix at every vertex.
+such a prefix at every vertex.  Its meeting search may also be handed a
+closed set, a vertex bitmask of vertices none of which reaches the target:
+the source's side treats them as reached and never expands them, and the
+target's side never meets one (see :mod:`orientations.alpha`).
 
 The number of pairwise arc-disjoint directed u-to-v paths is counted by the
 reverse-and-repeat scheme: find a path, reverse it, and iterate.  Each
@@ -48,20 +52,21 @@ Every search of a count meets in the middle, the paths it keeps and the
 ones that only decide whether one more path exists alike.  A meeting search
 grows the smaller of its two layers first; when each holds one vertex it
 grows the one with fewer arcs to scan, the source's on a tie, a choice read
-with two popcounts that are not charged.  Its path need not be a shortest
-one, but reversing any u-to-v path lowers the count by exactly one.  The
-arcs leaving a vertex set number the sum of its outdegrees less the edges
-inside it, so every path count, and with it the stream of outdegree
-sequences, depends on the outdegrees alone; only the order of the
-orientations listed within one outdegree class depends on which paths were
-kept.  Once a largest set of paths is reversed, the vertices u reaches form
-the set A, the source side of the smallest minimum u-to-v cut, and the
-vertices that reach v form the set B, whose complement V∖B is the source
-side of the largest one, whichever paths those are.  A failing meeting
-search stops as soon as either side runs out.  It hands back A when u's
-side runs out first, and otherwise V∖B, B being complete then.  Either set
-holds u, not v, and no arc leaves it, so either is a cut of the count,
-whichever caller reads it.
+with popcounts that are not charged, one per layer of one vertex.  A side
+whose layer is one vertex with no arc to scan has run out without growing
+it.  Its path need not be a shortest one, but reversing any u-to-v path
+lowers the count by exactly one.  The arcs leaving a vertex set number the
+sum of its outdegrees less the edges inside it, so every path count, and
+with it the stream of outdegree sequences, depends on the outdegrees alone;
+only the order of the orientations listed within one outdegree class
+depends on which paths were kept.  Once a largest set of paths is reversed,
+the vertices u reaches form the set A, the source side of the smallest
+minimum u-to-v cut, and the vertices that reach v form the set B, whose
+complement V∖B is the source side of the largest one, whichever paths those
+are.  A failing meeting search stops as soon as either side runs out.  It
+hands back A when u's side runs out first, and otherwise V∖B, B being
+complete then.  Either set holds u, not v, and no arc leaves it, so either
+is a cut of the count, whichever caller reads it.
 
 A λ test, ``lambda_at_least``, is the count whose ``spare`` is its limit:
 it keeps no path reversed, and when its degree bound lies below the
@@ -133,7 +138,6 @@ def _shortest_path(
     targets: Collection[int],
     fixed: Sequence[int] | None,
     meter: DelayMeter | None,
-    reached: dict | None = None,
     inward: bool = False,
 ) -> list[int] | None:
     # Multi-source BFS along out-arcs, skipping the first fixed[x]
@@ -142,16 +146,8 @@ def _shortest_path(
     # With ``inward`` it walks in-arcs backward instead, x's being the bits
     # of its row mask that ``_out[x]`` leaves clear: a search of the
     # reversed orientation.  The whole search is one ``_grow`` over one
-    # queue.
-    # ``reached``, when given, receives the search tree, each vertex mapped
-    # to the edge it was reached by (a source to None), so its keys are the
-    # vertices the search reached.  It may arrive holding vertices that the
-    # search then treats as reached and never expands: the caller knows
-    # that no path to a target runs through them.  Vertex ids are not
-    # checked: callers take them from the graph.
-    tree: dict[int, int | None] = {} if reached is None else reached
-    for x in sources:
-        tree[x] = None
+    # queue.  Vertex ids are not checked: callers take them from the graph.
+    tree: dict[int, int | None] = dict.fromkeys(sources)
     graph = orientation.graph
     queue = list(sources)
     if meter is not None:
@@ -172,48 +168,74 @@ def _meeting_path(
     orientation: Orientation,
     u: int,
     v: int,
+    fixed: Sequence[int] | None,
+    closed: int,
     meter: DelayMeter | None,
 ) -> tuple[list[int] | None, int | None]:
     # A u-to-v path and None, or None and a cut, found by growing BFS
     # layers from u along out-arcs and from v backward along in-arcs, one
-    # ``_grow`` per layer, until an arc joins the two trees.  The smaller
-    # layer grows first; when both hold one vertex, the one with fewer arcs
-    # to scan (out-arcs at u's, in-arcs at v's), u's on a tie.  Charged as
-    # one BFS run and one arc touch per arc scanned in either direction.
-    # A failing search stops as soon as either side runs out.  When u's
-    # side runs out first, the cut is the set A that u reaches; otherwise
-    # v's tree holds the set B of vertices that reach v, and the cut is the
-    # mask of V∖B.
+    # ``_grow`` per layer, until an arc joins the two trees.  Both sides
+    # skip the first fixed[x] entries of each row (none when ``fixed`` is
+    # None).  u's side treats the vertices of the bitmask ``closed`` as
+    # reached and never expands them: the caller knows that none of them
+    # reaches v, so v's side never meets one.  Charged as one BFS run and
+    # one arc touch per arc scanned in either direction.
+    #
+    # The smaller layer grows first; when both hold one vertex, the one
+    # with fewer arcs to scan (out-arcs at u's, in-arcs at v's), u's on a
+    # tie.  Each side keeps its layer's key for that rule, computed once
+    # per layer: its size times ``span``, which exceeds every arc count,
+    # plus its vertex's arc count when it holds one, so the side with the
+    # smaller key grows, u's on equal keys.  A key of at most ``span`` is
+    # an empty layer or one vertex with no arc to scan, so that side has
+    # run out: a failing search stops there, before it grows that side
+    # again.  When u's side runs out first, the cut is the set A that u
+    # reaches, ``closed`` included; otherwise v's tree holds the set B of
+    # vertices that reach v, and the cut is the mask of V∖B.
     graph = orientation.graph
-    rows, out, full, ends = graph.incidence, orientation._out, graph._row_mask, graph.edges
+    rows, out, full = graph.incidence, orientation._out, graph._row_mask
     ahead, behind = {u: None}, {v: None}
-    front, back = [u], [v]
+    while closed:
+        x = closed.bit_length() - 1
+        closed ^= 1 << x
+        ahead[x] = None
+    front, back, span = [u], [v], len(graph.edges) + 1
+    front_key = span + (out[u] if fixed is None else out[u] >> fixed[u]).bit_count()
+    back_key = span + (out[v] ^ full[v] if fixed is None else (out[v] ^ full[v]) >> fixed[v]).bit_count()
     if meter is not None:
         meter.bfs()
     hit, touched = None, 0
-    while hit is None and front and back:
-        if len(back) == 1 == len(front):
-            y = back[0]
-            inward = (out[y] ^ full[y]).bit_count() < out[front[0]].bit_count()
+    while hit is None:
+        if back_key < front_key:
+            if back_key <= span:
+                break
+            layer: list[int] = []
+            hit, scanned = _grow(rows, out, full, fixed, back, layer, behind, ahead)
+            back, back_key = layer, len(layer) * span
+            if back_key == span:
+                y = layer[0]
+                back_key += (out[y] ^ full[y] if fixed is None else (out[y] ^ full[y]) >> fixed[y]).bit_count()
         else:
-            inward = len(back) < len(front)
-        layer: list[int] = []
-        if inward:
-            hit, scanned = _grow(rows, out, full, None, back, layer, behind, ahead)
-            back = layer
-        else:
-            hit, scanned = _grow(rows, out, None, None, front, layer, ahead, behind)
-            front = layer
+            if front_key <= span:
+                break
+            layer = []
+            hit, scanned = _grow(rows, out, None, fixed, front, layer, ahead, behind)
+            front, front_key = layer, len(layer) * span
+            if front_key == span:
+                x = layer[0]
+                front_key += (out[x] if fixed is None else out[x] >> fixed[x]).bit_count()
         touched += scanned
     if meter is not None:
         meter.arcs(touched)
     if hit is None:
-        if front:
-            return None, (1 << graph.n) - 1 ^ sum(1 << x for x in behind)
-        return None, sum(1 << x for x in ahead)
-    edges = _walk(ends, ahead, hit)
+        inward = back_key < front_key  # v's side ran out
+        cut = 0
+        for x in behind if inward else ahead:
+            cut |= 1 << x
+        return None, (1 << graph.n) - 1 ^ cut if inward else cut
+    edges = _walk(graph.edges, ahead, hit)
     edges.reverse()
-    return edges + _walk(ends, behind, hit), None
+    return edges + _walk(graph.edges, behind, hit), None
 
 
 def _flip(d: Orientation, edges: Sequence[int], meter: DelayMeter | None) -> None:
@@ -277,7 +299,7 @@ def _count_paths(
     flipped = kept = 0
     try:
         while len(paths) < limit:
-            path, failed = _meeting_path(orientation, u, v, meter)
+            path, failed = _meeting_path(orientation, u, v, None, 0, meter)
             if path is None:
                 cut = failed
                 break

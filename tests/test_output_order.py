@@ -51,7 +51,7 @@ CASES = [
     ("torus3x3", "odseq", ("--k", "2"), None,
      "5d2f75241fe5f26be4a78edd6a44cda3b1dce36a83fe817a52f1dab1be20284f"),
     ("torus3x3", "korient", ("--k", "1"), PREFIX_LINES,
-     "d7e53f813165b8c46096727a7598726af104fbfd3305730d266114d0a543139d"),
+     "d9545ba2a4d10b639edf1322dee446ee790c583389782ffff8838e88a27c97c9"),
     ("torus3x3", "korient", ("--k", "2"), None,
      "6f9b367c33fdad4b7dc50da286ecf12e1ed09bb5f81b972cf60123516d364ea3"),
 ]

@@ -23,6 +23,7 @@ from witnesses import (
     forward_count_paths,
     reverse_path,
     reversed_copy,
+    tree_search,
     unbounded_count_paths,
     vertices,
 )
@@ -264,8 +265,8 @@ def _check_spared_counts(d, u, v, limit, paths, meter, seen) -> int:
     full = reversed_copy(d, [e for path in paths for e in path])
     ahead: dict = {}
     behind: dict = {}
-    _shortest_path(full, (u,), (v,), None, None, ahead)
-    _shortest_path(full, (v,), (u,), None, None, behind, inward=True)
+    tree_search(full, (u,), (v,), None, None, ahead)
+    tree_search(full, (v,), (u,), None, None, behind, inward=True)
     outside = set(range(n)) - set(behind)
     decided = 0
     for spare in range(1, len(paths) + 2):
@@ -342,42 +343,68 @@ def test_one_count_finds_the_paths_of_successive_reversals():
 
 def test_a_meeting_search_answers_as_the_forward_search_does(monkeypatch):
     # One BFS run that finds a u-to-v path exactly when the forward search
-    # does; it scans each arc at most once each way.  Failing, it stops as
-    # soon as either side runs out, and no earlier layer comes out empty.
-    # Its cut is then the set A that the forward search reaches when u's
+    # does; it scans each arc at most once each way.  Both sides skip the
+    # fixed prefix of each row, and u's side treats the vertices of a closed
+    # set, none of which reaches v, as reached.  Failing, it stops as soon
+    # as either side runs out: its layer comes out empty, or is one vertex
+    # with no arc to scan, which it never grows; u's side when both start
+    # so.  No earlier layer comes out empty.  Its cut is then the set A
+    # that the forward search reaches, the closed set included, when u's
     # side, grown along out-arcs, runs out, and otherwise every vertex
     # outside the set B that reaches v.
     real_grow, steps = paths._grow, []
 
     def traced(rows, out, full, fixed, layer, following, tree, targets):
         found = real_grow(rows, out, full, fixed, layer, following, tree, targets)
-        steps.append((full is not None, not following))
+        steps.append((full is not None, following))
         return found
 
+    def out_of_arcs(d, layer, inward, shift) -> bool:
+        # The layer is empty, or one vertex with no arc to scan.
+        if len(layer) != 1:
+            return not layer
+        x = layer[0]
+        arcs = d.graph._row_mask[x] ^ d._out[x] if inward else d._out[x]
+        return not arcs >> shift[x]
+
     monkeypatch.setattr(paths, "_grow", traced)
-    rng = random.Random(919)
+    rng, picks = random.Random(919), random.Random(920)
     met = 0
-    seen = {"closure": 0, "outside": 0}
+    seen = {"closure": 0, "outside": 0, "unscanned": 0, "fixed": 0, "closed": 0}
     for _, g in families.random_family(60, seed=53):
         d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
-        for u, v in [(u, v) for u in range(g.n) for v in range(g.n) if u != v]:
-            meter, forward, behind = DelayMeter(), {}, {}
+        last = picks.randrange(g.m)  # edges 0..last fixed
+        prefix = [sum(e <= last for e, _, _ in row) for row in g.incidence]
+        for fixed, u, v in [(f, u, v) for f in (None, prefix) for u in range(g.n) for v in range(g.n) if u != v]:
+            shift = fixed or [0] * g.n
+            reaching: dict = {}
+            tree_search(d, (v,), (), fixed, None, reaching, inward=True)
+            closed = sum(1 << x for x in range(g.n) if x != u and x not in reaching and picks.random() < 0.5)
+            meter, forward, behind = DelayMeter(), dict.fromkeys(vertices(closed)), {}
             steps.clear()
-            path, cut = _meeting_path(d, u, v, meter)
-            inward, ran_out = steps[-1]
+            path, cut = _meeting_path(d, u, v, fixed, closed, meter)
             assert meter.bfs_runs == 1 and meter.arc_touches <= 2 * g.m
-            assert not any(emptied for _, emptied in steps[:-1])
-            want = _shortest_path(d, (u,), (v,), None, None, forward)
+            assert all(layer for _, layer in steps[:-1])
+            want = tree_search(d, (u,), (v,), fixed, None, forward)
             if want is None:
-                _shortest_path(d, (v,), (u,), None, None, behind, inward=True)
+                front = ([u], *(layer for inward, layer in steps if not inward))[-1]
+                back = ([v], *(layer for inward, layer in steps if inward))[-1]
+                inward = not out_of_arcs(d, front, False, shift)
+                assert path is None and (not inward or out_of_arcs(d, back, True, shift))
+                tree_search(d, (v,), (u,), fixed, None, behind, inward=True)
                 outside = set(range(g.n)) - set(behind)
-                assert path is None and ran_out and vertices(cut) == (outside if inward else set(forward))
+                assert vertices(cut) == (outside if inward else set(forward))
                 if set(forward) != outside:
                     seen["outside" if inward else "closure"] += 1
+                seen["unscanned"] += bool(back if inward else front)
+                seen["closed"] += bool(closed) and not inward
             else:
                 assert cut is None
                 assert_path(d, path, u, v)
+                assert fixed is None or min(path) > last
+                assert not any(d.tail(e) in vertices(closed) or d.head(e) in vertices(closed) for e in path)
                 met += 1
+            seen["fixed"] += fixed is not None and path is None
     assert met > 200 and min(seen.values()) > 20, (met, seen)
 
 
@@ -398,8 +425,8 @@ def test_a_count_asked_for_the_largest_cut_hands_back_a_cut_as_large_or_larger()
             flipped = reversed_copy(d, [e for path in _count_paths(d, u, v, limit)[0] for e in path])
             ahead: dict = {}
             behind: dict = {}
-            _shortest_path(flipped, (u,), (v,), None, None, ahead)
-            _shortest_path(flipped, (v,), (u,), None, None, behind, inward=True)
+            tree_search(flipped, (u,), (v,), None, None, ahead)
+            tree_search(flipped, (v,), (u,), None, None, behind, inward=True)
             outside = set(range(g.n)) - set(behind)
             out = d.outdegrees()
             for spare in range(1, min(out[u], g.degree(v) - out[v])):  # no count decided at once
@@ -415,11 +442,18 @@ def test_a_count_asked_for_the_largest_cut_hands_back_a_cut_as_large_or_larger()
     assert min(seen.values()) > 40, seen
 
 
-def test_an_inward_search_is_the_forward_search_of_the_reversed_orientation():
+def test_an_inward_search_is_the_forward_search_of_the_reversed_orientation(monkeypatch):
     # Walking in-arcs backward from s to t is searching the orientation with
     # every edge reversed: the same path, the same search tree built in the
     # same order, one BFS run and the same arc touches, with or without a
-    # fixed prefix.
+    # fixed prefix.  The search is one ``_grow``, whose tree the test keeps.
+    real_grow, trees = paths._grow, []
+
+    def traced(rows, out, full, fixed, layer, following, tree, targets):
+        trees.append(tree)
+        return real_grow(rows, out, full, fixed, layer, following, tree, targets)
+
+    monkeypatch.setattr(paths, "_grow", traced)
     rng = random.Random(1234)
     pairs = found = 0
     for _, g in families.random_family(60, seed=61):
@@ -430,9 +464,10 @@ def test_an_inward_search_is_the_forward_search_of_the_reversed_orientation():
         for fixed in (None, prefix):
             for s, t in [(s, t) for s in range(g.n) for t in range(g.n) if s != t]:
                 inward, forward = DelayMeter(), DelayMeter()
-                got, want = {}, {}
-                path = _shortest_path(d, (s,), (t,), fixed, inward, got, inward=True)
-                assert path == _shortest_path(flipped, (s,), (t,), fixed, forward, want)
+                trees.clear()
+                path = _shortest_path(d, (s,), (t,), fixed, inward, inward=True)
+                assert path == _shortest_path(flipped, (s,), (t,), fixed, forward)
+                got, want = trees
                 assert list(got.items()) == list(want.items())
                 assert (inward.bfs_runs, inward.arc_touches) == (forward.bfs_runs, forward.arc_touches)
                 assert inward.bfs_runs == 1
@@ -509,7 +544,7 @@ def test_a_count_hands_back_the_cut_its_last_search_would_reach():
                 cut = vertices(mask)
                 flipped = reversed_copy(d, [e for path in paths for e in path])
                 reached: dict = {}
-                assert _shortest_path(flipped, (u,), (v,), None, None, reached) is None
+                assert tree_search(flipped, (u,), (v,), None, None, reached) is None
                 if not flipped._out[u]:
                     seen["source"] += 1
                     assert cut == set(reached) == {u}
@@ -540,7 +575,7 @@ def test_a_count_that_reaches_its_limit_never_flips_its_last_path():
                 assert cut is None and len(paths) == limit and d == before
                 for i in range(limit):
                     flipped = reversed_copy(d, [e for path in paths[:i] for e in path])
-                    assert _meeting_path(flipped, u, v, searches) == (paths[i], None)
+                    assert _meeting_path(flipped, u, v, None, 0, searches) == (paths[i], None)
                 assert meter.bfs_runs == searches.bfs_runs == limit
                 assert meter.arc_touches == searches.arc_touches + 2 * sum(len(p) for p in paths[:-1])
                 checked += 1

@@ -31,11 +31,13 @@ checks every pair that its tight sets rule out.  ``FullScanLevels``,
 ``UncutLevels``, ``UncountedLevels`` and ``FlipBackLevels`` stand in for
 the alpha expansion's ``_EdgeLevels``: the first with a reference search
 that scans whole incidence rows, the second with no cut reaching any
-search, the third as the expansion is without the free-arc counts and the
+search, the third as the expansion was without the free-arc counts and the
 sets passed down, running every search that the cut does not skip, and
 the fourth as the expansion was before its levels left their flips: each
 level undoes its flip, and keeps a closed prefix of a cut that holds its
-tail.
+tail.  The last two search forward, as the expansion did before its
+search met in the middle, with ``tree_search``: the package's BFS that
+also hands back its search tree.
 """
 from __future__ import annotations
 
@@ -168,7 +170,7 @@ def unbounded_count_paths(
             elif out[v] == all_in:
                 cut = (1 << n) - 1 ^ 1 << v
             else:
-                path, cut = _meeting_path(orientation, u, v, meter)
+                path, cut = _count_search(orientation, u, v, meter)
             if cut is not None:
                 kept = 0 if spare is None else max(len(paths) - spare, 0)
                 return paths, cut
@@ -211,21 +213,59 @@ def closure_count_paths(
 ) -> tuple[list[list[int]], int | None]:
     """``paths._count_paths`` with the older meeting search, as a reference.
 
-    The searches whose paths it keeps reversed are ``paths._meeting_path``,
-    so it keeps the package's paths.  Its deciding searches grow the smaller
-    layer first, u's on a tie, and a failing one always goes on until u's
-    side runs out and hands back the forward closure.  They find a path
-    exactly when ``paths._meeting_path`` does.
+    The searches whose paths it keeps reversed are ``paths._meeting_path``
+    as a count makes them, so it keeps the package's paths.  Its deciding
+    searches grow the smaller layer first, u's on a tie, and a failing one
+    always goes on until u's side runs out and hands back the forward
+    closure.  They find a path exactly when ``paths._meeting_path`` does.
     """
-    return _reference_count(orientation, u, v, limit, meter, spare, _meeting_path, _closure_meeting_path)
+    return _reference_count(orientation, u, v, limit, meter, spare, _count_search, _closure_meeting_path)
+
+
+def _count_search(orientation: Orientation, u: int, v: int, meter) -> tuple[list[int] | None, int | None]:
+    # ``paths._meeting_path`` as a count makes it: no fixed prefix and no
+    # closed set.
+    return _meeting_path(orientation, u, v, None, 0, meter)
 
 
 def _forward_path(orientation: Orientation, u: int, v: int, meter) -> tuple[list[int] | None, int | None]:
     # The forward BFS as ``paths._meeting_path`` answers: a path and None,
     # or None and the set it reached.
     reached: dict = {}
-    path = _shortest_path(orientation, (u,), (v,), None, meter, reached)
+    path = tree_search(orientation, (u,), (v,), None, meter, reached)
     return path, None if path else sum(1 << x for x in reached)
+
+
+def tree_search(
+    orientation: Orientation,
+    sources: Sequence[int],
+    targets,
+    fixed: Sequence[int] | None,
+    meter: DelayMeter | None,
+    reached: dict,
+    inward: bool = False,
+) -> list[int] | None:
+    """``paths._shortest_path`` that hands back its search tree, as a reference.
+
+    The same BFS, path, BFS run and arc touches, and the search the alpha
+    expansion made before it met in the middle.  ``reached`` receives the
+    tree, each vertex mapped to the edge it was reached by (a source to
+    None), so its keys are the vertices the search reached.  It may arrive
+    holding vertices that the search then treats as reached and never
+    expands.
+    """
+    for x in sources:
+        reached[x] = None
+    graph = orientation.graph
+    queue = list(sources)
+    if meter is not None:
+        meter.bfs()
+    hit, touched = _grow(
+        graph.incidence, orientation._out, graph._row_mask if inward else None, fixed, queue, queue, reached, targets
+    )
+    if meter is not None:
+        meter.arcs(touched)
+    return None if hit is None else _walk(graph.edges, reached, hit)[::-1]
 
 
 def _closure_meeting_path(orientation: Orientation, u: int, v: int, meter) -> tuple[list[int] | None, int | None]:
@@ -377,20 +417,21 @@ class InvariantProbe:
       length of the fixed prefix of x's incidence row, and that
       ``assert_masks_exact`` holds.  The levels are those of one
       ``_EdgeLevels``, as in the enumerators, and the probe reads its
-      state.  When a level searches, the cut must be what level e+1 left,
-      or empty at the last level, the free out-arc count derived from the
+      state, whose sets are vertex bitmasks.  When a level searches, the cut
+      and the spare must be what level e+1 left, the cut empty at the last
+      level, the free out-arc count derived from the
       masks, ``popcount(_out[x] >> fixed[x])``, must be the number of
       out-arcs at x among the edges e+1..m-1, and the free in-arc count,
       ``popcount((_row_mask[x] ^ _out[x]) >> fixed[x])``, the number of
       in-arcs, and no arc of the edges e+1..m-1 may leave the set it
       inherited from the flipping level above, used or not.  When a level
       skips its search, an unmetered search on the live orientation must
-      find no path either.  No arc of the edges e..m-1 may leave the cut a
-      level hands up, so no arc free at the level above leaves it.  When a
-      level searches, the set its search treats as reached must miss the
-      tail and be left by no arc of the edges e+1..m-1 either: the probe
-      runs the walk with ``alpha._shortest_path`` replaced by its checked
-      ``search``;
+      find no path either.  No arc of the edges e..m-1 may leave the cut or
+      the spare a level hands up, so no arc free at the level above leaves
+      them.  When a level searches, the closed set that its search treats
+      as reached must miss the tail and be left by no arc of the edges
+      e+1..m-1 either: the probe runs the walk with ``alpha._meeting_path``
+      replaced by its checked ``search``;
     - ``expansion()`` drives ``sequences._expansion`` over the probe's edge
       levels, as the k-connected search does below its last vertex level.
       Its ``restore`` asserts that the levels' ``flipped`` mask names
@@ -418,7 +459,7 @@ class InvariantProbe:
         self.target = target
         self.meter = DelayMeter()
         self.levels = _EdgeLevels(self.d, self.meter)
-        self.left = None  # the cut as the last edge level to end left it
+        self.left = None  # the cut and spare as the last edge level to end left them
         self.level = None  # the edge level that resumed last, the one that searches
         self.given = None  # the orientation the running expansion was given
         self.tight = _TightSets()  # the tight-set families the vertex levels share, as in the search
@@ -437,9 +478,9 @@ class InvariantProbe:
             options += 1
             if options == 1:
                 if e + 1 < d.graph.m:
-                    assert levels.cut is self.left, f"edge level {e} reads a cut that level {e + 1} did not leave"
+                    assert (levels.cut, levels.spare) == self.left, f"edge level {e} reads sets that level {e + 1} did not leave"
                 else:
-                    assert levels.cut == {}, f"the last edge level, {e}, reads a cut"
+                    assert levels.cut == 0, f"the last edge level, {e}, reads a cut"
                 fo, fi = [0] * d.graph.n, [0] * d.graph.n
                 for f in range(e + 1, d.graph.m):
                     fo[d.tail(f)] += 1
@@ -449,7 +490,7 @@ class InvariantProbe:
                 rows = d.graph._row_mask
                 free_in = [((rows[x] ^ d._out[x]) >> levels.fixed[x]).bit_count() for x in range(d.graph.n)]
                 assert free_in == fi, f"derived free in-arc counts at edge level {e} are not the edges {e + 1}.."
-                down = levels.down
+                down = vertices(levels.down)
                 leaving = [f for f in range(e + 1, d.graph.m) if d.tail(f) in down and d.head(f) not in down]
                 assert not leaving, f"free arcs {leaving} leave the set edge level {e} inherited"
                 runs = self.meter.bfs_runs
@@ -458,19 +499,20 @@ class InvariantProbe:
         tail, head = d.tail(e), d.head(e)
         if options == 1 and self.meter.bfs_runs == runs:
             assert _shortest_path(d, (head,), (tail,), counts, None) is None, f"edge level {e} skipped a search that finds a path"
-        cut = levels.cut
-        leaving = [f for f in range(e, d.graph.m) if d.tail(f) in cut and d.head(f) not in cut]
-        assert not leaving, f"arcs {leaving} leave the cut left by edge level {e}"
-        self.left = cut
+        for handed in (levels.cut, levels.spare):
+            members = vertices(handed)
+            leaving = [f for f in range(e, d.graph.m) if d.tail(f) in members and d.head(f) not in members]
+            assert not leaving, f"arcs {leaving} leave a set handed up by edge level {e}"
+        self.left = levels.cut, levels.spare
 
-    def search(self, d, sources, targets, fixed, meter, reached):
+    def search(self, d, u, v, fixed, closed, meter):
         # The search of the edge level that resumed last, after checking the
-        # set it is told to treat as reached.
-        e = self.level
-        leaving = [f for f in range(e + 1, d.graph.m) if d.tail(f) in reached and d.head(f) not in reached]
+        # closed set it is told to treat as reached.
+        e, skipped = self.level, vertices(closed)
+        leaving = [f for f in range(e + 1, d.graph.m) if d.tail(f) in skipped and d.head(f) not in skipped]
         assert not leaving, f"free arcs {leaving} leave the skipped set of edge level {e}"
-        assert not any(t in reached for t in targets), f"edge level {e} skips a set that holds its tail"
-        return _shortest_path(d, sources, targets, fixed, meter, reached)
+        assert v not in skipped, f"edge level {e} skips a set that holds its tail"
+        return _meeting_path(d, u, v, fixed, closed, meter)
 
     def expansion(self):
         self.given = bytes(self.d._dirs)
@@ -496,7 +538,7 @@ class InvariantProbe:
             yield
 
     def leaves(self, levels: int, choices):
-        with mock.patch.object(alpha_module, "_shortest_path", self.search):
+        with mock.patch.object(alpha_module, "_meeting_path", self.search):
             for _ in walk(levels, choices):
                 if self.target is not None:
                     assert self.d.outdegrees() == tuple(self.target), "emitted orientation misses the target outdegrees"
@@ -813,17 +855,19 @@ class UncutLevels(_EdgeLevels):
     def choices(self, e: int):
         for _ in super().choices(e):
             yield
-            self.cut = {}
+            self.cut = 0
 
 
 class UncountedLevels(_EdgeLevels):
     """The alpha expansion's edge levels without the free-arc counts, as a reference.
 
-    Same contract, yields and meter charges as ``alpha._EdgeLevels``, and
-    it reuses the cut that the level below handed up, but it keeps no
-    counts and passes no set down: every search that the cut does not skip
-    runs, the last edge level's included, and a level that flips hands up
-    no cut.
+    Same contract and yields as ``alpha._EdgeLevels``, and it reuses the
+    cut that the level below handed up, but it keeps no counts and passes
+    no set down: every search that the cut does not skip runs, the last
+    edge level's included, and a level that flips hands up no cut.  Its
+    search is the forward one that the expansion made before it met in the
+    middle, ``tree_search``, and its cuts are the dicts of the vertices
+    that search reached.
     """
 
     def choices(self, e: int):
@@ -837,7 +881,7 @@ class UncountedLevels(_EdgeLevels):
         reached = self.cut
         if tail in reached:
             reached = {}
-        path = None if head in reached else _shortest_path(d, (head,), (tail,), fixed, self.meter, reached)
+        path = None if head in reached else tree_search(d, (head,), (tail,), fixed, self.meter, reached)
         if path is None:
             self.cut = reached
         else:
@@ -862,8 +906,14 @@ class FlipBackLevels(_EdgeLevels):
     that misses head and tail once the flip is undone, and of a received
     set that holds the tail the level keeps the longest prefix that ends
     before a search's root, a vertex mapped to None, and misses the tail.
-    The stream holds the same orientations in another order.
+    Its search is the forward one of that expansion, ``tree_search``, and
+    its sets are dicts in insertion order.  The stream holds the same
+    orientations in another order.
     """
+
+    def __init__(self, d: Orientation, meter: DelayMeter):
+        super().__init__(d, meter)
+        self.cut, self.down = {}, {}
 
     def choices(self, e: int):
         d, fixed, out, rows = self.d, self.fixed, self.d._out, self.d.graph._row_mask
@@ -885,7 +935,7 @@ class FlipBackLevels(_EdgeLevels):
                     for x, via in inherited.items():
                         reached.setdefault(x, via)  # no root moves and none is made
                 searched = len(reached)
-                path = _shortest_path(d, (head,), (tail,), fixed, self.meter, reached)
+                path = tree_search(d, (head,), (tail,), fixed, self.meter, reached)
         if path is None:
             self.cut = reached
         else:
