@@ -210,7 +210,10 @@ class _EdgeLevels:
     # flipped: the level above searches on the orientation the level hands
     # up.  Each level counts its edge in fixed at both ends while it is
     # open, so when level e searches, fixed[x] counts the edges at x among
-    # 0..e, which lead x's incidence row, and the search skips them.
+    # 0..e, which lead x's incidence row, and the search skips them.  As
+    # the levels open in edge order, an end's count is the edge's position
+    # in its row plus one while the level is open and that position once
+    # it ends; ends[e] holds both ends of edge e with those counts.
     # Skipping e itself changes no search: it is an in-arc at head, whose
     # side scans out-arcs, and an out-arc at tail, whose side scans in-arcs.
     # flipped is the bitmask of the edges that the levels' flips left
@@ -228,18 +231,18 @@ class _EdgeLevels:
     # in both.  A level that flips passes down P, sets down back to D after
     # its flip subtree, and leaves in cut the set S that the subtree handed
     # up, or P when S is empty or holds head but not tail, and P in spare.
-    __slots__ = ("d", "meter", "fixed", "cut", "spare", "down", "flipped")
+    __slots__ = ("d", "meter", "ends", "fixed", "cut", "spare", "down", "flipped")
 
     def __init__(self, d: Orientation, meter: DelayMeter):
         self.d, self.meter = d, meter
+        self.ends = [(u, u_bit.bit_length(), v, v_bit.bit_length()) for u, u_bit, v, v_bit in d.graph._ends]
         self.fixed, self.cut, self.spare, self.down, self.flipped = [0] * d.graph.n, 0, 0, 0, 0
 
     def choices(self, e: int) -> Iterator[None]:
         d, fixed, out, rows = self.d, self.fixed, self.d._out, self.d.graph._row_mask
-        u, v = d.graph.edges[e]
+        u, u_fixed, v, v_fixed = self.ends[e]
         tail, head = (u, v) if d.forward(e) else (v, u)
-        fixed[u] += 1
-        fixed[v] += 1
+        fixed[u], fixed[v] = u_fixed, v_fixed
         self.cut = 0
         yield
         closed = self.cut
@@ -267,8 +270,7 @@ class _EdgeLevels:
             below = self.cut
             self.cut = below if below and (below >> tail & 1 or not below >> head & 1) else passed
             self.spare = passed
-        fixed[u] -= 1
-        fixed[v] -= 1
+        fixed[u], fixed[v] = u_fixed - 1, v_fixed - 1
 
     def restore(self) -> None:
         # Flips back, one arc touch each, the edges that the levels left
