@@ -2,18 +2,28 @@
 
 Two orientations have the same outdegree vector exactly when one arises from
 the other by reversing arc-disjoint directed cycles.  The initial search
-drives path reversals to the target vector; the enumeration fixes edges in
-index order, one level of ``walk`` per edge, whose choice generator keeps
-the edge and then flips it with a completing cycle.  A level never undoes
-its flip: after its subtree it hands the orientation up as it is, and the
-level above searches on that.  Two orientations of the class that agree on
-the fixed edges differ by directed cycles among the free ones, so whether
-a level can flip, and which leaves lie below it, do not depend on which of
-them it holds.  Consecutive leaves thus differ by one cycle reversal.
-Since every incidence row is in edge-index order, the edges fixed so far
-are a prefix of each row; the walk keeps the length of that prefix per
-vertex, and the search for a completing cycle scans only the rest of each
-row.
+drives path reversals to the target vector; the enumeration fixes the edges
+one level of ``walk`` each, whose choice generator keeps the edge and then
+flips it with a completing cycle.  A level never undoes its flip: after its
+subtree it hands the orientation up as it is, and the level above searches
+on that.  Two orientations of the class that agree on the fixed edges
+differ by directed cycles among the free ones, so whether a level can flip,
+and which leaves lie below it, do not depend on which of them it holds.
+Consecutive leaves thus differ by one cycle reversal.
+
+That holds for any order of the edges, and the levels take a closing order,
+``_closing_order``, computed once per run.  It takes the vertices one at a
+time: among those that the edges taken so far reach (all, when none is
+left), the one with the fewest edges left, the smallest id on ties; and it
+takes all the edges left at that vertex, in index order.  Level i fixes
+the i-th edge taken.  Each step closes a vertex off, and its neighbours
+soon have few free edges left, so a search for a completing cycle fails,
+or is skipped, near the top of the walk, where that spares the most: the
+fail-first rule of backtracking.  The order follows the graph, not the
+order in which the input lists its edges; the emitted lines still list the
+edges in index order.  The fixed edges are no longer a prefix of each
+incidence row, so the walk keeps per vertex x the mask ``free[x]`` of the
+entries of x's row that are still free (see :mod:`orientations.paths`).
 
 The search meets in the middle (see :mod:`orientations.paths`): it grows
 BFS layers from the head along free out-arcs and from the tail backward
@@ -22,28 +32,29 @@ outdegrees and the fixed edges, so any path from head to tail serves;
 which one it finds changes only the order of the leaves.
 
 Most of these searches fail, and a failed search leaves a closed set for
-the levels above.  At level e the free edges are F = e+1..m-1, and a
-vertex set is closed when no arc of F leaves it.  No path inside F leaves
-a closed set, so no vertex of a closed set that misses the tail reaches
-the tail.  The head's side treats such a set as reached and never expands
-it, and the tail's side, which grows only through vertices that reach the
-tail, never meets one; the search still finds a path exactly when one
-exists.  When such a set holds the head, no path exists and the level does
-not search.  A failed search hands back A, the set the head's side
-reached, the closed set included, when that side runs out first, and
-otherwise V∖B, B being the set of vertices that reach the tail.  Each holds
-the head and the closed set, misses the tail, and no arc of F leaves it.
+the levels above.  At level i the free edges F are those of the levels
+i+1..m-1, and a vertex set is closed when no arc of F leaves it.  No path
+inside F leaves a closed set, so no vertex of a closed set that misses the
+tail reaches the tail.  The head's side treats such a set as reached and
+never expands it, and the tail's side, which grows only through vertices
+that reach the tail, never meets one; the search still finds a path
+exactly when one exists.  When such a set holds the head, no path exists
+and the level does not search.  A failed search hands back A, the set the
+head's side reached, the closed set included, when that side runs out
+first, and otherwise V∖B, B being the set of vertices that reach the tail.
+Each holds the head and the closed set, misses the tail, and no arc of F
+leaves it.
 
 The sets survive the flips by one lemma.  Let out_F(X) be the number of
 F-arcs that leave X: the sum of out_F(x) over x in X, less the number of
 F-edges inside X.  Reversing a directed cycle inside F keeps every
 out_F(x), so it keeps out_F(X); reversing a path inside F from a to b
-changes out_F(X) by [b in X] - [a in X].  Every flip below level e is a
-directed cycle inside F.  Four rules follow:
+changes out_F(X) by [b in X] - [a in X].  Every flip below level i is a
+directed cycle inside F.  Four rules follow, e being the edge of level i:
 
-- Received cut R.  The set that level e+1 hands up is closed at level e.
+- Received cut R.  The set that level i+1 hands up is closed at level i.
   The level uses it whole when it misses the tail.  Otherwise it uses the
-  spare that level e+1 handed up with it, when that misses the tail, and
+  spare that level i+1 handed up with it, when that misses the tail, and
   nothing when neither does.
 - Inherited set D.  A level that flips passes down P, the union of the sets
   its search skipped.  P misses head and tail, so the path its flip
@@ -54,29 +65,29 @@ directed cycle inside F.  Four rules follow:
 - Search outcome.  A failed search hands up A or V∖B, R and D included,
   with the union of R and D as its spare; a skipped search hands up the R
   it used (none when it used none) as both.  Each misses the tail, and
-  edge e runs from the tail, so no arc free at level e-1 leaves it.
-- Flipping level.  After its subtree it hands up the set S that level e+1
-  left, closed among the edges e+1..m-1.  Edge e now runs from head to
-  tail, so it leaves S just when S holds the head but not the tail; then,
-  and when S is empty, the level hands up P, which misses both.  Its spare
-  is P.
+  edge e runs from the tail, so no arc free at level i-1 leaves it.
+- Flipping level.  After its subtree it hands up the set S that level i+1
+  left, closed among the edges of the levels below.  Edge e now runs from
+  head to tail, so it leaves S just when S holds the head but not the
+  tail; then, and when S is empty, the level hands up P, which misses both.
+  Its spare is P.
 
 A level searches only when its head lies outside R and D, has a free
-out-arc, and its tail has a free in-arc.  When level e searches,
-``fixed[x]`` is the number of x's edges among 0..e, the fixed prefix of
-x's incidence row, so ``_out[x] >> fixed[x]`` (see
-:mod:`orientations.paths`) holds x's out-arcs among the free edges
-e+1..m-1, and ``(_row_mask[x] ^ _out[x]) >> fixed[x]`` its free in-arcs.
-A path from head to tail leaves the head and enters the tail by free arcs,
-so a level that fails these tests would find none.  At the last level
-every edge is fixed, so its search is always skipped.  ``_EdgeLevels``
-owns ``fixed``, the cut and its spare, the set passed down and the mask of
-the edges its flips left reversed, from which the k-connected search of
-:mod:`orientations.sequences` restores the orientation once per expansion.
+out-arc, and its tail has a free in-arc.  When level i searches, the set
+bits of ``free[x]`` are the entries of x's incidence row whose edges lie
+below it, those of the levels i+1..m-1, so ``_out[x] & free[x]`` holds x's
+free out-arcs and ``free[x] & ~_out[x]`` its free in-arcs.  A path from
+head to tail leaves the head and enters the tail by free arcs, so a level
+that fails these tests would find none.  At the last level every edge is
+fixed, so its search is always skipped.  ``_EdgeLevels`` owns the order,
+``free``, the cut and its spare, the set passed down and the mask of the
+edges its flips left reversed, which the k-connected search of
+:mod:`orientations.sequences` flips back as its next expansion starts,
+less those its vertex levels reversed meanwhile.
 The sets are vertex bitmasks, as the sequence search holds its cuts: a
 union is one OR, V∖B one XOR, and a test whether a set holds a vertex one
-bit test.  Like ``fixed``, the sets and the mask are walk bookkeeping:
-they touch no arc and are not charged.
+bit test.  Like ``free``, the sets and the mask are walk bookkeeping: they
+touch no arc and are not charged.
 
 ``walk`` is the one traversal scheme of the package: the k-connected
 search of :mod:`orientations.sequences` and the first-solution finder run on
@@ -90,6 +101,7 @@ caller keeps never changes.
 """
 from __future__ import annotations
 
+import heapq
 import weakref
 from collections.abc import Callable, Iterator, Sequence
 
@@ -127,7 +139,7 @@ def find_alpha_orientation(
         if not surplus:
             return d
         deficit = {v for v in range(graph.n) if out[v] < target[v]}
-        path = _shortest_path(d, surplus, deficit, None, meter)
+        path = _shortest_path(d, surplus, deficit, meter)
         if path is None:
             return None
         out[d.tail(path[0])] -= 1
@@ -144,13 +156,13 @@ def enumerate_alpha(
 ) -> int:
     """Stream every orientation with outdegree vector ``alpha`` exactly once.
 
-    Walks the edges in index order (see ``walk``).  At each level the current
-    edge is first kept as is, then, when a directed path from its head back
-    to its tail avoids all already-fixed edges, flipped together with that
-    path (a directed cycle, so the outdegree vector is preserved).  Emission
-    happens when every edge is fixed.  No flip is undone, so consecutive
-    orientations differ by one cycle reversal.  Returns the number of
-    solutions.
+    Walks the edges in a closing order (see the module docstring).  At each
+    level the current edge is first kept as is, then, when a directed path
+    from its head back to its tail avoids all already-fixed edges, flipped
+    together with that path (a directed cycle, so the outdegree vector is
+    preserved).  Emission happens when every edge is fixed.  No flip is
+    undone, so consecutive orientations differ by one cycle reversal.
+    Returns the number of solutions.
     """
     meter = meter if meter is not None else DelayMeter()
     d = find_alpha_orientation(graph, alpha, meter)
@@ -203,24 +215,46 @@ def walk(levels: int, choices: Callable[[int], Iterator[None]]) -> Iterator[None
             stack.pop()
 
 
+def _closing_order(graph: Multigraph) -> list[int]:
+    # The edges in the order the expansion's levels fix them (see the
+    # module docstring).  The heap holds (0, edges left, vertex) for the
+    # vertices that the edges taken so far reach, and (1, degree, vertex)
+    # for every vertex, so a reached vertex always comes first; an entry
+    # whose count has fallen since is stale and skipped.
+    rows = graph.incidence
+    left = [len(row) for row in rows]
+    heap = [(1, count, x) for x, count in enumerate(left)]
+    heapq.heapify(heap)
+    done, taken, order = [False] * graph.n, [False] * graph.m, []
+    while heap:
+        _, count, x = heapq.heappop(heap)
+        if done[x] or count != left[x]:
+            continue
+        done[x] = True
+        for e, w, _ in rows[x]:
+            if not taken[e]:
+                taken[e] = True
+                order.append(e)
+                left[w] -= 1
+                heapq.heappush(heap, (0, left[w], w))
+    return order
+
+
 class _EdgeLevels:
     # The alpha expansion's edge levels over d, and the walk state they
-    # share.  choices(e) keeps edge e, then flips it with a completing cycle
-    # that avoids the fixed edges 0..e-1 when one exists, and leaves it
-    # flipped: the level above searches on the orientation the level hands
-    # up.  Each level counts its edge in fixed at both ends while it is
-    # open, so when level e searches, fixed[x] counts the edges at x among
-    # 0..e, which lead x's incidence row, and the search skips them.  As
-    # the levels open in edge order, an end's count is the edge's position
-    # in its row plus one while the level is open and that position once
-    # it ends; ends[e] holds both ends of edge e with those counts.
-    # Skipping e itself changes no search: it is an in-arc at head, whose
-    # side scans out-arcs, and an out-arc at tail, whose side scans in-arcs.
-    # flipped is the bitmask of the edges that the levels' flips left
-    # reversed.
+    # share.  choices(i) handles edge order[i]: it keeps the edge, then
+    # flips it with a completing cycle that avoids the edges of the levels
+    # above when one exists, and leaves it flipped: the level above searches
+    # on the orientation the level hands up.  Each level clears its edge's
+    # bit in free at both ends while it is open, so when level i searches,
+    # free[x] holds the entries of x's incidence row whose edges belong to
+    # the levels i+1..m-1, and the search scans only those.  Clearing e
+    # itself changes no search: it is an in-arc at head, whose side scans
+    # out-arcs, and an out-arc at tail, whose side scans in-arcs.  flipped
+    # is the bitmask of the edges that the levels' flips left reversed.
     #
-    # The sets are vertex bitmasks.  When level e resumes, cut holds the set
-    # R that level e+1 handed up (0 at the last level), spare the set that
+    # The sets are vertex bitmasks.  When level i resumes, cut holds the set
+    # R that level i+1 handed up (0 at the last level), spare the set that
     # level handed up with it, which stands in for R when R holds tail, and
     # down the set D that the nearest flipping level above passed down (0
     # below none).  The level uses each of them only when it misses tail.
@@ -231,18 +265,20 @@ class _EdgeLevels:
     # in both.  A level that flips passes down P, sets down back to D after
     # its flip subtree, and leaves in cut the set S that the subtree handed
     # up, or P when S is empty or holds head but not tail, and P in spare.
-    __slots__ = ("d", "meter", "ends", "fixed", "cut", "spare", "down", "flipped")
+    __slots__ = ("d", "meter", "order", "free", "cut", "spare", "down", "flipped")
 
     def __init__(self, d: Orientation, meter: DelayMeter):
         self.d, self.meter = d, meter
-        self.ends = [(u, u_bit.bit_length(), v, v_bit.bit_length()) for u, u_bit, v, v_bit in d.graph._ends]
-        self.fixed, self.cut, self.spare, self.down, self.flipped = [0] * d.graph.n, 0, 0, 0, 0
+        self.order, self.free = _closing_order(d.graph), list(d.graph._row_mask)
+        self.cut, self.spare, self.down, self.flipped = 0, 0, 0, 0
 
-    def choices(self, e: int) -> Iterator[None]:
-        d, fixed, out, rows = self.d, self.fixed, self.d._out, self.d.graph._row_mask
-        u, u_fixed, v, v_fixed = self.ends[e]
+    def choices(self, i: int) -> Iterator[None]:
+        d, free, out = self.d, self.free, self.d._out
+        e = self.order[i]
+        u, u_bit, v, v_bit = d.graph._ends[e]
         tail, head = (u, v) if d.forward(e) else (v, u)
-        fixed[u], fixed[v] = u_fixed, v_fixed
+        free[u] ^= u_bit
+        free[v] ^= v_bit
         self.cut = 0
         yield
         closed = self.cut
@@ -251,12 +287,12 @@ class _EdgeLevels:
             if closed >> tail & 1:
                 closed = 0
         path, passed = None, closed
-        if not closed >> head & 1 and out[head] >> fixed[head] and (rows[tail] ^ out[tail]) >> fixed[tail]:
+        if not closed >> head & 1 and out[head] & free[head] and free[tail] & ~out[tail]:
             down = self.down
             inherited = 0 if down >> tail & 1 else down
             if not inherited >> head & 1:
                 passed |= inherited
-                path, closed = _meeting_path(d, head, tail, fixed, passed, self.meter)
+                path, closed = _meeting_path(d, head, tail, free, passed, self.meter)
         if path is None:
             self.cut, self.spare = closed, passed
         else:
@@ -270,11 +306,13 @@ class _EdgeLevels:
             below = self.cut
             self.cut = below if below and (below >> tail & 1 or not below >> head & 1) else passed
             self.spare = passed
-        fixed[u], fixed[v] = u_fixed - 1, v_fixed - 1
+        free[u] ^= u_bit
+        free[v] ^= v_bit
 
     def restore(self) -> None:
-        # Flips back, one arc touch each, the edges that the levels left
-        # reversed, so d is again the orientation the first level was given.
+        # Flips back, one arc touch each, the edges of ``flipped``: those the
+        # levels left reversed, less any that the k-connected search's vertex
+        # levels reversed since (see :mod:`orientations.sequences`).
         edges, mask = [], self.flipped
         while mask:
             edges.append(mask.bit_length() - 1)

@@ -59,7 +59,7 @@ def _reaches_all(orientation: Orientation, inward: bool, meter: DelayMeter | Non
     # that stops once it has reached every vertex: it finds a path to the
     # last vertex it discovers exactly when that is every vertex.
     n = orientation.graph.n
-    return _shortest_path(orientation, (0,), _Last(n), None, meter, inward) is not None
+    return _shortest_path(orientation, (0,), _Last(n), meter, inward) is not None
 
 
 def edge_connectivity(graph: Multigraph) -> int:

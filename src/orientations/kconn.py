@@ -11,10 +11,12 @@ connected (Robbins 1939), which one search and the two sweeps of
 the k-connected search of :mod:`orientations.sequences` when the caller
 gives no seed.
 
-The search directs the edges in index order, so, as in the alpha
-expansion, the edges it has directed at a vertex w are a fixed prefix of
-w's incidence row, the first ``fixed[w]``, and w's decided out-arcs are the
-bits of ``_out[w]`` in that prefix.  It keeps no other count.  Trying a
+The search directs the edges in index order, and every incidence row is
+in index order, so the edges it has directed at a vertex w are a prefix of
+w's row, the first ``fixed[w]``, and w's decided out-arcs are the bits of
+``_out[w]`` in that prefix; it keeps no other count.  (The alpha
+expansion fixes its edges in another order and keeps masks of the free
+entries instead.)  Trying a
 direction costs an arc touch only when it flips the edge, through
 ``paths._flip``.
 """

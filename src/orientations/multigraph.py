@@ -8,7 +8,7 @@ output order is reproducible byte for byte.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 __all__ = [
     "GraphParseError",
@@ -195,6 +195,31 @@ class Orientation:
 
     def __repr__(self) -> str:
         return f"Orientation({self.serialize()!r})"
+
+
+class _Trailing(Orientation):
+    # An orientation that trails ``levels.d``, the live orientation of the
+    # alpha expansion's edge levels: it differs from d exactly on the edges
+    # of the bitmask ``levels.flipped``, which the levels flip in d alone.
+    # A flip reverses the edges here, clears the bits of those in the mask,
+    # since d already holds them that way, and reverses the others in d too.
+    __slots__ = ("levels",)
+
+    def __init__(self, levels) -> None:
+        super().__init__(levels.d.graph, levels.d._dirs)
+        self.levels = levels
+
+    def _flip(self, edge_indices: Sequence[int]) -> None:
+        super()._flip(edge_indices)
+        levels = self.levels
+        ahead, live = levels.flipped, []
+        for e in edge_indices:
+            if ahead >> e & 1:
+                ahead ^= 1 << e
+            else:
+                live.append(e)
+        levels.flipped = ahead
+        levels.d._flip(live)
 
 
 def parse_graph(text: str) -> Multigraph:

@@ -18,15 +18,15 @@ and of the alpha expansion meet in the middle, ``_meeting_path``: they grow
 BFS layers from the source along out-arcs and from the target along
 in-arcs, and charge one touch per arc scanned either way.
 
-A search may be told that a prefix of each vertex's incidence row is fixed:
-``fixed[x]`` entries of ``incidence[x]``, which is in edge-index order.
-``_out[x] >> fixed[x] << fixed[x]`` clears the prefix's bits, so the search
-neither uses nor counts the fixed entries.  The alpha expansion fixes edges
-in index order, so below its edge level e the fixed edges 0..e are exactly
-such a prefix at every vertex.  Its meeting search may also be handed a
-closed set, a vertex bitmask of vertices none of which reaches the target:
-the source's side treats them as reached and never expands them, and the
-target's side never meets one (see :mod:`orientations.alpha`).
+A search may be told which entries of each vertex's incidence row are
+still free: ``free[x]`` is a bitmask over the positions of ``incidence[x]``,
+like ``_out[x]``, and ``arcs &= free[x]`` clears the bits of the fixed
+entries, so the search neither uses nor counts them.  The alpha expansion
+fixes one edge per level and keeps these masks, one XOR per end of the
+edge as a level opens and again as it ends.  Its meeting search may also
+be handed a closed set, a vertex bitmask of vertices none of which reaches
+the target: the source's side treats them as reached and never expands
+them, and the target's side never meets one (see :mod:`orientations.alpha`).
 
 The number of pairwise arc-disjoint directed u-to-v paths is counted by the
 reverse-and-repeat scheme: find a path, reverse it, and iterate.  Each
@@ -90,11 +90,11 @@ from .multigraph import Orientation
 __all__ = ["lambda_at_least"]
 
 
-def _grow(rows, out, full, fixed, layer, following, tree, targets) -> tuple[int | None, int]:
+def _grow(rows, out, full, free, layer, following, tree, targets) -> tuple[int | None, int]:
     # The package's one arc-scanning loop.  For each vertex x of ``layer``,
     # scans x's out-arcs in row order, or its in-arcs backward when ``full``
-    # is the row masks (None otherwise), skipping the first fixed[x] entries
-    # when ``fixed`` is given.  Each vertex not yet in ``tree`` is mapped
+    # is the row masks (None otherwise), only among the entries of free[x]
+    # when ``free`` is given.  Each vertex not yet in ``tree`` is mapped
     # there to the edge it was reached by and appended to ``following``;
     # the first such vertex in ``targets`` ends the scan.  Returns it, or
     # None, and the number of arcs scanned.  Passed as both ``layer`` and
@@ -103,8 +103,8 @@ def _grow(rows, out, full, fixed, layer, following, tree, targets) -> tuple[int 
     for x in layer:
         row = rows[x]
         arcs = out[x] if full is None else out[x] ^ full[x]
-        if fixed is not None:
-            arcs = arcs >> fixed[x] << fixed[x]
+        if free is not None:
+            arcs &= free[x]
         while arcs:
             low = arcs & -arcs
             arcs ^= low
@@ -136,24 +136,22 @@ def _shortest_path(
     orientation: Orientation,
     sources: Sequence[int],
     targets: Collection[int],
-    fixed: Sequence[int] | None,
     meter: DelayMeter | None,
     inward: bool = False,
 ) -> list[int] | None:
-    # Multi-source BFS along out-arcs, skipping the first fixed[x]
-    # entries of each row (none when ``fixed`` is None), to the first
-    # discovered target; a source is never reported as its own target.
-    # With ``inward`` it walks in-arcs backward instead, x's being the bits
-    # of its row mask that ``_out[x]`` leaves clear: a search of the
-    # reversed orientation.  The whole search is one ``_grow`` over one
-    # queue.  Vertex ids are not checked: callers take them from the graph.
+    # Multi-source BFS along out-arcs to the first discovered target; a
+    # source is never reported as its own target.  With ``inward`` it
+    # walks in-arcs backward instead, x's being the bits of its row mask
+    # that ``_out[x]`` leaves clear: a search of the reversed orientation.
+    # The whole search is one ``_grow`` over one queue.  Vertex ids are not
+    # checked: callers take them from the graph.
     tree: dict[int, int | None] = dict.fromkeys(sources)
     graph = orientation.graph
     queue = list(sources)
     if meter is not None:
         meter.bfs()
     hit, touched = _grow(
-        graph.incidence, orientation._out, graph._row_mask if inward else None, fixed, queue, queue, tree, targets
+        graph.incidence, orientation._out, graph._row_mask if inward else None, None, queue, queue, tree, targets
     )
     if meter is not None:
         meter.arcs(touched)
@@ -168,17 +166,17 @@ def _meeting_path(
     orientation: Orientation,
     u: int,
     v: int,
-    fixed: Sequence[int] | None,
+    free: Sequence[int] | None,
     closed: int,
     meter: DelayMeter | None,
 ) -> tuple[list[int] | None, int | None]:
     # A u-to-v path and None, or None and a cut, found by growing BFS
     # layers from u along out-arcs and from v backward along in-arcs, one
     # ``_grow`` per layer, until an arc joins the two trees.  Both sides
-    # skip the first fixed[x] entries of each row (none when ``fixed`` is
-    # None).  u's side treats the vertices of the bitmask ``closed`` as
-    # reached and never expands them: the caller knows that none of them
-    # reaches v, so v's side never meets one.  Charged as one BFS run and
+    # scan only the entries of free[x] (all when ``free`` is None).  u's
+    # side treats the vertices of the bitmask ``closed`` as reached and
+    # never expands them: the caller knows that none of them reaches v, so
+    # v's side never meets one.  Charged as one BFS run and
     # one arc touch per arc scanned in either direction.
     #
     # The smaller layer grows first; when both hold one vertex, the one
@@ -200,8 +198,8 @@ def _meeting_path(
         closed ^= 1 << x
         ahead[x] = None
     front, back, span = [u], [v], len(graph.edges) + 1
-    front_key = span + (out[u] if fixed is None else out[u] >> fixed[u]).bit_count()
-    back_key = span + (out[v] ^ full[v] if fixed is None else (out[v] ^ full[v]) >> fixed[v]).bit_count()
+    front_key = span + (out[u] if free is None else out[u] & free[u]).bit_count()
+    back_key = span + (out[v] ^ full[v] if free is None else (out[v] ^ full[v]) & free[v]).bit_count()
     if meter is not None:
         meter.bfs()
     hit, touched = None, 0
@@ -210,20 +208,20 @@ def _meeting_path(
             if back_key <= span:
                 break
             layer: list[int] = []
-            hit, scanned = _grow(rows, out, full, fixed, back, layer, behind, ahead)
+            hit, scanned = _grow(rows, out, full, free, back, layer, behind, ahead)
             back, back_key = layer, len(layer) * span
             if back_key == span:
                 y = layer[0]
-                back_key += (out[y] ^ full[y] if fixed is None else (out[y] ^ full[y]) >> fixed[y]).bit_count()
+                back_key += (out[y] ^ full[y] if free is None else (out[y] ^ full[y]) & free[y]).bit_count()
         else:
             if front_key <= span:
                 break
             layer = []
-            hit, scanned = _grow(rows, out, None, fixed, front, layer, ahead, behind)
+            hit, scanned = _grow(rows, out, None, free, front, layer, ahead, behind)
             front, front_key = layer, len(layer) * span
             if front_key == span:
                 x = layer[0]
-                front_key += (out[x] if fixed is None else out[x] >> fixed[x]).bit_count()
+                front_key += (out[x] if free is None else out[x] & free[x]).bit_count()
         touched += scanned
     if meter is not None:
         meter.arcs(touched)

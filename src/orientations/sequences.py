@@ -6,10 +6,19 @@ through ``n`` vertex levels and, when listing orientations, ``m`` edge
 levels more: the alpha expansion of the sequence that the vertex levels
 reached.  Listing sequences is thus the first stage of listing
 orientations, and orientations of equal outdegree vector are contiguous.
-The edge levels leave their flips, so once an expansion ends it flips
-back, one arc touch each, the edges its levels left reversed, and the
-vertex levels get back the orientation they handed it: one restore per
-sequence.
+The edge levels leave their flips, so once an expansion ends, the live
+orientation differs from the one the vertex levels handed it on the edges
+its levels left reversed, ``_EdgeLevels.flipped``.  They are not flipped
+back then.  The vertex levels work on an orientation of their own,
+``multigraph._Trailing``, which holds those edges as they were handed
+over; a flip of theirs that reverses one of them only clears its bit,
+since the live orientation already holds it that way, and any other edge
+it reverses in the live orientation too.  The next expansion flips back,
+one arc touch each, the edges still pending, so it starts from the
+orientation the vertex levels hand it; those of the last expansion are
+never flipped back.  An edge that the vertex levels reverse between two
+expansions thus costs one touch, where flipping it back at once and
+reversing it later cost two.
 The finder, or ``is_k_connected`` on a given seed, rejects a k that is
 not an integer of at least 1.
 
@@ -23,12 +32,12 @@ vertex whenever the path's endpoints admit more than k arc-disjoint paths,
 so connectivity survives; the paths reversed are ones the count of those
 paths found and left reversed.  It then yields once per step on the way
 back, deepest first, undoing one reversal per yield with ``paths._flip``,
-and does the same for raising.  The orientation is the search's only
-state: a leaf's outdegree sequence is read from the view ``_emit_leaves``
-hands the sink, which is copied only if the sink keeps it.  Completeness
-rests on the witness fact that whenever two k-connected orientations
-disagree at a vertex, a connectivity-preserving path reversal moves one
-toward the other without touching fixed vertices.
+and does the same for raising.  The two orientations are the search's
+only state: a leaf's outdegree sequence is read from the view
+``_emit_leaves`` hands the sink, which is copied only if the sink keeps
+it.  Completeness rests on the witness fact that whenever two k-connected
+orientations disagree at a vertex, a connectivity-preserving path
+reversal moves one toward the other without touching fixed vertices.
 
 A chain takes the later vertices u in order and makes one count of the
 arc-disjoint paths between v and each u that no tight set (below) rules
@@ -103,7 +112,7 @@ from .alpha import _EdgeLevels, _emit_leaves, walk
 from .connectivity import is_k_connected
 from .kconn import find_k_connected_orientation
 from .metering import DelayMeter
-from .multigraph import Multigraph, Orientation
+from .multigraph import Multigraph, Orientation, _Trailing
 from .paths import _count_paths, _flip
 
 __all__ = ["enumerate_outdegree_sequences", "enumerate_k_connected"]
@@ -159,10 +168,11 @@ def _vertex_choices(d: Orientation, v: int, k: int, meter: DelayMeter, tight: _T
 
 
 def _expansion(edges: _EdgeLevels) -> Iterator[None]:
-    # The first edge level, which then gives back the orientation the
-    # vertex levels handed the expansion: the edge levels leave their flips.
-    yield from edges.choices(0)
+    # Flips back in the live orientation the edges that the expansion before
+    # left reversed and the vertex levels did not reverse since, so it is
+    # the orientation they hand over, then runs the first edge level.
     edges.restore()
+    yield from edges.choices(0)
 
 
 def _search(graph: Multigraph, k: int, seed: Orientation | None, edge_levels: int, sink, meter) -> int:
@@ -181,10 +191,11 @@ def _search(graph: Multigraph, k: int, seed: Orientation | None, edge_levels: in
             raise ValueError("seed orientation is not k-connected")
         d = seed.copy()
     n, edges, tight = graph.n, _EdgeLevels(d, meter), _TightSets()
+    given = _Trailing(edges) if edge_levels else d
 
     def choices(i: int) -> Iterator[None]:
         if i < n:
-            return _vertex_choices(d, i, k, meter, tight)
+            return _vertex_choices(given, i, k, meter, tight)
         return edges.choices(i - n) if i > n else _expansion(edges)
 
     return _emit_leaves(d, walk(n + edge_levels, choices), sink, meter)

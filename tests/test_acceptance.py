@@ -105,7 +105,7 @@ def test_criterion_3_menger_agreement(family):
         lam = 0
         current = d
         while True:
-            path = _shortest_path(current, (u,), (v,), None, None)
+            path = _shortest_path(current, (u,), (v,), None)
             if path is None:
                 break
             current = reverse_path(current, path, u)
@@ -126,7 +126,7 @@ def test_criterion_4_path_flipping_law(family):
         v = rng.randrange(graph.n)
         if u == v:
             continue
-        path = _shortest_path(d, (u,), (v,), None, None)
+        path = _shortest_path(d, (u,), (v,), None)
         if path is None:
             continue
         before = {

@@ -35,25 +35,25 @@ GRAPHS = {
 # (graph, mode, parameters, lines hashed (None: all), sha256 of those bytes)
 CASES = [
     ("doubled-triangle", "alpha", ("--alpha", "2,2,2"), None,
-     "2b11e28ec6c5a3071375b83ac9117e25f2c2c273bd63d82c6c2aa2b777228c3e"),
+     "35328877c92f8a436fcc3ed56dc1f242d72b78e44965abbf5e228daa7dae32d7"),
     ("doubled-triangle", "odseq", ("--k", "1"), None,
      "b1504199a69abef5a296ad101d7eda8edd42b8227eacec198d66f5cc39561435"),
     ("doubled-triangle", "odseq", ("--k", "2"), None,
      "e5d51600d3737113d0ea5c14ab3fc6e899942fd9641e7ab0f07fbdebf58c567e"),
     ("doubled-triangle", "korient", ("--k", "1"), None,
-     "816267a3cc71a0516ffb55029d38b6b45ca98ff1316f4f56cba2bc33fc325196"),
+     "a7860a122ce3d0f70c635581da545f3309591dc010fcc532059191f4b1cb6381"),
     ("doubled-triangle", "korient", ("--k", "2"), None,
-     "2b11e28ec6c5a3071375b83ac9117e25f2c2c273bd63d82c6c2aa2b777228c3e"),
+     "35328877c92f8a436fcc3ed56dc1f242d72b78e44965abbf5e228daa7dae32d7"),
     ("torus3x3", "alpha", ("--alpha", "2,2,2,2,2,2,2,2,2"), None,
-     "6f9b367c33fdad4b7dc50da286ecf12e1ed09bb5f81b972cf60123516d364ea3"),
+     "a21432dfd380608d86836dd0edea5c28199498cef9c43f7d5d925ebe5998327e"),
     ("torus3x3", "odseq", ("--k", "1"), None,
      "0dbbfa19743546bc27d054ec90163cae9f0b02ed8791239e54cb2c255d8d046a"),
     ("torus3x3", "odseq", ("--k", "2"), None,
      "5d2f75241fe5f26be4a78edd6a44cda3b1dce36a83fe817a52f1dab1be20284f"),
     ("torus3x3", "korient", ("--k", "1"), PREFIX_LINES,
-     "d9545ba2a4d10b639edf1322dee446ee790c583389782ffff8838e88a27c97c9"),
+     "6184ac0e7098be2b93683decd4cd7a572ff68cedc556e9c501798d2748aab1f3"),
     ("torus3x3", "korient", ("--k", "2"), None,
-     "6f9b367c33fdad4b7dc50da286ecf12e1ed09bb5f81b972cf60123516d364ea3"),
+     "a21432dfd380608d86836dd0edea5c28199498cef9c43f7d5d925ebe5998327e"),
 ]
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import families
 import orientations
+import witnesses
 from oracles import oracle_lambda
 from orientations import (
     DelayMeter,
@@ -21,6 +22,7 @@ from witnesses import (
     closure_count_paths,
     cut_outdegree,
     forward_count_paths,
+    free_masks,
     reverse_path,
     reversed_copy,
     tree_search,
@@ -41,45 +43,52 @@ def opposite_double_triangle():
 
 def test_path_around_triangle():
     d = directed_triangle()
-    assert _shortest_path(d, (1,), (0,), None, None) == [1, 2]  # 1->2 then 2->0
+    assert _shortest_path(d, (1,), (0,), None) == [1, 2]  # 1->2 then 2->0
 
 
 def test_fixed_edge_blocks_path():
-    # Edges 0 and 1 fixed: each vertex's row starts with those of its edges.
+    # Edges 0 and 1 fixed: only edge 2, the second entry of the rows of
+    # vertices 0 and 2, is free.
     d = directed_triangle()
-    assert _shortest_path(d, (1,), (0,), [1, 2, 1], None) is None
+    assert _meeting_path(d, 1, 0, [0b10, 0, 0b10], 0, None)[0] is None
 
 
 def test_antiparallel_pair_single_arc():
     g = parse_graph("2 2\n0 1\n0 1")
     d = Orientation(g, [1, 0])  # edge0: 0->1, edge1: 1->0
-    assert _shortest_path(d, (0,), (1,), None, None) == [0]
+    assert _shortest_path(d, (0,), (1,), None) == [0]
     assert d.forward(0)
 
 
 def test_lowest_edge_index_wins_ties():
     g = parse_graph("2 3\n0 1\n0 1\n0 1")
     d = Orientation(g)
-    assert _shortest_path(d, (0,), (1,), None, None) == [0]
-    assert _shortest_path(d, (0,), (1,), [1, 1], None) == [1]
+    assert _shortest_path(d, (0,), (1,), None) == [0]
+    assert _meeting_path(d, 0, 1, None, 0, None) == ([0], None)
+    assert _meeting_path(d, 0, 1, free_masks(g, {0}), 0, None) == ([1], None)
 
 
 def test_fixed_prefix_over_parallel_edges():
-    # A prefix skips exactly its entries of the row: none of them is
-    # scanned or counted, and the lowest free index still wins.  Only
-    # out-arcs are scanned, so each search here touches one arc or none.
+    # A free mask skips exactly the entries it clears, whether or not they
+    # are a prefix of the row: none of them is scanned or counted, and the
+    # lowest free index still wins.  Each search here scans one arc, from
+    # the side with fewer arcs to scan (u's on a tie), or finds a side with
+    # none and scans nothing.
     g = parse_graph("2 4\n0 1\n0 1\n0 1\n0 1")
     d = Orientation(g, [0, 1, 0, 1])  # edges 0, 2 point 1->0; edges 1, 3 point 0->1
     meter = DelayMeter()
-    assert _shortest_path(d, (1,), (0,), [0, 0], meter) == [0]
+    assert _meeting_path(d, 1, 0, free_masks(g, ()), 0, meter) == ([0], None)
     assert meter.arc_touches == 1
-    assert _shortest_path(d, (1,), (0,), [0, 1], meter) == [2]
-    assert _shortest_path(d, (1,), (0,), [0, 3], meter) is None
+    assert _meeting_path(d, 1, 0, free_masks(g, {0}), 0, meter) == ([2], None)
+    assert _meeting_path(d, 1, 0, free_masks(g, {0, 2}), 0, meter)[0] is None
     assert meter.arc_touches == 1 + 1 + 0
-    assert _shortest_path(d, (0,), (1,), [0, 3], meter) == [1]  # the prefix is per vertex
-    assert _shortest_path(d, (0,), (1,), [2, 0], meter) == [3]
-    assert _shortest_path(d, (0,), (1,), [4, 0], meter) is None
+    assert _meeting_path(d, 0, 1, free_masks(g, {0, 2}), 0, meter) == ([1], None)
+    assert _meeting_path(d, 0, 1, free_masks(g, {1}), 0, meter) == ([3], None)
+    assert _meeting_path(d, 0, 1, free_masks(g, {1, 3}), 0, meter)[0] is None
     assert (meter.bfs_runs, meter.arc_touches) == (6, 1 + 1 + 0 + 1 + 1 + 0)
+    # The masks are per vertex: with only vertex 1's first three entries
+    # cleared, its one free in-arc is edge 3, and the search takes it.
+    assert _meeting_path(d, 0, 1, [0b1111, 0b1000], 0, None) == ([3], None)
 
 
 def test_zero_prefix_is_the_full_scan():
@@ -89,15 +98,15 @@ def test_zero_prefix_is_the_full_scan():
             continue
         d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
         u, v = rng.sample(range(g.n), 2)
-        full, zero = DelayMeter(), DelayMeter()
-        path = _shortest_path(d, (u,), (v,), None, full)
-        assert _shortest_path(d, (u,), (v,), [0] * g.n, zero) == path
-        assert (zero.bfs_runs, zero.arc_touches) == (full.bfs_runs, full.arc_touches)
+        full, whole = DelayMeter(), DelayMeter()
+        found = _meeting_path(d, u, v, None, 0, full)
+        assert _meeting_path(d, u, v, list(g._row_mask), 0, whole) == found
+        assert (whole.bfs_runs, whole.arc_touches) == (full.bfs_runs, full.arc_touches)
 
 
 def test_source_is_never_its_own_target():
     d = directed_triangle()
-    assert _shortest_path(d, (1,), (1,), None, None) is None
+    assert _shortest_path(d, (1,), (1,), None) is None
 
 
 @pytest.mark.parametrize("source, target", [(-1, 0), (0, -1), (3, 0), (0, 3)])
@@ -109,7 +118,7 @@ def test_out_of_range_vertex_rejected(source, target):
 
 def test_reverse_path_moves_one_unit_of_outdegree():
     d = directed_triangle()
-    p = _shortest_path(d, (1,), (0,), None, None)
+    p = _shortest_path(d, (1,), (0,), None)
     r = reverse_path(d, p, 1)
     assert r.outdegrees() == (2, 0, 1)
     assert d.outdegrees() == (1, 1, 1)  # input untouched
@@ -118,7 +127,7 @@ def test_reverse_path_moves_one_unit_of_outdegree():
 def test_reverse_single_arc():
     g = parse_graph("2 1\n0 1")
     d = Orientation(g)
-    p = _shortest_path(d, (0,), (1,), None, None)
+    p = _shortest_path(d, (0,), (1,), None)
     assert reverse_path(d, p, 0).serialize() == "-"
 
 
@@ -129,7 +138,7 @@ def test_reverse_full_cycle_keeps_outdegrees():
 
 def test_reverse_path_validates_direction():
     d = directed_triangle()
-    p = _shortest_path(d, (1,), (0,), None, None)
+    p = _shortest_path(d, (1,), (0,), None)
     flipped = reversed_copy(d, [1])
     with pytest.raises(ValueError):
         reverse_path(flipped, p, 1)
@@ -143,7 +152,7 @@ def test_reverse_path_degree_law_on_cuts():
     for g in pool:
         d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
         u, v = rng.sample(range(g.n), 2)
-        p = _shortest_path(d, (u,), (v,), None, None)
+        p = _shortest_path(d, (u,), (v,), None)
         if p is None:
             continue
         r = reverse_path(d, p, u)
@@ -343,9 +352,10 @@ def test_one_count_finds_the_paths_of_successive_reversals():
 
 def test_a_meeting_search_answers_as_the_forward_search_does(monkeypatch):
     # One BFS run that finds a u-to-v path exactly when the forward search
-    # does; it scans each arc at most once each way.  Both sides skip the
-    # fixed prefix of each row, and u's side treats the vertices of a closed
-    # set, none of which reaches v, as reached.  Failing, it stops as soon
+    # does; it scans each arc at most once each way.  Both sides scan only
+    # the free entries of each row, here those of a random set of edges,
+    # and u's side treats the vertices of a closed set, none of which
+    # reaches v, as reached.  Failing, it stops as soon
     # as either side runs out: its layer comes out empty, or is one vertex
     # with no arc to scan, which it never grows; u's side when both start
     # so.  No earlier layer comes out empty.  Its cut is then the set A
@@ -354,18 +364,18 @@ def test_a_meeting_search_answers_as_the_forward_search_does(monkeypatch):
     # outside the set B that reaches v.
     real_grow, steps = paths._grow, []
 
-    def traced(rows, out, full, fixed, layer, following, tree, targets):
-        found = real_grow(rows, out, full, fixed, layer, following, tree, targets)
+    def traced(rows, out, full, free, layer, following, tree, targets):
+        found = real_grow(rows, out, full, free, layer, following, tree, targets)
         steps.append((full is not None, following))
         return found
 
-    def out_of_arcs(d, layer, inward, shift) -> bool:
+    def out_of_arcs(d, layer, inward, scope) -> bool:
         # The layer is empty, or one vertex with no arc to scan.
         if len(layer) != 1:
             return not layer
         x = layer[0]
         arcs = d.graph._row_mask[x] ^ d._out[x] if inward else d._out[x]
-        return not arcs >> shift[x]
+        return not arcs & scope[x]
 
     monkeypatch.setattr(paths, "_grow", traced)
     rng, picks = random.Random(919), random.Random(920)
@@ -373,25 +383,25 @@ def test_a_meeting_search_answers_as_the_forward_search_does(monkeypatch):
     seen = {"closure": 0, "outside": 0, "unscanned": 0, "fixed": 0, "closed": 0}
     for _, g in families.random_family(60, seed=53):
         d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
-        last = picks.randrange(g.m)  # edges 0..last fixed
-        prefix = [sum(e <= last for e, _, _ in row) for row in g.incidence]
-        for fixed, u, v in [(f, u, v) for f in (None, prefix) for u in range(g.n) for v in range(g.n) if u != v]:
-            shift = fixed or [0] * g.n
+        fixed = set(picks.sample(range(g.m), picks.randint(1, g.m)))
+        masks = free_masks(g, fixed)
+        for free, u, v in [(f, u, v) for f in (None, masks) for u in range(g.n) for v in range(g.n) if u != v]:
+            scope = free or g._row_mask
             reaching: dict = {}
-            tree_search(d, (v,), (), fixed, None, reaching, inward=True)
+            tree_search(d, (v,), (), free, None, reaching, inward=True)
             closed = sum(1 << x for x in range(g.n) if x != u and x not in reaching and picks.random() < 0.5)
             meter, forward, behind = DelayMeter(), dict.fromkeys(vertices(closed)), {}
             steps.clear()
-            path, cut = _meeting_path(d, u, v, fixed, closed, meter)
+            path, cut = _meeting_path(d, u, v, free, closed, meter)
             assert meter.bfs_runs == 1 and meter.arc_touches <= 2 * g.m
             assert all(layer for _, layer in steps[:-1])
-            want = tree_search(d, (u,), (v,), fixed, None, forward)
+            want = tree_search(d, (u,), (v,), free, None, forward)
             if want is None:
                 front = ([u], *(layer for inward, layer in steps if not inward))[-1]
                 back = ([v], *(layer for inward, layer in steps if inward))[-1]
-                inward = not out_of_arcs(d, front, False, shift)
-                assert path is None and (not inward or out_of_arcs(d, back, True, shift))
-                tree_search(d, (v,), (u,), fixed, None, behind, inward=True)
+                inward = not out_of_arcs(d, front, False, scope)
+                assert path is None and (not inward or out_of_arcs(d, back, True, scope))
+                tree_search(d, (v,), (u,), free, None, behind, inward=True)
                 outside = set(range(g.n)) - set(behind)
                 assert vertices(cut) == (outside if inward else set(forward))
                 if set(forward) != outside:
@@ -401,10 +411,10 @@ def test_a_meeting_search_answers_as_the_forward_search_does(monkeypatch):
             else:
                 assert cut is None
                 assert_path(d, path, u, v)
-                assert fixed is None or min(path) > last
+                assert free is None or not fixed.intersection(path)
                 assert not any(d.tail(e) in vertices(closed) or d.head(e) in vertices(closed) for e in path)
                 met += 1
-            seen["fixed"] += fixed is not None and path is None
+            seen["fixed"] += free is not None and path is None
     assert met > 200 and min(seen.values()) > 20, (met, seen)
 
 
@@ -445,28 +455,34 @@ def test_a_count_asked_for_the_largest_cut_hands_back_a_cut_as_large_or_larger()
 def test_an_inward_search_is_the_forward_search_of_the_reversed_orientation(monkeypatch):
     # Walking in-arcs backward from s to t is searching the orientation with
     # every edge reversed: the same path, the same search tree built in the
-    # same order, one BFS run and the same arc touches, with or without a
-    # fixed prefix.  The search is one ``_grow``, whose tree the test keeps.
+    # same order, one BFS run and the same arc touches, with or without
+    # free masks.  The search is one ``_grow``, whose tree the test keeps:
+    # ``_shortest_path`` without masks, ``tree_search`` with them.
     real_grow, trees = paths._grow, []
 
-    def traced(rows, out, full, fixed, layer, following, tree, targets):
+    def traced(rows, out, full, free, layer, following, tree, targets):
         trees.append(tree)
-        return real_grow(rows, out, full, fixed, layer, following, tree, targets)
+        return real_grow(rows, out, full, free, layer, following, tree, targets)
+
+    def search(d, s, t, free, meter, inward=False):
+        if free is None:
+            return _shortest_path(d, (s,), (t,), meter, inward)
+        return tree_search(d, (s,), (t,), free, meter, {}, inward)
 
     monkeypatch.setattr(paths, "_grow", traced)
+    monkeypatch.setattr(witnesses, "_grow", traced)
     rng = random.Random(1234)
     pairs = found = 0
     for _, g in families.random_family(60, seed=61):
         d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
         flipped = reversed_copy(d, range(g.m))
-        last = rng.randrange(g.m)  # edges 0..last fixed
-        prefix = [sum(e <= last for e, _, _ in row) for row in g.incidence]
-        for fixed in (None, prefix):
+        masks = free_masks(g, rng.sample(range(g.m), rng.randint(1, g.m)))
+        for free in (None, masks):
             for s, t in [(s, t) for s in range(g.n) for t in range(g.n) if s != t]:
                 inward, forward = DelayMeter(), DelayMeter()
                 trees.clear()
-                path = _shortest_path(d, (s,), (t,), fixed, inward, inward=True)
-                assert path == _shortest_path(flipped, (s,), (t,), fixed, forward)
+                path = search(d, s, t, free, inward, inward=True)
+                assert path == search(flipped, s, t, free, forward)
                 got, want = trees
                 assert list(got.items()) == list(want.items())
                 assert (inward.bfs_runs, inward.arc_touches) == (forward.bfs_runs, forward.arc_touches)
@@ -639,7 +655,7 @@ def test_flippable_reversal_preserves_k_connectivity():
         for v in range(3):
             if u == v or not lambda_at_least(d, u, v, 2):
                 continue
-            p = _shortest_path(d, (u,), (v,), None, None)
+            p = _shortest_path(d, (u,), (v,), None)
             assert p is not None
             assert is_k_connected(reverse_path(d, p, u), 1)
     # same on a few random strong orientations
@@ -655,7 +671,7 @@ def test_flippable_reversal_preserves_k_connectivity():
             for v in range(g.n):
                 if u == v or not lambda_at_least(d, u, v, 2):
                     continue
-                p = _shortest_path(d, (u,), (v,), None, None)
+                p = _shortest_path(d, (u,), (v,), None)
                 assert is_k_connected(reverse_path(d, p, u), 1)
                 checked += 1
     assert checked > 10

@@ -8,7 +8,8 @@ from the definition, ``vertices`` unpacks the vertex bitmask of a λ
 count's cut, ``same_alpha_cycle_decomposition`` exhibits the
 cycle decomposition between two orientations with equal outdegrees,
 ``class_size_lower_bound_check`` tests the (k-1)n+2 class-size floor,
-``assert_path`` checks a directed u-to-v path,
+``assert_path`` checks a directed u-to-v path, ``free_masks`` gives the
+free-entry masks of a set of fixed edges,
 ``unbounded_count_paths`` is the λ count that goes on past min(out(u),
 in(v)) to its limit, ``forward_count_paths`` the λ count whose every search
 runs forward, ``closure_count_paths`` the λ count whose deciding searches
@@ -29,15 +30,15 @@ with the older order that keeps each vertex last, and ``ignoring_family``
 puts either in the search's place.  ``TightSetProbe`` runs the search and
 checks every pair that its tight sets rule out.  ``FullScanLevels``,
 ``UncutLevels``, ``UncountedLevels`` and ``FlipBackLevels`` stand in for
-the alpha expansion's ``_EdgeLevels``: the first with a reference search
-that scans whole incidence rows, the second with no cut reaching any
-search, the third as the expansion was without the free-arc counts and the
-sets passed down, running every search that the cut does not skip, and
-the fourth as the expansion was before its levels left their flips: each
-level undoes its flip, and keeps a closed prefix of a cut that holds its
-tail.  The last two search forward, as the expansion did before its
-search met in the middle, with ``tree_search``: the package's BFS that
-also hands back its search tree.
+the alpha expansion's ``_EdgeLevels``, in its closing order: the first
+with a reference search that scans whole incidence rows, the second with
+no cut reaching any search, the third as the expansion was without the
+free-arc tests and the sets passed down, running every search that the
+cut does not skip, and the fourth as the expansion was before its levels
+left their flips: each level undoes its flip, and keeps a closed prefix of
+a cut that holds its tail.  The last two search forward, as the
+expansion did before its search met in the middle, with ``tree_search``:
+the package's BFS that also hands back its search tree.
 """
 from __future__ import annotations
 
@@ -60,7 +61,8 @@ from orientations import (
 from oracles import oracle_lambda
 from orientations import alpha as alpha_module
 from orientations.alpha import _EdgeLevels, _emit_leaves, walk
-from orientations.paths import _count_paths, _degree_bound, _flip, _grow, _meeting_path, _shortest_path, _walk
+from orientations.multigraph import _Trailing
+from orientations.paths import _count_paths, _degree_bound, _flip, _grow, _meeting_path, _walk
 from orientations.sequences import _expansion, _TightSets, _vertex_choices
 
 
@@ -91,6 +93,13 @@ def assert_path(orientation: Orientation, path: Sequence[int], u: int, v: int) -
     """Asserts that ``path`` is a nonempty arc-simple directed u-to-v path."""
     reverse_path(orientation, path, u)  # raises unless it is one leaving u
     assert orientation.head(path[-1]) == v, f"path {path} does not end at {v}"
+
+
+def free_masks(graph: Multigraph, fixed: Iterable[int]) -> list[int]:
+    """Per vertex x, the bitmask over the positions of ``incidence[x]``
+    whose edges are not in ``fixed``: the ``free`` masks a search takes."""
+    fixed = set(fixed)
+    return [sum(1 << i for i, (e, _, _) in enumerate(row) if e not in fixed) for row in graph.incidence]
 
 
 def reversed_copy(orientation: Orientation, edges: Iterable[int]) -> Orientation:
@@ -223,7 +232,7 @@ def closure_count_paths(
 
 
 def _count_search(orientation: Orientation, u: int, v: int, meter) -> tuple[list[int] | None, int | None]:
-    # ``paths._meeting_path`` as a count makes it: no fixed prefix and no
+    # ``paths._meeting_path`` as a count makes it: no free masks and no
     # closed set.
     return _meeting_path(orientation, u, v, None, 0, meter)
 
@@ -240,7 +249,7 @@ def tree_search(
     orientation: Orientation,
     sources: Sequence[int],
     targets,
-    fixed: Sequence[int] | None,
+    free: Sequence[int] | None,
     meter: DelayMeter | None,
     reached: dict,
     inward: bool = False,
@@ -248,7 +257,8 @@ def tree_search(
     """``paths._shortest_path`` that hands back its search tree, as a reference.
 
     The same BFS, path, BFS run and arc touches, and the search the alpha
-    expansion made before it met in the middle.  ``reached`` receives the
+    expansion made before it met in the middle; given ``free`` masks, it
+    scans only their entries, as that search did.  ``reached`` receives the
     tree, each vertex mapped to the edge it was reached by (a source to
     None), so its keys are the vertices the search reached.  It may arrive
     holding vertices that the search then treats as reached and never
@@ -261,7 +271,7 @@ def tree_search(
     if meter is not None:
         meter.bfs()
     hit, touched = _grow(
-        graph.incidence, orientation._out, graph._row_mask if inward else None, fixed, queue, queue, reached, targets
+        graph.incidence, orientation._out, graph._row_mask if inward else None, free, queue, queue, reached, targets
     )
     if meter is not None:
         meter.arcs(touched)
@@ -407,41 +417,44 @@ def class_size_lower_bound_check(graph: Multigraph, alpha: Sequence[int], k: int
 class InvariantProbe:
     """Replays an enumeration walk and asserts its proof steps as it goes.
 
-    The choice generators of the package run on one orientation, wrapped the
+    The choice generators of the package run as in the enumerators, the
+    edge levels on the live orientation ``d`` and the vertex levels on
+    ``given``, a ``multigraph._Trailing`` of those edge levels, wrapped the
     way the enumerators drive them through ``walk``:
 
-    - ``edge_choices(e)`` asserts at every yield, and when the level ends,
-      that the fixed edges 0..e-1 are as they were when the level opened.
-      At every yield it also asserts that the walk's prefix count
-      ``fixed[x]`` is the number of edges at x with index at most e, the
-      length of the fixed prefix of x's incidence row, and that
-      ``assert_masks_exact`` holds.  The levels are those of one
-      ``_EdgeLevels``, as in the enumerators, and the probe reads its
-      state, whose sets are vertex bitmasks.  When a level searches, the cut
-      and the spare must be what level e+1 left, the cut empty at the last
-      level, the free out-arc count derived from the
-      masks, ``popcount(_out[x] >> fixed[x])``, must be the number of
-      out-arcs at x among the edges e+1..m-1, and the free in-arc count,
-      ``popcount((_row_mask[x] ^ _out[x]) >> fixed[x])``, the number of
-      in-arcs, and no arc of the edges e+1..m-1 may leave the set it
-      inherited from the flipping level above, used or not.  When a level
-      skips its search, an unmetered search on the live orientation must
-      find no path either.  No arc of the edges e..m-1 may leave the cut or
-      the spare a level hands up, so no arc free at the level above leaves
-      them.  When a level searches, the closed set that its search treats
-      as reached must miss the tail and be left by no arc of the edges
-      e+1..m-1 either: the probe runs the walk with ``alpha._meeting_path``
-      replaced by its checked ``search``;
+    - ``edge_choices(i)`` asserts at every yield, and when the level ends,
+      that the edges fixed above level i, those of the levels 0..i-1 in the
+      closing order, are as they were when the level opened.  At every
+      yield it also asserts that the walk's mask ``free[x]`` holds exactly
+      the entries of x's incidence row whose edges belong to the levels
+      i+1..m-1, and that ``assert_masks_exact`` holds.  The levels are
+      those of one ``_EdgeLevels``, as in the enumerators, and the probe
+      reads its state, whose sets are vertex bitmasks.  When a level
+      searches, the cut and the spare must be what level i+1 left, the cut
+      empty at the last level, the free out-arc count derived from the
+      masks, ``popcount(_out[x] & free[x])``, must be the number of
+      out-arcs at x among the edges of the levels below, and the free
+      in-arc count, ``popcount(free[x] & ~_out[x])``, the number of
+      in-arcs, and no arc of those edges may leave the set it inherited
+      from the flipping level above, used or not.  When a level skips its
+      search, an unmetered search on the live orientation must find no
+      path either.  No arc of the edges of the levels i..m-1 may leave the
+      cut or the spare a level hands up, so no arc free at the level above
+      leaves them.  When a level searches, the closed set that its search
+      treats as reached must miss the tail and be left by no arc of the
+      edges of the levels below either: the probe runs the walk with
+      ``alpha._meeting_path`` replaced by its checked ``search``;
     - ``expansion()`` drives ``sequences._expansion`` over the probe's edge
       levels, as the k-connected search does below its last vertex level.
-      Its ``restore`` asserts that the levels' ``flipped`` mask names
-      exactly the edges that differ from the orientation the expansion was
-      given, that the restore gives that orientation back, and that it is
-      charged one arc touch per edge it flips;
-    - ``vertex_choices(v)`` drives the search's own levels, which share one
-      tight-set family as in the search, and asserts at every yield that
-      the orientation is still k-connected and that
-      ``assert_masks_exact`` holds.  Every state
+      Its ``restore``, which runs as the expansion starts, asserts that the
+      levels' ``flipped`` mask names exactly the edges where ``d`` differs
+      from ``given``, that the restore makes ``d`` equal ``given``, and that
+      it is charged one arc touch per edge it flips;
+    - ``vertex_choices(v)`` drives the search's own levels on ``given``,
+      which share one tight-set family as in the search, and asserts at
+      every yield that ``given`` is still k-connected, that
+      ``assert_masks_exact`` holds for ``given`` and for ``d``, and that
+      ``flipped`` names exactly the edges where the two differ.  Every state
       a path reversal reaches is yielded once, so this checks that each
       reversal keeps k-connectivity.  At the last vertex it makes each
       yield's outdegrees, the sequence the vertex levels reached, the
@@ -450,7 +463,7 @@ class InvariantProbe:
       has the target outdegrees: ``target`` when given, else the sequence
       the vertex levels reached, read with ``d.outdegrees()`` like any leaf
       of the sequence search.  When the walk ends it asserts that every
-      prefix count is back at 0.
+      free mask is back at its row mask.
     """
 
     def __init__(self, seed: Orientation, k: int = 0, target: Sequence[int] | None = None):
@@ -459,82 +472,90 @@ class InvariantProbe:
         self.target = target
         self.meter = DelayMeter()
         self.levels = _EdgeLevels(self.d, self.meter)
+        self.given = _Trailing(self.levels)  # the orientation of the vertex levels, as in the search
         self.left = None  # the cut and spare as the last edge level to end left them
         self.level = None  # the edge level that resumed last, the one that searches
-        self.given = None  # the orientation the running expansion was given
         self.tight = _TightSets()  # the tight-set families the vertex levels share, as in the search
 
-    def edge_choices(self, e: int):
+    def edge_choices(self, i: int):
         d, levels = self.d, self.levels
-        prefix = bytes(d._dirs[:e])
-        rows = d.graph.incidence
-        counts = [sum(1 for f, _, _ in row if f <= e) for row in rows]
+        order = levels.order
+        e, above, below = order[i], order[:i], order[i + 1 :]
+        fixed = [d._dirs[f] for f in above]
+        masks = free_masks(d.graph, order[: i + 1])
         options = 0
-        for _ in levels.choices(e):
-            assert bytes(d._dirs[:e]) == prefix, f"fixed edges 0..{e - 1} changed within a branch"
-            assert levels.fixed == counts, f"prefix counts at edge level {e} are not the fixed edges 0..{e}"
+        for _ in levels.choices(i):
+            assert [d._dirs[f] for f in above] == fixed, f"edges fixed above level {i} changed within a branch"
+            assert levels.free == masks, f"free masks at edge level {i} are not the edges of the levels below"
             assert_masks_exact(d)
             yield
             options += 1
             if options == 1:
-                if e + 1 < d.graph.m:
-                    assert (levels.cut, levels.spare) == self.left, f"edge level {e} reads sets that level {e + 1} did not leave"
+                if below:
+                    assert (levels.cut, levels.spare) == self.left, f"edge level {i} reads sets that level {i + 1} did not leave"
                 else:
-                    assert levels.cut == 0, f"the last edge level, {e}, reads a cut"
+                    assert levels.cut == 0, f"the last edge level, {i}, reads a cut"
                 fo, fi = [0] * d.graph.n, [0] * d.graph.n
-                for f in range(e + 1, d.graph.m):
+                for f in below:
                     fo[d.tail(f)] += 1
                     fi[d.head(f)] += 1
-                free_out = [(d._out[x] >> levels.fixed[x]).bit_count() for x in range(d.graph.n)]
-                assert free_out == fo, f"derived free out-arc counts at edge level {e} are not the edges {e + 1}.."
-                rows = d.graph._row_mask
-                free_in = [((rows[x] ^ d._out[x]) >> levels.fixed[x]).bit_count() for x in range(d.graph.n)]
-                assert free_in == fi, f"derived free in-arc counts at edge level {e} are not the edges {e + 1}.."
+                free_out = [(d._out[x] & levels.free[x]).bit_count() for x in range(d.graph.n)]
+                assert free_out == fo, f"derived free out-arc counts at edge level {i} are not the edges below it"
+                free_in = [(levels.free[x] & ~d._out[x]).bit_count() for x in range(d.graph.n)]
+                assert free_in == fi, f"derived free in-arc counts at edge level {i} are not the edges below it"
                 down = vertices(levels.down)
-                leaving = [f for f in range(e + 1, d.graph.m) if d.tail(f) in down and d.head(f) not in down]
-                assert not leaving, f"free arcs {leaving} leave the set edge level {e} inherited"
+                leaving = [f for f in below if d.tail(f) in down and d.head(f) not in down]
+                assert not leaving, f"free arcs {leaving} leave the set edge level {i} inherited"
                 runs = self.meter.bfs_runs
-                self.level = e
-        assert bytes(d._dirs[:e]) == prefix, f"fixed edges 0..{e - 1} changed"
+                self.level = i
+        assert [d._dirs[f] for f in above] == fixed, f"edges fixed above level {i} changed"
         tail, head = d.tail(e), d.head(e)
         if options == 1 and self.meter.bfs_runs == runs:
-            assert _shortest_path(d, (head,), (tail,), counts, None) is None, f"edge level {e} skipped a search that finds a path"
+            assert _meeting_path(d, head, tail, masks, 0, None)[0] is None, f"edge level {i} skipped a search that finds a path"
         for handed in (levels.cut, levels.spare):
             members = vertices(handed)
-            leaving = [f for f in range(e, d.graph.m) if d.tail(f) in members and d.head(f) not in members]
-            assert not leaving, f"arcs {leaving} leave a set handed up by edge level {e}"
+            leaving = [f for f in order[i:] if d.tail(f) in members and d.head(f) not in members]
+            assert not leaving, f"arcs {leaving} leave a set handed up by edge level {i}"
         self.left = levels.cut, levels.spare
 
-    def search(self, d, u, v, fixed, closed, meter):
+    def search(self, d, u, v, free, closed, meter):
         # The search of the edge level that resumed last, after checking the
         # closed set it is told to treat as reached.
-        e, skipped = self.level, vertices(closed)
-        leaving = [f for f in range(e + 1, d.graph.m) if d.tail(f) in skipped and d.head(f) not in skipped]
-        assert not leaving, f"free arcs {leaving} leave the skipped set of edge level {e}"
-        assert v not in skipped, f"edge level {e} skips a set that holds its tail"
-        return _meeting_path(d, u, v, fixed, closed, meter)
+        i, skipped = self.level, vertices(closed)
+        below = self.levels.order[i + 1 :]
+        leaving = [f for f in below if d.tail(f) in skipped and d.head(f) not in skipped]
+        assert not leaving, f"free arcs {leaving} leave the skipped set of edge level {i}"
+        assert v not in skipped, f"edge level {i} skips a set that holds its tail"
+        return _meeting_path(d, u, v, free, closed, meter)
 
     def expansion(self):
-        self.given = bytes(self.d._dirs)
         return _expansion(self)
 
     choices = edge_choices  # the edge levels as ``sequences._expansion`` calls them
 
-    def restore(self):
+    def _differ(self) -> list[int]:
+        # The edges where d differs from given, asserted to be ``flipped``.
         d, given = self.d, self.given
-        differ = [f for f in range(d.graph.m) if d._dirs[f] != given[f]]
+        differ = [f for f in range(d.graph.m) if d._dirs[f] != given._dirs[f]]
         assert self.levels.flipped == sum(1 << f for f in differ), "the flipped mask is not the edges that differ"
+        return differ
+
+    def restore(self):
+        differ = self._differ()
         touches = self.meter.arc_touches
         self.levels.restore()
-        assert bytes(d._dirs) == given, "the expansion did not give back the orientation it was given"
+        assert self.d == self.given, "the expansion does not start from the orientation of the vertex levels"
         assert self.meter.arc_touches - touches == len(differ), "the restore is not charged one touch per edge it flips"
 
     def vertex_choices(self, v: int):
-        for _ in _vertex_choices(self.d, v, self.k, self.meter, self.tight):
-            assert is_k_connected(self.d, self.k), f"a path reversal at vertex {v} broke k-connectivity"
+        given = self.given
+        for _ in _vertex_choices(given, v, self.k, self.meter, self.tight):
+            assert is_k_connected(given, self.k), f"a path reversal at vertex {v} broke k-connectivity"
+            assert_masks_exact(given)
             assert_masks_exact(self.d)
-            if v == self.d.graph.n - 1:
-                self.target = self.d.outdegrees()
+            self._differ()
+            if v == given.graph.n - 1:
+                self.target = given.outdegrees()
             yield
 
     def leaves(self, levels: int, choices):
@@ -543,7 +564,7 @@ class InvariantProbe:
                 if self.target is not None:
                     assert self.d.outdegrees() == tuple(self.target), "emitted orientation misses the target outdegrees"
                 yield
-        assert not any(self.levels.fixed), "prefix counts not back at 0 when the walk ends"
+        assert self.levels.free == list(self.d.graph._row_mask), "free masks not back at the row masks when the walk ends"
 
 
 def probed_alpha(graph: Multigraph, alpha: Sequence[int]) -> list[Orientation]:
@@ -824,18 +845,24 @@ def scanned_sequences(graph: Multigraph, k: int, meter: DelayMeter, choices) -> 
 class FullScanLevels(_EdgeLevels):
     """The alpha expansion's edge levels with a whole-row scan, as a reference.
 
-    Same contract, yields and meter charges as ``alpha._EdgeLevels``, but
-    its search for a completing cycle, ``full_scan_path``, keeps no prefix
-    counts and no cut: it scans every entry of each row it reaches and
-    skips the fixed edges 0..e-1 one by one.
+    Same contract, level order, yields and meter charges as
+    ``alpha._EdgeLevels``, but its search for a completing cycle,
+    ``full_scan_path``, keeps no free masks and no cut: it scans every
+    entry of each row it reaches and skips the edges of the levels above
+    one by one.
     """
 
-    def choices(self, e: int):
+    def __init__(self, d: Orientation, meter: DelayMeter):
+        super().__init__(d, meter)
+        self.level_of = {e: i for i, e in enumerate(self.order)}
+
+    def choices(self, i: int):
         d, meter = self.d, self.meter
         yield
+        e = self.order[i]
         u, v = d.graph.edges[e]
         tail, head = (u, v) if d.forward(e) else (v, u)
-        path = full_scan_path(d, head, tail, e, meter)
+        path = full_scan_path(d, head, tail, self.level_of, i, meter)
         if path is not None:
             path.append(e)
             _flip(d, path, meter)
@@ -847,7 +874,7 @@ class UncutLevels(_EdgeLevels):
     """The alpha expansion's edge levels without the cut, as a reference.
 
     ``alpha._EdgeLevels`` with the cut cleared whenever a level resumes,
-    keeping the free-arc counts: no level sees the set that the search one
+    keeping the free masks and their free-arc tests: no level sees the set that the search one
     level down reached, no level passes a set down, so every search that
     the counts do not skip runs and starts from the head alone.
     """
@@ -859,29 +886,30 @@ class UncutLevels(_EdgeLevels):
 
 
 class UncountedLevels(_EdgeLevels):
-    """The alpha expansion's edge levels without the free-arc counts, as a reference.
+    """The alpha expansion's edge levels without the free-arc tests, as a reference.
 
-    Same contract and yields as ``alpha._EdgeLevels``, and it reuses the
-    cut that the level below handed up, but it keeps no counts and passes
-    no set down: every search that the cut does not skip runs, the last
-    edge level's included, and a level that flips hands up no cut.  Its
-    search is the forward one that the expansion made before it met in the
-    middle, ``tree_search``, and its cuts are the dicts of the vertices
-    that search reached.
+    Same contract, level order and yields as ``alpha._EdgeLevels``, and it
+    keeps the free masks and reuses the cut that the level below handed
+    up, but it makes no free-arc test and passes no set down: every search
+    that the cut does not skip runs, the last edge level's included, and a
+    level that flips hands up no cut.  Its search is the forward one that
+    the expansion made before it met in the middle, ``tree_search``, and
+    its cuts are the dicts of the vertices that search reached.
     """
 
-    def choices(self, e: int):
-        d, fixed = self.d, self.fixed
-        u, v = d.graph.edges[e]
-        fixed[u] += 1
-        fixed[v] += 1
+    def choices(self, i: int):
+        d, free = self.d, self.free
+        e = self.order[i]
+        u, u_bit, v, v_bit = d.graph._ends[e]
+        free[u] ^= u_bit
+        free[v] ^= v_bit
         self.cut = {}
         yield
         tail, head = (u, v) if d.forward(e) else (v, u)
         reached = self.cut
         if tail in reached:
             reached = {}
-        path = None if head in reached else tree_search(d, (head,), (tail,), fixed, self.meter, reached)
+        path = None if head in reached else tree_search(d, (head,), (tail,), free, self.meter, reached)
         if path is None:
             self.cut = reached
         else:
@@ -890,44 +918,45 @@ class UncountedLevels(_EdgeLevels):
             self.flipped ^= sum(1 << f for f in path)
             yield
             self.cut = {}
-        fixed[u] -= 1
-        fixed[v] -= 1
+        free[u] ^= u_bit
+        free[v] ^= v_bit
 
 
 class FlipBackLevels(_EdgeLevels):
     """The alpha expansion's edge levels that flip back, as a reference.
 
-    The expansion as it was before its levels left their flips: a level
-    that flips undoes its flip after its flip subtree, so every level
-    searches on the orientation that the level above kept, and its
-    ``flipped`` mask stays empty.  Its closed sets are those that rest on
-    the flip-back: a set passed down to the flip subtree is the set the
-    search skipped, a level hands up the set the subtree handed up when
-    that misses head and tail once the flip is undone, and of a received
-    set that holds the tail the level keeps the longest prefix that ends
-    before a search's root, a vertex mapped to None, and misses the tail.
-    Its search is the forward one of that expansion, ``tree_search``, and
-    its sets are dicts in insertion order.  The stream holds the same
-    orientations in another order.
+    The expansion as it was before its levels left their flips, in the
+    same level order: a level that flips undoes its flip after its flip
+    subtree, so every level searches on the orientation that the level
+    above kept, and its ``flipped`` mask stays empty.  Its closed sets are
+    those that rest on the flip-back: a set passed down to the flip subtree
+    is the set the search skipped, a level hands up the set the subtree
+    handed up when that misses head and tail once the flip is undone, and
+    of a received set that holds the tail the level keeps the longest
+    prefix that ends before a search's root, a vertex mapped to None, and
+    misses the tail.  Its search is the forward one of that expansion,
+    ``tree_search``, and its sets are dicts in insertion order.  The stream
+    holds the same orientations in another order.
     """
 
     def __init__(self, d: Orientation, meter: DelayMeter):
         super().__init__(d, meter)
         self.cut, self.down = {}, {}
 
-    def choices(self, e: int):
-        d, fixed, out, rows = self.d, self.fixed, self.d._out, self.d.graph._row_mask
-        u, v = d.graph.edges[e]
+    def choices(self, i: int):
+        d, free, out = self.d, self.free, self.d._out
+        e = self.order[i]
+        u, u_bit, v, v_bit = d.graph._ends[e]
         tail, head = (u, v) if d.forward(e) else (v, u)
-        fixed[u] += 1
-        fixed[v] += 1
+        free[u] ^= u_bit
+        free[v] ^= v_bit
         self.cut = {}
         yield
         reached = self.cut
         if tail in reached:
             reached = _closed_prefix(reached, tail)
         path = None
-        if head not in reached and out[head] >> fixed[head] and (rows[tail] ^ out[tail]) >> fixed[tail]:
+        if head not in reached and out[head] & free[head] and free[tail] & ~out[tail]:
             down = self.down
             inherited = {} if tail in down else down
             if head not in inherited:
@@ -935,7 +964,7 @@ class FlipBackLevels(_EdgeLevels):
                     for x, via in inherited.items():
                         reached.setdefault(x, via)  # no root moves and none is made
                 searched = len(reached)
-                path = tree_search(d, (head,), (tail,), fixed, self.meter, reached)
+                path = tree_search(d, (head,), (tail,), free, self.meter, reached)
         if path is None:
             self.cut = reached
         else:
@@ -948,8 +977,8 @@ class FlipBackLevels(_EdgeLevels):
             _flip(d, path, self.meter)
             below = self.cut
             self.cut = below if below and head not in below and tail not in below else reached
-        fixed[u] -= 1
-        fixed[v] -= 1
+        free[u] ^= u_bit
+        free[v] ^= v_bit
 
 
 def _closed_prefix(members: dict, x: int) -> dict:
@@ -965,10 +994,11 @@ def _closed_prefix(members: dict, x: int) -> dict:
     return dict(islice(members.items(), end)) if end else {}
 
 
-def full_scan_path(d: Orientation, source: int, target: int, e: int, meter: DelayMeter) -> list[int] | None:
+def full_scan_path(d: Orientation, source: int, target: int, level_of: dict, i: int, meter: DelayMeter) -> list[int] | None:
     """The edges of the BFS path from ``source`` to ``target`` that uses no
-    edge below ``e``, or None.  One BFS run, and one arc touch per incidence
-    entry scanned, fixed or not."""
+    edge of the levels above level ``i``, ``level_of`` mapping each edge to
+    its level, or None.  One BFS run, and one arc touch per incidence entry
+    scanned, fixed or not."""
     meter.bfs()
     parent = {source: None}
     queue = deque([source])
@@ -977,7 +1007,7 @@ def full_scan_path(d: Orientation, source: int, target: int, e: int, meter: Dela
         x = queue.popleft()
         for f, w, x_is_first in d.graph.incidence[x]:
             touched += 1
-            if f < e or d._dirs[f] != x_is_first or w in parent:
+            if level_of[f] < i or d._dirs[f] != x_is_first or w in parent:
                 continue
             parent[w] = (x, f)
             if w == target:
@@ -993,4 +1023,3 @@ def full_scan_path(d: Orientation, source: int, target: int, e: int, meter: Dela
         edges.append(f)
         step = parent[x]
     return edges[::-1]
-
