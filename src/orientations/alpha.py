@@ -50,38 +50,36 @@ F-arcs that leave X: the sum of out_F(x) over x in X, less the number of
 F-edges inside X.  Reversing a directed cycle inside F keeps every
 out_F(x), so it keeps out_F(X); reversing a path inside F from a to b
 changes out_F(X) by [b in X] - [a in X].  Every flip below level i is a
-directed cycle inside F.  Four rules follow, e being the edge of level i:
+directed cycle inside F.  Three rules follow, e being the edge of level i:
 
-- Received cut R.  The set that level i+1 hands up is closed at level i.
-  The level uses it whole when it misses the tail.  Otherwise it uses the
-  spare that level i+1 handed up with it, when that misses the tail, and
-  nothing when neither does.
-- Inherited set D.  A level that flips passes down P, the union of the sets
-  its search skipped.  P misses head and tail, so the path its flip
-  reverses inside F, from head to tail, keeps P closed, and so does every
-  flip below.  The set D passed down by the nearest flipping level above is
-  thus closed at every level below it, and a level uses D when it misses
-  the tail.  A level skips its search when the head lies in R or in D.
-- Search outcome.  A failed search hands up A or V∖B, R and D included,
-  with the union of R and D as its spare; a skipped search hands up the R
-  it used (none when it used none) as both.  Each misses the tail, and
-  edge e runs from the tail, so no arc free at level i-1 leaves it.
+- Closed set.  The set R that level i+1 hands up is closed at level i.  A
+  level that flips passes down its closed set, which misses head and tail,
+  so the path its flip reverses inside F, from head to tail, keeps it
+  closed, and so does every flip below.  The set D passed down by the
+  nearest flipping level above is thus closed at every level below it.
+  The level's closed set is the union of those of R and D that miss the
+  tail.  It skips its search when that set holds the head, and otherwise
+  hands it to the search.
+- Search outcome.  A failed search hands up A or V∖B, the closed set
+  included; a level that does not search hands up its closed set.  Each
+  misses the tail, and edge e runs from the tail, so no arc free at level
+  i-1 leaves it.
 - Flipping level.  After its subtree it hands up the set S that level i+1
   left, closed among the edges of the levels below.  Edge e now runs from
   head to tail, so it leaves S just when S holds the head but not the
-  tail; then, and when S is empty, the level hands up P, which misses both.
-  Its spare is P.
+  tail; then, and when S is empty, the level hands up its closed set,
+  which misses both.
 
-A level searches only when its head lies outside R and D, has a free
-out-arc, and its tail has a free in-arc.  When level i searches, the set
-bits of ``free[x]`` are the entries of x's incidence row whose edges lie
-below it, those of the levels i+1..m-1, so ``_out[x] & free[x]`` holds x's
-free out-arcs and ``free[x] & ~_out[x]`` its free in-arcs.  A path from
+A level searches only when its head lies outside its closed set, has a
+free out-arc, and its tail has a free in-arc.  When level i searches, the
+set bits of ``free[x]`` are the entries of x's incidence row whose edges
+lie below it, those of the levels i+1..m-1, so ``_out[x] & free[x]`` holds
+x's free out-arcs and ``free[x] & ~_out[x]`` its free in-arcs.  A path from
 head to tail leaves the head and enters the tail by free arcs, so a level
 that fails these tests would find none.  At the last level every edge is
 fixed, so its search is always skipped.  ``_EdgeLevels`` owns the order,
-``free``, the cut and its spare, the set passed down and the mask of the
-edges its flips left reversed, which the k-connected search of
+``free``, the cut, the set passed down and the mask of the edges its flips
+left reversed, which the k-connected search of
 :mod:`orientations.sequences` flips back as its next expansion starts,
 less those its vertex levels reversed meanwhile.
 The sets are vertex bitmasks, as the sequence search holds its cuts: a
@@ -254,23 +252,23 @@ class _EdgeLevels:
     # is the bitmask of the edges that the levels' flips left reversed.
     #
     # The sets are vertex bitmasks.  When level i resumes, cut holds the set
-    # R that level i+1 handed up (0 at the last level), spare the set that
-    # level handed up with it, which stands in for R when R holds tail, and
-    # down the set D that the nearest flipping level above passed down (0
-    # below none).  The level uses each of them only when it misses tail.
-    # It searches only when head lies outside both, has a free out-arc, and
-    # tail has a free in-arc (see the module docstring); the search never
-    # expands them.  A failed search leaves its cut, A or V∖B, in cut and P,
-    # the union it skipped, in spare; a level that does not search leaves R
-    # in both.  A level that flips passes down P, sets down back to D after
-    # its flip subtree, and leaves in cut the set S that the subtree handed
-    # up, or P when S is empty or holds head but not tail, and P in spare.
-    __slots__ = ("d", "meter", "order", "free", "cut", "spare", "down", "flipped")
+    # R that level i+1 handed up (0 at the last level), and down the set D
+    # that the nearest flipping level above passed down (0 below none).
+    # The level's closed set is the union of those of them that miss tail.
+    # It searches only when head lies outside that set, has a free
+    # out-arc, and tail has a free in-arc (see the module docstring); the
+    # search never expands the set.  A failed search leaves its cut, A or
+    # V∖B, in cut; a level that does not search leaves its closed set.  A
+    # level that flips passes down its closed set, sets down back to D
+    # after its flip subtree, and leaves in cut the set S that the subtree
+    # handed up, or its closed set when S is empty or holds head but not
+    # tail.
+    __slots__ = ("d", "meter", "order", "free", "cut", "down", "flipped")
 
     def __init__(self, d: Orientation, meter: DelayMeter):
         self.d, self.meter = d, meter
         self.order, self.free = _closing_order(d.graph), list(d.graph._row_mask)
-        self.cut, self.spare, self.down, self.flipped = 0, 0, 0, 0
+        self.cut, self.down, self.flipped = 0, 0, 0
 
     def choices(self, i: int) -> Iterator[None]:
         d, free, out = self.d, self.free, self.d._out
@@ -281,31 +279,23 @@ class _EdgeLevels:
         free[v] ^= v_bit
         self.cut = 0
         yield
-        closed = self.cut
-        if closed >> tail & 1:
-            closed = self.spare
-            if closed >> tail & 1:
-                closed = 0
-        path, passed = None, closed
+        cut, down = self.cut, self.down
+        closed = (0 if cut >> tail & 1 else cut) | (0 if down >> tail & 1 else down)
+        path, cut = None, closed
         if not closed >> head & 1 and out[head] & free[head] and free[tail] & ~out[tail]:
-            down = self.down
-            inherited = 0 if down >> tail & 1 else down
-            if not inherited >> head & 1:
-                passed |= inherited
-                path, closed = _meeting_path(d, head, tail, free, passed, self.meter)
+            path, cut = _meeting_path(d, head, tail, free, closed, self.meter)
         if path is None:
-            self.cut, self.spare = closed, passed
+            self.cut = cut
         else:
             path.append(e)
             _flip(d, path, self.meter)
             for f in path:
                 self.flipped ^= 1 << f
-            self.down = passed
+            self.down = closed
             yield
             self.down = down
             below = self.cut
-            self.cut = below if below and (below >> tail & 1 or not below >> head & 1) else passed
-            self.spare = passed
+            self.cut = below if below and (below >> tail & 1 or not below >> head & 1) else closed
         free[u] ^= u_bit
         free[v] ^= v_bit
 

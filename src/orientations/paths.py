@@ -7,26 +7,28 @@ walk, ``_walk``.  The search of the alpha finder and of the k = 1 sweeps
 is a plain BFS, ``_shortest_path``, that scans only out-arcs.  Each
 orientation keeps, per vertex x, the bitmask ``_out[x]`` over the positions
 of ``incidence[x]`` whose entries leave x, and every flip keeps it exact.
-The search walks the set bits from low to high, so it meets x's out-arcs in
+Every search is told which entries of each vertex's incidence row are
+still free: ``free[x]`` is a bitmask over the positions of ``incidence[x]``,
+like ``_out[x]``, so x's free out-arcs are ``_out[x] & free[x]`` and its
+free in-arcs ``free[x] & ~_out[x]``, and the search neither uses nor counts
+the fixed entries.  The BFS and the counts pass the row masks, which leave
+every entry free; the alpha expansion fixes one edge per level and keeps
+its own masks, one XOR per end of the edge as a level opens and again as
+it ends.
+
+A search walks the set bits from low to high, so it meets x's out-arcs in
 edge-index order: among shortest paths the one through the lowest-indexed
 arcs is found first, and every caller inherits that determinism.  It
 charges one arc touch per out-arc scanned and none per in-arc.  Told to
-search inward, it walks in-arcs backward instead, x's in-arcs being the
-bits of its row mask that ``_out[x]`` leaves clear, and charges one touch
+search inward, it walks x's in-arcs backward instead and charges one touch
 per in-arc scanned and none per out-arc.  The searches of a count (below)
 and of the alpha expansion meet in the middle, ``_meeting_path``: they grow
 BFS layers from the source along out-arcs and from the target along
-in-arcs, and charge one touch per arc scanned either way.
-
-A search may be told which entries of each vertex's incidence row are
-still free: ``free[x]`` is a bitmask over the positions of ``incidence[x]``,
-like ``_out[x]``, and ``arcs &= free[x]`` clears the bits of the fixed
-entries, so the search neither uses nor counts them.  The alpha expansion
-fixes one edge per level and keeps these masks, one XOR per end of the
-edge as a level opens and again as it ends.  Its meeting search may also
-be handed a closed set, a vertex bitmask of vertices none of which reaches
-the target: the source's side treats them as reached and never expands
-them, and the target's side never meets one (see :mod:`orientations.alpha`).
+in-arcs, and charge one touch per arc scanned either way.  The alpha
+expansion's meeting search may also be handed a closed set, a vertex
+bitmask of vertices none of which reaches the target: the source's side
+treats them as reached and never expands them, and the target's side never
+meets one (see :mod:`orientations.alpha`).
 
 The number of pairwise arc-disjoint directed u-to-v paths is counted by the
 reverse-and-repeat scheme: find a path, reverse it, and iterate.  Each
@@ -90,21 +92,19 @@ from .multigraph import Orientation
 __all__ = ["lambda_at_least"]
 
 
-def _grow(rows, out, full, free, layer, following, tree, targets) -> tuple[int | None, int]:
+def _grow(rows, out, free, inward, layer, following, tree, targets) -> tuple[int | None, int]:
     # The package's one arc-scanning loop.  For each vertex x of ``layer``,
-    # scans x's out-arcs in row order, or its in-arcs backward when ``full``
-    # is the row masks (None otherwise), only among the entries of free[x]
-    # when ``free`` is given.  Each vertex not yet in ``tree`` is mapped
-    # there to the edge it was reached by and appended to ``following``;
-    # the first such vertex in ``targets`` ends the scan.  Returns it, or
-    # None, and the number of arcs scanned.  Passed as both ``layer`` and
-    # ``following``, one list is a FIFO queue and the call a whole BFS.
+    # scans x's free out-arcs, ``out[x] & free[x]``, in row order, or with
+    # ``inward`` its free in-arcs, ``free[x] & ~out[x]``, backward.  Each
+    # vertex not yet in ``tree`` is mapped there to the edge it was reached
+    # by and appended to ``following``; the first such vertex in
+    # ``targets`` ends the scan.  Returns it, or None, and the number of
+    # arcs scanned.  Passed as both ``layer`` and ``following``, one list
+    # is a FIFO queue and the call a whole BFS.
     touched = 0
     for x in layer:
         row = rows[x]
-        arcs = out[x] if full is None else out[x] ^ full[x]
-        if free is not None:
-            arcs &= free[x]
+        arcs = free[x] & ~out[x] if inward else out[x] & free[x]
         while arcs:
             low = arcs & -arcs
             arcs ^= low
@@ -141,18 +141,16 @@ def _shortest_path(
 ) -> list[int] | None:
     # Multi-source BFS along out-arcs to the first discovered target; a
     # source is never reported as its own target.  With ``inward`` it
-    # walks in-arcs backward instead, x's being the bits of its row mask
-    # that ``_out[x]`` leaves clear: a search of the reversed orientation.
-    # The whole search is one ``_grow`` over one queue.  Vertex ids are not
-    # checked: callers take them from the graph.
+    # walks in-arcs backward instead: a search of the reversed orientation.
+    # The whole search is one ``_grow`` over one queue, with the row masks
+    # as its free masks.  Vertex ids are not checked: callers take them
+    # from the graph.
     tree: dict[int, int | None] = dict.fromkeys(sources)
     graph = orientation.graph
     queue = list(sources)
     if meter is not None:
         meter.bfs()
-    hit, touched = _grow(
-        graph.incidence, orientation._out, graph._row_mask if inward else None, None, queue, queue, tree, targets
-    )
+    hit, touched = _grow(graph.incidence, orientation._out, graph._row_mask, inward, queue, queue, tree, targets)
     if meter is not None:
         meter.arcs(touched)
     if hit is None:
@@ -166,18 +164,18 @@ def _meeting_path(
     orientation: Orientation,
     u: int,
     v: int,
-    free: Sequence[int] | None,
+    free: Sequence[int],
     closed: int,
     meter: DelayMeter | None,
 ) -> tuple[list[int] | None, int | None]:
     # A u-to-v path and None, or None and a cut, found by growing BFS
     # layers from u along out-arcs and from v backward along in-arcs, one
     # ``_grow`` per layer, until an arc joins the two trees.  Both sides
-    # scan only the entries of free[x] (all when ``free`` is None).  u's
-    # side treats the vertices of the bitmask ``closed`` as reached and
-    # never expands them: the caller knows that none of them reaches v, so
-    # v's side never meets one.  Charged as one BFS run and
-    # one arc touch per arc scanned in either direction.
+    # scan only the entries of free[x].  u's side treats the vertices of
+    # the bitmask ``closed`` as reached and never expands them: the caller
+    # knows that none of them reaches v, so v's side never meets one.
+    # Charged as one BFS run and one arc touch per arc scanned in either
+    # direction.
     #
     # The smaller layer grows first; when both hold one vertex, the one
     # with fewer arcs to scan (out-arcs at u's, in-arcs at v's), u's on a
@@ -191,15 +189,15 @@ def _meeting_path(
     # reaches, ``closed`` included; otherwise v's tree holds the set B of
     # vertices that reach v, and the cut is the mask of V∖B.
     graph = orientation.graph
-    rows, out, full = graph.incidence, orientation._out, graph._row_mask
+    rows, out = graph.incidence, orientation._out
     ahead, behind = {u: None}, {v: None}
     while closed:
         x = closed.bit_length() - 1
         closed ^= 1 << x
         ahead[x] = None
     front, back, span = [u], [v], len(graph.edges) + 1
-    front_key = span + (out[u] if free is None else out[u] & free[u]).bit_count()
-    back_key = span + (out[v] ^ full[v] if free is None else (out[v] ^ full[v]) & free[v]).bit_count()
+    front_key = span + (out[u] & free[u]).bit_count()
+    back_key = span + (free[v] & ~out[v]).bit_count()
     if meter is not None:
         meter.bfs()
     hit, touched = None, 0
@@ -208,20 +206,20 @@ def _meeting_path(
             if back_key <= span:
                 break
             layer: list[int] = []
-            hit, scanned = _grow(rows, out, full, free, back, layer, behind, ahead)
+            hit, scanned = _grow(rows, out, free, True, back, layer, behind, ahead)
             back, back_key = layer, len(layer) * span
             if back_key == span:
                 y = layer[0]
-                back_key += (out[y] ^ full[y] if free is None else (out[y] ^ full[y]) & free[y]).bit_count()
+                back_key += (free[y] & ~out[y]).bit_count()
         else:
             if front_key <= span:
                 break
             layer = []
-            hit, scanned = _grow(rows, out, None, free, front, layer, ahead, behind)
+            hit, scanned = _grow(rows, out, free, False, front, layer, ahead, behind)
             front, front_key = layer, len(layer) * span
             if front_key == span:
                 x = layer[0]
-                front_key += (out[x] if free is None else out[x] & free[x]).bit_count()
+                front_key += (out[x] & free[x]).bit_count()
         touched += scanned
     if meter is not None:
         meter.arcs(touched)
@@ -297,7 +295,7 @@ def _count_paths(
     flipped = kept = 0
     try:
         while len(paths) < limit:
-            path, failed = _meeting_path(orientation, u, v, None, 0, meter)
+            path, failed = _meeting_path(orientation, u, v, orientation.graph._row_mask, 0, meter)
             if path is None:
                 cut = failed
                 break

@@ -275,7 +275,7 @@ def test_leaving_each_flip_costs_more_than_flipping_back_only_on_the_pinned_alph
     # Every alpha class of the graphs above.  The reference searches forward
     # and keeps a closed prefix of a set that holds its tail, a rule that
     # does not survive leaving the flips; the expansion meets in the middle
-    # and falls back on the set the level below skipped.  Each class where
+    # and drops a received set that holds its tail.  Each class where
     # the expansion costs more is pinned as (reference, expansion) figures
     # of (total_ops, max_delay_ops).
     dearer = {}
@@ -293,11 +293,15 @@ def test_leaving_each_flip_costs_more_than_flipping_back_only_on_the_pinned_alph
         ("rnd-32-n5-m9", (2, 0, 2, 2, 3)): ((22, 13), (25, 13)),
         ("rnd-32-n5-m9", (2, 0, 3, 1, 3)): ((18, 15), (20, 15)),
         ("rnd-53-n5-m7", (2, 2, 1, 0, 2)): ((19, 16), (21, 16)),
+        # One search more: a level drops the cut it received, which holds
+        # its tail, and the set that the level below had skipped would have
+        # spared the search.  The expansion no longer hands that set up.
+        ("wheel4", (1, 2, 2, 3, 0)): ((23, 19), (25, 19)),
     }
     wheel = families.doubled_wheel4()
     for run, parent, pinned in (
-        (_korient_run(families.torus(3, 3), 1), 1_092_778, 692_832),
-        (_korient_run(wheel, 1), 436_219, 272_237),
+        (_korient_run(families.torus(3, 3), 1), 1_092_778, 693_156),
+        (_korient_run(wheel, 1), 436_219, 272_243),
         (_korient_run(wheel, 2), 191_160, 119_935),
     ):
         assert _against_flip_back(monkeypatch, run) == (parent, pinned)

@@ -64,7 +64,7 @@ def test_lowest_edge_index_wins_ties():
     g = parse_graph("2 3\n0 1\n0 1\n0 1")
     d = Orientation(g)
     assert _shortest_path(d, (0,), (1,), None) == [0]
-    assert _meeting_path(d, 0, 1, None, 0, None) == ([0], None)
+    assert _meeting_path(d, 0, 1, g._row_mask, 0, None) == ([0], None)
     assert _meeting_path(d, 0, 1, free_masks(g, {0}), 0, None) == ([1], None)
 
 
@@ -89,19 +89,6 @@ def test_fixed_prefix_over_parallel_edges():
     # The masks are per vertex: with only vertex 1's first three entries
     # cleared, its one free in-arc is edge 3, and the search takes it.
     assert _meeting_path(d, 0, 1, [0b1111, 0b1000], 0, None) == ([3], None)
-
-
-def test_zero_prefix_is_the_full_scan():
-    rng = random.Random(99)
-    for _, g in families.random_family(40, seed=13):
-        if g.n < 2:
-            continue
-        d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
-        u, v = rng.sample(range(g.n), 2)
-        full, whole = DelayMeter(), DelayMeter()
-        found = _meeting_path(d, u, v, None, 0, full)
-        assert _meeting_path(d, u, v, list(g._row_mask), 0, whole) == found
-        assert (whole.bfs_runs, whole.arc_touches) == (full.bfs_runs, full.arc_touches)
 
 
 def test_source_is_never_its_own_target():
@@ -364,9 +351,9 @@ def test_a_meeting_search_answers_as_the_forward_search_does(monkeypatch):
     # outside the set B that reaches v.
     real_grow, steps = paths._grow, []
 
-    def traced(rows, out, full, free, layer, following, tree, targets):
-        found = real_grow(rows, out, full, free, layer, following, tree, targets)
-        steps.append((full is not None, following))
+    def traced(rows, out, free, inward, layer, following, tree, targets):
+        found = real_grow(rows, out, free, inward, layer, following, tree, targets)
+        steps.append((inward, following))
         return found
 
     def out_of_arcs(d, layer, inward, scope) -> bool:
@@ -385,8 +372,7 @@ def test_a_meeting_search_answers_as_the_forward_search_does(monkeypatch):
         d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
         fixed = set(picks.sample(range(g.m), picks.randint(1, g.m)))
         masks = free_masks(g, fixed)
-        for free, u, v in [(f, u, v) for f in (None, masks) for u in range(g.n) for v in range(g.n) if u != v]:
-            scope = free or g._row_mask
+        for free, u, v in [(f, u, v) for f in (g._row_mask, masks) for u in range(g.n) for v in range(g.n) if u != v]:
             reaching: dict = {}
             tree_search(d, (v,), (), free, None, reaching, inward=True)
             closed = sum(1 << x for x in range(g.n) if x != u and x not in reaching and picks.random() < 0.5)
@@ -399,8 +385,8 @@ def test_a_meeting_search_answers_as_the_forward_search_does(monkeypatch):
             if want is None:
                 front = ([u], *(layer for inward, layer in steps if not inward))[-1]
                 back = ([v], *(layer for inward, layer in steps if inward))[-1]
-                inward = not out_of_arcs(d, front, False, scope)
-                assert path is None and (not inward or out_of_arcs(d, back, True, scope))
+                inward = not out_of_arcs(d, front, False, free)
+                assert path is None and (not inward or out_of_arcs(d, back, True, free))
                 tree_search(d, (v,), (u,), free, None, behind, inward=True)
                 outside = set(range(g.n)) - set(behind)
                 assert vertices(cut) == (outside if inward else set(forward))
@@ -411,10 +397,10 @@ def test_a_meeting_search_answers_as_the_forward_search_does(monkeypatch):
             else:
                 assert cut is None
                 assert_path(d, path, u, v)
-                assert free is None or not fixed.intersection(path)
+                assert free is not masks or not fixed.intersection(path)
                 assert not any(d.tail(e) in vertices(closed) or d.head(e) in vertices(closed) for e in path)
                 met += 1
-            seen["fixed"] += free is not None and path is None
+            seen["fixed"] += free is masks and path is None
     assert met > 200 and min(seen.values()) > 20, (met, seen)
 
 
@@ -460,9 +446,9 @@ def test_an_inward_search_is_the_forward_search_of_the_reversed_orientation(monk
     # ``_shortest_path`` without masks, ``tree_search`` with them.
     real_grow, trees = paths._grow, []
 
-    def traced(rows, out, full, free, layer, following, tree, targets):
+    def traced(rows, out, free, inward, layer, following, tree, targets):
         trees.append(tree)
-        return real_grow(rows, out, full, free, layer, following, tree, targets)
+        return real_grow(rows, out, free, inward, layer, following, tree, targets)
 
     def search(d, s, t, free, meter, inward=False):
         if free is None:
@@ -591,7 +577,7 @@ def test_a_count_that_reaches_its_limit_never_flips_its_last_path():
                 assert cut is None and len(paths) == limit and d == before
                 for i in range(limit):
                     flipped = reversed_copy(d, [e for path in paths[:i] for e in path])
-                    assert _meeting_path(flipped, u, v, None, 0, searches) == (paths[i], None)
+                    assert _meeting_path(flipped, u, v, g._row_mask, 0, searches) == (paths[i], None)
                 assert meter.bfs_runs == searches.bfs_runs == limit
                 assert meter.arc_touches == searches.arc_touches + 2 * sum(len(p) for p in paths[:-1])
                 checked += 1

@@ -232,9 +232,9 @@ def closure_count_paths(
 
 
 def _count_search(orientation: Orientation, u: int, v: int, meter) -> tuple[list[int] | None, int | None]:
-    # ``paths._meeting_path`` as a count makes it: no free masks and no
+    # ``paths._meeting_path`` as a count makes it: every entry free and no
     # closed set.
-    return _meeting_path(orientation, u, v, None, 0, meter)
+    return _meeting_path(orientation, u, v, orientation.graph._row_mask, 0, meter)
 
 
 def _forward_path(orientation: Orientation, u: int, v: int, meter) -> tuple[list[int] | None, int | None]:
@@ -270,9 +270,8 @@ def tree_search(
     queue = list(sources)
     if meter is not None:
         meter.bfs()
-    hit, touched = _grow(
-        graph.incidence, orientation._out, graph._row_mask if inward else None, free, queue, queue, reached, targets
-    )
+    scope = graph._row_mask if free is None else free
+    hit, touched = _grow(graph.incidence, orientation._out, scope, inward, queue, queue, reached, targets)
     if meter is not None:
         meter.arcs(touched)
     return None if hit is None else _walk(graph.edges, reached, hit)[::-1]
@@ -292,10 +291,10 @@ def _closure_meeting_path(orientation: Orientation, u: int, v: int, meter) -> tu
     while front and hit is None:
         layer: list[int] = []
         if back and len(back) < len(front):
-            hit, scanned = _grow(rows, out, graph._row_mask, None, back, layer, behind, ahead)
+            hit, scanned = _grow(rows, out, graph._row_mask, True, back, layer, behind, ahead)
             back = layer
         else:
-            hit, scanned = _grow(rows, out, None, None, front, layer, ahead, behind)
+            hit, scanned = _grow(rows, out, graph._row_mask, False, front, layer, ahead, behind)
             front = layer
         touched += scanned
     if meter is not None:
@@ -430,19 +429,17 @@ class InvariantProbe:
       i+1..m-1, and that ``assert_masks_exact`` holds.  The levels are
       those of one ``_EdgeLevels``, as in the enumerators, and the probe
       reads its state, whose sets are vertex bitmasks.  When a level
-      searches, the cut and the spare must be what level i+1 left, the cut
-      empty at the last level, the free out-arc count derived from the
-      masks, ``popcount(_out[x] & free[x])``, must be the number of
-      out-arcs at x among the edges of the levels below, and the free
-      in-arc count, ``popcount(free[x] & ~_out[x])``, the number of
-      in-arcs, and no arc of those edges may leave the set it inherited
-      from the flipping level above, used or not.  When a level skips its
-      search, an unmetered search on the live orientation must find no
-      path either.  No arc of the edges of the levels i..m-1 may leave the
-      cut or the spare a level hands up, so no arc free at the level above
-      leaves them.  When a level searches, the closed set that its search
-      treats as reached must miss the tail and be left by no arc of the
-      edges of the levels below either: the probe runs the walk with
+      searches, the cut must be what level i+1 left, empty at the last
+      level, the free out-arc count derived from the masks,
+      ``popcount(_out[x] & free[x])``, must be the number of out-arcs at x
+      among the edges of the levels below, and the free in-arc count,
+      ``popcount(free[x] & ~_out[x])``, the number of in-arcs.  When a
+      level skips its search, an unmetered search on the live orientation
+      must find no path either.  No arc of the edges of the levels i..m-1
+      may leave the set a level hands up, so no arc free at the level
+      above leaves it.  When a level searches, the closed set that its
+      search treats as reached must miss the tail and be left by no arc of
+      the edges of the levels below either: the probe runs the walk with
       ``alpha._meeting_path`` replaced by its checked ``search``;
     - ``expansion()`` drives ``sequences._expansion`` over the probe's edge
       levels, as the k-connected search does below its last vertex level.
@@ -473,7 +470,7 @@ class InvariantProbe:
         self.meter = DelayMeter()
         self.levels = _EdgeLevels(self.d, self.meter)
         self.given = _Trailing(self.levels)  # the orientation of the vertex levels, as in the search
-        self.left = None  # the cut and spare as the last edge level to end left them
+        self.left = None  # the cut as the last edge level to end left it
         self.level = None  # the edge level that resumed last, the one that searches
         self.tight = _TightSets()  # the tight-set families the vertex levels share, as in the search
 
@@ -492,7 +489,7 @@ class InvariantProbe:
             options += 1
             if options == 1:
                 if below:
-                    assert (levels.cut, levels.spare) == self.left, f"edge level {i} reads sets that level {i + 1} did not leave"
+                    assert levels.cut == self.left, f"edge level {i} reads a cut that level {i + 1} did not leave"
                 else:
                     assert levels.cut == 0, f"the last edge level, {i}, reads a cut"
                 fo, fi = [0] * d.graph.n, [0] * d.graph.n
@@ -503,20 +500,16 @@ class InvariantProbe:
                 assert free_out == fo, f"derived free out-arc counts at edge level {i} are not the edges below it"
                 free_in = [(levels.free[x] & ~d._out[x]).bit_count() for x in range(d.graph.n)]
                 assert free_in == fi, f"derived free in-arc counts at edge level {i} are not the edges below it"
-                down = vertices(levels.down)
-                leaving = [f for f in below if d.tail(f) in down and d.head(f) not in down]
-                assert not leaving, f"free arcs {leaving} leave the set edge level {i} inherited"
                 runs = self.meter.bfs_runs
                 self.level = i
         assert [d._dirs[f] for f in above] == fixed, f"edges fixed above level {i} changed"
         tail, head = d.tail(e), d.head(e)
         if options == 1 and self.meter.bfs_runs == runs:
             assert _meeting_path(d, head, tail, masks, 0, None)[0] is None, f"edge level {i} skipped a search that finds a path"
-        for handed in (levels.cut, levels.spare):
-            members = vertices(handed)
-            leaving = [f for f in order[i:] if d.tail(f) in members and d.head(f) not in members]
-            assert not leaving, f"arcs {leaving} leave a set handed up by edge level {i}"
-        self.left = levels.cut, levels.spare
+        members = vertices(levels.cut)
+        leaving = [f for f in order[i:] if d.tail(f) in members and d.head(f) not in members]
+        assert not leaving, f"arcs {leaving} leave the set handed up by edge level {i}"
+        self.left = levels.cut
 
     def search(self, d, u, v, free, closed, meter):
         # The search of the edge level that resumed last, after checking the

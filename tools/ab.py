@@ -6,8 +6,8 @@ BASE and CHANGE are checkouts of this repository (for instance one made
 with ``git archive`` of the parent commit, and the working tree).  For each
 side the script starts one worker interpreter with that side's ``src`` on
 ``PYTHONPATH``; the worker replays every run in-process and prints one JSON
-record per run.  The run list is fixed and comes from this checkout,
-smallest runs first:
+record per run.  The run list is fixed and comes from this checkout, in
+this order:
 
 - every alpha class of the named graphs and of ``random_family(150,
   seed=61)`` of ``tests/families.py``, and of the doubled wheel;
@@ -16,6 +16,7 @@ smallest runs first:
   tripled 9-cycle, stopped at the end of the outdegree class in which the
   20,000th solution falls, so that a run lists whole classes and its
   sorted stream compares as a set;
+- odseq at k = 1..3 on the same five graphs, each stream whole;
 - the perfbench children of seeds 1-3, children 0-3, of every workload
   that ``BENCHMARK.json`` names, each on the relabelled graph that
   ``perfbench/workloads.py`` draws for it and with the call its child
@@ -49,9 +50,9 @@ FIELDS = ("stream_sha256", "sorted_sha256", "solutions", "total_ops", "bfs_runs"
 
 
 def _run_list() -> list[dict]:
-    # The runs as plain data, smallest first: the kind of call, a name,
-    # the graph as (n, edges), the call's parameter and, for a perfbench
-    # child, its workload.
+    # The runs as plain data, in the docstring's order: the kind of call,
+    # a name, the graph as (n, edges), the call's parameter and, for a
+    # perfbench child, its workload.
     sys.path[:0] = [str(REPO / "tests"), str(REPO / "perfbench")]
     import families
     from workloads import WORKLOADS
@@ -77,6 +78,9 @@ def _run_list() -> list[dict]:
     for name, graph in graphs:
         for k in (1, 2, 3):
             runs.append({"kind": "korient", "name": f"{name} k={k}", "graph": graph, "param": k})
+    for name, graph in graphs:
+        for k in (1, 2, 3):
+            runs.append({"kind": "odseq", "name": f"{name} odseq k={k}", "graph": graph, "param": k})
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
     for workload in (WORKLOADS[w["name"]] for w in benchmark["workloads"]):
         for seed in (1, 2, 3):
