@@ -22,6 +22,21 @@ reversing it later cost two.
 The finder, or ``is_k_connected`` on a given seed, rejects a k that is
 not an integer of at least 1.
 
+The vertex levels take an order computed once per run from the graph
+alone, ``_VertexOrder``: a maximum cardinality search (Tarjan and
+Yannakakis, SIAM J. Comput. 13(3), 1984), reversed.  The last level fixes
+a vertex of largest degree, counting parallel edges, and each level
+before it the vertex with the most edges into the vertices after it, the
+smallest id on ties.  Level i fixes order[i], and a vertex is later than
+v when it comes after v in that order, not when its id is larger: a chain
+counts toward the later vertices in that order, and the tight-set rules
+below read "later" the same way.  On a connected graph the later
+vertices of every level induce a connected subgraph.  Completeness holds
+for any order, so the order changes which sequences follow which and what
+the search costs, not the set it lists; as it follows the graph, what the
+vertex levels cost barely depends on how the input labels its vertices.
+The sink still reads each sequence in vertex-id order.
+
 The choice generator of a vertex first keeps the vertex as it is.  Every
 node of the walk thus equals its leftmost leaf, which the walk emits on
 entry: a seeded run emits the seed first, and no gap waits for the chains
@@ -39,7 +54,7 @@ it.  Completeness rests on the witness fact that whenever two k-connected
 orientations disagree at a vertex, a connectivity-preserving path
 reversal moves one toward the other without touching fixed vertices.
 
-A chain takes the later vertices u in order and makes one count of the
+A chain takes the later vertices u in level order and makes one count of the
 arc-disjoint paths between v and each u that no tight set (below) rules
 out: from v when lowering, into v when raising.  Its limit, the degree of
 v plus one, is more than any count can find, so every count falls short
@@ -73,7 +88,7 @@ of tight sets for the orientation each level works on, under three rules.
   drops every u inside a member that misses v.  A skipped pair has exactly
   k paths, so its count would keep none: the stream is that of a chain
   that counts every pair, and the chain finds the same vertices and paths
-  as a fresh scan from v+1 after every reversal.
+  as a fresh scan of the later vertices after every reversal.
 - Survive.  Reversing a path from a to b changes the number of arcs leaving
   X by [b in X] - [a in X].  A path a count keeps joins a pair with more
   than k paths, so no tight set holds a but not b: the sets that hold b but
@@ -105,6 +120,7 @@ search and its degree cut (see :mod:`orientations.paths`).
 """
 from __future__ import annotations
 
+import heapq
 from collections.abc import Callable, Iterator
 from itertools import islice
 
@@ -125,18 +141,52 @@ class _TightSets(list):
     start = 0
 
 
-def _vertex_choices(d: Orientation, v: int, k: int, meter: DelayMeter, tight: _TightSets) -> Iterator[None]:
-    # Keeps the vertex first, so a level emits on entry the leaf it would
-    # reach anyway, and the subtree below restores d and adds to the family
-    # only cuts of d.  Then one chain per direction: a count for each later
-    # (so not yet fixed) vertex that no tight set rules out, which leaves
-    # the first λ-k of its paths reversed, all before the chain's first
-    # yield; then one yield per reversal, undoing them deepest first.  A
-    # yield's entry holds the reversed path, the start of the state's family
-    # and, for the state before it, where that family ends.
+class _VertexOrder(list):
+    # The vertices in the order the levels fix them, a maximum cardinality
+    # search reversed (see the module docstring), and per level i the
+    # bitmask ``later[i]`` of the vertices after order[i].  The search's
+    # heap holds (-links, vertex), links being the number of edges into the
+    # vertices it has placed; the vertex of largest degree enters with a
+    # count no other reaches, and an entry whose count has risen since is
+    # stale and skipped.
+    def __init__(self, graph: Multigraph):
+        rows, n = graph.incidence, graph.n
+        links, placed = [0] * n, [False] * n
+        heap = [(0, x) for x in range(n)]  # sorted, so a heap
+        if n:
+            heapq.heappush(heap, (-graph.m - 1, min(range(n), key=lambda x: (-len(rows[x]), x))))
+        while heap:
+            count, x = heapq.heappop(heap)
+            if placed[x] or -count < links[x]:
+                continue
+            placed[x] = True
+            self.append(x)
+            for _, w, _ in rows[x]:
+                if not placed[w]:
+                    links[w] += 1
+                    heapq.heappush(heap, (-links[w], w))
+        self.reverse()
+        self.later, mask = [0] * n, 0
+        for i in range(n - 1, -1, -1):
+            self.later[i] = mask
+            mask |= 1 << self[i]
+
+
+def _vertex_choices(
+    d: Orientation, order: _VertexOrder, i: int, k: int, meter: DelayMeter, tight: _TightSets
+) -> Iterator[None]:
+    # Fixes v = order[i].  Keeps the vertex first, so a level emits on entry
+    # the leaf it would reach anyway, and the subtree below restores d and
+    # adds to the family only cuts of d.  Then one chain per direction: a
+    # count for each later (so not yet fixed) vertex that no tight set rules
+    # out, in level order, which leaves the first λ-k of its paths reversed,
+    # all before the chain's first yield; then one yield per reversal,
+    # undoing them deepest first.  A yield's entry holds the reversed path,
+    # the start of the state's family and, for the state before it, where
+    # that family ends.
     start = tight.start
     yield
-    later = (1 << d.graph.n) - (1 << v + 1)
+    v, later = order[i], order.later[i]
     if not later:
         return
     limit, inside, outside = d.graph.degree(v) + 1, later, later
@@ -144,7 +194,7 @@ def _vertex_choices(d: Orientation, v: int, k: int, meter: DelayMeter, tight: _T
         inside, outside = (inside & x, outside) if x >> v & 1 else (inside, outside & ~x)
     for lowering, candidates in ((True, inside), (False, outside)):
         chain, base = [], start
-        for u in range(v + 1, d.graph.n):
+        for u in islice(order, i + 1, None):
             if candidates >> u & 1:
                 src, dst = (v, u) if lowering else (u, v)
                 paths, cut = _count_paths(d, src, dst, limit, meter, k)
@@ -155,8 +205,8 @@ def _vertex_choices(d: Orientation, v: int, k: int, meter: DelayMeter, tight: _T
                     for x in islice(tight, base, size):
                         if x & ends != head and 0 < x & later < later:
                             tight.append(x)
-                    for i, edges in enumerate(paths[: len(paths) - k]):
-                        chain.append((edges, size, len(tight) if i else size))
+                    for j, edges in enumerate(paths[: len(paths) - k]):
+                        chain.append((edges, size, len(tight) if j else size))
                     base = size
                 tight.append(cut)
                 candidates &= cut if lowering else ~cut
@@ -190,12 +240,12 @@ def _search(graph: Multigraph, k: int, seed: Orientation | None, edge_levels: in
         if not is_k_connected(seed, k):
             raise ValueError("seed orientation is not k-connected")
         d = seed.copy()
-    n, edges, tight = graph.n, _EdgeLevels(d, meter), _TightSets()
+    n, edges, tight, order = graph.n, _EdgeLevels(d, meter), _TightSets(), _VertexOrder(graph)
     given = _Trailing(edges) if edge_levels else d
 
     def choices(i: int) -> Iterator[None]:
         if i < n:
-            return _vertex_choices(given, i, k, meter, tight)
+            return _vertex_choices(given, order, i, k, meter, tight)
         return edges.choices(i - n) if i > n else _expansion(edges)
 
     return _emit_leaves(d, walk(n + edge_levels, choices), sink, meter)

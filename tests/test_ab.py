@@ -1,4 +1,5 @@
-"""The A/B check of ``tools/ab.py``, run A/A on the first runs of its list."""
+"""The A/B check of ``tools/ab.py``: run A/A on the first runs of its list,
+its tally, and how it compares capped korient runs."""
 import importlib.util
 from pathlib import Path
 
@@ -30,3 +31,15 @@ def test_the_tally_counts_lower_higher_and_differing_runs():
     assert counts["max_delay_ops"] == (2, 1, 0)
     assert counts["stream_sha256"] == (2, 0, 1)
     assert counts["solutions"] == (3, 0, 0)
+
+
+def test_capped_runs_compare_only_the_classes_both_sides_list():
+    ab = _ab()
+    base = {"name": "r", "capped": True, "sorted_sha256": "a", "solutions": 3, "classes": {"1 2": "x", "2 1": "y"}}
+    change = dict(base, sorted_sha256="b", solutions=4, classes={"1 2": "x", "0 3": "z"})
+    assert ab.differing([base], [change]) == []
+    change["classes"]["1 2"] = "w"
+    assert ab.differing([base], [change]) == ["r"]
+    whole = dict(base, capped=False)
+    assert ab.differing([whole], [whole]) == []
+    assert ab.differing([whole], [dict(whole, solutions=4)]) == ["r"]

@@ -265,7 +265,7 @@ def test_leaving_each_flip_never_costs_more_than_flipping_back(monkeypatch):
         (_alpha_run(torus, [2] * 9), 1_823, 1_138),
         (_korient_run(torus, 2), 2_070, 1_385),
         (_alpha_run(wide, [2] * 12), 8_454, 5_204),
-        (_korient_run(ladder, 1), 2_646, 1_719),
+        (_korient_run(ladder, 1), 2_658, 1_733),
     ):
         assert _against_flip_back(monkeypatch, run) == (parent, pinned)
 
@@ -300,9 +300,9 @@ def test_leaving_each_flip_costs_more_than_flipping_back_only_on_the_pinned_alph
     }
     wheel = families.doubled_wheel4()
     for run, parent, pinned in (
-        (_korient_run(families.torus(3, 3), 1), 1_092_778, 693_156),
-        (_korient_run(wheel, 1), 436_219, 272_243),
-        (_korient_run(wheel, 2), 191_160, 119_935),
+        (_korient_run(families.torus(3, 3), 1), 1_091_762, 693_536),
+        (_korient_run(wheel, 1), 436_328, 272_037),
+        (_korient_run(wheel, 2), 190_555, 119_373),
     ):
         assert _against_flip_back(monkeypatch, run) == (parent, pinned)
 
@@ -390,7 +390,7 @@ def test_the_probe_holds_on_relabelled_3x5_tori():
 @pytest.mark.slow
 def test_fixed_prefix_never_costs_more_on_the_long_korient_streams(monkeypatch):
     full, masked = _against_full_scan(monkeypatch, _korient_run(families.torus(3, 3), 1))
-    assert full == 6_459_054 and masked < full
+    assert full == 6_466_258 and masked < full
     _against_full_scan(monkeypatch, _korient_run(families.doubled_wheel4(), 1))
 
 

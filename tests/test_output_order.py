@@ -37,21 +37,21 @@ CASES = [
     ("doubled-triangle", "alpha", ("--alpha", "2,2,2"), None,
      "35328877c92f8a436fcc3ed56dc1f242d72b78e44965abbf5e228daa7dae32d7"),
     ("doubled-triangle", "odseq", ("--k", "1"), None,
-     "b1504199a69abef5a296ad101d7eda8edd42b8227eacec198d66f5cc39561435"),
+     "4ae553d27815149ad145c041be60a4748b3caeeebf1b2ae2afb970093394e7e2"),
     ("doubled-triangle", "odseq", ("--k", "2"), None,
      "e5d51600d3737113d0ea5c14ab3fc6e899942fd9641e7ab0f07fbdebf58c567e"),
     ("doubled-triangle", "korient", ("--k", "1"), None,
-     "a7860a122ce3d0f70c635581da545f3309591dc010fcc532059191f4b1cb6381"),
+     "e16266a51349ca8d4c0a2b0e6972dd15a3c7be745ab462ef7d4cbb3aebe82fa6"),
     ("doubled-triangle", "korient", ("--k", "2"), None,
      "35328877c92f8a436fcc3ed56dc1f242d72b78e44965abbf5e228daa7dae32d7"),
     ("torus3x3", "alpha", ("--alpha", "2,2,2,2,2,2,2,2,2"), None,
      "a21432dfd380608d86836dd0edea5c28199498cef9c43f7d5d925ebe5998327e"),
     ("torus3x3", "odseq", ("--k", "1"), None,
-     "0dbbfa19743546bc27d054ec90163cae9f0b02ed8791239e54cb2c255d8d046a"),
+     "1641f887b1e9650b26bbdef7a32bb14e40ade0fa273545b2f45cd375caf7c410"),
     ("torus3x3", "odseq", ("--k", "2"), None,
      "5d2f75241fe5f26be4a78edd6a44cda3b1dce36a83fe817a52f1dab1be20284f"),
     ("torus3x3", "korient", ("--k", "1"), PREFIX_LINES,
-     "6184ac0e7098be2b93683decd4cd7a572ff68cedc556e9c501798d2748aab1f3"),
+     "2cddb33b7314b18428c448fa8a55b4840a0811e75422930a52d8e883f1c0a5e5"),
     ("torus3x3", "korient", ("--k", "2"), None,
      "a21432dfd380608d86836dd0edea5c28199498cef9c43f7d5d925ebe5998327e"),
 ]

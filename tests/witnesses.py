@@ -20,14 +20,16 @@ and back also for k = 1, ``InvariantProbe`` replays the enumeration walks with t
 proof-step assertions (``probed_alpha``, ``probed_sequences``,
 ``probed_k_connected``), ``scanned_sequences`` replays the
 outdegree-sequence search with a reference chain: the plain scan that
-restarts every λ test sweep at v+1, the chain that keeps the cuts of
-failed tests but re-tests a pair after every reversal it permits, or the
-chain that makes one count per candidate but also counts the pairs whose
-outdegrees already decide them; these keep each vertex first, as the
-search does.  ``chain_cut_choices`` is the search's generator as it was
-before its tight sets outlived their chain, ``keep_last_choices`` the same
-with the older order that keeps each vertex last, and ``ignoring_family``
-puts either in the search's place.  ``TightSetProbe`` runs the search and
+restarts every λ test sweep at the first later vertex, the chain that
+keeps the cuts of failed tests but re-tests a pair after every reversal it
+permits, or the chain that makes one count per candidate but also counts
+the pairs whose outdegrees already decide them; these keep each vertex
+first, as the search does.  Each reference generator fixes ``order[i]`` at
+level i of the search's ``_VertexOrder`` and takes the vertices after it,
+the later ones, in that order, as the search does.  ``chain_cut_choices``
+is the search's generator as it was before its tight sets outlived their
+chain, ``keep_last_choices`` the same with the older order that keeps each
+vertex last, and ``ignoring_family`` puts either in the search's place.  ``TightSetProbe`` runs the search and
 checks every pair that its tight sets rule out.  ``FullScanLevels``,
 ``UncutLevels``, ``UncountedLevels`` and ``FlipBackLevels`` stand in for
 the alpha expansion's ``_EdgeLevels``, in its closing order: the first
@@ -63,7 +65,7 @@ from orientations import alpha as alpha_module
 from orientations.alpha import _EdgeLevels, _emit_leaves, walk
 from orientations.multigraph import _Trailing
 from orientations.paths import _count_paths, _degree_bound, _flip, _grow, _meeting_path, _walk
-from orientations.sequences import _expansion, _TightSets, _vertex_choices
+from orientations.sequences import _expansion, _TightSets, _vertex_choices, _VertexOrder
 
 
 def reverse_path(orientation: Orientation, path: Sequence[int], source: int) -> Orientation:
@@ -447,13 +449,14 @@ class InvariantProbe:
       levels' ``flipped`` mask names exactly the edges where ``d`` differs
       from ``given``, that the restore makes ``d`` equal ``given``, and that
       it is charged one arc touch per edge it flips;
-    - ``vertex_choices(v)`` drives the search's own levels on ``given``,
-      which share one tight-set family as in the search, and asserts at
-      every yield that ``given`` is still k-connected, that
-      ``assert_masks_exact`` holds for ``given`` and for ``d``, and that
-      ``flipped`` names exactly the edges where the two differ.  Every state
+    - ``vertex_choices(i)`` drives the search's own level i on ``given``,
+      in the search's level order, the levels sharing one tight-set family
+      as in the search, and asserts at every yield that ``given`` is still
+      k-connected, that ``assert_masks_exact`` holds for ``given`` and for
+      ``d``, and that ``flipped`` names exactly the edges where the two
+      differ.  Every state
       a path reversal reaches is yielded once, so this checks that each
-      reversal keeps k-connectivity.  At the last vertex it makes each
+      reversal keeps k-connectivity.  At the last level it makes each
       yield's outdegrees, the sequence the vertex levels reached, the
       target of the leaves below;
     - ``leaves(levels, choices)`` asserts at every leaf that the orientation
@@ -473,6 +476,7 @@ class InvariantProbe:
         self.left = None  # the cut as the last edge level to end left it
         self.level = None  # the edge level that resumed last, the one that searches
         self.tight = _TightSets()  # the tight-set families the vertex levels share, as in the search
+        self.order = _VertexOrder(seed.graph)  # the vertex levels' order, as in the search
 
     def edge_choices(self, i: int):
         d, levels = self.d, self.levels
@@ -540,14 +544,14 @@ class InvariantProbe:
         assert self.d == self.given, "the expansion does not start from the orientation of the vertex levels"
         assert self.meter.arc_touches - touches == len(differ), "the restore is not charged one touch per edge it flips"
 
-    def vertex_choices(self, v: int):
-        given = self.given
-        for _ in _vertex_choices(given, v, self.k, self.meter, self.tight):
+    def vertex_choices(self, i: int):
+        given, v = self.given, self.order[i]
+        for _ in _vertex_choices(given, self.order, i, self.k, self.meter, self.tight):
             assert is_k_connected(given, self.k), f"a path reversal at vertex {v} broke k-connectivity"
             assert_masks_exact(given)
             assert_masks_exact(self.d)
             self._differ()
-            if v == given.graph.n - 1:
+            if i == given.graph.n - 1:
                 self.target = given.outdegrees()
             yield
 
@@ -588,7 +592,16 @@ def probed_k_connected(graph: Multigraph, k: int, seed: Orientation) -> list[Ori
     return [probe.d.copy() for _ in probe.leaves(n + graph.m, choices)]
 
 
-def chain_cut_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
+def _after(order: Sequence[int], i: int) -> tuple[int, list[int]]:
+    # The vertex of level i, and the vertices after it in level order.
+    return order[i], list(order[i + 1 :])
+
+
+def _mask(members: Iterable[int]) -> int:
+    return sum(1 << x for x in members)
+
+
+def chain_cut_choices(d: Orientation, order: Sequence[int], i: int, k: int, meter: DelayMeter):
     """The per-vertex choice generator whose cuts serve only their chain, as a reference.
 
     Same options, order, streams and contract as
@@ -604,12 +617,12 @@ def chain_cut_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
     # all before the chain's first yield; then one yield per reversal,
     # undoing them deepest first.
     yield
-    n = d.graph.n
+    v, later = _after(order, i)
     limit = d.graph.degree(v) + 1
     for lowering in (True, False):
         chain = []
-        candidates = (1 << n) - (1 << v + 1)
-        for u in range(v + 1, n):
+        candidates = _mask(later)
+        for u in later:
             if candidates >> u & 1:
                 src, dst = (v, u) if lowering else (u, v)
                 paths, cut = _count_paths(d, src, dst, limit, meter, k)
@@ -621,7 +634,7 @@ def chain_cut_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
             _flip(d, edges, meter)
 
 
-def keep_last_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
+def keep_last_choices(d: Orientation, order: Sequence[int], i: int, k: int, meter: DelayMeter):
     """The per-vertex choice generator that keeps the vertex last, as a reference.
 
     Same options, counts, reversals and meter charges as
@@ -630,12 +643,12 @@ def keep_last_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
     so a node of the walk emits its leftmost leaf only after the chains of
     every level below it.  Drive it with ``ignoring_family``.
     """
-    n = d.graph.n
+    v, later = _after(order, i)
     limit = d.graph.degree(v) + 1
     for lowering in (True, False):
         chain = []
-        candidates = (1 << n) - (1 << v + 1)
-        for u in range(v + 1, n):
+        candidates = _mask(later)
+        for u in later:
             if candidates >> u & 1:
                 src, dst = (v, u) if lowering else (u, v)
                 paths, cut = _count_paths(d, src, dst, limit, meter, k)
@@ -649,10 +662,10 @@ def keep_last_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
 
 
 def ignoring_family(choices):
-    """A reference generator ``choices(d, v, k, meter)`` in the place of
-    ``sequences._vertex_choices``: it ignores the tight-set family that the
-    search hands every level."""
-    return lambda d, v, k, meter, tight: choices(d, v, k, meter)
+    """A reference generator ``choices(d, order, i, k, meter)`` in the place
+    of ``sequences._vertex_choices``: it ignores the tight-set family that
+    the search hands every level."""
+    return lambda d, order, i, k, meter, tight: choices(d, order, i, k, meter)
 
 
 class TightSetProbe:
@@ -660,10 +673,10 @@ class TightSetProbe:
 
     ``choices`` stands in for ``sequences._vertex_choices`` and ``count``
     for ``sequences._count_paths``; each drives the package's own.  A chain
-    counts toward every later vertex that neither the family it reads when
-    it starts nor the cuts of its own counts rule out, so each later vertex
-    it does not count was ruled out.  At each such pair, on the orientation
-    the chain had reached when it passed the pair, the probe asserts that
+    counts, in level order, toward every later vertex that neither the
+    family it reads when it starts nor the cuts of its own counts rule out,
+    so each later vertex it does not count was ruled out.  At each such
+    pair, on the orientation the chain had reached when it passed the pair, the probe asserts that
     some member of that family or of those cuts holds the pair's source but
     not its target, and that every such member is left by exactly k arcs
     (``cut_outdegree``).  With ``oracle`` set, it also asserts that the
@@ -681,19 +694,20 @@ class TightSetProbe:
         lowering = src == chains.v
         if not lowering:
             self._passed(d, True, d.graph.n)  # the lowering chain ended on d
-        u = dst if lowering else src
-        self._passed(d, lowering, u)
+        at = chains.order.index(dst if lowering else src)
+        self._passed(d, lowering, at)
         found, cut = _count_paths(d, src, dst, limit, meter, spare)
         chains.cuts.append(cut)
-        chains.next[lowering] = u + 1
+        chains.next[lowering] = at + 1
         return found, cut
 
     def _passed(self, d, lowering: bool, end: int) -> None:
         # Checks the pairs that the running chain in this direction passed
-        # without a count, from where it last counted up to ``end``.
+        # without a count, from the level after the one it last counted
+        # toward up to level ``end``.
         chains = self.chains
         v, k = chains.v, chains.k
-        for u in range(chains.next[lowering], end):
+        for u in chains.order[chains.next[lowering] : end]:
             src, dst = (v, u) if lowering else (u, v)
             members = [x for x in chains.family + chains.cuts if x >> src & 1 and not x >> dst & 1]
             assert members, f"no tight set rules out {src} to {dst}, which the chain at {v} passed"
@@ -704,11 +718,11 @@ class TightSetProbe:
             self.ruled_out += 1
         chains.next[lowering] = max(chains.next[lowering], end)
 
-    def choices(self, d: Orientation, v: int, k: int, meter: DelayMeter, tight: _TightSets):
-        n, start = d.graph.n, tight.start
-        chains = SimpleNamespace(v=v, k=k, family=None, cuts=[], next=[v + 1, v + 1])
+    def choices(self, d: Orientation, order: _VertexOrder, i: int, k: int, meter: DelayMeter, tight: _TightSets):
+        n, start, v = d.graph.n, tight.start, order[i]
+        chains = SimpleNamespace(v=v, k=k, order=order, family=None, cuts=[], next=[i + 1, i + 1])
         base = d._out[v].bit_count()
-        real = _vertex_choices(d, v, k, meter, tight)
+        real = _vertex_choices(d, order, i, k, meter, tight)
         kept = False
         while True:
             if kept and chains.family is None:
@@ -730,7 +744,7 @@ class TightSetProbe:
         self._passed(d, False, n)
 
 
-def fresh_count_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
+def fresh_count_choices(d: Orientation, order: Sequence[int], i: int, k: int, meter: DelayMeter):
     """The per-vertex choice generator without degree certificates, as a reference.
 
     Same contract and yields as ``chain_cut_choices``, and it makes
@@ -739,12 +753,12 @@ def fresh_count_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
     it has exactly k paths.
     """
     yield
-    n = d.graph.n
+    v, later = _after(order, i)
     limit = d.graph.degree(v) + 1
     for lowering in (True, False):
         chain = []
-        candidates = (1 << n) - (1 << v + 1)
-        for u in range(v + 1, n):
+        candidates = _mask(later)
+        for u in later:
             if candidates >> u & 1:
                 src, dst = (v, u) if lowering else (u, v)
                 paths, cut = unbounded_count_paths(d, src, dst, limit, meter, spare=k)
@@ -756,18 +770,19 @@ def fresh_count_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
             _flip(d, edges, meter)
 
 
-def plain_scan_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
+def plain_scan_choices(d: Orientation, order: Sequence[int], i: int, k: int, meter: DelayMeter):
     """The per-vertex choice generator with a plain scan, as a reference.
 
-    Same contract and yields as ``chain_cut_choices``, but every
-    step of a chain tests u = v+1, v+2, ... afresh and keeps nothing that a
-    failed λ test proved.
+    Same contract and yields as ``chain_cut_choices``, but every step of a
+    chain tests the vertices after v in level order afresh and keeps
+    nothing that a failed λ test proved.
     """
     yield
+    v, later = _after(order, i)
     for lowering in (True, False):
         chain = []
         while True:
-            for u in range(v + 1, d.graph.n):
+            for u in later:
                 src, dst = (v, u) if lowering else (u, v)
                 paths, _ = unbounded_count_paths(d, src, dst, k + 1, meter)
                 if len(paths) > k:
@@ -782,7 +797,7 @@ def plain_scan_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
             _flip(d, edges, meter)
 
 
-def retesting_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
+def retesting_choices(d: Orientation, order: Sequence[int], i: int, k: int, meter: DelayMeter):
     """The per-vertex choice generator that re-tests a pair after each reversal, as a reference.
 
     Same contract and yields as ``chain_cut_choices``, and it keeps
@@ -792,7 +807,7 @@ def retesting_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
     yield
     for lowering in (True, False):
         chain = []
-        for _, _, edges in retesting_pairs(d, v, lowering, k, meter):
+        for _, _, edges in retesting_pairs(d, order, i, lowering, k, meter):
             _flip(d, edges, meter)
             chain.append(edges)
         while chain:
@@ -801,14 +816,16 @@ def retesting_choices(d: Orientation, v: int, k: int, meter: DelayMeter):
             _flip(d, edges, meter)
 
 
-def retesting_pairs(d: Orientation, v: int, lowering: bool, k: int, meter: DelayMeter):
-    """One chain of ``retesting_choices``: yields the ordered pair of v with the
-    smallest later vertex that has more than k arc-disjoint paths, and the
-    first of those paths, which the caller reverses before it asks for the
-    next.  A failed test drops every vertex its cut rules out, and the scan
-    resumes at the vertex last yielded."""
-    candidates = (1 << d.graph.n) - (1 << v + 1)
-    for u in range(v + 1, d.graph.n):
+def retesting_pairs(d: Orientation, order: Sequence[int], i: int, lowering: bool, k: int, meter: DelayMeter):
+    """One chain of ``retesting_choices`` at v = order[i]: yields the ordered
+    pair of v with the first later vertex, in level order, that has more
+    than k arc-disjoint paths, and the first of those paths, which the
+    caller reverses before it asks for the next.  A failed test drops every
+    vertex its cut rules out, and the scan resumes at the vertex last
+    yielded."""
+    v, later = _after(order, i)
+    candidates = _mask(later)
+    for u in later:
         while candidates >> u & 1:
             src, dst = (v, u) if lowering else (u, v)
             paths, cut = unbounded_count_paths(d, src, dst, k + 1, meter)
@@ -829,8 +846,8 @@ def scanned_sequences(graph: Multigraph, k: int, meter: DelayMeter, choices) -> 
     if d is None:
         meter.finished()
         return []
-    got = []
-    leaves = walk(graph.n, lambda v: choices(d, v, k, meter))
+    got, order = [], _VertexOrder(graph)
+    leaves = walk(graph.n, lambda i: choices(d, order, i, k, meter))
     _emit_leaves(d, leaves, lambda copy: got.append((copy.outdegrees(), copy.serialize())), meter)
     return got
 
