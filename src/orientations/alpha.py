@@ -78,14 +78,10 @@ x's free out-arcs and ``free[x] & ~_out[x]`` its free in-arcs.  A path from
 head to tail leaves the head and enters the tail by free arcs, so a level
 that fails these tests would find none.  At the last level every edge is
 fixed, so its search is always skipped.  ``_EdgeLevels`` owns the order,
-``free``, the cut, the set passed down and the mask of the edges its flips
-left reversed, which the k-connected search of
-:mod:`orientations.sequences` flips back as its next expansion starts,
-less those its vertex levels reversed meanwhile.
-The sets are vertex bitmasks, as the sequence search holds its cuts: a
-union is one OR, V∖B one XOR, and a test whether a set holds a vertex one
-bit test.  Like ``free``, the sets and the mask are walk bookkeeping: they
-touch no arc and are not charged.
+``free``, the cut and the set passed down.  The sets are vertex bitmasks,
+as the sequence search holds its cuts: a union is one OR, V∖B one XOR,
+and a test whether a set holds a vertex one bit test.  Like ``free``, the
+sets are walk bookkeeping: they touch no arc and are not charged.
 
 ``walk`` is the one traversal scheme of the package: the k-connected
 search of :mod:`orientations.sequences` and the first-solution finder run on
@@ -248,8 +244,7 @@ class _EdgeLevels:
     # free[x] holds the entries of x's incidence row whose edges belong to
     # the levels i+1..m-1, and the search scans only those.  Clearing e
     # itself changes no search: it is an in-arc at head, whose side scans
-    # out-arcs, and an out-arc at tail, whose side scans in-arcs.  flipped
-    # is the bitmask of the edges that the levels' flips left reversed.
+    # out-arcs, and an out-arc at tail, whose side scans in-arcs.
     #
     # The sets are vertex bitmasks.  When level i resumes, cut holds the set
     # R that level i+1 handed up (0 at the last level), and down the set D
@@ -263,12 +258,12 @@ class _EdgeLevels:
     # after its flip subtree, and leaves in cut the set S that the subtree
     # handed up, or its closed set when S is empty or holds head but not
     # tail.
-    __slots__ = ("d", "meter", "order", "free", "cut", "down", "flipped")
+    __slots__ = ("d", "meter", "order", "free", "cut", "down")
 
     def __init__(self, d: Orientation, meter: DelayMeter):
         self.d, self.meter = d, meter
         self.order, self.free = _closing_order(d.graph), list(d.graph._row_mask)
-        self.cut, self.down, self.flipped = 0, 0, 0
+        self.cut, self.down = 0, 0
 
     def choices(self, i: int) -> Iterator[None]:
         d, free, out = self.d, self.free, self.d._out
@@ -289,8 +284,6 @@ class _EdgeLevels:
         else:
             path.append(e)
             _flip(d, path, self.meter)
-            for f in path:
-                self.flipped ^= 1 << f
             self.down = closed
             yield
             self.down = down
@@ -299,13 +292,3 @@ class _EdgeLevels:
         free[u] ^= u_bit
         free[v] ^= v_bit
 
-    def restore(self) -> None:
-        # Flips back, one arc touch each, the edges of ``flipped``: those the
-        # levels left reversed, less any that the k-connected search's vertex
-        # levels reversed since (see :mod:`orientations.sequences`).
-        edges, mask = [], self.flipped
-        while mask:
-            edges.append(mask.bit_length() - 1)
-            mask ^= 1 << edges[-1]
-        self.flipped = 0
-        _flip(self.d, edges, self.meter)

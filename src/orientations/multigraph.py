@@ -1,9 +1,14 @@
 """Loopless multigraphs with index-identified edges, and their orientations.
 
 Vertices are 0..n-1.  Parallel edges are allowed and are distinguished by
-their position in the edge list; that position also fixes the canonical
-linear order on edges that every enumerator in this package follows, so
-output order is reproducible byte for byte.
+their position in the edge list.  That position fixes the text form of an
+orientation, one character per edge in index order, and the order of each
+incidence row, in which every search meets a vertex's arcs, so it breaks
+the searches' ties; the k-connected finder directs the edges in index
+order too.  The enumerators' levels follow orders computed from the graph
+instead, ``alpha._closing_order`` for the edges and
+``sequences._VertexOrder`` for the vertices, each breaking its ties by the
+smallest index.  Output order is thus reproducible byte for byte.
 """
 from __future__ import annotations
 
@@ -198,28 +203,25 @@ class Orientation:
 
 
 class _Trailing(Orientation):
-    # An orientation that trails ``levels.d``, the live orientation of the
-    # alpha expansion's edge levels: it differs from d exactly on the edges
-    # of the bitmask ``levels.flipped``, which the levels flip in d alone.
-    # A flip reverses the edges here, clears the bits of those in the mask,
-    # since d already holds them that way, and reverses the others in d too.
-    __slots__ = ("levels",)
+    # An orientation that trails ``live``, which the alpha expansion of the
+    # k-connected search walks on: the two differ on the edges that the
+    # expansion's flips left reversed in live alone.  A flip reverses the
+    # edges here, then in live those where the two now differ, so an edge
+    # that live already holds that way is not touched.  ``_pending`` lists
+    # the edges where live still differs.
+    __slots__ = ("live",)
 
-    def __init__(self, levels) -> None:
-        super().__init__(levels.d.graph, levels.d._dirs)
-        self.levels = levels
+    def __init__(self, live: Orientation) -> None:
+        super().__init__(live.graph, live._dirs)
+        self.live = live
 
     def _flip(self, edge_indices: Sequence[int]) -> None:
         super()._flip(edge_indices)
-        levels = self.levels
-        ahead, live = levels.flipped, []
-        for e in edge_indices:
-            if ahead >> e & 1:
-                ahead ^= 1 << e
-            else:
-                live.append(e)
-        levels.flipped = ahead
-        levels.d._flip(live)
+        live, dirs = self.live, self._dirs
+        live._flip([e for e in edge_indices if live._dirs[e] != dirs[e]])
+
+    def _pending(self) -> list[int]:
+        return [e for e, (a, b) in enumerate(zip(self.live._dirs, self._dirs)) if a != b]
 
 
 def parse_graph(text: str) -> Multigraph:

@@ -6,16 +6,14 @@ through ``n`` vertex levels and, when listing orientations, ``m`` edge
 levels more: the alpha expansion of the sequence that the vertex levels
 reached.  Listing sequences is thus the first stage of listing
 orientations, and orientations of equal outdegree vector are contiguous.
-The edge levels leave their flips, so once an expansion ends, the live
-orientation differs from the one the vertex levels handed it on the edges
-its levels left reversed, ``_EdgeLevels.flipped``.  They are not flipped
-back then.  The vertex levels work on an orientation of their own,
-``multigraph._Trailing``, which holds those edges as they were handed
-over; a flip of theirs that reverses one of them only clears its bit,
-since the live orientation already holds it that way, and any other edge
-it reverses in the live orientation too.  The next expansion flips back,
-one arc touch each, the edges still pending, so it starts from the
-orientation the vertex levels hand it; those of the last expansion are
+The edge levels leave their flips, and an expansion does not flip them
+back as it ends.  The vertex levels work on an orientation of their own,
+``multigraph._Trailing``, which holds the edges as the vertex levels
+handed them over; a flip of theirs reverses in the live orientation only
+the edges where the two then differ, so an edge that the live orientation
+already holds that way is not touched.  The next expansion flips back, one
+arc touch each, the edges where the two still differ, so it starts from
+the orientation the vertex levels hand it; those of the last expansion are
 never flipped back.  An edge that the vertex levels reverse between two
 expansions thus costs one touch, where flipping it back at once and
 reversing it later cost two.
@@ -217,11 +215,11 @@ def _vertex_choices(
             _flip(d, edges, meter)
 
 
-def _expansion(edges: _EdgeLevels) -> Iterator[None]:
-    # Flips back in the live orientation the edges that the expansion before
-    # left reversed and the vertex levels did not reverse since, so it is
-    # the orientation they hand over, then runs the first edge level.
-    edges.restore()
+def _expansion(given: _Trailing, edges: _EdgeLevels) -> Iterator[None]:
+    # Flips back in the live orientation the edges where it still differs
+    # from given, so it is the orientation the vertex levels hand over, then
+    # runs the first edge level.
+    _flip(edges.d, given._pending(), edges.meter)
     yield from edges.choices(0)
 
 
@@ -241,12 +239,12 @@ def _search(graph: Multigraph, k: int, seed: Orientation | None, edge_levels: in
             raise ValueError("seed orientation is not k-connected")
         d = seed.copy()
     n, edges, tight, order = graph.n, _EdgeLevels(d, meter), _TightSets(), _VertexOrder(graph)
-    given = _Trailing(edges) if edge_levels else d
+    given = _Trailing(d) if edge_levels else d
 
     def choices(i: int) -> Iterator[None]:
         if i < n:
             return _vertex_choices(given, order, i, k, meter, tight)
-        return edges.choices(i - n) if i > n else _expansion(edges)
+        return edges.choices(i - n) if i > n else _expansion(given, edges)
 
     return _emit_leaves(d, walk(n + edge_levels, choices), sink, meter)
 

@@ -1,5 +1,6 @@
 """The A/B check of ``tools/ab.py``: run A/A on the first runs of its list,
-its tally, and how it compares capped korient runs."""
+its tally, how it compares capped korient runs, and how it checks their
+classes against the alpha expansion."""
 import importlib.util
 from pathlib import Path
 
@@ -43,3 +44,28 @@ def test_capped_runs_compare_only_the_classes_both_sides_list():
     whole = dict(base, capped=False)
     assert ab.differing([whole], [whole]) == []
     assert ab.differing([whole], [dict(whole, solutions=4)]) == ["r"]
+
+
+def test_each_class_of_a_capped_run_is_checked_against_its_alpha_expansion(monkeypatch):
+    ab = _ab()
+    import orientations
+
+    monkeypatch.setattr(ab, "CAP", 20)
+    edges = [[0, 1], [0, 1], [1, 2], [1, 2], [2, 0], [2, 0]]
+    run = {"kind": "korient", "name": "doubled-triangle k=1", "graph": (3, edges), "param": 1}
+    record = ab._replay(run)
+    assert record["capped"] and len(record["classes"]) > 1 and record["solutions"] < 46
+    assert record["alpha_mismatches"] == [] and ab._report([record], [record]) == 0
+    real = orientations.enumerate_alpha
+
+    def losing_one(graph, alpha, sink, **options):
+        # The alpha expansion with the first orientation of each class lost.
+        seen = []
+        return real(graph, alpha, lambda d: sink(d) if seen else seen.append(d), **options)
+
+    monkeypatch.setattr(orientations, "enumerate_alpha", losing_one)
+    lost = ab._replay(run)
+    assert lost["classes"] == record["classes"]
+    assert lost["alpha_mismatches"] == list(record["classes"])
+    assert ab.alpha_mismatches([lost]) == [f"doubled-triangle k=1: {out}" for out in record["classes"]]
+    assert ab._report([record], [lost]) == 1

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -55,6 +56,24 @@ def test_find_infeasible_targets():
     assert find_alpha_orientation(g, (3, 0, 0)) is None  # vertex 0 has degree 2
     assert find_alpha_orientation(g, (1, 1, 0)) is None  # sum mismatch
     assert find_alpha_orientation(g, (4, -1, 0)) is None
+
+
+def test_the_finder_fails_exactly_where_no_orientation_attains_the_vector():
+    # Every vector with sum m and 0 <= alpha(v) <= deg(v), so that only the
+    # finder's search can reject it: the finder returns None exactly when
+    # no orientation attains the vector, and otherwise one that does.
+    failed = 0
+    for name, g in families.random_family(30, seed=43) + families.named_graphs():
+        for alpha in product(*(range(g.degree(v) + 1) for v in range(g.n))):
+            if sum(alpha) != g.m:
+                continue
+            d = find_alpha_orientation(g, alpha)
+            if oracle_alpha(g, alpha):
+                assert d is not None and d.outdegrees() == alpha, (name, alpha)
+            else:
+                assert d is None, (name, alpha)
+                failed += 1
+    assert failed > 100, failed
 
 
 def test_find_rejects_wrong_length():

@@ -420,8 +420,8 @@ class InvariantProbe:
 
     The choice generators of the package run as in the enumerators, the
     edge levels on the live orientation ``d`` and the vertex levels on
-    ``given``, a ``multigraph._Trailing`` of those edge levels, wrapped the
-    way the enumerators drive them through ``walk``:
+    ``given``, a ``multigraph._Trailing`` of ``d``, wrapped the way the
+    enumerators drive them through ``walk``:
 
     - ``edge_choices(i)`` asserts at every yield, and when the level ends,
       that the edges fixed above level i, those of the levels 0..i-1 in the
@@ -445,19 +445,20 @@ class InvariantProbe:
       ``alpha._meeting_path`` replaced by its checked ``search``;
     - ``expansion()`` drives ``sequences._expansion`` over the probe's edge
       levels, as the k-connected search does below its last vertex level.
-      Its ``restore``, which runs as the expansion starts, asserts that the
-      levels' ``flipped`` mask names exactly the edges where ``d`` differs
-      from ``given``, that the restore makes ``d`` equal ``given``, and that
-      it is charged one arc touch per edge it flips;
+      As the expansion opens edge level 0, right after the expansion's
+      restore, ``choices(0)`` asserts that the restore made ``d`` equal
+      ``given`` and was charged one arc touch per edge where the two
+      differed;
     - ``vertex_choices(i)`` drives the search's own level i on ``given``,
       in the search's level order, the levels sharing one tight-set family
       as in the search, and asserts at every yield that ``given`` is still
       k-connected, that ``assert_masks_exact`` holds for ``given`` and for
-      ``d``, and that ``flipped`` names exactly the edges where the two
-      differ.  Every state
-      a path reversal reaches is yielded once, so this checks that each
-      reversal keeps k-connectivity.  At the last level it makes each
-      yield's outdegrees, the sequence the vertex levels reached, the
+      ``d``, and that every edge where the two differ was flipped by an
+      edge level since the last restore: the probe runs the walk with
+      ``alpha._flip`` replaced by one that records the edges it flips.
+      Every state a path reversal reaches is yielded once, so this checks
+      that each reversal keeps k-connectivity.  At the last level it makes
+      each yield's outdegrees, the sequence the vertex levels reached, the
       target of the leaves below;
     - ``leaves(levels, choices)`` asserts at every leaf that the orientation
       has the target outdegrees: ``target`` when given, else the sequence
@@ -472,7 +473,9 @@ class InvariantProbe:
         self.target = target
         self.meter = DelayMeter()
         self.levels = _EdgeLevels(self.d, self.meter)
-        self.given = _Trailing(self.levels)  # the orientation of the vertex levels, as in the search
+        self.given = _Trailing(self.d)  # the orientation of the vertex levels, as in the search
+        self.restored = None  # at a restore: the edges where d differed from given, and the touches before it
+        self.flipped = set()  # the edges that edge levels flipped since the last restore
         self.left = None  # the cut as the last edge level to end left it
         self.level = None  # the edge level that resumed last, the one that searches
         self.tight = _TightSets()  # the tight-set families the vertex levels share, as in the search
@@ -526,23 +529,30 @@ class InvariantProbe:
         return _meeting_path(d, u, v, free, closed, meter)
 
     def expansion(self):
-        return _expansion(self)
+        self.restored = self._differ(), self.meter.arc_touches
+        return _expansion(self.given, self)
 
-    choices = edge_choices  # the edge levels as ``sequences._expansion`` calls them
-
-    def _differ(self) -> list[int]:
-        # The edges where d differs from given, asserted to be ``flipped``.
-        d, given = self.d, self.given
-        differ = [f for f in range(d.graph.m) if d._dirs[f] != given._dirs[f]]
-        assert self.levels.flipped == sum(1 << f for f in differ), "the flipped mask is not the edges that differ"
-        return differ
-
-    def restore(self):
-        differ = self._differ()
-        touches = self.meter.arc_touches
-        self.levels.restore()
+    def choices(self, i: int):
+        # Edge level 0 as ``sequences._expansion`` opens it, right after its
+        # restore.
+        differ, touches = self.restored
         assert self.d == self.given, "the expansion does not start from the orientation of the vertex levels"
         assert self.meter.arc_touches - touches == len(differ), "the restore is not charged one touch per edge it flips"
+        self.flipped.clear()
+        return self.edge_choices(i)
+
+    def _differ(self) -> list[int]:
+        # The edges where d differs from given, asserted to be edges that
+        # the edge levels flipped since the last restore.
+        d, given = self.d, self.given
+        differ = [f for f in range(d.graph.m) if d._dirs[f] != given._dirs[f]]
+        assert self.flipped.issuperset(differ), "d differs from given on an edge that no edge level flipped"
+        return differ
+
+    def flip(self, d, edges, meter):
+        # ``alpha._flip``, recording the edges the edge levels flip.
+        self.flipped.update(edges)
+        _flip(d, edges, meter)
 
     def vertex_choices(self, i: int):
         given, v = self.given, self.order[i]
@@ -556,7 +566,10 @@ class InvariantProbe:
             yield
 
     def leaves(self, levels: int, choices):
-        with mock.patch.object(alpha_module, "_meeting_path", self.search):
+        with (
+            mock.patch.object(alpha_module, "_meeting_path", self.search),
+            mock.patch.object(alpha_module, "_flip", self.flip),
+        ):
             for _ in walk(levels, choices):
                 if self.target is not None:
                     assert self.d.outdegrees() == tuple(self.target), "emitted orientation misses the target outdegrees"
@@ -876,7 +889,6 @@ class FullScanLevels(_EdgeLevels):
         if path is not None:
             path.append(e)
             _flip(d, path, meter)
-            self.flipped ^= sum(1 << f for f in path)
             yield
 
 
@@ -925,7 +937,6 @@ class UncountedLevels(_EdgeLevels):
         else:
             path.append(e)
             _flip(d, path, self.meter)
-            self.flipped ^= sum(1 << f for f in path)
             yield
             self.cut = {}
         free[u] ^= u_bit
@@ -938,13 +949,12 @@ class FlipBackLevels(_EdgeLevels):
     The expansion as it was before its levels left their flips, in the
     same level order: a level that flips undoes its flip after its flip
     subtree, so every level searches on the orientation that the level
-    above kept, and its ``flipped`` mask stays empty.  Its closed sets are
-    those that rest on the flip-back: a set passed down to the flip subtree
-    is the set the search skipped, a level hands up the set the subtree
-    handed up when that misses head and tail once the flip is undone, and
-    of a received set that holds the tail the level keeps the longest
-    prefix that ends before a search's root, a vertex mapped to None, and
-    misses the tail.  Its search is the forward one of that expansion,
+    above kept.  Its closed sets are those that rest on the flip-back: a
+    set passed down to the flip subtree is the set the search skipped, a
+    level hands up the set the subtree handed up when that misses head and
+    tail once the flip is undone, and of a received set that holds the
+    tail the level keeps the longest prefix that ends before a search's
+    root, a vertex mapped to None, and misses the tail.  Its search is the forward one of that expansion,
     ``tree_search``, and its sets are dicts in insertion order.  The stream
     holds the same orientations in another order.
     """

@@ -35,10 +35,14 @@ metrics the benchmark reports.  A korient run also records the sha256 of
 the sorted lines of each outdegree class it lists.  A change to the order
 of the classes can stop a capped run in another class, so when either
 side's run was capped the two sides compare only the classes both list.
-The script exits with status 1 when the two sides list different sets:
-when a run that neither side capped differs in its sorted stream or its
-solution count, or a capped run in a class both sides list.  It exits
-with 0 otherwise.
+Each side also checks every class that it lists in a capped run, the
+last one included, since a capped run stops at the end of a class,
+against the sorted lines of ``enumerate_alpha`` on that class and that
+side.  The script exits with status 1 when the two sides list different
+sets: when a run that neither side capped differs in its sorted stream or
+its solution count, or a capped run in a class both sides list; and when
+a side lists a class in a capped run that its alpha expansion does not.
+It exits with 0 otherwise.
 
 ``--cpu N`` replays no list.  It measures in-process CPU instead, on
 child 1/0 (seed 1, child 0) of every workload that ``BENCHMARK.json``
@@ -167,6 +171,13 @@ def _replay(run: dict) -> dict:
         except _Enough:
             pass
     cpu = time.process_time() - cpu
+    mismatches = []  # a capped run's classes whose lines are not those of the alpha expansion
+    if capped:
+        for out, found in classes.items():
+            expanded: list[str] = []
+            orientations.enumerate_alpha(graph, out, lambda d: expanded.append(d.serialize()))
+            if sorted(expanded) != sorted(found):
+                mismatches.append(" ".join(map(str, out)))
     return {
         "name": run["name"],
         "workload": run.get("workload"),
@@ -178,6 +189,7 @@ def _replay(run: dict) -> dict:
         "max_delay_ops": meter.max_delay_ops,
         "capped": bool(capped),
         "classes": {" ".join(map(str, out)): _sha256(sorted(c)) for out, c in classes.items()},
+        "alpha_mismatches": mismatches,
         "cpu_s": cpu,
     }
 
@@ -272,6 +284,12 @@ def differing(base: list[dict], change: list[dict]) -> list[str]:
     return names
 
 
+def alpha_mismatches(records: list[dict]) -> list[str]:
+    """The runs and classes of one side's capped korient runs whose lines
+    differ from those of ``enumerate_alpha`` on that side."""
+    return [f"{r['name']}: {out}" for r in records for out in r["alpha_mismatches"]]
+
+
 def _report(base: list[dict], change: list[dict]) -> int:
     counts = tally(base, change)
     print(f"{len(base)} runs")
@@ -294,11 +312,16 @@ def _report(base: list[dict], change: list[dict]) -> int:
     capped = [(b, c) for b, c in zip(base, change) if b["capped"] or c["capped"]]
     if capped:
         common = sum(len(b["classes"].keys() & c["classes"].keys()) for b, c in capped)
+        checked = [sum(len(r["classes"]) for r in side if r["capped"]) for side in (base, change)]
         print(f"{len(capped)} capped korient runs: compared {common} classes that both sides list")
+        print(f"checked {checked[0]} / {checked[1]} classes of capped runs against their alpha expansions")
     different = differing(base, change)
     for name in different:
         print(f"different sets: {name}")
-    return 1 if different else 0
+    mismatched = [(side, found) for side, records in (("base", base), ("change", change)) for found in alpha_mismatches(records)]
+    for side, found in mismatched:
+        print(f"class unlike its alpha expansion ({side}): {found}")
+    return 1 if different or mismatched else 0
 
 
 def main(argv=None) -> int:
