@@ -1,15 +1,17 @@
 """Orientations with a prescribed outdegree vector: find one, list them all.
 
 Two orientations have the same outdegree vector exactly when one arises from
-the other by reversing arc-disjoint directed cycles.  The initial search
-drives path reversals to the target vector; the enumeration fixes the edges
+the other by reversing arc-disjoint directed cycles.  The finder drives
+path reversals to the target vector, and the enumeration fixes the edges
 one level of ``walk`` each, whose choice generator keeps the edge and then
-flips it with a completing cycle.  A level never undoes its flip: after its
-subtree it hands the orientation up as it is, and the level above searches
-on that.  Two orientations of the class that agree on the fixed edges
-differ by directed cycles among the free ones, so whether a level can flip,
-and which leaves lie below it, do not depend on which of them it holds.
-Consecutive leaves thus differ by one cycle reversal.
+flips it with a completing cycle.  Both find their paths by the one search
+of :mod:`orientations.paths` that returns a path, ``_meeting_path``.  A
+level never undoes its flip: after its subtree it hands the orientation up
+as it is, and the level above searches on that.  Two orientations of the
+class that agree on the fixed edges differ by directed cycles among the
+free ones, so whether a level can flip, and which leaves lie below it, do
+not depend on which of them it holds.  Consecutive leaves thus differ by
+one cycle reversal.
 
 That holds for any order of the edges, and the levels take a closing order,
 ``_closing_order``, computed once per run.  It takes the vertices one at a
@@ -21,7 +23,7 @@ soon have few free edges left, so a search for a completing cycle fails,
 or is skipped, near the top of the walk, where that spares the most: the
 fail-first rule of backtracking.  The order follows the graph, not the
 order in which the input lists its edges; the emitted lines still list the
-edges in index order.  The fixed edges are no longer a prefix of each
+edges in index order.  The fixed edges are thus not a prefix of each
 incidence row, so the walk keeps per vertex x the mask ``free[x]`` of the
 entries of x's row that are still free (see :mod:`orientations.paths`).
 
@@ -101,7 +103,7 @@ from collections.abc import Callable, Iterator, Sequence
 
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation, _integers
-from .paths import _flip, _meeting_path, _shortest_path
+from .paths import _flip, _meeting_path
 
 __all__ = ["find_alpha_orientation", "enumerate_alpha"]
 
@@ -113,11 +115,17 @@ def find_alpha_orientation(
 ) -> Orientation | None:
     """An orientation whose outdegree vector equals ``alpha``, or None.
 
-    Starts from the all-forward orientation and repeatedly reverses a
-    shortest directed path from a vertex above its target outdegree to one
-    below it; each reversal moves one unit of outdegree.  When no such path
-    remains while targets are unmet, none exists (the set reachable from the
-    overfull vertices certifies infeasibility).
+    Starts from the all-forward orientation and moves one unit of outdegree
+    at a time: from the first vertex u above its target, it reverses a path
+    to a vertex v below its target, found by a meeting search (see
+    :mod:`orientations.paths`) toward each such v in id order.  A failed
+    search hands back a cut that holds every vertex u reaches and that no
+    arc leaves, so a later v outside any such cut is skipped unsearched:
+    u does not reach it.  When no v is left, the set u reaches is closed
+    and holds no vertex below its target but holds u, above it, so its
+    targets sum below the edges inside it, which every orientation directs
+    out of that set's vertices: none exists.  Each unit moved costs at most
+    one failed search per vertex below its target.
     """
     if len(alpha) != graph.n:
         raise ValueError("alpha length must equal vertex count")
@@ -129,15 +137,20 @@ def find_alpha_orientation(
     d = Orientation(graph)
     out = list(d.outdegrees())
     while True:
-        surplus = [v for v in range(graph.n) if out[v] > target[v]]
-        if not surplus:
+        u = next((x for x in range(graph.n) if out[x] > target[x]), None)
+        if u is None:
             return d
-        deficit = {v for v in range(graph.n) if out[v] < target[v]}
-        path = _shortest_path(d, surplus, deficit, meter)
-        if path is None:
+        reach = -1  # the intersection of the failed searches' cuts
+        for v in range(graph.n):
+            if out[v] < target[v] and reach >> v & 1:
+                path, cut = _meeting_path(d, u, v, graph._row_mask, 0, meter)
+                if path is not None:
+                    break
+                reach &= cut
+        else:
             return None
-        out[d.tail(path[0])] -= 1
-        out[d.head(path[-1])] += 1
+        out[u] -= 1
+        out[v] += 1
         _flip(d, path, meter)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .metering import DelayMeter
 from .multigraph import Multigraph, Orientation
-from .paths import _check_positive, _count_paths, _shortest_path, lambda_at_least
+from .paths import _check_positive, _count_paths, _grow, lambda_at_least
 
 __all__ = ["is_k_connected", "edge_connectivity"]
 
@@ -55,11 +55,16 @@ class _Last:
 
 
 def _reaches_all(orientation: Orientation, inward: bool, meter: DelayMeter | None) -> bool:
-    # One search from vertex 0 along out-arcs, or backward along in-arcs,
-    # that stops once it has reached every vertex: it finds a path to the
-    # last vertex it discovers exactly when that is every vertex.
-    n = orientation.graph.n
-    return _shortest_path(orientation, (0,), _Last(n), meter, inward) is not None
+    # One ``_grow`` over one queue from vertex 0, along out-arcs or backward
+    # along in-arcs, that stops once it has reached every vertex: it hits
+    # the last vertex it discovers exactly when that is every vertex.
+    graph, queue = orientation.graph, [0]
+    rows, free = graph.incidence, graph._row_mask
+    hit, touched = _grow(rows, orientation._out, free, inward, queue, queue, {0: None}, _Last(graph.n))
+    if meter is not None:
+        meter.bfs()
+        meter.arcs(touched)
+    return hit is not None
 
 
 def edge_connectivity(graph: Multigraph) -> int:

@@ -11,14 +11,11 @@ connected (Robbins 1939), which one search and the two sweeps of
 the k-connected search of :mod:`orientations.sequences` when the caller
 gives no seed.
 
-The search directs the edges in index order, and every incidence row is
-in index order, so the edges it has directed at a vertex w are a prefix of
-w's row, the first ``fixed[w]``, and w's decided out-arcs are the bits of
-``_out[w]`` in that prefix; it keeps no other count.  (The alpha
-expansion fixes its edges in another order and keeps masks of the free
-entries instead.)  Trying a
-direction costs an arc touch only when it flips the edge, through
-``paths._flip``.
+The search directs the edges in index order and keeps, like the alpha
+expansion, per vertex w the mask ``free[w]`` of the entries of w's
+incidence row not yet directed (see :mod:`orientations.paths`), so w's
+decided out-arcs are ``_out[w] & ~free[w]``.  Trying a direction costs an
+arc touch only when it flips the edge, through ``paths._flip``.
 """
 from __future__ import annotations
 
@@ -55,27 +52,28 @@ def find_k_connected_orientation(
     elif _edge_connectivity(graph, 2 * k) < 2 * k:
         return None
 
-    # The walk directs the edges of d; the first fixed[w] edges of w's row
-    # are directed.  When ``out`` of them leave w, w ends with at most
-    # out + degree(w) - fixed[w] out-arcs and degree(w) - out in-arcs.
+    # The walk directs the edges of d; the entries of free[w] are those of
+    # w's row not yet directed.  When ``out`` of the directed ones leave w,
+    # w ends with at most out + |free[w]| out-arcs and degree(w) - out
+    # in-arcs.
     d = Orientation(graph)
-    fixed = [0] * graph.n
+    free = list(graph._row_mask)
 
     def viable(w: int) -> bool:
-        out = (d._out[w] & (1 << fixed[w]) - 1).bit_count()
-        return out + graph.degree(w) - fixed[w] >= k and graph.degree(w) - out >= k
+        out = (d._out[w] & ~free[w]).bit_count()
+        return out + free[w].bit_count() >= k and graph.degree(w) - out >= k
 
     def directions(e: int) -> Iterator[None]:
-        u, v = graph.edges[e]
-        fixed[u] += 1
-        fixed[v] += 1
+        u, u_bit, v, v_bit = graph._ends[e]
+        free[u] ^= u_bit
+        free[v] ^= v_bit
         for fwd in (True, False):
             if d.forward(e) != fwd:
                 _flip(d, (e,), meter)
             if viable(u) and viable(v):
                 yield
-        fixed[u] -= 1
-        fixed[v] -= 1
+        free[u] ^= u_bit
+        free[v] ^= v_bit
 
     for _ in walk(graph.m, directions):
         if is_k_connected(d, k, meter):

@@ -2,13 +2,14 @@
 
 Primitive operations are breadth-first searches and arc touches: an arc
 that a search scans, an edge flipped, or an edge copied for a sink that
-keeps the orientation, or serialized by the CLI.  A search scans
-only the arcs that leave the vertices it expands, never their in-arcs,
-with two exceptions: the inward sweep of the strong-connectivity check
-scans only the arcs that enter them, and a meeting search, a path
-count's or the alpha expansion's, scans the out-arcs of the vertices it
-grows from the source and the in-arcs of those it grows from the target.  Wall time
-never enters the accounting, so delay and amortized-cost bounds can be
+keeps the orientation, or serialized by the CLI.  Every search that
+finds a path meets in the middle, those of the alpha finder, of a path
+count and of the alpha expansion alike: it scans the out-arcs of the
+vertices it grows from the source and the in-arcs of those it grows from
+the target.  The sweeps of the strong-connectivity check search from one
+end: the outward sweep scans only the arcs that leave the vertices it
+expands, and the inward one only those that enter them.  Wall time never
+enters the accounting, so delay and amortized-cost bounds can be
 asserted portably.
 
 A gap is the work between two consecutive emitted solutions, including the

@@ -2,29 +2,25 @@
 
 This is the primitive layer under both enumerators and the only module that
 searches for paths.  Every search scans arcs through ``_grow``, the
-package's one arc-scanning loop, and rebuilds its path through one tree
-walk, ``_walk``.  The search of the alpha finder and of the k = 1 sweeps
-is a plain BFS, ``_shortest_path``, that scans only out-arcs.  Each
-orientation keeps, per vertex x, the bitmask ``_out[x]`` over the positions
-of ``incidence[x]`` whose entries leave x, and every flip keeps it exact.
-Every search is told which entries of each vertex's incidence row are
-still free: ``free[x]`` is a bitmask over the positions of ``incidence[x]``,
-like ``_out[x]``, so x's free out-arcs are ``_out[x] & free[x]`` and its
-free in-arcs ``free[x] & ~_out[x]``, and the search neither uses nor counts
-the fixed entries.  The BFS and the counts pass the row masks, which leave
-every entry free; the alpha expansion fixes one edge per level and keeps
-its own masks, one XOR per end of the edge as a level opens and again as
-it ends.
+package's one arc-scanning loop, and every path is found by one search,
+``_meeting_path``, which rebuilds it through one tree walk, ``_walk``.  The
+k = 1 sweeps of :mod:`orientations.connectivity` are one ``_grow`` each and
+rebuild no path.  Each orientation keeps, per vertex x, the bitmask
+``_out[x]`` over the positions of ``incidence[x]`` whose entries leave x,
+and every flip keeps it exact.  Every search is told which entries of each
+vertex's incidence row are still free: ``free[x]`` is a bitmask over the
+positions of ``incidence[x]``, like ``_out[x]``, so x's free out-arcs are
+``_out[x] & free[x]`` and its free in-arcs ``free[x] & ~_out[x]``, and the
+search neither uses nor counts the fixed entries.  The alpha finder, the
+sweeps and the counts pass the row masks, which leave every entry free;
+the alpha expansion fixes one edge per level and keeps its own masks, one
+XOR per end of the edge as a level opens and again as it ends.
 
-A search walks the set bits from low to high, so it meets x's out-arcs in
-edge-index order: among shortest paths the one through the lowest-indexed
-arcs is found first, and every caller inherits that determinism.  It
-charges one arc touch per out-arc scanned and none per in-arc.  Told to
-search inward, it walks x's in-arcs backward instead and charges one touch
-per in-arc scanned and none per out-arc.  The searches of a count (below)
-and of the alpha expansion meet in the middle, ``_meeting_path``: they grow
-BFS layers from the source along out-arcs and from the target along
-in-arcs, and charge one touch per arc scanned either way.  The alpha
+A search walks the set bits from low to high, so it meets x's arcs, out
+or in, in edge-index order: its path is the same on every run, and every
+caller inherits that determinism.  It charges one arc touch per arc
+scanned.  ``_meeting_path`` grows BFS layers from the source along
+out-arcs and from the target backward along in-arcs.  The alpha
 expansion's meeting search may also be handed a closed set, a vertex
 bitmask of vertices none of which reaches the target: the source's side
 treats them as reached and never expands them, and the target's side never
@@ -84,7 +80,7 @@ edge changes direction uncharged.
 from __future__ import annotations
 
 import operator
-from collections.abc import Collection, Sequence
+from collections.abc import Sequence
 
 from .metering import DelayMeter
 from .multigraph import Orientation
@@ -129,34 +125,6 @@ def _walk(ends, tree: dict, x: int) -> list[int]:
         a, b = ends[e]
         x ^= a ^ b  # the vertex across e from x
         e = tree[x]
-    return edges
-
-
-def _shortest_path(
-    orientation: Orientation,
-    sources: Sequence[int],
-    targets: Collection[int],
-    meter: DelayMeter | None,
-    inward: bool = False,
-) -> list[int] | None:
-    # Multi-source BFS along out-arcs to the first discovered target; a
-    # source is never reported as its own target.  With ``inward`` it
-    # walks in-arcs backward instead: a search of the reversed orientation.
-    # The whole search is one ``_grow`` over one queue, with the row masks
-    # as its free masks.  Vertex ids are not checked: callers take them
-    # from the graph.
-    tree: dict[int, int | None] = dict.fromkeys(sources)
-    graph = orientation.graph
-    queue = list(sources)
-    if meter is not None:
-        meter.bfs()
-    hit, touched = _grow(graph.incidence, orientation._out, graph._row_mask, inward, queue, queue, tree, targets)
-    if meter is not None:
-        meter.arcs(touched)
-    if hit is None:
-        return None
-    edges = _walk(graph.edges, tree, hit)
-    edges.reverse()
     return edges
 
 

@@ -238,8 +238,8 @@ def _search(graph: Multigraph, k: int, seed: Orientation | None, edge_levels: in
         if not is_k_connected(seed, k):
             raise ValueError("seed orientation is not k-connected")
         d = seed.copy()
-    n, edges, tight, order = graph.n, _EdgeLevels(d, meter), _TightSets(), _VertexOrder(graph)
-    given = _Trailing(d) if edge_levels else d
+    n, tight, order = graph.n, _TightSets(), _VertexOrder(graph)
+    given, edges = (_Trailing(d), _EdgeLevels(d, meter)) if edge_levels else (d, None)
 
     def choices(i: int) -> Iterator[None]:
         if i < n:

@@ -31,7 +31,7 @@ from orientations import (
     lambda_at_least,
 )
 from orientations.oracle import brute_is_k_connected
-from orientations.paths import _shortest_path
+from orientations.paths import _meeting_path
 from witnesses import class_size_lower_bound_check, reverse_path
 
 
@@ -105,7 +105,7 @@ def test_criterion_3_menger_agreement(family):
         lam = 0
         current = d
         while True:
-            path = _shortest_path(current, (u,), (v,), None)
+            path = _meeting_path(current, u, v, graph._row_mask, 0, None)[0]
             if path is None:
                 break
             current = reverse_path(current, path, u)
@@ -126,7 +126,7 @@ def test_criterion_4_path_flipping_law(family):
         v = rng.randrange(graph.n)
         if u == v:
             continue
-        path = _shortest_path(d, (u,), (v,), None)
+        path = _meeting_path(d, u, v, graph._row_mask, 0, None)[0]
         if path is None:
             continue
         before = {

@@ -17,7 +17,7 @@ from orientations import (
     parse_graph,
 )
 from orientations.connectivity import _edge_connectivity
-from orientations.paths import _count_paths, _shortest_path
+from orientations.paths import _count_paths, _meeting_path
 from orientations.oracle import all_orientations, brute_is_k_connected
 from witnesses import cut_outdegree, pairwise_is_k_connected, vertices
 
@@ -181,11 +181,11 @@ def test_path_counters_restore_their_input():
         ):
             call()
             assert (d.serialize(), d.outdegrees(), graph_to_text(g)) == before, g.edges
-        # The first path counted is the shortest path of d as given, and a
+        # The first path counted is the meeting path of d as given, and a
         # count that falls short hands back a cut of exactly that many arcs.
         paths, cut = _count_paths(d, u, v, 3)
         assert (d.serialize(), d.outdegrees(), graph_to_text(g)) == before, g.edges
-        assert (paths[0] if paths else None) == _shortest_path(d, (u,), (v,), None)
+        assert (paths[0] if paths else None) == _meeting_path(d, u, v, g._row_mask, 0, None)[0]
         if cut is not None:
             cut = vertices(cut)
             assert u in cut and v not in cut and cut_outdegree(d, cut) == len(paths) < 3

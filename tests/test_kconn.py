@@ -291,7 +291,7 @@ def test_meter_counts_one_gap_per_solution_plus_trailing():
 
 
 def test_invariant_probes_hold():
-    # The replay asserts the fixed edge prefix, k-connectivity after every
+    # The replay asserts the fixed edges, k-connectivity after every
     # path reversal and the outdegrees at every leaf, and must emit the
     # same stream as the enumerator.
     graphs = [parse_graph(DOUBLED_TRIANGLE)] + [g for _, g in families.random_family(15, seed=73)]

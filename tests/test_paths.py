@@ -11,12 +11,14 @@ from oracles import oracle_lambda
 from orientations import (
     DelayMeter,
     Orientation,
+    connectivity,
     is_k_connected,
     lambda_at_least,
     parse_graph,
     paths,
 )
-from orientations.paths import _count_paths, _meeting_path, _shortest_path
+from orientations.connectivity import _reaches_all
+from orientations.paths import _count_paths, _meeting_path
 from witnesses import (
     assert_path,
     closure_count_paths,
@@ -43,7 +45,7 @@ def opposite_double_triangle():
 
 def test_path_around_triangle():
     d = directed_triangle()
-    assert _shortest_path(d, (1,), (0,), None) == [1, 2]  # 1->2 then 2->0
+    assert _meeting_path(d, 1, 0, d.graph._row_mask, 0, None) == ([1, 2], None)  # 1->2 then 2->0
 
 
 def test_fixed_edge_blocks_path():
@@ -56,14 +58,13 @@ def test_fixed_edge_blocks_path():
 def test_antiparallel_pair_single_arc():
     g = parse_graph("2 2\n0 1\n0 1")
     d = Orientation(g, [1, 0])  # edge0: 0->1, edge1: 1->0
-    assert _shortest_path(d, (0,), (1,), None) == [0]
+    assert _meeting_path(d, 0, 1, g._row_mask, 0, None) == ([0], None)
     assert d.forward(0)
 
 
 def test_lowest_edge_index_wins_ties():
     g = parse_graph("2 3\n0 1\n0 1\n0 1")
     d = Orientation(g)
-    assert _shortest_path(d, (0,), (1,), None) == [0]
     assert _meeting_path(d, 0, 1, g._row_mask, 0, None) == ([0], None)
     assert _meeting_path(d, 0, 1, free_masks(g, {0}), 0, None) == ([1], None)
 
@@ -91,11 +92,6 @@ def test_fixed_prefix_over_parallel_edges():
     assert _meeting_path(d, 0, 1, [0b1111, 0b1000], 0, None) == ([3], None)
 
 
-def test_source_is_never_its_own_target():
-    d = directed_triangle()
-    assert _shortest_path(d, (1,), (1,), None) is None
-
-
 @pytest.mark.parametrize("source, target", [(-1, 0), (0, -1), (3, 0), (0, 3)])
 def test_out_of_range_vertex_rejected(source, target):
     # Checked at the public boundary only: the BFS takes its ids from the graph.
@@ -105,7 +101,7 @@ def test_out_of_range_vertex_rejected(source, target):
 
 def test_reverse_path_moves_one_unit_of_outdegree():
     d = directed_triangle()
-    p = _shortest_path(d, (1,), (0,), None)
+    p = _meeting_path(d, 1, 0, d.graph._row_mask, 0, None)[0]
     r = reverse_path(d, p, 1)
     assert r.outdegrees() == (2, 0, 1)
     assert d.outdegrees() == (1, 1, 1)  # input untouched
@@ -114,7 +110,7 @@ def test_reverse_path_moves_one_unit_of_outdegree():
 def test_reverse_single_arc():
     g = parse_graph("2 1\n0 1")
     d = Orientation(g)
-    p = _shortest_path(d, (0,), (1,), None)
+    p = _meeting_path(d, 0, 1, g._row_mask, 0, None)[0]
     assert reverse_path(d, p, 0).serialize() == "-"
 
 
@@ -125,7 +121,7 @@ def test_reverse_full_cycle_keeps_outdegrees():
 
 def test_reverse_path_validates_direction():
     d = directed_triangle()
-    p = _shortest_path(d, (1,), (0,), None)
+    p = _meeting_path(d, 1, 0, d.graph._row_mask, 0, None)[0]
     flipped = reversed_copy(d, [1])
     with pytest.raises(ValueError):
         reverse_path(flipped, p, 1)
@@ -139,7 +135,7 @@ def test_reverse_path_degree_law_on_cuts():
     for g in pool:
         d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
         u, v = rng.sample(range(g.n), 2)
-        p = _shortest_path(d, (u,), (v,), None)
+        p = _meeting_path(d, u, v, g._row_mask, 0, None)[0]
         if p is None:
             continue
         r = reverse_path(d, p, u)
@@ -439,43 +435,47 @@ def test_a_count_asked_for_the_largest_cut_hands_back_a_cut_as_large_or_larger()
 
 
 def test_an_inward_search_is_the_forward_search_of_the_reversed_orientation(monkeypatch):
-    # Walking in-arcs backward from s to t is searching the orientation with
-    # every edge reversed: the same path, the same search tree built in the
-    # same order, one BFS run and the same arc touches, with or without
-    # free masks.  The search is one ``_grow``, whose tree the test keeps:
-    # ``_shortest_path`` without masks, ``tree_search`` with them.
+    # Walking in-arcs backward is searching the orientation with every edge
+    # reversed: the same outcome, the same search tree built in the same
+    # order, one BFS run and the same arc touches, with or without free
+    # masks.  Each search is one ``_grow``, whose tree the test keeps: the
+    # sweep of ``is_k_connected`` from vertex 0 without masks, and
+    # ``tree_search`` from s to t with them.
     real_grow, trees = paths._grow, []
 
     def traced(rows, out, free, inward, layer, following, tree, targets):
         trees.append(tree)
         return real_grow(rows, out, free, inward, layer, following, tree, targets)
 
-    def search(d, s, t, free, meter, inward=False):
-        if free is None:
-            return _shortest_path(d, (s,), (t,), meter, inward)
-        return tree_search(d, (s,), (t,), free, meter, {}, inward)
+    def sweep(d, meter, inward=False):
+        return _reaches_all(d, inward, meter)
 
-    monkeypatch.setattr(paths, "_grow", traced)
-    monkeypatch.setattr(witnesses, "_grow", traced)
+    def search(s, t, free):
+        return lambda d, meter, inward=False: tree_search(d, (s,), (t,), free, meter, {}, inward)
+
+    for module in (paths, connectivity, witnesses):
+        monkeypatch.setattr(module, "_grow", traced)
     rng = random.Random(1234)
-    pairs = found = 0
+    seen = {"sweep": [0, 0], "search": [0, 0]}  # calls, and those that reach their target
     for _, g in families.random_family(60, seed=61):
         d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
         flipped = reversed_copy(d, range(g.m))
         masks = free_masks(g, rng.sample(range(g.m), rng.randint(1, g.m)))
-        for free in (None, masks):
-            for s, t in [(s, t) for s in range(g.n) for t in range(g.n) if s != t]:
-                inward, forward = DelayMeter(), DelayMeter()
-                trees.clear()
-                path = search(d, s, t, free, inward, inward=True)
-                assert path == search(flipped, s, t, free, forward)
-                got, want = trees
-                assert list(got.items()) == list(want.items())
-                assert (inward.bfs_runs, inward.arc_touches) == (forward.bfs_runs, forward.arc_touches)
-                assert inward.bfs_runs == 1
-                pairs += 1
-                found += path is not None
-    assert pairs > 1000 and 200 < found < pairs - 200, (pairs, found)
+        pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t]
+        for kind, call in [("sweep", sweep)] + [("search", search(s, t, masks)) for s, t in pairs]:
+            inward, forward = DelayMeter(), DelayMeter()
+            trees.clear()
+            found = call(d, inward, inward=True)
+            assert found == call(flipped, forward)
+            got, want = trees
+            assert list(got.items()) == list(want.items())
+            assert (inward.bfs_runs, inward.arc_touches) == (forward.bfs_runs, forward.arc_touches)
+            assert inward.bfs_runs == 1
+            seen[kind][0] += 1
+            seen[kind][1] += bool(found)
+    (sweeps, reached), (searches, hits) = seen.values()
+    assert sweeps == 60 and 10 < reached < 50, seen
+    assert searches > 400 and 50 < hits < searches - 50, seen
 
 
 def _package_scopes(matches) -> list[str]:
@@ -641,7 +641,7 @@ def test_flippable_reversal_preserves_k_connectivity():
         for v in range(3):
             if u == v or not lambda_at_least(d, u, v, 2):
                 continue
-            p = _shortest_path(d, (u,), (v,), None)
+            p = _meeting_path(d, u, v, d.graph._row_mask, 0, None)[0]
             assert p is not None
             assert is_k_connected(reverse_path(d, p, u), 1)
     # same on a few random strong orientations
@@ -657,7 +657,7 @@ def test_flippable_reversal_preserves_k_connectivity():
             for v in range(g.n):
                 if u == v or not lambda_at_least(d, u, v, 2):
                     continue
-                p = _shortest_path(d, (u,), (v,), None)
+                p = _meeting_path(d, u, v, g._row_mask, 0, None)[0]
                 assert is_k_connected(reverse_path(d, p, u), 1)
                 checked += 1
     assert checked > 10

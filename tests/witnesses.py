@@ -256,15 +256,18 @@ def tree_search(
     reached: dict,
     inward: bool = False,
 ) -> list[int] | None:
-    """``paths._shortest_path`` that hands back its search tree, as a reference.
+    """A one-sided BFS that hands back its search tree, as a reference.
 
-    The same BFS, path, BFS run and arc touches, and the search the alpha
-    expansion made before it met in the middle; given ``free`` masks, it
-    scans only their entries, as that search did.  ``reached`` receives the
-    tree, each vertex mapped to the edge it was reached by (a source to
-    None), so its keys are the vertices the search reached.  It may arrive
-    holding vertices that the search then treats as reached and never
-    expands.
+    One ``paths._grow`` over one queue from ``sources`` to the first target
+    it discovers, along out-arcs, or with ``inward`` backward along in-arcs:
+    one BFS run and one arc touch per arc scanned, and a shortest path, the
+    lowest-indexed arcs winning ties.  It is the search the alpha finder and
+    the alpha expansion made before they met in the middle; given ``free``
+    masks, it scans only their entries, as the expansion's search did.
+    ``reached`` receives the tree, each vertex mapped to the edge it was
+    reached by (a source to None), so its keys are the vertices the search
+    reached.  It may arrive holding vertices that the search then treats as
+    reached and never expands.
     """
     for x in sources:
         reached[x] = None
