@@ -117,15 +117,12 @@ def find_alpha_orientation(
 
     Starts from the all-forward orientation and moves one unit of outdegree
     at a time: from the first vertex u above its target, it reverses a path
-    to a vertex v below its target, found by a meeting search (see
-    :mod:`orientations.paths`) toward each such v in id order.  A failed
-    search hands back a cut that holds every vertex u reaches and that no
-    arc leaves, so a later v outside any such cut is skipped unsearched:
-    u does not reach it.  When no v is left, the set u reaches is closed
-    and holds no vertex below its target but holds u, above it, so its
-    targets sum below the edges inside it, which every orientation directs
-    out of that set's vertices: none exists.  Each unit moved costs at most
-    one failed search per vertex below its target.
+    to a vertex below its target, found by one meeting search (see
+    :mod:`orientations.paths`) from u toward all of them, so each unit
+    moved costs one BFS run.  When that search fails, its cut holds u and
+    no vertex below its target, and no arc leaves it, so its targets sum
+    below the edges inside it, which every orientation directs out of that
+    set's vertices: none exists.
     """
     if len(alpha) != graph.n:
         raise ValueError("alpha length must equal vertex count")
@@ -140,17 +137,12 @@ def find_alpha_orientation(
         u = next((x for x in range(graph.n) if out[x] > target[x]), None)
         if u is None:
             return d
-        reach = -1  # the intersection of the failed searches' cuts
-        for v in range(graph.n):
-            if out[v] < target[v] and reach >> v & 1:
-                path, cut = _meeting_path(d, u, v, graph._row_mask, 0, meter)
-                if path is not None:
-                    break
-                reach &= cut
-        else:
+        deficit = [x for x in range(graph.n) if out[x] < target[x]]
+        path, _ = _meeting_path(d, u, deficit, graph._row_mask, 0, meter)
+        if path is None:
             return None
         out[u] -= 1
-        out[v] += 1
+        out[d.head(path[-1])] += 1
         _flip(d, path, meter)
 
 
@@ -291,7 +283,7 @@ class _EdgeLevels:
         closed = (0 if cut >> tail & 1 else cut) | (0 if down >> tail & 1 else down)
         path, cut = None, closed
         if not closed >> head & 1 and out[head] & free[head] and free[tail] & ~out[tail]:
-            path, cut = _meeting_path(d, head, tail, free, closed, self.meter)
+            path, cut = _meeting_path(d, head, (tail,), free, closed, self.meter)
         if path is None:
             self.cut = cut
         else:

@@ -6,9 +6,10 @@ keeps the orientation, or serialized by the CLI.  Every search that
 finds a path meets in the middle, those of the alpha finder, of a path
 count and of the alpha expansion alike: it scans the out-arcs of the
 vertices it grows from the source and the in-arcs of those it grows from
-the target.  The sweeps of the strong-connectivity check search from one
-end: the outward sweep scans only the arcs that leave the vertices it
-expands, and the inward one only those that enter them.  Wall time never
+the target, or in the alpha finder's from every vertex below its target.
+The sweeps of the strong-connectivity check search from one end: the
+outward sweep scans only the arcs that leave the vertices it expands, and
+the inward one only those that enter them.  Wall time never
 enters the accounting, so delay and amortized-cost bounds can be
 asserted portably.
 

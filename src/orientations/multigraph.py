@@ -4,15 +4,11 @@ Vertices are 0..n-1.  Parallel edges are allowed and are distinguished by
 their position in the edge list.  That position fixes the text form of an
 orientation, one character per edge in index order, and the order of each
 incidence row, in which every search meets a vertex's arcs, so it breaks
-the searches' ties.  The k-connected finder directs the edges in index
-order, and the alpha finder searches toward the vertices below their
-targets in id order.  The enumerators' levels follow orders computed from
-the graph instead, ``alpha._closing_order`` for the edges and
+the searches' ties; the k-connected finder directs the edges in index
+order too.  The enumerators' levels follow orders computed from the graph
+instead, ``alpha._closing_order`` for the edges and
 ``sequences._VertexOrder`` for the vertices, each breaking its ties by the
-smallest index.  Output order is thus reproducible byte for byte.  No walk
-relies on the edges it has fixed being a prefix of an incidence row: the
-alpha expansion and the k-connected finder each keep per vertex a mask of
-the row's free entries, toggled through ``_ends``.
+smallest index.  Output order is thus reproducible byte for byte.
 """
 from __future__ import annotations
 

@@ -12,19 +12,24 @@ vertex's incidence row are still free: ``free[x]`` is a bitmask over the
 positions of ``incidence[x]``, like ``_out[x]``, so x's free out-arcs are
 ``_out[x] & free[x]`` and its free in-arcs ``free[x] & ~_out[x]``, and the
 search neither uses nor counts the fixed entries.  The alpha finder, the
-sweeps and the counts pass the row masks, which leave every entry free;
-the alpha expansion fixes one edge per level and keeps its own masks, one
-XOR per end of the edge as a level opens and again as it ends.
+sweeps and the counts pass the row masks, which leave every entry free.
+The alpha expansion and the k-connected finder of :mod:`orientations.kconn`
+fix one edge per level and keep their own masks, one XOR per end of the
+edge, read from ``graph._ends``, as a level opens and again as it ends.
 
 A search walks the set bits from low to high, so it meets x's arcs, out
 or in, in edge-index order: its path is the same on every run, and every
 caller inherits that determinism.  It charges one arc touch per arc
 scanned.  ``_meeting_path`` grows BFS layers from the source along
-out-arcs and from the target backward along in-arcs.  The alpha
-expansion's meeting search may also be handed a closed set, a vertex
-bitmask of vertices none of which reaches the target: the source's side
-treats them as reached and never expands them, and the target's side never
-meets one (see :mod:`orientations.alpha`).
+out-arcs and from its targets backward along in-arcs, and finds a path to
+whichever target it meets first.  Every caller names one target but the
+alpha finder, which names every vertex below its target outdegree, so
+that one search per unit moved either moves it or shows that no
+orientation attains the vector.  The alpha expansion's meeting search may
+also be handed a closed set, a vertex bitmask of vertices none of which
+reaches the target: the source's side treats them as reached and never
+expands them, and the target's side never meets one (see
+:mod:`orientations.alpha`).
 
 The number of pairwise arc-disjoint directed u-to-v paths is counted by the
 reverse-and-repeat scheme: find a path, reverse it, and iterate.  Each
@@ -131,41 +136,46 @@ def _walk(ends, tree: dict, x: int) -> list[int]:
 def _meeting_path(
     orientation: Orientation,
     u: int,
-    v: int,
+    targets: Sequence[int],
     free: Sequence[int],
     closed: int,
     meter: DelayMeter | None,
 ) -> tuple[list[int] | None, int | None]:
-    # A u-to-v path and None, or None and a cut, found by growing BFS
-    # layers from u along out-arcs and from v backward along in-arcs, one
-    # ``_grow`` per layer, until an arc joins the two trees.  Both sides
-    # scan only the entries of free[x].  u's side treats the vertices of
-    # the bitmask ``closed`` as reached and never expands them: the caller
-    # knows that none of them reaches v, so v's side never meets one.
+    # A path from u to a vertex of ``targets``, which misses u, and None, or
+    # None and a cut, found by growing BFS layers from u along out-arcs and
+    # from the targets backward along in-arcs, one ``_grow`` per layer,
+    # until an arc joins the two trees.  Both sides scan only the entries
+    # of free[x].  u's side treats the vertices of the bitmask ``closed``
+    # as reached and never expands them: the caller knows that none of
+    # them reaches a target, so the targets' side never meets one.
     # Charged as one BFS run and one arc touch per arc scanned in either
     # direction.
     #
     # The smaller layer grows first; when both hold one vertex, the one
-    # with fewer arcs to scan (out-arcs at u's, in-arcs at v's), u's on a
-    # tie.  Each side keeps its layer's key for that rule, computed once
-    # per layer: its size times ``span``, which exceeds every arc count,
-    # plus its vertex's arc count when it holds one, so the side with the
-    # smaller key grows, u's on equal keys.  A key of at most ``span`` is
-    # an empty layer or one vertex with no arc to scan, so that side has
-    # run out: a failing search stops there, before it grows that side
-    # again.  When u's side runs out first, the cut is the set A that u
-    # reaches, ``closed`` included; otherwise v's tree holds the set B of
-    # vertices that reach v, and the cut is the mask of V∖B.
+    # with fewer arcs to scan (out-arcs on u's side, in-arcs on the
+    # targets'), u's on a tie.  Each side keeps its layer's key for that
+    # rule, computed once per layer: its size times ``span``, which exceeds
+    # every arc count, plus its vertex's arc count when it holds one, so
+    # the side with the smaller key grows, u's on equal keys.  A key of at
+    # most ``span`` is an empty layer or one vertex with no arc to scan,
+    # so that side has run out: a failing search stops there, before it
+    # grows that side again.  When u's side runs out first, the cut is the
+    # set A that u reaches, ``closed`` included; otherwise the targets'
+    # tree holds the set B of vertices that reach a target, and the cut is
+    # the mask of V∖B.
     graph = orientation.graph
     rows, out = graph.incidence, orientation._out
-    ahead, behind = {u: None}, {v: None}
+    ahead, behind = {u: None}, dict.fromkeys(targets)
     while closed:
         x = closed.bit_length() - 1
         closed ^= 1 << x
         ahead[x] = None
-    front, back, span = [u], [v], len(graph.edges) + 1
+    front, back, span = [u], targets, len(graph.edges) + 1
     front_key = span + (out[u] & free[u]).bit_count()
-    back_key = span + (free[v] & ~out[v]).bit_count()
+    back_key = len(back) * span
+    if back_key == span:
+        y = back[0]
+        back_key += (free[y] & ~out[y]).bit_count()
     if meter is not None:
         meter.bfs()
     hit, touched = None, 0
@@ -192,7 +202,7 @@ def _meeting_path(
     if meter is not None:
         meter.arcs(touched)
     if hit is None:
-        inward = back_key < front_key  # v's side ran out
+        inward = back_key < front_key  # the targets' side ran out
         cut = 0
         for x in behind if inward else ahead:
             cut |= 1 << x
@@ -263,7 +273,7 @@ def _count_paths(
     flipped = kept = 0
     try:
         while len(paths) < limit:
-            path, failed = _meeting_path(orientation, u, v, orientation.graph._row_mask, 0, meter)
+            path, failed = _meeting_path(orientation, u, (v,), orientation.graph._row_mask, 0, meter)
             if path is None:
                 cut = failed
                 break

@@ -21,6 +21,7 @@ from oracles import (
 )
 from orientations import (
     DelayMeter,
+    Multigraph,
     Orientation,
     edge_connectivity,
     enumerate_alpha,
@@ -105,7 +106,7 @@ def test_criterion_3_menger_agreement(family):
         lam = 0
         current = d
         while True:
-            path = _meeting_path(current, u, v, graph._row_mask, 0, None)[0]
+            path = _meeting_path(current, u, (v,), graph._row_mask, 0, None)[0]
             if path is None:
                 break
             current = reverse_path(current, path, u)
@@ -126,7 +127,7 @@ def test_criterion_4_path_flipping_law(family):
         v = rng.randrange(graph.n)
         if u == v:
             continue
-        path = _meeting_path(d, u, v, graph._row_mask, 0, None)[0]
+        path = _meeting_path(d, u, (v,), graph._row_mask, 0, None)[0]
         if path is None:
             continue
         before = {
@@ -242,8 +243,17 @@ def test_criterion_7_nash_williams(family):
 def test_criterion_8_delay_bounds(family):
     # 8a: BFS runs between consecutive emissions stay within 2m for the
     # prescribed-outdegree enumeration, on every graph and every class.
+    # The family is joined by graphs where the finder moves all m units
+    # before the first solution: s parallel edges (0, k + 1) and k spokes
+    # (k + 2, i), i = 1..k, at the vector of every edge reversed.  A finder
+    # that searched toward the vertices below their targets one at a time
+    # would fail on up to k of them per unit, s(k + 1) + k runs in all.
+    spokes = [
+        (f"spokes-{s}-{k}", Multigraph(k + 3, [(0, k + 1)] * s + [(k + 2, i) for i in range(1, k + 1)]))
+        for s, k in ((3, 3), (4, 4), (2, 5))
+    ]
     worst_bfs_ratio = 0.0
-    for name, graph in family:
+    for name, graph in list(family) + spokes:
         if graph.m == 0:
             continue
         for alpha in achievable_alphas(graph):

@@ -185,7 +185,7 @@ def test_path_counters_restore_their_input():
         # count that falls short hands back a cut of exactly that many arcs.
         paths, cut = _count_paths(d, u, v, 3)
         assert (d.serialize(), d.outdegrees(), graph_to_text(g)) == before, g.edges
-        assert (paths[0] if paths else None) == _meeting_path(d, u, v, g._row_mask, 0, None)[0]
+        assert (paths[0] if paths else None) == _meeting_path(d, u, (v,), g._row_mask, 0, None)[0]
         if cut is not None:
             cut = vertices(cut)
             assert u in cut and v not in cut and cut_outdegree(d, cut) == len(paths) < 3

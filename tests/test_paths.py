@@ -45,28 +45,28 @@ def opposite_double_triangle():
 
 def test_path_around_triangle():
     d = directed_triangle()
-    assert _meeting_path(d, 1, 0, d.graph._row_mask, 0, None) == ([1, 2], None)  # 1->2 then 2->0
+    assert _meeting_path(d, 1, (0,), d.graph._row_mask, 0, None) == ([1, 2], None)  # 1->2 then 2->0
 
 
 def test_fixed_edge_blocks_path():
     # Edges 0 and 1 fixed: only edge 2, the second entry of the rows of
     # vertices 0 and 2, is free.
     d = directed_triangle()
-    assert _meeting_path(d, 1, 0, [0b10, 0, 0b10], 0, None)[0] is None
+    assert _meeting_path(d, 1, (0,), [0b10, 0, 0b10], 0, None)[0] is None
 
 
 def test_antiparallel_pair_single_arc():
     g = parse_graph("2 2\n0 1\n0 1")
     d = Orientation(g, [1, 0])  # edge0: 0->1, edge1: 1->0
-    assert _meeting_path(d, 0, 1, g._row_mask, 0, None) == ([0], None)
+    assert _meeting_path(d, 0, (1,), g._row_mask, 0, None) == ([0], None)
     assert d.forward(0)
 
 
 def test_lowest_edge_index_wins_ties():
     g = parse_graph("2 3\n0 1\n0 1\n0 1")
     d = Orientation(g)
-    assert _meeting_path(d, 0, 1, g._row_mask, 0, None) == ([0], None)
-    assert _meeting_path(d, 0, 1, free_masks(g, {0}), 0, None) == ([1], None)
+    assert _meeting_path(d, 0, (1,), g._row_mask, 0, None) == ([0], None)
+    assert _meeting_path(d, 0, (1,), free_masks(g, {0}), 0, None) == ([1], None)
 
 
 def test_fixed_prefix_over_parallel_edges():
@@ -78,18 +78,18 @@ def test_fixed_prefix_over_parallel_edges():
     g = parse_graph("2 4\n0 1\n0 1\n0 1\n0 1")
     d = Orientation(g, [0, 1, 0, 1])  # edges 0, 2 point 1->0; edges 1, 3 point 0->1
     meter = DelayMeter()
-    assert _meeting_path(d, 1, 0, free_masks(g, ()), 0, meter) == ([0], None)
+    assert _meeting_path(d, 1, (0,), free_masks(g, ()), 0, meter) == ([0], None)
     assert meter.arc_touches == 1
-    assert _meeting_path(d, 1, 0, free_masks(g, {0}), 0, meter) == ([2], None)
-    assert _meeting_path(d, 1, 0, free_masks(g, {0, 2}), 0, meter)[0] is None
+    assert _meeting_path(d, 1, (0,), free_masks(g, {0}), 0, meter) == ([2], None)
+    assert _meeting_path(d, 1, (0,), free_masks(g, {0, 2}), 0, meter)[0] is None
     assert meter.arc_touches == 1 + 1 + 0
-    assert _meeting_path(d, 0, 1, free_masks(g, {0, 2}), 0, meter) == ([1], None)
-    assert _meeting_path(d, 0, 1, free_masks(g, {1}), 0, meter) == ([3], None)
-    assert _meeting_path(d, 0, 1, free_masks(g, {1, 3}), 0, meter)[0] is None
+    assert _meeting_path(d, 0, (1,), free_masks(g, {0, 2}), 0, meter) == ([1], None)
+    assert _meeting_path(d, 0, (1,), free_masks(g, {1}), 0, meter) == ([3], None)
+    assert _meeting_path(d, 0, (1,), free_masks(g, {1, 3}), 0, meter)[0] is None
     assert (meter.bfs_runs, meter.arc_touches) == (6, 1 + 1 + 0 + 1 + 1 + 0)
     # The masks are per vertex: with only vertex 1's first three entries
     # cleared, its one free in-arc is edge 3, and the search takes it.
-    assert _meeting_path(d, 0, 1, [0b1111, 0b1000], 0, None) == ([3], None)
+    assert _meeting_path(d, 0, (1,), [0b1111, 0b1000], 0, None) == ([3], None)
 
 
 @pytest.mark.parametrize("source, target", [(-1, 0), (0, -1), (3, 0), (0, 3)])
@@ -101,7 +101,7 @@ def test_out_of_range_vertex_rejected(source, target):
 
 def test_reverse_path_moves_one_unit_of_outdegree():
     d = directed_triangle()
-    p = _meeting_path(d, 1, 0, d.graph._row_mask, 0, None)[0]
+    p = _meeting_path(d, 1, (0,), d.graph._row_mask, 0, None)[0]
     r = reverse_path(d, p, 1)
     assert r.outdegrees() == (2, 0, 1)
     assert d.outdegrees() == (1, 1, 1)  # input untouched
@@ -110,7 +110,7 @@ def test_reverse_path_moves_one_unit_of_outdegree():
 def test_reverse_single_arc():
     g = parse_graph("2 1\n0 1")
     d = Orientation(g)
-    p = _meeting_path(d, 0, 1, g._row_mask, 0, None)[0]
+    p = _meeting_path(d, 0, (1,), g._row_mask, 0, None)[0]
     assert reverse_path(d, p, 0).serialize() == "-"
 
 
@@ -121,7 +121,7 @@ def test_reverse_full_cycle_keeps_outdegrees():
 
 def test_reverse_path_validates_direction():
     d = directed_triangle()
-    p = _meeting_path(d, 1, 0, d.graph._row_mask, 0, None)[0]
+    p = _meeting_path(d, 1, (0,), d.graph._row_mask, 0, None)[0]
     flipped = reversed_copy(d, [1])
     with pytest.raises(ValueError):
         reverse_path(flipped, p, 1)
@@ -135,7 +135,7 @@ def test_reverse_path_degree_law_on_cuts():
     for g in pool:
         d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
         u, v = rng.sample(range(g.n), 2)
-        p = _meeting_path(d, u, v, g._row_mask, 0, None)[0]
+        p = _meeting_path(d, u, (v,), g._row_mask, 0, None)[0]
         if p is None:
             continue
         r = reverse_path(d, p, u)
@@ -374,7 +374,7 @@ def test_a_meeting_search_answers_as_the_forward_search_does(monkeypatch):
             closed = sum(1 << x for x in range(g.n) if x != u and x not in reaching and picks.random() < 0.5)
             meter, forward, behind = DelayMeter(), dict.fromkeys(vertices(closed)), {}
             steps.clear()
-            path, cut = _meeting_path(d, u, v, free, closed, meter)
+            path, cut = _meeting_path(d, u, (v,), free, closed, meter)
             assert meter.bfs_runs == 1 and meter.arc_touches <= 2 * g.m
             assert all(layer for _, layer in steps[:-1])
             want = tree_search(d, (u,), (v,), free, None, forward)
@@ -399,6 +399,37 @@ def test_a_meeting_search_answers_as_the_forward_search_does(monkeypatch):
             seen["fixed"] += free is masks and path is None
     assert met > 200 and min(seen.values()) > 20, (met, seen)
 
+
+
+def test_a_search_toward_several_targets_finds_a_path_exactly_when_u_reaches_one():
+    # The alpha finder's search: one BFS run from u toward a set of
+    # targets, which finds a path exactly when the forward search from u
+    # reaches a target.  The path ends at a target and meets no other; a
+    # failed search's cut holds u and no target, and no arc leaves it.
+    rng, picks = random.Random(931), random.Random(932)
+    met = failed = 0
+    for _, g in families.random_family(60, seed=67):
+        if g.n < 2:
+            continue
+        d = Orientation(g, [rng.randint(0, 1) for _ in range(g.m)])
+        for u in range(g.n):
+            others = [x for x in range(g.n) if x != u]
+            targets = sorted(picks.sample(others, picks.randint(1, len(others))))
+            meter = DelayMeter()
+            path, cut = _meeting_path(d, u, targets, g._row_mask, 0, meter)
+            assert meter.bfs_runs == 1 and meter.arc_touches <= 2 * g.m
+            if tree_search(d, (u,), targets, None, None, {}) is None:
+                members = vertices(cut)
+                assert path is None and u in members and not members & set(targets)
+                assert cut_outdegree(d, members) == 0
+                failed += 1
+            else:
+                end = d.head(path[-1])
+                assert cut is None and end in targets
+                assert_path(d, path, u, end)
+                assert {d.head(e) for e in path} & set(targets) == {end}
+                met += 1
+    assert met > 100 and failed > 20, (met, failed)
 
 def test_a_count_asked_for_the_largest_cut_hands_back_a_cut_as_large_or_larger():
     # A count's cut holds u and not v, is left by exactly len(paths) arcs
@@ -577,7 +608,7 @@ def test_a_count_that_reaches_its_limit_never_flips_its_last_path():
                 assert cut is None and len(paths) == limit and d == before
                 for i in range(limit):
                     flipped = reversed_copy(d, [e for path in paths[:i] for e in path])
-                    assert _meeting_path(flipped, u, v, g._row_mask, 0, searches) == (paths[i], None)
+                    assert _meeting_path(flipped, u, (v,), g._row_mask, 0, searches) == (paths[i], None)
                 assert meter.bfs_runs == searches.bfs_runs == limit
                 assert meter.arc_touches == searches.arc_touches + 2 * sum(len(p) for p in paths[:-1])
                 checked += 1
@@ -641,7 +672,7 @@ def test_flippable_reversal_preserves_k_connectivity():
         for v in range(3):
             if u == v or not lambda_at_least(d, u, v, 2):
                 continue
-            p = _meeting_path(d, u, v, d.graph._row_mask, 0, None)[0]
+            p = _meeting_path(d, u, (v,), d.graph._row_mask, 0, None)[0]
             assert p is not None
             assert is_k_connected(reverse_path(d, p, u), 1)
     # same on a few random strong orientations
@@ -657,7 +688,7 @@ def test_flippable_reversal_preserves_k_connectivity():
             for v in range(g.n):
                 if u == v or not lambda_at_least(d, u, v, 2):
                     continue
-                p = _meeting_path(d, u, v, g._row_mask, 0, None)[0]
+                p = _meeting_path(d, u, (v,), g._row_mask, 0, None)[0]
                 assert is_k_connected(reverse_path(d, p, u), 1)
                 checked += 1
     assert checked > 10

@@ -236,7 +236,7 @@ def closure_count_paths(
 def _count_search(orientation: Orientation, u: int, v: int, meter) -> tuple[list[int] | None, int | None]:
     # ``paths._meeting_path`` as a count makes it: every entry free and no
     # closed set.
-    return _meeting_path(orientation, u, v, orientation.graph._row_mask, 0, meter)
+    return _meeting_path(orientation, u, (v,), orientation.graph._row_mask, 0, meter)
 
 
 def _forward_path(orientation: Orientation, u: int, v: int, meter) -> tuple[list[int] | None, int | None]:
@@ -515,21 +515,21 @@ class InvariantProbe:
         assert [d._dirs[f] for f in above] == fixed, f"edges fixed above level {i} changed"
         tail, head = d.tail(e), d.head(e)
         if options == 1 and self.meter.bfs_runs == runs:
-            assert _meeting_path(d, head, tail, masks, 0, None)[0] is None, f"edge level {i} skipped a search that finds a path"
+            assert _meeting_path(d, head, (tail,), masks, 0, None)[0] is None, f"edge level {i} skipped a search that finds a path"
         members = vertices(levels.cut)
         leaving = [f for f in order[i:] if d.tail(f) in members and d.head(f) not in members]
         assert not leaving, f"arcs {leaving} leave the set handed up by edge level {i}"
         self.left = levels.cut
 
-    def search(self, d, u, v, free, closed, meter):
+    def search(self, d, u, targets, free, closed, meter):
         # The search of the edge level that resumed last, after checking the
         # closed set it is told to treat as reached.
         i, skipped = self.level, vertices(closed)
         below = self.levels.order[i + 1 :]
         leaving = [f for f in below if d.tail(f) in skipped and d.head(f) not in skipped]
         assert not leaving, f"free arcs {leaving} leave the skipped set of edge level {i}"
-        assert v not in skipped, f"edge level {i} skips a set that holds its tail"
-        return _meeting_path(d, u, v, free, closed, meter)
+        assert not skipped & set(targets), f"edge level {i} skips a set that holds its tail"
+        return _meeting_path(d, u, targets, free, closed, meter)
 
     def expansion(self):
         self.restored = self._differ(), self.meter.arc_touches
